@@ -83,8 +83,9 @@ pub fn ablation_flush_pht(ctx: &Ctx) {
     ]);
     // The flush variant is a modified PAg outside the catalog; the keep
     // variant is plain PAg(12). Both jobs simulate the paper's
-    // context-switch model, which the engine lowers onto the full-trace
-    // path (the packed stream has no traps or instruction counts).
+    // context-switch model, so the engine fuses each benchmark's pair
+    // into one pass that switches at the trace's switch schedule, with
+    // one shared first-level table walk for both.
     registry::register("PAg(12)+flushPHT", || {
         let mut p = Pag::new(12, BhtConfig::PAPER_DEFAULT, Automaton::A2);
         p.set_flush_pht_on_context_switch(true);

@@ -9,9 +9,11 @@
 //!   a materialized first-level pattern stream
 //!   ([`crate::runner::simulate_replay_transposed`]); chosen for
 //!   fusion-eligible catalog schemes whose first level maps to a
-//!   [`StreamKey`]. Jobs group by the *width-erased* fold class of that
-//!   key ([`StreamKey::fold_key`]): an entire width × automaton grid
-//!   column shares one batch, the engine derives **one** stream per
+//!   [`StreamKey`] and that simulate no context switches (a stream is
+//!   one uninterrupted first-level walk). Jobs group by the
+//!   *width-erased* fold class of that key ([`StreamKey::fold_key`]):
+//!   an entire width × automaton grid column shares one batch, the
+//!   engine derives **one** stream per
 //!   (trace, fold class) — at the batch's widest member width
 //!   ([`TraceStore::get_pattern_stream`]) — and every member's
 //!   bit-sliced PHT bank updates in the same walk, each member masking
@@ -22,17 +24,18 @@
 //!   path and on by default; [`Job::replay`] opts a job out.
 //! * **packed** — monomorphized [`AnyPredictor`] over the packed
 //!   conditional-branch stream ([`crate::runner::simulate_packed`]);
-//!   chosen for catalog schemes whenever no context switches are
-//!   simulated. Packed-path jobs that share a trace are additionally
-//!   **fused**: the engine groups them by [`TraceKey`] and runs each
-//!   group as batched single passes over the pc-interned stream
+//!   chosen for every other job. Context switches ride along as the
+//!   trace's [`SwitchSchedule`](crate::runner::SwitchSchedule): where
+//!   the switches fall depends only on the trace, so the store builds
+//!   it once per (trace, switch configuration)
+//!   ([`TraceStore::get_switch_schedule`]) and the loop fires each
+//!   point's switches between stream segments. Packed-path jobs
+//!   that share a trace and a switch configuration are additionally
+//!   **fused**: the engine groups them and runs each group as batched
+//!   single passes over the pc-interned stream
 //!   ([`crate::runner::simulate_fused`]), amortizing stream decode and
 //!   dispatch across the batch. Bit-identical to per-cell execution and
 //!   on by default; [`Job::fuse`] opts a job out.
-//! * **full-trace** — [`AnyPredictor`] over the full event trace
-//!   ([`crate::runner::simulate`]); chosen when context switches are
-//!   simulated (the packed stream carries no traps or instruction
-//!   counts).
 //! * **dyn** — predictors outside the catalog, registered in
 //!   [`tlabp_core::registry`] and referenced by name, run behind
 //!   [`AnyPredictor::Dyn`] on either stream. One virtual dispatch per
@@ -87,7 +90,8 @@ use crate::plan::{Job, MetricSet, Plan, PredictorSpec, TargetCacheSpec, TraceKey
 use crate::pool::SweepPool;
 use crate::runner::{
     replay_stream_key, simulate, simulate_fused, simulate_packed, simulate_replay_transposed,
-    simulate_replay_transposed_streamed, FoldKey, SimConfig, SimResult, StreamKey,
+    simulate_replay_transposed_streamed, ContextSwitchConfig, FoldKey, SimConfig, SimResult,
+    StreamKey,
 };
 use crate::stream::stream_bytes_from_env;
 use crate::suite::TraceStore;
@@ -1181,12 +1185,15 @@ struct Partition {
 /// cells group by `(trace, fold class)` — the width-*erased*
 /// [`StreamKey::fold_key`] — so automaton ablations *and* width variants
 /// of one first-level mechanism share a batch; fusible cells group by
-/// trace; everything else runs alone. Groups form in first-seen plan
-/// order and split into nearly-even contiguous batches, so the partition
-/// is a pure function of the plan.
+/// trace and switch configuration, so a batch walks one
+/// [`SwitchSchedule`](crate::runner::SwitchSchedule); everything else
+/// runs alone. Groups form in first-seen plan order and split into
+/// nearly-even contiguous batches, so the partition is a pure function
+/// of the plan.
 fn partition_batches(lowered: &[Lowered]) -> Partition {
     let mut singles: Vec<usize> = Vec::new();
-    let mut fused_of: HashMap<(&'static str, DataSet), usize> = HashMap::new();
+    let mut fused_of: HashMap<(&'static str, DataSet, Option<ContextSwitchConfig>), usize> =
+        HashMap::new();
     let mut fused: Vec<Vec<usize>> = Vec::new();
     let mut replay_of: HashMap<(&'static str, DataSet, FoldKey), usize> = HashMap::new();
     let mut replay: Vec<Vec<usize>> = Vec::new();
@@ -1200,7 +1207,7 @@ fn partition_batches(lowered: &[Lowered]) -> Partition {
             });
             replay[group].push(index);
         } else if cell.fusible() {
-            let key = (cell.trace.benchmark.name(), cell.trace.data_set);
+            let key = (cell.trace.benchmark.name(), cell.trace.data_set, cell.sim.context_switch);
             let group = *fused_of.entry(key).or_insert_with(|| {
                 fused.push(Vec::new());
                 fused.len() - 1
@@ -1229,13 +1236,15 @@ fn replay_rep_key(keys: impl Iterator<Item = StreamKey>) -> StreamKey {
 
 /// Runs one fused batch on a worker thread: a single pass over the
 /// trace's interned conditional stream stepping every predictor of the
-/// batch ([`simulate_fused`]).
+/// batch ([`simulate_fused`]), switching at the points of the switch
+/// schedule every member shares.
 fn run_fused_batch(batch: Vec<(usize, Cell)>, store: &TraceStore) -> Vec<(usize, JobOutcome)> {
-    let trace = batch[0].1.trace;
-    let interned = store.get_interned(trace.benchmark, trace.data_set);
+    let TraceKey { benchmark, data_set } = batch[0].1.trace;
+    let interned = store.get_interned(benchmark, data_set);
+    let schedule = store.get_switch_schedule(benchmark, data_set, &batch[0].1.sim);
     let mut predictors: Vec<AnyPredictor> =
         batch.iter().map(|(_, cell)| cell.build.build_any(store, cell.trace)).collect();
-    let sims = simulate_fused(&mut predictors, &interned);
+    let sims = simulate_fused(&mut predictors, &interned, &schedule);
     batch
         .into_iter()
         .zip(sims)
@@ -1341,10 +1350,9 @@ impl BuildSpec {
 /// Which simulation loop a job runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ExecPath {
-    /// Packed conditional stream, fused `step` loop.
+    /// Packed conditional stream, fused `step` loop, switches from the
+    /// trace's switch schedule.
     Packed,
-    /// Full event trace with context-switch modeling.
-    FullTrace,
     /// Boxed `dyn` predictor over the full event trace (opt-in only).
     Reference,
 }
@@ -1382,10 +1390,9 @@ impl Cell {
     }
 
     /// Whether the engine may run this cell inside a fused trace pass:
-    /// the packed path (full-trace and reference cells step events the
-    /// interned stream can't represent), accuracy-only metrics (the
-    /// instrumented loops observe predictor internals per event), and
-    /// the job's consent ([`Job::fuse`]).
+    /// the packed path (reference cells step the full event trace),
+    /// accuracy-only metrics (the instrumented loops observe predictor
+    /// internals per event), and the job's consent ([`Job::fuse`]).
     fn fusible(&self) -> bool {
         self.fuse && self.path == ExecPath::Packed && self.metrics == MetricSet::ACCURACY
     }
@@ -1440,24 +1447,21 @@ fn lower(job: &Job) -> Lowered {
         }
     }
 
-    let path = if job.reference_path {
-        ExecPath::Reference
-    } else if sim.context_switch.is_none() {
-        ExecPath::Packed
-    } else {
-        ExecPath::FullTrace
-    };
+    let path = if job.reference_path { ExecPath::Reference } else { ExecPath::Packed };
 
     // Pattern-stream replay: a fusion-eligible catalog scheme whose first
     // level maps to a stream key replays the materialized stream instead
     // of walking it. The fusion-eligibility gate keeps `with_fusion(false)`
     // meaning "per-cell packed path" (the throughput baselines) and
-    // `with_replay(false)` meaning "PR 3 fused path".
+    // `with_replay(false)` meaning "fused path". A cached stream is one
+    // uninterrupted first-level walk, so context-switch jobs never
+    // replay.
     let replay = match &job.spec {
         PredictorSpec::Scheme(config)
             if job.replay
                 && job.fuse
                 && path == ExecPath::Packed
+                && sim.context_switch.is_none()
                 && job.metrics == MetricSet::ACCURACY =>
         {
             replay_stream_key(*config)
@@ -1487,9 +1491,10 @@ fn run_cell(cell: &Cell, store: &TraceStore) -> JobOutcome {
 
     // Instrumented metrics replay the full trace through dedicated
     // observation loops (each with a fresh predictor, so the loops are
-    // independent). Their conditional-branch accuracy counters are
-    // identical to the standard no-switch loop, so whichever ran also
-    // supplies the job's SimResult.
+    // independent). Those loops model no context switches: their
+    // accuracy counters equal the packed loop's only when the job's
+    // switch schedule is empty, and only then does whichever ran also
+    // supply the job's SimResult.
     let miss_breakdown = cell.metrics.miss_breakdown.then(|| {
         let full = store.get(cell.trace.benchmark, cell.trace.data_set);
         match cell.build.build_any(store, cell.trace) {
@@ -1503,23 +1508,13 @@ fn run_cell(cell: &Cell, store: &TraceStore) -> JobOutcome {
         run_fetch(&mut predictor, &full, spec)
     });
 
-    let sim = if let Some(Some((sim, _))) = &miss_breakdown {
-        sim.clone()
-    } else if let Some((sim, _)) = &fetch {
-        sim.clone()
-    } else {
-        let mut predictor = cell.build.build_any(store, cell.trace);
-        match cell.path {
-            ExecPath::Packed => simulate_packed(
-                &mut predictor,
-                &store.get_packed(cell.trace.benchmark, cell.trace.data_set),
-            ),
-            ExecPath::FullTrace => simulate(
-                &mut predictor,
-                &store.get(cell.trace.benchmark, cell.trace.data_set),
-                &cell.sim,
-            ),
-            ExecPath::Reference => unreachable!("handled above"),
+    let schedule = store.get_switch_schedule(cell.trace.benchmark, cell.trace.data_set, &cell.sim);
+    let sim = match (&miss_breakdown, &fetch) {
+        (Some(Some((sim, _))), _) | (_, Some((sim, _))) if schedule.is_empty() => sim.clone(),
+        _ => {
+            let mut predictor = cell.build.build_any(store, cell.trace);
+            let packed = store.get_packed(cell.trace.benchmark, cell.trace.data_set);
+            simulate_packed(&mut predictor, &packed, &schedule)
         }
     };
 
@@ -1584,8 +1579,7 @@ fn run_fetch<P: BranchPredictor>(
     let mut cache = TargetCache::new(spec.entries, spec.ways);
     for branch in trace.branches() {
         let predicted_taken = if branch.class.is_conditional() {
-            let predicted = predictor.predict(branch);
-            predictor.update(branch);
+            let predicted = predictor.step(branch);
             result.predictions += 1;
             result.correct += u64::from(predicted == branch.taken);
             predicted
@@ -1728,7 +1722,7 @@ mod tests {
     #[test]
     fn mixed_plan_fuses_eligible_jobs_and_falls_back_for_the_rest() {
         // One plan holding every scheduling class at once: fusible cells,
-        // a context-switch (full-trace) cell, an instrumented cell, a
+        // a context-switch (switch-scheduled) cell, an instrumented cell, a
         // fusion-off cell and a skip. The outcomes must match the same
         // jobs run as singleton per-cell plans.
         let store = TraceStore::new();

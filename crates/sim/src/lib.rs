@@ -8,15 +8,18 @@
 //!
 //! * [`runner`] — [`runner::simulate`] drives one predictor over one
 //!   trace, honoring the trap/500k-instruction context-switch model of
-//!   Section 5.1.4.
+//!   Section 5.1.4; [`runner::SwitchSchedule`] precomputes where those
+//!   switches fall so the fast paths model them on the conditional
+//!   stream alone.
 //! * [`plan`] — the declarative job IR: a [`plan::Job`] names a
 //!   predictor, a trace, simulation options and the metrics wanted; a
 //!   [`plan::Plan`] is an ordered batch. Pure data, no execution.
 //! * [`engine`] — [`engine::execute`] lowers each job onto the best
-//!   execution path (pattern-stream replay, packed fast path,
-//!   full-trace, or dynamic dispatch for registry predictors), runs the
-//!   batch on the persistent worker pool ([`pool`]) and reassembles a
-//!   typed [`engine::ResultSet`] in deterministic plan order.
+//!   execution path (pattern-stream replay, or the packed fast path —
+//!   fused per trace, monomorphized for catalog schemes and dynamically
+//!   dispatched for registry predictors), runs the batch on the
+//!   persistent worker pool ([`pool`]) and reassembles a typed
+//!   [`engine::ResultSet`] in deterministic plan order.
 //! * [`suite`] — [`suite::run_suite`] evaluates a
 //!   [`tlabp_core::config::SchemeConfig`] on all nine benchmarks,
 //!   training the profiled schemes per benchmark and skipping the
@@ -66,6 +69,7 @@ pub use runner::{
     derive_pattern_stream, replay_stream_key, simulate, simulate_fused, simulate_packed,
     simulate_replay, simulate_replay_many, simulate_replay_transposed,
     simulate_replay_transposed_streamed, ReplayPht, SimConfig, SimResult, StreamKey,
+    SwitchSchedule,
 };
 pub use stream::{
     stream_bytes_from_env, StreamChunk, StreamCursor, StreamWindow, DEFAULT_STREAM_BYTES,

@@ -162,19 +162,20 @@ pub struct Job {
     /// throughput harness as its baseline and by differential tests.
     pub reference_path: bool,
     /// Allow the engine to fuse this job with other jobs of the plan that
-    /// share its trace into a single pass over the interned conditional
-    /// stream (on by default; fusion never changes results). Jobs that
-    /// lower to the full-trace or reference path, or that request
-    /// instrumented metrics, are fusion-ineligible regardless. Disabling
-    /// this forces the per-cell packed path — the throughput harness uses
-    /// that as the fused mode's baseline.
+    /// share its trace and context-switch configuration into a single
+    /// pass over the interned conditional stream (on by default; fusion
+    /// never changes results). Jobs forced onto the reference path, or
+    /// that request instrumented metrics, are fusion-ineligible
+    /// regardless. Disabling this forces the per-cell packed path — the
+    /// throughput harness uses that as the fused mode's baseline.
     pub fuse: bool,
     /// Allow the engine to lower this job to the pattern-stream replay
     /// path (on by default; replay never changes results). Replay applies
     /// when the predictor is a catalog scheme whose first level maps to a
-    /// [`crate::runner::StreamKey`] and the job is otherwise
-    /// fusion-eligible: the engine then materializes the first-level
-    /// stream once per (trace, key) and replays only the second level.
+    /// [`crate::runner::StreamKey`], the job simulates no context
+    /// switches, and it is otherwise fusion-eligible: the engine then
+    /// materializes the first-level stream once per (trace, key) and
+    /// replays only the second level.
     /// Disabling this falls back to the fused / packed paths — the
     /// throughput harness uses that as the replay mode's baseline.
     pub replay: bool,

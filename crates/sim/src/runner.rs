@@ -1,5 +1,7 @@
 //! The trace-driven simulation loop.
 
+use std::ops::Range;
+
 use tlabp_core::any::AnyPredictor;
 use tlabp_core::bht::{BhtConfig, BhtCursor, BhtSignature, BranchHistoryTable};
 use tlabp_core::config::{SchemeConfig, SchemeKind};
@@ -18,7 +20,7 @@ use crate::stream::StreamCursor;
 /// instructions if no trap occurs, a context switch is simulated" — the
 /// 500,000 figure derives from a 50 MHz, 1-IPC machine switching every
 /// 10 ms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ContextSwitchConfig {
     /// Instructions between forced switches when no trap intervenes.
     pub interval_instructions: u64,
@@ -145,6 +147,91 @@ pub fn simulate<P: BranchPredictor + ?Sized>(
     result
 }
 
+/// Where one trace's context switches fall, against its
+/// conditional-branch stream: [`simulate`]'s trap and interval rules
+/// evaluated once per (trace, [`ContextSwitchConfig`]).
+///
+/// A switch flushes first-level history and keeps pattern tables, and
+/// *when* it fires depends only on the trace's instruction counts and
+/// traps, never on the predictor. So one schedule serves every job of a
+/// trace under the same configuration, and the packed and fused loops
+/// model switches without the full trace: they walk the conditional
+/// stream in the segments between switch points and fire each point's
+/// switches before its conditional. The default (empty) schedule models
+/// no switches.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SwitchSchedule {
+    /// `(conditional index, switch count)` in increasing index order:
+    /// `count` switches fire just before the conditional at `index`.
+    points: Vec<(usize, u32)>,
+    /// Every switch, including those after the last conditional, which
+    /// change no prediction and so appear in no point.
+    total: u64,
+}
+
+impl SwitchSchedule {
+    /// The schedule of `config`'s context switches over `trace`; empty
+    /// when `config` models none. Bit-for-bit the switches [`simulate`]
+    /// fires: the same interval and trap rules, in the same order.
+    #[must_use]
+    pub fn new(trace: &Trace, config: &SimConfig) -> SwitchSchedule {
+        let mut schedule = SwitchSchedule::default();
+        let Some(cs) = config.context_switch else { return schedule };
+        let mut conditionals = 0usize;
+        let mut next_interval_switch = cs.interval_instructions;
+        for event in trace.iter() {
+            if event.instret() >= next_interval_switch {
+                schedule.fire(conditionals);
+                next_interval_switch = event.instret() + cs.interval_instructions;
+            }
+            match event {
+                TraceEvent::Branch(branch) if branch.class.is_conditional() => conditionals += 1,
+                TraceEvent::Branch(_) => {}
+                TraceEvent::Trap(trap) => {
+                    if cs.on_traps {
+                        schedule.fire(conditionals);
+                        next_interval_switch = trap.instret + cs.interval_instructions;
+                    }
+                }
+            }
+        }
+        if schedule.points.last().is_some_and(|&(index, _)| index == conditionals) {
+            schedule.points.pop();
+        }
+        schedule
+    }
+
+    /// Records one switch just before the conditional at `index`.
+    fn fire(&mut self, index: usize) {
+        self.total += 1;
+        match self.points.last_mut() {
+            Some((last, count)) if *last == index => *count += 1,
+            _ => self.points.push((index, 1)),
+        }
+    }
+
+    /// Every switch the schedule fires (the result's `context_switches`).
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// Whether no switch fires at all.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.total == 0
+    }
+
+    /// The conditional stream `0..len` cut at the switch points, each
+    /// segment paired with the number of switches that fire before it.
+    fn segments(&self, len: usize) -> impl Iterator<Item = (u32, Range<usize>)> + '_ {
+        debug_assert!(self.points.iter().all(|&(index, _)| index < len), "schedule of this stream");
+        let starts = std::iter::once((0, 0)).chain(self.points.iter().copied());
+        let ends = self.points.iter().map(|&(index, _)| index).chain(std::iter::once(len));
+        starts.zip(ends).map(|((start, switches), end)| (switches, start..end))
+    }
+}
+
 /// Runs `predictor` over a packed conditional-branch stream — the
 /// simulator's fast path.
 ///
@@ -157,43 +244,49 @@ pub fn simulate<P: BranchPredictor + ?Sized>(
 /// (e.g. [`tlabp_core::any::AnyPredictor`]) the whole step inlines into
 /// the loop body.
 ///
-/// Context switches cannot be modeled here: the packed stream has no
-/// instruction counts or traps. Callers must fall back to [`simulate`]
-/// on the full trace when `SimConfig::context_switch` is set; given
-/// that, this function is bit-identical to [`simulate`] with
-/// [`SimConfig::no_context_switch`] on the trace the stream was packed
-/// from (the differential tests in `tests/differential.rs` assert this
-/// for every catalog scheme).
+/// Context switches come from `schedule`, built from the trace the
+/// stream was packed from: the predictor's
+/// [`BranchPredictor::context_switch`] fires at each switch point. Given
+/// that schedule, this function is bit-identical to [`simulate`] under
+/// the same [`SimConfig`] (the differential tests in
+/// `tests/differential.rs` assert this for every catalog scheme).
 ///
 /// # Example
 ///
 /// ```
 /// use tlabp_core::config::SchemeConfig;
-/// use tlabp_sim::runner::simulate_packed;
+/// use tlabp_sim::runner::{simulate_packed, SimConfig, SwitchSchedule};
 /// use tlabp_trace::synth::LoopNest;
 ///
 /// let trace = LoopNest::new(&[50, 20]).generate();
 /// let packed = trace.pack_conditionals();
+/// let schedule = SwitchSchedule::new(&trace, &SimConfig::paper_context_switch());
 /// let mut predictor = SchemeConfig::pag(6).build_any()?;
-/// let result = simulate_packed(&mut predictor, &packed);
+/// let result = simulate_packed(&mut predictor, &packed, &schedule);
 /// assert!(result.accuracy() > 0.9);
 /// # Ok::<(), tlabp_core::config::BuildError>(())
 /// ```
 pub fn simulate_packed<P: BranchPredictor + ?Sized>(
     predictor: &mut P,
     conditionals: &[PackedCond],
+    schedule: &SwitchSchedule,
 ) -> SimResult {
     let mut correct = 0u64;
-    for cond in conditionals {
-        let branch = cond.to_record();
-        let predicted = predictor.step(&branch);
-        correct += u64::from(predicted == branch.taken);
+    for (switches, segment) in schedule.segments(conditionals.len()) {
+        for _ in 0..switches {
+            predictor.context_switch();
+        }
+        for cond in &conditionals[segment] {
+            let branch = cond.to_record();
+            let predicted = predictor.step(&branch);
+            correct += u64::from(predicted == branch.taken);
+        }
     }
     SimResult {
         scheme: predictor.name(),
         predictions: conditionals.len() as u64,
         correct,
-        context_switches: 0,
+        context_switches: schedule.total(),
     }
 }
 
@@ -232,13 +325,16 @@ const FUSE_CHUNK: usize = 256;
 /// per predictor. Predictors with unique signatures (or none) fall back
 /// to the solo [`BranchPredictor::step_interned_block`] walk.
 ///
-/// Like [`simulate_packed`], this models no context switches.
+/// Context switches come from `schedule`, as in [`simulate_packed`]:
+/// chunks never straddle a switch point, and at each point every
+/// predictor switches and every driver table flushes — the flush a
+/// member's own table would have taken.
 ///
 /// # Example
 ///
 /// ```
 /// use tlabp_core::config::SchemeConfig;
-/// use tlabp_sim::runner::simulate_fused;
+/// use tlabp_sim::runner::{simulate_fused, SwitchSchedule};
 /// use tlabp_trace::synth::LoopNest;
 /// use tlabp_trace::InternedConds;
 ///
@@ -248,13 +344,14 @@ const FUSE_CHUNK: usize = 256;
 ///     SchemeConfig::pag(6).build_any()?,
 ///     SchemeConfig::gag(8).build_any()?,
 /// ];
-/// let results = simulate_fused(&mut batch, &interned);
+/// let results = simulate_fused(&mut batch, &interned, &SwitchSchedule::default());
 /// assert!(results.iter().all(|r| r.accuracy() > 0.9));
 /// # Ok::<(), tlabp_core::config::BuildError>(())
 /// ```
 pub fn simulate_fused<P: BranchPredictor>(
     predictors: &mut [P],
     interned: &InternedConds,
+    schedule: &SwitchSchedule,
 ) -> Vec<SimResult> {
     // Partition the batch: predictors sharing a first-level signature
     // ride one driver table; everyone else (unique signatures included —
@@ -284,24 +381,31 @@ pub fn simulate_fused<P: BranchPredictor>(
     let mut correct = vec![0u64; predictors.len()];
     let mut block: Vec<(u32, BranchRecord)> = Vec::with_capacity(FUSE_CHUNK);
     let mut patterns: Vec<(usize, BhtCursor)> = Vec::with_capacity(FUSE_CHUNK);
-    for chunk in interned.events().chunks(FUSE_CHUNK) {
-        block.clear();
-        block.extend(chunk.iter().map(|event| (event.id(), interned.record(*event))));
-        for &index in &solo {
-            correct[index] += predictors[index].step_interned_block(&block);
+    for (switches, segment) in schedule.segments(interned.len()) {
+        for _ in 0..switches {
+            predictors.iter_mut().for_each(P::context_switch);
+            drivers.iter_mut().for_each(BranchHistoryTable::flush);
         }
-        for ((_, members), driver) in shared.iter().zip(drivers.iter_mut()) {
-            // access → record per event is the exact operation order of
-            // the per-cell step loop, so the driver's (pattern, cursor)
-            // stream matches each member's own table bit for bit.
-            patterns.clear();
-            for (id, branch) in &block {
-                let (pattern, cursor) = driver.access_pattern_interned(*id, branch.pc);
-                driver.record_outcome_at_interned(cursor, *id, branch.taken);
-                patterns.push((pattern, cursor));
+        for chunk in interned.events()[segment].chunks(FUSE_CHUNK) {
+            block.clear();
+            block.extend(chunk.iter().map(|event| (event.id(), interned.record(*event))));
+            for &index in &solo {
+                correct[index] += predictors[index].step_interned_block(&block);
             }
-            for &index in members {
-                correct[index] += predictors[index].step_shared_block(&block, &patterns);
+            for ((_, members), driver) in shared.iter().zip(drivers.iter_mut()) {
+                // access → record per event is the exact operation order
+                // of the per-cell step loop, so the driver's (pattern,
+                // cursor) stream matches each member's own table bit for
+                // bit.
+                patterns.clear();
+                for (id, branch) in &block {
+                    let (pattern, cursor) = driver.access_pattern_interned(*id, branch.pc);
+                    driver.record_outcome_at_interned(cursor, *id, branch.taken);
+                    patterns.push((pattern, cursor));
+                }
+                for &index in members {
+                    correct[index] += predictors[index].step_shared_block(&block, &patterns);
+                }
             }
         }
     }
@@ -312,7 +416,7 @@ pub fn simulate_fused<P: BranchPredictor>(
             scheme: predictor.name(),
             predictions: interned.len() as u64,
             correct,
-            context_switches: 0,
+            context_switches: schedule.total(),
         })
         .collect()
 }
@@ -1004,6 +1108,60 @@ mod tests {
         assert!(with < without, "flushing must hurt: with={with} without={without}");
     }
 
+    fn dense(on_traps: bool) -> SimConfig {
+        SimConfig {
+            context_switch: Some(ContextSwitchConfig { interval_instructions: 100, on_traps }),
+        }
+    }
+
+    #[test]
+    fn schedule_counts_a_trap_and_an_interval_on_one_event_twice() {
+        let mut trace = Trace::new();
+        trace.push(BranchRecord::conditional(0x10, true, 0x4, 10));
+        // Past the interval due at 100 *and* a trap: both rules fire.
+        trace.push(TrapRecord::new(0x20, 150));
+        trace.push(BranchRecord::conditional(0x10, true, 0x4, 160));
+        let schedule = SwitchSchedule::new(&trace, &dense(true));
+        assert_eq!(schedule.points, [(1, 2)]);
+        assert_eq!(schedule.total(), 2);
+        let mut p = Pag::new(4, BhtConfig::PAPER_DEFAULT, Automaton::A2);
+        assert_eq!(simulate(&mut p, &trace, &dense(true)).context_switches, 2);
+        // Without traps only the interval fires.
+        let schedule = SwitchSchedule::new(&trace, &dense(false));
+        assert_eq!(schedule.points, [(1, 1)]);
+    }
+
+    #[test]
+    fn switches_after_the_last_conditional_only_count() {
+        let mut trace = Trace::new();
+        trace.push(BranchRecord::conditional(0x10, true, 0x4, 10));
+        trace.push(BranchRecord::conditional(0x10, false, 0x4, 20));
+        trace.push(TrapRecord::new(0x20, 30));
+        trace.push(TrapRecord::new(0x20, 40));
+        let schedule = SwitchSchedule::new(&trace, &dense(true));
+        assert!(schedule.points.is_empty(), "{schedule:?}");
+        assert_eq!(schedule.total(), 2);
+        assert!(!schedule.is_empty());
+        let mut packed_predictor = Pag::new(4, BhtConfig::PAPER_DEFAULT, Automaton::A2);
+        let packed = simulate_packed(&mut packed_predictor, &trace.pack_conditionals(), &schedule);
+        let mut p = Pag::new(4, BhtConfig::PAPER_DEFAULT, Automaton::A2);
+        assert_eq!(packed, simulate(&mut p, &trace, &dense(true)));
+        assert_eq!(packed.context_switches, 2);
+    }
+
+    #[test]
+    fn schedule_is_empty_without_a_context_switch_model() {
+        let mut trace = Trace::new();
+        for i in 0..50u64 {
+            trace.push(BranchRecord::conditional(0x10, i % 3 == 0, 0x4, i * 100));
+            trace.push(TrapRecord::new(0x20, i * 100 + 50));
+        }
+        let schedule = SwitchSchedule::new(&trace, &SimConfig::no_context_switch());
+        assert_eq!(schedule, SwitchSchedule::default());
+        assert!(schedule.is_empty());
+        assert!(!SwitchSchedule::new(&trace, &dense(true)).is_empty());
+    }
+
     #[test]
     fn accuracy_of_empty_trace_is_zero() {
         let mut p = Pag::new(4, BhtConfig::PAPER_DEFAULT, Automaton::A2);
@@ -1037,10 +1195,10 @@ mod tests {
             SchemeConfig::btfn(),
         ];
         let mut batch: Vec<_> = configs.iter().map(|c| c.build_any().expect("builds")).collect();
-        let fused = simulate_fused(&mut batch, &interned);
+        let fused = simulate_fused(&mut batch, &interned, &SwitchSchedule::default());
         for (config, fused_result) in configs.iter().zip(&fused) {
             let mut alone = config.build_any().expect("builds");
-            let packed_result = simulate_packed(&mut alone, &packed);
+            let packed_result = simulate_packed(&mut alone, &packed, &SwitchSchedule::default());
             assert_eq!(fused_result, &packed_result, "{config}");
         }
     }
@@ -1050,7 +1208,8 @@ mod tests {
         use tlabp_core::config::SchemeConfig;
         use tlabp_trace::InternedConds;
         let mut batch = vec![SchemeConfig::gag(6).build_any().expect("builds")];
-        let results = simulate_fused(&mut batch, &InternedConds::default());
+        let results =
+            simulate_fused(&mut batch, &InternedConds::default(), &SwitchSchedule::default());
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].predictions, 0);
         assert_eq!(results[0].accuracy(), 0.0);
@@ -1079,7 +1238,7 @@ mod tests {
             let predictor = config.build_any().expect("builds");
             let replayed = simulate_replay(&predictor, &stream).expect("replayable");
             let mut alone = config.build_any().expect("builds");
-            let reference = simulate_packed(&mut alone, &packed);
+            let reference = simulate_packed(&mut alone, &packed, &SwitchSchedule::default());
             assert_eq!(replayed, reference, "{config}");
         }
     }

@@ -16,7 +16,9 @@ use tlabp_trace::{InternedConds, PackedCond, PatternStream, Trace};
 use tlabp_workloads::{Benchmark, DataSet};
 
 use crate::metrics::SuiteResult;
-use crate::runner::{derive_pattern_stream, SimConfig, StreamKey};
+use crate::runner::{
+    derive_pattern_stream, ContextSwitchConfig, SimConfig, StreamKey, SwitchSchedule,
+};
 use crate::stream::{StreamCursor, StreamWindow};
 use crate::sweep::run_sweep;
 
@@ -83,6 +85,10 @@ struct TraceSlot {
     // only the map (find or insert the cell); each cell's derivation runs
     // behind its own OnceLock, exactly like the three fixed forms above.
     streams: Mutex<HashMap<StreamKey, Arc<OnceLock<Arc<PatternStream>>>>>,
+    // One context-switch schedule per switch configuration, built the
+    // same way from the full trace. Never persisted: a schedule is a few
+    // hundred points, rebuilt in about a millisecond.
+    schedules: Mutex<HashMap<ContextSwitchConfig, Arc<OnceLock<Arc<SwitchSchedule>>>>>,
     // Disk-tier state: the workload fingerprint (computed once), a
     // hydration gate so the artifact file is read at most once per slot,
     // and a write lock serializing re-persists of this slot.
@@ -508,6 +514,32 @@ impl TraceStore {
         stream
     }
 
+    /// Returns where `config`'s context switches fall in the trace for
+    /// `(benchmark, data_set)` — the schedule
+    /// [`crate::runner::simulate_packed`] and
+    /// [`crate::runner::simulate_fused`] take — building it from the full
+    /// trace on first use. Empty, without touching the slot, when
+    /// `config` models no switches.
+    #[must_use]
+    pub fn get_switch_schedule(
+        &self,
+        benchmark: &Benchmark,
+        data_set: DataSet,
+        config: &SimConfig,
+    ) -> Arc<SwitchSchedule> {
+        let Some(switches) = config.context_switch else { return Arc::default() };
+        let slot = self.slot_hydrated(benchmark, data_set);
+        let cell = {
+            let mut schedules = slot.schedules.lock().expect("schedule map lock");
+            Arc::clone(schedules.entry(switches).or_default())
+        };
+        Arc::clone(
+            cell.get_or_init(|| {
+                Arc::new(SwitchSchedule::new(&self.get(benchmark, data_set), config))
+            }),
+        )
+    }
+
     /// The already-resident pattern stream for `(benchmark, data_set,
     /// key)`, or `None` when it has not been derived or hydrated yet — a
     /// non-forcing peek. The engine's intra-batch split heuristic uses
@@ -755,6 +787,27 @@ mod tests {
         assert!(!first.is_laned());
         assert!(other.is_laned());
         assert_eq!(store.len(), 1, "streams share the trace slot");
+    }
+
+    #[test]
+    fn switch_schedules_are_cached_per_config() {
+        let store = small_store();
+        let b = Benchmark::by_name("gcc").unwrap();
+        let paper = SimConfig::paper_context_switch();
+        let first = store.get_switch_schedule(b, DataSet::Testing, &paper);
+        let again = store.get_switch_schedule(b, DataSet::Testing, &paper);
+        assert!(Arc::ptr_eq(&first, &again), "built once per config");
+        assert_eq!(*first, SwitchSchedule::new(&store.get(b, DataSet::Testing), &paper));
+        assert!(!first.is_empty(), "gcc traps");
+        let traps_off = SimConfig {
+            context_switch: Some(ContextSwitchConfig { on_traps: false, ..Default::default() }),
+        };
+        let other = store.get_switch_schedule(b, DataSet::Testing, &traps_off);
+        assert!(other.total() < first.total(), "{} vs {}", other.total(), first.total());
+        assert!(store
+            .get_switch_schedule(b, DataSet::Testing, &SimConfig::no_context_switch())
+            .is_empty());
+        assert_eq!(store.len(), 1, "schedules share the trace slot");
     }
 
     #[test]

@@ -11,7 +11,9 @@
 # memory knob only — and one-iteration smoke runs of the throughput
 # harness (full, then the replay section alone under the portable SWAR
 # body, then the scaling, service and stream sections alone), an
-# end-to-end TLBE import of the built-in demo capture, and the
+# end-to-end TLBE import of the built-in demo capture, a byte-compare
+# of the context-switch paper artifacts (fig9, fig10 and the ablations,
+# regenerated on a fresh trace cache) against `results/`, and the
 # sweep-service smoke test: a daemon is started with a persistent memo
 # tier, a concurrent burst of clients streams the fig5 plan, every
 # result set must be byte-identical to an in-process `experiments exec`
@@ -45,6 +47,18 @@ TLABP_BENCH_ITERS=1 cargo run -q -p tlabp-experiments --release -- bench --secti
 # persist as a fingerprint-named v3 artifact and pass its replay smoke
 # check end-to-end.
 TLABP_TRACE_DIR="$(mktemp -d)" cargo run -q -p tlabp-experiments --release -- import --out "$(mktemp -d)"
+
+# Golden context-switch artifacts: fig9, fig10 and the ablations (whose
+# flush-PHT half simulates context switches) must regenerate every CSV
+# byte-identically to the committed copy under results/.
+GOLDEN_DIR="$(mktemp -d)"
+GOLDEN_TRACES="$(mktemp -d)"
+for artifact in fig9 fig10 ablations; do
+  TLABP_TRACE_DIR="$GOLDEN_TRACES" cargo run -q -p tlabp-experiments --release -- "$artifact" --out "$GOLDEN_DIR"
+done
+for csv in fig9.csv fig9_summary.csv fig10.csv ablation_flush_pht.csv ablation_speculative.csv; do
+  cmp "results/$csv" "$GOLDEN_DIR/$csv"
+done
 
 # Sweep-service smoke test. Serialize the fig5 plan, run it in-process
 # for the reference results, then stream it through a live daemon

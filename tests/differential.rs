@@ -2,22 +2,25 @@
 //! reference path.
 //!
 //! The sweep engine runs cells through a monomorphized
-//! [`AnyPredictor`] and, without context switches, over the packed
-//! conditional-branch stream — and fuses packed-path jobs that share a
-//! trace into batched passes over the pc-interned stream. None of these
-//! transformations may change a single prediction: for every scheme in
-//! the catalog, the boxed `dyn BranchPredictor` over the full trace,
-//! the `AnyPredictor` over the full trace, the `AnyPredictor` over the
-//! packed stream, and the fused batch over the interned stream must
-//! produce identical [`SimResult`]s.
+//! [`AnyPredictor`] over the packed conditional-branch stream, with
+//! context switches taken from the trace's precomputed switch schedule
+//! — and fuses packed-path jobs that share a trace into batched passes
+//! over the pc-interned stream. None of these transformations may change
+//! a single prediction: for every scheme in the catalog, the boxed
+//! `dyn BranchPredictor` over the full trace, the `AnyPredictor` over
+//! the full trace, the `AnyPredictor` over the packed stream, and the
+//! fused batch over the interned stream must produce identical
+//! [`SimResult`]s.
 
 use tlabp::core::automaton::Automaton;
 use tlabp::core::config::SchemeConfig;
 use tlabp::core::BhtConfig;
-use tlabp::sim::runner::{simulate, simulate_packed, SimConfig};
+use tlabp::sim::runner::{
+    simulate, simulate_fused, simulate_packed, ContextSwitchConfig, SimConfig, SwitchSchedule,
+};
 use tlabp::sim::SimResult;
 use tlabp::trace::synth::{BiasedCoins, CorrelatedBranches, Correlation, LoopNest, MarkovBranches};
-use tlabp::trace::Trace;
+use tlabp::trace::{InternedConds, Trace};
 use tlabp::workloads::{Benchmark, DataSet};
 
 /// Every scheme kind the simulator supports, across automata, history
@@ -58,63 +61,152 @@ fn traces() -> Vec<(&'static str, Trace)> {
     ]
 }
 
+/// The switch models a `c`-flagged scheme runs under: the paper's, plus
+/// two dense ones (with and without trap switches) so that the short
+/// synthetic traces, which have no traps, switch too.
+fn switch_models() -> [SimConfig; 3] {
+    let dense = |on_traps| SimConfig {
+        context_switch: Some(ContextSwitchConfig { interval_instructions: 1_000, on_traps }),
+    };
+    [SimConfig::paper_context_switch(), dense(true), dense(false)]
+}
+
+/// `config`'s monomorphized predictor, trained on `training` when the
+/// scheme needs it.
+fn build_any(config: &SchemeConfig, training: &Trace) -> tlabp::core::AnyPredictor {
+    if config.needs_training() {
+        config.build_any_trained(training)
+    } else {
+        config.build_any().expect("builds")
+    }
+}
+
+/// `config` on `trace` under `sim` through every loop: the boxed
+/// reference, `AnyPredictor` over the full trace, the packed loop and a
+/// one-member fused batch, both fed the trace's switch schedule.
 fn run_all_paths(
     config: &SchemeConfig,
     trace: &Trace,
     training: &Trace,
     sim: &SimConfig,
-) -> (SimResult, SimResult, Option<SimResult>) {
+) -> [(&'static str, SimResult); 4] {
     let mut boxed = if config.needs_training() {
         config.build_trained(training)
     } else {
         config.build().expect("builds")
     };
-    let mut any = if config.needs_training() {
-        config.build_any_trained(training)
-    } else {
-        config.build_any().expect("builds")
-    };
-    let dyn_result = simulate(&mut *boxed, trace, sim);
-    let any_result = simulate(&mut any, trace, sim);
-    let packed_result = if sim.context_switch.is_none() {
-        let mut any = if config.needs_training() {
-            config.build_any_trained(training)
-        } else {
-            config.build_any().expect("builds")
-        };
-        Some(simulate_packed(&mut any, &trace.pack_conditionals()))
-    } else {
-        None
-    };
-    (dyn_result, any_result, packed_result)
+    let schedule = SwitchSchedule::new(trace, sim);
+    let packed = trace.pack_conditionals();
+    let interned = InternedConds::from_packed(&packed);
+    let mut fused = [build_any(config, training)];
+    [
+        ("dyn", simulate(&mut *boxed, trace, sim)),
+        ("AnyPredictor", simulate(&mut build_any(config, training), trace, sim)),
+        ("packed", simulate_packed(&mut build_any(config, training), &packed, &schedule)),
+        ("fused", simulate_fused(&mut fused, &interned, &schedule).remove(0)),
+    ]
 }
 
-/// The monomorphized and packed paths are bit-identical to the boxed
-/// reference for every catalog scheme on every trace, with and without
-/// context-switch simulation.
+/// The monomorphized, packed and fused paths are bit-identical to the
+/// boxed reference for every catalog scheme on every trace, with and
+/// without context-switch simulation — the `c`-flagged schemes under
+/// every switch model.
 #[test]
 fn every_catalog_scheme_is_path_invariant() {
     let training = BiasedCoins::uniform(24, 0.7, 400, 8).generate();
     for (trace_name, trace) in traces() {
-        for config in catalog() {
-            let sim = if config.context_switch() {
-                SimConfig::paper_context_switch()
-            } else {
-                SimConfig::no_context_switch()
-            };
-            let (dyn_result, any_result, packed_result) =
-                run_all_paths(&config, &trace, &training, &sim);
-            assert_eq!(
-                dyn_result, any_result,
-                "dyn vs AnyPredictor diverged for {config} on {trace_name}"
+        for dense in &switch_models()[1..] {
+            assert!(
+                !SwitchSchedule::new(&trace, dense).is_empty(),
+                "{trace_name} never switches under {dense:?}"
             );
-            if let Some(packed_result) = packed_result {
-                assert_eq!(
-                    dyn_result, packed_result,
-                    "dyn vs packed diverged for {config} on {trace_name}"
-                );
+        }
+        for config in catalog() {
+            let sims = if config.context_switch() {
+                switch_models().to_vec()
+            } else {
+                vec![SimConfig::no_context_switch()]
+            };
+            for sim in sims {
+                let [(_, reference), others @ ..] = run_all_paths(&config, &trace, &training, &sim);
+                for (path, result) in others {
+                    assert_eq!(
+                        reference, result,
+                        "dyn vs {path} diverged for {config} on {trace_name} under {sim:?}"
+                    );
+                }
             }
         }
+    }
+}
+
+/// The paper's flush-PHT ablation predictor (a `Dyn` PAg(12) that also
+/// reinitializes its pattern table on every switch) shares one driver
+/// table with plain PAg(12) in a fused batch: the driver flushes at each
+/// switch point and each member applies its own switch policy, so both
+/// still match the reference loop.
+#[test]
+fn fused_flush_pht_ablation_shares_a_driver_with_pag() {
+    use tlabp::core::predictor::BranchPredictor;
+    use tlabp::core::schemes::Pag;
+    use tlabp::core::AnyPredictor;
+
+    let flush_pht = || {
+        let mut pag = Pag::new(12, BhtConfig::PAPER_DEFAULT, Automaton::A2);
+        pag.set_flush_pht_on_context_switch(true);
+        pag
+    };
+    let gcc = Benchmark::by_name("gcc").expect("gcc exists").trace(DataSet::Testing);
+    let mut flushing_costs = false;
+    for (trace_name, trace) in traces().into_iter().chain([("gcc_testing", gcc)]) {
+        let interned = InternedConds::from_trace(&trace);
+        for sim in switch_models() {
+            let schedule = SwitchSchedule::new(&trace, &sim);
+            let mut batch = [
+                AnyPredictor::Dyn(Box::new(flush_pht())),
+                SchemeConfig::pag(12).build_any().expect("builds"),
+            ];
+            assert_eq!(batch[0].shared_bht(), batch[1].shared_bht(), "one driver table");
+            let fused = simulate_fused(&mut batch, &interned, &schedule);
+            let flush_reference = simulate(&mut flush_pht(), &trace, &sim);
+            let keep_reference =
+                simulate(&mut *SchemeConfig::pag(12).build().expect("builds"), &trace, &sim);
+            assert_eq!(fused[0], flush_reference, "flush-PHT on {trace_name} under {sim:?}");
+            assert_eq!(fused[1], keep_reference, "PAg(12) on {trace_name} under {sim:?}");
+            flushing_costs |= flush_reference.correct < keep_reference.correct;
+        }
+    }
+    assert!(flushing_costs, "flushing the PHT never changed a prediction");
+}
+
+/// Instrumented jobs that simulate context switches report the switched
+/// accuracy: the miss-breakdown and fetch loops model no switches, so
+/// their own counters must not stand in for the job's.
+#[test]
+fn instrumented_context_switch_jobs_match_the_reference_path() {
+    use tlabp::sim::engine::execute;
+    use tlabp::sim::plan::{Job, MetricSet, Plan, TargetCacheSpec};
+    use tlabp::sim::TraceStore;
+
+    let gcc = Benchmark::by_name("gcc").expect("gcc exists");
+    let config = SchemeConfig::pag(12).with_context_switch(true);
+    let metric_sets = [
+        MetricSet { miss_breakdown: true, fetch: None },
+        MetricSet { miss_breakdown: false, fetch: Some(TargetCacheSpec::PAPER_DEFAULT) },
+        MetricSet { miss_breakdown: true, fetch: Some(TargetCacheSpec::PAPER_DEFAULT) },
+    ];
+    let mut jobs: Vec<Job> =
+        metric_sets.iter().map(|&metrics| Job::scheme(config, gcc).with_metrics(metrics)).collect();
+    jobs.push(Job::scheme(config, gcc).with_reference_path(true));
+    let plan: Plan = jobs.into_iter().collect();
+    let results = execute(&plan, &TraceStore::from_env());
+    let reference = &results.outcome(metric_sets.len()).metrics().expect("measured").sim;
+    assert!(reference.context_switches > 0, "gcc switches");
+    for (index, metrics) in metric_sets.iter().enumerate() {
+        let measured = results.outcome(index).metrics().expect("measured");
+        assert_eq!(&measured.sim, reference, "{metrics:?} vs reference");
+        assert_eq!(measured.miss_breakdown.is_some(), metrics.miss_breakdown);
+        assert_eq!(measured.fetch.is_some(), metrics.fetch.is_some());
     }
 }
 
@@ -151,11 +243,11 @@ fn engine_paths_agree_for_every_lowering() {
 }
 
 /// Fusion is invisible: for every catalog scheme — including the
-/// context-switch variants, which are fusion-ineligible and must fall
-/// back to per-cell execution inside a fused plan — a fused plan, the
-/// same plan with fusion disabled, and the same plan forced onto the
-/// reference path produce identical outcomes job for job: measured
-/// counters and skip reasons alike.
+/// context-switch variants, which fuse into their own batch walking the
+/// trace's switch schedule — a fused plan, the same plan with fusion
+/// disabled, and the same plan forced onto the reference path produce
+/// identical outcomes job for job: measured counters and skip reasons
+/// alike.
 #[test]
 fn fused_per_cell_and_reference_plans_agree_job_for_job() {
     use tlabp::sim::engine::execute;
@@ -199,7 +291,7 @@ fn fused_per_cell_and_reference_plans_agree_job_for_job() {
 /// A fused batch's composition never affects its members: every catalog
 /// scheme measured alone in its own single-job fused plan matches the
 /// outcome it gets inside the all-schemes fused plan (where it shares
-/// batches with 15 other predictors).
+/// batches with the other predictors of its switch configuration).
 #[test]
 fn fused_outcomes_are_independent_of_batch_composition() {
     use tlabp::sim::engine::execute;
@@ -207,14 +299,13 @@ fn fused_outcomes_are_independent_of_batch_composition() {
     use tlabp::sim::TraceStore;
 
     let li = Benchmark::by_name("li").expect("li exists");
-    // The no-switch half of the catalog: every scheme that actually
-    // lowers to the fusible packed path.
-    let fusible: Vec<SchemeConfig> =
-        catalog().into_iter().filter(|config| !config.context_switch()).collect();
+    // The whole catalog: the no-switch half lowers to replay and fused
+    // batches, the `c`-flagged half to fused batches of its own.
+    let configs = catalog();
     let store = TraceStore::from_env();
-    let multi: Plan = fusible.iter().map(|&config| Job::scheme(config, li)).collect();
+    let multi: Plan = configs.iter().map(|&config| Job::scheme(config, li)).collect();
     let multi_out = execute(&multi, &store);
-    for (index, &config) in fusible.iter().enumerate() {
+    for (index, &config) in configs.iter().enumerate() {
         let single: Plan = [Job::scheme(config, li)].into_iter().collect();
         let single_out = execute(&single, &store);
         assert_eq!(
@@ -292,7 +383,11 @@ fn replay_is_bit_identical_for_every_scheme_and_automaton() {
             } else {
                 config.build_any().expect("builds")
             };
-            let packed_result = simulate_packed(&mut packed, &trace.pack_conditionals());
+            let packed_result = simulate_packed(
+                &mut packed,
+                &trace.pack_conditionals(),
+                &SwitchSchedule::default(),
+            );
             assert_eq!(
                 replayed, packed_result,
                 "replay vs packed diverged for {config} on {trace_name}"

@@ -28,7 +28,8 @@ fn scratch_dir(test: &str) -> PathBuf {
 
 /// A plan exercising every persisted form on one benchmark: replay jobs
 /// (pattern streams, two distinct keys), a fused job (interned stream)
-/// and a context-switch job (full trace).
+/// and a context-switch job (interned stream, plus the full trace its
+/// switch schedule is built from).
 fn plan() -> Plan {
     let li = Benchmark::by_name("li").expect("li exists");
     [

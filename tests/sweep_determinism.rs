@@ -121,9 +121,9 @@ fn cold_store_prefetch_matches_lazy_across_pool_sizes() {
     use tlabp::sim::plan::{Job, Plan};
     use tlabp::workloads::Benchmark;
 
-    // Replay-lowered, fused and full-trace jobs in one plan, so every
-    // ingestion product (trace, packed, interned, pattern streams) is in
-    // play on the cold path.
+    // Replay-lowered, fused and context-switch jobs in one plan, so every
+    // ingestion product (trace, packed, interned, pattern streams, switch
+    // schedules) is in play on the cold path.
     let plan: Plan = [Benchmark::by_name("li").unwrap(), Benchmark::by_name("eqntott").unwrap()]
         .iter()
         .flat_map(|&benchmark| {
