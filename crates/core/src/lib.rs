@@ -51,10 +51,9 @@
 //! # Ok::<(), tlabp_core::config::BuildError>(())
 //! ```
 
-// `deny`, not `forbid`: the one sanctioned exemption is the `std::arch`
-// SSE2/AVX2 bodies of the transposed replay kernel (`pht::x86`), which
-// opts back in locally. Everything else stays safe code.
-#![deny(unsafe_code)]
+// The replay kernel is portable `u64` SWAR with no `std::arch` bodies,
+// so the whole crate is safe code.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod any;

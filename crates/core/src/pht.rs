@@ -1,7 +1,7 @@
 //! The pattern history table (PHT) of the paper's Section 2.1.
 
 use crate::automaton::{Automaton, State};
-use crate::simd::{Kernel, SimdMode};
+use crate::simd::SimdMode;
 
 /// A pattern history table: `2^k` automaton states indexed by the content
 /// of a k-bit history register.
@@ -287,176 +287,23 @@ impl PackedPht {
     }
 }
 
-/// A bank of equally-sized [`PackedPht`]s interleaved into one
-/// allocation: word `w` of member `m` lives at index `w * members + m`,
-/// so every member's entry for one pattern sits on the same (or the
-/// next) cache line.
-///
-/// This is how a replay batch walks many second levels over one shared
-/// pattern stream. Separately-allocated tables make the batched walk
-/// hostage to the allocator: members hit identical offsets in distinct
-/// buffers back to back, and buffers landing 4 KiB-congruent (common
-/// once the heap has churned) turn every member's load into a false
-/// store-forwarding conflict with the previous member's store.
-/// Interleaving makes the batch's per-event traffic contiguous instead.
-///
-/// Each member keeps its own automaton transition word, so a bank can
-/// mix automata — the automaton-ablation sweep is exactly that. The
-/// transition word compresses the member's [`Automaton::packed_lut`]
-/// into a `u32` (8 live `(state, taken)` inputs × 4-bit entries), so
-/// stepping a member shifts a register instead of loading from a
-/// 256-byte table — one dependent load per member-step instead of two.
-/// Final member states stay in the bank (replay only needs the
-/// prediction counts), so there is no write-back to the source tables.
-#[derive(Debug, Clone)]
-pub struct PackedPhtBank {
-    history_bits: u32,
-    members: usize,
-    word_mask: usize,
-    luts: Vec<u32>,
-    words: Vec<u64>,
-}
-
-impl PackedPhtBank {
-    /// Interleaves `tables` into a bank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tables` is empty or its members disagree on
-    /// `history_bits`.
-    #[must_use]
-    pub fn new(tables: &[PackedPht]) -> Self {
-        let first = tables.first().expect("a bank needs at least one member");
-        assert!(
-            tables.iter().all(|t| t.history_bits == first.history_bits),
-            "bank members must share one table geometry"
-        );
-        let members = tables.len();
-        let word_count = first.words.len();
-        let mut words = vec![0u64; word_count * members];
-        for (member, table) in tables.iter().enumerate() {
-            for (index, &word) in table.words.iter().enumerate() {
-                words[index * members + member] = word;
-            }
-        }
-        let luts = tables
-            .iter()
-            .map(|table| {
-                (0..8).fold(0u32, |flags, index| flags | u32::from(table.lut[index]) << (index * 4))
-            })
-            .collect();
-        PackedPhtBank {
-            history_bits: first.history_bits,
-            members,
-            word_mask: word_count - 1,
-            luts,
-            words,
-        }
-    }
-
-    /// The history-register length `k` every member is sized for.
-    #[must_use]
-    pub fn history_bits(&self) -> u32 {
-        self.history_bits
-    }
-
-    /// Number of member tables.
-    #[must_use]
-    pub fn members(&self) -> usize {
-        self.members
-    }
-
-    /// [`PackedPht::predict_update`] on every member's entry for
-    /// `pattern`, calling `sink(member, predicted)` in member order.
-    #[inline]
-    pub fn predict_update_each(
-        &mut self,
-        pattern: usize,
-        taken: bool,
-        mut sink: impl FnMut(usize, bool),
-    ) {
-        debug_assert!(pattern >> 5 <= self.word_mask, "pattern {pattern} out of range");
-        let shift = (pattern & 31) * 2;
-        let base = ((pattern >> 5) & self.word_mask) * self.members;
-        let row = &mut self.words[base..base + self.members];
-        for (member, (word, &flags)) in row.iter_mut().zip(&self.luts).enumerate() {
-            let state = ((*word >> shift) & 0b11) as u32;
-            let entry = (flags >> (((state << 1) | u32::from(taken)) * 4)) & 0b111;
-            *word = (*word & !(0b11 << shift)) | (u64::from(entry & 0b11) << shift);
-            sink(member, entry & 0b100 != 0);
-        }
-    }
-
-    /// [`PackedPhtBank::predict_update_each`] specialized for counting:
-    /// adds 1 to `corrects[member]` for every member whose prediction
-    /// matches `taken`. The replay inner loop — everything (row, LUTs,
-    /// counters) advances in one zip with no per-member indexing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `corrects` is shorter than [`PackedPhtBank::members`].
-    #[inline]
-    pub fn predict_update_count(&mut self, pattern: usize, taken: bool, corrects: &mut [u64]) {
-        debug_assert!(pattern >> 5 <= self.word_mask, "pattern {pattern} out of range");
-        assert!(corrects.len() >= self.members, "one counter per member");
-        let shift = (pattern & 31) * 2;
-        let base = ((pattern >> 5) & self.word_mask) * self.members;
-        let row = &mut self.words[base..base + self.members];
-        for ((word, &flags), correct) in row.iter_mut().zip(&self.luts).zip(corrects) {
-            let state = ((*word >> shift) & 0b11) as u32;
-            let entry = (flags >> (((state << 1) | u32::from(taken)) * 4)) & 0b111;
-            *word = (*word & !(0b11 << shift)) | (u64::from(entry & 0b11) << shift);
-            *correct += u64::from((entry & 0b100 != 0) == taken);
-        }
-    }
-
-    /// [`PackedPhtBank::predict_update_count`] with the member count as a
-    /// compile-time constant: the member loop fully unrolls and the
-    /// counters live in a fixed array the optimizer can keep in
-    /// registers. Callers dispatch on [`PackedPhtBank::members`] and fall
-    /// back to the dynamic variant for sizes they didn't specialize.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `N` differs from [`PackedPhtBank::members`].
-    #[inline]
-    pub fn predict_update_count_fixed<const N: usize>(
-        &mut self,
-        pattern: usize,
-        taken: bool,
-        corrects: &mut [u64; N],
-    ) {
-        debug_assert!(pattern >> 5 <= self.word_mask, "pattern {pattern} out of range");
-        assert_eq!(N, self.members, "bank walked at the wrong width");
-        let shift = (pattern & 31) * 2;
-        let base = ((pattern >> 5) & self.word_mask) * N;
-        let row: &mut [u64; N] =
-            (&mut self.words[base..base + N]).try_into().expect("row is N words");
-        let luts: &[u32; N] = self.luts[..N].try_into().expect("one lut per member");
-        for member in 0..N {
-            let word = &mut row[member];
-            let state = ((*word >> shift) & 0b11) as u32;
-            let entry = (luts[member] >> (((state << 1) | u32::from(taken)) * 4)) & 0b111;
-            *word = (*word & !(0b11 << shift)) | (u64::from(entry & 0b11) << shift);
-            corrects[member] += u64::from((entry & 0b100 != 0) == taken);
-        }
-    }
-}
-
 /// Bit 0 of every nibble lane.
 const NIBBLE_LO: u64 = 0x1111_1111_1111_1111;
 /// Bits 0–1 (the stored 2-bit state) of every nibble lane.
 const NIBBLE_STATE: u64 = 0x3333_3333_3333_3333;
-/// Member nibbles per transposed word — public because the engine's
-/// intra-batch split granule is one word: sub-batches never cut a width
-/// group below this many members.
+/// Most members a [`TransposedPhtBank`] holds: one 4-bit nibble each in
+/// a single `u64` per table row. Public because the runner cuts wider
+/// groups into banks of this size, and the engine's intra-batch split
+/// cuts at the same boundary.
 pub const LANES_PER_WORD: usize = 16;
-/// Events between accumulator flushes: each nibble of the per-column
-/// accumulator gains at most one per event and holds up to 15.
+/// Events between accumulator flushes: each nibble of the accumulator
+/// gains at most one per event and holds up to 15.
 const ACC_FLUSH_EVENTS: usize = 15;
 
-/// Per-bank data of the transposed SWAR kernel, shared by the
-/// single-table and per-lane banks.
+/// A lane-transposed bank of up to [`LANES_PER_WORD`] equally-sized
+/// [`PackedPht`]s for the SWAR replay kernel: member `m` lives in nibble
+/// `m` of one `u64` per table *row*, so a replayed event touches one
+/// word and one round of bit-sliced logic steps every member at once.
 ///
 /// Every member's fused transition `f(s1, s0) = lut[(s << 1) | taken]`
 /// (3 output bits: next state low/high, prediction) is expanded in the
@@ -466,425 +313,10 @@ const ACC_FLUSH_EVENTS: usize = 15;
 /// f(s1, s0) = c0 ^ (c1 & s0) ^ (c2 & s1) ^ (c3 & s1 & s0)
 /// ```
 ///
-/// which is exact for *any* boolean function of the two state bits — so a
-/// bank freely mixes automata per lane. The four coefficients are stored
-/// as nibble-lane masks (3 live bits per member nibble), one set per
-/// resolved direction, letting one `u64` op advance 16 members at once.
-struct BankKernel {
-    members: usize,
-    /// Transposed words per table row (`ceil(members / 16)`).
-    cols: usize,
-    /// Coefficient masks, direction-major then coefficient-major:
-    /// `coeff[((taken * 4) + k) * cols + col]` — so each direction's four
-    /// column vectors are contiguous for the vector bodies.
-    coeff: Vec<u64>,
-    /// Nibble bit 2 set for every occupied member lane, per column: masks
-    /// the kernel's prediction bits and (xored in when the branch was not
-    /// taken) converts them to correctness bits.
-    pred_occ: Vec<u64>,
-    /// Per-member compressed LUTs ([`PackedPhtBank`]-style `u32`s) for
-    /// the scalar reference body.
-    luts: Vec<u32>,
-}
-
-impl BankKernel {
-    fn new(tables: &[PackedPht]) -> BankKernel {
-        let members = tables.len();
-        let cols = members.div_ceil(LANES_PER_WORD);
-        let mut coeff = vec![0u64; 2 * 4 * cols];
-        let mut pred_occ = vec![0u64; cols];
-        let mut luts = Vec::with_capacity(members);
-        for (member, table) in tables.iter().enumerate() {
-            let col = member / LANES_PER_WORD;
-            let shift = (member % LANES_PER_WORD) * 4;
-            for taken in 0..2usize {
-                let f = |state: usize| table.lut[(state << 1) | taken] & 0b111;
-                let (f0, f1, f2, f3) = (f(0), f(1), f(2), f(3));
-                for (k, bits) in [f0, f0 ^ f1, f0 ^ f2, f0 ^ f1 ^ f2 ^ f3].into_iter().enumerate() {
-                    coeff[((taken * 4) + k) * cols + col] |= u64::from(bits) << shift;
-                }
-            }
-            pred_occ[col] |= 0b100u64 << shift;
-            luts.push(
-                (0..8)
-                    .fold(0u32, |flags, index| flags | u32::from(table.lut[index]) << (index * 4)),
-            );
-        }
-        BankKernel { members, cols, coeff, pred_occ, luts }
-    }
-}
-
-/// Lane-transposes the members' current states: row `pattern`, column
-/// `member / 16`, nibble `member % 16`.
-fn transpose_states(tables: &[PackedPht], rows: usize, cols: usize) -> Vec<u64> {
-    let mut words = vec![0u64; rows * cols];
-    for (member, table) in tables.iter().enumerate() {
-        let col = member / LANES_PER_WORD;
-        let shift = (member % LANES_PER_WORD) * 4;
-        for (pattern, row) in words.chunks_exact_mut(cols).enumerate() {
-            row[col] |= u64::from(table.state(pattern).value()) << shift;
-        }
-    }
-    words
-}
-
-/// One column of the portable SWAR body: advance 16 member nibbles and
-/// accumulate their correctness bits.
-#[inline(always)]
-fn step_col_swar(
-    row: &mut [u64],
-    ct: &[u64],
-    pred_occ: &[u64],
-    not_taken: u64,
-    acc: &mut [u64],
-    cols: usize,
-    col: usize,
-) {
-    let w = row[col];
-    let lo = w & NIBBLE_LO;
-    let hi = (w >> 1) & NIBBLE_LO;
-    let hl = hi & lo;
-    // `x * 7` spreads each nibble's bit 0 across bits 0–2 (no nibble
-    // carries: 7 < 16), broadcasting a state bit to all three coefficient
-    // bit positions.
-    let out = ct[col]
-        ^ (ct[cols + col] & lo.wrapping_mul(7))
-        ^ (ct[2 * cols + col] & hi.wrapping_mul(7))
-        ^ (ct[3 * cols + col] & hl.wrapping_mul(7));
-    row[col] = out & NIBBLE_STATE;
-    let occ = pred_occ[col];
-    // Bit 2 of each occupied nibble is the member's prediction; xoring in
-    // the occupancy mask on a not-taken branch flips it to "was correct".
-    acc[col] += ((out & occ) ^ (occ & not_taken)) >> 2;
-}
-
-/// The portable `u64` SWAR body over a whole row.
-#[inline(always)]
-fn step_row_swar(row: &mut [u64], ct: &[u64], pred_occ: &[u64], not_taken: u64, acc: &mut [u64]) {
-    let cols = row.len();
-    for col in 0..cols {
-        step_col_swar(row, ct, pred_occ, not_taken, acc, cols, col);
-    }
-}
-
-/// The scalar reference body: per-member LUT steps in the same
-/// transposed layout, counting directly (no bit-sliced accumulator).
-#[inline(always)]
-fn step_row_scalar(row: &mut [u64], luts: &[u32], taken: bool, counts: &mut [u64]) {
-    for (member, (&flags, count)) in luts.iter().zip(counts.iter_mut()).enumerate() {
-        let col = member / LANES_PER_WORD;
-        let shift = (member % LANES_PER_WORD) * 4;
-        let state = ((row[col] >> shift) & 0b11) as u32;
-        let entry = (flags >> (((state << 1) | u32::from(taken)) * 4)) & 0b111;
-        row[col] = (row[col] & !(0xFu64 << shift)) | (u64::from(entry & 0b11) << shift);
-        *count += u64::from((entry & 0b100 != 0) == taken);
-    }
-}
-
-/// `std::arch` widenings of the SWAR body — the crate's sole sanctioned
-/// `unsafe` (see the crate-root lint note). The bodies compute exactly
-/// the portable algebra on 2 (`SSE2`), 4 (`AVX2`) or 8 (`AVX-512`)
-/// columns per vector op, with narrower steps cascading down to a
-/// portable tail; all pointer arithmetic derives from slices whose
-/// lengths are asserted up front.
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    #![allow(unsafe_code)]
-
-    use std::arch::x86_64::{
-        __m128i, __m256i, __m512i, _mm256_add_epi64, _mm256_and_si256, _mm256_loadu_si256,
-        _mm256_set1_epi64x, _mm256_slli_epi64, _mm256_srli_epi64, _mm256_storeu_si256,
-        _mm256_sub_epi64, _mm256_xor_si256, _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512,
-        _mm512_set1_epi64, _mm512_slli_epi64, _mm512_srli_epi64, _mm512_storeu_si512,
-        _mm512_sub_epi64, _mm512_xor_si512, _mm_add_epi64, _mm_and_si128, _mm_loadu_si128,
-        _mm_set1_epi64x, _mm_slli_epi64, _mm_srli_epi64, _mm_storeu_si128, _mm_sub_epi64,
-        _mm_xor_si128,
-    };
-
-    use super::{step_col_swar, NIBBLE_LO, NIBBLE_STATE};
-
-    /// Safe wrapper: SSE2 is part of the x86_64 baseline, so the
-    /// `target_feature` body is always callable here.
-    pub(super) fn step_row_sse2_dyn(
-        row: &mut [u64],
-        ct: &[u64],
-        pred_occ: &[u64],
-        not_taken: u64,
-        acc: &mut [u64],
-    ) {
-        unsafe { step_row_sse2(row, ct, pred_occ, not_taken, acc) }
-    }
-
-    /// Safe wrapper with defense-in-depth feature re-check (a cached
-    /// atomic load): kernel resolution already verified AVX2, but a
-    /// mis-routed call degrades to the portable body instead of UB.
-    pub(super) fn step_row_avx2_dyn(
-        row: &mut [u64],
-        ct: &[u64],
-        pred_occ: &[u64],
-        not_taken: u64,
-        acc: &mut [u64],
-    ) {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            unsafe { step_row_avx2(row, ct, pred_occ, not_taken, acc) }
-        } else {
-            super::step_row_swar(row, ct, pred_occ, not_taken, acc);
-        }
-    }
-
-    /// Safe wrapper with defense-in-depth feature re-check. The body's
-    /// 512-bit loop needs `avx512f`; its 4-column mid step reuses the
-    /// AVX2 algebra, so that feature is re-verified too (every AVX-512
-    /// part ships AVX2, but the check is a cached atomic load and keeps
-    /// the safety argument local). `avx512bw` rides along because the
-    /// tier contract in `core::simd` requires the full F+BW pair.
-    pub(super) fn step_row_avx512_dyn(
-        row: &mut [u64],
-        ct: &[u64],
-        pred_occ: &[u64],
-        not_taken: u64,
-        acc: &mut [u64],
-    ) {
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw")
-            && std::arch::is_x86_feature_detected!("avx2")
-        {
-            unsafe { step_row_avx512(row, ct, pred_occ, not_taken, acc) }
-        } else {
-            super::step_row_swar(row, ct, pred_occ, not_taken, acc);
-        }
-    }
-
-    #[inline]
-    fn load2(slice: &[u64], at: usize) -> __m128i {
-        let pair: &[u64] = &slice[at..at + 2];
-        // SAFETY: `pair` is a live, bounds-checked &[u64] of length 2 —
-        // 16 readable bytes; `loadu` has no alignment requirement.
-        unsafe { _mm_loadu_si128(pair.as_ptr().cast()) }
-    }
-
-    #[inline]
-    fn store2(slice: &mut [u64], at: usize, value: __m128i) {
-        let pair: &mut [u64] = &mut slice[at..at + 2];
-        // SAFETY: as `load2`, writable.
-        unsafe { _mm_storeu_si128(pair.as_mut_ptr().cast(), value) }
-    }
-
-    #[inline]
-    fn load4(slice: &[u64], at: usize) -> __m256i {
-        let quad: &[u64] = &slice[at..at + 4];
-        // SAFETY: bounds-checked 32 readable bytes, unaligned load.
-        unsafe { _mm256_loadu_si256(quad.as_ptr().cast()) }
-    }
-
-    #[inline]
-    fn store4(slice: &mut [u64], at: usize, value: __m256i) {
-        let quad: &mut [u64] = &mut slice[at..at + 4];
-        // SAFETY: as `load4`, writable.
-        unsafe { _mm256_storeu_si256(quad.as_mut_ptr().cast(), value) }
-    }
-
-    #[inline]
-    fn load8(slice: &[u64], at: usize) -> __m512i {
-        let oct: &[u64] = &slice[at..at + 8];
-        // SAFETY: bounds-checked 64 readable bytes, unaligned load.
-        unsafe { _mm512_loadu_si512(oct.as_ptr().cast()) }
-    }
-
-    #[inline]
-    fn store8(slice: &mut [u64], at: usize, value: __m512i) {
-        let oct: &mut [u64] = &mut slice[at..at + 8];
-        // SAFETY: as `load8`, writable.
-        unsafe { _mm512_storeu_si512(oct.as_mut_ptr().cast(), value) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires SSE2 (always present on x86_64).
-    #[target_feature(enable = "sse2")]
-    unsafe fn step_row_sse2(
-        row: &mut [u64],
-        ct: &[u64],
-        pred_occ: &[u64],
-        not_taken: u64,
-        acc: &mut [u64],
-    ) {
-        let cols = row.len();
-        assert_eq!(ct.len(), 4 * cols, "coefficients per column");
-        assert_eq!(pred_occ.len(), cols, "occupancy per column");
-        assert_eq!(acc.len(), cols, "accumulator per column");
-        let lane = _mm_set1_epi64x(NIBBLE_LO as i64);
-        let state_mask = _mm_set1_epi64x(NIBBLE_STATE as i64);
-        let nt = _mm_set1_epi64x(not_taken as i64);
-        let mut col = 0;
-        while col + 2 <= cols {
-            let w = load2(row, col);
-            let lo = _mm_and_si128(w, lane);
-            let hi = _mm_and_si128(_mm_srli_epi64(w, 1), lane);
-            let hl = _mm_and_si128(hi, lo);
-            // x * 7 == (x << 3) - x, dodging the missing 64-bit multiply.
-            let sp_lo = _mm_sub_epi64(_mm_slli_epi64(lo, 3), lo);
-            let sp_hi = _mm_sub_epi64(_mm_slli_epi64(hi, 3), hi);
-            let sp_hl = _mm_sub_epi64(_mm_slli_epi64(hl, 3), hl);
-            let out = _mm_xor_si128(
-                _mm_xor_si128(load2(ct, col), _mm_and_si128(load2(ct, cols + col), sp_lo)),
-                _mm_xor_si128(
-                    _mm_and_si128(load2(ct, 2 * cols + col), sp_hi),
-                    _mm_and_si128(load2(ct, 3 * cols + col), sp_hl),
-                ),
-            );
-            store2(row, col, _mm_and_si128(out, state_mask));
-            let occ = load2(pred_occ, col);
-            let correct =
-                _mm_srli_epi64(_mm_xor_si128(_mm_and_si128(out, occ), _mm_and_si128(occ, nt)), 2);
-            store2(acc, col, _mm_add_epi64(load2(acc, col), correct));
-            col += 2;
-        }
-        while col < cols {
-            step_col_swar(row, ct, pred_occ, not_taken, acc, cols, col);
-            col += 1;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2 (checked by the caller).
-    #[target_feature(enable = "avx2")]
-    unsafe fn step_row_avx2(
-        row: &mut [u64],
-        ct: &[u64],
-        pred_occ: &[u64],
-        not_taken: u64,
-        acc: &mut [u64],
-    ) {
-        let cols = row.len();
-        assert_eq!(ct.len(), 4 * cols, "coefficients per column");
-        assert_eq!(pred_occ.len(), cols, "occupancy per column");
-        assert_eq!(acc.len(), cols, "accumulator per column");
-        let lane = _mm256_set1_epi64x(NIBBLE_LO as i64);
-        let state_mask = _mm256_set1_epi64x(NIBBLE_STATE as i64);
-        let nt = _mm256_set1_epi64x(not_taken as i64);
-        let mut col = 0;
-        while col + 4 <= cols {
-            let w = load4(row, col);
-            let lo = _mm256_and_si256(w, lane);
-            let hi = _mm256_and_si256(_mm256_srli_epi64(w, 1), lane);
-            let hl = _mm256_and_si256(hi, lo);
-            let sp_lo = _mm256_sub_epi64(_mm256_slli_epi64(lo, 3), lo);
-            let sp_hi = _mm256_sub_epi64(_mm256_slli_epi64(hi, 3), hi);
-            let sp_hl = _mm256_sub_epi64(_mm256_slli_epi64(hl, 3), hl);
-            let out = _mm256_xor_si256(
-                _mm256_xor_si256(load4(ct, col), _mm256_and_si256(load4(ct, cols + col), sp_lo)),
-                _mm256_xor_si256(
-                    _mm256_and_si256(load4(ct, 2 * cols + col), sp_hi),
-                    _mm256_and_si256(load4(ct, 3 * cols + col), sp_hl),
-                ),
-            );
-            store4(row, col, _mm256_and_si256(out, state_mask));
-            let occ = load4(pred_occ, col);
-            let correct = _mm256_srli_epi64(
-                _mm256_xor_si256(_mm256_and_si256(out, occ), _mm256_and_si256(occ, nt)),
-                2,
-            );
-            store4(acc, col, _mm256_add_epi64(load4(acc, col), correct));
-            col += 4;
-        }
-        while col < cols {
-            step_col_swar(row, ct, pred_occ, not_taken, acc, cols, col);
-            col += 1;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX-512F (512-bit loop) and AVX2 (4-column mid step);
-    /// both are checked by the caller.
-    ///
-    /// The cascade matters: a row narrower than 8 columns must not fall
-    /// straight to the scalar tail, or the forced `avx512` tier would be
-    /// *slower* than `avx2` on the common ≤ 4-column banks — so leftover
-    /// columns take one AVX2 quad step before the portable tail.
-    #[target_feature(enable = "avx512f,avx512bw,avx2")]
-    unsafe fn step_row_avx512(
-        row: &mut [u64],
-        ct: &[u64],
-        pred_occ: &[u64],
-        not_taken: u64,
-        acc: &mut [u64],
-    ) {
-        let cols = row.len();
-        assert_eq!(ct.len(), 4 * cols, "coefficients per column");
-        assert_eq!(pred_occ.len(), cols, "occupancy per column");
-        assert_eq!(acc.len(), cols, "accumulator per column");
-        let lane = _mm512_set1_epi64(NIBBLE_LO as i64);
-        let state_mask = _mm512_set1_epi64(NIBBLE_STATE as i64);
-        let nt = _mm512_set1_epi64(not_taken as i64);
-        let mut col = 0;
-        while col + 8 <= cols {
-            let w = load8(row, col);
-            let lo = _mm512_and_si512(w, lane);
-            let hi = _mm512_and_si512(_mm512_srli_epi64(w, 1), lane);
-            let hl = _mm512_and_si512(hi, lo);
-            // x * 7 == (x << 3) - x, as in the narrower bodies.
-            let sp_lo = _mm512_sub_epi64(_mm512_slli_epi64(lo, 3), lo);
-            let sp_hi = _mm512_sub_epi64(_mm512_slli_epi64(hi, 3), hi);
-            let sp_hl = _mm512_sub_epi64(_mm512_slli_epi64(hl, 3), hl);
-            let out = _mm512_xor_si512(
-                _mm512_xor_si512(load8(ct, col), _mm512_and_si512(load8(ct, cols + col), sp_lo)),
-                _mm512_xor_si512(
-                    _mm512_and_si512(load8(ct, 2 * cols + col), sp_hi),
-                    _mm512_and_si512(load8(ct, 3 * cols + col), sp_hl),
-                ),
-            );
-            store8(row, col, _mm512_and_si512(out, state_mask));
-            let occ = load8(pred_occ, col);
-            let correct = _mm512_srli_epi64(
-                _mm512_xor_si512(_mm512_and_si512(out, occ), _mm512_and_si512(occ, nt)),
-                2,
-            );
-            store8(acc, col, _mm512_add_epi64(load8(acc, col), correct));
-            col += 8;
-        }
-        if col + 4 <= cols {
-            let lane4 = _mm256_set1_epi64x(NIBBLE_LO as i64);
-            let state_mask4 = _mm256_set1_epi64x(NIBBLE_STATE as i64);
-            let nt4 = _mm256_set1_epi64x(not_taken as i64);
-            let w = load4(row, col);
-            let lo = _mm256_and_si256(w, lane4);
-            let hi = _mm256_and_si256(_mm256_srli_epi64(w, 1), lane4);
-            let hl = _mm256_and_si256(hi, lo);
-            let sp_lo = _mm256_sub_epi64(_mm256_slli_epi64(lo, 3), lo);
-            let sp_hi = _mm256_sub_epi64(_mm256_slli_epi64(hi, 3), hi);
-            let sp_hl = _mm256_sub_epi64(_mm256_slli_epi64(hl, 3), hl);
-            let out = _mm256_xor_si256(
-                _mm256_xor_si256(load4(ct, col), _mm256_and_si256(load4(ct, cols + col), sp_lo)),
-                _mm256_xor_si256(
-                    _mm256_and_si256(load4(ct, 2 * cols + col), sp_hi),
-                    _mm256_and_si256(load4(ct, 3 * cols + col), sp_hl),
-                ),
-            );
-            store4(row, col, _mm256_and_si256(out, state_mask4));
-            let occ = load4(pred_occ, col);
-            let correct = _mm256_srli_epi64(
-                _mm256_xor_si256(_mm256_and_si256(out, occ), _mm256_and_si256(occ, nt4)),
-                2,
-            );
-            store4(acc, col, _mm256_add_epi64(load4(acc, col), correct));
-            col += 4;
-        }
-        while col < cols {
-            step_col_swar(row, ct, pred_occ, not_taken, acc, cols, col);
-            col += 1;
-        }
-    }
-}
-
-/// A lane-transposed bank of equally-sized [`PackedPht`]s for the SWAR
-/// replay kernel: 4-bit lanes, 16 members per `u64`, one (or a few)
-/// words per table *row* — the dual of [`PackedPhtBank`]'s member-major
-/// interleave. A replayed event touches `ceil(members / 16)` words
-/// instead of one word per member, and one round of bit-sliced logic
-/// steps all 16 lanes of a word at once.
+/// which is exact for *any* boolean function of the two state bits — so
+/// a bank freely mixes automata per lane. The four coefficients are
+/// stored as nibble-lane masks (3 live bits per member nibble), one set
+/// per resolved direction.
 ///
 /// Patterns index rows *masked to the bank's width*
 /// (`pattern & (2^k - 1)`). Because a k-bit history register's content
@@ -895,54 +327,114 @@ mod x86 {
 ///
 /// Prediction *counting* is bit-sliced too: bit 2 of each advanced
 /// nibble (λ of the pre-update state, xored with the event's direction)
-/// lands in a per-column nibble accumulator, flushed to 64-bit
-/// per-member counters every [`ACC_FLUSH_EVENTS`] events.
+/// lands in a nibble accumulator, flushed to 64-bit per-member counters
+/// every `ACC_FLUSH_EVENTS` (15) events.
+///
+/// A bank comes in two forms over the same kernel: *shared*
+/// ([`TransposedPhtBank::new`]), one table every event indexes (GAg,
+/// PAg and the GSg/PSg preset assemblies), and *per-lane*
+/// ([`TransposedPhtBank::per_lane`]), one table per stream lane (PAp),
+/// materialized from the members' template states on the lane's first
+/// event — behaviorally identical to per-lane [`PackedPht`] clones.
 #[derive(Debug)]
 pub struct TransposedPhtBank {
     history_bits: u32,
     row_mask: usize,
-    kernel: BankKernel,
-    words: Vec<u64>,
-    acc: Vec<u64>,
+    /// Coefficient masks, direction-major: `coeff[taken * 4 + k]`.
+    coeff: [u64; 8],
+    /// Nibble bit 2 set for every occupied member lane: masks the
+    /// kernel's prediction bits and (xored in when the branch was not
+    /// taken) converts them to correctness bits.
+    pred_occ: u64,
+    /// Per-member compressed LUTs (8 live `(state, taken)` inputs ×
+    /// 4-bit entries) for the scalar reference body.
+    luts: Vec<u32>,
+    rows: Rows,
     counts: Vec<u64>,
 }
 
-impl std::fmt::Debug for BankKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BankKernel")
-            .field("members", &self.members)
-            .field("cols", &self.cols)
-            .finish_non_exhaustive()
-    }
+/// The transposed table rows of a [`TransposedPhtBank`].
+#[derive(Debug)]
+enum Rows {
+    /// One table: row `pattern` is word `pattern`.
+    Shared(Vec<u64>),
+    /// One table per stream lane, cloned from `template` on the lane's
+    /// first event (a never-touched table is indistinguishable from a
+    /// fresh one).
+    PerLane { template: Vec<u64>, lanes: Vec<Vec<u64>> },
 }
 
 impl TransposedPhtBank {
-    /// Transposes `tables` into a bank, preserving every member's
+    /// Transposes `tables` into a shared bank, preserving every member's
     /// current per-entry state (preset GSg/PSg assemblies included).
     ///
     /// # Panics
     ///
-    /// Panics if `tables` is empty or its members disagree on
-    /// `history_bits`.
+    /// Panics if `tables` is empty, holds more than [`LANES_PER_WORD`]
+    /// members, or its members disagree on `history_bits`.
     #[must_use]
     pub fn new(tables: &[PackedPht]) -> Self {
+        Self::build(tables, false)
+    }
+
+    /// Builds a per-lane bank whose lane tables start from the members'
+    /// current states in `templates`.
+    ///
+    /// # Panics
+    ///
+    /// As [`TransposedPhtBank::new`].
+    #[must_use]
+    pub fn per_lane(templates: &[PackedPht]) -> Self {
+        Self::build(templates, true)
+    }
+
+    fn build(tables: &[PackedPht], per_lane: bool) -> Self {
         let first = tables.first().expect("a bank needs at least one member");
+        assert!(
+            tables.len() <= LANES_PER_WORD,
+            "a transposed bank holds at most {LANES_PER_WORD} members (one u64 per row), got {}; \
+             cut wider groups into several banks",
+            tables.len()
+        );
         assert!(
             tables.iter().all(|t| t.history_bits == first.history_bits),
             "bank members must share one table geometry"
         );
-        let rows = 1usize << first.history_bits;
-        let kernel = BankKernel::new(tables);
-        let words = transpose_states(tables, rows, kernel.cols);
-        let acc = vec![0u64; kernel.cols];
-        let counts = vec![0u64; kernel.members];
+        let mut coeff = [0u64; 8];
+        let mut pred_occ = 0u64;
+        let mut words = vec![0u64; 1usize << first.history_bits];
+        for (member, table) in tables.iter().enumerate() {
+            let shift = member * 4;
+            for taken in 0..2usize {
+                let f = |state: usize| table.lut[(state << 1) | taken] & 0b111;
+                let (f0, f1, f2, f3) = (f(0), f(1), f(2), f(3));
+                for (k, bits) in [f0, f0 ^ f1, f0 ^ f2, f0 ^ f1 ^ f2 ^ f3].into_iter().enumerate() {
+                    coeff[taken * 4 + k] |= u64::from(bits) << shift;
+                }
+            }
+            pred_occ |= 0b100 << shift;
+            for (pattern, word) in words.iter_mut().enumerate() {
+                *word |= u64::from(table.state(pattern).value()) << shift;
+            }
+        }
+        let luts = tables
+            .iter()
+            .map(|table| {
+                (0..8).fold(0u32, |flags, index| flags | u32::from(table.lut[index]) << (index * 4))
+            })
+            .collect();
         TransposedPhtBank {
             history_bits: first.history_bits,
-            row_mask: rows - 1,
-            kernel,
-            words,
-            acc,
-            counts,
+            row_mask: words.len() - 1,
+            coeff,
+            pred_occ,
+            luts,
+            rows: if per_lane {
+                Rows::PerLane { template: words, lanes: Vec::new() }
+            } else {
+                Rows::Shared(words)
+            },
+            counts: vec![0; tables.len()],
         }
     }
 
@@ -952,31 +444,60 @@ impl TransposedPhtBank {
         self.history_bits
     }
 
-    /// Number of member tables.
+    /// Number of member tables (per lane, for a per-lane bank).
     #[must_use]
     pub fn members(&self) -> usize {
-        self.kernel.members
+        self.counts.len()
     }
 
     /// Replays a block of packed `pattern << 1 | taken` events (patterns
     /// masked to the bank's width, see the type docs) through every
     /// member, adding each member's correct predictions to its
-    /// [`TransposedPhtBank::counts`] slot. `mode` picks the kernel body;
-    /// every body is bit-identical.
-    pub fn replay(&mut self, events: &[u32], mode: SimdMode) {
-        match mode.kernel() {
-            Kernel::Scalar => self.replay_scalar(events),
-            _ if self.kernel.cols == 1 => self.replay_swar1(events),
-            Kernel::Swar => self.replay_bitsliced(events, step_row_swar),
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Sse2 => self.replay_bitsliced(events, x86::step_row_sse2_dyn),
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => self.replay_bitsliced(events, x86::step_row_avx2_dyn),
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx512 => self.replay_bitsliced(events, x86::step_row_avx512_dyn),
-            #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Sse2 | Kernel::Avx2 | Kernel::Avx512 => {
-                self.replay_bitsliced(events, step_row_swar)
+    /// [`TransposedPhtBank::counts`] slot. A per-lane bank takes each
+    /// event's table from `lanes`; a shared bank never reads `lanes`
+    /// (pass `&[]`). `mode` picks the word body or the scalar reference
+    /// loop; both are bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bank is per-lane and `events` and `lanes` differ in
+    /// length.
+    pub fn replay(&mut self, events: &[u32], lanes: &[u32], mode: SimdMode) {
+        let (coeff, pred_occ, row_mask) = (self.coeff, self.pred_occ, self.row_mask);
+        let (luts, counts) = (&self.luts, &mut self.counts);
+        let row = |event: u32| (event >> 1) as usize & row_mask;
+        match (&mut self.rows, mode) {
+            (Rows::Shared(words), SimdMode::Auto) => {
+                for chunk in events.chunks(ACC_FLUSH_EVENTS) {
+                    let mut acc = 0u64;
+                    for &event in chunk {
+                        acc += step_word(&mut words[row(event)], event, &coeff, pred_occ);
+                    }
+                    flush_acc(acc, counts);
+                }
+            }
+            (Rows::Shared(words), SimdMode::Scalar) => {
+                for &event in events {
+                    step_scalar(&mut words[row(event)], event, luts, counts);
+                }
+            }
+            (Rows::PerLane { template, lanes: tables }, SimdMode::Auto) => {
+                assert_eq!(events.len(), lanes.len(), "one lane selector per event");
+                let chunks = events.chunks(ACC_FLUSH_EVENTS).zip(lanes.chunks(ACC_FLUSH_EVENTS));
+                for (events, lanes) in chunks {
+                    let mut acc = 0u64;
+                    for (&event, &lane) in events.iter().zip(lanes) {
+                        let word = lane_row(tables, template, lane, row(event));
+                        acc += step_word(word, event, &coeff, pred_occ);
+                    }
+                    flush_acc(acc, counts);
+                }
+            }
+            (Rows::PerLane { template, lanes: tables }, SimdMode::Scalar) => {
+                assert_eq!(events.len(), lanes.len(), "one lane selector per event");
+                for (&event, &lane) in events.iter().zip(lanes) {
+                    step_scalar(lane_row(tables, template, lane, row(event)), event, luts, counts);
+                }
             }
         }
     }
@@ -988,281 +509,86 @@ impl TransposedPhtBank {
         &self.counts
     }
 
-    /// The current state of `member`'s entry for `pattern`.
+    /// The current state of `member`'s entry for `pattern` in a shared
+    /// bank.
     ///
     /// # Panics
     ///
-    /// Panics if `pattern` or `member` is out of range.
+    /// Panics if `pattern` or `member` is out of range, or the bank is
+    /// per-lane.
     #[must_use]
     pub fn state(&self, pattern: usize, member: usize) -> State {
+        let Rows::Shared(words) = &self.rows else {
+            panic!("a per-lane bank has no single table to read")
+        };
         assert!(pattern <= self.row_mask, "pattern {pattern} out of range");
-        assert!(member < self.kernel.members, "member {member} out of range");
-        let word = self.words[pattern * self.kernel.cols + member / LANES_PER_WORD];
-        State::new(((word >> ((member % LANES_PER_WORD) * 4)) & 0b11) as u8)
-    }
-
-    /// The hot shape — every real batch has ≤ 16 same-width members, so
-    /// the whole bank is one word per row and the column loop, slicing
-    /// and per-column accumulator indexing all collapse.
-    fn replay_swar1(&mut self, events: &[u32]) {
-        debug_assert_eq!(self.kernel.cols, 1);
-        let occ = self.kernel.pred_occ[0];
-        let coeff: [u64; 8] = self.kernel.coeff[..8].try_into().expect("2 directions × 4");
-        for chunk in events.chunks(ACC_FLUSH_EVENTS) {
-            let mut acc = 0u64;
-            for &event in chunk {
-                let pattern = (event >> 1) as usize & self.row_mask;
-                let not_taken = u64::from(event & 1).wrapping_sub(1);
-                let ct = (event as usize & 1) * 4;
-                let w = self.words[pattern];
-                let lo = w & NIBBLE_LO;
-                let hi = (w >> 1) & NIBBLE_LO;
-                let hl = hi & lo;
-                let out = coeff[ct]
-                    ^ (coeff[ct + 1] & lo.wrapping_mul(7))
-                    ^ (coeff[ct + 2] & hi.wrapping_mul(7))
-                    ^ (coeff[ct + 3] & hl.wrapping_mul(7));
-                self.words[pattern] = out & NIBBLE_STATE;
-                acc += ((out & occ) ^ (occ & not_taken)) >> 2;
-            }
-            self.acc[0] = acc;
-            self.flush_acc();
-        }
-    }
-
-    /// The general multi-column bit-sliced walk, parameterized over a
-    /// row-step body (portable / SSE2 / AVX2).
-    fn replay_bitsliced(
-        &mut self,
-        events: &[u32],
-        step: impl Fn(&mut [u64], &[u64], &[u64], u64, &mut [u64]),
-    ) {
-        let cols = self.kernel.cols;
-        for chunk in events.chunks(ACC_FLUSH_EVENTS) {
-            for &event in chunk {
-                let pattern = (event >> 1) as usize & self.row_mask;
-                let not_taken = u64::from(event & 1).wrapping_sub(1);
-                let base = pattern * cols;
-                let ct = &self.kernel.coeff[(event as usize & 1) * 4 * cols..][..4 * cols];
-                step(
-                    &mut self.words[base..base + cols],
-                    ct,
-                    &self.kernel.pred_occ,
-                    not_taken,
-                    &mut self.acc,
-                );
-            }
-            self.flush_acc();
-        }
-    }
-
-    fn replay_scalar(&mut self, events: &[u32]) {
-        let cols = self.kernel.cols;
-        for &event in events {
-            let pattern = (event >> 1) as usize & self.row_mask;
-            let base = pattern * cols;
-            step_row_scalar(
-                &mut self.words[base..base + cols],
-                &self.kernel.luts,
-                event & 1 != 0,
-                &mut self.counts,
-            );
-        }
-    }
-
-    fn flush_acc(&mut self) {
-        for (member, count) in self.counts.iter_mut().enumerate() {
-            *count += (self.acc[member / LANES_PER_WORD] >> ((member % LANES_PER_WORD) * 4)) & 0xF;
-        }
-        self.acc.fill(0);
+        assert!(member < self.members(), "member {member} out of range");
+        State::new(((words[pattern] >> (member * 4)) & 0b11) as u8)
     }
 }
 
-/// [`TransposedPhtBank`] for per-address second levels (PAp): one
-/// transposed table per stream *lane*, materialized from the members'
-/// template states on a lane's first event — behaviorally identical to
-/// per-lane [`PackedPht`] clones, sharing one kernel, one accumulator
-/// and one counter set across lanes.
-#[derive(Debug)]
-pub struct TransposedLanePhtBank {
-    history_bits: u32,
-    row_mask: usize,
-    kernel: BankKernel,
-    template: Vec<u64>,
-    lanes: Vec<Vec<u64>>,
-    acc: Vec<u64>,
-    counts: Vec<u64>,
+/// The word body: advances every member nibble of `word` by one event
+/// and returns the members' correctness bits, one per nibble (bit 0).
+#[inline(always)]
+fn step_word(word: &mut u64, event: u32, coeff: &[u64; 8], pred_occ: u64) -> u64 {
+    let ct = (event as usize & 1) * 4;
+    let not_taken = u64::from(event & 1).wrapping_sub(1);
+    let lo = *word & NIBBLE_LO;
+    let hi = (*word >> 1) & NIBBLE_LO;
+    let hl = hi & lo;
+    // `x * 7` spreads each nibble's bit 0 across bits 0–2 (no nibble
+    // carries: 7 < 16), broadcasting a state bit to all three
+    // coefficient bit positions.
+    let out = coeff[ct]
+        ^ (coeff[ct + 1] & lo.wrapping_mul(7))
+        ^ (coeff[ct + 2] & hi.wrapping_mul(7))
+        ^ (coeff[ct + 3] & hl.wrapping_mul(7));
+    *word = out & NIBBLE_STATE;
+    // Bit 2 of each occupied nibble is the member's prediction; xoring in
+    // the occupancy mask on a not-taken branch flips it to "was correct".
+    ((out & pred_occ) ^ (pred_occ & not_taken)) >> 2
 }
 
-impl TransposedLanePhtBank {
-    /// Builds a lane bank whose per-lane tables start from the members'
-    /// current states in `templates`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `templates` is empty or its members disagree on
-    /// `history_bits`.
-    #[must_use]
-    pub fn new(templates: &[PackedPht]) -> Self {
-        let first = templates.first().expect("a bank needs at least one member");
-        assert!(
-            templates.iter().all(|t| t.history_bits == first.history_bits),
-            "bank members must share one table geometry"
-        );
-        let rows = 1usize << first.history_bits;
-        let kernel = BankKernel::new(templates);
-        let template = transpose_states(templates, rows, kernel.cols);
-        let acc = vec![0u64; kernel.cols];
-        let counts = vec![0u64; kernel.members];
-        TransposedLanePhtBank {
-            history_bits: first.history_bits,
-            row_mask: rows - 1,
-            kernel,
-            template,
-            lanes: Vec::new(),
-            acc,
-            counts,
-        }
+/// The scalar reference body: per-member LUT steps in the same
+/// transposed layout, counting directly (no bit-sliced accumulator).
+#[inline(always)]
+fn step_scalar(word: &mut u64, event: u32, luts: &[u32], counts: &mut [u64]) {
+    let taken = event & 1;
+    for (member, (&flags, count)) in luts.iter().zip(counts.iter_mut()).enumerate() {
+        let shift = member * 4;
+        let state = ((*word >> shift) & 0b11) as u32;
+        let entry = (flags >> (((state << 1) | taken) * 4)) & 0b111;
+        *word = (*word & !(0xF << shift)) | (u64::from(entry & 0b11) << shift);
+        *count += u64::from(entry >> 2 == taken);
     }
+}
 
-    /// The history-register length `k` every member is sized for.
-    #[must_use]
-    pub fn history_bits(&self) -> u32 {
-        self.history_bits
+/// Adds each member's nibble of a bit-sliced accumulator to its counter.
+#[inline]
+fn flush_acc(acc: u64, counts: &mut [u64]) {
+    for (member, count) in counts.iter_mut().enumerate() {
+        *count += (acc >> (member * 4)) & 0xF;
     }
+}
 
-    /// Number of member tables (per lane).
-    #[must_use]
-    pub fn members(&self) -> usize {
-        self.kernel.members
+/// Row `row` of `lane`'s table, cloned from `template` on the lane's
+/// first touch.
+#[inline]
+fn lane_row<'a>(
+    tables: &'a mut Vec<Vec<u64>>,
+    template: &[u64],
+    lane: u32,
+    row: usize,
+) -> &'a mut u64 {
+    let lane = lane as usize;
+    if lane >= tables.len() {
+        tables.resize_with(lane + 1, Vec::new);
     }
-
-    /// Replays a block of events with their per-event lane selectors
-    /// (patterns masked to the bank's width, as in
-    /// [`TransposedPhtBank::replay`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `events` and `lanes` differ in length.
-    pub fn replay(&mut self, events: &[u32], lanes: &[u32], mode: SimdMode) {
-        assert_eq!(events.len(), lanes.len(), "one lane selector per event");
-        match mode.kernel() {
-            Kernel::Scalar => self.replay_scalar(events, lanes),
-            _ if self.kernel.cols == 1 => self.replay_swar1(events, lanes),
-            Kernel::Swar => self.replay_bitsliced(events, lanes, step_row_swar),
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Sse2 => self.replay_bitsliced(events, lanes, x86::step_row_sse2_dyn),
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => self.replay_bitsliced(events, lanes, x86::step_row_avx2_dyn),
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx512 => self.replay_bitsliced(events, lanes, x86::step_row_avx512_dyn),
-            #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Sse2 | Kernel::Avx2 | Kernel::Avx512 => {
-                self.replay_bitsliced(events, lanes, step_row_swar)
-            }
-        }
+    let table = &mut tables[lane];
+    if table.is_empty() {
+        table.extend_from_slice(template);
     }
-
-    /// Per-member correct-prediction counts accumulated so far.
-    #[must_use]
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Ensures `lane`'s table exists (cloned from the template on first
-    /// touch).
-    #[inline]
-    fn lane_table(&mut self, lane: usize) {
-        if lane >= self.lanes.len() {
-            self.lanes.resize_with(lane + 1, Vec::new);
-        }
-        let table = &mut self.lanes[lane];
-        if table.is_empty() {
-            table.extend_from_slice(&self.template);
-        }
-    }
-
-    fn replay_swar1(&mut self, events: &[u32], lanes: &[u32]) {
-        debug_assert_eq!(self.kernel.cols, 1);
-        let occ = self.kernel.pred_occ[0];
-        let coeff: [u64; 8] = self.kernel.coeff[..8].try_into().expect("2 directions × 4");
-        for (echunk, lchunk) in events.chunks(ACC_FLUSH_EVENTS).zip(lanes.chunks(ACC_FLUSH_EVENTS))
-        {
-            let mut acc = 0u64;
-            for (&event, &lane) in echunk.iter().zip(lchunk) {
-                let pattern = (event >> 1) as usize & self.row_mask;
-                let not_taken = u64::from(event & 1).wrapping_sub(1);
-                let ct = (event as usize & 1) * 4;
-                self.lane_table(lane as usize);
-                let table = &mut self.lanes[lane as usize];
-                let w = table[pattern];
-                let lo = w & NIBBLE_LO;
-                let hi = (w >> 1) & NIBBLE_LO;
-                let hl = hi & lo;
-                let out = coeff[ct]
-                    ^ (coeff[ct + 1] & lo.wrapping_mul(7))
-                    ^ (coeff[ct + 2] & hi.wrapping_mul(7))
-                    ^ (coeff[ct + 3] & hl.wrapping_mul(7));
-                table[pattern] = out & NIBBLE_STATE;
-                acc += ((out & occ) ^ (occ & not_taken)) >> 2;
-            }
-            self.acc[0] = acc;
-            self.flush_acc();
-        }
-    }
-
-    fn replay_bitsliced(
-        &mut self,
-        events: &[u32],
-        lanes: &[u32],
-        step: impl Fn(&mut [u64], &[u64], &[u64], u64, &mut [u64]),
-    ) {
-        let cols = self.kernel.cols;
-        for (echunk, lchunk) in events.chunks(ACC_FLUSH_EVENTS).zip(lanes.chunks(ACC_FLUSH_EVENTS))
-        {
-            for (&event, &lane) in echunk.iter().zip(lchunk) {
-                let pattern = (event >> 1) as usize & self.row_mask;
-                let not_taken = u64::from(event & 1).wrapping_sub(1);
-                let base = pattern * cols;
-                let direction = event as usize & 1;
-                self.lane_table(lane as usize);
-                let table = &mut self.lanes[lane as usize];
-                let ct = &self.kernel.coeff[direction * 4 * cols..][..4 * cols];
-                step(
-                    &mut table[base..base + cols],
-                    ct,
-                    &self.kernel.pred_occ,
-                    not_taken,
-                    &mut self.acc,
-                );
-            }
-            self.flush_acc();
-        }
-    }
-
-    fn replay_scalar(&mut self, events: &[u32], lanes: &[u32]) {
-        let cols = self.kernel.cols;
-        for (&event, &lane) in events.iter().zip(lanes) {
-            let pattern = (event >> 1) as usize & self.row_mask;
-            let taken = event & 1 != 0;
-            let base = pattern * cols;
-            self.lane_table(lane as usize);
-            let table = &mut self.lanes[lane as usize];
-            step_row_scalar(
-                &mut table[base..base + cols],
-                &self.kernel.luts,
-                taken,
-                &mut self.counts,
-            );
-        }
-    }
-
-    fn flush_acc(&mut self) {
-        for (member, count) in self.counts.iter_mut().enumerate() {
-            *count += (self.acc[member / LANES_PER_WORD] >> ((member % LANES_PER_WORD) * 4)) & 0xF;
-        }
-        self.acc.fill(0);
-    }
+    &mut table[row]
 }
 
 #[cfg(test)]
@@ -1346,13 +672,7 @@ mod tests {
 
     #[test]
     fn packed_pht_matches_unpacked_on_random_walks() {
-        let mut rng = 0x2545_f491_4f6c_dd1du64;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
+        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
         for automaton in Automaton::ALL {
             let mut pht = PatternHistoryTable::new(6, automaton);
             let mut packed = PackedPht::from_table(&pht);
@@ -1371,48 +691,6 @@ mod tests {
                 assert_eq!(packed.state(pattern), pht.state(pattern), "{automaton} {pattern}");
             }
         }
-    }
-
-    #[test]
-    fn bank_matches_individual_packed_tables() {
-        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        // A mixed-automata bank, as the ablation sweeps build.
-        let mut tables: Vec<PackedPht> =
-            Automaton::ALL.iter().map(|&automaton| PackedPht::new(7, automaton)).collect();
-        let mut bank = PackedPhtBank::new(&tables);
-        assert_eq!(bank.members(), tables.len());
-        assert_eq!(bank.history_bits(), 7);
-        for _ in 0..4000 {
-            let r = next();
-            let pattern = (r as usize >> 8) & (tables[0].len() - 1);
-            let taken = r & 1 != 0;
-            let mut banked = Vec::new();
-            bank.predict_update_each(pattern, taken, |member, predicted| {
-                banked.push((member, predicted));
-            });
-            for (member, table) in tables.iter_mut().enumerate() {
-                assert_eq!(
-                    banked[member],
-                    (member, table.predict_update(pattern, taken)),
-                    "member {member} diverged at pattern {pattern}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "share one table geometry")]
-    fn bank_rejects_mixed_geometries() {
-        let _ = PackedPhtBank::new(&[
-            PackedPht::new(6, Automaton::A2),
-            PackedPht::new(8, Automaton::A2),
-        ]);
     }
 
     #[test]
@@ -1449,14 +727,7 @@ mod tests {
         let _ = packed.state(4);
     }
 
-    const EVERY_MODE: [SimdMode; 6] = [
-        SimdMode::Auto,
-        SimdMode::Swar,
-        SimdMode::Scalar,
-        SimdMode::Sse2,
-        SimdMode::Avx2,
-        SimdMode::Avx512,
-    ];
+    const EVERY_MODE: [SimdMode; 2] = [SimdMode::Auto, SimdMode::Scalar];
 
     fn xorshift(seed: u64) -> impl FnMut() -> u64 {
         let mut rng = seed;
@@ -1491,7 +762,7 @@ mod tests {
             let mut bank = TransposedPhtBank::new(&tables);
             assert_eq!(bank.members(), tables.len());
             assert_eq!(bank.history_bits(), 6);
-            bank.replay(&events, mode);
+            bank.replay(&events, &[], mode);
             let mut reference = vec![0u64; tables.len()];
             let mut shadow: Vec<PackedPht> = tables.clone();
             for &event in &events {
@@ -1529,7 +800,7 @@ mod tests {
     fn transposed_bank_exhaustive_transitions_match_the_automata() {
         // Every (automaton, valid state, direction) transition input,
         // stepped one event at a time through a one-member bank under
-        // every kernel body.
+        // both bodies.
         for automaton in Automaton::ALL {
             for state in 0..automaton.state_count() {
                 let state = State::new(state);
@@ -1542,8 +813,7 @@ mod tests {
                         table.set_state(0, state);
                         table.set_state(1, state);
                         let mut bank = TransposedPhtBank::new(&[table.clone()]);
-                        let event = u32::from(taken);
-                        bank.replay(&[event], mode);
+                        bank.replay(&[u32::from(taken)], &[], mode);
                         let predicted = table.predict_update(0, taken);
                         assert_eq!(
                             bank.state(0, 0),
@@ -1562,63 +832,16 @@ mod tests {
     }
 
     #[test]
-    fn transposed_bank_wide_membership_spans_words() {
-        // 40 members = 3 columns: the SSE2 pair loop, the AVX2 quad loop
-        // and the portable tails all run (AVX-512's own quad mid step
-        // included — its 512-bit loop needs 8 columns, covered below).
-        let tables: Vec<PackedPht> =
-            (0..40).map(|i| PackedPht::new(5, Automaton::ALL[i % Automaton::ALL.len()])).collect();
-        let events = random_events(5, 3000, 0x9e37_79b9_7f4a_7c15);
-        let reference = {
-            let mut bank = TransposedPhtBank::new(&tables);
-            bank.replay(&events, SimdMode::Scalar);
-            bank.counts().to_vec()
-        };
-        assert!(reference.iter().all(|&c| c > 0), "walk long enough to count");
-        for mode in EVERY_MODE {
-            let mut bank = TransposedPhtBank::new(&tables);
-            bank.replay(&events, mode);
-            assert_eq!(bank.counts(), &reference[..], "{mode:?} diverged on a 3-column bank");
-        }
-    }
-
-    #[test]
-    fn transposed_bank_512bit_rows_agree_across_kernels() {
-        // 135 members = 9 columns: the AVX-512 8-column loop runs for
-        // real (plus its scalar tail), under every kernel body.
-        let tables: Vec<PackedPht> =
-            (0..135).map(|i| PackedPht::new(4, Automaton::ALL[i % Automaton::ALL.len()])).collect();
-        let events = random_events(4, 2000, 0x0bad_5eed_0bad_5eed);
-        let reference = {
-            let mut bank = TransposedPhtBank::new(&tables);
-            bank.replay(&events, SimdMode::Scalar);
-            bank.counts().to_vec()
-        };
-        assert!(reference.iter().all(|&c| c > 0), "walk long enough to count");
-        for mode in EVERY_MODE {
-            let mut bank = TransposedPhtBank::new(&tables);
-            bank.replay(&events, mode);
-            assert_eq!(bank.counts(), &reference[..], "{mode:?} diverged on a 9-column bank");
-        }
-    }
-
-    #[test]
-    fn avx512_agrees_with_scalar_on_all_256_lane_inputs() {
-        // Per automaton, drive the real 512-bit body (8-column bank =
-        // 128 members) from every one of the 256 initial 4-lane state
-        // bytes — each byte's four 2-bit fields seed adjacent lanes, so
-        // every adjacent-state combination crosses every nibble boundary
-        // — and require bit-identity with the scalar reference. Skips
-        // (trivially passes) where the host lacks AVX-512: the forced
-        // mode then resolves to SWAR, which the other tests pin.
-        if SimdMode::Avx512.resolved_name() != "avx512" {
-            eprintln!("skipping: host lacks avx512f/avx512bw");
-            return;
-        }
+    fn word_body_agrees_with_scalar_on_all_256_lane_inputs() {
+        // Per automaton, seed a full 16-member bank from every one of
+        // the 256 initial 4-lane state bytes — each byte's four 2-bit
+        // fields seed adjacent lanes, so every adjacent-state combination
+        // crosses every nibble boundary of the word — and require the
+        // word body bit-identical to the scalar reference.
         for automaton in Automaton::ALL {
             for input in 0..=255u8 {
-                let tables: Vec<PackedPht> = (0..128)
-                    .map(|member: usize| {
+                let tables: Vec<PackedPht> = (0..LANES_PER_WORD)
+                    .map(|member| {
                         let mut table = PackedPht::new(2, automaton);
                         let field = State::new((input >> ((member % 4) * 2)) & 0b11);
                         let state = if automaton.is_valid_state(field) {
@@ -1636,19 +859,19 @@ mod tests {
                 // state sees both directions and one follow-up step.
                 let events: Vec<u32> =
                     (0..16u32).map(|e| ((e >> 1) & 0b11) << 1 | (e & 1)).collect();
-                let mut vector = TransposedPhtBank::new(&tables);
-                vector.replay(&events, SimdMode::Avx512);
+                let mut word = TransposedPhtBank::new(&tables);
+                word.replay(&events, &[], SimdMode::Auto);
                 let mut scalar = TransposedPhtBank::new(&tables);
-                scalar.replay(&events, SimdMode::Scalar);
+                scalar.replay(&events, &[], SimdMode::Scalar);
                 assert_eq!(
-                    vector.counts(),
+                    word.counts(),
                     scalar.counts(),
                     "{automaton} input {input:#04x}: counts diverged"
                 );
                 for member in 0..tables.len() {
                     for pattern in 0..4 {
                         assert_eq!(
-                            vector.state(pattern, member),
+                            word.state(pattern, member),
                             scalar.state(pattern, member),
                             "{automaton} input {input:#04x} member {member} pattern {pattern}"
                         );
@@ -1659,7 +882,7 @@ mod tests {
     }
 
     #[test]
-    fn transposed_lane_bank_matches_per_lane_packed_tables() {
+    fn per_lane_bank_matches_per_lane_packed_tables() {
         let templates: Vec<PackedPht> =
             Automaton::ALL.iter().map(|&automaton| PackedPht::new(4, automaton)).collect();
         let mut next = xorshift(0x0123_4567_89ab_cdef);
@@ -1685,7 +908,7 @@ mod tests {
             }
         }
         for mode in EVERY_MODE {
-            let mut bank = TransposedLanePhtBank::new(&templates);
+            let mut bank = TransposedPhtBank::per_lane(&templates);
             assert_eq!(bank.members(), templates.len());
             assert_eq!(bank.history_bits(), 4);
             bank.replay(&events, &lanes, mode);
@@ -1701,10 +924,10 @@ mod tests {
             Automaton::FIGURE5.iter().map(|&automaton| PackedPht::new(6, automaton)).collect();
         let events = random_events(6, 2048, 0xdead_beef_cafe_f00d);
         let mut whole = TransposedPhtBank::new(&tables);
-        whole.replay(&events, SimdMode::Swar);
+        whole.replay(&events, &[], SimdMode::Auto);
         let mut split = TransposedPhtBank::new(&tables);
         for block in events.chunks(97) {
-            split.replay(block, SimdMode::Swar);
+            split.replay(block, &[], SimdMode::Auto);
         }
         assert_eq!(whole.counts(), split.counts());
     }
@@ -1716,5 +939,21 @@ mod tests {
             PackedPht::new(6, Automaton::A2),
             PackedPht::new(8, Automaton::A2),
         ]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "a transposed bank holds at most 16 members (one u64 per row), got 17"
+    )]
+    fn transposed_bank_rejects_more_than_one_word_of_members() {
+        let tables = vec![PackedPht::new(4, Automaton::A2); LANES_PER_WORD + 1];
+        let _ = TransposedPhtBank::per_lane(&tables);
+    }
+
+    #[test]
+    #[should_panic(expected = "one lane selector per event")]
+    fn per_lane_bank_requires_lane_selectors() {
+        let mut bank = TransposedPhtBank::per_lane(&[PackedPht::new(4, Automaton::A2)]);
+        bank.replay(&[0b10], &[], SimdMode::Auto);
     }
 }

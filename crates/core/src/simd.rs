@@ -1,55 +1,38 @@
 //! Kernel selection for the transposed replay path.
 //!
 //! The transposed pattern-history bank ([`crate::pht::TransposedPhtBank`])
-//! carries one bit-sliced SWAR kernel in several bodies: a portable `u64`
-//! implementation, `std::arch` SSE2/AVX2/AVX-512 widenings of the same
-//! algebra, and a scalar per-member reference loop in the identical
-//! transposed layout. All bodies are bit-identical by construction (and
-//! pinned so by `tests/differential.rs`); [`SimdMode`] picks which one
-//! runs.
+//! has two bodies: the bit-sliced word body, which advances all (up to
+//! 16) members of a bank with one round of `u64` logic per event, and a
+//! scalar per-member reference loop in the identical transposed layout.
+//! Both are bit-identical by construction (and pinned so by
+//! `tests/differential.rs`); [`SimdMode`] picks which one runs.
 //!
 //! The mode comes from the `TLABP_SIMD` environment variable:
 //!
-//! * `auto` (default) — runtime feature detection: AVX-512 if the CPU
-//!   has it (`avx512f` + `avx512bw`), else AVX2, else SSE2, else the
-//!   portable `u64` SWAR body. On non-x86_64 targets `auto` is always
-//!   the portable body.
-//! * `swar` — force the portable `u64` body, bypassing `std::arch`.
-//! * `scalar` — force the per-member scalar reference loop.
-//! * `sse2` / `avx2` / `avx512` — force one `std::arch` body
-//!   (differential testing of the vector paths); silently falls back to
-//!   the portable body when the CPU or target lacks the feature, so a
-//!   forced run is always well-defined.
+//! * `auto` (default) — the word body.
+//! * `scalar` — the per-member scalar reference loop.
 //!
 //! An unrecognized value warns on stderr and falls back to `auto`,
 //! matching the `TLABP_THREADS` validation: a typo'd knob should not
 //! abort a sweep, but it must not silently pretend to be the kernel it
 //! named either — hence the warning.
 //!
-//! Detection is per *use*, not per process: a forced mode handed through
-//! an API (e.g. `ExecOptions::simd`) overrides the environment, which is
-//! how the in-process differential suites pin each body without racing
-//! on environment mutation.
+//! A mode handed through an API (e.g. `ExecOptions::simd`) overrides the
+//! environment, which is how the in-process differential suites pin
+//! each body without racing on environment mutation.
 
 use std::sync::OnceLock;
 
 /// Which body of the transposed replay kernel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimdMode {
-    /// Runtime feature detection: the widest available vector body.
+    /// The bit-sliced word body: one `u64` step per event advances every
+    /// member of a bank.
     #[default]
     Auto,
-    /// The portable `u64` SWAR body, no `std::arch`.
-    Swar,
     /// The scalar per-member reference loop (transposed layout, no
     /// bit-slicing) — the differential baseline.
     Scalar,
-    /// Force the SSE2 body (falls back to `Swar` off x86_64).
-    Sse2,
-    /// Force the AVX2 body (falls back to `Swar` when unavailable).
-    Avx2,
-    /// Force the AVX-512 body (falls back to `Swar` when unavailable).
-    Avx512,
 }
 
 impl SimdMode {
@@ -61,11 +44,7 @@ impl SimdMode {
     pub fn try_parse(value: &str) -> Result<SimdMode, String> {
         match value.trim().to_ascii_lowercase().as_str() {
             "auto" => Ok(SimdMode::Auto),
-            "swar" => Ok(SimdMode::Swar),
             "scalar" => Ok(SimdMode::Scalar),
-            "sse2" => Ok(SimdMode::Sse2),
-            "avx2" => Ok(SimdMode::Avx2),
-            "avx512" => Ok(SimdMode::Avx512),
             _ => Err(value.to_owned()),
         }
     }
@@ -81,8 +60,7 @@ impl SimdMode {
             Ok(mode) => mode,
             Err(raw) => {
                 eprintln!(
-                    "warning: ignoring TLABP_SIMD={raw:?} \
-                     (expected auto|swar|scalar|sse2|avx2|avx512); using auto"
+                    "warning: ignoring TLABP_SIMD={raw:?} (expected auto|scalar); using auto"
                 );
                 SimdMode::Auto
             }
@@ -107,105 +85,20 @@ impl SimdMode {
     pub fn name(self) -> &'static str {
         match self {
             SimdMode::Auto => "auto",
-            SimdMode::Swar => "swar",
             SimdMode::Scalar => "scalar",
-            SimdMode::Sse2 => "sse2",
-            SimdMode::Avx2 => "avx2",
-            SimdMode::Avx512 => "avx512",
         }
     }
 
-    /// The name of the kernel body this mode actually resolves to on
-    /// this machine (post feature detection) — what bench artifacts
-    /// should record as the *selected* tier, as opposed to the mode that
-    /// was requested.
+    /// The name of the kernel body this mode runs — what bench artifacts
+    /// record as the *selected* body, as opposed to the mode that was
+    /// requested: `swar` (the word body) or `scalar`.
     #[must_use]
     pub fn resolved_name(self) -> &'static str {
-        match self.kernel() {
-            Kernel::Scalar => "scalar",
-            Kernel::Swar => "swar",
-            Kernel::Sse2 => "sse2",
-            Kernel::Avx2 => "avx2",
-            Kernel::Avx512 => "avx512",
-        }
-    }
-
-    /// Resolves the mode to the kernel body that will actually run on
-    /// this machine.
-    #[must_use]
-    pub(crate) fn kernel(self) -> Kernel {
         match self {
-            SimdMode::Scalar => Kernel::Scalar,
-            SimdMode::Swar => Kernel::Swar,
-            SimdMode::Sse2 => {
-                if cfg!(target_arch = "x86_64") {
-                    Kernel::Sse2
-                } else {
-                    Kernel::Swar
-                }
-            }
-            SimdMode::Avx2 => {
-                if avx2_available() {
-                    Kernel::Avx2
-                } else {
-                    Kernel::Swar
-                }
-            }
-            SimdMode::Avx512 => {
-                if avx512_available() {
-                    Kernel::Avx512
-                } else {
-                    Kernel::Swar
-                }
-            }
-            SimdMode::Auto => {
-                if avx512_available() {
-                    Kernel::Avx512
-                } else if avx2_available() {
-                    Kernel::Avx2
-                } else if cfg!(target_arch = "x86_64") {
-                    Kernel::Sse2
-                } else {
-                    Kernel::Swar
-                }
-            }
+            SimdMode::Auto => "swar",
+            SimdMode::Scalar => "scalar",
         }
     }
-}
-
-/// A concrete kernel body (post feature detection).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Kernel {
-    Scalar,
-    Swar,
-    Sse2,
-    Avx2,
-    Avx512,
-}
-
-#[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn avx2_available() -> bool {
-    false
-}
-
-/// AVX-512 readiness for the replay kernel. The body uses foundation
-/// ops (512-bit logic, `epi64` add/shift — `avx512f`) plus byte/word
-/// compares from `avx512bw`; require both so the forced tier either
-/// runs the real 512-bit body or falls back whole, never a partial mix.
-#[cfg(target_arch = "x86_64")]
-fn avx512_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512bw")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn avx512_available() -> bool {
-    false
 }
 
 #[cfg(test)]
@@ -215,69 +108,28 @@ mod tests {
     #[test]
     fn parse_accepts_every_documented_value() {
         assert_eq!(SimdMode::parse("auto"), SimdMode::Auto);
-        assert_eq!(SimdMode::parse("SWAR"), SimdMode::Swar);
+        assert_eq!(SimdMode::parse(" AUTO "), SimdMode::Auto);
         assert_eq!(SimdMode::parse("scalar"), SimdMode::Scalar);
-        assert_eq!(SimdMode::parse("sse2"), SimdMode::Sse2);
-        assert_eq!(SimdMode::parse("Avx2"), SimdMode::Avx2);
-        assert_eq!(SimdMode::parse("avx512"), SimdMode::Avx512);
-        assert_eq!(SimdMode::parse(" AVX512 "), SimdMode::Avx512);
+        assert_eq!(SimdMode::parse("Scalar"), SimdMode::Scalar);
     }
 
     #[test]
     fn parse_warns_and_falls_back_to_auto_on_unknown_values() {
         // The warn-and-default contract (matching TLABP_THREADS): a
-        // garbage value must not panic and must resolve to Auto.
-        assert_eq!(SimdMode::parse("neon"), SimdMode::Auto);
-        assert_eq!(SimdMode::parse(""), SimdMode::Auto);
-        assert_eq!(SimdMode::parse("avx1024"), SimdMode::Auto);
-        assert!(SimdMode::try_parse("neon").is_err());
-        assert_eq!(SimdMode::try_parse("neon").unwrap_err(), "neon");
+        // garbage value — including a retired tier name — must not panic
+        // and must resolve to Auto.
+        for value in ["neon", "", "swar", "avx512"] {
+            assert_eq!(SimdMode::parse(value), SimdMode::Auto, "{value:?}");
+            assert_eq!(SimdMode::try_parse(value).unwrap_err(), value);
+        }
     }
 
     #[test]
     fn names_round_trip_through_parse() {
-        for mode in [
-            SimdMode::Auto,
-            SimdMode::Swar,
-            SimdMode::Scalar,
-            SimdMode::Sse2,
-            SimdMode::Avx2,
-            SimdMode::Avx512,
-        ] {
+        for mode in [SimdMode::Auto, SimdMode::Scalar] {
             assert_eq!(SimdMode::parse(mode.name()), mode);
         }
-    }
-
-    #[test]
-    fn forced_modes_resolve_to_a_runnable_kernel() {
-        // Whatever the host, every mode must land on some body; the
-        // bit-identity of the bodies makes the fallback inconsequential.
-        for mode in [
-            SimdMode::Auto,
-            SimdMode::Swar,
-            SimdMode::Scalar,
-            SimdMode::Sse2,
-            SimdMode::Avx2,
-            SimdMode::Avx512,
-        ] {
-            let kernel = mode.kernel();
-            if mode == SimdMode::Scalar {
-                assert_eq!(kernel, Kernel::Scalar);
-            } else if mode == SimdMode::Swar {
-                assert_eq!(kernel, Kernel::Swar);
-            }
-            // resolved_name() must describe the same body kernel() picks.
-            let name = mode.resolved_name();
-            assert!(["scalar", "swar", "sse2", "avx2", "avx512"].contains(&name));
-        }
-    }
-
-    #[test]
-    fn avx512_resolution_is_all_or_nothing() {
-        // A forced avx512 either runs the 512-bit body or degrades to
-        // the portable SWAR body — never an intermediate tier, so the
-        // differential suites know exactly which two bodies can appear.
-        let kernel = SimdMode::Avx512.kernel();
-        assert!(kernel == Kernel::Avx512 || kernel == Kernel::Swar);
+        assert_eq!(SimdMode::Auto.resolved_name(), "swar");
+        assert_eq!(SimdMode::Scalar.resolved_name(), "scalar");
     }
 }

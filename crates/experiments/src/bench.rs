@@ -36,9 +36,9 @@
 //!   ([`tlabp_core::SimdMode::Scalar`]): one stream walk for the
 //!   whole batch, no bit-slicing — the PR 4-equivalent path;
 //! * **replay** — the default lowering: the same single stream walk
-//!   through the bit-sliced SWAR/`std::arch` kernel
+//!   through the bit-sliced word kernel
 //!   ([`tlabp_sim::runner::simulate_replay_transposed`]), body chosen
-//!   by `TLABP_SIMD` (default: runtime feature detection).
+//!   by `TLABP_SIMD` (default: the word body).
 //!
 //! **cold_start** — trace *ingestion* rather than simulation: VM
 //! generation plus form derivation for the ablation plan, measured lazy
@@ -48,12 +48,11 @@
 //! `results/BENCH_cold_start.csv`.
 //!
 //! **scaling** — one big replay batch (128 same-width members: eight
-//! transposed words per PHT row, the full AVX-512 step) swept over
-//! worker count 1..=host cores × forced kernel tier, with the engine's
-//! intra-batch split (`TLABP_SPLIT`, default auto) fanning the batch's
-//! member-words across the pool. Every cell's results are asserted
-//! bit-identical to the warm reference — worker count, kernel tier and
-//! split are throughput knobs, never results knobs. Lands in
+//! 16-member banks) swept over worker count 1..=host cores, with the
+//! engine's intra-batch split (`TLABP_SPLIT`, default auto) fanning the
+//! batch's banks across the pool. Every cell's results are asserted
+//! bit-identical to the warm reference — worker count and split are
+//! throughput knobs, never results knobs. Lands in
 //! `results/BENCH_scaling.csv`; the peak aggregate rate folds into
 //! `BENCH_sweep.json`.
 //!
@@ -90,8 +89,8 @@
 //!
 //! Every bench artifact (the CSVs and `BENCH_sweep.json`) records the
 //! measuring host's facts — core count, pool width, requested and
-//! detected/selected kernel tier — so a committed number carries the
-//! hardware context that bounds it.
+//! selected kernel body — so a committed number carries the hardware
+//! context that bounds it.
 //!
 //! All other runs start from warmed trace caches (including materialized
 //! pattern streams), so the numbers compare simulation throughput, not
@@ -173,7 +172,7 @@ fn host_cores() -> usize {
 }
 
 /// The host facts every bench artifact records: core count, pool width,
-/// and the requested vs detected/selected replay kernel tier.
+/// and the requested vs selected replay kernel body.
 fn host_meta(threads: usize) -> Vec<(&'static str, String)> {
     let mode = SimdMode::from_env();
     vec![
@@ -556,20 +555,15 @@ fn cold_start_section(ctx: &Ctx, iterations: u32, threads: usize) -> String {
     )
 }
 
-/// The kernel tiers the scaling sweep forces, narrowest to widest.
-const SCALING_TIERS: [SimdMode; 4] =
-    [SimdMode::Swar, SimdMode::Sse2, SimdMode::Avx2, SimdMode::Avx512];
-
-/// Scaling: one big replay batch swept over workers × kernel tier.
+/// Scaling: one big replay batch swept over worker counts.
 ///
 /// The batch is 128 same-width members — the six automata cycled over
 /// duplicate PAg(12) jobs on the longest benchmark trace. Duplicates
 /// are legal in a plan and member outcomes are independent of batch
 /// composition, so the padding changes throughput, never results; 128
-/// members of one width make eight transposed words per PHT row, the
-/// full 512-bit AVX-512 step, and give the intra-batch split eight
-/// word-atoms to fan across the pool. Every cell's outcomes are
-/// asserted bit-identical to the warm single-threaded reference.
+/// members of one width make eight 16-member banks, which gives the
+/// intra-batch split eight atoms to fan across the pool. Every cell's
+/// outcomes are asserted bit-identical to the warm reference.
 fn scaling_section(ctx: &Ctx, iterations: u32, _threads: usize) -> String {
     // The longest trace: stream-walk time dominates there, which is the
     // configuration worth scaling.
@@ -593,73 +587,52 @@ fn scaling_section(ctx: &Ctx, iterations: u32, _threads: usize) -> String {
     let cores = host_cores();
     let mut table = Table::new(vec![
         "workers".into(),
-        "kernel".into(),
-        "resolved".into(),
         format!("seconds (best of {iterations})"),
         "predictions/sec".into(),
         "speedup vs 1 worker".into(),
     ]);
     let mut rows = Vec::new();
-    let mut peak: Option<(usize, SimdMode, f64)> = None;
-    for mode in SCALING_TIERS {
-        let mut single_worker_secs = None;
-        for workers in 1..=cores {
-            let pool = SweepPool::new(workers);
-            let secs = best_of(iterations, || {
-                let results = execute_with(
-                    &pool,
-                    &plan,
-                    ctx.store(),
-                    ExecOptions { simd: mode, ..ExecOptions::default() },
-                );
-                assert_eq!(results.len(), plan.len());
-            });
-            // Bit-identity across every worker count and kernel tier —
-            // outside the timed region.
-            let check = execute_with(
-                &pool,
-                &plan,
-                ctx.store(),
-                ExecOptions { simd: mode, ..ExecOptions::default() },
+    let mut peak: Option<(usize, f64)> = None;
+    let mut single_worker_secs = None;
+    for workers in 1..=cores {
+        let pool = SweepPool::new(workers);
+        let secs = best_of(iterations, || {
+            let results = execute_with(&pool, &plan, ctx.store(), ExecOptions::default());
+            assert_eq!(results.len(), plan.len());
+        });
+        // Bit-identity across every worker count — outside the timed
+        // region.
+        let check = execute_with(&pool, &plan, ctx.store(), ExecOptions::default());
+        for index in 0..plan.len() {
+            assert_eq!(
+                check.outcome(index),
+                reference.outcome(index),
+                "job {index} diverged at {workers} workers"
             );
-            for index in 0..plan.len() {
-                assert_eq!(
-                    check.outcome(index),
-                    reference.outcome(index),
-                    "job {index} diverged at {workers} workers under {mode:?}"
-                );
-            }
-            let eps = scaling_predictions as f64 / secs;
-            let single = *single_worker_secs.get_or_insert(secs);
-            if peak.is_none_or(|(_, _, best)| eps > best) {
-                peak = Some((workers, mode, eps));
-            }
-            table.push_row(vec![
-                workers.to_string(),
-                mode.name().into(),
-                mode.resolved_name().into(),
-                format!("{secs:.3}"),
-                format!("{eps:.0}"),
-                format!("{:.2}", single / secs),
-            ]);
-            rows.push(format!(
-                "      {{ \"workers\": {workers}, \"kernel\": \"{kernel}\", \
-                 \"resolved\": \"{resolved}\", \"seconds\": {secs:.6}, \
-                 \"events_per_sec\": {eps:.1} }}",
-                kernel = mode.name(),
-                resolved = mode.resolved_name(),
-            ));
         }
+        let eps = scaling_predictions as f64 / secs;
+        let single = *single_worker_secs.get_or_insert(secs);
+        if peak.is_none_or(|(_, best)| eps > best) {
+            peak = Some((workers, eps));
+        }
+        table.push_row(vec![
+            workers.to_string(),
+            format!("{secs:.3}"),
+            format!("{eps:.0}"),
+            format!("{:.2}", single / secs),
+        ]);
+        rows.push(format!(
+            "      {{ \"workers\": {workers}, \"seconds\": {secs:.6}, \"events_per_sec\": {eps:.1} }}"
+        ));
     }
-    let (peak_workers, peak_mode, peak_eps) = peak.expect("at least one scaling cell ran");
+    let (peak_workers, peak_eps) = peak.expect("at least one scaling cell ran");
 
     ctx.emit_with_meta(
         "BENCH_scaling",
         &format!(
-            "Replay scaling: one 128-member batch on {}, workers 1..={cores} x kernel tier \
-             (peak {peak_eps:.0} preds/s at {peak_workers} worker(s), {})",
+            "Replay scaling: one 128-member batch on {}, workers 1..={cores} \
+             (peak {peak_eps:.0} preds/s at {peak_workers} worker(s))",
             benchmark.name(),
-            peak_mode.name()
         ),
         &host_meta(cores),
         &table,
@@ -670,15 +643,11 @@ fn scaling_section(ctx: &Ctx, iterations: u32, _threads: usize) -> String {
            \"benchmark\": \"128-member PAg(12) automaton batch on {name}, no context switches\",\n    \
            \"jobs\": {jobs},\n    \
            \"host_cores\": {cores},\n    \
-           \"detected_tier\": \"{detected}\",\n    \
            \"measured_predictions\": {scaling_predictions},\n    \
-           \"peak\": {{ \"workers\": {peak_workers}, \"kernel\": \"{peak_kernel}\", \
-           \"events_per_sec\": {peak_eps:.1} }},\n    \
+           \"peak\": {{ \"workers\": {peak_workers}, \"events_per_sec\": {peak_eps:.1} }},\n    \
            \"rows\": [\n{rows}\n    ]\n  }}",
         name = benchmark.name(),
         jobs = plan.len(),
-        detected = SimdMode::Auto.resolved_name(),
-        peak_kernel = peak_mode.name(),
         rows = rows.join(",\n"),
     )
 }
@@ -947,10 +916,10 @@ const STREAM_BENCH_EVENTS: usize = 64 << 14;
 /// varint+delta encoding, so the bounded ring actually cycles.
 const STREAM_BENCH_CHUNK_BYTES: usize = 128 << 10;
 
-/// Batch width of the streaming section: the full transposed-word shape
-/// the scaling section uses. A wide batch makes replay compute per
-/// decoded byte realistic — the regime streaming is for — instead of
-/// measuring the decode thread against a nearly-free walk.
+/// Batch width of the streaming section: the scaling section's eight
+/// banks. A wide batch makes replay compute per decoded byte realistic
+/// — the regime streaming is for — instead of measuring the decode
+/// thread against a nearly-free walk.
 const STREAM_BENCH_MEMBERS: usize = 128;
 
 /// The **stream** section: bounded-memory streaming replay vs the fully

@@ -91,7 +91,7 @@ impl Ctx {
     /// [`Ctx::emit`] with `# key=value` comment lines prefixed to the
     /// CSV. Bench artifacts are committed to the repository, so each one
     /// records the measuring host's facts (core count, pool width,
-    /// selected kernel tier) — a throughput number divorced from the
+    /// selected kernel body) — a throughput number divorced from the
     /// hardware that produced it is not reproducible.
     pub fn emit_with_meta(
         &self,

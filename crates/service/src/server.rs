@@ -67,9 +67,6 @@ pub const SERVE_MEMO_DISK_BYTES_ENV: &str = "TLABP_SERVE_MEMO_DISK_BYTES";
 /// Environment variable selecting the connection backend
 /// (`auto|epoll|poll|threaded`).
 pub const SERVE_BACKEND_ENV: &str = "TLABP_SERVE_BACKEND";
-/// The retired entry-count memo knob; setting it warns and points at
-/// [`SERVE_MEMO_BYTES_ENV`].
-const LEGACY_MEMO_ENV: &str = "TLABP_SERVE_MEMO";
 
 /// How the daemon multiplexes connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -220,12 +217,6 @@ impl ServeConfig {
         }
         if let Some(raw) = read_env(SERVE_BACKEND_ENV) {
             config.backend = ServeBackend::parse(&raw);
-        }
-        if std::env::var_os(LEGACY_MEMO_ENV).is_some() {
-            eprintln!(
-                "warning: {LEGACY_MEMO_ENV} is retired (the memo cache is byte-capped now); \
-                 use {SERVE_MEMO_BYTES_ENV}"
-            );
         }
         config
     }

@@ -447,9 +447,9 @@ pub struct ExecOptions {
     pub prefetch: bool,
     /// Which body of the transposed replay kernel executes replay
     /// batches. Defaults to the `TLABP_SIMD` environment variable
-    /// (itself defaulting to runtime feature detection); the bench
-    /// harness and the differential suites force specific bodies here
-    /// without mutating process environment. Every body is
+    /// (itself defaulting to the word body); the bench harness and the
+    /// differential suites force the scalar reference body here
+    /// without mutating process environment. Both bodies are
     /// bit-identical, so this is a throughput knob, never a results
     /// knob.
     pub simd: SimdMode,
@@ -1049,11 +1049,10 @@ const MAX_FUSE_BATCH: usize = 16;
 /// entire scheme column — every width × automaton combination — into
 /// one group (e.g. 5 widths × 5 automata × {PAg, PAp} = 50 members on
 /// the shared paper-default BHT) and one batch walks the stream once
-/// for the whole column. The cap is sized so a same-width group can
-/// fill eight transposed words per PHT row — the AVX-512 body's full
-/// 512-bit step — while the intra-batch split (below) hands oversized
-/// batches to idle workers a word at a time, so a wide batch no longer
-/// costs latency on a multi-core host.
+/// for the whole column, however many 16-member banks it builds. The
+/// cap bounds a batch's working set and task size; the intra-batch
+/// split (below) hands an oversized batch to idle workers a bank at a
+/// time, so a wide batch does not cost latency on a multi-core host.
 const MAX_REPLAY_BATCH: usize = 128;
 
 /// Minimum replay work (stream events × batch members) per sub-batch
@@ -1076,13 +1075,15 @@ fn replay_key_of(cells: &[Option<Cell>], index: usize) -> StreamKey {
 /// intra-batch parallelism, or returns the batch whole when the policy,
 /// the pool, or the work says not to.
 ///
-/// The split granule ("atom") is one transposed word: members regroup
-/// by stream width (`widths[i]` belongs to `indices[i]`) and each width
-/// group cuts into runs of at most [`LANES_PER_WORD`] members, so no
-/// sub-batch ever holds a fragment of a word that an unsplit batch
-/// would have stepped in one SWAR op. Atoms distribute contiguously and
-/// nearly evenly over the chosen part count; member indices sort inside
-/// each part so every sub-batch keeps plan order internally.
+/// The split granule ("atom") is one bank: members regroup by stream
+/// width (`widths[i]` belongs to `indices[i]`) and each width group cuts
+/// into runs of at most [`LANES_PER_WORD`] members — the cut the runner
+/// makes when it builds banks — so a sub-batch never holds a fragment
+/// of a same-form bank an unsplit batch would have stepped in one word
+/// op. (A run mixing shared and per-lane members builds one bank of
+/// each.) Atoms distribute contiguously and nearly evenly over the
+/// chosen part count; member indices sort inside each part so every
+/// sub-batch keeps plan order internally.
 ///
 /// Determinism: the result is a pure function of the arguments, and —
 /// because a member's replay outcome is independent of its batch's

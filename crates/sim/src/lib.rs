@@ -67,9 +67,8 @@ pub use plan::{Job, MetricSet, Plan, PredictorSpec, TargetCacheSpec, TraceKey, P
 pub use pool::SweepPool;
 pub use runner::{
     derive_pattern_stream, replay_stream_key, simulate, simulate_fused, simulate_packed,
-    simulate_replay, simulate_replay_many, simulate_replay_transposed,
-    simulate_replay_transposed_streamed, ReplayPht, SimConfig, SimResult, StreamKey,
-    SwitchSchedule,
+    simulate_replay_transposed, simulate_replay_transposed_streamed, SimConfig, SimResult,
+    StreamKey, SwitchSchedule,
 };
 pub use stream::{
     stream_bytes_from_env, StreamChunk, StreamCursor, StreamWindow, DEFAULT_STREAM_BYTES,

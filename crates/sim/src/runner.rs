@@ -6,7 +6,7 @@ use tlabp_core::any::AnyPredictor;
 use tlabp_core::bht::{BhtConfig, BhtCursor, BhtSignature, BranchHistoryTable};
 use tlabp_core::config::{SchemeConfig, SchemeKind};
 use tlabp_core::history::HistoryRegister;
-use tlabp_core::pht::{PackedPht, PackedPhtBank, TransposedLanePhtBank, TransposedPhtBank};
+use tlabp_core::pht::{PackedPht, TransposedPhtBank, LANES_PER_WORD};
 use tlabp_core::predictor::BranchPredictor;
 use tlabp_core::simd::SimdMode;
 use tlabp_trace::io::ReadTraceError;
@@ -630,13 +630,11 @@ pub fn derive_pattern_stream(interned: &InternedConds, key: StreamKey) -> Patter
 /// The bit-packed second level a replay walks: one shared table (GAg,
 /// PAg, and the GSg/PSg preset assemblies) or one table per stream lane
 /// (PAp's per-slot / per-branch pattern tables).
-#[derive(Debug, Clone)]
-pub enum ReplayPht {
+enum ReplayPht {
     /// All events index a single pattern history table.
     Single(PackedPht),
     /// Each event indexes the table its lane selects; tables materialize
-    /// lazily from the template on first use (a never-touched table is
-    /// indistinguishable from a freshly created one).
+    /// lazily from the template on first use.
     PerLane {
         /// The initial-state table cloned for each new lane.
         template: PackedPht,
@@ -650,8 +648,7 @@ impl ReplayPht {
     /// Building from the *constructed* predictor rather than its config
     /// keeps preset tables (GSg/PSg) intact: the packed table starts from
     /// the exact per-entry states the predictor would run with.
-    #[must_use]
-    pub fn for_predictor(predictor: &AnyPredictor) -> Option<ReplayPht> {
+    fn for_predictor(predictor: &AnyPredictor) -> Option<ReplayPht> {
         match predictor {
             AnyPredictor::Gag(g) => Some(ReplayPht::Single(PackedPht::from_table(g.pht()))),
             AnyPredictor::Pag(p) => Some(ReplayPht::Single(PackedPht::from_table(p.pht()))),
@@ -663,26 +660,48 @@ impl ReplayPht {
     }
 }
 
-/// Replays `predictor`'s second level over a materialized first-level
-/// stream, or returns `None` when the predictor has no replayable second
-/// level.
+/// Events per block of the transposed walk: 2<sup>14</sup> events is a
+/// 64 KiB slice of the stream (plus 64 KiB of lanes when laned), so when
+/// several banks walk the same stream the slice stays cache-hot across
+/// all of them instead of streaming the full multi-megabyte buffer once
+/// per bank.
+const REPLAY_BLOCK: usize = 1 << 14;
+
+/// Replays a batch's second levels over one materialized first-level
+/// stream: walks the stream once, updating every member's bit-sliced
+/// second level in the same pass through [`TransposedPhtBank`]s.
 ///
-/// The caller must hand in a stream derived under the predictor's own
-/// [`StreamKey`] (checked by debug assertions on pattern width and
-/// lanedness). Given that, the walk is bit-identical to [`simulate`]
-/// without context switches — the stream *is* the first level's output,
-/// and the packed table transition equals
-/// [`tlabp_core::pht::PatternHistoryTable::predict_update`] on all
-/// inputs — which `tests/differential.rs` pins for every catalog scheme
-/// and every automaton.
+/// Members group by PHT width and second-level form (shared or
+/// per-lane), and each group cuts into banks of at most
+/// [`LANES_PER_WORD`] members — one `u64` word per table row. Widths
+/// *narrower than the stream* are welcome: each bank masks event
+/// patterns down to its own row index, which is exactly the width fold
+/// [`StreamKey::fold_key`] justifies. The engine uses this to replay an
+/// entire width × automaton grid column (e.g. GAg(6), GAg(8), …
+/// GAg(12) across all five automata) over the single stream derived at
+/// the column's widest width. Banks walk the stream in
+/// `REPLAY_BLOCK`-event slices, interleaved, so the slice is read from
+/// cache by every bank after the first.
 ///
-/// Like the other fast paths, replay models no context switches.
+/// The caller hands in a stream derived under the members' fold class
+/// (no member wider than the stream, debug-asserted); per-lane members
+/// (PAp) additionally require a laned stream. Given that, each member's
+/// result is bit-identical to [`simulate`] without context switches —
+/// the stream *is* the first level's output, and the bank transition
+/// equals [`tlabp_core::pht::PatternHistoryTable::predict_update`] on
+/// all inputs — for either kernel `mode`, which `tests/differential.rs`
+/// pins for every catalog scheme and every automaton. Like the other
+/// fast paths on a stream, replay models no context switches.
+///
+/// Returns `None` (and replays nobody) unless every member has a
+/// replayable second level.
 ///
 /// # Example
 ///
 /// ```
 /// use tlabp_core::config::SchemeConfig;
-/// use tlabp_sim::runner::{derive_pattern_stream, replay_stream_key, simulate_replay};
+/// use tlabp_core::SimdMode;
+/// use tlabp_sim::runner::{derive_pattern_stream, replay_stream_key, simulate_replay_transposed};
 /// use tlabp_trace::synth::LoopNest;
 /// use tlabp_trace::InternedConds;
 ///
@@ -690,112 +709,11 @@ impl ReplayPht {
 /// let interned = InternedConds::from_trace(&trace);
 /// let config = SchemeConfig::pag(6);
 /// let stream = derive_pattern_stream(&interned, replay_stream_key(config).unwrap());
-/// let predictor = config.build_any()?;
-/// let result = simulate_replay(&predictor, &stream).unwrap();
-/// assert!(result.accuracy() > 0.9);
+/// let predictors = [config.build_any()?];
+/// let results = simulate_replay_transposed(&predictors, &stream, SimdMode::Auto).unwrap();
+/// assert!(results[0].accuracy() > 0.9);
 /// # Ok::<(), tlabp_core::config::BuildError>(())
 /// ```
-#[must_use]
-pub fn simulate_replay(predictor: &AnyPredictor, stream: &PatternStream) -> Option<SimResult> {
-    let correct = match ReplayPht::for_predictor(predictor)? {
-        ReplayPht::Single(mut pht) => replay_single(&mut pht, stream),
-        ReplayPht::PerLane { template } => replay_per_lane(&template, stream),
-    };
-    Some(SimResult {
-        scheme: predictor.name(),
-        predictions: stream.len() as u64,
-        correct,
-        context_switches: 0,
-    })
-}
-
-/// [`simulate_replay`] for a whole batch sharing one stream, in one pass:
-/// every event is decoded once and pushed through each member's packed
-/// table back to back, with the members' tables interleaved into one
-/// allocation ([`PackedPhtBank`]) so the batch's per-event traffic is
-/// contiguous instead of scattered across per-table buffers.
-///
-/// Returns `None` (and replays nobody) unless every member has a
-/// replayable second level. All members must be sized for the stream's
-/// pattern width — the same contract as [`simulate_replay`], which the
-/// engine guarantees by grouping batches per [`StreamKey`]. Per-lane
-/// members (PAp) take their own pass: their per-event table selection
-/// doesn't interleave with the shared single-table walk.
-#[must_use]
-pub fn simulate_replay_many(
-    predictors: &[AnyPredictor],
-    stream: &PatternStream,
-) -> Option<Vec<SimResult>> {
-    let phts: Vec<ReplayPht> =
-        predictors.iter().map(ReplayPht::for_predictor).collect::<Option<_>>()?;
-    let mut corrects = vec![0u64; phts.len()];
-    let mut single_indices: Vec<usize> = Vec::new();
-    let mut single_tables: Vec<PackedPht> = Vec::new();
-    for (index, pht) in phts.into_iter().enumerate() {
-        match pht {
-            ReplayPht::Single(pht) => {
-                single_indices.push(index);
-                single_tables.push(pht);
-            }
-            ReplayPht::PerLane { template } => {
-                corrects[index] = replay_per_lane(&template, stream);
-            }
-        }
-    }
-    match single_tables.as_mut_slice() {
-        [] => {}
-        [pht] => corrects[single_indices[0]] = replay_single(pht, stream),
-        _ => {
-            let mut bank = PackedPhtBank::new(&single_tables);
-            debug_assert_eq!(bank.history_bits(), stream.history_bits());
-            let banked = replay_bank(&mut bank, stream);
-            for (member, &index) in single_indices.iter().enumerate() {
-                corrects[index] = banked[member];
-            }
-        }
-    }
-    Some(
-        predictors
-            .iter()
-            .zip(corrects)
-            .map(|(predictor, correct)| SimResult {
-                scheme: predictor.name(),
-                predictions: stream.len() as u64,
-                correct,
-                context_switches: 0,
-            })
-            .collect(),
-    )
-}
-
-/// Events per block of the transposed walk: 2<sup>14</sup> events is a
-/// 64 KiB slice of the stream (plus 64 KiB of lanes when laned), so when
-/// several width-banks walk the same stream the slice stays cache-hot
-/// across all of them instead of streaming the full multi-megabyte
-/// buffer once per bank.
-const REPLAY_BLOCK: usize = 1 << 14;
-
-/// The transposed, SWAR-vectorized form of [`simulate_replay_many`]:
-/// walks one materialized stream once, updating every member's
-/// bit-sliced second level in the same pass through
-/// [`TransposedPhtBank`] / [`TransposedLanePhtBank`].
-///
-/// Members are grouped by PHT width — one transposed bank per distinct
-/// width — and widths *narrower than the stream* are welcome: each
-/// bank masks event patterns down to its own row index, which is exactly
-/// the width fold [`StreamKey::fold_key`] justifies. The engine uses
-/// this to replay an entire width × automaton grid column (e.g. GAg(6),
-/// GAg(8), … GAg(12) across all five automata) over the single stream
-/// derived at the column's widest width. Banks walk the stream in
-/// [`REPLAY_BLOCK`]-event slices, interleaved, so the slice is read from
-/// cache by every bank after the first.
-///
-/// Returns `None` (and replays nobody) unless every member has a
-/// replayable second level; members wider than the stream are a caller
-/// bug (debug-asserted). Per-lane members (PAp) additionally require a
-/// laned stream. Bit-identical to per-member [`simulate_replay`] on the
-/// member's own-width stream for every kernel `mode` — pinned by
-/// `tests/differential.rs`.
 #[must_use]
 pub fn simulate_replay_transposed(
     predictors: &[AnyPredictor],
@@ -816,7 +734,7 @@ pub fn simulate_replay_transposed(
 /// event sequence (banks carry their state across feeds and never
 /// interact), so any order-preserving chunking yields the same counts —
 /// and the v3 writer additionally aligns stream chunks to
-/// [`REPLAY_BLOCK`], so even the interleaved block walk matches.
+/// `REPLAY_BLOCK`, so even the interleaved block walk matches.
 ///
 /// Returns `None` (before reading anything) unless every member has a
 /// replayable second level, `Some(Err(..))` if the artifact turns out
@@ -844,86 +762,78 @@ pub fn simulate_replay_transposed_streamed(
     Some(Ok(banks.results(predictors, fed)))
 }
 
-/// The width-grouped transposed bank state shared by
-/// [`simulate_replay_transposed`] and
+/// The bank state shared by [`simulate_replay_transposed`] and
 /// [`simulate_replay_transposed_streamed`]: build once per batch, feed
 /// any order-preserving sequence of event slices, then assemble the
 /// per-member results.
 struct TransposedBanks {
-    single_banks: Vec<(Vec<usize>, TransposedPhtBank)>,
-    lane_banks: Vec<(Vec<usize>, TransposedLanePhtBank)>,
+    /// Every bank with the batch indices of its members, in member order.
+    banks: Vec<(Vec<usize>, TransposedPhtBank)>,
 }
 
 impl TransposedBanks {
-    /// Groups member tables by width, preserving first-seen order so
-    /// the result assembly is a pure function of the batch. `None`
-    /// unless every member has a replayable second level.
+    /// Groups member tables by (width, second-level form) in first-seen
+    /// order and cuts each group into banks of at most
+    /// [`LANES_PER_WORD`] members, so the result assembly is a pure
+    /// function of the batch. `None` unless every member has a
+    /// replayable second level.
     fn build(predictors: &[AnyPredictor], history_bits: u32, stream_laned: bool) -> Option<Self> {
-        struct WidthGroup {
-            history_bits: u32,
+        struct Group {
+            width: u32,
+            per_lane: bool,
             indices: Vec<usize>,
             tables: Vec<PackedPht>,
         }
-        fn insert(groups: &mut Vec<WidthGroup>, index: usize, table: PackedPht) {
-            let history_bits = table.history_bits();
-            match groups.iter_mut().find(|g| g.history_bits == history_bits) {
+        let mut groups: Vec<Group> = Vec::new();
+        for (index, predictor) in predictors.iter().enumerate() {
+            let (table, per_lane) = match ReplayPht::for_predictor(predictor)? {
+                ReplayPht::Single(table) => (table, false),
+                ReplayPht::PerLane { template } => (template, true),
+            };
+            let width = table.history_bits();
+            match groups.iter_mut().find(|g| g.width == width && g.per_lane == per_lane) {
                 Some(group) => {
                     group.indices.push(index);
                     group.tables.push(table);
                 }
-                None => groups.push(WidthGroup {
-                    history_bits,
-                    indices: vec![index],
-                    tables: vec![table],
-                }),
+                None => {
+                    groups.push(Group {
+                        width,
+                        per_lane,
+                        indices: vec![index],
+                        tables: vec![table],
+                    });
+                }
             }
         }
-        let mut singles: Vec<WidthGroup> = Vec::new();
-        let mut laned: Vec<WidthGroup> = Vec::new();
-        for (index, predictor) in predictors.iter().enumerate() {
-            match ReplayPht::for_predictor(predictor)? {
-                ReplayPht::Single(table) => insert(&mut singles, index, table),
-                ReplayPht::PerLane { template } => insert(&mut laned, index, template),
+        let mut banks = Vec::new();
+        for group in groups {
+            debug_assert!(group.width <= history_bits, "member wider than stream");
+            debug_assert!(!group.per_lane || stream_laned, "per-lane replay needs a laned stream");
+            let cuts =
+                group.indices.chunks(LANES_PER_WORD).zip(group.tables.chunks(LANES_PER_WORD));
+            for (indices, tables) in cuts {
+                let bank = if group.per_lane {
+                    TransposedPhtBank::per_lane(tables)
+                } else {
+                    TransposedPhtBank::new(tables)
+                };
+                banks.push((indices.to_vec(), bank));
             }
         }
-        debug_assert!(laned.is_empty() || stream_laned, "per-lane replay needs a laned stream");
-        let single_banks = singles
-            .into_iter()
-            .map(|group| {
-                debug_assert!(group.history_bits <= history_bits, "member wider than stream");
-                (group.indices, TransposedPhtBank::new(&group.tables))
-            })
-            .collect();
-        let lane_banks = laned
-            .into_iter()
-            .map(|group| {
-                debug_assert!(group.history_bits <= history_bits, "member wider than stream");
-                (group.indices, TransposedLanePhtBank::new(&group.tables))
-            })
-            .collect();
-        Some(TransposedBanks { single_banks, lane_banks })
+        Some(TransposedBanks { banks })
     }
 
     /// Feeds one contiguous slice of the stream to every bank,
     /// interleaved in [`REPLAY_BLOCK`]-event sub-blocks so the slice
-    /// stays cache-hot across banks. `lanes` is ignored (and may be
-    /// empty) when no member is per-lane.
+    /// stays cache-hot across banks. `lanes` is empty for an unlaned
+    /// stream; shared banks never read it.
     fn feed(&mut self, events: &[u32], lanes: &[u32], mode: SimdMode) {
-        if self.lane_banks.is_empty() {
-            for block in events.chunks(REPLAY_BLOCK) {
-                for (_, bank) in &mut self.single_banks {
-                    bank.replay(block, mode);
-                }
-            }
-        } else {
-            let blocks = events.chunks(REPLAY_BLOCK).zip(lanes.chunks(REPLAY_BLOCK));
-            for (events, lanes) in blocks {
-                for (_, bank) in &mut self.single_banks {
-                    bank.replay(events, mode);
-                }
-                for (_, bank) in &mut self.lane_banks {
-                    bank.replay(events, lanes, mode);
-                }
+        for (block, events) in events.chunks(REPLAY_BLOCK).enumerate() {
+            let start = block * REPLAY_BLOCK;
+            let lanes = lanes.get(start..start + events.len()).unwrap_or_default();
+            for (_, bank) in &mut self.banks {
+                bank.replay(events, lanes, mode);
             }
         }
     }
@@ -931,14 +841,9 @@ impl TransposedBanks {
     /// Collects each member's correct count back into batch order.
     fn results(self, predictors: &[AnyPredictor], predictions: u64) -> Vec<SimResult> {
         let mut corrects = vec![0u64; predictors.len()];
-        for (indices, bank) in &self.single_banks {
-            for (member, &index) in indices.iter().enumerate() {
-                corrects[index] = bank.counts()[member];
-            }
-        }
-        for (indices, bank) in &self.lane_banks {
-            for (member, &index) in indices.iter().enumerate() {
-                corrects[index] = bank.counts()[member];
+        for (indices, bank) in &self.banks {
+            for (&index, &correct) in indices.iter().zip(bank.counts()) {
+                corrects[index] = correct;
             }
         }
         predictors
@@ -952,79 +857,6 @@ impl TransposedBanks {
             })
             .collect()
     }
-}
-
-/// Walks an interleaved bank over the stream; returns each member's
-/// correct-prediction count in member order. Common batch widths
-/// dispatch to a monomorphized walk whose member loop is fully unrolled;
-/// anything wider falls back to the dynamic loop.
-fn replay_bank(bank: &mut PackedPhtBank, stream: &PatternStream) -> Vec<u64> {
-    fn fixed<const N: usize>(bank: &mut PackedPhtBank, stream: &PatternStream) -> Vec<u64> {
-        let mut corrects = [0u64; N];
-        for &event in stream.events() {
-            let taken = PatternStream::event_taken(event);
-            bank.predict_update_count_fixed(
-                PatternStream::event_pattern(event),
-                taken,
-                &mut corrects,
-            );
-        }
-        corrects.to_vec()
-    }
-    match bank.members() {
-        2 => fixed::<2>(bank, stream),
-        3 => fixed::<3>(bank, stream),
-        4 => fixed::<4>(bank, stream),
-        5 => fixed::<5>(bank, stream),
-        6 => fixed::<6>(bank, stream),
-        7 => fixed::<7>(bank, stream),
-        8 => fixed::<8>(bank, stream),
-        members => {
-            let mut corrects = vec![0u64; members];
-            for &event in stream.events() {
-                let taken = PatternStream::event_taken(event);
-                bank.predict_update_count(
-                    PatternStream::event_pattern(event),
-                    taken,
-                    &mut corrects,
-                );
-            }
-            corrects
-        }
-    }
-}
-
-/// Walks one shared packed table over the stream; returns the number of
-/// correct predictions.
-fn replay_single(pht: &mut PackedPht, stream: &PatternStream) -> u64 {
-    debug_assert_eq!(pht.history_bits(), stream.history_bits());
-    let mut correct = 0u64;
-    for &event in stream.events() {
-        let taken = PatternStream::event_taken(event);
-        let predicted = pht.predict_update(PatternStream::event_pattern(event), taken);
-        correct += u64::from(predicted == taken);
-    }
-    correct
-}
-
-/// Walks lane-selected packed tables over the stream, materializing each
-/// lane's table from the template on first use; returns the number of
-/// correct predictions.
-fn replay_per_lane(template: &PackedPht, stream: &PatternStream) -> u64 {
-    debug_assert_eq!(template.history_bits(), stream.history_bits());
-    debug_assert!(stream.is_laned(), "per-lane replay needs a BHT-derived stream");
-    let mut correct = 0u64;
-    let mut tables: Vec<PackedPht> = Vec::new();
-    for (&event, &lane) in stream.events().iter().zip(stream.lanes()) {
-        let lane = lane as usize;
-        if lane >= tables.len() {
-            tables.resize(lane + 1, template.clone());
-        }
-        let taken = PatternStream::event_taken(event);
-        let predicted = tables[lane].predict_update(PatternStream::event_pattern(event), taken);
-        correct += u64::from(predicted == taken);
-    }
-    correct
 }
 
 #[cfg(test)]
@@ -1235,11 +1067,14 @@ mod tests {
             let key = replay_stream_key(config).expect("two-level scheme");
             let stream = derive_pattern_stream(&interned, key);
             assert_eq!(stream.len(), interned.len());
-            let predictor = config.build_any().expect("builds");
-            let replayed = simulate_replay(&predictor, &stream).expect("replayable");
             let mut alone = config.build_any().expect("builds");
             let reference = simulate_packed(&mut alone, &packed, &SwitchSchedule::default());
-            assert_eq!(replayed, reference, "{config}");
+            for mode in [SimdMode::Auto, SimdMode::Scalar] {
+                let predictors = [config.build_any().expect("builds")];
+                let replayed =
+                    simulate_replay_transposed(&predictors, &stream, mode).expect("replayable");
+                assert_eq!(replayed[0], reference, "{config} under {mode:?}");
+            }
         }
     }
 
@@ -1249,9 +1084,9 @@ mod tests {
         assert!(replay_stream_key(SchemeConfig::btfn()).is_none());
         assert!(replay_stream_key(SchemeConfig::always_taken()).is_none());
         assert!(replay_stream_key(SchemeConfig::btb(Automaton::A2)).is_none());
-        let predictor = SchemeConfig::btfn().build_any().expect("builds");
+        let predictors = [SchemeConfig::btfn().build_any().expect("builds")];
         let stream = PatternStream::new(4, false);
-        assert!(simulate_replay(&predictor, &stream).is_none());
+        assert!(simulate_replay_transposed(&predictors, &stream, SimdMode::Auto).is_none());
     }
 
     #[test]
@@ -1346,11 +1181,10 @@ mod tests {
     }
 
     /// Transposed replay over a *wider* shared stream must equal each
-    /// member's own-width replay — the fold group contract.
+    /// member's own reference simulation — the fold group contract.
     #[test]
     fn transposed_replay_matches_per_member_replay_across_widths() {
         use tlabp_core::config::SchemeConfig;
-        use tlabp_core::SimdMode;
         use tlabp_trace::synth::MarkovBranches;
         use tlabp_trace::InternedConds;
 
@@ -1381,15 +1215,14 @@ mod tests {
             let shared = derive_pattern_stream(&interned, rep_key);
             let predictors: Vec<AnyPredictor> =
                 configs.iter().map(|c| c.build_any().expect("builds")).collect();
-            for mode in [SimdMode::Auto, SimdMode::Swar, SimdMode::Scalar] {
+            for mode in [SimdMode::Auto, SimdMode::Scalar] {
                 let transposed =
                     simulate_replay_transposed(&predictors, &shared, mode).expect("replayable");
                 for (config, result) in configs.iter().zip(&transposed) {
                     let own_key = replay_stream_key(*config).expect("two-level");
                     assert_eq!(own_key.fold_key(), rep_key.fold_key());
-                    let own_stream = derive_pattern_stream(&interned, own_key);
-                    let predictor = config.build_any().expect("builds");
-                    let own = simulate_replay(&predictor, &own_stream).expect("replayable");
+                    let mut predictor = config.build().expect("builds");
+                    let own = simulate(&mut *predictor, &trace, &SimConfig::no_context_switch());
                     assert_eq!(result, &own, "{config} under {mode:?}");
                 }
             }
@@ -1399,7 +1232,6 @@ mod tests {
     #[test]
     fn transposed_replay_refuses_non_replayable_members() {
         use tlabp_core::config::SchemeConfig;
-        use tlabp_core::SimdMode;
         let predictors = vec![
             SchemeConfig::gag(6).build_any().expect("builds"),
             SchemeConfig::btfn().build_any().expect("builds"),

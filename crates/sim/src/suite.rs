@@ -480,7 +480,8 @@ impl TraceStore {
 
     /// Returns the materialized first-level stream for
     /// `(benchmark, data_set, key)` — the input of
-    /// [`crate::runner::simulate_replay`] — deriving it on first use.
+    /// [`crate::runner::simulate_replay_transposed`] — deriving it on first
+    /// use.
     ///
     /// The fourth cached form, keyed per first-level [`StreamKey`] rather
     /// than only per trace. The derivation chains through the interned

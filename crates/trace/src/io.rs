@@ -1116,7 +1116,9 @@ fn read_artifacts_chunked(cur: &mut Cursor<'_>) -> Result<ArtifactBundle, ReadTr
         if checksum(&cur.bytes[head_start..cur.pos - 8]) != stored_head {
             return Err(ReadTraceError::SectionChecksum { kind });
         }
-        let mut decoder = SectionDecoder::new(kind, &meta).ok_or(bad.clone())?;
+        let encoded_total =
+            table.iter().fold(0u64, |sum, &(encoded, ..)| sum.saturating_add(encoded));
+        let mut decoder = SectionDecoder::new(kind, &meta, encoded_total).ok_or(bad.clone())?;
         for &(encoded, items, stored) in &table {
             let encoded = usize::try_from(encoded).map_err(|_| truncated.clone())?;
             if cur.remaining() < encoded {
@@ -1166,36 +1168,50 @@ enum SectionDecoder {
     },
 }
 
+/// Items to reserve for a section declaring `declared` items over
+/// `encoded` payload bytes: the declared count, capped by what those
+/// bytes can hold at `min_bytes` per item (every item takes at least one
+/// varint byte), so a lying header cannot force a large allocation
+/// while an honest one allocates each vector exactly once.
+fn reserve_items(declared: u64, encoded: u64, min_bytes: u64) -> usize {
+    usize::try_from(declared.min(encoded / min_bytes)).unwrap_or(0)
+}
+
 impl SectionDecoder {
-    fn new(kind: u8, meta: &[u8]) -> Option<SectionDecoder> {
+    /// A decoder for a section of `kind` whose chunks total `encoded`
+    /// payload bytes.
+    fn new(kind: u8, meta: &[u8], encoded: u64) -> Option<SectionDecoder> {
         match kind {
             section::TRACE => {
                 let (declared, total) = meta::parse_trace(meta)?;
-                let capacity = usize::try_from(declared).unwrap_or(usize::MAX).min(1 << 24);
                 Some(SectionDecoder::Trace {
                     declared,
                     total,
-                    trace: Trace::with_capacity(capacity),
+                    trace: Trace::with_capacity(reserve_items(declared, encoded, 1)),
                     last_instret: 0,
                 })
             }
-            section::PACKED => Some(SectionDecoder::Packed {
-                declared: meta::parse_packed(meta)?,
-                out: Vec::new(),
-            }),
+            section::PACKED => {
+                let declared = meta::parse_packed(meta)?;
+                let out = Vec::with_capacity(reserve_items(declared, encoded, 1));
+                Some(SectionDecoder::Packed { declared, out })
+            }
             section::INTERNED => {
                 let (declared, pcs) = meta::parse_interned(meta)?;
-                Some(SectionDecoder::Interned { declared, pcs, out: Vec::new() })
+                let out = Vec::with_capacity(reserve_items(declared, encoded, 1));
+                Some(SectionDecoder::Interned { declared, pcs, out })
             }
             section::STREAM => {
                 let (key, history_bits, laned, declared) = meta::parse_stream(meta)?;
+                // A laned item is two varints: the event and its lane.
+                let reserve = reserve_items(declared, encoded, 1 + u64::from(laned));
                 Some(SectionDecoder::Stream {
                     key,
                     history_bits,
                     laned,
                     declared,
-                    events: Vec::new(),
-                    lanes: Vec::new(),
+                    events: Vec::with_capacity(reserve),
+                    lanes: Vec::with_capacity(if laned { reserve } else { 0 }),
                 })
             }
             _ => None,
@@ -1434,8 +1450,9 @@ impl ChunkedArtifact {
         if checksum(&payload) != c.checksum {
             return Err(ReadTraceError::SectionChecksum { kind: section::STREAM });
         }
-        let mut events = Vec::with_capacity(usize::try_from(c.items).map_err(|_| bad.clone())?);
-        let mut lanes = Vec::new();
+        let reserve = reserve_items(c.items, c.encoded, 1 + u64::from(laned));
+        let mut events = Vec::with_capacity(reserve);
+        let mut lanes = Vec::with_capacity(if laned { reserve } else { 0 });
         decode_stream_chunk(&payload, c.items, laned, &mut events, &mut lanes).ok_or(bad)?;
         Ok((events, lanes))
     }
@@ -1925,6 +1942,33 @@ mod tests {
         assert_eq!(bundle.streams, streams);
         let empty = read_artifacts(&write_artifacts_chunked(5, None, None, None, &[], b)).unwrap();
         assert_eq!(empty, ArtifactBundle { fingerprint: 5, ..ArtifactBundle::default() });
+    }
+
+    #[test]
+    fn chunked_artifacts_hydrate_at_their_written_footprint() {
+        // Exactly-sized streams, as derivation builds them: however the
+        // sections are chunked, the hydrated copy holds no more heap
+        // than the stream that was written.
+        let (_, packed, _, _) = sample_bundle();
+        let mut unlaned = PatternStream::with_capacity(6, packed.len(), false);
+        let mut laned = PatternStream::with_capacity(4, packed.len(), true);
+        for (i, cond) in packed.iter().enumerate() {
+            unlaned.push(i % 64, cond.taken());
+            laned.push_with_lane(i % 16, cond.taken(), (i % 5) as u32);
+        }
+        let streams = [(b"unlaned".to_vec(), unlaned), (b"laned".to_vec(), laned)];
+        let refs: Vec<(Vec<u8>, &PatternStream)> =
+            streams.iter().map(|(k, s)| (k.clone(), s)).collect();
+        for chunk_bytes in [DEFAULT_CHUNK_BYTES, 64, 1] {
+            let bytes = write_artifacts_chunked(7, None, Some(&packed), None, &refs, chunk_bytes);
+            let bundle = read_artifacts(&bytes).unwrap();
+            for ((key, written), (_, read)) in streams.iter().zip(&bundle.streams) {
+                assert_eq!(read, written);
+                assert_eq!(read.bytes(), written.bytes(), "{key:?} at chunk_bytes {chunk_bytes}");
+            }
+            let read_packed = bundle.packed.expect("packed section");
+            assert_eq!(read_packed.capacity(), packed.len(), "chunk_bytes {chunk_bytes}");
+        }
     }
 
     #[test]

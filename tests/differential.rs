@@ -316,17 +316,28 @@ fn fused_outcomes_are_independent_of_batch_composition() {
     }
 }
 
+/// `config`'s reference result on `trace`: the boxed predictor (trained
+/// on `training` when needed) through `simulate`, no context switches.
+fn reference(config: SchemeConfig, trace: &Trace, training: &Trace) -> SimResult {
+    let mut boxed = if config.needs_training() {
+        config.build_trained(training)
+    } else {
+        config.build().expect("builds")
+    };
+    simulate(&mut *boxed, trace, &SimConfig::no_context_switch())
+}
+
 /// Every replay-eligible scheme structure crossed with every automaton
 /// (Last-Time and the four-state counters via `with_automaton`, the
 /// PresetBit 2-state packing via the trained GSg/PSg schemes): replaying
-/// the materialized pattern stream through the bit-packed PHT is
-/// bit-identical to the packed fast path and to the boxed reference on
-/// every trace.
+/// the materialized pattern stream through a transposed bank, under
+/// both kernel bodies, is bit-identical to the boxed reference
+/// `simulate` and to the packed fast path on every trace.
 #[test]
 fn replay_is_bit_identical_for_every_scheme_and_automaton() {
     use tlabp::core::SimdMode;
     use tlabp::sim::runner::{
-        derive_pattern_stream, replay_stream_key, simulate_replay, simulate_replay_transposed,
+        derive_pattern_stream, replay_stream_key, simulate_replay_transposed,
     };
     use tlabp::trace::InternedConds;
 
@@ -346,63 +357,105 @@ fn replay_is_bit_identical_for_every_scheme_and_automaton() {
     configs.extend([SchemeConfig::gsg(12), SchemeConfig::psg(12)]);
 
     let training = BiasedCoins::uniform(24, 0.7, 400, 8).generate();
-    let sim = SimConfig::no_context_switch();
     for (trace_name, trace) in traces() {
         let interned = InternedConds::from_trace(&trace);
         for &config in &configs {
             let key = replay_stream_key(config).expect("catalog scheme has a stream key");
             let stream = derive_pattern_stream(&interned, key);
-            let predictor = if config.needs_training() {
-                config.build_any_trained(&training)
-            } else {
-                config.build_any().expect("builds")
-            };
-            let replayed =
-                simulate_replay(&predictor, &stream).expect("catalog scheme has a replay PHT");
-
-            // Every body of the transposed SWAR kernel reproduces the
-            // sequential replay bit for bit — scheme × automaton × trace.
-            for mode in
-                [SimdMode::Swar, SimdMode::Scalar, SimdMode::Sse2, SimdMode::Avx2, SimdMode::Avx512]
-            {
-                let member = if config.needs_training() {
-                    config.build_any_trained(&training)
-                } else {
-                    config.build_any().expect("builds")
-                };
-                let transposed = simulate_replay_transposed(&[member], &stream, mode)
+            let expected = reference(config, &trace, &training);
+            for mode in [SimdMode::Auto, SimdMode::Scalar] {
+                let member = [build_any(&config, &training)];
+                let transposed = simulate_replay_transposed(&member, &stream, mode)
                     .expect("catalog scheme has a replay PHT");
                 assert_eq!(
-                    transposed[0], replayed,
-                    "transposed {mode:?} vs replay diverged for {config} on {trace_name}"
+                    transposed[0], expected,
+                    "transposed {mode:?} vs reference diverged for {config} on {trace_name}"
                 );
             }
-
-            let mut packed = if config.needs_training() {
-                config.build_any_trained(&training)
-            } else {
-                config.build_any().expect("builds")
-            };
-            let packed_result = simulate_packed(
-                &mut packed,
+            let packed = simulate_packed(
+                &mut build_any(&config, &training),
                 &trace.pack_conditionals(),
                 &SwitchSchedule::default(),
             );
             assert_eq!(
-                replayed, packed_result,
-                "replay vs packed diverged for {config} on {trace_name}"
+                packed, expected,
+                "packed vs reference diverged for {config} on {trace_name}"
             );
+        }
+    }
+}
 
-            let mut boxed = if config.needs_training() {
-                config.build_trained(&training)
-            } else {
-                config.build().expect("builds")
-            };
-            let dyn_result = simulate(&mut *boxed, &trace, &sim);
-            assert_eq!(
-                replayed, dyn_result,
-                "replay vs reference diverged for {config} on {trace_name}"
-            );
+/// Batches wider than one bank: same-width groups of 17, 40 and 135
+/// members, at mixed widths, with per-lane PAp groups and trained
+/// GSg/PSg members, replay in one call that cuts each group into
+/// 16-member banks. Every member must still equal its own reference
+/// `simulate`, under both kernel bodies.
+#[test]
+fn wide_replay_batches_match_per_member_reference() {
+    use tlabp::core::SimdMode;
+    use tlabp::sim::runner::{derive_pattern_stream, simulate_replay_transposed, StreamKey};
+    use tlabp::trace::InternedConds;
+
+    /// `count` members cycling every automaton through `scheme`.
+    fn cycle(count: usize, scheme: impl Fn(Automaton) -> SchemeConfig) -> Vec<SchemeConfig> {
+        (0..count).map(|i| scheme(Automaton::ALL[i % Automaton::ALL.len()])).collect()
+    }
+    let global: Vec<SchemeConfig> = [
+        // 17 at width 12: a full bank plus one, two of them trained.
+        cycle(15, |a| SchemeConfig::gag(12).with_automaton(a)),
+        vec![SchemeConfig::gsg(12); 2],
+        cycle(40, |a| SchemeConfig::gag(8).with_automaton(a)),
+        cycle(135, |a| SchemeConfig::gag(10).with_automaton(a)),
+    ]
+    .concat();
+    let bht: Vec<SchemeConfig> = [
+        cycle(15, |a| SchemeConfig::pag(12).with_automaton(a)),
+        vec![SchemeConfig::psg(12); 2],
+        // Per-lane members: 40 PAp at width 8 make three laned banks.
+        cycle(40, |a| SchemeConfig::pap(8).with_automaton(a)),
+        cycle(135, |a| SchemeConfig::pag(10).with_automaton(a)),
+    ]
+    .concat();
+    let cases = [
+        (global, StreamKey::Global { history_bits: 12 }),
+        (
+            bht,
+            StreamKey::Bht(tlabp::core::bht::BhtSignature {
+                config: BhtConfig::PAPER_DEFAULT,
+                history_bits: 12,
+            }),
+        ),
+    ];
+
+    let training = BiasedCoins::uniform(24, 0.7, 400, 8).generate();
+    let traces = [
+        ("markov", MarkovBranches::new(24, 0.8, 4000, 7).generate()),
+        ("correlated", CorrelatedBranches::new(Correlation::Xor, 2000, 0.5, 11).generate()),
+    ];
+    for (trace_name, trace) in &traces {
+        let interned = InternedConds::from_trace(trace);
+        for (configs, key) in &cases {
+            let stream = derive_pattern_stream(&interned, *key);
+            let mut expected: Vec<(SchemeConfig, SimResult)> = Vec::new();
+            for &config in configs {
+                if !expected.iter().any(|(c, _)| *c == config) {
+                    expected.push((config, reference(config, trace, &training)));
+                }
+            }
+            let predictors: Vec<_> = configs.iter().map(|c| build_any(c, &training)).collect();
+            for mode in [SimdMode::Auto, SimdMode::Scalar] {
+                let results =
+                    simulate_replay_transposed(&predictors, &stream, mode).expect("replayable");
+                assert_eq!(results.len(), configs.len());
+                for (member, (config, result)) in configs.iter().zip(&results).enumerate() {
+                    let (_, want) =
+                        expected.iter().find(|(c, _)| c == config).expect("reference computed");
+                    assert_eq!(
+                        result, want,
+                        "member {member} ({config}) diverged under {mode:?} on {trace_name}"
+                    );
+                }
+            }
         }
     }
 }
@@ -478,12 +531,12 @@ fn packed_lut_matches_automaton_on_all_256_inputs() {
     }
 }
 
-/// Every body of the transposed SWAR kernel — portable u64, forced
-/// SSE2/AVX2, and the scalar transposed loop — agrees with
-/// `Automaton::update` / `Automaton::predict` on all 256 (state, taken)
-/// transition inputs, for every automaton: a one-member bank stepped
-/// through each input singly must land in the reference next state and
-/// count the reference correctness, under every `TLABP_SIMD` mode.
+/// Both bodies of the transposed kernel — the bit-sliced word body and
+/// the scalar transposed loop — agree with `Automaton::update` /
+/// `Automaton::predict` on all 256 (state, taken) transition inputs,
+/// for every automaton: a one-member bank stepped through each input
+/// singly must land in the reference next state and count the reference
+/// correctness, under every `TLABP_SIMD` mode.
 #[test]
 fn transposed_kernels_match_automaton_on_all_256_inputs() {
     use tlabp::core::automaton::State;
@@ -495,19 +548,12 @@ fn transposed_kernels_match_automaton_on_all_256_inputs() {
         for index in 0..256usize {
             let taken = index & 1 != 0;
             let state = State::new(((index >> 1) as u8) & mask);
-            for mode in [
-                SimdMode::Auto,
-                SimdMode::Swar,
-                SimdMode::Scalar,
-                SimdMode::Sse2,
-                SimdMode::Avx2,
-                SimdMode::Avx512,
-            ] {
+            for mode in [SimdMode::Auto, SimdMode::Scalar] {
                 let mut table = PackedPht::new(1, automaton);
                 table.set_state(0, state);
                 table.set_state(1, state);
                 let mut bank = TransposedPhtBank::new(&[table]);
-                bank.replay(&[u32::from(taken)], mode);
+                bank.replay(&[u32::from(taken)], &[], mode);
                 assert_eq!(
                     bank.state(0, 0),
                     automaton.update(state, taken),
@@ -526,9 +572,9 @@ fn transposed_kernels_match_automaton_on_all_256_inputs() {
 /// The full grid plan — every (scheme, width, automaton) cell of the
 /// Fig. 8 design-space artifact, where the engine's fold grouping packs
 /// entire width × automaton columns into single transposed batches over
-/// one shared stream — is lowering-invariant: the SWAR kernel, the
-/// scalar kernel, the auto-detected kernel and fused execution with
-/// replay disabled all agree job for job.
+/// one shared stream — is lowering-invariant: the word kernel, the
+/// scalar kernel and fused execution with replay disabled all agree job
+/// for job.
 #[test]
 fn grid_plan_is_invariant_across_replay_kernels_and_fusion() {
     use tlabp::core::SimdMode;
@@ -554,7 +600,6 @@ fn grid_plan_is_invariant_across_replay_kernels_and_fusion() {
     let fused: Plan = jobs.iter().map(|job| job.clone().with_replay(false)).collect();
 
     let store = TraceStore::from_env();
-    let auto = execute(&plan, &store);
     let fused_out = execute(&fused, &store);
     let kernel = |simd| {
         execute_with(
@@ -564,25 +609,20 @@ fn grid_plan_is_invariant_across_replay_kernels_and_fusion() {
             ExecOptions { simd, ..ExecOptions::default() },
         )
     };
-    let swar = kernel(SimdMode::Swar);
+    let auto = kernel(SimdMode::Auto);
     let scalar = kernel(SimdMode::Scalar);
     for (index, job) in jobs.iter().enumerate() {
         let label = job.label();
         let benchmark = job.trace.benchmark.name();
         assert_eq!(
-            swar.outcome(index),
-            scalar.outcome(index),
-            "swar vs scalar diverged for {label} on {benchmark}"
-        );
-        assert_eq!(
-            swar.outcome(index),
             auto.outcome(index),
-            "swar vs auto diverged for {label} on {benchmark}"
+            scalar.outcome(index),
+            "auto vs scalar diverged for {label} on {benchmark}"
         );
         assert_eq!(
-            swar.outcome(index),
+            auto.outcome(index),
             fused_out.outcome(index),
-            "swar vs fused diverged for {label} on {benchmark}"
+            "auto vs fused diverged for {label} on {benchmark}"
         );
     }
 }
@@ -590,7 +630,7 @@ fn grid_plan_is_invariant_across_replay_kernels_and_fusion() {
 /// Intra-batch splitting is invisible for every scheme structure and
 /// automaton: a plan whose width × automaton columns fold into wide
 /// replay batches produces bit-identical outcomes whether each batch
-/// runs whole on one worker or is scattered word-by-word across the
+/// runs whole on one worker or is scattered bank-by-bank across the
 /// pool — under the auto split heuristic and under forced part counts
 /// far above and below the atom supply.
 #[test]

@@ -7,8 +7,8 @@
 //! [`simulate_replay_transposed_streamed`]), with a decode thread
 //! reading ahead behind a bounded resident-byte window. None of that may
 //! change a single prediction: for every replay-eligible scheme
-//! structure crossed with every automaton, on every trace, under every
-//! kernel tier, the streamed walk must reproduce the in-memory walk bit
+//! structure crossed with every automaton, on every trace, under both
+//! kernel bodies, the streamed walk must reproduce the in-memory walk bit
 //! for bit — and on a stream several times larger than the window, the
 //! peak resident bytes must stay under the cap while doing so.
 
@@ -27,9 +27,8 @@ use tlabp::trace::synth::{BiasedCoins, CorrelatedBranches, Correlation, LoopNest
 use tlabp::trace::{InternedConds, PatternStream, Trace};
 use tlabp::workloads::{Benchmark, DataSet};
 
-/// Every kernel tier the transposed replay kernel can be forced onto.
-const KERNELS: [SimdMode; 5] =
-    [SimdMode::Swar, SimdMode::Scalar, SimdMode::Sse2, SimdMode::Avx2, SimdMode::Avx512];
+/// Both bodies of the transposed replay kernel.
+const KERNELS: [SimdMode; 2] = [SimdMode::Auto, SimdMode::Scalar];
 
 /// The replay-eligible scheme structures of the differential suite:
 /// global register, ideal and cache BHTs, and the per-address (laned)
@@ -71,7 +70,7 @@ fn persist_stream(path: &std::path::Path, key: StreamKey, stream: &PatternStream
 
 /// Streaming replay is bit-identical to the in-memory transposed walk
 /// for every scheme structure × automaton (plus the trained preset-bit
-/// schemes) on every trace, under every kernel tier. Each structure's
+/// schemes) on every trace, under both kernel bodies. Each structure's
 /// automaton ablations replay as one batch over the shared persisted
 /// stream — the same batching the engine's fold grouping produces.
 #[test]
@@ -165,7 +164,7 @@ fn capped_window_bounds_resident_bytes_on_a_large_stream() {
         })
         .collect();
     let reference =
-        simulate_replay_transposed(&predictors, &stream, SimdMode::Swar).expect("replays");
+        simulate_replay_transposed(&predictors, &stream, SimdMode::Auto).expect("replays");
 
     let resident = stream.bytes();
     let cap = resident / 4;
@@ -173,7 +172,7 @@ fn capped_window_bounds_resident_bytes_on_a_large_stream() {
     let mut cursor =
         StreamCursor::open(&path, &key.to_bytes(), cap, &window).expect("stream opens");
     assert!(cursor.chunks() >= 4, "fixture must span several chunks");
-    let streamed = simulate_replay_transposed_streamed(&predictors, &mut cursor, SimdMode::Swar)
+    let streamed = simulate_replay_transposed_streamed(&predictors, &mut cursor, SimdMode::Auto)
         .expect("replays")
         .expect("artifact is intact");
     assert_eq!(streamed, reference, "capped streaming changed results");
@@ -265,11 +264,11 @@ fn imported_captures_are_deterministic_and_replay_identically() {
 
     let predictors = vec![config.build_any().expect("builds")];
     let hydrated =
-        simulate_replay_transposed(&predictors, &stream, SimdMode::Swar).expect("replays");
+        simulate_replay_transposed(&predictors, &stream, SimdMode::Auto).expect("replays");
     let window = Arc::new(StreamWindow::new());
     let mut cursor =
         StreamCursor::open(&path, &key.to_bytes(), 1 << 20, &window).expect("stream opens");
-    let streamed = simulate_replay_transposed_streamed(&predictors, &mut cursor, SimdMode::Swar)
+    let streamed = simulate_replay_transposed_streamed(&predictors, &mut cursor, SimdMode::Auto)
         .expect("replays")
         .expect("artifact is intact");
     assert_eq!(streamed, hydrated, "imported workload diverged streamed vs hydrated");
