@@ -25,7 +25,8 @@ pub enum BhtConfig {
     /// A cache of `entries` history registers, `ways`-way set-associative
     /// (`ways = 1` is direct-mapped), LRU replacement within a set.
     Cache {
-        /// Total number of entries (must be `ways × power-of-two`).
+        /// Total number of entries: `ways ×` a power of two, at most
+        /// [`MAX_TABLE_ENTRIES`](crate::geometry::MAX_TABLE_ENTRIES).
         entries: usize,
         /// Set associativity.
         ways: usize,
@@ -336,17 +337,11 @@ impl CacheBht {
     ///
     /// # Panics
     ///
-    /// Panics if `ways` is zero, `entries` is not a multiple of `ways`, or
-    /// the number of sets is not a power of two.
+    /// Panics if the geometry breaks a rule of
+    /// [`check_table`](crate::geometry::check_table).
     #[must_use]
     pub fn new(entries: usize, ways: usize, history_bits: u32) -> Self {
-        assert!(ways > 0, "associativity must be positive");
-        assert!(
-            entries > 0 && entries.is_multiple_of(ways),
-            "entries {entries} must be a positive multiple of ways {ways}"
-        );
-        let sets = entries / ways;
-        assert!(sets.is_power_of_two(), "set count {sets} must be a power of two");
+        let sets = crate::geometry::assert_valid(crate::geometry::check_table(entries, ways));
         let empty = CacheSlot {
             valid: false,
             tag: 0,

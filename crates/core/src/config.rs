@@ -18,6 +18,7 @@ use crate::any::AnyPredictor;
 use crate::automaton::Automaton;
 use crate::bht::BhtConfig;
 use crate::cost::{BhtGeometry, CostModel};
+use crate::geometry::{check_history_bits, check_pattern_tables, check_table, GeometryError};
 use crate::predictor::BranchPredictor;
 use crate::schemes::{
     train_global, train_per_address, AlwaysTaken, Btb, Btfn, Gag, Gsg, Pag, Pap, Profiling, Psg,
@@ -249,6 +250,37 @@ impl SchemeConfig {
         self.context_switch
     }
 
+    /// Checks the configuration against the shared table-geometry rules
+    /// of [`crate::geometry`]. Parsing applies this check, so every
+    /// configuration that parses builds; one assembled from the
+    /// constructors (say `SchemeConfig::gag(40)`) panics at build time
+    /// unless it passes.
+    ///
+    /// # Errors
+    ///
+    /// The first rule the history length, the BHT or BTB geometry, or
+    /// PAp's per-slot pattern tables break.
+    pub fn check_geometry(&self) -> Result<(), GeometryError> {
+        match self.kind {
+            SchemeKind::AlwaysTaken | SchemeKind::Btfn | SchemeKind::Profiling => Ok(()),
+            SchemeKind::Btb => match self.bht {
+                Some(BhtConfig::Cache { entries, ways }) => check_table(entries, ways).map(drop),
+                _ => Ok(()),
+            },
+            SchemeKind::Gag | SchemeKind::Gsg => check_history_bits(self.history_bits),
+            SchemeKind::Pag | SchemeKind::Psg | SchemeKind::Pap => {
+                check_history_bits(self.history_bits)?;
+                if let Some(BhtConfig::Cache { entries, ways }) = self.bht {
+                    check_table(entries, ways)?;
+                    if self.kind == SchemeKind::Pap {
+                        check_pattern_tables(entries, self.history_bits)?;
+                    }
+                }
+                Ok(())
+            }
+        }
+    }
+
     /// Whether [`SchemeConfig::build`] would fail for lack of a training
     /// trace.
     #[must_use]
@@ -463,11 +495,26 @@ impl Error for BuildError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseSchemeError {
     message: String,
+    geometry: Option<GeometryError>,
 }
 
 impl ParseSchemeError {
     fn new(message: impl Into<String>) -> Self {
-        ParseSchemeError { message: message.into() }
+        ParseSchemeError { message: message.into(), geometry: None }
+    }
+
+    /// The geometry rule the string broke, when it is well formed but
+    /// names tables that cannot be built (see
+    /// [`SchemeConfig::check_geometry`]).
+    #[must_use]
+    pub fn geometry(&self) -> Option<GeometryError> {
+        self.geometry
+    }
+}
+
+impl From<GeometryError> for ParseSchemeError {
+    fn from(err: GeometryError) -> Self {
+        ParseSchemeError { message: err.to_string(), geometry: Some(err) }
     }
 }
 
@@ -482,7 +529,19 @@ impl Error for ParseSchemeError {}
 impl FromStr for SchemeConfig {
     type Err = ParseSchemeError;
 
+    /// Parses the Table 3 notation, then applies
+    /// [`SchemeConfig::check_geometry`], so a string naming tables that
+    /// cannot be built is an error here rather than a panic later.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let config = SchemeConfig::parse_notation(s)?;
+        config.check_geometry()?;
+        Ok(config)
+    }
+}
+
+impl SchemeConfig {
+    /// The syntax half of [`SchemeConfig::from_str`].
+    fn parse_notation(s: &str) -> Result<SchemeConfig, ParseSchemeError> {
         let s = s.trim();
         match s {
             "AlwaysTaken" => return Ok(SchemeConfig::always_taken()),
@@ -716,6 +775,82 @@ mod tests {
         ] {
             assert!(bad.parse::<SchemeConfig>().is_err(), "should reject {bad:?}");
         }
+    }
+
+    /// Parses `text`, expecting it to be well formed but to break the
+    /// geometry rule `want`.
+    fn assert_geometry_rejected(text: &str, want: GeometryError) {
+        let err = text.parse::<SchemeConfig>().expect_err("geometry must be rejected");
+        assert_eq!(err.geometry(), Some(want), "{text}: {err}");
+    }
+
+    #[test]
+    fn parse_rejects_history_longer_than_the_register() {
+        assert_geometry_rejected(
+            "GAg(HR(1,,40-sr),1xPHT(2^40,A2))",
+            GeometryError::HistoryBits(40),
+        );
+    }
+
+    #[test]
+    fn parse_rejects_zero_history() {
+        assert_geometry_rejected("GAg(HR(1,,0-sr),1xPHT(2^0,A2))", GeometryError::HistoryBits(0));
+    }
+
+    #[test]
+    fn parse_rejects_entries_that_are_not_a_multiple_of_ways() {
+        assert_geometry_rejected(
+            "PAg(BHT(3,2,12-sr),1xPHT(2^12,A2))",
+            GeometryError::EntriesNotMultipleOfWays { entries: 3, ways: 2 },
+        );
+    }
+
+    #[test]
+    fn parse_rejects_zero_ways() {
+        assert_geometry_rejected("PAg(BHT(0,0,12-sr),1xPHT(2^12,A2))", GeometryError::ZeroWays);
+    }
+
+    #[test]
+    fn parse_rejects_a_set_count_that_is_not_a_power_of_two() {
+        assert_geometry_rejected(
+            "PAp(BHT(384,4,6-sr),384xPHT(2^6,A2))",
+            GeometryError::SetsNotPowerOfTwo { sets: 96 },
+        );
+    }
+
+    #[test]
+    fn parse_rejects_a_bht_above_the_entry_cap() {
+        assert_geometry_rejected(
+            "PAg(BHT(1099511627776,1,12-sr),1xPHT(2^12,A2))",
+            GeometryError::TooManyEntries { entries: 1 << 40 },
+        );
+    }
+
+    #[test]
+    fn parse_rejects_a_btb_with_an_impossible_geometry() {
+        assert_geometry_rejected("BTB(BHT(12,0,A2),)", GeometryError::ZeroWays);
+    }
+
+    #[test]
+    fn parse_rejects_pap_tables_above_the_pattern_cap() {
+        assert_geometry_rejected(
+            "PAp(BHT(512,4,24-sr),512xPHT(2^24,A2))",
+            GeometryError::TooManyPatternEntries { tables: 512, history_bits: 24 },
+        );
+    }
+
+    #[test]
+    fn every_catalog_geometry_passes_the_shared_rules() {
+        for bht in BhtConfig::FIGURE10 {
+            for k in [1, 12, crate::history::MAX_HISTORY_BITS] {
+                for config in [SchemeConfig::gag(k), SchemeConfig::pag(k).with_bht(bht)] {
+                    assert_eq!(config.check_geometry(), Ok(()), "{config}");
+                    assert_eq!(config.to_string().parse::<SchemeConfig>(), Ok(config));
+                }
+            }
+        }
+        assert_eq!(SchemeConfig::pap(12).check_geometry(), Ok(()));
+        assert_eq!(SchemeConfig::btb(Automaton::A2).check_geometry(), Ok(()));
     }
 
     #[test]

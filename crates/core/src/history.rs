@@ -47,10 +47,7 @@ impl HistoryRegister {
     /// Panics if `len` is zero or exceeds [`MAX_HISTORY_BITS`].
     #[must_use]
     pub fn new(len: u32) -> Self {
-        assert!(
-            (1..=MAX_HISTORY_BITS).contains(&len),
-            "history length {len} out of range 1..={MAX_HISTORY_BITS}"
-        );
+        crate::geometry::assert_valid(crate::geometry::check_history_bits(len));
         HistoryRegister { bits: 0, len }
     }
 

@@ -62,6 +62,7 @@ pub mod bht;
 pub mod config;
 pub mod cost;
 pub mod fxhash;
+pub mod geometry;
 pub mod history;
 pub mod pht;
 pub mod predictor;

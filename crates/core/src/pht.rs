@@ -46,10 +46,7 @@ impl PatternHistoryTable {
     /// [`crate::history::MAX_HISTORY_BITS`].
     #[must_use]
     pub fn new(history_bits: u32, automaton: Automaton) -> Self {
-        assert!(
-            (1..=crate::history::MAX_HISTORY_BITS).contains(&history_bits),
-            "history bits {history_bits} out of range"
-        );
+        crate::geometry::assert_valid(crate::geometry::check_history_bits(history_bits));
         let entries = 1usize << history_bits;
         PatternHistoryTable {
             automaton,
@@ -181,10 +178,7 @@ impl PackedPht {
     /// [`crate::history::MAX_HISTORY_BITS`].
     #[must_use]
     pub fn new(history_bits: u32, automaton: Automaton) -> Self {
-        assert!(
-            (1..=crate::history::MAX_HISTORY_BITS).contains(&history_bits),
-            "history bits {history_bits} out of range"
-        );
+        crate::geometry::assert_valid(crate::geometry::check_history_bits(history_bits));
         let entries = 1usize << history_bits;
         let initial = u64::from(automaton.initial_state().value());
         let mut word = 0u64;

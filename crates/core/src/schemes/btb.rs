@@ -55,17 +55,11 @@ impl Btb {
     ///
     /// # Panics
     ///
-    /// Panics if `ways` is zero, `entries` is not a multiple of `ways`, or
-    /// the set count is not a power of two.
+    /// Panics if the geometry breaks a rule of
+    /// [`check_table`](crate::geometry::check_table).
     #[must_use]
     pub fn new(entries: usize, ways: usize, automaton: Automaton) -> Self {
-        assert!(ways > 0, "associativity must be positive");
-        assert!(
-            entries > 0 && entries.is_multiple_of(ways),
-            "entries {entries} must be a positive multiple of ways {ways}"
-        );
-        let sets = entries / ways;
-        assert!(sets.is_power_of_two(), "set count {sets} must be a power of two");
+        let sets = crate::geometry::assert_valid(crate::geometry::check_table(entries, ways));
         let empty =
             BtbSlot { valid: false, tag: 0, state: automaton.initial_state(), last_used: 0 };
         Btb { automaton, sets, ways, slots: vec![empty; entries], clock: 0, id_keys: Vec::new() }

@@ -67,8 +67,10 @@ impl Pap {
     ///
     /// # Panics
     ///
-    /// Panics if `history_bits` is out of range or the BHT geometry is
-    /// invalid.
+    /// Panics if `history_bits` is out of range, the BHT geometry is
+    /// invalid, or the per-slot pattern tables hold more than
+    /// [`MAX_PATTERN_ENTRIES`](crate::geometry::MAX_PATTERN_ENTRIES)
+    /// entries.
     #[must_use]
     pub fn new(history_bits: u32, bht: BhtConfig, automaton: Automaton) -> Self {
         let table = bht.build(history_bits);
@@ -77,6 +79,10 @@ impl Pap {
                 PapTables::PerBranch { keyed: FxHashMap::default(), interned: Vec::new() }
             }
             BhtConfig::Cache { entries, .. } => {
+                crate::geometry::assert_valid(crate::geometry::check_pattern_tables(
+                    entries,
+                    history_bits,
+                ));
                 PapTables::PerSlot(vec![PatternHistoryTable::new(history_bits, automaton); entries])
             }
         };

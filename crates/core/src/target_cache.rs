@@ -100,17 +100,11 @@ impl TargetCache {
     ///
     /// # Panics
     ///
-    /// Panics if `ways` is zero, `entries` is not a multiple of `ways`, or
-    /// the set count is not a power of two.
+    /// Panics if the geometry breaks a rule of
+    /// [`check_table`](crate::geometry::check_table).
     #[must_use]
     pub fn new(entries: usize, ways: usize) -> Self {
-        assert!(ways > 0, "associativity must be positive");
-        assert!(
-            entries > 0 && entries.is_multiple_of(ways),
-            "entries {entries} must be a positive multiple of ways {ways}"
-        );
-        let sets = entries / ways;
-        assert!(sets.is_power_of_two(), "set count {sets} must be a power of two");
+        let sets = crate::geometry::assert_valid(crate::geometry::check_table(entries, ways));
         let empty = TargetSlot { valid: false, tag: 0, target: 0, last_used: 0 };
         TargetCache {
             sets,

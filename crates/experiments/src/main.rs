@@ -1,7 +1,7 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
 //! ```text
-//! experiments <artifact> [--out DIR] [--section NAME]
+//! experiments <artifact> [--out DIR]
 //! experiments plan <artifact> [--out DIR]     # serialize the artifact's Plan
 //! experiments exec <plan.json> [--out DIR]    # execute a serialized Plan in-process
 //! experiments serve                           # run the sweep daemon (TLABP_SERVE_ADDR)
@@ -13,8 +13,8 @@
 //! the single [`ARTIFACTS`] registry, which is the only place an
 //! artifact's name, description, runner and (where it has one)
 //! serializable plan are declared. `all` iterates the same registry
-//! (skipping the artifacts marked as not part of the paper
-//! reproduction: `bench` and `calibrate`).
+//! (skipping `calibrate`, the one artifact marked as not part of the
+//! paper reproduction).
 //!
 //! Each artifact prints an ASCII table and writes `results/<name>.csv`.
 //! `plan`/`exec`/`client` instead exchange the engine's canonical JSON
@@ -29,28 +29,24 @@ use std::time::Duration;
 
 mod ablations;
 mod analysis;
-mod bench;
 mod fetch;
 mod figures;
 mod tables;
 
-/// Shared experiment context: the trace cache, the output directory and
-/// the optional `--section` filter (honored by the artifacts that have
-/// named sections, currently `bench`).
+/// Shared experiment context: the trace cache and the output directory.
 pub struct Ctx {
     store: tlabp_sim::TraceStore,
     out_dir: PathBuf,
-    section: Option<String>,
 }
 
 impl Ctx {
-    fn new(out_dir: PathBuf, section: Option<String>) -> Self {
+    fn new(out_dir: PathBuf) -> Self {
         // Drivers persist trace artifacts across processes by default
         // (TLABP_TRACE_DIR overrides the directory; set it empty to
         // disable): the first run after a clean checkout pays for VM
         // generation and derivation once, every later driver hydrates
         // from disk.
-        Ctx { store: tlabp_sim::TraceStore::persistent(), out_dir, section }
+        Ctx { store: tlabp_sim::TraceStore::persistent(), out_dir }
     }
 
     /// The shared trace cache.
@@ -65,54 +61,16 @@ impl Ctx {
         tlabp_sim::Session::new(self.store.clone()).run(plan)
     }
 
-    /// The `--section` filter, if one was given.
-    pub fn section(&self) -> Option<&str> {
-        self.section.as_deref()
-    }
-
-    /// Writes `<file_name>` verbatim into the output directory.
-    pub fn emit_raw(&self, file_name: &str, contents: &str) {
-        if let Err(e) = fs::create_dir_all(&self.out_dir) {
-            eprintln!("warning: cannot create {}: {e}", self.out_dir.display());
-            return;
-        }
-        let path = self.out_dir.join(file_name);
-        match fs::write(&path, contents) {
-            Ok(()) => println!("[wrote {}]\n", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-        }
-    }
-
     /// Prints the table under a heading and writes `<name>.csv`.
     pub fn emit(&self, name: &str, title: &str, table: &tlabp_sim::report::Table) {
-        self.emit_with_meta(name, title, &[], table);
-    }
-
-    /// [`Ctx::emit`] with `# key=value` comment lines prefixed to the
-    /// CSV. Bench artifacts are committed to the repository, so each one
-    /// records the measuring host's facts (core count, pool width,
-    /// selected kernel body) — a throughput number divorced from the
-    /// hardware that produced it is not reproducible.
-    pub fn emit_with_meta(
-        &self,
-        name: &str,
-        title: &str,
-        meta: &[(&str, String)],
-        table: &tlabp_sim::report::Table,
-    ) {
         println!("== {title} ==");
         println!("{}", table.to_ascii());
         if let Err(e) = fs::create_dir_all(&self.out_dir) {
             eprintln!("warning: cannot create {}: {e}", self.out_dir.display());
             return;
         }
-        let mut contents = String::new();
-        for (key, value) in meta {
-            contents.push_str(&format!("# {key}={value}\n"));
-        }
-        contents.push_str(&table.to_csv());
         let path = self.out_dir.join(format!("{name}.csv"));
-        match fs::write(&path, contents) {
+        match fs::write(&path, table.to_csv()) {
             Ok(()) => println!("[wrote {}]\n", path.display()),
             Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
         }
@@ -130,10 +88,10 @@ struct Artifact {
     /// The plan the runner executes, for `experiments plan <name>`.
     /// `None` for artifacts that do no simulation (tables 1-3, fig4,
     /// costs) or that build registry state per variant inline
-    /// (ablations, bench).
+    /// (ablations).
     plan: Option<fn() -> tlabp_sim::Plan>,
     /// `false` for helper artifacts outside the paper reproduction
-    /// (throughput benchmarking, calibration); `all` skips those.
+    /// (calibration); `all` skips those.
     in_all: bool,
 }
 
@@ -157,7 +115,7 @@ const fn helper(name: &'static str, description: &'static str, run: fn(&Ctx)) ->
 /// The single registry every dispatch path reads: lookup by name, the
 /// `all` iteration, `plan` lookup and the usage text all come from this
 /// table.
-const ARTIFACTS: [Artifact; 19] = [
+const ARTIFACTS: [Artifact; 18] = [
     artifact("table1", "static conditional branches per benchmark (Table 1)", tables::table1),
     artifact("table2", "training/testing data sets (Table 2)", tables::table2),
     artifact("table3", "simulated predictor configurations (Table 3)", tables::table3),
@@ -224,7 +182,6 @@ const ARTIFACTS: [Artifact; 19] = [
         tables::grid,
         tables::grid_plan,
     ),
-    helper("bench", "engine throughput vs the sequential reference baseline", bench::bench),
     helper("calibrate", "quick accuracy readout for reference schemes", figures::calibrate),
 ];
 
@@ -232,7 +189,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     let mut positional: Vec<String> = Vec::new();
     let mut out_dir = PathBuf::from("results");
-    let mut section = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -240,13 +196,6 @@ fn main() -> ExitCode {
                 Some(dir) => out_dir = PathBuf::from(dir),
                 None => {
                     eprintln!("--out requires a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--section" => match iter.next() {
-                Some(name) => section = Some(name.clone()),
-                None => {
-                    eprintln!("--section requires a section name");
                     return ExitCode::FAILURE;
                 }
             },
@@ -283,7 +232,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let ctx = Ctx::new(out_dir, section);
+    let ctx = Ctx::new(out_dir);
     if command == "all" {
         for entry in ARTIFACTS.iter().filter(|a| a.in_all) {
             println!(">>> {}", entry.name);
@@ -401,16 +350,16 @@ fn cmd_exec(input: Option<&str>, out_dir: &Path) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let ctx = Ctx::new(out_dir.to_path_buf(), None);
+    let ctx = Ctx::new(out_dir.to_path_buf());
     let results = ctx.run(&plan);
     write_results(&results_path(input, out_dir), &results)
 }
 
 /// `experiments serve`: run the sweep daemon per `TLABP_SERVE_ADDR` /
-/// `TLABP_SERVE_BACKEND` / `TLABP_SERVE_INFLIGHT` /
-/// `TLABP_SERVE_MEMO_BYTES` / `TLABP_SERVE_MEMO_DIR` /
+/// `TLABP_SERVE_INFLIGHT` / `TLABP_SERVE_MEMO_BYTES` /
+/// `TLABP_SERVE_MEMO_DIR` / `TLABP_SERVE_MEMO_DISK_BYTES` /
 /// `TLABP_SERVE_WINDOW`, sharing one warm trace store and the global
-/// worker pool across every connection.
+/// worker pool across every connection. The daemon needs a unix host.
 fn cmd_serve() -> ExitCode {
     figures::register_custom_predictors();
     let config = tlabp_service::ServeConfig::from_env();
@@ -559,7 +508,7 @@ fn cmd_import(input: Option<&str>, out_dir: &Path) -> ExitCode {
 }
 
 fn print_usage() {
-    println!("usage: experiments <artifact> [--out DIR] [--section NAME]");
+    println!("usage: experiments <artifact> [--out DIR]");
     println!("       experiments plan <artifact> [--out DIR]");
     println!("       experiments exec <plan.json> [--out DIR]");
     println!("       experiments serve");
@@ -577,7 +526,7 @@ fn print_usage() {
         tlabp_service::DEFAULT_SERVE_ADDR
     );
     println!(
-        "`serve` additionally honors TLABP_SERVE_BACKEND, TLABP_SERVE_INFLIGHT,\n\
+        "`serve` (unix hosts only) additionally honors TLABP_SERVE_INFLIGHT,\n\
          TLABP_SERVE_MEMO_BYTES, TLABP_SERVE_MEMO_DIR, TLABP_SERVE_MEMO_DISK_BYTES\n\
          and TLABP_SERVE_WINDOW."
     );

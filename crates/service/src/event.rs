@@ -1,10 +1,10 @@
 //! Event-driven connection core: every client served from a fixed set
 //! of threads.
 //!
-//! The thread-per-connection loop the daemon started with costs one OS
-//! thread per client — fine for a handful of interactive sessions,
-//! hostile to hundreds of sweep clients. This module replaces it with a
-//! readiness loop:
+//! A thread per connection would cost one OS thread per client — fine
+//! for a handful of interactive sessions, hostile to hundreds of sweep
+//! clients. The daemon instead serves every connection from a readiness
+//! loop:
 //!
 //! * **One I/O thread** runs a level-triggered [`Poller`] — `epoll` on
 //!   Linux, portable `poll(2)` everywhere else on unix — over the
@@ -247,6 +247,13 @@ pub(crate) enum PollerBackend {
     /// Portable `poll(2)` — O(registered) per wait, fine for hundreds
     /// of fds, available on every unix.
     Poll,
+}
+
+impl PollerBackend {
+    /// The mechanism the daemon runs on: `epoll` on Linux, `poll`
+    /// on every other unix.
+    pub(crate) const NATIVE: PollerBackend =
+        if cfg!(target_os = "linux") { PollerBackend::Epoll } else { PollerBackend::Poll };
 }
 
 /// One readiness report from [`Poller::wait`].
@@ -868,10 +875,9 @@ fn update_interest(conn: &mut Conn, poller: &mut Poller, token: usize) -> std::i
     Ok(())
 }
 
-/// Event-core knobs resolved by the server from its [`ServeConfig`]
-/// (see [`crate::server::ServeConfig`]).
+/// Event-core knobs resolved by the server from its
+/// [`ServeConfig`](crate::server::ServeConfig).
 pub(crate) struct EventConfig {
-    pub(crate) backend: PollerBackend,
     /// Per-connection concurrent-plan cap (`TLABP_SERVE_INFLIGHT`).
     pub(crate) inflight: usize,
     /// Executor pool size.
@@ -883,7 +889,7 @@ pub(crate) struct EventConfig {
 /// of the number of connections.
 pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, config: &EventConfig) -> ! {
     listener.set_nonblocking(true).expect("nonblocking listener");
-    let mut poller = Poller::new(config.backend);
+    let mut poller = Poller::new(PollerBackend::NATIVE);
     let mut waker = Waker::new().expect("waker socketpair");
 
     let (job_tx, job_rx) = mpsc::channel::<ExecJob>();

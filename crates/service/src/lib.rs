@@ -14,14 +14,13 @@
 //!   through.
 //! * [`server`] — [`server::SweepServer`]: one warm
 //!   [`TraceStore`](tlabp_sim::TraceStore) and the global worker pool
-//!   shared across all connections. The default backend is an
-//!   event-driven readiness loop ([`event`], epoll on Linux with a
-//!   portable `poll` fallback) that serves every connection from a
-//!   fixed set of threads, with per-client admission control
+//!   shared across all connections, served by an event-driven
+//!   readiness loop ([`event`]: `epoll` on Linux, `poll` on other unix)
+//!   from a fixed set of threads, with per-client admission control
 //!   (`TLABP_SERVE_INFLIGHT` plans in flight per connection, FIFO
-//!   beyond) and bounded per-connection output queues; the original
-//!   thread-per-connection loop survives as the `threaded` backend for
-//!   non-unix hosts and as the benchmark baseline.
+//!   beyond) and bounded per-connection output queues. The daemon needs
+//!   a unix host: on any other, binding fails with
+//!   [`std::io::ErrorKind::Unsupported`].
 //! * memo tiers — a byte-capped LRU (`TLABP_SERVE_MEMO_BYTES`) of
 //!   pre-encoded response frames replayed byte-for-byte with zero
 //!   simulation work, persisted as checksummed memo artifacts next to
@@ -50,7 +49,7 @@ pub mod server;
 pub use client::{Client, ResultStream};
 pub use proto::{Done, FrameError, FrameKind, PROTOCOL_VERSION};
 pub use server::{
-    serve, MemoDirMode, ServeBackend, ServeConfig, SweepServer, DEFAULT_INFLIGHT,
-    DEFAULT_MEMO_BYTES, DEFAULT_SERVE_ADDR, SERVE_ADDR_ENV, SERVE_BACKEND_ENV, SERVE_INFLIGHT_ENV,
-    SERVE_MEMO_BYTES_ENV, SERVE_MEMO_DIR_ENV, SERVE_MEMO_DISK_BYTES_ENV, SERVE_WINDOW_ENV,
+    serve, MemoDirMode, ServeConfig, SweepServer, DEFAULT_INFLIGHT, DEFAULT_MEMO_BYTES,
+    DEFAULT_SERVE_ADDR, SERVE_ADDR_ENV, SERVE_INFLIGHT_ENV, SERVE_MEMO_BYTES_ENV,
+    SERVE_MEMO_DIR_ENV, SERVE_MEMO_DISK_BYTES_ENV, SERVE_WINDOW_ENV,
 };

@@ -10,32 +10,26 @@
 //! artifacts on disk) that replay previously-computed responses
 //! byte-for-byte with zero simulation work.
 //!
-//! Connections are served by one of three backends ([`ServeBackend`]):
-//! the event-driven readiness core ([`crate::event`], the default on
-//! unix — N clients cost a fixed number of threads), or the original
-//! thread-per-connection loop (`threaded`), kept as the portable
-//! fallback and as the baseline the service benchmark measures the event
-//! core against.
+//! Connections are served by the event-driven readiness core
+//! ([`crate::event`]): N clients cost a fixed number of threads. It
+//! waits on `epoll` on Linux and on `poll(2)` on other unix hosts; on a
+//! host without either, [`SweepServer::bind`] fails with
+//! [`std::io::ErrorKind::Unsupported`].
 //!
 //! Every `TLABP_SERVE_*` knob follows one hygiene rule: a garbage value
 //! warns on stderr and falls back to the default — a daemon must come up
 //! predictably, not die at a typo (the same policy as `TLABP_SIMD`).
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use tlabp_core::registry;
 use tlabp_sim::plan::{Plan, PredictorSpec};
 use tlabp_sim::{ExecOptions, Session, SweepPool, TraceStore};
 
 use crate::memo::{MemoCache, MemoDisk, MemoEntry};
-use crate::proto::{
-    decode_frame, done_payload, encode_frame, error_payload, result_payload, FrameKind,
-};
 
 /// Environment variable naming the daemon's listen address.
 pub const SERVE_ADDR_ENV: &str = "TLABP_SERVE_ADDR";
@@ -64,68 +58,6 @@ pub const SERVE_MEMO_DIR_ENV: &str = "TLABP_SERVE_MEMO_DIR";
 /// first, after every persist and once at startup. Unset: unbounded.
 /// `0`: persistence off (equivalent to an empty [`SERVE_MEMO_DIR_ENV`]).
 pub const SERVE_MEMO_DISK_BYTES_ENV: &str = "TLABP_SERVE_MEMO_DISK_BYTES";
-/// Environment variable selecting the connection backend
-/// (`auto|epoll|poll|threaded`).
-pub const SERVE_BACKEND_ENV: &str = "TLABP_SERVE_BACKEND";
-
-/// How the daemon multiplexes connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeBackend {
-    /// Best available: `epoll` on Linux, `poll` on other unix,
-    /// `threaded` elsewhere.
-    #[default]
-    Auto,
-    /// Event-driven core on Linux `epoll` (falls back to `poll` if
-    /// unavailable).
-    Epoll,
-    /// Event-driven core on portable `poll(2)`.
-    Poll,
-    /// The original thread-per-connection loop — one OS thread per
-    /// client. Portable everywhere; the benchmark baseline.
-    Threaded,
-}
-
-impl ServeBackend {
-    /// Parses a backend token.
-    ///
-    /// # Errors
-    ///
-    /// Returns the unrecognized token.
-    pub fn try_parse(raw: &str) -> Result<ServeBackend, String> {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "auto" => Ok(ServeBackend::Auto),
-            "epoll" => Ok(ServeBackend::Epoll),
-            "poll" => Ok(ServeBackend::Poll),
-            "threaded" => Ok(ServeBackend::Threaded),
-            other => Err(other.to_owned()),
-        }
-    }
-
-    /// Parses leniently: a garbage value warns and falls back to
-    /// [`ServeBackend::Auto`].
-    #[must_use]
-    pub fn parse(raw: &str) -> ServeBackend {
-        ServeBackend::try_parse(raw).unwrap_or_else(|_| {
-            eprintln!(
-                "warning: ignoring {SERVE_BACKEND_ENV}={raw:?} \
-                 (expected auto|epoll|poll|threaded); using auto"
-            );
-            ServeBackend::Auto
-        })
-    }
-
-    /// The token [`ServeBackend::try_parse`] accepts for this backend.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ServeBackend::Auto => "auto",
-            ServeBackend::Epoll => "epoll",
-            ServeBackend::Poll => "poll",
-            ServeBackend::Threaded => "threaded",
-        }
-    }
-}
-
 /// Where the persistent memo tier lives.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum MemoDirMode {
@@ -166,8 +98,6 @@ pub struct ServeConfig {
     /// Persistent memo tier byte budget; `None` = unbounded, `Some(0)`
     /// = persistence off.
     pub memo_disk_bytes: Option<usize>,
-    /// Connection multiplexing backend.
-    pub backend: ServeBackend,
 }
 
 impl Default for ServeConfig {
@@ -179,7 +109,6 @@ impl Default for ServeConfig {
             inflight: DEFAULT_INFLIGHT,
             memo_dir: MemoDirMode::Auto,
             memo_disk_bytes: None,
-            backend: ServeBackend::Auto,
         }
     }
 }
@@ -214,9 +143,6 @@ impl ServeConfig {
         }
         if let Some(raw) = read_env(SERVE_MEMO_DISK_BYTES_ENV) {
             config.memo_disk_bytes = parse_usize_env(SERVE_MEMO_DISK_BYTES_ENV, &raw);
-        }
-        if let Some(raw) = read_env(SERVE_BACKEND_ENV) {
-            config.backend = ServeBackend::parse(&raw);
         }
         config
     }
@@ -371,7 +297,6 @@ pub(crate) fn validate_plan(plan: &Plan) -> Result<(), String> {
 /// and fairness model.
 pub struct SweepServer {
     listener: TcpListener,
-    backend: ServeBackend,
     inflight: usize,
     shared: Arc<Shared>,
 }
@@ -383,12 +308,20 @@ impl SweepServer {
     ///
     /// # Errors
     ///
-    /// Fails if the address cannot be bound.
+    /// Fails if the address cannot be bound, and with
+    /// [`std::io::ErrorKind::Unsupported`] on a host that is not unix
+    /// (the event core needs `epoll` or `poll`).
     pub fn bind(
         config: &ServeConfig,
         store: TraceStore,
         options: ExecOptions,
     ) -> std::io::Result<SweepServer> {
+        if !cfg!(unix) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "the sweep daemon needs a unix host (epoll or poll)",
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)?;
         let budget = config.memo_disk_bytes;
         let disk = match &config.memo_dir {
@@ -420,7 +353,6 @@ impl SweepServer {
         }
         Ok(SweepServer {
             listener,
-            backend: config.backend,
             inflight: config.inflight.max(1),
             shared: Arc::new(Shared {
                 store,
@@ -442,160 +374,27 @@ impl SweepServer {
         self.listener.local_addr()
     }
 
-    /// Serves forever on the configured backend. Simulation work always
-    /// funnels through the one global
-    /// [`SweepPool`](tlabp_sim::SweepPool), so concurrent clients share
-    /// the worker threads fairly instead of multiplying them; on the
-    /// event backends the *connection* threads are fixed too.
-    pub fn run(&self) -> ! {
-        match resolve_backend(self.backend) {
-            ResolvedBackend::Threaded => self.run_threaded(),
-            #[cfg(unix)]
-            ResolvedBackend::Event(backend) => crate::event::run(
-                &self.listener,
-                &self.shared,
-                &crate::event::EventConfig {
-                    backend,
-                    inflight: self.inflight,
-                    exec_threads: SweepPool::global().threads().max(2),
-                },
-            ),
-        }
-    }
-
-    /// The original thread-per-connection loop: one handler thread per
-    /// client. Kept as the portable fallback and as the baseline the
-    /// `bench --section service` comparison measures against — note it
-    /// parses every plan before the memo probe and flushes every frame
-    /// as its own syscall, exactly the costs the event core avoids.
-    fn run_threaded(&self) -> ! {
-        let mut backoff = Duration::from_millis(10);
-        loop {
-            match self.listener.accept() {
-                Ok((stream, peer)) => {
-                    backoff = Duration::from_millis(10);
-                    self.shared.stats.accept();
-                    let shared = Arc::clone(&self.shared);
-                    std::thread::spawn(move || {
-                        if let Err(err) = handle_connection(stream, &shared) {
-                            eprintln!("tlabp-serve: connection {peer}: {err}");
-                        }
-                    });
-                }
-                Err(err) => {
-                    // EMFILE and friends: back off exponentially instead
-                    // of spinning hot on a persistent error.
-                    self.shared.stats.accept_error();
-                    eprintln!("tlabp-serve: accept failed: {err}; retrying in {backoff:?}");
-                    std::thread::sleep(backoff);
-                    backoff = backoff.saturating_mul(2).min(Duration::from_secs(1));
-                }
-            }
-        }
-    }
-}
-
-/// What [`ServeBackend`] resolves to on this host.
-enum ResolvedBackend {
-    Threaded,
+    /// Serves forever on the event core. Simulation work always funnels
+    /// through the one global [`SweepPool`], so concurrent clients share
+    /// the worker threads fairly instead of multiplying them, and the
+    /// connection threads are fixed too.
     #[cfg(unix)]
-    Event(crate::event::PollerBackend),
-}
-
-fn resolve_backend(backend: ServeBackend) -> ResolvedBackend {
-    match backend {
-        ServeBackend::Threaded => ResolvedBackend::Threaded,
-        #[cfg(unix)]
-        ServeBackend::Auto | ServeBackend::Epoll => {
-            ResolvedBackend::Event(crate::event::PollerBackend::Epoll)
-        }
-        #[cfg(unix)]
-        ServeBackend::Poll => ResolvedBackend::Event(crate::event::PollerBackend::Poll),
-        #[cfg(not(unix))]
-        other => {
-            eprintln!(
-                "tlabp-serve: backend {:?} needs unix readiness APIs; using threaded",
-                other.name()
-            );
-            ResolvedBackend::Threaded
-        }
-    }
-}
-
-/// Serves one connection: a sequence of `plan` frames, each answered by
-/// streamed `result` frames and a terminal `done` (or one `error`).
-fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        if line.is_empty() {
-            continue;
-        }
-        match decode_frame(&line) {
-            Ok((FrameKind::Plan, payload)) => serve_plan(payload, shared, &mut writer)?,
-            Ok((kind, _)) => {
-                send(
-                    &mut writer,
-                    FrameKind::Error,
-                    &error_payload(&format!("expected a plan frame, got {kind}")),
-                )?;
-            }
-            Err(err) => {
-                // The stream's framing is no longer trustworthy; report
-                // and drop the connection.
-                send(&mut writer, FrameKind::Error, &error_payload(&err.to_string()))?;
-                break;
-            }
-        }
-    }
-    Ok(())
-}
-
-fn serve_plan(
-    payload: &str,
-    shared: &Shared,
-    writer: &mut BufWriter<TcpStream>,
-) -> std::io::Result<()> {
-    shared.stats.plan();
-    let plan = match Plan::from_json_str(payload) {
-        Ok(plan) => plan,
-        Err(err) => return send(writer, FrameKind::Error, &error_payload(&err.to_string())),
-    };
-    if let Err(message) = validate_plan(&plan) {
-        return send(writer, FrameKind::Error, &error_payload(&message));
+    pub fn run(&self) -> ! {
+        crate::event::run(
+            &self.listener,
+            &self.shared,
+            &crate::event::EventConfig {
+                inflight: self.inflight,
+                exec_threads: SweepPool::global().threads().max(2),
+            },
+        )
     }
 
-    // The canonical plan JSON doubles as the memo key: two plans memo-hit
-    // iff their canonical encodings are byte-equal.
-    let key = plan.to_json_string();
-    if let Some(entry) = shared.memo_get(&key) {
-        shared.stats.memo_hit();
-        for frame_payload in entry.iter() {
-            send(writer, FrameKind::Result, frame_payload)?;
-        }
-        return send(writer, FrameKind::Done, &done_payload(entry.len(), true));
+    /// Unreachable: [`SweepServer::bind`] refuses non-unix hosts.
+    #[cfg(not(unix))]
+    pub fn run(&self) -> ! {
+        unreachable!("SweepServer::bind refuses non-unix hosts")
     }
-
-    // Miss: stream the session. Each result frame is written and flushed
-    // as soon as the engine yields the job, so clients see plan-order
-    // results incrementally while later jobs are still simulating.
-    let session = shared.session();
-    let mut payloads = Vec::with_capacity(plan.len());
-    for item in session.submit(&plan) {
-        let frame_payload = result_payload(item.index, &item.outcome);
-        send(writer, FrameKind::Result, &frame_payload)?;
-        payloads.push(frame_payload);
-    }
-    let jobs = payloads.len();
-    shared.memo_store(&key, &plan, payloads);
-    send(writer, FrameKind::Done, &done_payload(jobs, false))
-}
-
-fn send(writer: &mut BufWriter<TcpStream>, kind: FrameKind, payload: &str) -> std::io::Result<()> {
-    writer.write_all(encode_frame(kind, payload).as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
 }
 
 /// Binds per `config`, prints the bound address to stderr, and serves
@@ -604,33 +403,16 @@ fn send(writer: &mut BufWriter<TcpStream>, kind: FrameKind, payload: &str) -> st
 ///
 /// # Errors
 ///
-/// Fails if the address cannot be bound.
+/// Fails as [`SweepServer::bind`] does.
 pub fn serve(config: &ServeConfig, store: TraceStore, options: ExecOptions) -> std::io::Result<()> {
     let server = SweepServer::bind(config, store, options)?;
-    eprintln!(
-        "tlabp-serve: listening on {} (backend {})",
-        server.local_addr()?,
-        server.backend.name()
-    );
+    eprintln!("tlabp-serve: listening on {}", server.local_addr()?);
     server.run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backend_tokens_round_trip_and_garbage_falls_back() {
-        for backend in
-            [ServeBackend::Auto, ServeBackend::Epoll, ServeBackend::Poll, ServeBackend::Threaded]
-        {
-            assert_eq!(ServeBackend::try_parse(backend.name()), Ok(backend));
-            assert_eq!(ServeBackend::parse(backend.name()), backend);
-        }
-        assert_eq!(ServeBackend::try_parse(" EPOLL "), Ok(ServeBackend::Epoll));
-        assert_eq!(ServeBackend::try_parse("kqueue"), Err("kqueue".to_owned()));
-        assert_eq!(ServeBackend::parse("kqueue"), ServeBackend::Auto, "garbage falls back");
-    }
 
     #[test]
     fn numeric_knobs_warn_and_fall_back_on_garbage() {

@@ -42,8 +42,8 @@
 //!   call, paid only by externally-registered schemes.
 //! * **reference** — a boxed `dyn BranchPredictor` over the full event
 //!   trace, bypassing every fast path. Never chosen by lowering; jobs
-//!   opt in ([`Job::reference_path`]) for differential testing and as
-//!   the throughput harness baseline.
+//!   opt in ([`Job::reference_path`]) for differential testing and for
+//!   the repository benchmark's paper-warm reference check.
 //!
 //! Execution runs every cell on a [`SweepPool`] (idle workers pull the
 //! next cell as they finish) after pre-generating each distinct trace
@@ -437,21 +437,12 @@ fn benchmark_row(job: &Job, outcome: &JobOutcome) -> BenchmarkAccuracy {
 /// Execution-phase toggles for [`execute_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Run the parallel prefetch barrier (phase 1) before any simulation
-    /// cell: every distinct trace form and pattern stream the plan needs
-    /// is generated/derived/loaded as its own pool task up front. On by
-    /// default; turning it off restores the lazy path where the first
-    /// cell to touch a form pays for it while sibling workers idle behind
-    /// the slot's `OnceLock` — kept reachable as the cold-start benchmark
-    /// baseline and for the determinism suite's prefetch-vs-lazy case.
-    pub prefetch: bool,
     /// Which body of the transposed replay kernel executes replay
     /// batches. Defaults to the `TLABP_SIMD` environment variable
-    /// (itself defaulting to the word body); the bench harness and the
-    /// differential suites force the scalar reference body here
-    /// without mutating process environment. Both bodies are
-    /// bit-identical, so this is a throughput knob, never a results
-    /// knob.
+    /// (itself defaulting to the word body); the differential suites
+    /// force the scalar reference body here without mutating process
+    /// environment. Both bodies are bit-identical, so this is a
+    /// throughput knob, never a results knob.
     pub simd: SimdMode,
     /// Intra-batch replay parallelism: whether (and how far) one
     /// transposed replay batch splits into sub-batches scheduled as
@@ -466,7 +457,7 @@ pub struct ExecOptions {
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        ExecOptions { prefetch: true, simd: SimdMode::from_env(), split: SplitPolicy::from_env() }
+        ExecOptions { simd: SimdMode::from_env(), split: SplitPolicy::from_env() }
     }
 }
 
@@ -681,10 +672,12 @@ impl<'p> Session<'p> {
         // names and unsatisfiable jobs fail fast and deterministically.
         let lowered: Vec<Lowered> = plan.jobs().iter().map(lower).collect();
 
-        // Phase 1: the prefetch barrier (see `prefetch_lowered`).
-        if self.options.prefetch {
-            prefetch_lowered(self.pool, plan, &lowered, &self.store);
-        }
+        // Phase 1: the prefetch barrier (see `prefetch_lowered`): every
+        // distinct trace form and pattern stream the plan needs is
+        // generated, derived or loaded as its own pool task before any
+        // simulation cell runs, so no cell idles behind another's
+        // `OnceLock`.
+        prefetch_lowered(self.pool, plan, &lowered, &self.store);
 
         // Phase 2: resolve skips inline and partition runnable cells via
         // the same pure [`partition_batches`] the prefetch pass used, so
@@ -734,9 +727,9 @@ impl<'p> Session<'p> {
             let rep = replay_rep_key(indices.iter().map(|&index| replay_key_of(&cells, index)));
             let trace = cells[indices[0]].as_ref().expect("replay cell").trace;
             // Size the split by events × members when the stream is
-            // already resident (a non-forcing peek — with prefetch on,
-            // phase 1 just loaded it); an absent stream splits by the
-            // worker/word caps alone.
+            // already resident (a non-forcing peek — phase 1 just loaded
+            // it unless the streaming tier left it on disk); an absent
+            // stream splits by the worker/word caps alone.
             let work = self
                 .store
                 .peek_pattern_stream(trace.benchmark, trace.data_set, rep)
@@ -931,7 +924,7 @@ impl ExactSizeIterator for JobStream<'_> {}
 /// This is `execute`'s phase 1 exposed on its own, for warming a store
 /// ahead of time (e.g. populating a [`TraceStore::with_cache_dir`]
 /// directory) and for measuring ingestion cost separately from
-/// simulation (the bench's `cold_start` section).
+/// simulation (the repository benchmark's `cold-start` workload).
 ///
 /// # Panics
 ///

@@ -158,16 +158,16 @@ pub struct Job {
     /// Extra instrumented metrics to compute.
     pub metrics: MetricSet,
     /// Force the reference execution path (boxed `dyn` predictor over the
-    /// full event trace), bypassing the fast paths. Used by the
-    /// throughput harness as its baseline and by differential tests.
+    /// full event trace), bypassing the fast paths. Used by differential
+    /// tests and by the repository benchmark's paper-warm reference
+    /// check.
     pub reference_path: bool,
     /// Allow the engine to fuse this job with other jobs of the plan that
     /// share its trace and context-switch configuration into a single
     /// pass over the interned conditional stream (on by default; fusion
     /// never changes results). Jobs forced onto the reference path, or
     /// that request instrumented metrics, are fusion-ineligible
-    /// regardless. Disabling this forces the per-cell packed path — the
-    /// throughput harness uses that as the fused mode's baseline.
+    /// regardless. Disabling this forces the per-cell packed path.
     pub fuse: bool,
     /// Allow the engine to lower this job to the pattern-stream replay
     /// path (on by default; replay never changes results). Replay applies
@@ -176,8 +176,7 @@ pub struct Job {
     /// switches, and it is otherwise fusion-eligible: the engine then
     /// materializes the first-level stream once per (trace, key) and
     /// replays only the second level.
-    /// Disabling this falls back to the fused / packed paths — the
-    /// throughput harness uses that as the replay mode's baseline.
+    /// Disabling this falls back to the fused / packed paths.
     pub replay: bool,
 }
 
@@ -310,7 +309,9 @@ impl Job {
     /// # Errors
     ///
     /// Fails on missing or mistyped fields, an unknown benchmark name,
-    /// or a scheme string [`SchemeConfig`] cannot parse. Custom names
+    /// a scheme string [`SchemeConfig`] cannot parse (its parser also
+    /// applies [`SchemeConfig::check_geometry`]), or a fetch target cache
+    /// whose geometry breaks [`tlabp_core::geometry::check_table`]. Custom names
     /// are *not* resolved against the predictor registry here — the
     /// plan stays pure data; the engine (or the service's admission
     /// check) resolves names at execution time.
@@ -363,10 +364,11 @@ impl Job {
         let fetch = if fetch_json.is_null() {
             None
         } else {
-            Some(TargetCacheSpec {
-                entries: decode_usize(fetch_json.field("entries")?, "fetch.entries")?,
-                ways: decode_usize(fetch_json.field("ways")?, "fetch.ways")?,
-            })
+            let entries = decode_usize(fetch_json.field("entries")?, "fetch.entries")?;
+            let ways = decode_usize(fetch_json.field("ways")?, "fetch.ways")?;
+            tlabp_core::geometry::check_table(entries, ways)
+                .map_err(|e| WireError::new(format!("bad fetch target cache: {e}")))?;
+            Some(TargetCacheSpec { entries, ways })
         };
         let metrics = MetricSet {
             miss_breakdown: metrics_json
@@ -630,6 +632,35 @@ mod tests {
 
         assert!(Plan::from_json_str("{\"version\":1}").is_err(), "missing jobs");
         assert!(Plan::from_json_str("not json").is_err());
+    }
+
+    #[test]
+    fn wire_decode_rejects_impossible_geometry() {
+        let li = Benchmark::by_name("li").unwrap();
+        let good: Plan = [Job::scheme(SchemeConfig::gag(12), li)].into_iter().collect();
+        let text = good.to_json_string();
+
+        let deep = text.replace("12-sr", "40-sr").replace("2^12", "2^40");
+        let err = Plan::from_json_str(&deep).unwrap_err();
+        assert!(err.to_string().contains("history length 40"), "{err}");
+
+        let fetching: Plan = [Job::scheme(SchemeConfig::gag(12), li).with_metrics(MetricSet {
+            miss_breakdown: false,
+            fetch: Some(TargetCacheSpec::PAPER_DEFAULT),
+        })]
+        .into_iter()
+        .collect();
+        let text = fetching.to_json_string();
+        assert!(Plan::from_json_str(&text).is_ok());
+        for (entries, ways) in [("0", "0"), ("3", "2"), ("384", "4"), ("1099511627776", "1")] {
+            let bad = text.replace(
+                "\"entries\":512,\"ways\":4",
+                &format!("\"entries\":{entries},\"ways\":{ways}"),
+            );
+            assert_ne!(bad, text, "the fixture names the default cache");
+            let err = Plan::from_json_str(&bad).unwrap_err();
+            assert!(err.to_string().contains("fetch target cache"), "{entries}x{ways}: {err}");
+        }
     }
 
     #[test]

@@ -70,8 +70,7 @@ pub fn stream_bytes_from_env() -> Option<usize> {
 /// Shared gauge of bytes resident in streaming replay windows.
 ///
 /// `current` rises when a [`StreamChunk`] is decoded and falls when it
-/// is dropped; `peak` is the high-water mark since construction (or the
-/// last [`StreamWindow::reset_peak`]).
+/// is dropped; `peak` is the high-water mark since construction.
 #[derive(Debug, Default)]
 pub struct StreamWindow {
     current: AtomicUsize,
@@ -104,12 +103,6 @@ impl StreamWindow {
     #[must_use]
     pub fn peak(&self) -> usize {
         self.peak.load(Ordering::Relaxed)
-    }
-
-    /// Resets the high-water mark to the current residency (used by the
-    /// bench harness between measured phases).
-    pub fn reset_peak(&self) {
-        self.peak.store(self.current(), Ordering::Relaxed);
     }
 }
 
@@ -308,10 +301,8 @@ mod tests {
         window.sub(100);
         assert_eq!(window.current(), 50);
         assert_eq!(window.peak(), 150);
-        window.reset_peak();
-        assert_eq!(window.peak(), 50);
-        window.add(25);
-        assert_eq!(window.peak(), 75);
+        window.add(125);
+        assert_eq!(window.peak(), 175);
     }
 
     #[test]

@@ -674,8 +674,8 @@ impl TraceStore {
 }
 
 /// Per-form footprint of a [`TraceStore`]'s cache hierarchy, in bytes.
-/// Reported by `experiments bench` so the growing set of cached forms
-/// stays visible.
+/// The repository benchmark records it per run, so the growing set of
+/// cached forms stays visible.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheBytes {
     /// Packed conditional streams (8 bytes per event).

@@ -655,14 +655,8 @@ fn split_replay_matches_unsplit_for_every_scheme_and_automaton() {
 
     let store = TraceStore::new();
     let pool = SweepPool::new(2);
-    let run = |split| {
-        execute_with(
-            &pool,
-            &plan,
-            &store,
-            ExecOptions { simd: SimdMode::Auto, split, ..ExecOptions::default() },
-        )
-    };
+    let run =
+        |split| execute_with(&pool, &plan, &store, ExecOptions { simd: SimdMode::Auto, split });
     let unsplit = run(SplitPolicy::Off);
     for split in [SplitPolicy::Auto, SplitPolicy::Parts(2), SplitPolicy::Parts(64)] {
         let split_out = run(split);

@@ -1,8 +1,12 @@
-//! Fast checks of the paper's qualitative claims on controlled synthetic
-//! traces (the full-suite versions live in the experiments harness).
+//! Checks of the paper's qualitative claims, at two scales: fast versions
+//! on controlled synthetic traces, and full-suite versions over the
+//! committed result tables (`results/fig*.csv`). `scripts/verify.sh`
+//! regenerates those tables on a fresh trace cache and byte-compares them
+//! with the committed files, so a claim checked here holds for the code
+//! that produced them.
 
 use tlabp::core::automaton::Automaton;
-use tlabp::core::config::SchemeConfig;
+use tlabp::core::config::{SchemeConfig, SchemeKind};
 use tlabp::core::cost::{BhtGeometry, CostModel};
 use tlabp::sim::runner::{simulate, SimConfig};
 use tlabp::trace::synth::{
@@ -144,4 +148,101 @@ fn ideal_bht_dominates_practical_bht() {
     let practical = accuracy(&SchemeConfig::pag(8), &trace);
     let ideal = accuracy(&SchemeConfig::pag(8).with_bht(tlabp::core::BhtConfig::Ideal), &trace);
     assert!(ideal >= practical, "ideal ({ideal:.4}) must be at least practical ({practical:.4})");
+}
+
+/// One row of a committed suite table: the scheme and its total
+/// geometric-mean accuracy over the nine benchmarks.
+struct SuiteRow {
+    config: SchemeConfig,
+    tot_gmean: f64,
+}
+
+/// Reads `results/<name>.csv`: a header whose last column is `Tot GMean`,
+/// then one row per scheme, labelled in the Table 3 notation.
+fn suite_rows(name: &str) -> Vec<SuiteRow> {
+    let path = format!("{}/results/{name}.csv", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let mut lines = text.lines();
+    let header = lines.next().expect("header line");
+    assert!(header.ends_with(",Tot GMean"), "{path}: unexpected header {header:?}");
+    lines
+        .map(|line| {
+            let (label, values) = match line.strip_prefix('"') {
+                Some(quoted) => quoted.split_once("\",").expect("closing quote"),
+                None => line.split_once(',').expect("label column"),
+            };
+            let config = label.parse().unwrap_or_else(|e| panic!("{path}: {label:?}: {e}"));
+            let last = values.rsplit(',').next().expect("Tot GMean column");
+            let tot_gmean = last.parse().unwrap_or_else(|e| panic!("{path}: {last:?}: {e}"));
+            SuiteRow { config, tot_gmean }
+        })
+        .collect()
+}
+
+/// Figure 5: every four-state automaton beats Last-Time on the suite's
+/// total geometric mean.
+#[test]
+fn fig5_four_state_automata_beat_last_time_on_the_suite() {
+    let rows = suite_rows("fig5");
+    let score = |automaton: Automaton| {
+        rows.iter().find(|row| row.config.automaton() == automaton).expect("row").tot_gmean
+    };
+    let last_time = score(Automaton::LastTime);
+    for automaton in [Automaton::A1, Automaton::A2, Automaton::A3, Automaton::A4] {
+        let four_state = score(automaton);
+        assert!(four_state > last_time, "{automaton} {four_state} vs Last-Time {last_time}");
+    }
+}
+
+/// Figure 6: at every history length, per-address history (PAg) beats
+/// global history (GAg) on the suite's total geometric mean.
+#[test]
+fn fig6_pag_beats_gag_at_every_history_length() {
+    let rows = suite_rows("fig6");
+    let score = |kind: SchemeKind, bits: u32| {
+        rows.iter()
+            .find(|row| row.config.kind() == kind && row.config.history_bits() == bits)
+            .map(|row| row.tot_gmean)
+    };
+    let lengths: Vec<u32> = rows
+        .iter()
+        .filter(|row| row.config.kind() == SchemeKind::Gag)
+        .map(|row| row.config.history_bits())
+        .collect();
+    assert!(lengths.len() >= 4, "fig6 sweeps several history lengths: {lengths:?}");
+    for bits in lengths {
+        let gag = score(SchemeKind::Gag, bits).expect("GAg row");
+        let pag = score(SchemeKind::Pag, bits).expect("PAg row at every GAg length");
+        assert!(pag > gag, "{bits}-bit history: PAg {pag} vs GAg {gag}");
+    }
+}
+
+/// Figure 10: the ideal BHT scores at least as high as every practical
+/// BHT on the suite's total geometric mean.
+#[test]
+fn fig10_ideal_bht_scores_at_least_every_practical_bht() {
+    let rows = suite_rows("fig10");
+    let (ideal, practical): (Vec<&SuiteRow>, Vec<&SuiteRow>) =
+        rows.iter().partition(|row| row.config.bht() == Some(tlabp::core::BhtConfig::Ideal));
+    assert_eq!(ideal.len(), 1, "one ideal BHT row");
+    assert!(practical.len() >= 4, "the practical BHTs of Figure 10");
+    for row in practical {
+        assert!(
+            ideal[0].tot_gmean >= row.tot_gmean,
+            "ideal {} vs {} {}",
+            ideal[0].tot_gmean,
+            row.config,
+            row.tot_gmean
+        );
+    }
+}
+
+/// Figure 11: of every scheme compared, PAg has the top total geometric
+/// mean.
+#[test]
+fn fig11_pag_has_the_top_total_gmean() {
+    let rows = suite_rows("fig11");
+    let best = rows.iter().max_by(|a, b| a.tot_gmean.total_cmp(&b.tot_gmean)).expect("rows");
+    assert_eq!(best.config.kind(), SchemeKind::Pag, "top scheme is {}", best.config);
+    assert!(rows.len() >= 8, "fig11 compares every scheme of the paper");
 }

@@ -1,17 +1,17 @@
 //! Acceptance tests for the sweep-as-a-service daemon.
 //!
-//! In-process servers (bound to ephemeral ports) back every scenario
-//! the issue's acceptance criteria name: concurrent clients each
-//! receive streamed result sets bit-identical to an in-process
-//! `execute` of the same plan — on the event-driven backend *and* the
-//! threaded baseline; repeated submissions are answered from the memo
-//! cache with zero simulation work (proven by a counting predictor
-//! builder), including across a daemon restart via the persistent memo
-//! tier; admission control holds pipelined plans to the per-connection
-//! in-flight cap in FIFO order; results arrive incrementally in plan
-//! order; a 64-client mixed cold/memo/malformed soak stays
-//! bit-identical throughout; and 256 idle connections on the event
-//! backend cost no additional threads.
+//! In-process servers (bound to ephemeral ports) back every scenario:
+//! concurrent clients each receive streamed result sets bit-identical to
+//! an in-process `execute` of the same plan; repeated submissions are
+//! answered from the memo cache with zero simulation work (proven by a
+//! counting predictor builder), including across a daemon restart via
+//! the persistent memo tier; admission control holds pipelined plans to
+//! the per-connection in-flight cap in FIFO order; results arrive
+//! incrementally in plan order; malformed plans, including schemes with
+//! an impossible table geometry, earn error frames and leave the daemon
+//! serving; a 64-client mixed cold/memo/malformed soak stays
+//! bit-identical throughout; and 256 idle connections cost no
+//! additional threads.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use tlabp::core::config::SchemeConfig;
 use tlabp::core::registry;
-use tlabp::service::{Client, MemoDirMode, ServeBackend, ServeConfig, SweepServer};
+use tlabp::service::{Client, MemoDirMode, ServeConfig, SweepServer};
 use tlabp::sim::engine::execute;
 use tlabp::sim::plan::{Job, Plan};
 use tlabp::sim::{ExecOptions, TraceStore};
@@ -39,7 +39,6 @@ fn server_config(memo_bytes: usize) -> ServeConfig {
         inflight: 4,
         memo_dir: MemoDirMode::Off,
         memo_disk_bytes: None,
-        backend: ServeBackend::Auto,
     }
 }
 
@@ -59,7 +58,7 @@ fn connect(addr: &str) -> Client {
 
 /// A batch of distinct plans pipelined on one connection comes back in
 /// submission order, every response bit-identical to an in-process
-/// execution, on both backends. The batch is larger than the in-flight
+/// execution. The batch is larger than the in-flight
 /// cap, so the tail of it exercises the FIFO queue.
 #[test]
 fn pipelined_submissions_return_responses_in_submission_order() {
@@ -70,22 +69,19 @@ fn pipelined_submissions_return_responses_in_submission_order() {
     let expected: Vec<String> =
         plans.iter().map(|plan| execute(plan, &store).to_json_string()).collect();
 
-    for backend in [ServeBackend::Auto, ServeBackend::Threaded] {
-        let mut config = server_config(64 << 20);
-        config.backend = backend;
-        config.inflight = 2;
-        let addr = spawn_server(config);
-        let mut client = connect(&addr);
-        let responses = client.execute_pipelined(&plans).expect("pipelined batch completes");
-        assert_eq!(responses.len(), plans.len());
-        for (index, ((results, done), want)) in responses.iter().zip(&expected).enumerate() {
-            assert!(!done.memo, "first sight of plan {index} must simulate");
-            assert_eq!(
-                &results.to_json_string(),
-                want,
-                "pipelined response {index} diverged from in-process execution ({backend:?})"
-            );
-        }
+    let mut config = server_config(64 << 20);
+    config.inflight = 2;
+    let addr = spawn_server(config);
+    let mut client = connect(&addr);
+    let responses = client.execute_pipelined(&plans).expect("pipelined batch completes");
+    assert_eq!(responses.len(), plans.len());
+    for (index, ((results, done), want)) in responses.iter().zip(&expected).enumerate() {
+        assert!(!done.memo, "first sight of plan {index} must simulate");
+        assert_eq!(
+            &results.to_json_string(),
+            want,
+            "pipelined response {index} diverged from in-process execution"
+        );
     }
 }
 
@@ -93,8 +89,6 @@ fn pipelined_submissions_return_responses_in_submission_order() {
 /// a `ResultSet` bit-identical (canonical JSON byte equality, not just
 /// `==`) to executing the same plan in-process. A third submission of
 /// the same plan is served from the memo cache, again byte-identical.
-/// Exercised on both the event-driven backend and the threaded
-/// baseline — their bytes must be indistinguishable.
 #[test]
 fn concurrent_clients_match_in_process_execution_bit_for_bit() {
     let plan_a: Plan = [
@@ -113,38 +107,29 @@ fn concurrent_clients_match_in_process_execution_bit_for_bit() {
     let expected_a = execute(&plan_a, &store).to_json_string();
     let expected_b = execute(&plan_b, &store).to_json_string();
 
-    for backend in [ServeBackend::Auto, ServeBackend::Threaded] {
-        let mut config = server_config(64 << 20);
-        config.backend = backend;
-        let addr = spawn_server(config);
-        let threads = [(plan_a.clone(), expected_a.clone()), (plan_b.clone(), expected_b.clone())]
-            .map(|(plan, expected)| {
-                let addr = addr.clone();
-                std::thread::spawn(move || {
-                    let (results, done) = connect(&addr).execute(&plan).expect("streamed response");
-                    assert_eq!(done.jobs, plan.len());
-                    assert!(!done.memo, "first submission of each plan simulates");
-                    assert_eq!(
-                        results.to_json_string(),
-                        expected,
-                        "streamed results must be bit-identical to in-process execution \
-                         ({backend:?})"
-                    );
-                })
-            });
-        for thread in threads {
-            thread.join().expect("client thread");
-        }
-
-        // Same plan again: the daemon replays its memoized frames.
-        let (results, done) = connect(&addr).execute(&plan_a).expect("memoized response");
-        assert!(done.memo, "repeat submission must hit the memo cache ({backend:?})");
-        assert_eq!(
-            results.to_json_string(),
-            expected_a,
-            "memoized response must be byte-identical ({backend:?})"
-        );
+    let addr = spawn_server(server_config(64 << 20));
+    let threads =
+        [(plan_a.clone(), expected_a.clone()), (plan_b, expected_b)].map(|(plan, expected)| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let (results, done) = connect(&addr).execute(&plan).expect("streamed response");
+                assert_eq!(done.jobs, plan.len());
+                assert!(!done.memo, "first submission of each plan simulates");
+                assert_eq!(
+                    results.to_json_string(),
+                    expected,
+                    "streamed results must be bit-identical to in-process execution"
+                );
+            })
+        });
+    for thread in threads {
+        thread.join().expect("client thread");
     }
+
+    // Same plan again: the daemon replays its memoized frames.
+    let (results, done) = connect(&addr).execute(&plan_a).expect("memoized response");
+    assert!(done.memo, "repeat submission must hit the memo cache");
+    assert_eq!(results.to_json_string(), expected_a, "memoized response must be byte-identical");
 }
 
 /// Zero simulation work on a memo hit: a counting registry builder shows
@@ -388,6 +373,53 @@ fn server_reports_errors_and_survives_them() {
     assert_eq!(results.to_json_string(), expected);
 }
 
+/// Runs `body` on its own thread and returns its value, failing the test
+/// (instead of hanging it) when no value arrives within `limit`.
+fn within<T: Send + 'static>(limit: Duration, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(body());
+    });
+    let value = rx.recv_timeout(limit).expect("the daemon answered within the time limit");
+    worker.join().expect("the answering thread finished");
+    value
+}
+
+/// A plan whose scheme names tables that cannot be built (a 40-bit
+/// history register) is refused at decode time with an error frame; it
+/// never reaches the shared worker pool. Sent twice, since two such
+/// plans used to leave a 2-worker pool with no live worker. A good plan
+/// on the same daemon then still gets a byte-identical answer.
+#[test]
+fn impossible_scheme_geometry_earns_an_error_frame_and_spares_the_pool() {
+    use std::io::{BufRead, BufReader, Write};
+    use tlabp::service::proto::{decode_frame, encode_frame, parse_error_payload, FrameKind};
+
+    let addr = spawn_server(server_config(64 << 20));
+    let good: Plan = [Job::scheme(SchemeConfig::gag(12), li())].into_iter().collect();
+    let expected = execute(&good, &TraceStore::new()).to_json_string();
+    let bad = good.to_json_string().replace("12-sr", "40-sr").replace("2^12", "2^40");
+    assert!(bad.contains("GAg(HR(1,,40-sr),1xPHT(2^40,A2))"), "fixture: {bad}");
+
+    for attempt in 0..2 {
+        let mut stream = std::net::TcpStream::connect(&addr).expect("daemon reachable");
+        stream.set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout");
+        stream.write_all(encode_frame(FrameKind::Plan, &bad).as_bytes()).expect("write plan");
+        stream.write_all(b"\n").expect("write newline");
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).expect("an answer within the time limit");
+        let (kind, payload) = decode_frame(line.trim_end()).expect("the answer is a frame");
+        assert_eq!(kind, FrameKind::Error, "attempt {attempt}: {line}");
+        let message = parse_error_payload(payload);
+        assert!(message.contains("history length 40"), "attempt {attempt}: {message}");
+    }
+
+    let (results, _) = within(Duration::from_secs(60), move || {
+        connect(&addr).execute(&good).expect("daemon survived the impossible plans")
+    });
+    assert_eq!(results.to_json_string(), expected);
+}
+
 /// Concurrency soak: 64 clients hammer one daemon with a mix of cold
 /// plans, repeated (memo-hitting) plans, and malformed garbage. Every
 /// well-formed response must stay bit-identical to in-process
@@ -448,9 +480,9 @@ fn soak_mixed_cold_memo_and_malformed_clients_stay_bit_identical() {
     }
 }
 
-/// The event backend's defining property: 256 idle connections cost no
-/// additional threads (the threaded baseline would spawn 256). Gated to
-/// Linux for `/proc/self/status`.
+/// The event core's defining property: 256 idle connections cost no
+/// additional threads (a thread per connection would spawn 256). Gated
+/// to Linux for `/proc/self/status`.
 #[cfg(target_os = "linux")]
 #[test]
 fn event_backend_serves_hundreds_of_connections_on_fixed_threads() {

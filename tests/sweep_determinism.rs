@@ -106,18 +106,17 @@ fn engine_results_are_identical_across_pool_sizes() {
     assert_eq!(serial, parallel, "pool size changed the engine output");
 }
 
-/// Tentpole guard: the prefetch barrier is a scheduling change only.
-/// Executing a plan against *cold* stores — every trace generated,
-/// derived (and possibly disk-hydrated) during the run itself — must
-/// produce bit-identical `ResultSet`s whether ingestion happens lazily
-/// under one worker or fanned across eight workers by the prefetch pass.
-/// Stores come from `TraceStore::from_env()`, so the default run proves
-/// it memory-only and the CI warm-cache step (`TLABP_TRACE_DIR` set)
-/// proves it through the disk tier.
+/// The prefetch barrier is a scheduling change only. Executing a plan
+/// against *cold* stores — every trace generated, derived (and possibly
+/// disk-hydrated) during the run itself — must produce bit-identical
+/// `ResultSet`s whether the prefetch pass runs on one worker or fans
+/// ingestion across eight. Stores come from `TraceStore::from_env()`, so
+/// the default run proves it memory-only and the CI warm-cache step
+/// (`TLABP_TRACE_DIR` set) proves it through the disk tier.
 #[test]
-fn cold_store_prefetch_matches_lazy_across_pool_sizes() {
+fn cold_store_prefetch_is_identical_across_pool_sizes() {
     use tlabp::core::BhtConfig;
-    use tlabp::sim::engine::{execute_with, ExecOptions};
+    use tlabp::sim::engine::execute_on;
     use tlabp::sim::plan::{Job, Plan};
     use tlabp::workloads::Benchmark;
 
@@ -136,22 +135,12 @@ fn cold_store_prefetch_matches_lazy_across_pool_sizes() {
         })
         .collect();
 
-    let lazy_pool = SweepPool::new(1);
-    let lazy = execute_with(
-        &lazy_pool,
-        &plan,
-        &TraceStore::from_env(),
-        ExecOptions { prefetch: false, ..ExecOptions::default() },
-    );
-    let prefetch_pool = SweepPool::new(8);
-    let prefetched = execute_with(
-        &prefetch_pool,
-        &plan,
-        &TraceStore::from_env(),
-        ExecOptions { prefetch: true, ..ExecOptions::default() },
-    );
-    assert_eq!(lazy.len(), plan.len());
-    assert_eq!(lazy, prefetched, "prefetch changed the engine output");
+    let serial_pool = SweepPool::new(1);
+    let serial = execute_on(&serial_pool, &plan, &TraceStore::from_env());
+    let parallel_pool = SweepPool::new(8);
+    let parallel = execute_on(&parallel_pool, &plan, &TraceStore::from_env());
+    assert_eq!(serial.len(), plan.len());
+    assert_eq!(serial, parallel, "the prefetch pool width changed the engine output");
 }
 
 /// Forcing either `TLABP_SIMD` kernel body through `ExecOptions::simd`
@@ -231,19 +220,14 @@ fn forced_kernel_pool_and_split_cross_is_bit_identical() {
         &baseline_pool,
         &plan,
         &store,
-        ExecOptions { simd: SimdMode::Scalar, split: SplitPolicy::Off, ..ExecOptions::default() },
+        ExecOptions { simd: SimdMode::Scalar, split: SplitPolicy::Off },
     );
     assert_eq!(baseline.len(), plan.len());
     for simd in [SimdMode::Auto, SimdMode::Scalar] {
         for workers in [1, 2, 4] {
             for split in [SplitPolicy::Off, SplitPolicy::Auto, SplitPolicy::Parts(3)] {
                 let pool = SweepPool::new(workers);
-                let run = execute_with(
-                    &pool,
-                    &plan,
-                    &store,
-                    ExecOptions { simd, split, ..ExecOptions::default() },
-                );
+                let run = execute_with(&pool, &plan, &store, ExecOptions { simd, split });
                 assert_eq!(
                     baseline, run,
                     "{simd:?} x {workers} workers x {split:?} diverged from scalar/unsplit"
