@@ -228,6 +228,39 @@ impl Inst {
     pub fn is_branch(&self) -> bool {
         matches!(self, Inst::Branch { .. } | Inst::Jump { .. } | Inst::Call { .. } | Inst::Ret)
     }
+
+    /// A fixed-width binary encoding, injective over all instructions:
+    /// the first word holds the variant tag in its low byte and the
+    /// narrow fields (operation or condition, registers, trap code) in
+    /// the four bytes above it; the second holds the variant's 64-bit
+    /// field (immediate, offset or target), or 0. Workload fingerprints
+    /// fold it instead of rendering each instruction to text.
+    #[must_use]
+    pub fn encode(&self) -> [u64; 2] {
+        let head = |tag: u8, fields: [u8; 4]| {
+            let [f0, f1, f2, f3] = fields;
+            u64::from_le_bytes([tag, f0, f1, f2, f3, 0, 0, 0])
+        };
+        match *self {
+            Inst::Alu { op, rd, a, b } => [head(0, [op as u8, rd.0, a.0, b.0]), 0],
+            Inst::AluImm { op, rd, a, imm } => [head(1, [op as u8, rd.0, a.0, 0]), imm as u64],
+            Inst::LoadImm { rd, imm } => [head(2, [0, rd.0, 0, 0]), imm as u64],
+            Inst::Load { rd, base, offset } => [head(3, [0, rd.0, base.0, 0]), offset as u64],
+            Inst::Store { src, base, offset } => [head(4, [0, src.0, base.0, 0]), offset as u64],
+            Inst::Branch { cond, a, b, target } => {
+                [head(5, [cond as u8, a.0, b.0, 0]), target as u64]
+            }
+            Inst::Jump { target } => [head(6, [0; 4]), target as u64],
+            Inst::Call { target } => [head(7, [0; 4]), target as u64],
+            Inst::Ret => [head(8, [0; 4]), 0],
+            Inst::Trap { code } => {
+                let [lo, hi] = code.to_le_bytes();
+                [head(9, [lo, hi, 0, 0]), 0]
+            }
+            Inst::Halt => [head(10, [0; 4]), 0],
+            Inst::Nop => [head(11, [0; 4]), 0],
+        }
+    }
 }
 
 impl fmt::Display for Inst {
@@ -291,6 +324,78 @@ mod tests {
         assert!(Inst::Call { target: 0 }.is_branch());
         assert!(!Inst::Nop.is_branch());
         assert!(!Inst::Trap { code: 1 }.is_branch());
+    }
+
+    /// Every instruction over a product of field values (each field's
+    /// extremes included). Two distinct samples differ in at least one
+    /// field or in their variant, so an injective encoding over this set
+    /// covers both single-field changes and cross-variant collisions.
+    fn encoding_samples() -> Vec<Inst> {
+        use AluOp::*;
+        let ops = [Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Slt];
+        let conds = [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Ge, Cond::Le, Cond::Gt];
+        let regs = [Reg::ZERO, Reg::new(1), Reg::new(31)];
+        let imms = [0, 1, -1, i64::MIN, i64::MAX];
+        let targets = [0, 1, usize::MAX];
+        let mut samples = vec![Inst::Ret, Inst::Halt, Inst::Nop];
+        for code in [0, 1, 0x100, u16::MAX] {
+            samples.push(Inst::Trap { code });
+        }
+        for target in targets {
+            samples.extend([Inst::Jump { target }, Inst::Call { target }]);
+        }
+        for (rd, a) in regs.iter().flat_map(|&rd| regs.iter().map(move |&a| (rd, a))) {
+            for imm in imms {
+                samples.push(Inst::Load { rd, base: a, offset: imm });
+                samples.push(Inst::Store { src: rd, base: a, offset: imm });
+                samples.extend(ops.iter().map(|&op| Inst::AluImm { op, rd, a, imm }));
+            }
+            for b in regs {
+                samples.extend(ops.iter().map(|&op| Inst::Alu { op, rd, a, b }));
+            }
+            for target in targets {
+                samples.extend(conds.iter().map(|&cond| Inst::Branch {
+                    cond,
+                    a: rd,
+                    b: a,
+                    target,
+                }));
+            }
+        }
+        for rd in regs {
+            samples.extend(imms.iter().map(|&imm| Inst::LoadImm { rd, imm }));
+        }
+        samples
+    }
+
+    #[test]
+    fn encoding_is_injective_across_fields_and_variants() {
+        // Exhaustive on purpose: a new variant fails to compile here
+        // until the sample set (and `encode`) covers it.
+        let variant = |inst: &Inst| match inst {
+            Inst::Alu { .. } => 0,
+            Inst::AluImm { .. } => 1,
+            Inst::LoadImm { .. } => 2,
+            Inst::Load { .. } => 3,
+            Inst::Store { .. } => 4,
+            Inst::Branch { .. } => 5,
+            Inst::Jump { .. } => 6,
+            Inst::Call { .. } => 7,
+            Inst::Ret => 8,
+            Inst::Trap { .. } => 9,
+            Inst::Halt => 10,
+            Inst::Nop => 11,
+        };
+        let samples = encoding_samples();
+        let covered: std::collections::HashSet<u8> = samples.iter().map(variant).collect();
+        assert_eq!(covered.len(), 12, "the samples cover every variant");
+        let mut seen = std::collections::HashMap::new();
+        for inst in &samples {
+            if let Some(other) = seen.insert(inst.encode(), *inst) {
+                assert_eq!(other, *inst, "{other:?} and {inst:?} share an encoding");
+            }
+        }
+        assert_eq!(seen.len(), samples.len(), "the samples are distinct instructions");
     }
 
     #[test]

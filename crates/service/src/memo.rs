@@ -19,11 +19,14 @@
 //!   file name; the full JSON is stored *inside* the artifact and
 //!   re-verified on hydration, so a 64-bit collision can waste a file
 //!   name but never serve the wrong response.
-//! * `workload_fingerprint` folds the codegen fingerprints
+//! * `workload_fingerprint` folds the workload fingerprints
 //!   ([`Benchmark::fingerprint`]) of every workload the plan touches,
-//!   so editing a workload generator strands the old response under a
-//!   name that is simply never looked up again — the same
-//!   self-invalidation discipline as the trace disk tier.
+//!   so editing a workload generator or the VM strands the old response
+//!   under a name that is simply never looked up again — the same
+//!   self-invalidation discipline as the trace disk tier. The
+//!   fingerprints come from the server's [`TraceStore`], which computes
+//!   each once per store, so neither a persist nor startup hydration
+//!   regenerates a program the daemon has already fingerprinted.
 //!
 //! Writes go through the shared artifact filesystem machinery
 //! (advisory [`FileLock`] + [`write_file_atomic`]): readers never see a
@@ -38,6 +41,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tlabp_sim::plan::Plan;
+use tlabp_sim::TraceStore;
 use tlabp_trace::io::{checksum, read_memo, write_file_atomic, write_memo, FileLock, MemoArtifact};
 use tlabp_workloads::{Benchmark, DataSet};
 
@@ -132,13 +136,22 @@ impl MemoCache {
     }
 }
 
-/// Folds the codegen fingerprints of every workload `plan` touches into
-/// one u64 — the staleness guard in a memo artifact's name. Both data
-/// sets are folded for every benchmark the plan names (profiled schemes
-/// consume training traces implicitly, so the conservative fold
-/// over-invalidates rather than ever serving a response computed from
-/// edited workloads).
-pub(crate) fn plan_workload_fingerprint(plan: &Plan) -> u64 {
+/// Folds the workload fingerprints of every workload `plan` touches into
+/// one u64 — the staleness guard in a memo artifact's name — reading
+/// each from `store` ([`TraceStore::fingerprint`]). Both data sets are
+/// folded for every benchmark the plan names (profiled schemes consume
+/// training traces implicitly, so the conservative fold over-invalidates
+/// rather than ever serving a response computed from edited workloads).
+pub(crate) fn plan_workload_fingerprint(plan: &Plan, store: &TraceStore) -> u64 {
+    fold_workload_fingerprints(plan, |bench, set| store.fingerprint(bench, set))
+}
+
+/// The fold behind [`plan_workload_fingerprint`], over any source of
+/// per-trace fingerprints.
+fn fold_workload_fingerprints(
+    plan: &Plan,
+    mut fingerprint: impl FnMut(&Benchmark, DataSet) -> u64,
+) -> u64 {
     let mut benchmarks: Vec<&'static Benchmark> =
         plan.jobs().iter().map(|job| job.trace.benchmark).collect();
     benchmarks.sort_by_key(|bench| bench.name());
@@ -147,9 +160,9 @@ pub(crate) fn plan_workload_fingerprint(plan: &Plan) -> u64 {
     for bench in benchmarks {
         folded.extend_from_slice(bench.name().as_bytes());
         folded.push(0);
-        folded.extend_from_slice(&bench.fingerprint(DataSet::Testing).to_le_bytes());
+        folded.extend_from_slice(&fingerprint(bench, DataSet::Testing).to_le_bytes());
         if bench.has_training_set() {
-            folded.extend_from_slice(&bench.fingerprint(DataSet::Training).to_le_bytes());
+            folded.extend_from_slice(&fingerprint(bench, DataSet::Training).to_le_bytes());
         }
     }
     checksum(&folded)
@@ -179,13 +192,14 @@ impl MemoDisk {
         self.dir.join(format!("{plan_hash:016x}-{fingerprint:016x}.tlabm"))
     }
 
-    /// Persists one completed response. Failures warn and are otherwise
-    /// ignored — the persistent tier is an accelerator, never a
-    /// correctness dependency.
-    pub(crate) fn persist(&self, plan: &Plan, key: &str, frames: &[String]) {
+    /// Persists one completed response, its workload fingerprints read
+    /// from `store`. Failures warn and are otherwise ignored — the
+    /// persistent tier is an accelerator, never a correctness
+    /// dependency.
+    pub(crate) fn persist(&self, store: &TraceStore, plan: &Plan, key: &str, frames: &[String]) {
         let artifact = MemoArtifact {
             plan_hash: plan.wire_hash(),
-            fingerprint: plan_workload_fingerprint(plan),
+            fingerprint: plan_workload_fingerprint(plan, store),
             plan: key.to_owned(),
             frames: frames.to_vec(),
         };
@@ -261,10 +275,10 @@ impl MemoDisk {
     /// it is trusted: the stored plan must parse, its canonical
     /// rendering must match the stored key byte-for-byte, its wire hash
     /// must match the stored hash, and the *current* workload
-    /// fingerprint fold must match the stored one — so a renamed,
-    /// corrupt, truncated, version-skewed, or workload-stale file
-    /// hydrates as nothing at all.
-    pub(crate) fn hydrate(&self) -> Vec<(String, MemoEntry)> {
+    /// fingerprint fold (read from `store`) must match the stored one —
+    /// so a renamed, corrupt, truncated, version-skewed, or
+    /// workload-stale file hydrates as nothing at all.
+    pub(crate) fn hydrate(&self, store: &TraceStore) -> Vec<(String, MemoEntry)> {
         let Ok(entries) = std::fs::read_dir(&self.dir) else { return Vec::new() };
         let mut files: Vec<(std::time::SystemTime, PathBuf)> = entries
             .filter_map(Result::ok)
@@ -294,7 +308,7 @@ impl MemoDisk {
             };
             if plan.to_json_string() != artifact.plan
                 || plan.wire_hash() != artifact.plan_hash
-                || plan_workload_fingerprint(&plan) != artifact.fingerprint
+                || plan_workload_fingerprint(&plan, store) != artifact.fingerprint
             {
                 continue;
             }
@@ -407,7 +421,7 @@ mod tests {
         let plan: Plan = [Job::scheme(SchemeConfig::btfn(), li)].into_iter().collect();
         let key = plan.to_json_string();
         let disk = MemoDisk::new(dir.clone(), Some(1)); // smaller than any artifact
-        disk.persist(&plan, &key, &["frame".to_owned()]);
+        disk.persist(&TraceStore::new(), &plan, &key, &["frame".to_owned()]);
         assert!(!stale.exists(), "persist evicts the stale artifact");
         // With a cap below a single artifact, even the fresh write ages
         // out — the budget is a hard bound, mirroring the in-memory
@@ -432,11 +446,40 @@ mod tests {
                 .into_iter()
                 .collect();
         let a_only: Plan = [Job::scheme(SchemeConfig::btfn(), li)].into_iter().collect();
+        let store = TraceStore::new();
         assert_eq!(
-            plan_workload_fingerprint(&ab),
-            plan_workload_fingerprint(&ba),
+            plan_workload_fingerprint(&ab, &store),
+            plan_workload_fingerprint(&ba, &store),
             "the fold depends on the workload set, not job order"
         );
-        assert_ne!(plan_workload_fingerprint(&ab), plan_workload_fingerprint(&a_only));
+        assert_ne!(
+            plan_workload_fingerprint(&ab, &store),
+            plan_workload_fingerprint(&a_only, &store)
+        );
+    }
+
+    /// The store hands out what [`Benchmark::fingerprint`] computes, so
+    /// the store-backed fold names a memo artifact exactly as the fold
+    /// over freshly computed fingerprints would: from a memory-only
+    /// store, and from a disk-backed one whose `li` slot is already
+    /// filled.
+    #[test]
+    fn store_backed_fold_equals_the_fold_over_benchmark_fingerprints() {
+        use tlabp_core::config::SchemeConfig;
+        use tlabp_sim::plan::Job;
+        let plan: Plan = ["li", "eqntott", "gcc"]
+            .iter()
+            .map(|name| Benchmark::by_name(name).expect("benchmark exists"))
+            .map(|bench| Job::scheme(SchemeConfig::profiling(), bench))
+            .collect();
+        let expected = fold_workload_fingerprints(&plan, |bench, set| bench.fingerprint(set));
+        let dir = std::env::temp_dir().join(format!("tlabp-memo-fold-{}", std::process::id()));
+        let on_disk = TraceStore::with_cache_dir(&dir);
+        let li = Benchmark::by_name("li").expect("li exists");
+        let _ = on_disk.get_packed(li, DataSet::Testing);
+        for store in [TraceStore::new(), on_disk] {
+            assert_eq!(plan_workload_fingerprint(&plan, &store), expected);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

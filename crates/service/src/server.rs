@@ -258,7 +258,7 @@ impl Shared {
         // `disk` is `None` when memoization is disabled (`memo_bytes`
         // of 0), so persistence follows the same switch.
         if let Some(disk) = &self.disk {
-            disk.persist(plan, key, &entry);
+            disk.persist(&self.store, plan, key, &entry);
         }
     }
 
@@ -339,7 +339,7 @@ impl SweepServer {
             // effect before hydration reads the survivors.
             disk.enforce_budget();
             let mut hydrated = 0usize;
-            for (key, entry) in disk.hydrate() {
+            for (key, entry) in disk.hydrate(&store) {
                 cache.insert(&key, entry);
                 hydrated += 1;
             }

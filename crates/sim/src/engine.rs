@@ -948,7 +948,14 @@ pub fn prefetch_on(pool: &SweepPool, plan: &Plan, store: &TraceStore) {
 /// through the interned form itself, so it never races ahead of it.
 /// With a disk-backed store, each of these tasks starts by hydrating its
 /// slot from the artifact cache, so a warm directory turns the whole
-/// barrier into parallel file loads.
+/// barrier into parallel file loads. The tasks derive without
+/// persisting; once they finish, every slot they changed is written
+/// once, one pool task per slot, instead of once per generating getter
+/// (a cold paper plan has 14 slots but 32 such getters, and each write
+/// re-reads and re-encodes the whole file). Getters called outside the
+/// barrier still persist at once, so the store needs no mode: sessions
+/// sharing it (the daemon's) each persist what their own barrier
+/// derived.
 fn prefetch_lowered(pool: &SweepPool, plan: &Plan, lowered: &[Lowered], store: &TraceStore) {
     let mut positions: HashMap<(&'static str, DataSet), usize> = HashMap::new();
     let mut needed: Vec<(TraceKey, TraceForm)> = Vec::new();
@@ -994,35 +1001,58 @@ fn prefetch_lowered(pool: &SweepPool, plan: &Plan, lowered: &[Lowered], store: &
         .into_iter()
         .map(|(key, form)| PreGen::Form(key, form))
         .chain(streams_needed.into_iter().map(|(key, stream)| PreGen::Stream(key, stream)));
-    pool.run(pre_gen.map(|item| {
+    // Each task derives without persisting and reports the slot it
+    // changed, if any.
+    let changed = pool.run(pre_gen.map(|item| {
         let store = store.clone();
-        move || match item {
-            PreGen::Form(key, TraceForm::Full) => {
-                let _ = store.get(key.benchmark, key.data_set);
-            }
-            PreGen::Form(key, TraceForm::Packed) => {
-                let _ = store.get_packed(key.benchmark, key.data_set);
-            }
-            PreGen::Form(key, TraceForm::Interned) => {
-                let _ = store.get_interned(key.benchmark, key.data_set);
-            }
-            PreGen::Stream(key, stream) => {
-                // With the streaming tier on, a stream already persisted
-                // in a v3 artifact will be walked chunk-by-chunk from
-                // disk — prefetch then touches only the chunk *index*
-                // (header + section heads), never the bodies, so the
-                // barrier stays cheap and resident bytes stay bounded.
-                // Only a missing section still derives (and persists)
-                // the stream in memory: derivation needs the interned
-                // form regardless.
-                if stream_bytes_from_env().is_some()
-                    && store.stream_on_disk(key.benchmark, key.data_set, stream)
-                {
-                    return;
+        move || {
+            let (key, generated) = match item {
+                PreGen::Form(key, TraceForm::Full) => {
+                    (key, store.get_unpersisted(key.benchmark, key.data_set).1)
                 }
-                let _ = store.get_pattern_stream(key.benchmark, key.data_set, stream);
-            }
+                PreGen::Form(key, TraceForm::Packed) => {
+                    (key, store.get_packed_unpersisted(key.benchmark, key.data_set).1)
+                }
+                PreGen::Form(key, TraceForm::Interned) => {
+                    (key, store.get_interned_unpersisted(key.benchmark, key.data_set).1)
+                }
+                PreGen::Stream(key, stream) => {
+                    // With the streaming tier on, a stream already
+                    // persisted in a v3 artifact will be walked
+                    // chunk-by-chunk from disk — prefetch then touches
+                    // only the chunk *index* (header + section heads),
+                    // never the bodies, so the barrier stays cheap and
+                    // resident bytes stay bounded. Only a missing section
+                    // still derives (and persists) the stream in memory:
+                    // derivation needs the interned form regardless.
+                    if stream_bytes_from_env().is_some()
+                        && store.stream_on_disk(key.benchmark, key.data_set, stream)
+                    {
+                        return None;
+                    }
+                    let (_, generated) =
+                        store.get_pattern_stream_unpersisted(key.benchmark, key.data_set, stream);
+                    (key, generated)
+                }
+            };
+            generated.then_some(key)
         }
+    }));
+    // Then one write per changed slot, each slot a pool task of its own,
+    // all done before the barrier lifts (streamed replay opens the
+    // artifacts these writes leave).
+    if store.cache_dir().is_none() {
+        return;
+    }
+    let mut slots: Vec<TraceKey> = Vec::new();
+    for key in changed.into_iter().flatten() {
+        if !slots.contains(&key) {
+            slots.push(key);
+        }
+    }
+    pool.run(slots.into_iter().map(|key| {
+        let store = store.clone();
+        move || store.persist_slot(key.benchmark, key.data_set)
     }));
 }
 
@@ -1641,6 +1671,59 @@ mod tests {
     fn unknown_custom_name_fails_fast() {
         let plan: Plan = [Job::custom("engine-test-unregistered", li())].into_iter().collect();
         let _ = execute(&plan, &TraceStore::new());
+    }
+
+    /// The prefetch barrier derives every form first and writes the slot
+    /// once. Its artifact must be byte-identical to the one the public
+    /// getters leave when they derive the same forms one write each, and
+    /// a fresh store must hydrate every form from it without a rewrite.
+    #[test]
+    fn prefetch_writes_each_slot_once_as_the_getters_would() {
+        let root =
+            std::env::temp_dir().join(format!("tlabp-engine-prefetch-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (barrier_dir, getters_dir) = (root.join("barrier"), root.join("getters"));
+        let set = DataSet::Testing;
+        let configs = [SchemeConfig::pag(8), SchemeConfig::gag(10)];
+        let plan: Plan = configs.iter().map(|&config| Job::scheme(config, li())).collect();
+        let keys: Vec<StreamKey> =
+            configs.iter().map(|&config| replay_stream_key(config).expect("two-level")).collect();
+        assert_ne!(keys[0], keys[1], "two stream keys on one trace");
+
+        prefetch_on(SweepPool::global(), &plan, &TraceStore::with_cache_dir(&barrier_dir));
+        let getters = TraceStore::with_cache_dir(&getters_dir);
+        let _ = getters.get_interned(li(), set);
+        for &key in &keys {
+            let _ = getters.get_pattern_stream(li(), set, key);
+        }
+
+        let artifact = |dir: &std::path::Path| {
+            let paths: Vec<_> = std::fs::read_dir(dir)
+                .expect("cache dir exists")
+                .map(|entry| entry.expect("dir entry").path())
+                .collect();
+            assert_eq!(paths.len(), 1, "one artifact and no residue: {paths:?}");
+            std::fs::read(&paths[0]).expect("artifact reads")
+        };
+        assert!(
+            artifact(&barrier_dir) == artifact(&getters_dir),
+            "the barrier's artifact differs from the getters'"
+        );
+
+        // Hydrated, not regenerated: no getter reports generating.
+        let fresh = TraceStore::with_cache_dir(&barrier_dir);
+        let (trace, generated) = fresh.get_unpersisted(li(), set);
+        assert!(!generated && *trace == *getters.get(li(), set), "the trace hydrates");
+        let (packed, generated) = fresh.get_packed_unpersisted(li(), set);
+        assert!(!generated && *packed == *getters.get_packed(li(), set), "packed hydrates");
+        let (interned, generated) = fresh.get_interned_unpersisted(li(), set);
+        assert!(!generated && *interned == *getters.get_interned(li(), set), "interned hydrates");
+        for &key in &keys {
+            let (stream, generated) = fresh.get_pattern_stream_unpersisted(li(), set, key);
+            let derived = getters.get_pattern_stream(li(), set, key);
+            assert!(!generated && *stream == *derived, "the {key:?} stream hydrates");
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -451,7 +451,7 @@ impl StreamKey {
         }
     }
 
-    /// Encodes the key as the opaque byte tag stored in v2 artifact
+    /// Encodes the key as the opaque byte tag stored in trace artifact
     /// containers (`tlabp-trace::io` holds stream keys as raw bytes — the
     /// trace crate cannot name simulator types). Layout: a one-byte
     /// variant tag (0 = global, 1 = ideal BHT, 2 = cache BHT) followed by

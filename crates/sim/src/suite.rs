@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use tlabp_core::config::SchemeConfig;
 use tlabp_trace::io::{
     chunk_bytes_from_env, read_artifacts, write_artifacts_chunked, write_file_atomic,
-    ChunkedArtifact, FileLock, ARTIFACT_VERSION, ARTIFACT_VERSION_CHUNKED,
+    ChunkedArtifact, FileLock, ARTIFACT_VERSION_CHUNKED,
 };
 use tlabp_trace::{InternedConds, PackedCond, PatternStream, Trace};
 use tlabp_workloads::{Benchmark, DataSet};
@@ -49,15 +49,17 @@ pub const DEFAULT_TRACE_DIR: &str = "target/trace-cache";
 /// additionally persists every slot as a v3 chunked artifact container
 /// (`tlabp_trace::io`): on the first touch of a slot the store tries to
 /// hydrate all four forms from `<dir>/<bench>-<set>-v3-<fingerprint>.tlabp`
-/// (falling back to the v2-named file an older build left behind)
 /// without running the VM; whenever a getter actually generates or
 /// derives something new, the slot is re-written atomically (temp file +
-/// rename). File names carry the container version and the
-/// workload-codegen fingerprint ([`Benchmark::fingerprint`]), so stale
-/// artifacts from an older format or an edited workload generator are
-/// simply never opened. A file that exists but fails its checksum or
-/// decode is ignored with a warning and the slot regenerates — a corrupt
-/// cache can cost time, never correctness.
+/// rename). The engine's prefetch barrier derives through getters that
+/// leave the write to it, and then writes each changed slot once. File
+/// names carry the container version and the workload fingerprint
+/// ([`TraceStore::fingerprint`]), so artifacts from an older format, an
+/// edited workload generator or an edited VM are simply never opened —
+/// an older build's files included, whatever their version. A file that
+/// exists but fails its checksum or decode is ignored with a warning and
+/// the slot regenerates — a corrupt cache can cost time, never
+/// correctness.
 ///
 /// # Streaming tier
 ///
@@ -97,6 +99,13 @@ struct TraceSlot {
     write_lock: Mutex<()>,
 }
 
+impl TraceSlot {
+    /// The slot's workload fingerprint, computed on first use.
+    fn fingerprint(&self, benchmark: &Benchmark, data_set: DataSet) -> u64 {
+        *self.fingerprint.get_or_init(|| benchmark.fingerprint(data_set))
+    }
+}
+
 /// The persistence layer of a [`TraceStore`]: one artifact container per
 /// (benchmark, data set) under a cache directory.
 #[derive(Debug)]
@@ -126,43 +135,13 @@ impl DiskTier {
         self.dir.join(format!("{name}-{set}-v{ARTIFACT_VERSION_CHUNKED}-{fingerprint:016x}.tlabp"))
     }
 
-    /// The v2-named artifact path an older build would have written for
-    /// the same slot. Hydration falls back to it (the v2 *format* still
-    /// decodes), so upgrading in place costs nothing; persists always
-    /// write the v3 name.
-    fn legacy_path_for(&self, name: &str, data_set: DataSet, fingerprint: u64) -> PathBuf {
-        let set = match data_set {
-            DataSet::Training => "training",
-            DataSet::Testing => "testing",
-        };
-        self.dir.join(format!("{name}-{set}-v{ARTIFACT_VERSION}-{fingerprint:016x}.tlabp"))
-    }
-
-    /// Reads the slot's artifact bytes: the v3-named file, else the
-    /// v2-named fallback. Returns the path actually read for messages.
-    fn read_slot_bytes(
-        &self,
-        name: &str,
-        data_set: DataSet,
-        fingerprint: u64,
-    ) -> Option<(PathBuf, Vec<u8>)> {
-        let path = self.path_for(name, data_set, fingerprint);
-        if let Ok(bytes) = fs::read(&path) {
-            return Some((path, bytes));
-        }
-        let legacy = self.legacy_path_for(name, data_set, fingerprint);
-        fs::read(&legacy).ok().map(|bytes| (legacy, bytes))
-    }
-
     /// Fills whatever forms the slot's artifact file holds. Missing file
     /// is a plain miss; a present-but-unreadable file warns and behaves
     /// as a miss (the next persist overwrites it).
     fn hydrate(&self, slot: &TraceSlot, benchmark: &Benchmark, data_set: DataSet) {
-        let fingerprint = *slot.fingerprint.get_or_init(|| benchmark.fingerprint(data_set));
-        let Some((path, bytes)) = self.read_slot_bytes(benchmark.name(), data_set, fingerprint)
-        else {
-            return;
-        };
+        let fingerprint = slot.fingerprint(benchmark, data_set);
+        let path = self.path_for(benchmark.name(), data_set, fingerprint);
+        let Ok(bytes) = fs::read(&path) else { return };
         let bundle = match read_artifacts(&bytes) {
             Ok(bundle) => bundle,
             Err(err) => {
@@ -226,7 +205,7 @@ impl DiskTier {
     /// checksum on open and treats a torn or corrupt file as a miss.
     fn persist(&self, slot: &TraceSlot, benchmark: &Benchmark, data_set: DataSet) {
         let _guard = slot.write_lock.lock().expect("slot write lock");
-        let fingerprint = *slot.fingerprint.get_or_init(|| benchmark.fingerprint(data_set));
+        let fingerprint = slot.fingerprint(benchmark, data_set);
         let trace = slot.trace.get().cloned();
         let packed = slot.packed.get().cloned();
         let interned = slot.interned.get().cloned();
@@ -240,12 +219,10 @@ impl DiskTier {
         let _file_lock = self.lock_artifact(&path);
 
         // Merge: keep sections a concurrent writer (or an earlier run)
-        // already persisted that this store never materialized — the
-        // v2-named fallback included, so an in-place upgrade carries an
-        // old cache's streams into the first v3 rewrite.
-        let existing = self
-            .read_slot_bytes(benchmark.name(), data_set, fingerprint)
-            .and_then(|(_, bytes)| read_artifacts(&bytes).ok())
+        // already persisted that this store never materialized.
+        let existing = fs::read(&path)
+            .ok()
+            .and_then(|bytes| read_artifacts(&bytes).ok())
             .filter(|bundle| bundle.fingerprint == fingerprint);
         let merged_trace: Option<&Trace> =
             trace.as_deref().or(existing.as_ref().and_then(|b| b.trace.as_ref()));
@@ -400,8 +377,7 @@ impl TraceStore {
         stream_bytes: usize,
     ) -> Option<StreamCursor> {
         let disk = self.disk.as_ref()?;
-        let slot = self.slot(benchmark.name(), data_set.into());
-        let fingerprint = *slot.fingerprint.get_or_init(|| benchmark.fingerprint(data_set));
+        let fingerprint = self.fingerprint(benchmark, data_set);
         let path = disk.path_for(benchmark.name(), data_set, fingerprint);
         let cursor = StreamCursor::open(&path, &key.to_bytes(), stream_bytes, &self.window)?;
         (cursor.fingerprint() == fingerprint).then_some(cursor)
@@ -415,8 +391,7 @@ impl TraceStore {
     #[must_use]
     pub fn stream_on_disk(&self, benchmark: &Benchmark, data_set: DataSet, key: StreamKey) -> bool {
         let Some(disk) = self.disk.as_ref() else { return false };
-        let slot = self.slot(benchmark.name(), data_set.into());
-        let fingerprint = *slot.fingerprint.get_or_init(|| benchmark.fingerprint(data_set));
+        let fingerprint = self.fingerprint(benchmark, data_set);
         let path = disk.path_for(benchmark.name(), data_set, fingerprint);
         ChunkedArtifact::open(&path).is_ok_and(|artifact| {
             artifact.fingerprint() == fingerprint && artifact.find_stream(&key.to_bytes()).is_some()
@@ -429,21 +404,46 @@ impl TraceStore {
         self.disk.as_deref().map(|disk| disk.dir.as_path())
     }
 
+    /// The workload fingerprint of `(benchmark, data_set)`
+    /// ([`Benchmark::fingerprint`]): the stamp and name of the slot's
+    /// artifact, and what the daemon's memo artifacts fold. Computed
+    /// once per store and cached in the slot, since every call of
+    /// [`Benchmark::fingerprint`] regenerates the program; a new store
+    /// pays it once again.
+    #[must_use]
+    pub fn fingerprint(&self, benchmark: &Benchmark, data_set: DataSet) -> u64 {
+        self.slot(benchmark.name(), data_set.into()).fingerprint(benchmark, data_set)
+    }
+
     /// Returns the trace for `(benchmark, data_set)`, generating it on
     /// first use. Concurrent callers for the same key block until the
     /// single generating thread finishes.
     #[must_use]
     pub fn get(&self, benchmark: &Benchmark, data_set: DataSet) -> Arc<Trace> {
+        let (trace, generated) = self.get_unpersisted(benchmark, data_set);
+        if generated {
+            self.persist_slot(benchmark, data_set);
+        }
+        trace
+    }
+
+    /// [`TraceStore::get`] without the re-persist. Also returns whether
+    /// it generated anything, so a caller deriving many forms at once
+    /// (the engine's prefetch barrier) can write each changed slot once
+    /// afterwards through [`TraceStore::persist_slot`]. The other
+    /// `*_unpersisted` getters work the same way.
+    pub(crate) fn get_unpersisted(
+        &self,
+        benchmark: &Benchmark,
+        data_set: DataSet,
+    ) -> (Arc<Trace>, bool) {
         let slot = self.slot_hydrated(benchmark, data_set);
         let mut generated = false;
         let trace = Arc::clone(slot.trace.get_or_init(|| {
             generated = true;
             Arc::new(benchmark.trace(data_set))
         }));
-        if generated {
-            self.persist(&slot, benchmark, data_set);
-        }
-        trace
+        (trace, generated)
     }
 
     /// Returns the packed conditional-branch stream for
@@ -451,13 +451,22 @@ impl TraceStore {
     /// [`crate::runner::simulate_packed`] — packing it on first use.
     #[must_use]
     pub fn get_packed(&self, benchmark: &Benchmark, data_set: DataSet) -> Arc<Vec<PackedCond>> {
+        let (packed, generated) = self.get_packed_unpersisted(benchmark, data_set);
+        if generated {
+            self.persist_slot(benchmark, data_set);
+        }
+        packed
+    }
+
+    pub(crate) fn get_packed_unpersisted(
+        &self,
+        benchmark: &Benchmark,
+        data_set: DataSet,
+    ) -> (Arc<Vec<PackedCond>>, bool) {
         let slot = self.slot_hydrated(benchmark, data_set);
         let mut generated = false;
         let packed = Arc::clone(Self::packed_of(&slot, benchmark, data_set, &mut generated));
-        if generated {
-            self.persist(&slot, benchmark, data_set);
-        }
-        packed
+        (packed, generated)
     }
 
     /// Returns the pc-interned conditional stream for
@@ -469,13 +478,22 @@ impl TraceStore {
     /// once per key however many cells race for it.
     #[must_use]
     pub fn get_interned(&self, benchmark: &Benchmark, data_set: DataSet) -> Arc<InternedConds> {
+        let (interned, generated) = self.get_interned_unpersisted(benchmark, data_set);
+        if generated {
+            self.persist_slot(benchmark, data_set);
+        }
+        interned
+    }
+
+    pub(crate) fn get_interned_unpersisted(
+        &self,
+        benchmark: &Benchmark,
+        data_set: DataSet,
+    ) -> (Arc<InternedConds>, bool) {
         let slot = self.slot_hydrated(benchmark, data_set);
         let mut generated = false;
         let interned = Self::interned_of(&slot, benchmark, data_set, &mut generated);
-        if generated {
-            self.persist(&slot, benchmark, data_set);
-        }
-        interned
+        (interned, generated)
     }
 
     /// Returns the materialized first-level stream for
@@ -495,13 +513,26 @@ impl TraceStore {
         data_set: DataSet,
         key: StreamKey,
     ) -> Arc<PatternStream> {
+        let (stream, generated) = self.get_pattern_stream_unpersisted(benchmark, data_set, key);
+        if generated {
+            self.persist_slot(benchmark, data_set);
+        }
+        stream
+    }
+
+    pub(crate) fn get_pattern_stream_unpersisted(
+        &self,
+        benchmark: &Benchmark,
+        data_set: DataSet,
+        key: StreamKey,
+    ) -> (Arc<PatternStream>, bool) {
         let slot = self.slot_hydrated(benchmark, data_set);
         let cell = {
             let mut streams = slot.streams.lock().expect("stream map lock");
             Arc::clone(streams.entry(key).or_default())
         };
         if let Some(stream) = cell.get() {
-            return Arc::clone(stream);
+            return (Arc::clone(stream), false);
         }
         let mut generated = false;
         let interned = Self::interned_of(&slot, benchmark, data_set, &mut generated);
@@ -509,10 +540,7 @@ impl TraceStore {
             generated = true;
             Arc::new(derive_pattern_stream(&interned, key))
         }));
-        if generated {
-            self.persist(&slot, benchmark, data_set);
-        }
-        stream
+        (stream, generated)
     }
 
     /// Returns where `config`'s context switches fall in the trace for
@@ -612,11 +640,12 @@ impl TraceStore {
         slot
     }
 
-    /// Re-persists a slot after a getter generated something new; no-op
-    /// for memory-only stores.
-    fn persist(&self, slot: &TraceSlot, benchmark: &Benchmark, data_set: DataSet) {
+    /// Re-persists the slot for `(benchmark, data_set)` with every form
+    /// it holds, after something generated a new one; a no-op for
+    /// memory-only stores.
+    pub(crate) fn persist_slot(&self, benchmark: &Benchmark, data_set: DataSet) {
         if let Some(disk) = &self.disk {
-            disk.persist(slot, benchmark, data_set);
+            disk.persist(&self.slot(benchmark.name(), data_set.into()), benchmark, data_set);
         }
     }
 

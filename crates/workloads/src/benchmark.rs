@@ -4,6 +4,7 @@ use std::fmt;
 
 use tlabp_isa::program::Program;
 use tlabp_isa::vm::Vm;
+use tlabp_isa::SEMANTICS_DIGEST;
 use tlabp_trace::Trace;
 
 use crate::{doduc, eqntott, espresso, fpppp, gcc, li, matrix300, spice2g6, tomcatv};
@@ -198,43 +199,38 @@ impl Benchmark {
     }
 
     /// A fingerprint of everything that determines this benchmark's trace
-    /// for `data_set`: the generated instruction sequence and the VM
-    /// limits it runs under. Disk-cached trace artifacts are keyed by it,
-    /// so editing a workload generator (or the VM budget) invalidates the
-    /// stale cache entries automatically instead of silently replaying an
+    /// for `data_set`: the ISA's semantics ([`SEMANTICS_DIGEST`], a digest
+    /// of the instruction and VM sources), the VM limits, and the
+    /// generated instruction sequence. Disk-cached trace artifacts and
+    /// memoized daemon responses are keyed by it, so editing a workload
+    /// generator, the VM budget or the VM itself invalidates the stale
+    /// cache entries automatically instead of silently replaying an
     /// outdated trace.
     ///
-    /// The hash folds the `Debug` rendering of each instruction — the
-    /// rendering is a total, injective description of the instruction, and
-    /// hashing text keeps this independent of in-memory layout.
+    /// The hash folds each instruction's fixed-width [`Inst::encode`]
+    /// words, so its cost is generating the program. `tlabp-sim`'s
+    /// `TraceStore::fingerprint` computes it once per store slot.
+    ///
+    /// [`Inst::encode`]: tlabp_isa::Inst::encode
     #[must_use]
     pub fn fingerprint(&self, data_set: DataSet) -> u64 {
-        const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-        let fold = |hash: u64, word: u64| (hash.rotate_left(5) ^ word).wrapping_mul(SEED);
-        let fold_bytes = |mut hash: u64, bytes: &[u8]| {
-            let mut chunks = bytes.chunks_exact(8);
-            for chunk in &mut chunks {
-                hash = fold(hash, u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-            }
-            let rest = chunks.remainder();
-            if !rest.is_empty() {
-                let mut word = [0u8; 8];
-                word[..rest.len()].copy_from_slice(rest);
-                hash = fold(hash, u64::from_le_bytes(word));
-            }
-            fold(hash, bytes.len() as u64)
-        };
-        let program = self.program(data_set);
-        let mut hash = fold(0, Self::VM_MEMORY_WORDS as u64);
-        hash = fold(hash, Self::VM_MAX_INSTRUCTIONS);
-        let mut rendered = String::new();
-        for inst in program.instructions() {
-            rendered.clear();
-            fmt::write(&mut rendered, format_args!("{inst:?}")).expect("fmt to String");
-            hash = fold_bytes(hash, rendered.as_bytes());
-        }
-        hash
+        fold_fingerprint(SEMANTICS_DIGEST, &self.program(data_set))
     }
+}
+
+/// The fold behind [`Benchmark::fingerprint`], over an explicit
+/// semantics digest.
+fn fold_fingerprint(semantics: u64, program: &Program) -> u64 {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    let fold = |hash: u64, word: u64| (hash.rotate_left(5) ^ word).wrapping_mul(SEED);
+    let mut hash = fold(0, semantics);
+    hash = fold(hash, Benchmark::VM_MEMORY_WORDS as u64);
+    hash = fold(hash, Benchmark::VM_MAX_INSTRUCTIONS);
+    for inst in program.instructions() {
+        let [head, wide] = inst.encode();
+        hash = fold(fold(hash, head), wide);
+    }
+    fold(hash, program.len() as u64)
 }
 
 impl fmt::Display for Benchmark {
@@ -342,6 +338,23 @@ mod tests {
                 assert_eq!(fp, b.fingerprint(ds), "{}: fingerprint not deterministic", b.name());
                 assert!(seen.insert(fp), "{}/{ds:?}: fingerprint collides", b.name());
             }
+        }
+    }
+
+    /// An edit to the VM or the instruction semantics changes the
+    /// digest, and with it every fingerprint: the program alone must not
+    /// decide the artifact name.
+    #[test]
+    fn fingerprint_folds_the_semantics_digest() {
+        let li = Benchmark::by_name("li").unwrap();
+        let program = li.program(DataSet::Testing);
+        assert_eq!(li.fingerprint(DataSet::Testing), fold_fingerprint(SEMANTICS_DIGEST, &program));
+        for flip in [1, 1 << 31, 1 << 63] {
+            assert_ne!(
+                fold_fingerprint(SEMANTICS_DIGEST ^ flip, &program),
+                fold_fingerprint(SEMANTICS_DIGEST, &program),
+                "digest bit {flip:#x} is not folded"
+            );
         }
     }
 

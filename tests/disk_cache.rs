@@ -170,67 +170,6 @@ fn cache_bytes_reports_disk_footprint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Cross-version reads: a cache directory written by a v2 build (v2
-/// bytes under the v2-named file) hydrates transparently, produces
-/// bit-identical results, and the first new derivation upgrades the slot
-/// in place — a v3-named chunked artifact carrying the union of the old
-/// file's sections.
-#[test]
-fn v2_named_artifacts_hydrate_and_upgrade_to_v3() {
-    use tlabp::trace::io::{read_artifacts, write_artifacts};
-
-    let dir = scratch_dir("crossver");
-    let plan = plan();
-    let memory_out = execute(&plan, &TraceStore::new());
-
-    // Produce the slot once, then rewrite it the way a v2 build would
-    // have: v2 container bytes under the v2-named path.
-    let _ = execute(&plan, &TraceStore::with_cache_dir(&dir));
-    let v3_path = artifact_paths(&dir).remove(0);
-    let bundle =
-        read_artifacts(&std::fs::read(&v3_path).expect("artifact exists")).expect("v3 decodes");
-    let streams: Vec<(Vec<u8>, &tlabp::trace::PatternStream)> =
-        bundle.streams.iter().map(|(key, stream)| (key.clone(), stream)).collect();
-    let v2_bytes = write_artifacts(
-        bundle.fingerprint,
-        bundle.trace.as_ref(),
-        bundle.packed.as_deref(),
-        bundle.interned.as_ref(),
-        &streams,
-    );
-    let name = v3_path.file_name().unwrap().to_str().unwrap().replace("-v3-", "-v2-");
-    let v2_path = v3_path.with_file_name(name);
-    std::fs::write(&v2_path, &v2_bytes).expect("write v2-named artifact");
-    std::fs::remove_file(&v3_path).expect("remove v3 artifact");
-
-    // Pure hydration from the v2 fallback: identical results, file
-    // untouched (nothing new was derived, so nothing re-persists).
-    let warm = TraceStore::with_cache_dir(&dir);
-    assert_eq!(execute(&plan, &warm), memory_out, "v2 fallback hydration changed results");
-    assert!(!v3_path.exists(), "a pure read must not rewrite the artifact");
-
-    // A new derivation (a stream key the old file lacks) re-persists:
-    // the rewrite lands under the v3 name, as a v3 container, carrying
-    // the v2 file's sections forward.
-    let li = Benchmark::by_name("li").expect("li exists");
-    let wider: Plan = [Job::scheme(SchemeConfig::gag(13), li)].into_iter().collect();
-    let wider_memory = execute(&wider, &TraceStore::new());
-    assert_eq!(execute(&wider, &warm), wider_memory, "deepening the cache changed results");
-    assert!(v3_path.exists(), "re-persist writes the v3-named artifact");
-    let upgraded =
-        read_artifacts(&std::fs::read(&v3_path).expect("artifact exists")).expect("v3 decodes");
-    assert!(
-        upgraded.streams.len() > bundle.streams.len(),
-        "upgrade carries old sections plus the new stream"
-    );
-    for (key, stream) in &bundle.streams {
-        let carried = upgraded.streams.iter().find(|(have, _)| have == key);
-        assert_eq!(carried.map(|(_, s)| s), Some(stream), "v2 section lost in the upgrade");
-    }
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Regression test for the disk-tier write race: several stores (as in
 /// several daemon connections or concurrent driver processes) target the
 /// same cache directory and the same benchmark, each deriving a
