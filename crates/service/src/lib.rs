@@ -7,7 +7,7 @@
 //! plan order as jobs finish, followed by a terminal `done` frame.
 //!
 //! * [`proto`] — the frame format: `TLBS <version> <kind> <len>
-//!   <payload> <checksum>`, versioned and checksummed like the v2 trace
+//!   <payload> <checksum>`, versioned and checksummed like the trace
 //!   artifact container, with a precise rejection taxonomy
 //!   ([`proto::FrameError`]), plus the byte-stream reassembly state
 //!   machine ([`proto::FrameAssembler`]) the event-driven core reads

@@ -431,6 +431,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A memo file whose section length would wrap a bounds check
+    /// hydrates as a miss next to a good artifact, so one such file cannot
+    /// stop the daemon from starting.
+    #[test]
+    fn hydrate_skips_a_memo_file_with_an_overflowing_section_length() {
+        use tlabp_core::config::SchemeConfig;
+        use tlabp_sim::plan::Job;
+
+        let dir = std::env::temp_dir().join(format!("tlabp-memo-overflow-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let li = Benchmark::by_name("li").expect("li exists");
+        let plan: Plan = [Job::scheme(SchemeConfig::btfn(), li)].into_iter().collect();
+        let key = plan.to_json_string();
+        let store = TraceStore::new();
+        let disk = MemoDisk::new(dir.clone(), None);
+        disk.persist(&store, &plan, &key, &["frame".to_owned()]);
+
+        // 43 bytes: a memo header, then a plan section declaring
+        // `u64::MAX - 3` bytes.
+        let empty =
+            MemoArtifact { plan_hash: 0, fingerprint: 0, plan: String::new(), frames: vec![] };
+        let mut bad = write_memo(&empty);
+        bad[27..35].copy_from_slice(&(u64::MAX - 3).to_le_bytes());
+        std::fs::write(dir.join("overflow.tlabm"), &bad).expect("write bad artifact");
+
+        let hydrated = disk.hydrate(&store);
+        assert_eq!(hydrated.len(), 1, "only the good artifact hydrates");
+        assert_eq!(hydrated[0].0, key);
+        assert_eq!(*hydrated[0].1, vec!["frame".to_owned()]);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn workload_fingerprint_is_order_insensitive_and_workload_sensitive() {
         use tlabp_core::config::SchemeConfig;

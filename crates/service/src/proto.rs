@@ -17,7 +17,7 @@
 //!   delimits it.
 //! * `<checksum>` — 16 lower-hex digits of
 //!   [`tlabp_trace::io::checksum`] over the payload bytes, the same
-//!   fx-fold the v2 artifact container uses per section. A flipped bit
+//!   fx-fold the artifact container uses per chunk. A flipped bit
 //!   anywhere in the payload fails decode.
 //!
 //! Payloads by kind:

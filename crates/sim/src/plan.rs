@@ -39,8 +39,8 @@ use crate::runner::{ContextSwitchConfig, SimConfig};
 /// Version tag of the serialized plan format ([`Plan::to_json_string`]).
 ///
 /// Bumped on any change to the job encoding; decoders reject documents
-/// whose version differs, the same posture the v2 artifact container
-/// takes toward on-disk data.
+/// whose version differs, the same posture the artifact container takes
+/// toward on-disk data.
 pub const PLAN_WIRE_VERSION: u64 = 1;
 
 /// Which predictor a job simulates.

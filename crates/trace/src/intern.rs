@@ -52,8 +52,8 @@ impl InternedCond {
     }
 
     /// The raw 32-bit encoding (`id << 2 | backward << 1 | taken`) — the
-    /// on-disk representation of the v2 artifact container's interned
-    /// section ([`crate::io`]).
+    /// value the artifact container's interned section delta-encodes
+    /// ([`crate::io`]).
     #[must_use]
     pub fn bits(self) -> u32 {
         self.0

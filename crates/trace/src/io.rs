@@ -1,65 +1,22 @@
-//! Compact binary serialization for traces and derived trace artifacts.
+//! Compact binary serialization for derived trace artifacts.
 //!
-//! Two little-endian formats share the `b"TLBP"` magic and a version
-//! field:
-//!
-//! **Version 1** — a bare event trace:
-//!
-//! ```text
-//! magic   : 4 bytes  = b"TLBP"
-//! version : u16      = 1
-//! count   : u64      number of events
-//! total   : u64      total dynamic instructions
-//! events  : count records
-//! ```
-//!
-//! Each event is one tag byte followed by its payload:
-//!
-//! ```text
-//! tag 0..=3 (branch, tag = BranchClass): pc u64, taken u8, target u64, instret u64
-//! tag 255   (trap):                      pc u64, instret u64
-//! ```
-//!
-//! **Version 2** — the artifact container behind the disk tier of the
-//! simulator's trace store: the raw trace *plus* every derived form
-//! (packed conditional stream, pc-interned stream, materialized
+//! The **artifact container** (`b"TLBP"`, version 3) is the disk tier
+//! of the simulator's trace store: the raw trace *plus* every derived
+//! form (packed conditional stream, pc-interned stream, materialized
 //! first-level pattern streams), so a warm cache hit restores the whole
-//! derivation chain without re-running the VM or any derivation pass:
-//!
-//! ```text
-//! magic       : 4 bytes = b"TLBP"
-//! version     : u16     = 2
-//! fingerprint : u64     workload-codegen fingerprint (caller-defined)
-//! sections    : u32     number of sections
-//! per section:
-//!   kind      : u8      1 trace, 2 packed, 3 interned, 4 pattern stream
-//!   len       : u64     payload byte length
-//!   payload   : len bytes
-//!   checksum  : u64     fx-fold of the payload (see [`checksum`])
-//! ```
-//!
-//! Every section is independently length-prefixed and checksummed;
-//! [`read_artifacts`] rejects truncation at any byte boundary, any
-//! checksum mismatch, trailing bytes, and any payload whose decoded
-//! parts fail the owning container's structural validation
-//! ([`InternedConds::from_raw_parts`],
-//! [`PatternStream::from_raw_parts`]). A reader that cannot prove a file
-//! intact never yields a bundle — the disk tier falls back to
-//! regeneration instead of risking wrong numbers.
-//!
-//! **Version 3** — the *chunked* artifact container
-//! ([`write_artifacts_chunked`]): the same four section kinds, but each
-//! section's items are split into fixed-budget chunks (default ~4 MiB,
-//! [`CHUNK_BYTES_ENV`]) that are varint+delta encoded and independently
-//! checksummed, behind a seekable per-section chunk table:
+//! derivation chain without re-running the VM or any derivation pass.
+//! Each section's items are split into fixed-budget chunks (default
+//! ~4 MiB, [`CHUNK_BYTES_ENV`]) that are varint+delta encoded and
+//! independently checksummed, behind a seekable per-section chunk
+//! table. All integers are little-endian:
 //!
 //! ```text
 //! magic       : 4 bytes = b"TLBP"
 //! version     : u16     = 3
-//! fingerprint : u64
-//! sections    : u32
+//! fingerprint : u64     workload-codegen fingerprint (caller-defined)
+//! sections    : u32     number of sections
 //! per section:
-//!   kind          : u8
+//!   kind          : u8   1 trace, 2 packed, 3 interned, 4 pattern stream
 //!   meta_len      : u32, meta bytes   (kind-specific section metadata)
 //!   chunk count   : u32
 //!   chunk table   : count x (encoded_len u64, items u64, checksum u64)
@@ -72,14 +29,27 @@
 //! reader can `seek` straight to chunk *k* of a section — that is what
 //! [`ChunkedArtifact`] does for the simulator's streaming replay tier,
 //! which holds a bounded window of decoded chunks instead of a whole
-//! hydrated section. [`read_artifacts`] accepts v2 and v3 containers;
-//! new files are written as v3 while existing v2 files keep reading.
+//! hydrated section. [`read_artifacts`] decodes a whole buffer; both
+//! readers parse the header and section heads with one parser that
+//! checks every declared length against the bytes actually present
+//! before allocating for it. They reject truncation at any byte
+//! boundary, any checksum mismatch, trailing bytes, any other container
+//! version (an older file is a versioned miss), and any payload whose
+//! decoded parts fail the owning container's structural validation
+//! ([`InternedConds::from_raw_parts`],
+//! [`PatternStream::from_raw_parts`]). A reader that cannot prove a file
+//! intact never yields a bundle — the disk tier falls back to
+//! regeneration instead of risking wrong numbers.
 //!
-//! A third format, the **memo artifact** (`b"TLBM"`, [`write_memo`] /
+//! Traces cross machine boundaries in the `TLBE` exchange format
+//! ([`crate::import`]), not in this container.
+//!
+//! A second format, the **memo artifact** (`b"TLBM"`, [`write_memo`] /
 //! [`read_memo`]), stores one memoized service response — the canonical
-//! plan JSON plus its pre-encoded result-frame payloads — with the same
-//! per-section checksum discipline, so the sweep daemon's persistent
-//! memo tier inherits the container's torn/corrupt-file guarantees.
+//! plan JSON plus its pre-encoded result-frame payloads — as
+//! length-prefixed, checksummed sections, so the sweep daemon's
+//! persistent memo tier inherits the container's torn/corrupt-file
+//! guarantees.
 //!
 //! The module also exports the filesystem discipline those tiers share:
 //! [`write_file_atomic`] (unique temp file + rename, readers never see a
@@ -89,33 +59,32 @@
 //! # Example
 //!
 //! ```
-//! use tlabp_trace::io::{read_trace, write_trace};
+//! use tlabp_trace::io::{read_artifacts, write_artifacts_chunked, DEFAULT_CHUNK_BYTES};
 //! use tlabp_trace::synth::LoopNest;
 //!
 //! let trace = LoopNest::new(&[4, 4]).generate();
-//! let bytes = write_trace(&trace);
-//! let back = read_trace(&bytes)?;
-//! assert_eq!(trace, back);
+//! let bytes = write_artifacts_chunked(7, Some(&trace), None, None, &[], DEFAULT_CHUNK_BYTES);
+//! let bundle = read_artifacts(&bytes)?;
+//! assert_eq!(bundle.fingerprint, 7);
+//! assert_eq!(bundle.trace, Some(trace));
 //! # Ok::<(), tlabp_trace::io::ReadTraceError>(())
 //! ```
 
 use std::error::Error;
 use std::fmt;
+use std::io::{Read, Seek, SeekFrom};
 
 use crate::intern::{InternedCond, InternedConds};
 use crate::pattern_stream::PatternStream;
 use crate::record::{BranchClass, BranchRecord, TrapRecord};
 use crate::trace::{PackedCond, Trace, TraceEvent};
 
-/// File magic identifying the trace format.
+/// File magic identifying the artifact container.
 pub const MAGIC: &[u8; 4] = b"TLBP";
-/// Version of the bare-trace format ([`write_trace`] / [`read_trace`]).
-pub const VERSION: u16 = 1;
-/// Version of the legacy whole-section artifact container
-/// ([`write_artifacts`]).
-pub const ARTIFACT_VERSION: u16 = 2;
-/// Version of the chunked artifact container
-/// ([`write_artifacts_chunked`] / [`ChunkedArtifact`]).
+/// Version of the artifact container ([`write_artifacts_chunked`] /
+/// [`read_artifacts`] / [`ChunkedArtifact`]). The readers reject every
+/// other version, including the retired bare-trace (1) and whole-section
+/// (2) layouts, with [`ReadTraceError::UnsupportedVersion`].
 pub const ARTIFACT_VERSION_CHUNKED: u16 = 3;
 
 /// Environment variable naming the chunk byte budget of v3 artifacts.
@@ -162,7 +131,7 @@ pub fn chunk_bytes_from_env() -> usize {
 
 const TRAP_TAG: u8 = 255;
 
-/// Section kind tags of the v2 artifact container.
+/// Section kind tags of the artifact container.
 mod section {
     pub const TRACE: u8 = 1;
     pub const PACKED: u8 = 2;
@@ -170,11 +139,12 @@ mod section {
     pub const STREAM: u8 = 4;
 }
 
-/// Error produced when decoding a binary trace fails.
+/// Error produced when decoding an artifact or memo file fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ReadTraceError {
-    /// The buffer did not start with [`MAGIC`].
+    /// The buffer did not start with the format's magic ([`MAGIC`] or
+    /// [`MEMO_MAGIC`]).
     BadMagic {
         /// The four bytes actually found (zero-padded if short).
         found: [u8; 4],
@@ -184,21 +154,10 @@ pub enum ReadTraceError {
         /// The version found in the header.
         found: u16,
     },
-    /// The buffer ended before the declared number of events was read.
+    /// The input ended before a length it declared was satisfied.
     Truncated {
-        /// Index of the event being decoded when input ran out.
-        at_event: u64,
-    },
-    /// An event carried an unknown tag byte.
-    UnknownTag {
-        /// The offending tag.
-        tag: u8,
-        /// Index of the event with the bad tag.
-        at_event: u64,
-    },
-    /// Decoded events were not monotonically ordered by `instret`.
-    NonMonotonic {
-        /// Index of the out-of-order event.
+        /// Index of the event at which input ran out, where the reader
+        /// tracks events (0 otherwise).
         at_event: u64,
     },
     /// An artifact section's stored checksum did not match its payload.
@@ -233,18 +192,12 @@ impl fmt::Display for ReadTraceError {
             ReadTraceError::UnsupportedVersion { found } => {
                 write!(
                     f,
-                    "unsupported trace version {found} (bare trace is {VERSION}, \
-                     artifact container is {ARTIFACT_VERSION})"
+                    "unsupported container version {found} (artifacts are \
+                     {ARTIFACT_VERSION_CHUNKED}, memo files {MEMO_VERSION})"
                 )
             }
             ReadTraceError::Truncated { at_event } => {
                 write!(f, "trace truncated while decoding event {at_event}")
-            }
-            ReadTraceError::UnknownTag { tag, at_event } => {
-                write!(f, "unknown event tag {tag} at event {at_event}")
-            }
-            ReadTraceError::NonMonotonic { at_event } => {
-                write!(f, "event {at_event} has instret lower than its predecessor")
             }
             ReadTraceError::SectionChecksum { kind } => {
                 write!(f, "artifact section kind {kind} failed its checksum")
@@ -263,114 +216,6 @@ impl fmt::Display for ReadTraceError {
 }
 
 impl Error for ReadTraceError {}
-
-/// Serializes a trace into the binary format.
-///
-/// The inverse of [`read_trace`]; the two round-trip exactly.
-#[must_use]
-pub fn write_trace(trace: &Trace) -> Vec<u8> {
-    // Header + worst-case 26 bytes per event.
-    let mut buf = Vec::with_capacity(22 + trace.len() * 26);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&(trace.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&trace.total_instructions().to_le_bytes());
-    for event in trace.events() {
-        encode_event(&mut buf, event);
-    }
-    buf
-}
-
-/// Appends one event in the shared v1/v2 event encoding.
-fn encode_event(buf: &mut Vec<u8>, event: &TraceEvent) {
-    match *event {
-        TraceEvent::Branch(b) => {
-            buf.push(b.class.to_tag());
-            buf.extend_from_slice(&b.pc.to_le_bytes());
-            buf.push(u8::from(b.taken));
-            buf.extend_from_slice(&b.target.to_le_bytes());
-            buf.extend_from_slice(&b.instret.to_le_bytes());
-        }
-        TraceEvent::Trap(t) => {
-            buf.push(TRAP_TAG);
-            buf.extend_from_slice(&t.pc.to_le_bytes());
-            buf.extend_from_slice(&t.instret.to_le_bytes());
-        }
-    }
-}
-
-/// Deserializes a trace from the binary format produced by [`write_trace`].
-///
-/// # Errors
-///
-/// Returns a [`ReadTraceError`] if the magic or version do not match, the
-/// buffer is truncated, an event tag is unknown, or events are not ordered
-/// by instruction count.
-pub fn read_trace(bytes: &[u8]) -> Result<Trace, ReadTraceError> {
-    let mut cur = Cursor { bytes, pos: 0 };
-    if cur.remaining() < 4 || &bytes[..4] != MAGIC {
-        let mut found = [0u8; 4];
-        let n = cur.remaining().min(4);
-        found[..n].copy_from_slice(&bytes[..n]);
-        return Err(ReadTraceError::BadMagic { found });
-    }
-    cur.pos = 4;
-    if cur.remaining() < 2 {
-        return Err(ReadTraceError::Truncated { at_event: 0 });
-    }
-    let version = cur.get_u16_le();
-    if version != VERSION {
-        return Err(ReadTraceError::UnsupportedVersion { found: version });
-    }
-    if cur.remaining() < 16 {
-        return Err(ReadTraceError::Truncated { at_event: 0 });
-    }
-    let count = cur.get_u64_le();
-    let total = cur.get_u64_le();
-    decode_events(&mut cur, count, total)
-}
-
-/// Decodes `count` events in the shared v1/v2 encoding, enforcing
-/// monotonic `instret` ordering, and applies the declared total.
-fn decode_events(cur: &mut Cursor<'_>, count: u64, total: u64) -> Result<Trace, ReadTraceError> {
-    let capacity = usize::try_from(count).unwrap_or(usize::MAX).min(1 << 24);
-    let mut trace = Trace::with_capacity(capacity);
-    let mut last_instret = 0u64;
-    for i in 0..count {
-        if cur.remaining() < 1 {
-            return Err(ReadTraceError::Truncated { at_event: i });
-        }
-        let tag = cur.get_u8();
-        let event = if tag == TRAP_TAG {
-            if cur.remaining() < 16 {
-                return Err(ReadTraceError::Truncated { at_event: i });
-            }
-            let pc = cur.get_u64_le();
-            let instret = cur.get_u64_le();
-            TraceEvent::Trap(TrapRecord::new(pc, instret))
-        } else {
-            let class = BranchClass::from_tag(tag)
-                .ok_or(ReadTraceError::UnknownTag { tag, at_event: i })?;
-            if cur.remaining() < 25 {
-                return Err(ReadTraceError::Truncated { at_event: i });
-            }
-            let pc = cur.get_u64_le();
-            let taken = cur.get_u8() != 0;
-            let target = cur.get_u64_le();
-            let instret = cur.get_u64_le();
-            TraceEvent::Branch(BranchRecord { pc, class, taken, target, instret })
-        };
-        if event.instret() < last_instret {
-            return Err(ReadTraceError::NonMonotonic { at_event: i });
-        }
-        last_instret = event.instret();
-        trace.push(event);
-    }
-    if total >= last_instret {
-        trace.set_total_instructions(total);
-    }
-    Ok(trace)
-}
 
 /// A checksum over `bytes`: the in-tree FxHash word fold (rotate, xor,
 /// multiply by a golden-ratio constant) over 8-byte chunks, with the
@@ -395,7 +240,7 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     fold(hash, bytes.len() as u64)
 }
 
-/// The decoded contents of a v2 artifact container: whichever forms the
+/// The decoded contents of an artifact container: whichever forms the
 /// writer had materialized, plus the pattern streams keyed by the
 /// caller's opaque stream-key encoding (the trace crate does not know
 /// the simulator's first-level signatures — it stores the bytes
@@ -415,229 +260,6 @@ pub struct ArtifactBundle {
     /// Materialized first-level pattern streams, each tagged with its
     /// opaque key bytes, in serialization order.
     pub streams: Vec<(Vec<u8>, PatternStream)>,
-}
-
-/// Serializes an artifact container: every form the caller hands in, in
-/// a fixed section order (trace, packed, interned, streams), each
-/// length-prefixed and checksummed.
-///
-/// The inverse of [`read_artifacts`]; the two round-trip exactly.
-#[must_use]
-pub fn write_artifacts(
-    fingerprint: u64,
-    trace: Option<&Trace>,
-    packed: Option<&[PackedCond]>,
-    interned: Option<&InternedConds>,
-    streams: &[(Vec<u8>, &PatternStream)],
-) -> Vec<u8> {
-    let sections = usize::from(trace.is_some())
-        + usize::from(packed.is_some())
-        + usize::from(interned.is_some())
-        + streams.len();
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&fingerprint.to_le_bytes());
-    buf.extend_from_slice(&u32::try_from(sections).expect("section count fits u32").to_le_bytes());
-
-    if let Some(trace) = trace {
-        let mut payload = Vec::with_capacity(16 + trace.len() * 26);
-        payload.extend_from_slice(&(trace.len() as u64).to_le_bytes());
-        payload.extend_from_slice(&trace.total_instructions().to_le_bytes());
-        for event in trace.events() {
-            encode_event(&mut payload, event);
-        }
-        push_section(&mut buf, section::TRACE, &payload);
-    }
-    if let Some(packed) = packed {
-        let mut payload = Vec::with_capacity(8 + packed.len() * 8);
-        payload.extend_from_slice(&(packed.len() as u64).to_le_bytes());
-        for cond in packed {
-            payload.extend_from_slice(&cond.bits().to_le_bytes());
-        }
-        push_section(&mut buf, section::PACKED, &payload);
-    }
-    if let Some(interned) = interned {
-        let mut payload = Vec::with_capacity(16 + interned.len() * 4 + interned.pcs().len() * 8);
-        payload.extend_from_slice(&(interned.len() as u64).to_le_bytes());
-        payload.extend_from_slice(&(interned.pcs().len() as u64).to_le_bytes());
-        for event in interned.events() {
-            payload.extend_from_slice(&event.bits().to_le_bytes());
-        }
-        for pc in interned.pcs() {
-            payload.extend_from_slice(&pc.to_le_bytes());
-        }
-        push_section(&mut buf, section::INTERNED, &payload);
-    }
-    for (key, stream) in streams {
-        let lanes = stream.lanes();
-        let mut payload =
-            Vec::with_capacity(2 + key.len() + 13 + stream.len() * 4 + lanes.len() * 4);
-        payload.extend_from_slice(&u16::try_from(key.len()).expect("key fits u16").to_le_bytes());
-        payload.extend_from_slice(key);
-        payload.extend_from_slice(&stream.history_bits().to_le_bytes());
-        payload.push(u8::from(stream.is_laned()));
-        payload.extend_from_slice(&(stream.len() as u64).to_le_bytes());
-        for &event in stream.events() {
-            payload.extend_from_slice(&event.to_le_bytes());
-        }
-        for &lane in lanes {
-            payload.extend_from_slice(&lane.to_le_bytes());
-        }
-        push_section(&mut buf, section::STREAM, &payload);
-    }
-    buf
-}
-
-fn push_section(buf: &mut Vec<u8>, kind: u8, payload: &[u8]) {
-    buf.push(kind);
-    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf.extend_from_slice(&checksum(payload).to_le_bytes());
-}
-
-/// Deserializes an artifact container — the legacy whole-section v2
-/// format ([`write_artifacts`]) or the chunked v3 format
-/// ([`write_artifacts_chunked`]), dispatched on the header version.
-///
-/// # Errors
-///
-/// Returns a [`ReadTraceError`] if the magic or version do not match,
-/// the buffer is truncated at any byte boundary, bytes trail the last
-/// section, any section or chunk checksum mismatches, or any payload
-/// fails the structural validation of its form. An `Err` means the file
-/// proves nothing — callers fall back to regeneration.
-pub fn read_artifacts(bytes: &[u8]) -> Result<ArtifactBundle, ReadTraceError> {
-    let mut cur = Cursor { bytes, pos: 0 };
-    if cur.remaining() < 4 || &bytes[..4] != MAGIC {
-        let mut found = [0u8; 4];
-        let n = cur.remaining().min(4);
-        found[..n].copy_from_slice(&bytes[..n]);
-        return Err(ReadTraceError::BadMagic { found });
-    }
-    cur.pos = 4;
-    if cur.remaining() < 2 {
-        return Err(ReadTraceError::Truncated { at_event: 0 });
-    }
-    let version = cur.get_u16_le();
-    if version == ARTIFACT_VERSION_CHUNKED {
-        return read_artifacts_chunked(&mut cur);
-    }
-    if version != ARTIFACT_VERSION {
-        return Err(ReadTraceError::UnsupportedVersion { found: version });
-    }
-    if cur.remaining() < 12 {
-        return Err(ReadTraceError::Truncated { at_event: 0 });
-    }
-    let mut bundle = ArtifactBundle { fingerprint: cur.get_u64_le(), ..ArtifactBundle::default() };
-    let sections = cur.get_u32_le();
-    for _ in 0..sections {
-        if cur.remaining() < 9 {
-            return Err(ReadTraceError::Truncated { at_event: 0 });
-        }
-        let kind = cur.get_u8();
-        let len = cur.get_u64_le();
-        let Ok(len) = usize::try_from(len) else {
-            return Err(ReadTraceError::Truncated { at_event: 0 });
-        };
-        if cur.remaining() < len + 8 {
-            return Err(ReadTraceError::Truncated { at_event: 0 });
-        }
-        let payload = &bytes[cur.pos..cur.pos + len];
-        cur.pos += len;
-        let stored = cur.get_u64_le();
-        if checksum(payload) != stored {
-            return Err(ReadTraceError::SectionChecksum { kind });
-        }
-        decode_section(&mut bundle, kind, payload)?;
-    }
-    if cur.remaining() > 0 {
-        return Err(ReadTraceError::TrailingBytes { count: cur.remaining() });
-    }
-    Ok(bundle)
-}
-
-/// Decodes one checksum-verified section payload into the bundle.
-fn decode_section(
-    bundle: &mut ArtifactBundle,
-    kind: u8,
-    payload: &[u8],
-) -> Result<(), ReadTraceError> {
-    let bad = ReadTraceError::BadSection { kind };
-    let mut cur = Cursor { bytes: payload, pos: 0 };
-    match kind {
-        section::TRACE => {
-            if cur.remaining() < 16 {
-                return Err(bad);
-            }
-            let count = cur.get_u64_le();
-            let total = cur.get_u64_le();
-            let trace = decode_events(&mut cur, count, total)
-                .map_err(|_| ReadTraceError::BadSection { kind })?;
-            if cur.remaining() != 0 {
-                return Err(bad);
-            }
-            bundle.trace = Some(trace);
-        }
-        section::PACKED => {
-            if cur.remaining() < 8 {
-                return Err(bad);
-            }
-            let count = cur.get_u64_le();
-            if cur.remaining() as u64 != count.saturating_mul(8) {
-                return Err(bad);
-            }
-            let packed =
-                (0..count).map(|_| PackedCond::from_bits(cur.get_u64_le())).collect::<Vec<_>>();
-            bundle.packed = Some(packed);
-        }
-        section::INTERNED => {
-            if cur.remaining() < 16 {
-                return Err(bad);
-            }
-            let events = cur.get_u64_le();
-            let pcs = cur.get_u64_le();
-            if cur.remaining() as u64 != events.saturating_mul(4) + pcs.saturating_mul(8) {
-                return Err(bad);
-            }
-            let events: Vec<InternedCond> =
-                (0..events).map(|_| InternedCond::from_bits(cur.get_u32_le())).collect();
-            let pcs: Vec<u64> = (0..pcs).map(|_| cur.get_u64_le()).collect();
-            bundle.interned = Some(InternedConds::from_raw_parts(events, pcs).ok_or(bad)?);
-        }
-        section::STREAM => {
-            if cur.remaining() < 2 {
-                return Err(bad);
-            }
-            let key_len = usize::from(cur.get_u16_le());
-            if cur.remaining() < key_len {
-                return Err(bad);
-            }
-            let key = payload[cur.pos..cur.pos + key_len].to_vec();
-            cur.pos += key_len;
-            if cur.remaining() < 13 {
-                return Err(bad);
-            }
-            let history_bits = cur.get_u32_le();
-            let laned = match cur.get_u8() {
-                0 => false,
-                1 => true,
-                _ => return Err(bad),
-            };
-            let count = cur.get_u64_le();
-            let lanes_len = if laned { count } else { 0 };
-            if cur.remaining() as u64 != (count + lanes_len).saturating_mul(4) {
-                return Err(bad);
-            }
-            let events: Vec<u32> = (0..count).map(|_| cur.get_u32_le()).collect();
-            let lanes: Vec<u32> = (0..lanes_len).map(|_| cur.get_u32_le()).collect();
-            let stream =
-                PatternStream::from_raw_parts(history_bits, events, lanes, laned).ok_or(bad)?;
-            bundle.streams.push((key, stream));
-        }
-        _ => return Err(bad),
-    }
-    Ok(())
 }
 
 /// A minimal little-endian read cursor over a byte slice (replaces the
@@ -678,7 +300,7 @@ impl Cursor<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Version 3: the chunked artifact container.
+// The artifact container: chunk codecs, writer and readers.
 // ---------------------------------------------------------------------------
 
 /// Appends `v` as an LEB128 varint (7 payload bits per byte, high bit =
@@ -1009,12 +631,13 @@ mod meta {
     }
 }
 
-/// Serializes a v3 chunked artifact container: the same forms as
-/// [`write_artifacts`], with each section split into `chunk_bytes`-budget
-/// varint+delta chunks behind a seekable, checksummed chunk table.
+/// Serializes an artifact container: every form the caller hands in, in
+/// a fixed section order (trace, packed, interned, streams), each
+/// section split into `chunk_bytes`-budget varint+delta chunks behind a
+/// seekable, checksummed chunk table.
 ///
-/// The inverse of [`read_artifacts`] (which dispatches on the header
-/// version); [`ChunkedArtifact`] reads the same bytes seekably.
+/// The inverse of [`read_artifacts`]; the two round-trip exactly.
+/// [`ChunkedArtifact`] reads the same bytes seekably.
 #[must_use]
 pub fn write_artifacts_chunked(
     fingerprint: u64,
@@ -1082,64 +705,41 @@ pub fn write_artifacts_chunked(
     buf
 }
 
-/// Decodes the body of a v3 container (cursor positioned after magic +
-/// version) into a whole [`ArtifactBundle`], verifying every head and
-/// chunk checksum and every structural invariant.
-fn read_artifacts_chunked(cur: &mut Cursor<'_>) -> Result<ArtifactBundle, ReadTraceError> {
-    let truncated = ReadTraceError::Truncated { at_event: 0 };
-    if cur.remaining() < 12 {
-        return Err(truncated);
-    }
-    let mut bundle = ArtifactBundle { fingerprint: cur.get_u64_le(), ..ArtifactBundle::default() };
-    let sections = cur.get_u32_le();
-    for _ in 0..sections {
-        let head_start = cur.pos;
-        if cur.remaining() < 5 {
-            return Err(truncated);
-        }
-        let kind = cur.get_u8();
+/// Deserializes an artifact container written by
+/// [`write_artifacts_chunked`], verifying every head and chunk checksum
+/// and every structural invariant.
+///
+/// # Errors
+///
+/// Returns a [`ReadTraceError`] if the magic or version do not match,
+/// the buffer is truncated at any byte boundary, bytes trail the last
+/// section, any section or chunk checksum mismatches, or any payload
+/// fails the structural validation of its form. An `Err` means the file
+/// proves nothing — callers fall back to regeneration.
+pub fn read_artifacts(bytes: &[u8]) -> Result<ArtifactBundle, ReadTraceError> {
+    let (fingerprint, sections) = read_layout(&mut std::io::Cursor::new(bytes))?;
+    let mut bundle = ArtifactBundle { fingerprint, ..ArtifactBundle::default() };
+    for section in sections {
+        let kind = section.kind;
         let bad = ReadTraceError::BadSection { kind };
-        let meta_len = usize::try_from(cur.get_u32_le()).map_err(|_| truncated.clone())?;
-        if cur.remaining() < meta_len + 4 {
-            return Err(truncated);
-        }
-        let meta = cur.bytes[cur.pos..cur.pos + meta_len].to_vec();
-        cur.pos += meta_len;
-        let nchunks = usize::try_from(cur.get_u32_le()).map_err(|_| truncated.clone())?;
-        let table_bytes = nchunks.checked_mul(24).ok_or_else(|| truncated.clone())?;
-        if cur.remaining() < table_bytes + 8 {
-            return Err(truncated);
-        }
-        let table: Vec<(u64, u64, u64)> =
-            (0..nchunks).map(|_| (cur.get_u64_le(), cur.get_u64_le(), cur.get_u64_le())).collect();
-        let stored_head = cur.get_u64_le();
-        if checksum(&cur.bytes[head_start..cur.pos - 8]) != stored_head {
-            return Err(ReadTraceError::SectionChecksum { kind });
-        }
-        let encoded_total =
-            table.iter().fold(0u64, |sum, &(encoded, ..)| sum.saturating_add(encoded));
-        let mut decoder = SectionDecoder::new(kind, &meta, encoded_total).ok_or(bad.clone())?;
-        for &(encoded, items, stored) in &table {
-            let encoded = usize::try_from(encoded).map_err(|_| truncated.clone())?;
-            if cur.remaining() < encoded {
-                return Err(truncated);
-            }
-            let payload = &cur.bytes[cur.pos..cur.pos + encoded];
-            cur.pos += encoded;
-            if checksum(payload) != stored {
+        let encoded_total = section.chunks.iter().map(|c| c.encoded).sum();
+        let mut decoder =
+            SectionDecoder::new(kind, &section.meta, encoded_total).ok_or(bad.clone())?;
+        for chunk in &section.chunks {
+            // `read_layout` proved every payload lies inside `bytes`.
+            let start = chunk.offset as usize;
+            let payload = &bytes[start..start + chunk.encoded as usize];
+            if checksum(payload) != chunk.checksum {
                 return Err(ReadTraceError::SectionChecksum { kind });
             }
-            decoder.decode_chunk(payload, items).ok_or(bad.clone())?;
+            decoder.decode_chunk(payload, chunk.items).ok_or(bad.clone())?;
         }
         decoder.finish(&mut bundle).ok_or(bad)?;
-    }
-    if cur.remaining() > 0 {
-        return Err(ReadTraceError::TrailingBytes { count: cur.remaining() });
     }
     Ok(bundle)
 }
 
-/// Incremental decoder for one v3 section: chunks stream through
+/// Incremental decoder for one section: chunks stream through
 /// [`SectionDecoder::decode_chunk`] and [`SectionDecoder::finish`]
 /// applies the declared-count and structural validations.
 enum SectionDecoder {
@@ -1266,21 +866,14 @@ impl SectionDecoder {
     }
 }
 
-fn map_io(err: &std::io::Error) -> ReadTraceError {
+fn map_io(err: std::io::Error) -> ReadTraceError {
     match err.kind() {
         std::io::ErrorKind::UnexpectedEof => ReadTraceError::Truncated { at_event: 0 },
         kind => ReadTraceError::Io { kind },
     }
 }
 
-fn read_exact_buf(file: &mut std::fs::File, len: usize) -> Result<Vec<u8>, ReadTraceError> {
-    use std::io::Read;
-    let mut buf = vec![0u8; len];
-    file.read_exact(&mut buf).map_err(|e| map_io(&e))?;
-    Ok(buf)
-}
-
-/// Location of one chunk's payload inside a seekable v3 artifact.
+/// Location of one chunk's payload inside an artifact.
 #[derive(Debug, Clone, Copy)]
 struct ChunkEntry {
     offset: u64,
@@ -1289,13 +882,105 @@ struct ChunkEntry {
     checksum: u64,
 }
 
-/// One section's head (kind, metadata, chunk table) inside a seekable
-/// v3 artifact.
+/// One section's head (kind, metadata, chunk table) inside an artifact.
 #[derive(Debug, Clone)]
 struct SectionEntry {
     kind: u8,
     meta: Vec<u8>,
     chunks: Vec<ChunkEntry>,
+}
+
+/// Parses and verifies an artifact's header and every section head from
+/// `src` without reading any chunk payload: the fingerprint, plus each
+/// section's head with its chunk payload offsets resolved. This is the
+/// one head parser behind both [`read_artifacts`] and
+/// [`ChunkedArtifact::open`].
+///
+/// Every declared length — metadata, chunk table, chunk payloads — is
+/// checked against the bytes left in `src` before anything is read or
+/// allocated for it, so a lying head costs a typed error and at most
+/// the file's own size in memory.
+fn read_layout<R: Read + Seek>(src: &mut R) -> Result<(u64, Vec<SectionEntry>), ReadTraceError> {
+    let len = src.seek(SeekFrom::End(0)).map_err(map_io)?;
+    src.seek(SeekFrom::Start(0)).map_err(map_io)?;
+    let mut header = [0u8; 18];
+    let got = len.min(18) as usize;
+    src.read_exact(&mut header[..got]).map_err(map_io)?;
+    let found: [u8; 4] = header[..4].try_into().expect("4 bytes");
+    if &found != MAGIC {
+        return Err(ReadTraceError::BadMagic { found });
+    }
+    let truncated = ReadTraceError::Truncated { at_event: 0 };
+    if got < 6 {
+        return Err(truncated);
+    }
+    let version = u16::from_le_bytes([header[4], header[5]]);
+    if version != ARTIFACT_VERSION_CHUNKED {
+        return Err(ReadTraceError::UnsupportedVersion { found: version });
+    }
+    if got < 18 {
+        return Err(truncated);
+    }
+    let fingerprint = u64::from_le_bytes(header[6..14].try_into().expect("8 bytes"));
+    let nsections = u32::from_le_bytes(header[14..18].try_into().expect("4 bytes"));
+    let mut left = len - 18;
+    let mut sections = Vec::new();
+    for _ in 0..nsections {
+        sections.push(read_section_head(src, len, &mut left)?);
+    }
+    if left > 0 {
+        return Err(ReadTraceError::TrailingBytes {
+            count: usize::try_from(left).unwrap_or(usize::MAX),
+        });
+    }
+    Ok((fingerprint, sections))
+}
+
+/// Reads the section head at the current position of `src` (a source of
+/// `len` bytes with `left` of them unread), verifies its head checksum,
+/// and leaves `src` past the section's chunk payloads.
+fn read_section_head<R: Read + Seek>(
+    src: &mut R,
+    len: u64,
+    left: &mut u64,
+) -> Result<SectionEntry, ReadTraceError> {
+    let truncated = ReadTraceError::Truncated { at_event: 0 };
+    let mut head = Vec::new();
+    // Appends the next `n` bytes of `src` to `head`, refusing a length
+    // past the end of `src` before allocating for it.
+    let mut take = |head: &mut Vec<u8>, n: u64| -> Result<(), ReadTraceError> {
+        let n = usize::try_from(n).ok().filter(|_| n <= *left).ok_or(truncated.clone())?;
+        let start = head.len();
+        head.resize(start + n, 0);
+        src.read_exact(&mut head[start..]).map_err(map_io)?;
+        *left -= n as u64;
+        Ok(())
+    };
+    take(&mut head, 5)?;
+    let kind = head[0];
+    let meta_len = u32::from_le_bytes(head[1..5].try_into().expect("4 bytes")) as usize;
+    take(&mut head, meta_len as u64 + 4)?;
+    let table_start = head.len();
+    let nchunks = u32::from_le_bytes(head[table_start - 4..].try_into().expect("4 bytes"));
+    take(&mut head, u64::from(nchunks) * 24 + 8)?;
+    let (body, stored) = head.split_at(head.len() - 8);
+    if checksum(body) != u64::from_le_bytes(stored.try_into().expect("8 bytes")) {
+        return Err(ReadTraceError::SectionChecksum { kind });
+    }
+    let mut offset = len - *left;
+    let mut chunks = Vec::with_capacity(nchunks as usize);
+    for entry in body[table_start..].chunks_exact(24) {
+        let word = |at: usize| u64::from_le_bytes(entry[at..at + 8].try_into().expect("8 bytes"));
+        let encoded = word(0);
+        if encoded > *left {
+            return Err(truncated);
+        }
+        *left -= encoded;
+        chunks.push(ChunkEntry { offset, encoded, items: word(8), checksum: word(16) });
+        offset += encoded;
+    }
+    src.seek(SeekFrom::Start(offset)).map_err(map_io)?;
+    Ok(SectionEntry { kind, meta: body[5..5 + meta_len].to_vec(), chunks })
 }
 
 /// Identity and shape of one pattern-stream section inside a
@@ -1317,7 +1002,7 @@ pub struct StreamSectionInfo {
     pub chunk_items: Vec<u64>,
 }
 
-/// A v3 artifact opened for seekable, chunk-at-a-time reads.
+/// An artifact opened for seekable, chunk-at-a-time reads.
 ///
 /// [`ChunkedArtifact::open`] reads and verifies only the header and the
 /// per-section heads (metadata + chunk tables); chunk payloads stay on
@@ -1335,61 +1020,8 @@ impl ChunkedArtifact {
     /// Opens `path` and parses + verifies its header and section heads
     /// without reading any chunk payloads.
     pub fn open(path: &std::path::Path) -> Result<ChunkedArtifact, ReadTraceError> {
-        use std::io::{Seek, SeekFrom};
-        let mut file = std::fs::File::open(path).map_err(|e| map_io(&e))?;
-        let header = read_exact_buf(&mut file, 18)?;
-        let found: [u8; 4] = header[..4].try_into().expect("4 bytes");
-        if &found != MAGIC {
-            return Err(ReadTraceError::BadMagic { found });
-        }
-        let mut cur = Cursor { bytes: &header, pos: 4 };
-        let version = cur.get_u16_le();
-        if version != ARTIFACT_VERSION_CHUNKED {
-            return Err(ReadTraceError::UnsupportedVersion { found: version });
-        }
-        let fingerprint = cur.get_u64_le();
-        let nsections = cur.get_u32_le() as usize;
-        let truncated = ReadTraceError::Truncated { at_event: 0 };
-        let mut sections = Vec::new();
-        for _ in 0..nsections {
-            let fixed = read_exact_buf(&mut file, 5)?;
-            let kind = fixed[0];
-            let meta_len = u32::from_le_bytes(fixed[1..5].try_into().expect("4 bytes")) as usize;
-            let meta = read_exact_buf(&mut file, meta_len)?;
-            let count_bytes = read_exact_buf(&mut file, 4)?;
-            let nchunks = u32::from_le_bytes(count_bytes[..].try_into().expect("4 bytes")) as usize;
-            let table_len = nchunks.checked_mul(24).ok_or_else(|| truncated.clone())?;
-            let table = read_exact_buf(&mut file, table_len)?;
-            let stored =
-                u64::from_le_bytes(read_exact_buf(&mut file, 8)?[..].try_into().expect("8 bytes"));
-            let mut head = Vec::with_capacity(9 + meta.len() + table.len());
-            head.extend_from_slice(&fixed);
-            head.extend_from_slice(&meta);
-            head.extend_from_slice(&count_bytes);
-            head.extend_from_slice(&table);
-            if checksum(&head) != stored {
-                return Err(ReadTraceError::SectionChecksum { kind });
-            }
-            let mut offset = file.stream_position().map_err(|e| map_io(&e))?;
-            let mut tcur = Cursor { bytes: &table, pos: 0 };
-            let mut chunks = Vec::with_capacity(nchunks);
-            for _ in 0..nchunks {
-                let (encoded, items, sum) =
-                    (tcur.get_u64_le(), tcur.get_u64_le(), tcur.get_u64_le());
-                chunks.push(ChunkEntry { offset, encoded, items, checksum: sum });
-                offset = offset.checked_add(encoded).ok_or_else(|| truncated.clone())?;
-            }
-            file.seek(SeekFrom::Start(offset)).map_err(|e| map_io(&e))?;
-            sections.push(SectionEntry { kind, meta, chunks });
-        }
-        let end = file.stream_position().map_err(|e| map_io(&e))?;
-        let len = file.metadata().map_err(|e| map_io(&e))?.len();
-        if end < len {
-            return Err(ReadTraceError::TrailingBytes { count: (len - end) as usize });
-        }
-        if end > len {
-            return Err(truncated);
-        }
+        let mut file = std::fs::File::open(path).map_err(map_io)?;
+        let (fingerprint, sections) = read_layout(&mut file)?;
         Ok(ChunkedArtifact { file, fingerprint, sections })
     }
 
@@ -1435,7 +1067,6 @@ impl ChunkedArtifact {
         section: usize,
         chunk: usize,
     ) -> Result<(Vec<u32>, Vec<u32>), ReadTraceError> {
-        use std::io::{Read, Seek, SeekFrom};
         let bad = ReadTraceError::BadSection { kind: section::STREAM };
         let entry = self.sections.get(section).ok_or(bad.clone())?;
         if entry.kind != section::STREAM {
@@ -1443,10 +1074,10 @@ impl ChunkedArtifact {
         }
         let (_, _, laned, _) = meta::parse_stream(&entry.meta).ok_or(bad.clone())?;
         let c = *entry.chunks.get(chunk).ok_or(bad.clone())?;
-        self.file.seek(SeekFrom::Start(c.offset)).map_err(|e| map_io(&e))?;
+        self.file.seek(SeekFrom::Start(c.offset)).map_err(map_io)?;
         let encoded = usize::try_from(c.encoded).map_err(|_| bad.clone())?;
         let mut payload = vec![0u8; encoded];
-        self.file.read_exact(&mut payload).map_err(|e| map_io(&e))?;
+        self.file.read_exact(&mut payload).map_err(map_io)?;
         if checksum(&payload) != c.checksum {
             return Err(ReadTraceError::SectionChecksum { kind: section::STREAM });
         }
@@ -1529,6 +1160,14 @@ pub fn write_memo(artifact: &MemoArtifact) -> Vec<u8> {
     buf
 }
 
+/// Appends one memo section: kind, payload length, payload, checksum.
+fn push_section(buf: &mut Vec<u8>, kind: u8, payload: &[u8]) {
+    buf.push(kind);
+    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    buf.extend_from_slice(payload);
+    buf.extend_from_slice(&checksum(payload).to_le_bytes());
+}
+
 /// Deserializes a memo artifact produced by [`write_memo`].
 ///
 /// # Errors
@@ -1572,7 +1211,8 @@ pub fn read_memo(bytes: &[u8]) -> Result<MemoArtifact, ReadTraceError> {
         let Ok(len) = usize::try_from(len) else {
             return Err(ReadTraceError::Truncated { at_event: 0 });
         };
-        if cur.remaining() < len + 8 {
+        // Checked: a declared length near `u64::MAX` must not wrap.
+        if len.checked_add(8).is_none_or(|need| cur.remaining() < need) {
             return Err(ReadTraceError::Truncated { at_event: 0 });
         }
         let payload = &bytes[cur.pos..cur.pos + len];
@@ -1684,63 +1324,6 @@ pub fn write_file_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Resul
 mod tests {
     use super::*;
 
-    fn sample_trace() -> Trace {
-        let mut t = Trace::new();
-        t.push(BranchRecord::conditional(0x1000, true, 0x0f00, 10));
-        t.push(BranchRecord::unconditional(0x0f10, BranchClass::Call, 0x4000, 14));
-        t.push(TrapRecord::new(0x4004, 20));
-        t.push(BranchRecord::unconditional(0x4010, BranchClass::Return, 0x0f14, 25));
-        t.push(BranchRecord::conditional(0x1000, false, 0x0f00, 31));
-        t.set_total_instructions(40);
-        t
-    }
-
-    #[test]
-    fn round_trip_preserves_everything() {
-        let t = sample_trace();
-        let bytes = write_trace(&t);
-        let back = read_trace(&bytes).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn empty_trace_round_trips() {
-        let t = Trace::new();
-        let back = read_trace(&write_trace(&t)).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let err = read_trace(b"NOPE....").unwrap_err();
-        assert!(matches!(err, ReadTraceError::BadMagic { .. }));
-    }
-
-    #[test]
-    fn rejects_bad_version() {
-        let mut bytes = write_trace(&sample_trace());
-        bytes[4] = 99;
-        let err = read_trace(&bytes).unwrap_err();
-        assert_eq!(err, ReadTraceError::UnsupportedVersion { found: 99 });
-    }
-
-    #[test]
-    fn rejects_truncation_mid_event() {
-        let bytes = write_trace(&sample_trace());
-        let cut = &bytes[..bytes.len() - 5];
-        let err = read_trace(cut).unwrap_err();
-        assert!(matches!(err, ReadTraceError::Truncated { .. }));
-    }
-
-    #[test]
-    fn rejects_unknown_tag() {
-        let mut bytes = write_trace(&sample_trace());
-        // First event tag lives right after the 22-byte header.
-        bytes[22] = 42;
-        let err = read_trace(&bytes).unwrap_err();
-        assert_eq!(err, ReadTraceError::UnknownTag { tag: 42, at_event: 0 });
-    }
-
     #[test]
     fn error_messages_are_informative() {
         let msg = ReadTraceError::Truncated { at_event: 7 }.to_string();
@@ -1761,138 +1344,7 @@ mod tests {
         (trace, packed, interned, vec![(vec![0, 9, 0, 0, 0], unlaned), (b"laned".to_vec(), laned)])
     }
 
-    fn write_sample(fingerprint: u64) -> Vec<u8> {
-        let (trace, packed, interned, streams) = sample_bundle();
-        let refs: Vec<(Vec<u8>, &PatternStream)> =
-            streams.iter().map(|(k, s)| (k.clone(), s)).collect();
-        write_artifacts(fingerprint, Some(&trace), Some(&packed), Some(&interned), &refs)
-    }
-
-    #[test]
-    fn artifacts_round_trip_every_section() {
-        let (trace, packed, interned, streams) = sample_bundle();
-        let refs: Vec<(Vec<u8>, &PatternStream)> =
-            streams.iter().map(|(k, s)| (k.clone(), s)).collect();
-        let bytes = write_artifacts(0xfeed, Some(&trace), Some(&packed), Some(&interned), &refs);
-        let bundle = read_artifacts(&bytes).unwrap();
-        assert_eq!(bundle.fingerprint, 0xfeed);
-        assert_eq!(bundle.trace.as_ref(), Some(&trace));
-        assert_eq!(bundle.packed.as_deref(), Some(packed.as_slice()));
-        assert_eq!(bundle.interned.as_ref(), Some(&interned));
-        assert_eq!(bundle.streams, streams);
-    }
-
-    #[test]
-    fn artifacts_round_trip_each_section_alone() {
-        let (trace, packed, interned, streams) = sample_bundle();
-        let bundle = read_artifacts(&write_artifacts(1, Some(&trace), None, None, &[])).unwrap();
-        assert_eq!(bundle.trace, Some(trace));
-        assert_eq!(bundle.packed, None);
-        let bundle = read_artifacts(&write_artifacts(2, None, Some(&packed), None, &[])).unwrap();
-        assert_eq!(bundle.packed.as_deref(), Some(packed.as_slice()));
-        let bundle = read_artifacts(&write_artifacts(3, None, None, Some(&interned), &[])).unwrap();
-        assert_eq!(bundle.interned, Some(interned));
-        let refs: Vec<(Vec<u8>, &PatternStream)> =
-            streams.iter().map(|(k, s)| (k.clone(), s)).collect();
-        let bundle = read_artifacts(&write_artifacts(4, None, None, None, &refs)).unwrap();
-        assert_eq!(bundle.streams, streams);
-        let empty = read_artifacts(&write_artifacts(5, None, None, None, &[])).unwrap();
-        assert_eq!(empty, ArtifactBundle { fingerprint: 5, ..ArtifactBundle::default() });
-    }
-
-    #[test]
-    fn artifacts_reject_truncation_at_every_byte_boundary() {
-        let bytes = write_sample(0xabcd);
-        for cut in 0..bytes.len() {
-            assert!(
-                read_artifacts(&bytes[..cut]).is_err(),
-                "prefix of {cut}/{} bytes must not decode",
-                bytes.len()
-            );
-        }
-        assert!(read_artifacts(&bytes).is_ok());
-    }
-
-    #[test]
-    fn artifacts_detect_any_single_bit_flip_in_payloads() {
-        let bytes = write_sample(0x1234);
-        // Flip one bit in every byte past the fixed header; the magic,
-        // version, fingerprint and section-count bytes are covered by the
-        // dedicated header tests (a fingerprint flip legitimately decodes —
-        // staleness is the store's comparison, not the container's).
-        for pos in 18..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[pos] ^= 1 << (pos % 8);
-            assert!(
-                read_artifacts(&corrupt).is_err(),
-                "bit flip at byte {pos} must not decode cleanly"
-            );
-        }
-    }
-
-    #[test]
-    fn artifacts_reject_checksum_flip_with_checksum_error() {
-        let bytes = write_sample(7);
-        // The first section's checksum occupies the 8 bytes before the
-        // second section's kind tag; flipping the final byte of the file
-        // hits the *last* section's checksum, which is easiest to address.
-        let mut corrupt = bytes.clone();
-        let last = corrupt.len() - 1;
-        corrupt[last] ^= 0x80;
-        assert!(matches!(
-            read_artifacts(&corrupt).unwrap_err(),
-            ReadTraceError::SectionChecksum { kind: section::STREAM }
-        ));
-    }
-
-    #[test]
-    fn artifacts_reject_trailing_bytes() {
-        let mut bytes = write_sample(7);
-        bytes.push(0);
-        assert!(matches!(
-            read_artifacts(&bytes).unwrap_err(),
-            ReadTraceError::TrailingBytes { count: 1 }
-        ));
-    }
-
-    #[test]
-    fn artifacts_reject_v1_files_with_versioned_error() {
-        let bytes = write_trace(&sample_trace());
-        assert_eq!(
-            read_artifacts(&bytes).unwrap_err(),
-            ReadTraceError::UnsupportedVersion { found: VERSION }
-        );
-        // And the bare-trace reader symmetrically rejects v2 containers.
-        let v2 = write_sample(1);
-        assert_eq!(
-            read_trace(&v2).unwrap_err(),
-            ReadTraceError::UnsupportedVersion { found: ARTIFACT_VERSION }
-        );
-    }
-
-    #[test]
-    fn artifacts_reject_bad_section_structure() {
-        let (_, _, interned, _) = sample_bundle();
-        let bytes = write_artifacts(9, None, None, Some(&interned), &[]);
-        // Rewrite the first interned event's id to point past the pc
-        // table, then re-stamp the section checksum so only structural
-        // validation can catch it. Payload starts at header(18) + kind(1)
-        // + len(8); events follow two u64 counts.
-        let payload_start = 18 + 1 + 8;
-        let mut corrupt = bytes.clone();
-        let huge = (u32::MAX).to_le_bytes();
-        corrupt[payload_start + 16..payload_start + 20].copy_from_slice(&huge);
-        let payload_len = bytes.len() - payload_start - 8;
-        let sum = checksum(&corrupt[payload_start..payload_start + payload_len]);
-        let checksum_at = payload_start + payload_len;
-        corrupt[checksum_at..checksum_at + 8].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            read_artifacts(&corrupt).unwrap_err(),
-            ReadTraceError::BadSection { kind: section::INTERNED }
-        );
-    }
-
-    fn write_sample_chunked(fingerprint: u64, chunk_bytes: usize) -> Vec<u8> {
+    fn write_sample(fingerprint: u64, chunk_bytes: usize) -> Vec<u8> {
         let (trace, packed, interned, streams) = sample_bundle();
         let refs: Vec<(Vec<u8>, &PatternStream)> =
             streams.iter().map(|(k, s)| (k.clone(), s)).collect();
@@ -1906,11 +1358,24 @@ mod tests {
         )
     }
 
+    /// A scratch directory unique to one test (tests run concurrently).
+    fn scratch_dir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("tlabp-io-{test}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Writes `bytes` to `path` and opens it as a [`ChunkedArtifact`].
+    fn open_bytes(path: &std::path::Path, bytes: &[u8]) -> Result<ChunkedArtifact, ReadTraceError> {
+        std::fs::write(path, bytes).unwrap();
+        ChunkedArtifact::open(path)
+    }
+
     #[test]
     fn chunked_artifacts_round_trip_every_section() {
         let (trace, packed, interned, streams) = sample_bundle();
         for chunk_bytes in [DEFAULT_CHUNK_BYTES, 64, 1] {
-            let bytes = write_sample_chunked(0xfeed, chunk_bytes);
+            let bytes = write_sample(0xfeed, chunk_bytes);
             let bundle = read_artifacts(&bytes).unwrap();
             assert_eq!(bundle.fingerprint, 0xfeed);
             assert_eq!(bundle.trace.as_ref(), Some(&trace));
@@ -1972,22 +1437,10 @@ mod tests {
     }
 
     #[test]
-    fn chunked_artifacts_smaller_than_v2() {
-        let v2 = write_sample(1);
-        let v3 = write_sample_chunked(1, DEFAULT_CHUNK_BYTES);
-        assert!(
-            v3.len() < v2.len(),
-            "varint+delta v3 ({} bytes) should undercut v2 ({} bytes)",
-            v3.len(),
-            v2.len()
-        );
-    }
-
-    #[test]
     fn chunked_artifacts_reject_truncation_at_every_byte_boundary() {
         // A 64-byte budget forces multi-chunk sections, so the cut loop
         // exercises chunk boundaries and mid-chunk cuts alike.
-        let bytes = write_sample_chunked(0xabcd, 64);
+        let bytes = write_sample(0xabcd, 64);
         for cut in 0..bytes.len() {
             assert!(
                 read_artifacts(&bytes[..cut]).is_err(),
@@ -2000,9 +1453,11 @@ mod tests {
 
     #[test]
     fn chunked_artifacts_detect_any_single_bit_flip_in_payloads() {
-        let bytes = write_sample_chunked(0x1234, 64);
-        // As in the v2 test: bytes below 18 are the fixed header, whose
-        // flips are covered by the dedicated header tests.
+        let bytes = write_sample(0x1234, 64);
+        // Bytes below 18 are the fixed header, whose flips are covered by
+        // the version and open-sweep tests (a fingerprint flip legitimately
+        // decodes — staleness is the store's comparison, not the
+        // container's).
         for pos in 18..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 1 << (pos % 8);
@@ -2015,7 +1470,7 @@ mod tests {
 
     #[test]
     fn chunked_artifacts_reject_trailing_bytes() {
-        let mut bytes = write_sample_chunked(7, 64);
+        let mut bytes = write_sample(7, 64);
         bytes.push(0);
         assert!(matches!(
             read_artifacts(&bytes).unwrap_err(),
@@ -2024,10 +1479,64 @@ mod tests {
     }
 
     #[test]
-    fn v2_and_v3_decode_to_the_same_bundle() {
-        let v2 = read_artifacts(&write_sample(6)).unwrap();
-        let v3 = read_artifacts(&write_sample_chunked(6, 64)).unwrap();
-        assert_eq!(v2, v3);
+    fn artifacts_reject_checksum_flip_with_checksum_error() {
+        // The file ends with the last chunk payload of the last section
+        // (the laned stream); flipping its final byte fails that chunk's
+        // checksum and nothing else.
+        let mut corrupt = write_sample(7, 64);
+        let last = corrupt.len() - 1;
+        corrupt[last] ^= 0x80;
+        assert_eq!(
+            read_artifacts(&corrupt).unwrap_err(),
+            ReadTraceError::SectionChecksum { kind: section::STREAM }
+        );
+    }
+
+    #[test]
+    fn artifacts_reject_retired_versions_in_both_readers() {
+        let dir = scratch_dir("versions");
+        let path = dir.join("artifact.tlabp");
+        let bytes = write_sample(3, 64);
+        // Version 1 was the bare-trace format and version 2 the
+        // whole-section container: a file of either is a versioned miss.
+        for version in [1u16, 2] {
+            let mut old = bytes.clone();
+            old[4..6].copy_from_slice(&version.to_le_bytes());
+            let expected = ReadTraceError::UnsupportedVersion { found: version };
+            assert_eq!(read_artifacts(&old).unwrap_err(), expected);
+            assert_eq!(open_bytes(&path, &old).unwrap_err(), expected);
+        }
+        let mut memo = bytes.clone();
+        memo[..4].copy_from_slice(MEMO_MAGIC);
+        let expected = ReadTraceError::BadMagic { found: *MEMO_MAGIC };
+        assert_eq!(read_artifacts(&memo).unwrap_err(), expected);
+        assert_eq!(open_bytes(&path, &memo).unwrap_err(), expected);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn artifacts_reject_bad_section_structure() {
+        let (_, _, interned, _) = sample_bundle();
+        let bytes =
+            write_artifacts_chunked(9, None, None, Some(&interned), &[], DEFAULT_CHUNK_BYTES);
+        // Rebuild the one-chunk interned section around `events`;
+        // `push_chunked_section` stamps fresh chunk and head checksums, so
+        // a bad id can only be caught by structural validation.
+        let with_events = |events: &[InternedCond]| {
+            let mut buf = bytes[..18].to_vec();
+            let meta = meta::interned(events.len() as u64, interned.pcs());
+            let chunk = (events.len() as u64, encode_interned_chunk(events));
+            push_chunked_section(&mut buf, section::INTERNED, &meta, &[chunk]);
+            buf
+        };
+        assert_eq!(with_events(interned.events()), bytes, "the rebuild matches the writer");
+        // Point the first event's id past the pc table.
+        let mut events = interned.events().to_vec();
+        events[0] = InternedCond::from_bits(u32::MAX);
+        assert_eq!(
+            read_artifacts(&with_events(&events)).unwrap_err(),
+            ReadTraceError::BadSection { kind: section::INTERNED }
+        );
     }
 
     #[test]
@@ -2107,26 +1616,108 @@ mod tests {
     }
 
     #[test]
-    fn chunked_artifact_open_rejects_v2_and_bad_heads() {
-        let dir = std::env::temp_dir().join(format!("tlabp-io-chunkhdr-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let v2_path = dir.join("v2.tlabp");
-        std::fs::write(&v2_path, write_sample(3)).unwrap();
-        assert_eq!(
-            ChunkedArtifact::open(&v2_path).unwrap_err(),
-            ReadTraceError::UnsupportedVersion { found: ARTIFACT_VERSION }
-        );
+    fn chunked_artifact_open_rejects_truncation_at_every_byte_boundary() {
+        let dir = scratch_dir("open-cut");
+        let path = dir.join("cut.tlabp");
+        let bytes = write_sample(0xabcd, 64);
+        for cut in 0..bytes.len() {
+            assert!(
+                open_bytes(&path, &bytes[..cut]).is_err(),
+                "prefix of {cut}/{} bytes must not open",
+                bytes.len()
+            );
+        }
+        assert!(open_bytes(&path, &bytes).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-        // Flip a chunk-table byte: open() must fail the head checksum.
-        let bytes = write_sample_chunked(3, 64);
-        let mut corrupt = bytes.clone();
-        corrupt[30] ^= 0x10;
-        let bad_path = dir.join("bad.tlabp");
-        std::fs::write(&bad_path, &corrupt).unwrap();
-        assert!(matches!(
-            ChunkedArtifact::open(&bad_path).unwrap_err(),
-            ReadTraceError::SectionChecksum { .. }
-        ));
+    #[test]
+    fn chunked_artifact_open_rejects_every_head_flip() {
+        // Multi-chunk sections (a 64-byte budget), so the sweep crosses
+        // every field of many chunk tables.
+        let dir = scratch_dir("open-flip");
+        let path = dir.join("flip.tlabp");
+        let bytes = write_sample(0x1234, 64);
+        let good = open_bytes(&path, &bytes).unwrap();
+        // The (section, chunk) whose payload holds each byte; header and
+        // head bytes belong to none.
+        let mut owner = vec![None; bytes.len()];
+        for (s, entry) in good.sections.iter().enumerate() {
+            for (c, chunk) in entry.chunks.iter().enumerate() {
+                let start = chunk.offset as usize;
+                owner[start..start + chunk.encoded as usize].fill(Some((s, c)));
+            }
+        }
+        for pos in 0..bytes.len() {
+            let mut corrupt = bytes.clone();
+            corrupt[pos] ^= 1 << (pos % 8);
+            let opened = open_bytes(&path, &corrupt);
+            match owner[pos] {
+                // The fingerprint word is the caller's to compare.
+                None if (6..14).contains(&pos) => {
+                    assert_ne!(opened.unwrap().fingerprint(), 0x1234);
+                }
+                None => assert!(opened.is_err(), "head flip at byte {pos} must not open"),
+                // Payloads stay on disk until read: a flip opens, and a
+                // stream chunk's flip surfaces when that chunk is read.
+                Some((s, c)) => {
+                    let mut artifact = opened.unwrap();
+                    if good.sections[s].kind == section::STREAM {
+                        assert_eq!(
+                            artifact.read_stream_chunk(s, c).unwrap_err(),
+                            ReadTraceError::SectionChecksum { kind: section::STREAM },
+                            "payload flip at byte {pos}"
+                        );
+                    }
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn inflated_head_lengths_are_typed_errors_in_both_readers() {
+        let dir = scratch_dir("inflate");
+        let path = dir.join("inflated.tlabp");
+        let bytes = write_sample(5, 64);
+        // The first section's head follows the 18-byte header: kind (1),
+        // meta_len (4), meta, chunk count (4), chunk table, head checksum.
+        let meta_len = u32::from_le_bytes(bytes[19..23].try_into().unwrap()) as usize;
+        let count_at = 23 + meta_len;
+        let nchunks = u32::from_le_bytes(bytes[count_at..count_at + 4].try_into().unwrap());
+        let table_at = count_at + 4;
+        let head_end = table_at + nchunks as usize * 24;
+
+        let mut meta = bytes.clone();
+        meta[19..23].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut count = bytes.clone();
+        count[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        // The first chunk's encoded length, with the head checksum
+        // re-stamped so only the length check can catch it.
+        let mut encoded = bytes.clone();
+        encoded[table_at..table_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let sum = checksum(&encoded[18..head_end]);
+        encoded[head_end..head_end + 8].copy_from_slice(&sum.to_le_bytes());
+        // The smallest such file: a header declaring one section, then a
+        // stream head with no metadata and `u32::MAX` chunks — 27 bytes
+        // that declare a 103 GB chunk table.
+        let mut tiny = bytes[..14].to_vec();
+        tiny.extend_from_slice(&1u32.to_le_bytes());
+        tiny.push(section::STREAM);
+        tiny.extend_from_slice(&0u32.to_le_bytes());
+        tiny.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(tiny.len(), 27);
+
+        let truncated = ReadTraceError::Truncated { at_event: 0 };
+        for (field, corrupt) in [
+            ("meta length", meta),
+            ("chunk count", count),
+            ("chunk length", encoded),
+            ("27-byte", tiny),
+        ] {
+            assert_eq!(read_artifacts(&corrupt).unwrap_err(), truncated, "{field}");
+            assert_eq!(open_bytes(&path, &corrupt).unwrap_err(), truncated, "{field}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2228,10 +1819,21 @@ mod tests {
         let mut bytes = write_memo(&sample_memo());
         bytes.push(0);
         assert_eq!(read_memo(&bytes).unwrap_err(), ReadTraceError::TrailingBytes { count: 1 });
-        assert!(matches!(
-            read_memo(&write_trace(&sample_trace())).unwrap_err(),
-            ReadTraceError::BadMagic { .. }
-        ));
+        assert_eq!(
+            read_memo(&write_sample(1, 64)).unwrap_err(),
+            ReadTraceError::BadMagic { found: *MAGIC }
+        );
+    }
+
+    #[test]
+    fn memo_rejects_a_section_length_near_u64_max() {
+        // 43 bytes: the header, then a plan section whose declared length
+        // (`u64::MAX - 3`) would wrap an unchecked `len + 8` bound.
+        let empty = MemoArtifact { plan: String::new(), frames: Vec::new(), ..sample_memo() };
+        let mut bytes = write_memo(&empty);
+        assert_eq!(bytes.len(), 43);
+        bytes[27..35].copy_from_slice(&(u64::MAX - 3).to_le_bytes());
+        assert_eq!(read_memo(&bytes).unwrap_err(), ReadTraceError::Truncated { at_event: 0 });
     }
 
     #[test]

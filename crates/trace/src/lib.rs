@@ -18,7 +18,9 @@
 //! * [`PatternStream`] — a materialized first-level (pattern, outcome)
 //!   stream: the simulator derives it once per first-level signature and
 //!   replays second-level (PHT automaton) variants over it.
-//! * [`io`] — a compact binary on-disk format with a versioned header.
+//! * [`io`] — the checksummed, chunked artifact container behind the
+//!   simulator's disk cache, and the memo artifact behind the daemon's.
+//! * [`import`] — the `TLBE` trace exchange format for external captures.
 //! * [`synth`] — seeded synthetic trace generators (loops, biased coins,
 //!   repeating patterns, correlated branches, Markov chains) used by unit
 //!   tests, property tests, benches and the examples.

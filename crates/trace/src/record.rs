@@ -45,7 +45,8 @@ impl BranchClass {
         matches!(self, BranchClass::Conditional)
     }
 
-    /// A compact single-byte encoding used by the binary trace format.
+    /// A compact single-byte encoding, shared by the artifact container's
+    /// trace chunks and `TLBE` jump packets.
     #[must_use]
     pub(crate) fn to_tag(self) -> u8 {
         match self {

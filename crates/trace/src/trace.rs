@@ -271,8 +271,8 @@ impl PackedCond {
     }
 
     /// The raw 64-bit encoding (`pc << 2 | backward << 1 | taken`) — the
-    /// on-disk representation of the v2 artifact container's packed
-    /// section ([`crate::io`]).
+    /// value the artifact container's packed section delta-encodes
+    /// ([`crate::io`]).
     #[must_use]
     pub fn bits(self) -> u64 {
         self.0

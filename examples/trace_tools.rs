@@ -1,6 +1,6 @@
-//! Trace tooling: generate a workload trace, save it in the binary trace
-//! format, reload it, and inspect its statistics — the workflow for
-//! sharing traces between machines or caching expensive generation.
+//! Trace tooling: generate a workload trace, export it in the TLBE trace
+//! exchange format, import it back, and inspect its statistics — the
+//! workflow for sharing traces between machines or tools.
 //!
 //! ```text
 //! cargo run --release --example trace_tools
@@ -8,7 +8,7 @@
 
 use std::fs;
 
-use tlabp::trace::io::{read_trace, write_trace};
+use tlabp::trace::import::{read_etrace, write_etrace};
 use tlabp::trace::stats::{BranchMix, TraceSummary};
 use tlabp::trace::BranchClass;
 use tlabp::workloads::{Benchmark, DataSet};
@@ -20,9 +20,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = benchmark.trace(DataSet::Testing);
     println!("generated {} trace events", trace.len());
 
-    // Serialize to the compact binary format and write it to a temp file.
-    let bytes = write_trace(&trace);
-    let path = std::env::temp_dir().join("li_testing.tlbp");
+    // Export to the compact TLBE format and write it to a temp file.
+    let bytes = write_etrace(&trace);
+    let path = std::env::temp_dir().join("li_testing.tlbe");
     fs::write(&path, &bytes)?;
     println!(
         "wrote {} ({:.1} MiB, {:.1} bytes/event)",
@@ -32,8 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Read it back and verify the round trip.
-    let reloaded = read_trace(&fs::read(&path)?)?;
-    assert_eq!(trace, reloaded, "binary round trip must be lossless");
+    let reloaded = read_etrace(&fs::read(&path)?)?;
+    assert_eq!(trace, reloaded, "TLBE round trip must be lossless");
     println!("round trip verified");
 
     // Inspect: the Figure 4 branch-class mix and Table 1-style summary.

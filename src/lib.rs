@@ -12,8 +12,8 @@
 //! * [`core`] (`tlabp-core`) — predictors, automata, history registers,
 //!   branch/pattern history tables, the Table 3 configuration notation and
 //!   the Section 3.4 cost model.
-//! * [`trace`] (`tlabp-trace`) — trace records, binary trace IO, synthetic
-//!   generators and branch-mix statistics.
+//! * [`trace`] (`tlabp-trace`) — trace records, artifact and `TLBE` trace
+//!   IO, synthetic generators and branch-mix statistics.
 //! * [`isa`] (`tlabp-isa`) — the mini-RISC ISA, assembler and
 //!   trace-emitting VM standing in for the paper's Motorola 88100
 //!   simulator.

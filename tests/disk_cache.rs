@@ -107,9 +107,10 @@ fn warm_store_hydrates_all_forms_from_disk() {
 }
 
 /// Corruption can cost time, never correctness: a store pointed at a
-/// cache whose artifact was bit-flipped (or truncated) regenerates and
-/// still matches the memory-only run bit for bit — and its re-persist
-/// repairs the file for the next store.
+/// cache whose artifact was bit-flipped (or truncated, or given a chunk
+/// count far past its end) regenerates and still matches the memory-only
+/// run bit for bit — and its re-persist repairs the file for the next
+/// store.
 #[test]
 fn corrupted_artifacts_fall_back_to_regeneration() {
     let dir = scratch_dir("corrupt");
@@ -131,6 +132,18 @@ fn corrupted_artifacts_fall_back_to_regeneration() {
         good,
         "regeneration re-persists a clean artifact"
     );
+
+    // Declare `u32::MAX` chunks in the first section head (kind, meta
+    // length, metadata, then the count): a chunk table of ~103 GB. The
+    // streaming probe opens this head too, so the capped-window pass
+    // exercises the seekable reader on it.
+    let meta_len = u32::from_le_bytes(good[19..23].try_into().expect("4 bytes")) as usize;
+    let count_at = 23 + meta_len;
+    let mut inflated = good.clone();
+    inflated[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    std::fs::write(&path, &inflated).expect("write inflated artifact");
+    let inflated_out = execute(&plan, &TraceStore::with_cache_dir(&dir));
+    assert_eq!(memory_out, inflated_out, "inflated chunk count changed results");
 
     // Truncate mid-file.
     std::fs::write(&path, &good[..mid]).expect("write truncated artifact");

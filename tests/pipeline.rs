@@ -1,11 +1,11 @@
 //! End-to-end integration: workload program → VM execution → trace →
-//! binary IO → predictor simulation, spanning every crate in the
-//! workspace.
+//! TLBE export and import → predictor simulation, spanning every crate
+//! in the workspace.
 
 use tlabp::core::automaton::Automaton;
 use tlabp::core::config::SchemeConfig;
 use tlabp::sim::runner::{simulate, SimConfig};
-use tlabp::trace::io::{read_trace, write_trace};
+use tlabp::trace::import::{read_etrace, write_etrace};
 use tlabp::trace::stats::TraceSummary;
 use tlabp::workloads::{Benchmark, DataSet};
 
@@ -14,8 +14,8 @@ fn workload_to_prediction_pipeline() {
     let benchmark = Benchmark::by_name("li").expect("li exists");
     let trace = benchmark.trace(DataSet::Testing);
 
-    // The trace survives a binary round trip bit-exactly.
-    let reloaded = read_trace(&write_trace(&trace)).expect("trace decodes");
+    // The trace survives a TLBE round trip bit-exactly.
+    let reloaded = read_etrace(&write_etrace(&trace)).expect("trace decodes");
     assert_eq!(trace, reloaded);
 
     // A two-level predictor achieves sensible accuracy on it.

@@ -13,7 +13,8 @@ use tlabp::core::predictor::BranchPredictor;
 use tlabp::core::schemes::Gag;
 use tlabp::core::speculative::{HistoryUpdatePolicy, MispredictRepair, SpeculativeGag};
 use tlabp::core::{Automaton as Atm, BhtConfig};
-use tlabp::trace::io::{read_trace, write_trace};
+use tlabp::trace::import::{read_etrace, write_etrace};
+use tlabp::trace::io::{read_artifacts, write_artifacts_chunked, DEFAULT_CHUNK_BYTES};
 use tlabp::trace::rng::SmallRng;
 use tlabp::trace::{BranchClass, BranchRecord, Trace, TrapRecord};
 
@@ -101,7 +102,9 @@ fn history_fill_saturates() {
     }
 }
 
-/// Binary trace serialization is lossless for arbitrary event sequences.
+/// Trace serialization is lossless for arbitrary event sequences, traps
+/// included: through the TLBE exchange format, and through a trace-only
+/// artifact at chunk budgets from one event per chunk to the default.
 #[test]
 fn trace_io_round_trips() {
     let mut rng = SmallRng::seed_from_u64(0xA003);
@@ -131,8 +134,13 @@ fn trace_io_round_trips() {
                 trace.push(record);
             }
         }
-        let decoded = read_trace(&write_trace(&trace)).expect("round trip decodes");
+        let decoded = read_etrace(&write_etrace(&trace)).expect("TLBE round trip decodes");
         assert_eq!(trace, decoded);
+        for chunk_bytes in [1, 64, DEFAULT_CHUNK_BYTES] {
+            let bytes = write_artifacts_chunked(7, Some(&trace), None, None, &[], chunk_bytes);
+            let bundle = read_artifacts(&bytes).expect("artifact round trip decodes");
+            assert_eq!(bundle.trace.as_ref(), Some(&trace), "chunk budget {chunk_bytes}");
+        }
     }
 }
 
