@@ -34,7 +34,6 @@
 
 use tlabp_trace::BranchRecord;
 
-use crate::bht::{BhtCursor, BhtSignature};
 use crate::predictor::BranchPredictor;
 use crate::schemes::{AlwaysTaken, Btb, Btfn, Gag, Pag, Pap, Profiling};
 
@@ -126,30 +125,6 @@ impl BranchPredictor for AnyPredictor {
     #[inline]
     fn step_interned_block(&mut self, block: &[(u32, BranchRecord)]) -> u64 {
         delegate!(self, p => p.step_interned_block(block))
-    }
-
-    fn shared_bht(&self) -> Option<BhtSignature> {
-        delegate!(self, p => p.shared_bht())
-    }
-
-    #[inline]
-    fn step_shared(
-        &mut self,
-        pattern: usize,
-        cursor: BhtCursor,
-        id: u32,
-        branch: &BranchRecord,
-    ) -> bool {
-        delegate!(self, p => p.step_shared(pattern, cursor, id, branch))
-    }
-
-    #[inline]
-    fn step_shared_block(
-        &mut self,
-        block: &[(u32, BranchRecord)],
-        patterns: &[(usize, BhtCursor)],
-    ) -> u64 {
-        delegate!(self, p => p.step_shared_block(block, patterns))
     }
 
     fn name(&self) -> String {

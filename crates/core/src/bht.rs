@@ -80,10 +80,10 @@ impl BhtConfig {
 /// (allocation, LRU touch, history fill/shift, eviction) depends only on
 /// the access sequence and the resolved directions, never on any
 /// prediction. Two tables with equal signatures, stepped over the same
-/// stream, therefore hold identical state at every event. The fused
-/// sweep exploits this: predictors in a batch whose tables share a
-/// signature are driven by one table walked once per chunk (see
-/// `BranchPredictor::shared_bht` in [`crate::predictor`]).
+/// stream, therefore hold identical state at every event. Pattern-stream
+/// replay exploits this: `tlabp_sim::runner::derive_pattern_stream`
+/// walks one fresh table per signature, and every predictor whose first
+/// level has that signature replays the patterns it emitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BhtSignature {
     /// Table implementation and geometry.
@@ -570,22 +570,6 @@ impl BhtCursor {
 }
 
 impl BranchHistoryTable {
-    /// This table's [`BhtSignature`]: a fresh
-    /// [`BhtSignature::build`] of it evolves identically to this table
-    /// from its initial state.
-    #[must_use]
-    pub fn signature(&self) -> BhtSignature {
-        match self {
-            BranchHistoryTable::Ideal(t) => {
-                BhtSignature { config: BhtConfig::Ideal, history_bits: t.history_bits }
-            }
-            BranchHistoryTable::Cache(t) => BhtSignature {
-                config: BhtConfig::Cache { entries: t.slots.len(), ways: t.ways },
-                history_bits: t.history_bits,
-            },
-        }
-    }
-
     /// Looks up `pc`, allocating on miss. Returns `true` on hit.
     pub fn access(&mut self, pc: u64) -> bool {
         match self {
@@ -915,23 +899,6 @@ mod tests {
             bht.flush();
             assert_eq!(bht.pattern(0x123_4560), None);
         }
-    }
-
-    #[test]
-    fn signature_round_trips_through_build() {
-        for config in BhtConfig::FIGURE10 {
-            for history_bits in [6, 12] {
-                let table = config.build(history_bits);
-                let signature = table.signature();
-                assert_eq!(signature, BhtSignature { config, history_bits });
-                assert_eq!(signature.build().signature(), signature);
-            }
-        }
-        assert_ne!(
-            BhtConfig::PAPER_DEFAULT.build(6).signature(),
-            BhtConfig::PAPER_DEFAULT.build(12).signature(),
-            "history width is part of the signature"
-        );
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 use tlabp_trace::BranchRecord;
 
-use crate::bht::{BhtCursor, BhtSignature};
-
 /// A dynamic (or static) conditional-branch predictor under trace-driven
 /// simulation.
 ///
@@ -12,6 +10,12 @@ use crate::bht::{BhtCursor, BhtSignature};
 /// then, once the branch resolves, [`BranchPredictor::update`] with the
 /// same record (whose `taken` field holds the actual outcome). `update`
 /// must be called exactly once after each `predict`, in the same order.
+/// The reference loop (`tlabp_sim::runner::simulate`) calls exactly
+/// these two. The engine's other walk, over a pc-interned stream, calls
+/// [`BranchPredictor::step_interned_block`] instead; its default chain
+/// (`step_interned` → `step` → `predict` + `update`) keeps every
+/// implementation correct there, and schemes override links of the
+/// chain only to go faster, never to change a prediction.
 ///
 /// [`BranchPredictor::context_switch`] implements Section 5.1.4's model:
 /// flush and reinitialize the first-level branch history, but leave pattern
@@ -91,70 +95,18 @@ pub trait BranchPredictor {
     /// Steps every `(id, record)` of `block` in order, returning how many
     /// predictions matched the resolved direction.
     ///
-    /// This is the fused sweep's inner loop: the caller decodes a chunk
+    /// This is the inner loop of the interned walk
+    /// (`tlabp_sim::runner::simulate_fused`): the caller decodes a chunk
     /// of the interned stream once and hands it to each predictor of the
     /// batch, so per-event dispatch (the `AnyPredictor` variant match, or
     /// a `dyn` call) is paid once per block instead of once per event,
     /// and each predictor's tables stay cache-hot for the whole chunk.
+    /// Every predictor walks its own tables; no state is shared between
+    /// the members of a batch.
     fn step_interned_block(&mut self, block: &[(u32, BranchRecord)]) -> u64 {
         let mut correct = 0u64;
         for (id, branch) in block {
             correct += u64::from(self.step_interned(*id, branch) == branch.taken);
-        }
-        correct
-    }
-
-    /// The signature of this predictor's first-level branch history
-    /// table, if its stepping factors as "walk the table, then consume
-    /// `(pattern, cursor)`" — i.e. [`BranchPredictor::step_interned`] is
-    /// equivalent to `bht.access_pattern_interned` +
-    /// [`BranchPredictor::step_shared`] + `bht.record_outcome_at_interned`.
-    ///
-    /// Table evolution is outcome-driven (see
-    /// [`BhtSignature`]), so the fused sweep walks *one* driver table per
-    /// signature group and feeds the resulting patterns to every member
-    /// through [`BranchPredictor::step_shared_block`] — each member's own
-    /// table is then left untouched. A predictor returning `Some` must
-    /// implement [`BranchPredictor::step_shared`]. The default `None`
-    /// opts out (correct for global-history and non-two-level schemes).
-    fn shared_bht(&self) -> Option<BhtSignature> {
-        None
-    }
-
-    /// One step against an externally-walked first-level table:
-    /// `pattern` and `cursor` are what this predictor's own
-    /// `bht.access_pattern_interned(id, branch.pc)` would have returned
-    /// at this point of the stream. Returns the prediction.
-    ///
-    /// Must be bit-identical to [`BranchPredictor::step_interned`] minus
-    /// the table walk. Only called when [`BranchPredictor::shared_bht`]
-    /// returns `Some`; the default panics to catch predictors that
-    /// advertise a signature without implementing the consumption step.
-    fn step_shared(
-        &mut self,
-        pattern: usize,
-        cursor: BhtCursor,
-        id: u32,
-        branch: &BranchRecord,
-    ) -> bool {
-        let _ = (pattern, cursor, id, branch);
-        unimplemented!("predictors advertising shared_bht must implement step_shared")
-    }
-
-    /// [`BranchPredictor::step_shared`] over a whole chunk: `patterns[i]`
-    /// belongs to `block[i]`. Returns how many predictions matched the
-    /// resolved direction. Like
-    /// [`BranchPredictor::step_interned_block`], overriding types hoist
-    /// their dispatch out of the per-event loop.
-    fn step_shared_block(
-        &mut self,
-        block: &[(u32, BranchRecord)],
-        patterns: &[(usize, BhtCursor)],
-    ) -> u64 {
-        debug_assert_eq!(block.len(), patterns.len());
-        let mut correct = 0u64;
-        for ((id, branch), (pattern, cursor)) in block.iter().zip(patterns) {
-            correct += u64::from(self.step_shared(*pattern, *cursor, *id, branch) == branch.taken);
         }
         correct
     }
@@ -187,28 +139,6 @@ impl<P: BranchPredictor + ?Sized> BranchPredictor for Box<P> {
 
     fn step_interned_block(&mut self, block: &[(u32, BranchRecord)]) -> u64 {
         (**self).step_interned_block(block)
-    }
-
-    fn shared_bht(&self) -> Option<BhtSignature> {
-        (**self).shared_bht()
-    }
-
-    fn step_shared(
-        &mut self,
-        pattern: usize,
-        cursor: BhtCursor,
-        id: u32,
-        branch: &BranchRecord,
-    ) -> bool {
-        (**self).step_shared(pattern, cursor, id, branch)
-    }
-
-    fn step_shared_block(
-        &mut self,
-        block: &[(u32, BranchRecord)],
-        patterns: &[(usize, BhtCursor)],
-    ) -> u64 {
-        (**self).step_shared_block(block, patterns)
     }
 }
 

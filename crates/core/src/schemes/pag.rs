@@ -3,7 +3,7 @@
 use tlabp_trace::BranchRecord;
 
 use crate::automaton::Automaton;
-use crate::bht::{BhtConfig, BhtCursor, BhtSignature, BhtStats, BranchHistoryTable};
+use crate::bht::{BhtConfig, BhtStats, BranchHistoryTable};
 use crate::pht::PatternHistoryTable;
 use crate::predictor::BranchPredictor;
 
@@ -165,23 +165,6 @@ impl BranchPredictor for Pag {
         let predicted = self.pht.predict_update(pattern, branch.taken);
         self.bht.record_outcome_at_interned(cursor, id, branch.taken);
         predicted
-    }
-
-    fn shared_bht(&self) -> Option<BhtSignature> {
-        Some(self.bht.signature())
-    }
-
-    // With the first-level walk hoisted out, a PAg step is just the
-    // shared pattern table transition.
-    #[inline]
-    fn step_shared(
-        &mut self,
-        pattern: usize,
-        _cursor: BhtCursor,
-        _id: u32,
-        branch: &BranchRecord,
-    ) -> bool {
-        self.pht.predict_update(pattern, branch.taken)
     }
 
     fn name(&self) -> String {

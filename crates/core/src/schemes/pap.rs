@@ -6,7 +6,7 @@ use crate::fxhash::FxHashMap;
 use tlabp_trace::BranchRecord;
 
 use crate::automaton::Automaton;
-use crate::bht::{BhtConfig, BhtCursor, BhtSignature, BhtStats, BranchHistoryTable};
+use crate::bht::{BhtConfig, BhtStats, BranchHistoryTable};
 use crate::pht::PatternHistoryTable;
 use crate::predictor::BranchPredictor;
 use crate::schemes::pag::bht_spec;
@@ -203,41 +203,6 @@ impl BranchPredictor for Pap {
         let predicted = table.predict_update(pattern, branch.taken);
         self.bht.record_outcome_at_interned(cursor, id, branch.taken);
         predicted
-    }
-
-    fn shared_bht(&self) -> Option<BhtSignature> {
-        Some(self.bht.signature())
-    }
-
-    // The externally-walked table has the same signature as this
-    // predictor's own, so its cursor resolves the same physical slot (and
-    // its allocations pick the same victims) — `tables` stays keyed
-    // exactly as in `step_interned`.
-    #[inline]
-    fn step_shared(
-        &mut self,
-        pattern: usize,
-        cursor: BhtCursor,
-        id: u32,
-        branch: &BranchRecord,
-    ) -> bool {
-        let history_bits = self.history_bits;
-        let automaton = self.automaton;
-        let table = match (&mut self.tables, cursor.slot()) {
-            (PapTables::PerSlot(tables), Some(slot)) => &mut tables[slot],
-            (PapTables::PerBranch { interned, .. }, _) => {
-                let index = id as usize;
-                if index >= interned.len() {
-                    interned.resize(index + 1, None);
-                }
-                interned[index]
-                    .get_or_insert_with(|| PatternHistoryTable::new(history_bits, automaton))
-            }
-            (PapTables::PerSlot(_), None) => {
-                unreachable!("cache BHT always yields a slot cursor")
-            }
-        };
-        table.predict_update(pattern, branch.taken)
     }
 
     fn name(&self) -> String {

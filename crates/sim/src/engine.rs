@@ -8,7 +8,7 @@
 //! * **replay** — transposed, SWAR-vectorized second-level replay over
 //!   a materialized first-level pattern stream
 //!   ([`crate::runner::simulate_replay_transposed`]); chosen for
-//!   fusion-eligible catalog schemes whose first level maps to a
+//!   accuracy-only catalog schemes whose first level maps to a
 //!   [`StreamKey`] and that simulate no context switches (a stream is
 //!   one uninterrupted first-level walk). Jobs group by the
 //!   *width-erased* fold class of that key ([`StreamKey::fold_key`]):
@@ -21,25 +21,26 @@
 //!   variants alike never re-walk the BHT or even re-read the stream.
 //!   The kernel body is selectable ([`ExecOptions::simd`], default the
 //!   `TLABP_SIMD` environment variable). Bit-identical to every other
-//!   path and on by default; [`Job::replay`] opts a job out.
-//! * **packed** — monomorphized [`AnyPredictor`] over the packed
-//!   conditional-branch stream ([`crate::runner::simulate_packed`]);
-//!   chosen for every other job. Context switches ride along as the
-//!   trace's [`SwitchSchedule`](crate::runner::SwitchSchedule): where
-//!   the switches fall depends only on the trace, so the store builds
-//!   it once per (trace, switch configuration)
-//!   ([`TraceStore::get_switch_schedule`]) and the loop fires each
-//!   point's switches between stream segments. Packed-path jobs
-//!   that share a trace and a switch configuration are additionally
-//!   **fused**: the engine groups them and runs each group as batched
-//!   single passes over the pc-interned stream
-//!   ([`crate::runner::simulate_fused`]), amortizing stream decode and
-//!   dispatch across the batch. Bit-identical to per-cell execution and
-//!   on by default; [`Job::fuse`] opts a job out.
+//!   path and on by default; [`Job::replay`] and [`Job::fuse`] opt a
+//!   job out.
+//! * **walk** — every other job steps its own monomorphized
+//!   [`AnyPredictor`] through one pass over the pc-interned conditional
+//!   stream ([`crate::runner::simulate_fused`]). Jobs that share a trace
+//!   and a switch configuration share the pass, in batches of up to 16,
+//!   so stream decode and dispatch are paid once per batch. Context
+//!   switches ride along as the trace's
+//!   [`SwitchSchedule`](crate::runner::SwitchSchedule): where the
+//!   switches fall depends only on the trace, so the store builds it
+//!   once per (trace, switch configuration)
+//!   ([`TraceStore::get_switch_schedule`]) and the walk fires each
+//!   point's switches between stream segments. A job with [`Job::fuse`]
+//!   off walks in a batch of one, and so does a switched job with
+//!   instrumented metrics, whose observation loops model no switches.
+//!   Bit-identical to the reference loop in any batch.
 //! * **dyn** — predictors outside the catalog, registered in
 //!   [`tlabp_core::registry`] and referenced by name, run behind
-//!   [`AnyPredictor::Dyn`] on either stream. One virtual dispatch per
-//!   call, paid only by externally-registered schemes.
+//!   [`AnyPredictor::Dyn`] on the walk. One virtual dispatch per
+//!   chunk of events, paid only by externally-registered schemes.
 //! * **reference** — a boxed `dyn BranchPredictor` over the full event
 //!   trace, bypassing every fast path. Never chosen by lowering; jobs
 //!   opt in ([`Job::reference_path`]) for differential testing and for
@@ -71,7 +72,6 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::OnceLock;
 
 use tlabp_core::any::AnyPredictor;
 use tlabp_core::config::SchemeConfig;
@@ -89,7 +89,7 @@ use crate::metrics::{BenchmarkAccuracy, FetchStats, MissBreakdown, SuiteResult};
 use crate::plan::{Job, MetricSet, Plan, PredictorSpec, TargetCacheSpec, TraceKey};
 use crate::pool::SweepPool;
 use crate::runner::{
-    replay_stream_key, simulate, simulate_fused, simulate_packed, simulate_replay_transposed,
+    replay_stream_key, simulate, simulate_fused, simulate_replay_transposed,
     simulate_replay_transposed_streamed, ContextSwitchConfig, FoldKey, SimConfig, SimResult,
     StreamKey,
 };
@@ -444,82 +444,11 @@ pub struct ExecOptions {
     /// environment. Both bodies are bit-identical, so this is a
     /// throughput knob, never a results knob.
     pub simd: SimdMode,
-    /// Intra-batch replay parallelism: whether (and how far) one
-    /// transposed replay batch splits into sub-batches scheduled as
-    /// independent pool tasks, each walking the same cached pattern
-    /// stream over a disjoint subset of the batch's members. Defaults to
-    /// the `TLABP_SPLIT` environment variable. Member outcomes are
-    /// independent of batch composition (pinned by the batch-invariance
-    /// and determinism suites), so — like `simd` — this is a throughput
-    /// knob, never a results knob.
-    pub split: SplitPolicy,
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        ExecOptions { simd: SimdMode::from_env(), split: SplitPolicy::from_env() }
-    }
-}
-
-/// How replay batches split across pool workers (`TLABP_SPLIT`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SplitPolicy {
-    /// Split by the work heuristic: up to one sub-batch per pool worker,
-    /// never below one transposed word of members per sub-batch, and
-    /// never below [`SPLIT_UNIT`] member-events of work per sub-batch
-    /// when the batch's stream is already resident to measure.
-    #[default]
-    Auto,
-    /// Never split (the pre-split scheduler: one task per batch).
-    Off,
-    /// Split every replay batch into up to `n` sub-batches, subject only
-    /// to the one-word floor. The determinism suites force small
-    /// batches apart with this; `TLABP_SPLIT=<n>` reaches it from the
-    /// environment.
-    Parts(usize),
-}
-
-impl SplitPolicy {
-    /// Parses a `TLABP_SPLIT` value: `auto`, `off`, or a positive part
-    /// count. Returns `Err(raw value)` on anything else.
-    pub fn try_parse(value: &str) -> Result<SplitPolicy, String> {
-        let normalized = value.trim().to_ascii_lowercase();
-        match normalized.as_str() {
-            "auto" => Ok(SplitPolicy::Auto),
-            "off" => Ok(SplitPolicy::Off),
-            _ => match normalized.parse::<usize>() {
-                Ok(n) if n > 0 => Ok(SplitPolicy::Parts(n)),
-                _ => Err(value.to_owned()),
-            },
-        }
-    }
-
-    /// Parses a `TLABP_SPLIT` value, warning on stderr and falling back
-    /// to [`SplitPolicy::Auto`] when unrecognized — the same contract as
-    /// `TLABP_THREADS` and `TLABP_SIMD`.
-    #[must_use]
-    pub fn parse(value: &str) -> SplitPolicy {
-        match SplitPolicy::try_parse(value) {
-            Ok(policy) => policy,
-            Err(raw) => {
-                eprintln!(
-                    "warning: ignoring TLABP_SPLIT={raw:?} \
-                     (expected auto|off|<positive part count>); using auto"
-                );
-                SplitPolicy::Auto
-            }
-        }
-    }
-
-    /// The policy selected by the `TLABP_SPLIT` environment variable
-    /// (default [`SplitPolicy::Auto`]), read once per process.
-    #[must_use]
-    pub fn from_env() -> SplitPolicy {
-        static POLICY: OnceLock<SplitPolicy> = OnceLock::new();
-        *POLICY.get_or_init(|| match std::env::var("TLABP_SPLIT") {
-            Ok(value) => SplitPolicy::parse(&value),
-            Err(_) => SplitPolicy::Auto,
-        })
+        ExecOptions { simd: SimdMode::from_env() }
     }
 }
 
@@ -718,26 +647,8 @@ impl<'p> Session<'p> {
             tasks.push((indices[0], Box::new(move || run_fused_batch(batch, &store))));
         }
         for indices in &partition.replay {
-            // The representative stream key comes from the WHOLE batch —
-            // the key phase 1 prefetched — so every sub-batch walks the
-            // same cached stream; a sub-batch recomputing its own (maybe
-            // narrower) representative would derive a stream nobody
-            // prefetched. The width fold makes replaying the wider
-            // stream bit-identical for every member either way.
-            let rep = replay_rep_key(indices.iter().map(|&index| replay_key_of(&cells, index)));
-            let trace = cells[indices[0]].as_ref().expect("replay cell").trace;
-            // Size the split by events × members when the stream is
-            // already resident (a non-forcing peek — phase 1 just loaded
-            // it unless the streaming tier left it on disk); an absent
-            // stream splits by the worker/word caps alone.
-            let work = self
-                .store
-                .peek_pattern_stream(trace.benchmark, trace.data_set, rep)
-                .map(|stream| stream.len() as u64 * indices.len() as u64);
-            let widths: Vec<u32> =
-                indices.iter().map(|&index| replay_key_of(&cells, index).history_bits()).collect();
-            let sub_batches =
-                split_replay_batch(indices, &widths, self.options.split, self.pool.threads(), work);
+            let (rep, sub_batches) =
+                split_replay(&cells, indices, &self.store, self.pool.threads());
             for sub in sub_batches {
                 let batch = claim(&sub, &mut cells);
                 let store = self.store.clone();
@@ -1010,9 +921,6 @@ fn prefetch_lowered(pool: &SweepPool, plan: &Plan, lowered: &[Lowered], store: &
                 PreGen::Form(key, TraceForm::Full) => {
                     (key, store.get_unpersisted(key.benchmark, key.data_set).1)
                 }
-                PreGen::Form(key, TraceForm::Packed) => {
-                    (key, store.get_packed_unpersisted(key.benchmark, key.data_set).1)
-                }
                 PreGen::Form(key, TraceForm::Interned) => {
                     (key, store.get_interned_unpersisted(key.benchmark, key.data_set).1)
                 }
@@ -1056,10 +964,10 @@ fn prefetch_lowered(pool: &SweepPool, plan: &Plan, lowered: &[Lowered], store: &
     }));
 }
 
-/// Largest number of predictors stepped together in one fused pass.
+/// Largest number of predictors stepped together in one interned walk.
 ///
 /// Bounds a batch's working set — every predictor's tables must stay
-/// cache-resident while the batch replays a decoded chunk — while still
+/// cache-resident while the batch steps a decoded chunk — while still
 /// amortizing stream decode over many predictors. Oversized trace-groups
 /// split into nearly-even contiguous batches, which also gives the pool
 /// balanced tasks to schedule.
@@ -1079,7 +987,7 @@ const MAX_FUSE_BATCH: usize = 16;
 const MAX_REPLAY_BATCH: usize = 128;
 
 /// Minimum replay work (stream events × batch members) per sub-batch
-/// before [`SplitPolicy::Auto`] splits further: below this the extra
+/// before [`split_replay_batch`] splits further: below this the extra
 /// stream walk and task hand-off cost more than a spare worker saves.
 /// At the measured ~1.5B member-predictions/s a unit is a few
 /// milliseconds of kernel time.
@@ -1094,9 +1002,40 @@ fn replay_key_of(cells: &[Option<Cell>], index: usize) -> StreamKey {
         .expect("replay batch members carry their stream key")
 }
 
+/// A replay batch's representative stream key and its sub-batches for
+/// a pool of `pool_threads` workers.
+///
+/// The representative comes from the WHOLE batch — the key phase 1
+/// prefetched — so every sub-batch walks the same cached stream; a
+/// sub-batch recomputing its own (maybe narrower) representative would
+/// derive a stream nobody prefetched. The width fold makes replaying the
+/// wider stream bit-identical for every member either way. The split is
+/// sized by events × members when the stream is already resident (a
+/// non-forcing peek — phase 1 just loaded it unless the streaming tier
+/// left it on disk); an absent stream splits by the worker and word caps
+/// alone.
+fn split_replay(
+    cells: &[Option<Cell>],
+    indices: &[usize],
+    store: &TraceStore,
+    pool_threads: usize,
+) -> (StreamKey, Vec<Vec<usize>>) {
+    let rep = replay_rep_key(indices.iter().map(|&index| replay_key_of(cells, index)));
+    let trace = cells[indices[0]].as_ref().expect("replay cell").trace;
+    let work = store
+        .peek_pattern_stream(trace.benchmark, trace.data_set, rep)
+        .map(|stream| stream.len() as u64 * indices.len() as u64);
+    let widths: Vec<u32> =
+        indices.iter().map(|&index| replay_key_of(cells, index).history_bits()).collect();
+    (rep, split_replay_batch(indices, &widths, pool_threads, work))
+}
+
 /// Splits one replay batch's member indices into sub-batches for
-/// intra-batch parallelism, or returns the batch whole when the policy,
-/// the pool, or the work says not to.
+/// intra-batch parallelism, or returns the batch whole when the pool or
+/// the work says not to: up to one sub-batch per pool worker, never
+/// below one transposed word of members per sub-batch, and never below
+/// [`SPLIT_UNIT`] member-events of work per sub-batch when `work` (the
+/// batch's stream length × members) is known.
 ///
 /// The split granule ("atom") is one bank: members regroup by stream
 /// width (`widths[i]` belongs to `indices[i]`) and each width group cuts
@@ -1112,11 +1051,10 @@ fn replay_key_of(cells: &[Option<Cell>], index: usize) -> StreamKey {
 /// because a member's replay outcome is independent of its batch's
 /// composition (pinned by the batch-invariance test and the determinism
 /// suite) — the merged [`ResultSet`] is bit-identical at every part
-/// count, worker count and policy.
+/// count and worker count.
 fn split_replay_batch(
     indices: &[usize],
     widths: &[u32],
-    policy: SplitPolicy,
     pool_threads: usize,
     work: Option<u64>,
 ) -> Vec<Vec<usize>> {
@@ -1133,18 +1071,12 @@ fn split_replay_batch(
         groups.iter().flat_map(|(_, group)| group.chunks(LANES_PER_WORD)).collect();
 
     let cap = atoms.len().max(1);
-    let parts = match policy {
-        SplitPolicy::Off => 1,
-        SplitPolicy::Parts(n) => n.clamp(1, cap),
-        SplitPolicy::Auto => {
-            let by_work = match work {
-                Some(work) => usize::try_from(work / SPLIT_UNIT).unwrap_or(usize::MAX).max(1),
-                // Stream not resident: let the worker/word caps decide.
-                None => cap,
-            };
-            pool_threads.min(cap).min(by_work).max(1)
-        }
+    let by_work = match work {
+        Some(work) => usize::try_from(work / SPLIT_UNIT).unwrap_or(usize::MAX).max(1),
+        // Stream not resident: let the worker/word caps decide.
+        None => cap,
     };
+    let parts = pool_threads.min(cap).min(by_work).max(1);
     if parts <= 1 {
         return vec![indices.to_vec()];
     }
@@ -1185,7 +1117,7 @@ fn split_into_batches(group: Vec<usize>, cap: usize) -> Vec<Vec<usize>> {
 }
 
 /// The engine's scheduling partition: which runnable jobs execute as
-/// singleton cells, which execute in fused trace-batches, and which
+/// singleton cells, which execute in interned-walk batches, and which
 /// execute in transposed replay batches — all as indices into the
 /// lowered plan.
 ///
@@ -1195,9 +1127,9 @@ fn split_into_batches(group: Vec<usize>, cap: usize) -> Vec<Vec<usize>> {
 /// scheduler (phase 3) — so the two phases can never disagree about
 /// which artifacts the plan needs.
 struct Partition {
-    /// Jobs that run alone ([`run_cell`]).
+    /// Reference and instrumented jobs ([`run_cell`]).
     singles: Vec<usize>,
-    /// Fused trace-batches ([`run_fused_batch`]), capped at
+    /// Interned-walk batches ([`run_fused_batch`]), capped at
     /// [`MAX_FUSE_BATCH`].
     fused: Vec<Vec<usize>>,
     /// Transposed replay batches ([`run_replay_batch`]), capped at
@@ -1208,12 +1140,13 @@ struct Partition {
 /// Partitions runnable cells into [`Partition`] batches. Replay-lowered
 /// cells group by `(trace, fold class)` — the width-*erased*
 /// [`StreamKey::fold_key`] — so automaton ablations *and* width variants
-/// of one first-level mechanism share a batch; fusible cells group by
+/// of one first-level mechanism share a batch; walking cells group by
 /// trace and switch configuration, so a batch walks one
-/// [`SwitchSchedule`](crate::runner::SwitchSchedule); everything else
-/// runs alone. Groups form in first-seen plan order and split into
-/// nearly-even contiguous batches, so the partition is a pure function
-/// of the plan.
+/// [`SwitchSchedule`](crate::runner::SwitchSchedule), unless their job
+/// opts out of sharing ([`Job::fuse`]) and walks in a batch of one;
+/// reference and instrumented cells run alone. Groups form in
+/// first-seen plan order and split into nearly-even contiguous batches,
+/// so the partition is a pure function of the plan.
 fn partition_batches(lowered: &[Lowered]) -> Partition {
     let mut singles: Vec<usize> = Vec::new();
     let mut fused_of: HashMap<(&'static str, DataSet, Option<ContextSwitchConfig>), usize> =
@@ -1230,13 +1163,15 @@ fn partition_batches(lowered: &[Lowered]) -> Partition {
                 replay.len() - 1
             });
             replay[group].push(index);
-        } else if cell.fusible() {
+        } else if cell.walks() && cell.fuse {
             let key = (cell.trace.benchmark.name(), cell.trace.data_set, cell.sim.context_switch);
             let group = *fused_of.entry(key).or_insert_with(|| {
                 fused.push(Vec::new());
                 fused.len() - 1
             });
             fused[group].push(index);
+        } else if cell.walks() {
+            fused.push(vec![index]);
         } else {
             singles.push(index);
         }
@@ -1258,9 +1193,9 @@ fn replay_rep_key(keys: impl Iterator<Item = StreamKey>) -> StreamKey {
         .expect("replay batches are non-empty")
 }
 
-/// Runs one fused batch on a worker thread: a single pass over the
-/// trace's interned conditional stream stepping every predictor of the
-/// batch ([`simulate_fused`]), switching at the points of the switch
+/// Runs one interned-walk batch on a worker thread: a single pass over
+/// the trace's interned conditional stream stepping every predictor of
+/// the batch ([`simulate_fused`]), switching at the points of the switch
 /// schedule every member shares.
 fn run_fused_batch(batch: Vec<(usize, Cell)>, store: &TraceStore) -> Vec<(usize, JobOutcome)> {
     let TraceKey { benchmark, data_set } = batch[0].1.trace;
@@ -1374,9 +1309,10 @@ impl BuildSpec {
 /// Which simulation loop a job runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ExecPath {
-    /// Packed conditional stream, fused `step` loop, switches from the
-    /// trace's switch schedule.
-    Packed,
+    /// A fast path: pattern-stream replay when the cell carries a replay
+    /// key, otherwise the interned walk with switches from the trace's
+    /// switch schedule.
+    Fast,
     /// Boxed `dyn` predictor over the full event trace (opt-in only).
     Reference,
 }
@@ -1402,9 +1338,8 @@ struct Cell {
 enum TraceForm {
     /// The full event trace.
     Full,
-    /// Plus the packed conditional-branch stream.
-    Packed,
-    /// Plus the pc-interned conditional stream.
+    /// Plus the pc-interned conditional stream (the store packs the
+    /// conditional stream on the way, since interning reads it).
     Interned,
 }
 
@@ -1413,20 +1348,22 @@ impl Cell {
         matches!(&self.build, BuildSpec::Scheme(config) if config.needs_training())
     }
 
-    /// Whether the engine may run this cell inside a fused trace pass:
-    /// the packed path (reference cells step the full event trace),
-    /// accuracy-only metrics (the instrumented loops observe predictor
-    /// internals per event), and the job's consent ([`Job::fuse`]).
-    fn fusible(&self) -> bool {
-        self.fuse && self.path == ExecPath::Packed && self.metrics == MetricSet::ACCURACY
+    /// Whether this cell runs in an interned-walk batch: the fast path
+    /// (reference cells step the full event trace) with accuracy-only
+    /// metrics (the instrumented loops observe predictor internals per
+    /// event, so those cells run alone).
+    fn walks(&self) -> bool {
+        self.path == ExecPath::Fast && self.metrics == MetricSet::ACCURACY
     }
 
-    /// The deepest trace form this cell reads.
+    /// The deepest trace form this cell reads. An instrumented cell
+    /// walks the interned stream only to count a switched job's
+    /// accuracy; otherwise its observation loops read the full trace.
     fn trace_form(&self) -> TraceForm {
-        if self.fusible() {
+        let switched_instrumented =
+            self.path == ExecPath::Fast && self.sim.context_switch.is_some();
+        if self.walks() || switched_instrumented {
             TraceForm::Interned
-        } else if self.path == ExecPath::Packed {
-            TraceForm::Packed
         } else {
             TraceForm::Full
         }
@@ -1471,20 +1408,19 @@ fn lower(job: &Job) -> Lowered {
         }
     }
 
-    let path = if job.reference_path { ExecPath::Reference } else { ExecPath::Packed };
+    let path = if job.reference_path { ExecPath::Reference } else { ExecPath::Fast };
 
-    // Pattern-stream replay: a fusion-eligible catalog scheme whose first
+    // Pattern-stream replay: an accuracy-only catalog scheme whose first
     // level maps to a stream key replays the materialized stream instead
-    // of walking it. The fusion-eligibility gate keeps `with_fusion(false)`
-    // meaning "per-cell packed path" (the throughput baselines) and
-    // `with_replay(false)` meaning "fused path". A cached stream is one
-    // uninterrupted first-level walk, so context-switch jobs never
-    // replay.
+    // of walking it. The `fuse` gate keeps `with_fusion(false)` meaning
+    // "a walk of its own" and `with_replay(false)` meaning "a shared
+    // walk". A cached stream is one uninterrupted first-level walk, so
+    // context-switch jobs never replay.
     let replay = match &job.spec {
         PredictorSpec::Scheme(config)
             if job.replay
                 && job.fuse
-                && path == ExecPath::Packed
+                && path == ExecPath::Fast
                 && sim.context_switch.is_none()
                 && job.metrics == MetricSet::ACCURACY =>
         {
@@ -1516,9 +1452,9 @@ fn run_cell(cell: &Cell, store: &TraceStore) -> JobOutcome {
     // Instrumented metrics replay the full trace through dedicated
     // observation loops (each with a fresh predictor, so the loops are
     // independent). Those loops model no context switches: their
-    // accuracy counters equal the packed loop's only when the job's
-    // switch schedule is empty, and only then does whichever ran also
-    // supply the job's SimResult.
+    // accuracy counters equal the walk's only when the job's switch
+    // schedule is empty, and only then does whichever ran also supply
+    // the job's SimResult. Otherwise the job walks in a batch of one.
     let miss_breakdown = cell.metrics.miss_breakdown.then(|| {
         let full = store.get(cell.trace.benchmark, cell.trace.data_set);
         match cell.build.build_any(store, cell.trace) {
@@ -1536,9 +1472,9 @@ fn run_cell(cell: &Cell, store: &TraceStore) -> JobOutcome {
     let sim = match (&miss_breakdown, &fetch) {
         (Some(Some((sim, _))), _) | (_, Some((sim, _))) if schedule.is_empty() => sim.clone(),
         _ => {
-            let mut predictor = cell.build.build_any(store, cell.trace);
-            let packed = store.get_packed(cell.trace.benchmark, cell.trace.data_set);
-            simulate_packed(&mut predictor, &packed, &schedule)
+            let mut batch = [cell.build.build_any(store, cell.trace)];
+            let interned = store.get_interned(cell.trace.benchmark, cell.trace.data_set);
+            simulate_fused(&mut batch, &interned, &schedule).remove(0)
         }
     };
 
@@ -1848,26 +1784,13 @@ mod tests {
     }
 
     #[test]
-    fn split_policy_parses_and_falls_back() {
-        assert_eq!(SplitPolicy::parse("auto"), SplitPolicy::Auto);
-        assert_eq!(SplitPolicy::parse("OFF"), SplitPolicy::Off);
-        assert_eq!(SplitPolicy::parse("4"), SplitPolicy::Parts(4));
-        assert_eq!(SplitPolicy::parse(" 2 "), SplitPolicy::Parts(2));
-        // Garbage (including a zero part count) warns and decays to auto
-        // instead of panicking — the TLABP_THREADS contract.
-        assert_eq!(SplitPolicy::parse("0"), SplitPolicy::Auto);
-        assert_eq!(SplitPolicy::parse("many"), SplitPolicy::Auto);
-        assert_eq!(SplitPolicy::try_parse("-3").unwrap_err(), "-3");
-    }
-
-    #[test]
     fn split_replay_batch_respects_word_granules() {
-        // 40 same-width members = 3 atoms (16 + 16 + 8): a forced part
-        // count beyond the atom count clamps to one atom per part, and
-        // no part ever holds a fragment of a word.
+        // 40 same-width members = 3 atoms (16 + 16 + 8): more workers
+        // than atoms clamp to one atom per part, and no part ever holds
+        // a fragment of a word.
         let indices: Vec<usize> = (0..40).collect();
         let widths = vec![12u32; 40];
-        let parts = split_replay_batch(&indices, &widths, SplitPolicy::Parts(99), 1, None);
+        let parts = split_replay_batch(&indices, &widths, 8, None);
         assert_eq!(
             parts.iter().map(Vec::len).collect::<Vec<_>>(),
             vec![16, 16, 8],
@@ -1875,35 +1798,26 @@ mod tests {
         );
         let merged: Vec<usize> = parts.concat();
         assert_eq!(merged, indices, "parts partition the batch in plan order");
-        // Off leaves the batch whole; so does an auto split on a
-        // one-worker pool however big the work is.
-        assert_eq!(
-            split_replay_batch(&indices, &widths, SplitPolicy::Off, 8, Some(u64::MAX)),
-            vec![indices.clone()]
-        );
-        assert_eq!(
-            split_replay_batch(&indices, &widths, SplitPolicy::Auto, 1, Some(u64::MAX)),
-            vec![indices.clone()]
-        );
+        // A one-worker pool leaves the batch whole however big the work.
+        assert_eq!(split_replay_batch(&indices, &widths, 1, Some(u64::MAX)), vec![indices.clone()]);
     }
 
     #[test]
-    fn split_auto_is_bounded_by_work_workers_and_words() {
+    fn split_is_bounded_by_work_workers_and_words() {
         let indices: Vec<usize> = (0..64).collect();
         let widths = vec![10u32; 64];
         // Well under one SPLIT_UNIT of measured work: no split.
-        let parts = split_replay_batch(&indices, &widths, SplitPolicy::Auto, 8, Some(1000));
+        let parts = split_replay_batch(&indices, &widths, 8, Some(1000));
         assert_eq!(parts.len(), 1);
         // Two units of work: two parts even with eight idle workers.
-        let parts =
-            split_replay_batch(&indices, &widths, SplitPolicy::Auto, 8, Some(2 * SPLIT_UNIT));
+        let parts = split_replay_batch(&indices, &widths, 8, Some(2 * SPLIT_UNIT));
         assert_eq!(parts.len(), 2);
         // Unknown stream size: the word cap (64 members = 4 atoms)
         // bounds an eight-worker split.
-        let parts = split_replay_batch(&indices, &widths, SplitPolicy::Auto, 8, None);
+        let parts = split_replay_batch(&indices, &widths, 8, None);
         assert_eq!(parts.len(), 4);
         // Two workers: the pool bounds it instead.
-        let parts = split_replay_batch(&indices, &widths, SplitPolicy::Auto, 2, None);
+        let parts = split_replay_batch(&indices, &widths, 2, None);
         assert_eq!(parts.len(), 2);
     }
 
@@ -1914,52 +1828,124 @@ mod tests {
         // not sixteen fragments.
         let indices: Vec<usize> = (0..16).collect();
         let widths: Vec<u32> = (0..16).map(|i| if i % 2 == 0 { 4 } else { 6 }).collect();
-        let parts = split_replay_batch(&indices, &widths, SplitPolicy::Parts(2), 1, None);
+        let parts = split_replay_batch(&indices, &widths, 2, None);
         assert_eq!(parts.len(), 2);
         assert!(parts[0].iter().all(|&index| index % 2 == 0), "width-4 members stay together");
         assert!(parts[1].iter().all(|&index| index % 2 == 1), "width-6 members stay together");
     }
 
-    #[test]
-    fn forced_split_replay_matches_unsplit() {
-        // A replay grid (every scheme kind × two automata × two widths)
-        // executed unsplit, then under forced part counts on small
-        // pools: the merged result sets must be bit-identical — the
-        // scatter-merge determinism contract.
-        let store = TraceStore::new();
-        let plan: Plan = [6u32, 8]
-            .iter()
-            .flat_map(|&bits| {
-                [
-                    Job::scheme(SchemeConfig::gag(bits), li()),
-                    Job::scheme(SchemeConfig::gag(bits).with_automaton(Automaton::LastTime), li()),
-                    Job::scheme(SchemeConfig::pag(bits), li()),
-                    Job::scheme(SchemeConfig::pap(bits), li()),
-                ]
+    /// How many sub-batches each replay batch of `plan` splits into on a
+    /// pool of `threads` workers, once the prefetch barrier has made its
+    /// streams resident: the split `Session::submit` schedules.
+    fn replay_parts(plan: &Plan, store: &TraceStore, threads: usize) -> Vec<usize> {
+        prefetch_on(&SweepPool::new(1), plan, store);
+        let lowered: Vec<Lowered> = plan.jobs().iter().map(lower).collect();
+        let partition = partition_batches(&lowered);
+        let cells: Vec<Option<Cell>> = lowered
+            .into_iter()
+            .map(|low| match low {
+                Lowered::Run(cell) => Some(cell),
+                Lowered::Skip { .. } => None,
             })
             .collect();
-        let pool = SweepPool::new(2);
-        let unsplit = execute_with(
-            &pool,
-            &plan,
-            &store,
-            ExecOptions { split: SplitPolicy::Off, ..ExecOptions::default() },
-        );
-        for parts in [2, 3, 16] {
-            let split = execute_with(
-                &pool,
-                &plan,
-                &store,
-                ExecOptions { split: SplitPolicy::Parts(parts), ..ExecOptions::default() },
-            );
+        partition
+            .replay
+            .iter()
+            .map(|indices| split_replay(&cells, indices, store, threads).1.len())
+            .collect()
+    }
+
+    #[test]
+    fn forced_split_replay_matches_unsplit() {
+        // GAg, PAg and PAp at two widths under every automaton, on li
+        // (724,820 conditionals): the 12-member global batch and the
+        // 24-member BHT batch each hold two width atoms and at least two
+        // SPLIT_UNITs of work, so two workers provably split both. This
+        // is the plan `tests/differential.rs`
+        // `split_replay_matches_unsplit_for_every_scheme_and_automaton`
+        // runs. The merged result sets must be bit-identical to the
+        // one-worker run, which never splits: the scatter-merge
+        // determinism contract.
+        let store = TraceStore::new();
+        let schemes: [fn(u32) -> SchemeConfig; 3] =
+            [SchemeConfig::gag, SchemeConfig::pag, SchemeConfig::pap];
+        let plan: Plan = schemes
+            .iter()
+            .flat_map(|scheme| {
+                [6u32, 8].into_iter().flat_map(move |width| {
+                    Automaton::ALL
+                        .map(|automaton| Job::scheme(scheme(width).with_automaton(automaton), li()))
+                })
+            })
+            .collect();
+        assert_eq!(replay_parts(&plan, &store, 1), vec![1, 1]);
+        assert_eq!(replay_parts(&plan, &store, 2), vec![2, 2], "both batches split");
+        let run = |workers| execute_on(&SweepPool::new(workers), &plan, &store);
+        let unsplit = run(1);
+        for workers in [2, 4] {
+            let split = run(workers);
             for index in 0..plan.len() {
                 assert_eq!(
                     unsplit.outcome(index),
                     split.outcome(index),
-                    "job {index} diverged at {parts} parts"
+                    "job {index} diverged on {workers} workers"
                 );
             }
         }
+    }
+
+    /// Every accuracy job that neither replays nor takes the reference
+    /// path walks the interned stream: a fusion-off job in a batch of
+    /// one, the rest shared per trace and switch configuration. Only
+    /// reference and instrumented jobs run as single cells, and of
+    /// those only a switched instrumented job needs the interned form.
+    #[test]
+    fn non_replay_accuracy_jobs_all_walk() {
+        use TraceForm::{Full, Interned};
+        let miss = MetricSet { miss_breakdown: true, fetch: None };
+        let switched = SchemeConfig::pag(12).with_context_switch(true);
+        let plan: Plan = [
+            Job::scheme(SchemeConfig::btfn(), li()),
+            Job::scheme(SchemeConfig::btb(Automaton::A2), li()),
+            Job::scheme(SchemeConfig::pap(6), li()).with_fusion(false),
+            Job::scheme(switched, li()),
+            Job::scheme(SchemeConfig::pag(12), li()).with_metrics(miss),
+            Job::scheme(switched, li()).with_metrics(miss),
+            Job::scheme(SchemeConfig::gag(8), li()).with_reference_path(true),
+            Job::scheme(SchemeConfig::gag(8), li()),
+        ]
+        .into_iter()
+        .collect();
+        let lowered: Vec<Lowered> = plan.jobs().iter().map(lower).collect();
+        let partition = partition_batches(&lowered);
+        assert_eq!(partition.fused, vec![vec![0, 1], vec![2], vec![3]]);
+        assert_eq!(partition.singles, vec![4, 5, 6]);
+        assert_eq!(partition.replay, vec![vec![7]]);
+        let forms: Vec<TraceForm> = lowered
+            .iter()
+            .map(|low| match low {
+                Lowered::Run(cell) => cell.trace_form(),
+                Lowered::Skip { .. } => unreachable!("every job runs"),
+            })
+            .collect();
+        assert_eq!(forms, [Interned, Interned, Interned, Interned, Full, Interned, Full, Interned]);
+    }
+
+    /// A plan that panics on a worker leaves the pool serving the next
+    /// plan. GAg(40) exceeds the history-width cap, so deriving its
+    /// stream panics in the prefetch barrier on the pool's only worker.
+    #[test]
+    fn a_panicking_plan_spares_the_pool_for_the_next() {
+        let pool = SweepPool::new(1);
+        let store = TraceStore::new();
+        let bad: Plan = [Job::scheme(SchemeConfig::gag(40), li())].into_iter().collect();
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute_on(&pool, &bad, &store)
+        }));
+        assert!(failed.is_err(), "GAg(40) cannot be simulated");
+        let good: Plan = [Job::scheme(SchemeConfig::gag(8), li())].into_iter().collect();
+        let results = execute_on(&pool, &good, &store);
+        assert!(results.outcome(0).accuracy().is_some(), "the next plan is measured");
     }
 
     /// Fold-class grouping: a grid column's width × automaton variants

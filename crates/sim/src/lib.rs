@@ -9,17 +9,19 @@
 //! * [`runner`] — [`runner::simulate`] drives one predictor over one
 //!   trace, honoring the trap/500k-instruction context-switch model of
 //!   Section 5.1.4; [`runner::SwitchSchedule`] precomputes where those
-//!   switches fall so the fast paths model them on the conditional
-//!   stream alone.
+//!   switches fall so the interned walk ([`runner::simulate_fused`])
+//!   models them on the conditional stream alone.
 //! * [`plan`] — the declarative job IR: a [`plan::Job`] names a
 //!   predictor, a trace, simulation options and the metrics wanted; a
 //!   [`plan::Plan`] is an ordered batch. Pure data, no execution.
-//! * [`engine`] — [`engine::execute`] lowers each job onto the best
-//!   execution path (pattern-stream replay, or the packed fast path —
-//!   fused per trace, monomorphized for catalog schemes and dynamically
-//!   dispatched for registry predictors), runs the batch on the
-//!   persistent worker pool ([`pool`]) and reassembles a typed
-//!   [`engine::ResultSet`] in deterministic plan order.
+//! * [`engine`] — [`engine::execute`] lowers each job onto one of two
+//!   fast paths: pattern-stream replay, or the interned walk for
+//!   everything that cannot replay (context switches, BTB, static and
+//!   registry predictors), batched per trace and switch configuration,
+//!   monomorphized for catalog schemes and dynamically dispatched for
+//!   registry predictors. It runs the batches on the persistent worker
+//!   pool ([`pool`]) and reassembles a typed [`engine::ResultSet`] in
+//!   deterministic plan order.
 //! * [`suite`] — [`suite::run_suite`] evaluates a
 //!   [`tlabp_core::config::SchemeConfig`] on all nine benchmarks,
 //!   training the profiled schemes per benchmark and skipping the
@@ -66,9 +68,8 @@ pub use metrics::{geometric_mean, SuiteResult};
 pub use plan::{Job, MetricSet, Plan, PredictorSpec, TargetCacheSpec, TraceKey, PLAN_WIRE_VERSION};
 pub use pool::SweepPool;
 pub use runner::{
-    derive_pattern_stream, replay_stream_key, simulate, simulate_fused, simulate_packed,
-    simulate_replay_transposed, simulate_replay_transposed_streamed, SimConfig, SimResult,
-    StreamKey, SwitchSchedule,
+    derive_pattern_stream, replay_stream_key, simulate, simulate_fused, simulate_replay_transposed,
+    simulate_replay_transposed_streamed, SimConfig, SimResult, StreamKey, SwitchSchedule,
 };
 pub use stream::{
     stream_bytes_from_env, StreamChunk, StreamCursor, StreamWindow, DEFAULT_STREAM_BYTES,

@@ -162,21 +162,22 @@ pub struct Job {
     /// tests and by the repository benchmark's paper-warm reference
     /// check.
     pub reference_path: bool,
-    /// Allow the engine to fuse this job with other jobs of the plan that
-    /// share its trace and context-switch configuration into a single
-    /// pass over the interned conditional stream (on by default; fusion
-    /// never changes results). Jobs forced onto the reference path, or
-    /// that request instrumented metrics, are fusion-ineligible
-    /// regardless. Disabling this forces the per-cell packed path.
+    /// Whether this job may share a walk or a replay batch with other
+    /// jobs (on by default; sharing never changes results). A walk over
+    /// the interned conditional stream is shared by the jobs with this
+    /// job's trace and context-switch configuration. Disabling this
+    /// runs the job in a walk of its own and rules out replay. Jobs
+    /// forced onto the reference path, or that request instrumented
+    /// metrics, never share.
     pub fuse: bool,
     /// Allow the engine to lower this job to the pattern-stream replay
     /// path (on by default; replay never changes results). Replay applies
     /// when the predictor is a catalog scheme whose first level maps to a
     /// [`crate::runner::StreamKey`], the job simulates no context
-    /// switches, and it is otherwise fusion-eligible: the engine then
-    /// materializes the first-level stream once per (trace, key) and
-    /// replays only the second level.
-    /// Disabling this falls back to the fused / packed paths.
+    /// switches, requests accuracy-only metrics and has `fuse` set: the
+    /// engine then materializes the first-level stream once per (trace,
+    /// key) and replays only the second level. Disabling this puts the
+    /// job on the interned walk.
     pub replay: bool,
 }
 
@@ -232,7 +233,7 @@ impl Job {
         self
     }
 
-    /// Permits (or forbids) fusing this job into a shared trace pass.
+    /// Permits (or forbids) sharing a walk or a replay batch ([`Job::fuse`]).
     #[must_use]
     pub fn with_fusion(mut self, fuse: bool) -> Self {
         self.fuse = fuse;

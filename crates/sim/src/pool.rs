@@ -18,6 +18,7 @@
 //! test runs the same sweep on 1 worker and on many and asserts
 //! byte-identical results.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
@@ -36,7 +37,8 @@ impl SweepPool {
     /// Starts a pool of `threads` workers (at least one).
     ///
     /// Workers park on the shared queue when idle and live until the
-    /// pool is dropped.
+    /// pool is dropped; a job that panics unwinds only itself, never its
+    /// worker.
     #[must_use]
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
@@ -164,7 +166,12 @@ fn worker_loop(queue: &Mutex<Receiver<Job>>) {
             Err(_) => return, // a job panicked while dequeuing; shut down
         };
         match job {
-            Ok(job) => job(),
+            // The pool never replaces a worker, so a panicking job must
+            // not unwind it. The job's own result sender still drops in
+            // the unwind, so its caller still sees the panic.
+            Ok(job) => {
+                let _ = catch_unwind(AssertUnwindSafe(job));
+            }
             Err(_) => return, // pool dropped; no more work will arrive
         }
     }
@@ -258,6 +265,15 @@ mod tests {
         assert_eq!(pool.run([|| 7]), vec![7]);
         release_in.send(()).expect("job waiting");
         assert_eq!(done_out.recv(), Ok(1));
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_its_worker_serving() {
+        let pool = SweepPool::new(1);
+        let caller =
+            catch_unwind(AssertUnwindSafe(|| pool.run([|| -> u32 { panic!("this job fails") }])));
+        assert!(caller.is_err(), "the job's caller sees its panic");
+        assert_eq!(pool.run([|| 7]), vec![7]);
     }
 
     #[test]

@@ -3,14 +3,14 @@
 use std::ops::Range;
 
 use tlabp_core::any::AnyPredictor;
-use tlabp_core::bht::{BhtConfig, BhtCursor, BhtSignature, BranchHistoryTable};
+use tlabp_core::bht::{BhtConfig, BhtSignature};
 use tlabp_core::config::{SchemeConfig, SchemeKind};
 use tlabp_core::history::HistoryRegister;
 use tlabp_core::pht::{PackedPht, TransposedPhtBank, LANES_PER_WORD};
 use tlabp_core::predictor::BranchPredictor;
 use tlabp_core::simd::SimdMode;
 use tlabp_trace::io::ReadTraceError;
-use tlabp_trace::{BranchRecord, InternedConds, PackedCond, PatternStream, Trace, TraceEvent};
+use tlabp_trace::{BranchRecord, InternedConds, PatternStream, Trace, TraceEvent};
 
 use crate::stream::StreamCursor;
 
@@ -154,11 +154,11 @@ pub fn simulate<P: BranchPredictor + ?Sized>(
 /// A switch flushes first-level history and keeps pattern tables, and
 /// *when* it fires depends only on the trace's instruction counts and
 /// traps, never on the predictor. So one schedule serves every job of a
-/// trace under the same configuration, and the packed and fused loops
-/// model switches without the full trace: they walk the conditional
-/// stream in the segments between switch points and fire each point's
-/// switches before its conditional. The default (empty) schedule models
-/// no switches.
+/// trace under the same configuration, and the interned walk
+/// ([`simulate_fused`]) models switches without the full trace: it walks
+/// the conditional stream in the segments between switch points and
+/// fires each point's switches before its conditional. The default
+/// (empty) schedule models no switches.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SwitchSchedule {
     /// `(conditional index, switch count)` in increasing index order:
@@ -232,64 +232,6 @@ impl SwitchSchedule {
     }
 }
 
-/// Runs `predictor` over a packed conditional-branch stream — the
-/// simulator's fast path.
-///
-/// [`PackedCond`] drops everything a predictor never reads (targets,
-/// instruction counts, branch classes, traps), so this loop streams 8
-/// bytes per branch instead of a full [`TraceEvent`] and skips the
-/// event-kind dispatch entirely. Each branch goes through the fused
-/// [`BranchPredictor::step`] (one first-level table lookup instead of
-/// the reference path's several); combined with a monomorphized `P`
-/// (e.g. [`tlabp_core::any::AnyPredictor`]) the whole step inlines into
-/// the loop body.
-///
-/// Context switches come from `schedule`, built from the trace the
-/// stream was packed from: the predictor's
-/// [`BranchPredictor::context_switch`] fires at each switch point. Given
-/// that schedule, this function is bit-identical to [`simulate`] under
-/// the same [`SimConfig`] (the differential tests in
-/// `tests/differential.rs` assert this for every catalog scheme).
-///
-/// # Example
-///
-/// ```
-/// use tlabp_core::config::SchemeConfig;
-/// use tlabp_sim::runner::{simulate_packed, SimConfig, SwitchSchedule};
-/// use tlabp_trace::synth::LoopNest;
-///
-/// let trace = LoopNest::new(&[50, 20]).generate();
-/// let packed = trace.pack_conditionals();
-/// let schedule = SwitchSchedule::new(&trace, &SimConfig::paper_context_switch());
-/// let mut predictor = SchemeConfig::pag(6).build_any()?;
-/// let result = simulate_packed(&mut predictor, &packed, &schedule);
-/// assert!(result.accuracy() > 0.9);
-/// # Ok::<(), tlabp_core::config::BuildError>(())
-/// ```
-pub fn simulate_packed<P: BranchPredictor + ?Sized>(
-    predictor: &mut P,
-    conditionals: &[PackedCond],
-    schedule: &SwitchSchedule,
-) -> SimResult {
-    let mut correct = 0u64;
-    for (switches, segment) in schedule.segments(conditionals.len()) {
-        for _ in 0..switches {
-            predictor.context_switch();
-        }
-        for cond in &conditionals[segment] {
-            let branch = cond.to_record();
-            let predicted = predictor.step(&branch);
-            correct += u64::from(predicted == branch.taken);
-        }
-    }
-    SimResult {
-        scheme: predictor.name(),
-        predictions: conditionals.len() as u64,
-        correct,
-        context_switches: schedule.total(),
-    }
-}
-
 /// How many interned events one fused chunk decodes at a time.
 ///
 /// Each chunk is decoded into a stack of `(id, BranchRecord)` pairs once
@@ -301,50 +243,39 @@ pub fn simulate_packed<P: BranchPredictor + ?Sized>(
 const FUSE_CHUNK: usize = 256;
 
 /// Runs a batch of predictors over one pc-interned conditional stream in
-/// a single pass — the engine's fused sweep path.
+/// a single pass: the engine's walk for every job that does not replay a
+/// pattern stream and does not take the reference path.
 ///
-/// Equivalent to calling [`simulate_packed`] once per predictor on the
-/// stream the interning came from, and bit-identical to it (the
-/// differential tests pin this for every catalog scheme): the stream
-/// expands to the same [`BranchRecord`]s, and
-/// [`BranchPredictor::step_interned`] is step with a dense alias for the
-/// pc. The fused walk reads and decodes the stream once for the whole
+/// Each member is bit-identical to [`simulate`] over the trace the
+/// interning came from, under the configuration `schedule` was built for
+/// (the differential tests pin this for every catalog scheme, alone and
+/// in batches): the stream expands to the same [`BranchRecord`]s, and
+/// [`BranchPredictor::step_interned`] is predict + update with a dense
+/// alias for the pc. The walk decodes the stream once for the whole
 /// batch instead of once per predictor, and hands each predictor whole
 /// chunks ([`BranchPredictor::step_interned_block`]) so per-event
-/// dispatch collapses to per-chunk dispatch.
+/// dispatch collapses to per-chunk dispatch. Every member steps its own
+/// tables, so a batch of one is the per-cell walk.
 ///
-/// On top of the shared decode, predictors whose first-level tables have
-/// equal [`BhtSignature`]s (via [`BranchPredictor::shared_bht`]) are
-/// grouped behind one *driver* table: table evolution is outcome-driven,
-/// so the driver's per-event `(pattern, cursor)` sequence is exactly
-/// what each member's own table would have produced, and the members
-/// consume it through [`BranchPredictor::step_shared_block`] without
-/// touching their own tables. In a Table 3-style sweep most
-/// configurations share the paper-default `BHT(512,4,k)`, so the
-/// dominant set-associative search runs once per group instead of once
-/// per predictor. Predictors with unique signatures (or none) fall back
-/// to the solo [`BranchPredictor::step_interned_block`] walk.
-///
-/// Context switches come from `schedule`, as in [`simulate_packed`]:
-/// chunks never straddle a switch point, and at each point every
-/// predictor switches and every driver table flushes — the flush a
-/// member's own table would have taken.
+/// Context switches come from `schedule`: chunks never straddle a switch
+/// point, and at each point every predictor switches once per switch.
 ///
 /// # Example
 ///
 /// ```
 /// use tlabp_core::config::SchemeConfig;
-/// use tlabp_sim::runner::{simulate_fused, SwitchSchedule};
+/// use tlabp_sim::runner::{simulate_fused, SimConfig, SwitchSchedule};
 /// use tlabp_trace::synth::LoopNest;
 /// use tlabp_trace::InternedConds;
 ///
 /// let trace = LoopNest::new(&[50, 20]).generate();
 /// let interned = InternedConds::from_trace(&trace);
+/// let schedule = SwitchSchedule::new(&trace, &SimConfig::paper_context_switch());
 /// let mut batch = vec![
 ///     SchemeConfig::pag(6).build_any()?,
 ///     SchemeConfig::gag(8).build_any()?,
 /// ];
-/// let results = simulate_fused(&mut batch, &interned, &SwitchSchedule::default());
+/// let results = simulate_fused(&mut batch, &interned, &schedule);
 /// assert!(results.iter().all(|r| r.accuracy() > 0.9));
 /// # Ok::<(), tlabp_core::config::BuildError>(())
 /// ```
@@ -353,59 +284,17 @@ pub fn simulate_fused<P: BranchPredictor>(
     interned: &InternedConds,
     schedule: &SwitchSchedule,
 ) -> Vec<SimResult> {
-    // Partition the batch: predictors sharing a first-level signature
-    // ride one driver table; everyone else (unique signatures included —
-    // a driver would only duplicate their own walk) steps solo. Both the
-    // group list and the member lists keep first-seen order, so the
-    // partition is a pure function of the batch.
-    let mut shared: Vec<(BhtSignature, Vec<usize>)> = Vec::new();
-    let mut solo: Vec<usize> = Vec::new();
-    for (index, predictor) in predictors.iter().enumerate() {
-        match predictor.shared_bht() {
-            Some(signature) => match shared.iter_mut().find(|(s, _)| *s == signature) {
-                Some((_, members)) => members.push(index),
-                None => shared.push((signature, vec![index])),
-            },
-            None => solo.push(index),
-        }
-    }
-    shared.retain_mut(|(_, members)| {
-        if members.len() == 1 {
-            solo.push(members[0]);
-        }
-        members.len() > 1
-    });
-    let mut drivers: Vec<BranchHistoryTable> =
-        shared.iter().map(|(signature, _)| signature.build()).collect();
-
     let mut correct = vec![0u64; predictors.len()];
     let mut block: Vec<(u32, BranchRecord)> = Vec::with_capacity(FUSE_CHUNK);
-    let mut patterns: Vec<(usize, BhtCursor)> = Vec::with_capacity(FUSE_CHUNK);
     for (switches, segment) in schedule.segments(interned.len()) {
         for _ in 0..switches {
             predictors.iter_mut().for_each(P::context_switch);
-            drivers.iter_mut().for_each(BranchHistoryTable::flush);
         }
         for chunk in interned.events()[segment].chunks(FUSE_CHUNK) {
             block.clear();
             block.extend(chunk.iter().map(|event| (event.id(), interned.record(*event))));
-            for &index in &solo {
-                correct[index] += predictors[index].step_interned_block(&block);
-            }
-            for ((_, members), driver) in shared.iter().zip(drivers.iter_mut()) {
-                // access → record per event is the exact operation order
-                // of the per-cell step loop, so the driver's (pattern,
-                // cursor) stream matches each member's own table bit for
-                // bit.
-                patterns.clear();
-                for (id, branch) in &block {
-                    let (pattern, cursor) = driver.access_pattern_interned(*id, branch.pc);
-                    driver.record_outcome_at_interned(cursor, *id, branch.taken);
-                    patterns.push((pattern, cursor));
-                }
-                for &index in members {
-                    correct[index] += predictors[index].step_shared_block(&block, &patterns);
-                }
+            for (predictor, correct) in predictors.iter_mut().zip(&mut correct) {
+                *correct += predictor.step_interned_block(&block);
             }
         }
     }
@@ -591,10 +480,10 @@ pub fn replay_stream_key(config: SchemeConfig) -> Option<StreamKey> {
 ///   the exact walk `Gag::step` performs (pattern read *before* the
 ///   shift-in), so GAg/GSg replay is bit-identical by construction.
 /// * [`StreamKey::Bht`] builds the signature's table and performs the
-///   access → record walk of [`simulate_fused`]'s driver loop, in the
-///   same operation order; table evolution is outcome-driven, so the
-///   emitted patterns match what every same-signature predictor's own
-///   table would produce. Each event also records its *lane* — the cache
+///   access → record walk of a PAg/PAp `step_interned`, in the same
+///   operation order; table evolution is outcome-driven, so the emitted
+///   patterns match what every same-signature predictor's own table
+///   would produce. Each event also records its *lane* — the cache
 ///   slot the entry resolved to, or the interned id under an ideal BHT —
 ///   which is the per-address table selector PAp's second level needs.
 #[must_use]
@@ -690,8 +579,8 @@ const REPLAY_BLOCK: usize = 1 << 14;
 /// the stream *is* the first level's output, and the bank transition
 /// equals [`tlabp_core::pht::PatternHistoryTable::predict_update`] on
 /// all inputs — for either kernel `mode`, which `tests/differential.rs`
-/// pins for every catalog scheme and every automaton. Like the other
-/// fast paths on a stream, replay models no context switches.
+/// pins for every catalog scheme and every automaton. Replay models no
+/// context switches: a stream is one uninterrupted first-level walk.
 ///
 /// Returns `None` (and replays nobody) unless every member has a
 /// replayable second level.
@@ -974,11 +863,11 @@ mod tests {
         assert!(schedule.points.is_empty(), "{schedule:?}");
         assert_eq!(schedule.total(), 2);
         assert!(!schedule.is_empty());
-        let mut packed_predictor = Pag::new(4, BhtConfig::PAPER_DEFAULT, Automaton::A2);
-        let packed = simulate_packed(&mut packed_predictor, &trace.pack_conditionals(), &schedule);
+        let mut batch = [Pag::new(4, BhtConfig::PAPER_DEFAULT, Automaton::A2)];
+        let walked = simulate_fused(&mut batch, &InternedConds::from_trace(&trace), &schedule);
         let mut p = Pag::new(4, BhtConfig::PAPER_DEFAULT, Automaton::A2);
-        assert_eq!(packed, simulate(&mut p, &trace, &dense(true)));
-        assert_eq!(packed.context_switches, 2);
+        assert_eq!(walked[0], simulate(&mut p, &trace, &dense(true)));
+        assert_eq!(walked[0].context_switches, 2);
     }
 
     #[test]
@@ -1003,19 +892,17 @@ mod tests {
     }
 
     #[test]
-    fn fused_batch_matches_packed_per_predictor() {
+    fn fused_batch_matches_simulate_per_predictor() {
         use tlabp_core::config::SchemeConfig;
         use tlabp_trace::synth::MarkovBranches;
-        use tlabp_trace::InternedConds;
 
         let trace = MarkovBranches::new(16, 0.85, 3000, 23).generate();
-        let packed = trace.pack_conditionals();
-        let interned = InternedConds::from_packed(&packed);
+        let interned = InternedConds::from_trace(&trace);
         // A batch larger than one chunk's worth of variety: ideal and
-        // cache BHTs, per-address tables, static schemes — including two
-        // shared-BHT groups, each spanning schemes (PAg + PAp on the
-        // cache geometry BHT(512,4,8); PAg + PAp on the ideal table at 12
-        // bits), plus signature-less and singleton-signature predictors.
+        // cache BHTs, per-address tables, static schemes, and members
+        // whose first levels have equal geometry (PAg + PAp on
+        // BHT(512,4,8), and on the ideal table at 12 bits), each walking
+        // its own tables.
         let configs = [
             SchemeConfig::pag(8),
             SchemeConfig::pag(8).with_automaton(tlabp_core::automaton::Automaton::A3),
@@ -1030,15 +917,14 @@ mod tests {
         let fused = simulate_fused(&mut batch, &interned, &SwitchSchedule::default());
         for (config, fused_result) in configs.iter().zip(&fused) {
             let mut alone = config.build_any().expect("builds");
-            let packed_result = simulate_packed(&mut alone, &packed, &SwitchSchedule::default());
-            assert_eq!(fused_result, &packed_result, "{config}");
+            let reference = simulate(&mut alone, &trace, &SimConfig::no_context_switch());
+            assert_eq!(fused_result, &reference, "{config}");
         }
     }
 
     #[test]
     fn fused_batch_on_empty_stream_reports_zero_predictions() {
         use tlabp_core::config::SchemeConfig;
-        use tlabp_trace::InternedConds;
         let mut batch = vec![SchemeConfig::gag(6).build_any().expect("builds")];
         let results =
             simulate_fused(&mut batch, &InternedConds::default(), &SwitchSchedule::default());
@@ -1048,14 +934,12 @@ mod tests {
     }
 
     #[test]
-    fn replay_matches_packed_for_every_stream_key_scheme() {
+    fn replay_matches_simulate_for_every_stream_key_scheme() {
         use tlabp_core::config::SchemeConfig;
         use tlabp_trace::synth::MarkovBranches;
-        use tlabp_trace::InternedConds;
 
         let trace = MarkovBranches::new(24, 0.8, 4000, 7).generate();
-        let packed = trace.pack_conditionals();
-        let interned = InternedConds::from_packed(&packed);
+        let interned = InternedConds::from_trace(&trace);
         let configs = [
             SchemeConfig::gag(8),
             SchemeConfig::pag(8),
@@ -1068,7 +952,7 @@ mod tests {
             let stream = derive_pattern_stream(&interned, key);
             assert_eq!(stream.len(), interned.len());
             let mut alone = config.build_any().expect("builds");
-            let reference = simulate_packed(&mut alone, &packed, &SwitchSchedule::default());
+            let reference = simulate(&mut alone, &trace, &SimConfig::no_context_switch());
             for mode in [SimdMode::Auto, SimdMode::Scalar] {
                 let predictors = [config.build_any().expect("builds")];
                 let replayed =

@@ -447,8 +447,8 @@ impl TraceStore {
     }
 
     /// Returns the packed conditional-branch stream for
-    /// `(benchmark, data_set)` — the input of
-    /// [`crate::runner::simulate_packed`] — packing it on first use.
+    /// `(benchmark, data_set)` — the form interning reads — packing it on
+    /// first use.
     #[must_use]
     pub fn get_packed(&self, benchmark: &Benchmark, data_set: DataSet) -> Arc<Vec<PackedCond>> {
         let (packed, generated) = self.get_packed_unpersisted(benchmark, data_set);
@@ -545,8 +545,7 @@ impl TraceStore {
 
     /// Returns where `config`'s context switches fall in the trace for
     /// `(benchmark, data_set)` — the schedule
-    /// [`crate::runner::simulate_packed`] and
-    /// [`crate::runner::simulate_fused`] take — building it from the full
+    /// [`crate::runner::simulate_fused`] takes — building it from the full
     /// trace on first use. Empty, without touching the slot, when
     /// `config` models no switches.
     #[must_use]

@@ -93,7 +93,8 @@ impl InternedCond {
 /// Within one `InternedConds` the id↔pc mapping is a bijection: equal
 /// ids always mean equal pcs and vice versa, so a predictor keying
 /// per-address state by id sees exactly the aliasing it would see
-/// keying by pc — the fused path stays bit-identical to the packed one.
+/// keying by pc — a walk over the interned stream stays bit-identical
+/// to one keyed by pc.
 /// Ids are only meaningful relative to their own stream.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InternedConds {

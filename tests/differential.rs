@@ -1,22 +1,21 @@
 //! Differential tests pinning the fast simulation paths to the
 //! reference path.
 //!
-//! The sweep engine runs cells through a monomorphized
-//! [`AnyPredictor`] over the packed conditional-branch stream, with
-//! context switches taken from the trace's precomputed switch schedule
-//! — and fuses packed-path jobs that share a trace into batched passes
-//! over the pc-interned stream. None of these transformations may change
-//! a single prediction: for every scheme in the catalog, the boxed
+//! The sweep engine runs every job that does not replay a pattern
+//! stream as a monomorphized [`AnyPredictor`] walking the pc-interned
+//! conditional stream, alone or batched with the jobs that share its
+//! trace, with context switches taken from the trace's precomputed
+//! switch schedule. None of these transformations may change a single
+//! prediction: for every scheme in the catalog, the boxed
 //! `dyn BranchPredictor` over the full trace, the `AnyPredictor` over
-//! the full trace, the `AnyPredictor` over the packed stream, and the
-//! fused batch over the interned stream must produce identical
-//! [`SimResult`]s.
+//! the full trace and the walk over the interned stream must produce
+//! identical [`SimResult`]s.
 
 use tlabp::core::automaton::Automaton;
 use tlabp::core::config::SchemeConfig;
 use tlabp::core::BhtConfig;
 use tlabp::sim::runner::{
-    simulate, simulate_fused, simulate_packed, ContextSwitchConfig, SimConfig, SwitchSchedule,
+    simulate, simulate_fused, ContextSwitchConfig, SimConfig, SwitchSchedule,
 };
 use tlabp::sim::SimResult;
 use tlabp::trace::synth::{BiasedCoins, CorrelatedBranches, Correlation, LoopNest, MarkovBranches};
@@ -82,32 +81,30 @@ fn build_any(config: &SchemeConfig, training: &Trace) -> tlabp::core::AnyPredict
 }
 
 /// `config` on `trace` under `sim` through every loop: the boxed
-/// reference, `AnyPredictor` over the full trace, the packed loop and a
-/// one-member fused batch, both fed the trace's switch schedule.
+/// reference, `AnyPredictor` over the full trace, and a one-member
+/// interned walk fed the trace's switch schedule.
 fn run_all_paths(
     config: &SchemeConfig,
     trace: &Trace,
     training: &Trace,
     sim: &SimConfig,
-) -> [(&'static str, SimResult); 4] {
+) -> [(&'static str, SimResult); 3] {
     let mut boxed = if config.needs_training() {
         config.build_trained(training)
     } else {
         config.build().expect("builds")
     };
     let schedule = SwitchSchedule::new(trace, sim);
-    let packed = trace.pack_conditionals();
-    let interned = InternedConds::from_packed(&packed);
+    let interned = InternedConds::from_trace(trace);
     let mut fused = [build_any(config, training)];
     [
         ("dyn", simulate(&mut *boxed, trace, sim)),
         ("AnyPredictor", simulate(&mut build_any(config, training), trace, sim)),
-        ("packed", simulate_packed(&mut build_any(config, training), &packed, &schedule)),
         ("fused", simulate_fused(&mut fused, &interned, &schedule).remove(0)),
     ]
 }
 
-/// The monomorphized, packed and fused paths are bit-identical to the
+/// The monomorphized path and the interned walk are bit-identical to the
 /// boxed reference for every catalog scheme on every trace, with and
 /// without context-switch simulation — the `c`-flagged schemes under
 /// every switch model.
@@ -141,13 +138,12 @@ fn every_catalog_scheme_is_path_invariant() {
 }
 
 /// The paper's flush-PHT ablation predictor (a `Dyn` PAg(12) that also
-/// reinitializes its pattern table on every switch) shares one driver
-/// table with plain PAg(12) in a fused batch: the driver flushes at each
-/// switch point and each member applies its own switch policy, so both
-/// still match the reference loop.
+/// reinitializes its pattern table on every switch) walks in one batch
+/// with two plain PAg(12)s, the duplicate that fig9 and fig10 both plan
+/// on every trace. Each member walks its own tables and applies its own
+/// switch policy, so every member still matches the reference loop.
 #[test]
-fn fused_flush_pht_ablation_shares_a_driver_with_pag() {
-    use tlabp::core::predictor::BranchPredictor;
+fn fused_flush_pht_ablation_batches_with_pag() {
     use tlabp::core::schemes::Pag;
     use tlabp::core::AnyPredictor;
 
@@ -165,14 +161,19 @@ fn fused_flush_pht_ablation_shares_a_driver_with_pag() {
             let mut batch = [
                 AnyPredictor::Dyn(Box::new(flush_pht())),
                 SchemeConfig::pag(12).build_any().expect("builds"),
+                SchemeConfig::pag(12).build_any().expect("builds"),
             ];
-            assert_eq!(batch[0].shared_bht(), batch[1].shared_bht(), "one driver table");
             let fused = simulate_fused(&mut batch, &interned, &schedule);
             let flush_reference = simulate(&mut flush_pht(), &trace, &sim);
             let keep_reference =
                 simulate(&mut *SchemeConfig::pag(12).build().expect("builds"), &trace, &sim);
             assert_eq!(fused[0], flush_reference, "flush-PHT on {trace_name} under {sim:?}");
-            assert_eq!(fused[1], keep_reference, "PAg(12) on {trace_name} under {sim:?}");
+            for (member, result) in fused.iter().enumerate().skip(1) {
+                assert_eq!(
+                    result, &keep_reference,
+                    "PAg(12) member {member} on {trace_name} under {sim:?}"
+                );
+            }
             flushing_costs |= flush_reference.correct < keep_reference.correct;
         }
     }
@@ -243,11 +244,11 @@ fn engine_paths_agree_for_every_lowering() {
 }
 
 /// Fusion is invisible: for every catalog scheme — including the
-/// context-switch variants, which fuse into their own batch walking the
+/// context-switch variants, which share a walk of their own over the
 /// trace's switch schedule — a fused plan, the same plan with fusion
-/// disabled, and the same plan forced onto the reference path produce
-/// identical outcomes job for job: measured counters and skip reasons
-/// alike.
+/// disabled (each job walking in a batch of one), and the same plan
+/// forced onto the reference path produce identical outcomes job for
+/// job: measured counters and skip reasons alike.
 #[test]
 fn fused_per_cell_and_reference_plans_agree_job_for_job() {
     use tlabp::sim::engine::execute;
@@ -332,7 +333,7 @@ fn reference(config: SchemeConfig, trace: &Trace, training: &Trace) -> SimResult
 /// PresetBit 2-state packing via the trained GSg/PSg schemes): replaying
 /// the materialized pattern stream through a transposed bank, under
 /// both kernel bodies, is bit-identical to the boxed reference
-/// `simulate` and to the packed fast path on every trace.
+/// `simulate` on every trace.
 #[test]
 fn replay_is_bit_identical_for_every_scheme_and_automaton() {
     use tlabp::core::SimdMode;
@@ -372,15 +373,6 @@ fn replay_is_bit_identical_for_every_scheme_and_automaton() {
                     "transposed {mode:?} vs reference diverged for {config} on {trace_name}"
                 );
             }
-            let packed = simulate_packed(
-                &mut build_any(&config, &training),
-                &trace.pack_conditionals(),
-                &SwitchSchedule::default(),
-            );
-            assert_eq!(
-                packed, expected,
-                "packed vs reference diverged for {config} on {trace_name}"
-            );
         }
     }
 }
@@ -601,14 +593,7 @@ fn grid_plan_is_invariant_across_replay_kernels_and_fusion() {
 
     let store = TraceStore::from_env();
     let fused_out = execute(&fused, &store);
-    let kernel = |simd| {
-        execute_with(
-            SweepPool::global(),
-            &plan,
-            &store,
-            ExecOptions { simd, ..ExecOptions::default() },
-        )
-    };
+    let kernel = |simd| execute_with(SweepPool::global(), &plan, &store, ExecOptions { simd });
     let auto = kernel(SimdMode::Auto);
     let scalar = kernel(SimdMode::Scalar);
     for (index, job) in jobs.iter().enumerate() {
@@ -630,13 +615,13 @@ fn grid_plan_is_invariant_across_replay_kernels_and_fusion() {
 /// Intra-batch splitting is invisible for every scheme structure and
 /// automaton: a plan whose width × automaton columns fold into wide
 /// replay batches produces bit-identical outcomes whether each batch
-/// runs whole on one worker or is scattered bank-by-bank across the
-/// pool — under the auto split heuristic and under forced part counts
-/// far above and below the atom supply.
+/// runs whole on a one-worker pool or is scattered bank-by-bank across
+/// two or four workers. On li both of this plan's replay batches split
+/// on two workers; the engine's unit test
+/// `forced_split_replay_matches_unsplit` asserts that on the same plan.
 #[test]
 fn split_replay_matches_unsplit_for_every_scheme_and_automaton() {
-    use tlabp::core::SimdMode;
-    use tlabp::sim::engine::{execute_with, ExecOptions, SplitPolicy};
+    use tlabp::sim::engine::execute_on;
     use tlabp::sim::plan::{Job, Plan};
     use tlabp::sim::{SweepPool, TraceStore};
 
@@ -654,17 +639,15 @@ fn split_replay_matches_unsplit_for_every_scheme_and_automaton() {
     let plan: Plan = jobs.iter().cloned().collect();
 
     let store = TraceStore::new();
-    let pool = SweepPool::new(2);
-    let run =
-        |split| execute_with(&pool, &plan, &store, ExecOptions { simd: SimdMode::Auto, split });
-    let unsplit = run(SplitPolicy::Off);
-    for split in [SplitPolicy::Auto, SplitPolicy::Parts(2), SplitPolicy::Parts(64)] {
-        let split_out = run(split);
+    let run = |workers| execute_on(&SweepPool::new(workers), &plan, &store);
+    let unsplit = run(1);
+    for workers in [2, 4] {
+        let split_out = run(workers);
         for (index, job) in jobs.iter().enumerate() {
             assert_eq!(
                 unsplit.outcome(index),
                 split_out.outcome(index),
-                "{split:?} diverged from unsplit for {}",
+                "{workers} workers diverged from unsplit for {}",
                 job.label()
             );
         }

@@ -82,9 +82,9 @@ fn engine_results_are_identical_across_pool_sizes() {
                 Job::custom("determinism-dyn-pag8", benchmark),
                 // Replay opt-out: same scheme job on the fused path.
                 Job::scheme(SchemeConfig::pag(8), benchmark).with_replay(false),
-                // Fusion-ineligible fallbacks: context switches, an
-                // explicit opt-out, the reference path, and instrumented
-                // metrics.
+                // The other lowerings: a switched walk, a fusion-off
+                // job walking alone, the reference path, and
+                // instrumented metrics.
                 Job::scheme(SchemeConfig::gag(10).with_context_switch(true), benchmark),
                 Job::scheme(SchemeConfig::pap(6), benchmark).with_fusion(false),
                 Job::scheme(SchemeConfig::gag(10), benchmark).with_reference_path(true),
@@ -171,40 +171,36 @@ fn forced_simd_paths_are_bit_identical_across_pool_sizes() {
 
     let store = TraceStore::new();
     let baseline_pool = SweepPool::new(1);
-    let baseline = execute_with(
-        &baseline_pool,
-        &plan,
-        &store,
-        ExecOptions { simd: SimdMode::Scalar, ..ExecOptions::default() },
-    );
+    let baseline =
+        execute_with(&baseline_pool, &plan, &store, ExecOptions { simd: SimdMode::Scalar });
     assert_eq!(baseline.len(), plan.len());
     for simd in [SimdMode::Auto, SimdMode::Scalar] {
         for workers in [1, 8] {
             let pool = SweepPool::new(workers);
-            let run =
-                execute_with(&pool, &plan, &store, ExecOptions { simd, ..ExecOptions::default() });
+            let run = execute_with(&pool, &plan, &store, ExecOptions { simd });
             assert_eq!(baseline, run, "{simd:?} on {workers} workers diverged from scalar");
         }
     }
 }
 
-/// Crossing a forced kernel with a pool size and a forced intra-batch
-/// split must still be a scheduling/throughput change only. A wide
-/// replay batch (many members per stream) is split into bank-granular
-/// sub-batches scattered across workers; the merged `ResultSet` has to
-/// stay bit-identical to the scalar, unsplit, single-worker run for
-/// every (kernel, pool, split) combination.
+/// Crossing a forced kernel with a pool size, and with it the
+/// intra-batch split, must still be a scheduling/throughput change only.
+/// A wide replay batch (many members per stream) is split into
+/// bank-granular sub-batches scattered across workers; the merged
+/// `ResultSet` has to stay bit-identical to the scalar, single-worker
+/// (never split) run for every (kernel, pool) combination.
 #[test]
 fn forced_kernel_pool_and_split_cross_is_bit_identical() {
     use tlabp::core::SimdMode;
-    use tlabp::sim::engine::{execute_with, ExecOptions, SplitPolicy};
+    use tlabp::sim::engine::{execute_with, ExecOptions};
     use tlabp::sim::plan::{Job, Plan};
     use tlabp::workloads::Benchmark;
 
     let benchmark = Benchmark::by_name("li").unwrap();
-    // 48 same-shape jobs cycling the automata: one wide replay batch
-    // (3 banks per width group) so every split point lands on a
-    // 16-member bank boundary with room to scatter.
+    // 48 same-shape jobs cycling the automata: one wide replay batch of
+    // three 16-member banks. li has 724,820 conditionals, so the batch
+    // holds over eight split units of work and splits on two or more
+    // workers, every split point on a bank boundary.
     let plan: Plan = (0..48)
         .map(|i| {
             Job::scheme(
@@ -216,23 +212,14 @@ fn forced_kernel_pool_and_split_cross_is_bit_identical() {
 
     let store = TraceStore::new();
     let baseline_pool = SweepPool::new(1);
-    let baseline = execute_with(
-        &baseline_pool,
-        &plan,
-        &store,
-        ExecOptions { simd: SimdMode::Scalar, split: SplitPolicy::Off },
-    );
+    let baseline =
+        execute_with(&baseline_pool, &plan, &store, ExecOptions { simd: SimdMode::Scalar });
     assert_eq!(baseline.len(), plan.len());
     for simd in [SimdMode::Auto, SimdMode::Scalar] {
         for workers in [1, 2, 4] {
-            for split in [SplitPolicy::Off, SplitPolicy::Auto, SplitPolicy::Parts(3)] {
-                let pool = SweepPool::new(workers);
-                let run = execute_with(&pool, &plan, &store, ExecOptions { simd, split });
-                assert_eq!(
-                    baseline, run,
-                    "{simd:?} x {workers} workers x {split:?} diverged from scalar/unsplit"
-                );
-            }
+            let pool = SweepPool::new(workers);
+            let run = execute_with(&pool, &plan, &store, ExecOptions { simd });
+            assert_eq!(baseline, run, "{simd:?} x {workers} workers diverged from scalar/unsplit");
         }
     }
 }
