@@ -13,7 +13,7 @@
 //! * `scalar` — the per-member scalar reference loop.
 //!
 //! An unrecognized value warns on stderr and falls back to `auto`,
-//! matching the `TLABP_THREADS` validation: a typo'd knob should not
+//! matching the daemon's `TLABP_SERVE_*` knobs: a typo'd knob should not
 //! abort a sweep, but it must not silently pretend to be the kernel it
 //! named either — hence the warning.
 //!
@@ -51,7 +51,7 @@ impl SimdMode {
 
     /// Parses a `TLABP_SIMD` value, warning on stderr and falling back
     /// to [`SimdMode::Auto`] when the value is unrecognized — the same
-    /// contract as the `TLABP_THREADS` override: a typo'd knob must not
+    /// contract as the daemon's `TLABP_SERVE_*` knobs: a typo'd knob must not
     /// abort the run, and must not silently masquerade as a forced
     /// kernel either.
     #[must_use]
@@ -115,7 +115,7 @@ mod tests {
 
     #[test]
     fn parse_warns_and_falls_back_to_auto_on_unknown_values() {
-        // The warn-and-default contract (matching TLABP_THREADS): a
+        // The warn-and-default contract (matching TLABP_SERVE_*): a
         // garbage value — including a retired tier name — must not panic
         // and must resolve to Auto.
         for value in ["neon", "", "swar", "avx512"] {

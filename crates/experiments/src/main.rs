@@ -357,9 +357,9 @@ fn cmd_exec(input: Option<&str>, out_dir: &Path) -> ExitCode {
 
 /// `experiments serve`: run the sweep daemon per `TLABP_SERVE_ADDR` /
 /// `TLABP_SERVE_INFLIGHT` / `TLABP_SERVE_MEMO_BYTES` /
-/// `TLABP_SERVE_MEMO_DIR` / `TLABP_SERVE_MEMO_DISK_BYTES` /
-/// `TLABP_SERVE_WINDOW`, sharing one warm trace store and the global
-/// worker pool across every connection. The daemon needs a unix host.
+/// `TLABP_SERVE_MEMO_DIR` / `TLABP_SERVE_MEMO_DISK_BYTES`, sharing one
+/// warm trace store and the global worker pool across every connection.
+/// The daemon needs a unix host.
 fn cmd_serve() -> ExitCode {
     figures::register_custom_predictors();
     let config = tlabp_service::ServeConfig::from_env();
@@ -430,7 +430,7 @@ fn cmd_client(input: Option<&str>, out_dir: &Path) -> ExitCode {
 /// simulate-ready.
 fn cmd_import(input: Option<&str>, out_dir: &Path) -> ExitCode {
     use tlabp_trace::import::{import_artifacts, write_etrace};
-    use tlabp_trace::io::{chunk_bytes_from_env, read_artifacts, write_file_atomic};
+    use tlabp_trace::io::{read_artifacts, write_file_atomic, DEFAULT_CHUNK_BYTES};
 
     let (bytes, label) = match input {
         Some(path) => match fs::read(path) {
@@ -446,15 +446,15 @@ fn cmd_import(input: Option<&str>, out_dir: &Path) -> ExitCode {
         }
     };
 
-    let chunk_bytes = chunk_bytes_from_env();
-    let (fingerprint, artifact) = match import_artifacts(&bytes, chunk_bytes) {
+    let (fingerprint, artifact) = match import_artifacts(&bytes, DEFAULT_CHUNK_BYTES) {
         Ok(pair) => pair,
         Err(e) => {
             eprintln!("cannot import {label}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let again = import_artifacts(&bytes, chunk_bytes).expect("a decodable capture stays decodable");
+    let again =
+        import_artifacts(&bytes, DEFAULT_CHUNK_BYTES).expect("a decodable capture stays decodable");
     assert_eq!(again.1, artifact, "import must be deterministic for the same capture bytes");
 
     let store = tlabp_sim::TraceStore::persistent();
@@ -476,7 +476,7 @@ fn cmd_import(input: Option<&str>, out_dir: &Path) -> ExitCode {
     println!(
         "[{} trace events, {} conditional branches, {} static branch sites]",
         trace.len(),
-        bundle.packed.as_ref().map_or(0, Vec::len),
+        interned.len(),
         interned.distinct_pcs()
     );
     println!("[wrote {} (fingerprint {fingerprint:016x})]", path.display());
@@ -527,12 +527,11 @@ fn print_usage() {
     );
     println!(
         "`serve` (unix hosts only) additionally honors TLABP_SERVE_INFLIGHT,\n\
-         TLABP_SERVE_MEMO_BYTES, TLABP_SERVE_MEMO_DIR, TLABP_SERVE_MEMO_DISK_BYTES\n\
-         and TLABP_SERVE_WINDOW."
+         TLABP_SERVE_MEMO_BYTES, TLABP_SERVE_MEMO_DIR and TLABP_SERVE_MEMO_DISK_BYTES."
     );
     println!(
         "`import` decodes a TLBE execution-trace capture (or a built-in demo when no\n\
          file is given) into a v3 chunked artifact named by its content fingerprint,\n\
-         honoring TLABP_CHUNK_BYTES and TLABP_TRACE_DIR."
+         honoring TLABP_TRACE_DIR."
     );
 }

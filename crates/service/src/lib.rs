@@ -18,7 +18,8 @@
 //!   readiness loop ([`event`]: `epoll` on Linux, `poll` on other unix)
 //!   from a fixed set of threads, with per-client admission control
 //!   (`TLABP_SERVE_INFLIGHT` plans in flight per connection, FIFO
-//!   beyond) and bounded per-connection output queues. The daemon needs
+//!   beyond; each plan holds at most twice the pool width of tasks in
+//!   the shared queue) and bounded per-connection output queues. The daemon needs
 //!   a unix host: on any other, binding fails with
 //!   [`std::io::ErrorKind::Unsupported`].
 //! * memo tiers — a byte-capped LRU (`TLABP_SERVE_MEMO_BYTES`) of
@@ -51,5 +52,5 @@ pub use proto::{Done, FrameError, FrameKind, PROTOCOL_VERSION};
 pub use server::{
     serve, MemoDirMode, ServeConfig, SweepServer, DEFAULT_INFLIGHT, DEFAULT_MEMO_BYTES,
     DEFAULT_SERVE_ADDR, SERVE_ADDR_ENV, SERVE_INFLIGHT_ENV, SERVE_MEMO_BYTES_ENV,
-    SERVE_MEMO_DIR_ENV, SERVE_MEMO_DISK_BYTES_ENV, SERVE_WINDOW_ENV,
+    SERVE_MEMO_DIR_ENV, SERVE_MEMO_DISK_BYTES_ENV,
 };

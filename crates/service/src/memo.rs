@@ -509,7 +509,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tlabp-memo-fold-{}", std::process::id()));
         let on_disk = TraceStore::with_cache_dir(&dir);
         let li = Benchmark::by_name("li").expect("li exists");
-        let _ = on_disk.get_packed(li, DataSet::Testing);
+        let _ = on_disk.get_interned(li, DataSet::Testing);
         for store in [TraceStore::new(), on_disk] {
             assert_eq!(plan_workload_fingerprint(&plan, &store), expected);
         }

@@ -5,10 +5,11 @@
 //! [`SweepPool`](tlabp_sim::SweepPool) (simulation work from all clients
 //! interleaves on one fixed set of worker threads, which is what makes
 //! admission fair: a second client's jobs enqueue behind — not after —
-//! the first client's, draining in bounded windows rather than whole
-//! plans), and the two memo tiers (byte-capped LRU in memory, checksummed
-//! artifacts on disk) that replay previously-computed responses
-//! byte-for-byte with zero simulation work.
+//! the first client's, each plan draining in windows of twice the pool
+//! width rather than whole), and the two memo tiers (byte-capped LRU in
+//! memory, checksummed artifacts on disk) that replay
+//! previously-computed responses byte-for-byte with zero simulation
+//! work.
 //!
 //! Connections are served by the event-driven readiness core
 //! ([`crate::event`]): N clients cost a fixed number of threads. It
@@ -40,10 +41,6 @@ pub const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7391";
 pub const SERVE_MEMO_BYTES_ENV: &str = "TLABP_SERVE_MEMO_BYTES";
 /// Default in-memory memo budget: 64 MiB of pre-encoded frames.
 pub const DEFAULT_MEMO_BYTES: usize = 64 << 20;
-/// Environment variable overriding the per-request streaming window
-/// (in-flight task cap). Unset means the session default
-/// (`2 * pool threads`).
-pub const SERVE_WINDOW_ENV: &str = "TLABP_SERVE_WINDOW";
 /// Environment variable capping concurrently executing plans per
 /// connection; pipelined plans beyond the cap queue FIFO.
 pub const SERVE_INFLIGHT_ENV: &str = "TLABP_SERVE_INFLIGHT";
@@ -89,8 +86,6 @@ pub struct ServeConfig {
     /// In-memory memo budget in bytes of pre-encoded response frames;
     /// 0 disables memoization (both tiers).
     pub memo_bytes: usize,
-    /// Per-request streaming window override; `None` = session default.
-    pub window: Option<usize>,
     /// Concurrently executing plans per connection (≥ 1).
     pub inflight: usize,
     /// Persistent memo tier location.
@@ -105,7 +100,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: DEFAULT_SERVE_ADDR.to_owned(),
             memo_bytes: DEFAULT_MEMO_BYTES,
-            window: None,
             inflight: DEFAULT_INFLIGHT,
             memo_dir: MemoDirMode::Auto,
             memo_disk_bytes: None,
@@ -129,9 +123,6 @@ impl ServeConfig {
             if let Some(bytes) = parse_usize_env(SERVE_MEMO_BYTES_ENV, &raw) {
                 config.memo_bytes = bytes;
             }
-        }
-        if let Some(raw) = read_env(SERVE_WINDOW_ENV) {
-            config.window = parse_window_env(&raw);
         }
         if let Some(raw) = read_env(SERVE_INFLIGHT_ENV) {
             if let Some(inflight) = parse_inflight_env(&raw) {
@@ -164,21 +155,6 @@ fn parse_usize_env(name: &str, raw: &str) -> Option<usize> {
             );
             None
         }
-    }
-}
-
-/// [`SERVE_WINDOW_ENV`]: `0` means "session default", so it maps to
-/// `None` with a warning rather than a zero-window deadlock.
-fn parse_window_env(raw: &str) -> Option<usize> {
-    match parse_usize_env(SERVE_WINDOW_ENV, raw) {
-        Some(0) => {
-            eprintln!(
-                "warning: ignoring {SERVE_WINDOW_ENV}=0 (a zero window cannot stream); \
-                 using the session default"
-            );
-            None
-        }
-        other => other,
     }
 }
 
@@ -228,7 +204,6 @@ impl ServeStats {
 pub(crate) struct Shared {
     store: TraceStore,
     options: ExecOptions,
-    window: Option<usize>,
     memo: Mutex<MemoCache>,
     disk: Option<MemoDisk>,
     pub(crate) stats: ServeStats,
@@ -236,13 +211,9 @@ pub(crate) struct Shared {
 
 impl Shared {
     /// A fresh session on the global pool with this server's options.
+    /// Its admission window is the session's own, twice the pool width.
     pub(crate) fn session(&self) -> Session<'static> {
-        let mut session =
-            Session::on(SweepPool::global(), self.store.clone()).with_options(self.options);
-        if let Some(window) = self.window {
-            session = session.with_window(window);
-        }
-        session
+        Session::on(SweepPool::global(), self.store.clone()).with_options(self.options)
     }
 
     /// Probes the in-memory memo tier.
@@ -357,7 +328,6 @@ impl SweepServer {
             shared: Arc::new(Shared {
                 store,
                 options,
-                window: config.window,
                 memo: Mutex::new(cache),
                 disk,
                 stats: ServeStats::default(),
@@ -420,10 +390,6 @@ mod tests {
         assert_eq!(parse_usize_env(SERVE_MEMO_BYTES_ENV, " 42 "), Some(42));
         assert_eq!(parse_usize_env(SERVE_MEMO_BYTES_ENV, "64MiB"), None, "units are garbage");
         assert_eq!(parse_usize_env(SERVE_MEMO_BYTES_ENV, "-1"), None);
-
-        assert_eq!(parse_window_env("8"), Some(8));
-        assert_eq!(parse_window_env("0"), None, "zero window means session default");
-        assert_eq!(parse_window_env("lots"), None);
 
         assert_eq!(parse_inflight_env("2"), Some(2));
         assert_eq!(parse_inflight_env("0"), Some(DEFAULT_INFLIGHT), "zero admits nothing");

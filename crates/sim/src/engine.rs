@@ -89,11 +89,9 @@ use crate::metrics::{BenchmarkAccuracy, FetchStats, MissBreakdown, SuiteResult};
 use crate::plan::{Job, MetricSet, Plan, PredictorSpec, TargetCacheSpec, TraceKey};
 use crate::pool::SweepPool;
 use crate::runner::{
-    replay_stream_key, simulate, simulate_fused, simulate_replay_transposed,
-    simulate_replay_transposed_streamed, ContextSwitchConfig, FoldKey, SimConfig, SimResult,
-    StreamKey,
+    replay_stream_key, simulate, simulate_fused, simulate_replay_transposed, ContextSwitchConfig,
+    FoldKey, SimConfig, SimResult, StreamKey,
 };
-use crate::stream::stream_bytes_from_env;
 use crate::suite::TraceStore;
 
 /// Everything a job produced when it was measurable.
@@ -512,7 +510,7 @@ type Task = Box<dyn FnOnce() -> Vec<(usize, JobOutcome)> + Send + 'static>;
 /// sessions across many submissions; the pool reference lets concurrent
 /// sessions share one set of workers.
 ///
-/// Scheduling is windowed: at most [`Session::with_window`] tasks from
+/// Scheduling is windowed: at most twice the pool width of tasks from
 /// this session sit in the shared pool queue at once (the rest wait in
 /// the stream), so a session streaming a thousand-job plan does not
 /// monopolize the queue — concurrent sessions' tasks interleave FIFO,
@@ -556,7 +554,7 @@ impl Session<'static> {
 impl<'p> Session<'p> {
     /// A session on an explicit pool.
     ///
-    /// The default window is twice the pool width: enough queued work to
+    /// The admission window is twice the pool width: enough queued work to
     /// keep every worker busy while the stream consumes, small enough
     /// that concurrent sessions interleave on the shared queue.
     #[must_use]
@@ -568,15 +566,6 @@ impl<'p> Session<'p> {
     #[must_use]
     pub fn with_options(mut self, options: ExecOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Replaces the admission window (clamped to at least 1): the
-    /// maximum number of this session's tasks in the shared pool queue
-    /// at once.
-    #[must_use]
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = window.max(1);
         self
     }
 
@@ -925,19 +914,6 @@ fn prefetch_lowered(pool: &SweepPool, plan: &Plan, lowered: &[Lowered], store: &
                     (key, store.get_interned_unpersisted(key.benchmark, key.data_set).1)
                 }
                 PreGen::Stream(key, stream) => {
-                    // With the streaming tier on, a stream already
-                    // persisted in a v3 artifact will be walked
-                    // chunk-by-chunk from disk — prefetch then touches
-                    // only the chunk *index* (header + section heads),
-                    // never the bodies, so the barrier stays cheap and
-                    // resident bytes stay bounded. Only a missing section
-                    // still derives (and persists) the stream in memory:
-                    // derivation needs the interned form regardless.
-                    if stream_bytes_from_env().is_some()
-                        && store.stream_on_disk(key.benchmark, key.data_set, stream)
-                    {
-                        return None;
-                    }
                     let (_, generated) =
                         store.get_pattern_stream_unpersisted(key.benchmark, key.data_set, stream);
                     (key, generated)
@@ -947,8 +923,7 @@ fn prefetch_lowered(pool: &SweepPool, plan: &Plan, lowered: &[Lowered], store: &
         }
     }));
     // Then one write per changed slot, each slot a pool task of its own,
-    // all done before the barrier lifts (streamed replay opens the
-    // artifacts these writes leave).
+    // all done before the barrier lifts.
     if store.cache_dir().is_none() {
         return;
     }
@@ -1010,10 +985,8 @@ fn replay_key_of(cells: &[Option<Cell>], index: usize) -> StreamKey {
 /// sub-batch recomputing its own (maybe narrower) representative would
 /// derive a stream nobody prefetched. The width fold makes replaying the
 /// wider stream bit-identical for every member either way. The split is
-/// sized by events × members when the stream is already resident (a
-/// non-forcing peek — phase 1 just loaded it unless the streaming tier
-/// left it on disk); an absent stream splits by the worker and word caps
-/// alone.
+/// sized by events × members, read through a non-forcing peek: phase 1
+/// leaves every replay batch's stream resident.
 fn split_replay(
     cells: &[Option<Cell>],
     indices: &[usize],
@@ -1022,9 +995,11 @@ fn split_replay(
 ) -> (StreamKey, Vec<Vec<usize>>) {
     let rep = replay_rep_key(indices.iter().map(|&index| replay_key_of(cells, index)));
     let trace = cells[indices[0]].as_ref().expect("replay cell").trace;
-    let work = store
+    let events = store
         .peek_pattern_stream(trace.benchmark, trace.data_set, rep)
-        .map(|stream| stream.len() as u64 * indices.len() as u64);
+        .expect("the prefetch barrier leaves every replay batch's stream resident")
+        .len();
+    let work = events as u64 * indices.len() as u64;
     let widths: Vec<u32> =
         indices.iter().map(|&index| replay_key_of(cells, index).history_bits()).collect();
     (rep, split_replay_batch(indices, &widths, pool_threads, work))
@@ -1034,8 +1009,8 @@ fn split_replay(
 /// intra-batch parallelism, or returns the batch whole when the pool or
 /// the work says not to: up to one sub-batch per pool worker, never
 /// below one transposed word of members per sub-batch, and never below
-/// [`SPLIT_UNIT`] member-events of work per sub-batch when `work` (the
-/// batch's stream length × members) is known.
+/// [`SPLIT_UNIT`] member-events of work per sub-batch, where `work` is
+/// the batch's stream length × members.
 ///
 /// The split granule ("atom") is one bank: members regroup by stream
 /// width (`widths[i]` belongs to `indices[i]`) and each width group cuts
@@ -1056,7 +1031,7 @@ fn split_replay_batch(
     indices: &[usize],
     widths: &[u32],
     pool_threads: usize,
-    work: Option<u64>,
+    work: u64,
 ) -> Vec<Vec<usize>> {
     debug_assert_eq!(indices.len(), widths.len());
     // Atoms: width groups in first-seen order, cut at word boundaries.
@@ -1071,11 +1046,7 @@ fn split_replay_batch(
         groups.iter().flat_map(|(_, group)| group.chunks(LANES_PER_WORD)).collect();
 
     let cap = atoms.len().max(1);
-    let by_work = match work {
-        Some(work) => usize::try_from(work / SPLIT_UNIT).unwrap_or(usize::MAX).max(1),
-        // Stream not resident: let the worker/word caps decide.
-        None => cap,
-    };
+    let by_work = usize::try_from(work / SPLIT_UNIT).unwrap_or(usize::MAX).max(1);
     let parts = pool_threads.min(cap).min(by_work).max(1);
     if parts <= 1 {
         return vec![indices.to_vec()];
@@ -1215,18 +1186,10 @@ fn run_fused_batch(batch: Vec<(usize, Cell)>, store: &TraceStore) -> Vec<(usize,
 
 /// Runs one replay batch (or sub-batch) on a worker thread: fetch the
 /// batch's *representative* pattern stream once (`rep`, the widest
-/// member width of the whole pre-split fold group — already derived in
-/// phase 1, and shared by every sub-batch of a split) and walk every
-/// member's bit-sliced transposed PHT bank over it in a single SWAR
-/// pass ([`simulate_replay_transposed`]).
-///
-/// When the streaming tier is on (`TLABP_STREAM_BYTES`) and the stream
-/// is already persisted in a v3 artifact, the batch walks it
-/// chunk-by-chunk through a [`StreamCursor`] instead of hydrating it —
-/// bit-identical results with resident bytes bounded by the window. A
-/// cursor that cannot open (cold artifact) or errors mid-stream
-/// (corrupt chunk) falls back to the hydrated path, so streaming is
-/// only ever an optimization, never a correctness dependency.
+/// member width of the whole pre-split fold group — already derived or
+/// hydrated in phase 1, and shared by every sub-batch of a split) and
+/// walk every member's bit-sliced transposed PHT bank over it in a
+/// single SWAR pass ([`simulate_replay_transposed`]).
 fn run_replay_batch(
     batch: Vec<(usize, Cell)>,
     store: &TraceStore,
@@ -1236,11 +1199,9 @@ fn run_replay_batch(
     let trace = batch[0].1.trace;
     let predictors: Vec<AnyPredictor> =
         batch.iter().map(|(_, cell)| cell.build.build_any(store, cell.trace)).collect();
-    let sims = replay_streamed(&predictors, store, trace, simd, rep).unwrap_or_else(|| {
-        let stream = store.get_pattern_stream(trace.benchmark, trace.data_set, rep);
-        simulate_replay_transposed(&predictors, &stream, simd)
-            .expect("replay lowering only selects schemes with a second level")
-    });
+    let stream = store.get_pattern_stream(trace.benchmark, trace.data_set, rep);
+    let sims = simulate_replay_transposed(&predictors, &stream, simd)
+        .expect("replay lowering only selects schemes with a second level");
     batch
         .into_iter()
         .zip(sims)
@@ -1248,32 +1209,6 @@ fn run_replay_batch(
             (index, JobOutcome::Measured(JobMetrics { sim, miss_breakdown: None, fetch: None }))
         })
         .collect()
-}
-
-/// The streaming attempt of [`run_replay_batch`]: `None` means "use the
-/// hydrated path" — the tier is off, the artifact has no such stream
-/// yet, or the walk failed mid-stream (with a warning).
-fn replay_streamed(
-    predictors: &[AnyPredictor],
-    store: &TraceStore,
-    trace: TraceKey,
-    simd: SimdMode,
-    rep: StreamKey,
-) -> Option<Vec<SimResult>> {
-    let stream_bytes = stream_bytes_from_env()?;
-    let mut cursor =
-        store.open_stream_cursor(trace.benchmark, trace.data_set, rep, stream_bytes)?;
-    match simulate_replay_transposed_streamed(predictors, &mut cursor, simd)? {
-        Ok(sims) => Some(sims),
-        Err(err) => {
-            eprintln!(
-                "warning: streaming replay of {}-{:?} failed ({err}); rehydrating",
-                trace.benchmark.name(),
-                trace.data_set
-            );
-            None
-        }
-    }
 }
 
 /// How a job's predictor gets built on the worker.
@@ -1338,8 +1273,8 @@ struct Cell {
 enum TraceForm {
     /// The full event trace.
     Full,
-    /// Plus the pc-interned conditional stream (the store packs the
-    /// conditional stream on the way, since interning reads it).
+    /// Plus the pc-interned conditional stream (interning packs the
+    /// conditional branches into a buffer it drops).
     Interned,
 }
 
@@ -1650,8 +1585,6 @@ mod tests {
         let fresh = TraceStore::with_cache_dir(&barrier_dir);
         let (trace, generated) = fresh.get_unpersisted(li(), set);
         assert!(!generated && *trace == *getters.get(li(), set), "the trace hydrates");
-        let (packed, generated) = fresh.get_packed_unpersisted(li(), set);
-        assert!(!generated && *packed == *getters.get_packed(li(), set), "packed hydrates");
         let (interned, generated) = fresh.get_interned_unpersisted(li(), set);
         assert!(!generated && *interned == *getters.get_interned(li(), set), "interned hydrates");
         for &key in &keys {
@@ -1790,7 +1723,7 @@ mod tests {
         // a fragment of a word.
         let indices: Vec<usize> = (0..40).collect();
         let widths = vec![12u32; 40];
-        let parts = split_replay_batch(&indices, &widths, 8, None);
+        let parts = split_replay_batch(&indices, &widths, 8, u64::MAX);
         assert_eq!(
             parts.iter().map(Vec::len).collect::<Vec<_>>(),
             vec![16, 16, 8],
@@ -1799,7 +1732,7 @@ mod tests {
         let merged: Vec<usize> = parts.concat();
         assert_eq!(merged, indices, "parts partition the batch in plan order");
         // A one-worker pool leaves the batch whole however big the work.
-        assert_eq!(split_replay_batch(&indices, &widths, 1, Some(u64::MAX)), vec![indices.clone()]);
+        assert_eq!(split_replay_batch(&indices, &widths, 1, u64::MAX), vec![indices.clone()]);
     }
 
     #[test]
@@ -1807,17 +1740,17 @@ mod tests {
         let indices: Vec<usize> = (0..64).collect();
         let widths = vec![10u32; 64];
         // Well under one SPLIT_UNIT of measured work: no split.
-        let parts = split_replay_batch(&indices, &widths, 8, Some(1000));
+        let parts = split_replay_batch(&indices, &widths, 8, 1000);
         assert_eq!(parts.len(), 1);
         // Two units of work: two parts even with eight idle workers.
-        let parts = split_replay_batch(&indices, &widths, 8, Some(2 * SPLIT_UNIT));
+        let parts = split_replay_batch(&indices, &widths, 8, 2 * SPLIT_UNIT);
         assert_eq!(parts.len(), 2);
-        // Unknown stream size: the word cap (64 members = 4 atoms)
-        // bounds an eight-worker split.
-        let parts = split_replay_batch(&indices, &widths, 8, None);
+        // Ample work: the word cap (64 members = 4 atoms) bounds an
+        // eight-worker split.
+        let parts = split_replay_batch(&indices, &widths, 8, u64::MAX);
         assert_eq!(parts.len(), 4);
         // Two workers: the pool bounds it instead.
-        let parts = split_replay_batch(&indices, &widths, 2, None);
+        let parts = split_replay_batch(&indices, &widths, 2, u64::MAX);
         assert_eq!(parts.len(), 2);
     }
 
@@ -1828,7 +1761,7 @@ mod tests {
         // not sixteen fragments.
         let indices: Vec<usize> = (0..16).collect();
         let widths: Vec<u32> = (0..16).map(|i| if i % 2 == 0 { 4 } else { 6 }).collect();
-        let parts = split_replay_batch(&indices, &widths, 2, None);
+        let parts = split_replay_batch(&indices, &widths, 2, u64::MAX);
         assert_eq!(parts.len(), 2);
         assert!(parts[0].iter().all(|&index| index % 2 == 0), "width-4 members stay together");
         assert!(parts[1].iter().all(|&index| index % 2 == 1), "width-6 members stay together");

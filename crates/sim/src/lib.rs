@@ -71,9 +71,6 @@ pub use runner::{
     derive_pattern_stream, replay_stream_key, simulate, simulate_fused, simulate_replay_transposed,
     simulate_replay_transposed_streamed, SimConfig, SimResult, StreamKey, SwitchSchedule,
 };
-pub use stream::{
-    stream_bytes_from_env, StreamChunk, StreamCursor, StreamWindow, DEFAULT_STREAM_BYTES,
-    STREAM_BYTES_ENV,
-};
+pub use stream::{StreamChunk, StreamCursor, StreamWindow};
 pub use suite::{run_suite, CacheBytes, TraceStore, DEFAULT_TRACE_DIR, TRACE_DIR_ENV};
 pub use sweep::{run_sweep, run_sweep_on};

@@ -54,20 +54,14 @@ impl SweepPool {
         SweepPool { injector, threads }
     }
 
-    /// The process-wide pool, started on first use. Sized to the
-    /// machine's available parallelism, unless the `TLABP_THREADS`
-    /// environment variable holds a positive integer — then that wins
-    /// (useful for benchmarking scaling or taming CI machines). A set
-    /// but invalid value (empty, non-numeric, zero) is ignored with a
-    /// warning on stderr.
+    /// The process-wide pool, started on first use and sized to the
+    /// machine's available parallelism. A caller that wants another
+    /// width builds its own pool with [`SweepPool::new`].
     #[must_use]
     pub fn global() -> &'static SweepPool {
         static GLOBAL: OnceLock<SweepPool> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let detected = thread::available_parallelism().map_or(1, |n| n.get());
-            let env = std::env::var("TLABP_THREADS").ok();
-            SweepPool::new(configured_threads(env.as_deref(), detected))
-        })
+        GLOBAL
+            .get_or_init(|| SweepPool::new(thread::available_parallelism().map_or(1, |n| n.get())))
     }
 
     /// Number of worker threads.
@@ -124,37 +118,6 @@ impl SweepPool {
             slots[index] = Some(value);
         }
         slots.into_iter().map(|slot| slot.expect("every job reports once")).collect()
-    }
-}
-
-/// Resolves the global pool size: a positive integer in `env_value`
-/// (the `TLABP_THREADS` variable) overrides the detected core count.
-/// Anything unset falls back to `detected` silently; a set-but-invalid
-/// value (empty, non-numeric, zero) also falls back but warns on stderr
-/// — a typo'd override silently running at full width is the kind of
-/// surprise that ruins a scaling benchmark.
-fn configured_threads(env_value: Option<&str>, detected: usize) -> usize {
-    match thread_override(env_value) {
-        Ok(Some(threads)) => threads,
-        Ok(None) => detected,
-        Err(raw) => {
-            eprintln!(
-                "warning: ignoring TLABP_THREADS={raw:?} (expected a positive integer); \
-                 using {detected} detected thread(s)"
-            );
-            detected
-        }
-    }
-}
-
-/// Parses the `TLABP_THREADS` override: `Ok(None)` when unset,
-/// `Ok(Some(n))` for a positive integer, `Err(raw value)` for anything
-/// else (empty, non-numeric, zero).
-fn thread_override(env_value: Option<&str>) -> Result<Option<usize>, String> {
-    let Some(raw) = env_value else { return Ok(None) };
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Ok(Some(n)),
-        _ => Err(raw.to_owned()),
     }
 }
 
@@ -219,33 +182,6 @@ mod tests {
         let b = SweepPool::global();
         assert!(std::ptr::eq(a, b));
         assert!(a.threads() >= 1);
-    }
-
-    #[test]
-    fn env_override_parses_positive_integers_only() {
-        assert_eq!(configured_threads(Some("3"), 8), 3);
-        assert_eq!(configured_threads(Some(" 12 "), 8), 12);
-        assert_eq!(configured_threads(Some("0"), 8), 8, "zero falls back");
-        assert_eq!(configured_threads(Some("-2"), 8), 8, "negative falls back");
-        assert_eq!(configured_threads(Some("lots"), 8), 8, "garbage falls back");
-        assert_eq!(configured_threads(Some(""), 8), 8);
-        assert_eq!(configured_threads(None, 8), 8);
-    }
-
-    #[test]
-    fn thread_override_distinguishes_unset_from_invalid() {
-        // Unset is the normal case — no warning warranted.
-        assert_eq!(thread_override(None), Ok(None));
-        // Valid overrides win, whitespace tolerated.
-        assert_eq!(thread_override(Some("1")), Ok(Some(1)));
-        assert_eq!(thread_override(Some(" 12 ")), Ok(Some(12)));
-        // Set-but-invalid values surface the raw text for the warning.
-        assert_eq!(thread_override(Some("0")), Err("0".to_owned()));
-        assert_eq!(thread_override(Some("")), Err(String::new()));
-        assert_eq!(thread_override(Some("  ")), Err("  ".to_owned()));
-        assert_eq!(thread_override(Some("-2")), Err("-2".to_owned()));
-        assert_eq!(thread_override(Some("3.5")), Err("3.5".to_owned()));
-        assert_eq!(thread_override(Some("lots")), Err("lots".to_owned()));
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! Bounded-memory streaming of persisted pattern streams.
 //!
-//! The replay kernels normally walk a fully hydrated
-//! [`tlabp_trace::PatternStream`]. For traces whose derived streams are
-//! larger than the memory we want to spend, this module reads a v3
-//! chunked artifact ([`tlabp_trace::io::ChunkedArtifact`]) one chunk at
-//! a time instead: a [`StreamCursor`] owns a dedicated decode thread
-//! that reads, checksum-verifies and varint-decodes chunk *N + k* while
-//! the replay kernel consumes chunk *N*, with a bounded ring between
-//! them so resident bytes never exceed the configured window.
+//! The engine's replay kernels walk a fully hydrated
+//! [`tlabp_trace::PatternStream`]. A caller that would rather not hold a
+//! whole stream in memory can read a v3 chunked artifact
+//! ([`tlabp_trace::io::ChunkedArtifact`]) one chunk at a time instead: a
+//! [`StreamCursor`] owns a dedicated decode thread that reads,
+//! checksum-verifies and varint-decodes chunk *N + k* while the replay
+//! kernel ([`crate::runner::simulate_replay_transposed_streamed`])
+//! consumes chunk *N*, with a bounded ring between them so resident
+//! bytes stay within the window the caller gives.
 //!
-//! Resident bytes are accounted through a shared [`StreamWindow`]
-//! gauge: every decoded [`StreamChunk`] holds a lease that is released
-//! when the chunk is dropped, so `TraceStore::cache_bytes` can report
-//! the streaming window next to the hydrated tiers and benches can
-//! record the peak.
+//! Resident bytes are accounted through a [`StreamWindow`] gauge the
+//! caller owns: every decoded [`StreamChunk`] holds a lease that is
+//! released when the chunk is dropped, so the caller can read the
+//! current and peak residency of its own walks.
 //!
 //! Streaming replay is bit-identical to in-memory replay: replay is a
 //! left fold over the event sequence (each bank carries its own state
@@ -28,49 +28,12 @@ use std::sync::Arc;
 
 use tlabp_trace::io::{ChunkedArtifact, ReadTraceError, StreamSectionInfo};
 
-/// Environment variable bounding the streaming replay window, in bytes.
+/// Gauge of bytes resident in streaming replay windows.
 ///
-/// Unset (or set to `0` or the empty string) disables the streaming
-/// tier: the engine hydrates whole pattern streams as before. Any
-/// positive value turns streaming replay on with that resident-byte
-/// target; unparseable values warn and fall back to
-/// [`DEFAULT_STREAM_BYTES`].
-pub const STREAM_BYTES_ENV: &str = "TLABP_STREAM_BYTES";
-
-/// Streaming window used when [`STREAM_BYTES_ENV`] is set but
-/// unparseable: 64 MiB.
-pub const DEFAULT_STREAM_BYTES: usize = 64 << 20;
-
-/// Reads the streaming window from [`STREAM_BYTES_ENV`].
-///
-/// `None` means the streaming tier is off (the default). The window is
-/// a target, not a hard guarantee: the pipeline always keeps at least
-/// one decoded chunk in flight and one at the consumer, so a window
-/// smaller than three chunks of the artifact's chunk budget
-/// (`TLABP_CHUNK_BYTES`) is exceeded by the difference.
-#[must_use]
-pub fn stream_bytes_from_env() -> Option<usize> {
-    let raw = std::env::var(STREAM_BYTES_ENV).ok()?;
-    let raw = raw.trim();
-    if raw.is_empty() || raw == "0" {
-        return None;
-    }
-    match raw.parse::<usize>() {
-        Ok(bytes) => Some(bytes),
-        Err(_) => {
-            eprintln!(
-                "warning: {STREAM_BYTES_ENV}={raw:?} is not a byte count; \
-                 using {DEFAULT_STREAM_BYTES}"
-            );
-            Some(DEFAULT_STREAM_BYTES)
-        }
-    }
-}
-
-/// Shared gauge of bytes resident in streaming replay windows.
-///
-/// `current` rises when a [`StreamChunk`] is decoded and falls when it
-/// is dropped; `peak` is the high-water mark since construction.
+/// The caller owns it and hands it to every [`StreamCursor::open`] whose
+/// chunks it should count; cursors sharing one gauge add up. `current`
+/// rises when a [`StreamChunk`] is decoded and falls when it is dropped;
+/// `peak` is the high-water mark since construction.
 #[derive(Debug, Default)]
 pub struct StreamWindow {
     current: AtomicUsize,
@@ -292,7 +255,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stream_window_tracks_current_and_peak() {
+    fn window_gauge_tracks_current_and_peak() {
         let window = StreamWindow::new();
         window.add(100);
         window.add(50);
@@ -318,23 +281,6 @@ mod tests {
         drop(chunk);
         assert_eq!(window.current(), 0);
         assert_eq!(window.peak(), 64);
-    }
-
-    #[test]
-    fn stream_bytes_env_parses_disables_and_defaults() {
-        // Sole owner of the env var across the test binary, so the
-        // set/remove pairs cannot race another test.
-        std::env::remove_var(STREAM_BYTES_ENV);
-        assert_eq!(stream_bytes_from_env(), None);
-        std::env::set_var(STREAM_BYTES_ENV, "");
-        assert_eq!(stream_bytes_from_env(), None);
-        std::env::set_var(STREAM_BYTES_ENV, "0");
-        assert_eq!(stream_bytes_from_env(), None);
-        std::env::set_var(STREAM_BYTES_ENV, "8388608");
-        assert_eq!(stream_bytes_from_env(), Some(8 << 20));
-        std::env::set_var(STREAM_BYTES_ENV, "lots");
-        assert_eq!(stream_bytes_from_env(), Some(DEFAULT_STREAM_BYTES));
-        std::env::remove_var(STREAM_BYTES_ENV);
     }
 
     #[test]

@@ -9,17 +9,16 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use tlabp_core::config::SchemeConfig;
 use tlabp_trace::io::{
-    chunk_bytes_from_env, read_artifacts, write_artifacts_chunked, write_file_atomic,
-    ChunkedArtifact, FileLock, ARTIFACT_VERSION_CHUNKED,
+    read_artifacts, write_artifacts_chunked, write_file_atomic, FileLock, ARTIFACT_VERSION_CHUNKED,
+    DEFAULT_CHUNK_BYTES,
 };
-use tlabp_trace::{InternedConds, PackedCond, PatternStream, Trace};
+use tlabp_trace::{InternedConds, PatternStream, Trace};
 use tlabp_workloads::{Benchmark, DataSet};
 
 use crate::metrics::SuiteResult;
 use crate::runner::{
     derive_pattern_stream, ContextSwitchConfig, SimConfig, StreamKey, SwitchSchedule,
 };
-use crate::stream::{StreamCursor, StreamWindow};
 use crate::sweep::run_sweep;
 
 /// Environment variable naming the disk cache directory.
@@ -36,6 +35,12 @@ pub const DEFAULT_TRACE_DIR: &str = "target/trace-cache";
 /// cheap and shares the cache, so sweep cells on other threads can hold
 /// their own handle.
 ///
+/// A slot holds the forms jobs read: the full trace, the pc-interned
+/// conditional stream every walk and every pattern-stream derivation
+/// reads, and the pattern streams themselves, one per [`StreamKey`].
+/// Interning packs the conditional branches into a buffer it drops, so
+/// no packed copy stays resident.
+///
 /// Each cache slot initializes through its own [`OnceLock`]: when many
 /// sweep cells ask for the same ungenerated trace at once, exactly one
 /// thread runs the VM while the rest block on that slot — the map locks
@@ -48,7 +53,7 @@ pub const DEFAULT_TRACE_DIR: &str = "target/trace-cache";
 /// [`TraceStore::from_env`] or [`TraceStore::with_cache_dir`]
 /// additionally persists every slot as a v3 chunked artifact container
 /// (`tlabp_trace::io`): on the first touch of a slot the store tries to
-/// hydrate all four forms from `<dir>/<bench>-<set>-v3-<fingerprint>.tlabp`
+/// hydrate every form from `<dir>/<bench>-<set>-v3-<fingerprint>.tlabp`
 /// without running the VM; whenever a getter actually generates or
 /// derives something new, the slot is re-written atomically (temp file +
 /// rename). The engine's prefetch barrier derives through getters that
@@ -59,21 +64,12 @@ pub const DEFAULT_TRACE_DIR: &str = "target/trace-cache";
 /// an older build's files included, whatever their version. A file that
 /// exists but fails its checksum or decode is ignored with a warning and
 /// the slot regenerates — a corrupt cache can cost time, never
-/// correctness.
-///
-/// # Streaming tier
-///
-/// Because v3 artifacts are chunked and seekable, a persisted pattern
-/// stream can also be *streamed* instead of hydrated:
-/// [`TraceStore::open_stream_cursor`] hands the replay kernels one
-/// chunk at a time with resident bytes bounded by a window
-/// (`TLABP_STREAM_BYTES`), accounted through the store's shared
-/// [`StreamWindow`] gauge.
+/// correctness. A packed section an older build wrote is skipped on
+/// hydration and dropped the next time the slot is rewritten.
 #[derive(Debug, Clone, Default)]
 pub struct TraceStore {
     cache: Arc<RwLock<SlotMap>>,
     disk: Option<Arc<DiskTier>>,
-    window: Arc<StreamWindow>,
 }
 
 type SlotMap = HashMap<(&'static str, DataSetKey), Arc<TraceSlot>>;
@@ -81,11 +77,10 @@ type SlotMap = HashMap<(&'static str, DataSetKey), Arc<TraceSlot>>;
 #[derive(Debug, Default)]
 struct TraceSlot {
     trace: OnceLock<Arc<Trace>>,
-    packed: OnceLock<Arc<Vec<PackedCond>>>,
     interned: OnceLock<Arc<InternedConds>>,
     // One materialized first-level stream per StreamKey. The mutex guards
     // only the map (find or insert the cell); each cell's derivation runs
-    // behind its own OnceLock, exactly like the three fixed forms above.
+    // behind its own OnceLock, exactly like the two fixed forms above.
     streams: Mutex<HashMap<StreamKey, Arc<OnceLock<Arc<PatternStream>>>>>,
     // One context-switch schedule per switch configuration, built the
     // same way from the full trace. Never persisted: a schedule is a few
@@ -158,9 +153,6 @@ impl DiskTier {
         if let Some(trace) = bundle.trace {
             let _ = slot.trace.set(Arc::new(trace));
         }
-        if let Some(packed) = bundle.packed {
-            let _ = slot.packed.set(Arc::new(packed));
-        }
         if let Some(interned) = bundle.interned {
             let _ = slot.interned.set(Arc::new(interned));
         }
@@ -199,7 +191,8 @@ impl DiskTier {
     ///   *different* streams for the same trace would each overwrite the
     ///   other's work; with it, the artifact converges to the union.
     ///   In-memory forms win on conflict — they are what this store
-    ///   measured with.
+    ///   measured with. A packed section is never carried over: the
+    ///   rewrite holds only the forms a store reads.
     ///
     /// Readers need no lock at all: hydration re-validates every section
     /// checksum on open and treats a torn or corrupt file as a miss.
@@ -207,7 +200,6 @@ impl DiskTier {
         let _guard = slot.write_lock.lock().expect("slot write lock");
         let fingerprint = slot.fingerprint(benchmark, data_set);
         let trace = slot.trace.get().cloned();
-        let packed = slot.packed.get().cloned();
         let interned = slot.interned.get().cloned();
         let streams: Vec<(Vec<u8>, Arc<PatternStream>)> = {
             let map = slot.streams.lock().expect("stream map lock");
@@ -226,10 +218,6 @@ impl DiskTier {
             .filter(|bundle| bundle.fingerprint == fingerprint);
         let merged_trace: Option<&Trace> =
             trace.as_deref().or(existing.as_ref().and_then(|b| b.trace.as_ref()));
-        let merged_packed: Option<&[PackedCond]> = packed
-            .as_deref()
-            .map(Vec::as_slice)
-            .or(existing.as_ref().and_then(|b| b.packed.as_deref()));
         let merged_interned: Option<&InternedConds> =
             interned.as_deref().or(existing.as_ref().and_then(|b| b.interned.as_ref()));
         let mut refs: Vec<(Vec<u8>, &PatternStream)> =
@@ -248,10 +236,10 @@ impl DiskTier {
         let bytes = write_artifacts_chunked(
             fingerprint,
             merged_trace,
-            merged_packed,
+            None,
             merged_interned,
             &refs,
-            chunk_bytes_from_env(),
+            DEFAULT_CHUNK_BYTES,
         );
         if let Err(err) = self.write_atomic(&path, &bytes) {
             eprintln!("warning: failed to write trace artifact {} ({err})", path.display());
@@ -345,57 +333,7 @@ impl TraceStore {
     /// write; a missing directory just means every lookup misses).
     #[must_use]
     pub fn with_cache_dir(dir: impl Into<PathBuf>) -> Self {
-        TraceStore {
-            cache: Arc::default(),
-            disk: Some(Arc::new(DiskTier { dir: dir.into() })),
-            window: Arc::default(),
-        }
-    }
-
-    /// The store's shared streaming-window gauge: resident (and peak)
-    /// bytes across every [`StreamCursor`] opened through
-    /// [`TraceStore::open_stream_cursor`].
-    #[must_use]
-    pub fn stream_window(&self) -> &Arc<StreamWindow> {
-        &self.window
-    }
-
-    /// Opens a bounded-memory [`StreamCursor`] over the persisted
-    /// pattern stream for `(benchmark, data_set, key)`, without
-    /// hydrating it.
-    ///
-    /// `None` when the store has no disk tier, the slot's v3 artifact
-    /// is missing or stamped with a different workload fingerprint, or
-    /// it holds no section for `key` — callers fall back to
-    /// [`TraceStore::get_pattern_stream`] plus in-memory replay.
-    #[must_use]
-    pub fn open_stream_cursor(
-        &self,
-        benchmark: &Benchmark,
-        data_set: DataSet,
-        key: StreamKey,
-        stream_bytes: usize,
-    ) -> Option<StreamCursor> {
-        let disk = self.disk.as_ref()?;
-        let fingerprint = self.fingerprint(benchmark, data_set);
-        let path = disk.path_for(benchmark.name(), data_set, fingerprint);
-        let cursor = StreamCursor::open(&path, &key.to_bytes(), stream_bytes, &self.window)?;
-        (cursor.fingerprint() == fingerprint).then_some(cursor)
-    }
-
-    /// Whether the persisted v3 artifact for `(benchmark, data_set)`
-    /// already holds a streamable section for `key`. Reads only the
-    /// artifact's header and section heads (the chunk index), never a
-    /// chunk body — this is the probe the engine's prefetch phase uses
-    /// when streaming replay is on.
-    #[must_use]
-    pub fn stream_on_disk(&self, benchmark: &Benchmark, data_set: DataSet, key: StreamKey) -> bool {
-        let Some(disk) = self.disk.as_ref() else { return false };
-        let fingerprint = self.fingerprint(benchmark, data_set);
-        let path = disk.path_for(benchmark.name(), data_set, fingerprint);
-        ChunkedArtifact::open(&path).is_ok_and(|artifact| {
-            artifact.fingerprint() == fingerprint && artifact.find_stream(&key.to_bytes()).is_some()
-        })
+        TraceStore { cache: Arc::default(), disk: Some(Arc::new(DiskTier { dir: dir.into() })) }
     }
 
     /// The disk cache directory, if the disk tier is enabled.
@@ -439,43 +377,18 @@ impl TraceStore {
     ) -> (Arc<Trace>, bool) {
         let slot = self.slot_hydrated(benchmark, data_set);
         let mut generated = false;
-        let trace = Arc::clone(slot.trace.get_or_init(|| {
-            generated = true;
-            Arc::new(benchmark.trace(data_set))
-        }));
+        let trace = Self::trace_of(&slot, benchmark, data_set, &mut generated);
         (trace, generated)
-    }
-
-    /// Returns the packed conditional-branch stream for
-    /// `(benchmark, data_set)` — the form interning reads — packing it on
-    /// first use.
-    #[must_use]
-    pub fn get_packed(&self, benchmark: &Benchmark, data_set: DataSet) -> Arc<Vec<PackedCond>> {
-        let (packed, generated) = self.get_packed_unpersisted(benchmark, data_set);
-        if generated {
-            self.persist_slot(benchmark, data_set);
-        }
-        packed
-    }
-
-    pub(crate) fn get_packed_unpersisted(
-        &self,
-        benchmark: &Benchmark,
-        data_set: DataSet,
-    ) -> (Arc<Vec<PackedCond>>, bool) {
-        let slot = self.slot_hydrated(benchmark, data_set);
-        let mut generated = false;
-        let packed = Arc::clone(Self::packed_of(&slot, benchmark, data_set, &mut generated));
-        (packed, generated)
     }
 
     /// Returns the pc-interned conditional stream for
     /// `(benchmark, data_set)` — the input of
     /// [`crate::runner::simulate_fused`] — interning it on first use.
     ///
-    /// All three forms (trace, packed, interned) share one slot, each
-    /// behind its own `OnceLock`, so every derivation happens exactly
-    /// once per key however many cells race for it.
+    /// Both fixed forms (trace, interned) share one slot, each behind
+    /// its own `OnceLock`, so every derivation happens exactly once per
+    /// key however many cells race for it. Interning packs the trace's
+    /// conditional branches into a buffer it drops.
     #[must_use]
     pub fn get_interned(&self, benchmark: &Benchmark, data_set: DataSet) -> Arc<InternedConds> {
         let (interned, generated) = self.get_interned_unpersisted(benchmark, data_set);
@@ -501,9 +414,9 @@ impl TraceStore {
     /// [`crate::runner::simulate_replay_transposed`] — deriving it on first
     /// use.
     ///
-    /// The fourth cached form, keyed per first-level [`StreamKey`] rather
+    /// The third cached form, keyed per first-level [`StreamKey`] rather
     /// than only per trace. The derivation chains through the interned
-    /// stream (and thus the packed stream and the trace), each stage
+    /// stream (and thus the trace), each stage
     /// behind its own `OnceLock`, so every derivation happens exactly once
     /// per key however many replay cells race for it.
     #[must_use]
@@ -588,44 +501,38 @@ impl TraceStore {
         streams.get(&key).and_then(|cell| cell.get()).map(Arc::clone)
     }
 
-    /// The trace → packed derivation chain on a slot; sets `generated`
-    /// when any stage actually ran (vs. was already cached or hydrated).
-    fn packed_of<'s>(
-        slot: &'s TraceSlot,
+    /// The slot's trace, generating it when neither the VM nor the disk
+    /// tier has filled it yet; sets `generated` when the VM ran.
+    fn trace_of(
+        slot: &TraceSlot,
         benchmark: &Benchmark,
         data_set: DataSet,
         generated: &mut bool,
-    ) -> &'s Arc<Vec<PackedCond>> {
-        // Packing reads the full trace, so a hydrated packed form without
-        // its trace must not force trace regeneration: only consult the
-        // trace OnceLock when packing actually needs to run.
-        if let Some(packed) = slot.packed.get() {
-            return packed;
-        }
-        let trace = Arc::clone(slot.trace.get_or_init(|| {
+    ) -> Arc<Trace> {
+        Arc::clone(slot.trace.get_or_init(|| {
             *generated = true;
             Arc::new(benchmark.trace(data_set))
-        }));
-        slot.packed.get_or_init(|| {
-            *generated = true;
-            Arc::new(trace.pack_conditionals())
-        })
+        }))
     }
 
-    /// The trace → packed → interned derivation chain on a slot.
+    /// The trace → interned derivation chain on a slot; sets `generated`
+    /// when any stage actually ran (vs. was already cached or hydrated).
     fn interned_of(
         slot: &TraceSlot,
         benchmark: &Benchmark,
         data_set: DataSet,
         generated: &mut bool,
     ) -> Arc<InternedConds> {
+        // Interning reads the full trace, so a hydrated interned form
+        // without its trace must not force trace regeneration: only
+        // consult the trace when interning actually needs to run.
         if let Some(interned) = slot.interned.get() {
             return Arc::clone(interned);
         }
-        let packed = Arc::clone(Self::packed_of(slot, benchmark, data_set, generated));
+        let trace = Self::trace_of(slot, benchmark, data_set, generated);
         Arc::clone(slot.interned.get_or_init(|| {
             *generated = true;
-            Arc::new(InternedConds::from_packed(&packed))
+            Arc::new(InternedConds::from_trace(&trace))
         }))
     }
 
@@ -655,9 +562,6 @@ impl TraceStore {
     pub fn cache_bytes(&self) -> CacheBytes {
         let mut bytes = CacheBytes::default();
         for slot in self.cache.read().expect("trace store lock").values() {
-            if let Some(packed) = slot.packed.get() {
-                bytes.packed += packed.len() * std::mem::size_of::<PackedCond>();
-            }
             if let Some(interned) = slot.interned.get() {
                 bytes.interned += interned.len() * 4 + interned.distinct_pcs() * 8;
             }
@@ -670,7 +574,6 @@ impl TraceStore {
         if let Some(disk) = &self.disk {
             bytes.disk = disk.disk_bytes();
         }
-        bytes.stream_window = self.window.current();
         bytes
     }
 
@@ -706,7 +609,9 @@ impl TraceStore {
 /// cached forms stays visible.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheBytes {
-    /// Packed conditional streams (8 bytes per event).
+    /// Packed conditional streams: always 0, since the store keeps no
+    /// packed form (interning packs into a buffer it drops). The field
+    /// stays because the repository benchmark still records it.
     pub packed: usize,
     /// Interned conditional streams (4 bytes per event + the id→pc table).
     pub interned: usize,
@@ -716,18 +621,13 @@ pub struct CacheBytes {
     /// On-disk artifact containers in the cache directory (0 for
     /// memory-only stores).
     pub disk: usize,
-    /// Bytes currently resident in streaming replay windows (decoded
-    /// chunks in flight between a [`StreamCursor`]'s decode thread and
-    /// the replay kernel); 0 when the streaming tier is off or idle.
-    pub stream_window: usize,
 }
 
 impl CacheBytes {
-    /// Total bytes across all cached forms, in memory and on disk,
-    /// including the resident streaming window.
+    /// Total bytes across all cached forms, in memory and on disk.
     #[must_use]
     pub fn total(self) -> usize {
-        self.packed + self.interned + self.streams + self.disk + self.stream_window
+        self.packed + self.interned + self.streams + self.disk
     }
 }
 
@@ -771,25 +671,14 @@ mod tests {
     }
 
     #[test]
-    fn packed_stream_matches_trace_conditionals() {
-        let store = small_store();
-        let b = Benchmark::by_name("li").unwrap();
-        let trace = store.get(b, DataSet::Testing);
-        let packed = store.get_packed(b, DataSet::Testing);
-        assert_eq!(packed.len(), trace.conditional_branches().count());
-        let again = store.get_packed(b, DataSet::Testing);
-        assert!(Arc::ptr_eq(&packed, &again), "packing happens once");
-        assert_eq!(store.len(), 1, "packed stream shares the trace slot");
-    }
-
-    #[test]
     fn interned_stream_is_cached_and_consistent() {
         let store = small_store();
         let b = Benchmark::by_name("li").unwrap();
         let interned = store.get_interned(b, DataSet::Testing);
-        let packed = store.get_packed(b, DataSet::Testing);
+        assert_eq!(store.len(), 1, "interning generates the trace into the same slot");
+        let packed = store.get(b, DataSet::Testing).pack_conditionals();
         assert_eq!(interned.len(), packed.len());
-        for (event, cond) in interned.events().iter().zip(packed.iter()) {
+        for (event, cond) in interned.events().iter().zip(&packed) {
             assert_eq!(interned.record(*event), cond.to_record());
         }
         let again = store.get_interned(b, DataSet::Testing);
@@ -844,18 +733,17 @@ mod tests {
         let store = small_store();
         assert_eq!(store.cache_bytes(), CacheBytes::default());
         let b = Benchmark::by_name("li").unwrap();
-        let packed = store.get_packed(b, DataSet::Testing);
-        let bytes = store.cache_bytes();
-        assert_eq!(bytes.packed, packed.len() * 8);
-        assert_eq!(bytes.interned, 0);
         let interned = store.get_interned(b, DataSet::Testing);
+        let bytes = store.cache_bytes();
+        assert_eq!(bytes.interned, interned.len() * 4 + interned.distinct_pcs() * 8);
+        assert_eq!(bytes.streams, 0);
         let stream =
             store.get_pattern_stream(b, DataSet::Testing, StreamKey::Global { history_bits: 6 });
         let bytes = store.cache_bytes();
-        assert_eq!(bytes.interned, interned.len() * 4 + interned.distinct_pcs() * 8);
         assert_eq!(bytes.streams, stream.bytes());
+        assert_eq!(bytes.packed, 0, "the store keeps no packed form");
         assert_eq!(bytes.disk, 0, "memory-only store has no disk footprint");
-        assert_eq!(bytes.total(), bytes.packed + bytes.interned + bytes.streams + bytes.disk);
+        assert_eq!(bytes.total(), bytes.interned + bytes.streams);
     }
 
     #[test]
@@ -872,7 +760,7 @@ mod tests {
         let stream = store.get_pattern_stream(b, DataSet::Testing, key);
         let bytes = store.cache_bytes();
         assert!(bytes.disk > 0, "persist should leave an artifact on disk");
-        assert!(bytes.total() > bytes.packed + bytes.interned + bytes.streams);
+        assert!(bytes.total() > bytes.interned + bytes.streams);
 
         // A fresh store over the same directory hydrates every form from
         // disk; the handles are new allocations with identical content.

@@ -29,9 +29,9 @@
 //! synchronization, non-monotonic instruction counts, truncation,
 //! declared-count mismatches, trailing bytes). [`write_etrace`] is the
 //! exact inverse, so any [`Trace`] round-trips; [`import_artifacts`]
-//! decodes a `TLBE` buffer and re-encodes it (plus its derived packed
-//! and interned forms) as a v3 chunked artifact keyed by the content
-//! fingerprint, ready for the on-disk cache tier.
+//! decodes a `TLBE` buffer and re-encodes it (plus its derived interned
+//! form) as a v3 chunked artifact keyed by the content fingerprint,
+//! ready for the on-disk cache tier.
 
 use std::error::Error;
 use std::fmt;
@@ -383,8 +383,8 @@ fn decode_branch_payload(cur: &mut Cursor<'_>, state: &mut DeltaState) -> Option
 }
 
 /// Decodes a `TLBE` buffer and re-encodes it as a v3 chunked artifact
-/// containing the trace plus its derived packed and interned forms,
-/// keyed by [`etrace_fingerprint`].
+/// containing the trace plus its derived interned form, keyed by
+/// [`etrace_fingerprint`].
 ///
 /// Returns `(fingerprint, artifact_bytes)`. Both are pure functions of
 /// the input, so repeated imports of the same capture are byte-for-byte
@@ -393,16 +393,9 @@ fn decode_branch_payload(cur: &mut Cursor<'_>, state: &mut DeltaState) -> Option
 pub fn import_artifacts(bytes: &[u8], chunk_bytes: usize) -> Result<(u64, Vec<u8>), ImportError> {
     let trace = read_etrace(bytes)?;
     let fingerprint = etrace_fingerprint(bytes);
-    let packed = trace.pack_conditionals();
-    let interned = InternedConds::from_packed(&packed);
-    let artifact = write_artifacts_chunked(
-        fingerprint,
-        Some(&trace),
-        Some(&packed),
-        Some(&interned),
-        &[],
-        chunk_bytes,
-    );
+    let interned = InternedConds::from_trace(&trace);
+    let artifact =
+        write_artifacts_chunked(fingerprint, Some(&trace), None, Some(&interned), &[], chunk_bytes);
     Ok((fingerprint, artifact))
 }
 
@@ -574,8 +567,8 @@ mod tests {
         let bundle = read_artifacts(&art1).unwrap();
         assert_eq!(bundle.fingerprint, fp1);
         assert_eq!(bundle.trace.as_ref(), Some(&t));
-        assert_eq!(bundle.packed.as_deref(), Some(t.pack_conditionals().as_slice()));
-        assert!(bundle.interned.is_some());
+        assert!(bundle.packed.is_none(), "an import writes no packed section");
+        assert_eq!(bundle.interned, Some(InternedConds::from_trace(&t)));
 
         // A different capture gets a different fingerprint.
         let other = write_etrace(&LoopNest::new(&[3, 3]).generate());

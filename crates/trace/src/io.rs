@@ -1,14 +1,15 @@
 //! Compact binary serialization for derived trace artifacts.
 //!
 //! The **artifact container** (`b"TLBP"`, version 3) is the disk tier
-//! of the simulator's trace store: the raw trace *plus* every derived
-//! form (packed conditional stream, pc-interned stream, materialized
-//! first-level pattern streams), so a warm cache hit restores the whole
-//! derivation chain without re-running the VM or any derivation pass.
-//! Each section's items are split into fixed-budget chunks (default
-//! ~4 MiB, [`CHUNK_BYTES_ENV`]) that are varint+delta encoded and
-//! independently checksummed, behind a seekable per-section chunk
-//! table. All integers are little-endian:
+//! of the simulator's trace store: the raw trace *plus* the derived
+//! forms jobs read (pc-interned stream, materialized first-level
+//! pattern streams), so a warm cache hit restores the whole derivation
+//! chain without re-running the VM or any derivation pass. The
+//! container can also carry a packed conditional stream; the store
+//! neither writes nor keeps one. Each section's items are split into
+//! fixed-budget chunks (the store writes [`DEFAULT_CHUNK_BYTES`]) that
+//! are varint+delta encoded and independently checksummed, behind a
+//! seekable per-section chunk table. All integers are little-endian:
 //!
 //! ```text
 //! magic       : 4 bytes = b"TLBP"
@@ -27,9 +28,9 @@
 //! Because every chunk decodes independently (delta state resets at
 //! chunk boundaries) and the chunk table is read before any payload, a
 //! reader can `seek` straight to chunk *k* of a section — that is what
-//! [`ChunkedArtifact`] does for the simulator's streaming replay tier,
-//! which holds a bounded window of decoded chunks instead of a whole
-//! hydrated section. [`read_artifacts`] decodes a whole buffer; both
+//! [`ChunkedArtifact`] does for the simulator's streaming cursor, which
+//! holds a bounded window of decoded chunks instead of a whole hydrated
+//! section. [`read_artifacts`] decodes a whole buffer; both
 //! readers parse the header and section heads with one parser that
 //! checks every declared length against the bytes actually present
 //! before allocating for it. They reject truncation at any byte
@@ -87,47 +88,15 @@ pub const MAGIC: &[u8; 4] = b"TLBP";
 /// (2) layouts, with [`ReadTraceError::UnsupportedVersion`].
 pub const ARTIFACT_VERSION_CHUNKED: u16 = 3;
 
-/// Environment variable naming the chunk byte budget of v3 artifacts.
-pub const CHUNK_BYTES_ENV: &str = "TLABP_CHUNK_BYTES";
-/// Default chunk byte budget when [`CHUNK_BYTES_ENV`] is unset.
+/// Chunk byte budget of the v3 artifacts the trace store and
+/// `experiments import` write.
 pub const DEFAULT_CHUNK_BYTES: usize = 4 << 20;
-/// Smallest accepted chunk budget — below this the per-chunk table
-/// overhead dominates the payload.
-pub const MIN_CHUNK_BYTES: usize = 64 << 10;
 
 /// Pattern-stream chunks hold a multiple of this many events (except
 /// the final chunk), matching the replay kernels' block size so a
 /// streamed walk re-chunks into exactly the block sequence the
 /// in-memory walk produces.
 pub const STREAM_CHUNK_ALIGN: usize = 1 << 14;
-
-/// The chunk byte budget: [`CHUNK_BYTES_ENV`] when it holds an integer
-/// of at least [`MIN_CHUNK_BYTES`], else [`DEFAULT_CHUNK_BYTES`]
-/// (garbage or undersized values warn and take the default).
-#[must_use]
-pub fn chunk_bytes_from_env() -> usize {
-    let Ok(raw) = std::env::var(CHUNK_BYTES_ENV) else { return DEFAULT_CHUNK_BYTES };
-    if raw.is_empty() {
-        return DEFAULT_CHUNK_BYTES;
-    }
-    match raw.trim().parse::<usize>() {
-        Ok(bytes) if bytes >= MIN_CHUNK_BYTES => bytes,
-        Ok(bytes) => {
-            eprintln!(
-                "warning: {CHUNK_BYTES_ENV}={bytes} is below the {MIN_CHUNK_BYTES}-byte \
-                 minimum; using {MIN_CHUNK_BYTES}"
-            );
-            MIN_CHUNK_BYTES
-        }
-        Err(_) => {
-            eprintln!(
-                "warning: ignoring {CHUNK_BYTES_ENV}={raw:?} (expected a byte count); \
-                 using {DEFAULT_CHUNK_BYTES}"
-            );
-            DEFAULT_CHUNK_BYTES
-        }
-    }
-}
 
 const TRAP_TAG: u8 = 255;
 
@@ -349,7 +318,7 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
 
 /// Items per chunk for a section kind under `chunk_bytes`, computed from
 /// the *unencoded* item width so the budget bounds decoded (resident)
-/// bytes, which is what the streaming tier's window cap is about.
+/// bytes, which is what a streaming cursor's window cap is about.
 /// Pattern-stream chunks round down to a [`STREAM_CHUNK_ALIGN`] multiple
 /// so streamed replay walks the same block sequence as in-memory replay.
 fn items_per_chunk(kind: u8, laned: bool, chunk_bytes: usize) -> usize {
@@ -1008,7 +977,7 @@ pub struct StreamSectionInfo {
 /// per-section heads (metadata + chunk tables); chunk payloads stay on
 /// disk until fetched with [`ChunkedArtifact::read_stream_chunk`], each
 /// fetch verifying that chunk's stored checksum. This is the I/O layer
-/// behind the simulator's bounded-memory streaming replay tier.
+/// behind the simulator's bounded-memory streaming cursor.
 #[derive(Debug)]
 pub struct ChunkedArtifact {
     file: std::fs::File,
@@ -1719,20 +1688,6 @@ mod tests {
             assert_eq!(open_bytes(&path, &corrupt).unwrap_err(), truncated, "{field}");
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn chunk_bytes_env_parses_clamps_and_defaults() {
-        // Single test owns the env var, so set/remove stays race-free.
-        std::env::remove_var(CHUNK_BYTES_ENV);
-        assert_eq!(chunk_bytes_from_env(), DEFAULT_CHUNK_BYTES);
-        std::env::set_var(CHUNK_BYTES_ENV, "1048576");
-        assert_eq!(chunk_bytes_from_env(), 1 << 20);
-        std::env::set_var(CHUNK_BYTES_ENV, "12");
-        assert_eq!(chunk_bytes_from_env(), MIN_CHUNK_BYTES);
-        std::env::set_var(CHUNK_BYTES_ENV, "lots");
-        assert_eq!(chunk_bytes_from_env(), DEFAULT_CHUNK_BYTES);
-        std::env::remove_var(CHUNK_BYTES_ENV);
     }
 
     #[test]

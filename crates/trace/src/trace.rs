@@ -170,7 +170,7 @@ impl Trace {
     }
 
     /// Packs every conditional branch into the compact [`PackedCond`]
-    /// stream consumed by the simulator's no-context-switch fast path.
+    /// stream that interning ([`crate::InternedConds::from_packed`]) reads.
     #[must_use]
     pub fn pack_conditionals(&self) -> Vec<PackedCond> {
         self.conditional_branches().map(PackedCond::from_record).collect()

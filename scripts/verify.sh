@@ -5,8 +5,8 @@
 # exercise) — repeated with the scalar replay kernel body forced,
 # proving TLABP_SIMD is a throughput knob only (the suites cover
 # intra-batch replay splitting themselves, comparing one-worker with
-# multi-worker pools) — plus a capped-window streaming pass proving
-# TLABP_STREAM_BYTES is a memory knob only — the benchmark crate's own
+# multi-worker pools) — plus a pass against a fresh disk-backed trace
+# cache proving the disk tier invisible to results — the benchmark crate's own
 # unit tests (so a library change that breaks the API it compiles
 # against fails here) — a one-second smoke run of every repository
 # benchmark workload with all of its checks (see benchmark/README.md),
@@ -31,10 +31,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 cargo test --release -q -p tlabp --test differential --test sweep_determinism --test disk_cache --test streaming
 TLABP_SIMD=scalar cargo test --release -q -p tlabp --test differential --test sweep_determinism --test streaming
-# The engine's streaming tier forced on with a small window: every
-# replay batch that finds a persisted v3 stream must walk it chunked
-# (and bit-identically), everything else falls back to hydration.
-TLABP_STREAM_BYTES=4194304 TLABP_TRACE_DIR="$(mktemp -d)" cargo test --release -q -p tlabp --test differential --test disk_cache --test streaming
+# The same suites against a fresh disk-backed trace cache: every store
+# the suites open through `TraceStore::from_env` writes v3 artifacts and
+# later stores hydrate them, and every result must still agree bit for
+# bit with memory-only generation.
+TLABP_TRACE_DIR="$(mktemp -d)" cargo test --release -q -p tlabp --test differential --test disk_cache --test streaming
 # The benchmark crate (outside the workspace) compiles against the
 # library API; its unit tests run here so an API break fails verify.
 cargo test --release -q --manifest-path benchmark/Cargo.toml

@@ -15,7 +15,12 @@ use tlabp::core::config::SchemeConfig;
 use tlabp::core::BhtConfig;
 use tlabp::sim::engine::execute;
 use tlabp::sim::plan::{Job, Plan};
-use tlabp::sim::TraceStore;
+use tlabp::sim::{StreamKey, TraceStore};
+use tlabp::trace::io::{
+    read_artifacts, write_artifacts_chunked, ArtifactBundle, ARTIFACT_VERSION_CHUNKED,
+    DEFAULT_CHUNK_BYTES,
+};
+use tlabp::trace::InternedConds;
 use tlabp::workloads::{Benchmark, DataSet};
 
 /// A unique scratch cache directory per test (tests run concurrently in
@@ -135,8 +140,10 @@ fn corrupted_artifacts_fall_back_to_regeneration() {
 
     // Declare `u32::MAX` chunks in the first section head (kind, meta
     // length, metadata, then the count): a chunk table of ~103 GB. The
-    // streaming probe opens this head too, so the capped-window pass
-    // exercises the seekable reader on it.
+    // store's whole-buffer reader must treat it as corruption; the
+    // seekable reader's handling of the same head is pinned by
+    // `inflated_head_lengths_are_typed_errors_in_both_readers` in
+    // `tlabp_trace::io`.
     let meta_len = u32::from_le_bytes(good[19..23].try_into().expect("4 bytes")) as usize;
     let count_at = 23 + meta_len;
     let mut inflated = good.clone();
@@ -149,6 +156,84 @@ fn corrupted_artifacts_fall_back_to_regeneration() {
     std::fs::write(&path, &good[..mid]).expect("write truncated artifact");
     let truncated_out = execute(&plan, &TraceStore::with_cache_dir(&dir));
     assert_eq!(memory_out, truncated_out, "truncated cache changed results");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn read_bundle(path: &Path) -> ArtifactBundle {
+    read_artifacts(&std::fs::read(path).expect("artifact reads")).expect("artifact decodes")
+}
+
+/// A disk-backed store keeps only the forms jobs read: after the plan
+/// runs, no artifact carries a packed section, the testing artifact
+/// carries the interned stream every walk reads, and the store holds no
+/// packed bytes.
+#[test]
+fn store_writes_and_holds_no_packed_form() {
+    let dir = scratch_dir("no-packed");
+    let li = Benchmark::by_name("li").expect("li exists");
+    let store = TraceStore::with_cache_dir(&dir);
+    let _ = execute(&plan(), &store);
+
+    let paths = artifact_paths(&dir);
+    assert!(!paths.is_empty(), "the plan persists its slots");
+    for path in &paths {
+        let bundle = read_bundle(path);
+        assert!(bundle.packed.is_none(), "{} holds a packed section", path.display());
+        if path.to_string_lossy().contains("-testing-") {
+            assert_eq!(
+                bundle.interned.as_ref(),
+                Some(&*store.get_interned(li, DataSet::Testing)),
+                "{} lacks its interned section",
+                path.display()
+            );
+        }
+    }
+    assert_eq!(store.cache_bytes().packed, 0, "the store holds no packed form");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An artifact written with a packed section beside the trace and
+/// interned ones (as older builds wrote every slot) still hydrates: a
+/// store reads the trace and the interned stream from it without
+/// regenerating or rewriting, keeps no packed form, and drops the packed
+/// section the next time it rewrites the slot.
+#[test]
+fn artifacts_with_a_packed_section_hydrate_and_lose_it_on_rewrite() {
+    let dir = scratch_dir("packed-section");
+    let li = Benchmark::by_name("li").expect("li exists");
+    let set = DataSet::Testing;
+    let trace = li.trace(set);
+    let packed = trace.pack_conditionals();
+    let interned = InternedConds::from_packed(&packed);
+    let fingerprint = li.fingerprint(set);
+    let written = write_artifacts_chunked(
+        fingerprint,
+        Some(&trace),
+        Some(&packed),
+        Some(&interned),
+        &[],
+        DEFAULT_CHUNK_BYTES,
+    );
+    std::fs::create_dir_all(&dir).expect("cache dir");
+    let path = dir.join(format!("li-testing-v{ARTIFACT_VERSION_CHUNKED}-{fingerprint:016x}.tlabp"));
+    std::fs::write(&path, &written).expect("artifact writes");
+
+    let store = TraceStore::with_cache_dir(&dir);
+    assert_eq!(*store.get(li, set), trace, "the trace hydrates");
+    assert_eq!(*store.get_interned(li, set), interned, "the interned stream hydrates");
+    assert_eq!(std::fs::read(&path).expect("artifact reads"), written, "hydration rewrote it");
+    assert_eq!(store.cache_bytes().packed, 0, "a hydrated packed section is not kept");
+
+    let key = StreamKey::Global { history_bits: 8 };
+    let stream = store.get_pattern_stream(li, set, key);
+    assert_eq!(artifact_paths(&dir), vec![path.clone()], "the rewrite keeps the file name");
+    let bundle = read_bundle(&path);
+    assert!(bundle.packed.is_none(), "the rewrite drops the packed section");
+    assert_eq!(bundle.trace.as_ref(), Some(&trace));
+    assert_eq!(bundle.interned.as_ref(), Some(&interned));
+    assert_eq!(bundle.streams, vec![(key.to_bytes(), (*stream).clone())]);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -170,11 +255,7 @@ fn cache_bytes_reports_disk_footprint() {
     let bytes = store.cache_bytes();
     assert!(on_disk > 0);
     assert_eq!(bytes.disk, on_disk);
-    assert_eq!(
-        bytes.total(),
-        bytes.packed + bytes.interned + bytes.streams + bytes.disk + bytes.stream_window
-    );
-    assert_eq!(bytes.stream_window, 0, "no streaming cursor is open");
+    assert_eq!(bytes.total(), bytes.packed + bytes.interned + bytes.streams + bytes.disk);
 
     let memory = TraceStore::new();
     let _ = execute(&plan(), &memory);

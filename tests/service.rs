@@ -35,7 +35,6 @@ fn server_config(memo_bytes: usize) -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
         memo_bytes,
-        window: None,
         inflight: 4,
         memo_dir: MemoDirMode::Off,
         memo_disk_bytes: None,

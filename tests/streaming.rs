@@ -1,7 +1,7 @@
 //! Differential tests pinning the chunked streaming trace pipeline to
 //! the in-memory paths.
 //!
-//! The streaming tier replaces a hydrated [`PatternStream`] walk with a
+//! A streaming cursor replaces a hydrated [`PatternStream`] walk with a
 //! chunk-by-chunk walk over a persisted v3 artifact
 //! ([`tlabp::sim::StreamCursor`] feeding
 //! [`simulate_replay_transposed_streamed`]), with a decode thread
@@ -188,10 +188,10 @@ fn capped_window_bounds_resident_bytes_on_a_large_stream() {
 }
 
 /// The store-level round trip: a pattern stream persisted by a
-/// disk-backed [`TraceStore`] is streamable back through
-/// [`TraceStore::open_stream_cursor`], the probe
-/// [`TraceStore::stream_on_disk`] sees it, the streamed walk matches the
-/// hydrated one, and the store's window gauge drains to zero afterwards.
+/// disk-backed [`TraceStore`] streams back through a [`StreamCursor`]
+/// opened on the store's artifact with the caller's own window, the
+/// streamed walk matches the hydrated one, and the window drains to zero
+/// once the cursor is gone.
 #[test]
 fn store_persisted_streams_replay_identically_through_the_cursor() {
     let dir = scratch("store");
@@ -199,13 +199,21 @@ fn store_persisted_streams_replay_identically_through_the_cursor() {
     let benchmark = Benchmark::by_name("li").expect("li exists");
     let config = SchemeConfig::pag(12);
     let key = replay_stream_key(config).expect("PAg(12) replays");
+    let li_artifacts = || -> Vec<std::path::PathBuf> {
+        std::fs::read_dir(&dir)
+            .expect("cache dir exists")
+            .map(|entry| entry.expect("dir entry").path())
+            .filter(|path| {
+                let name = path.file_name().and_then(|name| name.to_str()).unwrap_or("");
+                name.starts_with("li-testing-") && name.ends_with(".tlabp")
+            })
+            .collect()
+    };
 
-    assert!(!store.stream_on_disk(benchmark, DataSet::Testing, key), "nothing persisted yet");
+    assert!(li_artifacts().is_empty(), "nothing persisted yet");
     let stream = store.get_pattern_stream(benchmark, DataSet::Testing, key);
-    assert!(
-        store.stream_on_disk(benchmark, DataSet::Testing, key),
-        "deriving the stream must persist a streamable v3 section"
-    );
+    let artifacts = li_artifacts();
+    assert_eq!(artifacts.len(), 1, "deriving the stream persists the li artifact: {artifacts:?}");
 
     let predictors: Vec<_> = Automaton::FIGURE5
         .iter()
@@ -214,19 +222,16 @@ fn store_persisted_streams_replay_identically_through_the_cursor() {
     let hydrated =
         simulate_replay_transposed(&predictors, &stream, SimdMode::Auto).expect("replays");
 
-    let mut cursor = store
-        .open_stream_cursor(benchmark, DataSet::Testing, key, 1 << 20)
-        .expect("persisted artifact streams");
+    let window = Arc::new(StreamWindow::new());
+    let mut cursor = StreamCursor::open(&artifacts[0], &key.to_bytes(), 1 << 20, &window)
+        .expect("the persisted section streams");
+    assert_eq!(cursor.fingerprint(), store.fingerprint(benchmark, DataSet::Testing));
     let streamed = simulate_replay_transposed_streamed(&predictors, &mut cursor, SimdMode::Auto)
         .expect("replays")
         .expect("artifact is intact");
     assert_eq!(streamed, hydrated, "store cursor diverged from the hydrated stream");
     drop(cursor);
-    assert_eq!(
-        store.cache_bytes().stream_window,
-        0,
-        "the streaming window must drain once cursors are gone"
-    );
+    assert_eq!(window.current(), 0, "the streaming window must drain once cursors are gone");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
