@@ -1,21 +1,20 @@
 //! A monomorphized sum of every concrete predictor.
 //!
-//! [`SchemeConfig::build`](crate::config::SchemeConfig::build) returns
-//! `Box<dyn BranchPredictor>`, which pays one virtual dispatch per
-//! `predict`/`update` — twice per simulated branch on the simulator's hot
-//! loop. [`AnyPredictor`] wraps the same schemes in an enum so a generic
+//! [`AnyPredictor`] wraps every catalog scheme in an enum, so a generic
 //! `simulate<P: BranchPredictor>` instantiation resolves every call
 //! statically: the per-branch cost becomes a jump table the optimizer can
 //! hoist out of the loop, and the scheme methods inline into the
-//! simulation loop body.
+//! simulation loop body. Every simulation path runs one, the reference
+//! loop included.
 //!
-//! The two factories on [`SchemeConfig`](crate::config::SchemeConfig)
-//! ([`build_any`](crate::config::SchemeConfig::build_any),
-//! [`build_any_trained`](crate::config::SchemeConfig::build_any_trained))
-//! construct exactly the same predictor state as their boxed
-//! counterparts, so the two paths are bit-identical — a differential test
-//! in `tlabp-sim` runs every catalog scheme through both and asserts
-//! equal results.
+//! [`SchemeConfig`](crate::config::SchemeConfig) has one factory,
+//! [`build_any`](crate::config::SchemeConfig::build_any), and its
+//! training twin
+//! [`build_any_trained`](crate::config::SchemeConfig::build_any_trained).
+//! [`SchemeConfig::build`](crate::config::SchemeConfig::build) boxes what
+//! `build_any` returns as a `Box<dyn BranchPredictor>`, which pays one
+//! virtual dispatch per `predict`/`update`, for callers that want a trait
+//! object; both forms step the same predictor state.
 //!
 //! # Example
 //!
@@ -110,11 +109,6 @@ impl BranchPredictor for AnyPredictor {
     }
 
     #[inline]
-    fn step(&mut self, branch: &BranchRecord) -> bool {
-        delegate!(self, p => p.step(branch))
-    }
-
-    #[inline]
     fn step_interned(&mut self, id: u32, branch: &BranchRecord) -> bool {
         delegate!(self, p => p.step_interned(id, branch))
     }
@@ -137,26 +131,6 @@ mod tests {
     use super::*;
     use crate::automaton::Automaton;
     use crate::config::SchemeConfig;
-
-    #[test]
-    fn any_matches_boxed_on_a_branch_sequence() {
-        let config = SchemeConfig::pag(8);
-        let mut boxed = config.build().unwrap();
-        let mut any = config.build_any().unwrap();
-        for i in 0..2000u64 {
-            let pc = 0x1000 + (i % 17) * 4;
-            let taken = (i * 7 + i / 13) % 3 != 0;
-            let b = BranchRecord::conditional(pc, taken, pc + 8, i + 1);
-            assert_eq!(boxed.predict(&b), any.predict(&b), "branch {i}");
-            boxed.update(&b);
-            any.update(&b);
-            if i % 500 == 250 {
-                boxed.context_switch();
-                any.context_switch();
-            }
-        }
-        assert_eq!(boxed.name(), any.name());
-    }
 
     #[test]
     fn every_kind_builds_a_variant() {

@@ -198,7 +198,9 @@ impl Automaton {
         State(next)
     }
 
-    /// A 256-entry lookup table fusing δ and λ for the bit-packed PHT.
+    /// A 256-entry lookup table fusing δ and λ, from which the replay
+    /// kernel ([`crate::pht::TransposedPhtBank`]) reads each member's
+    /// bit-sliced coefficients and scalar-body LUT.
     ///
     /// Index the table with the byte `(state << 1) | taken`; the entry's
     /// low two bits are the successor state and bit 2 is the prediction λ
@@ -207,8 +209,9 @@ impl Automaton {
     ///
     /// Only the low bits of the index are meaningful: the stored state is
     /// masked to the automaton's state space before δ/λ are consulted, so
-    /// every one of the 256 byte values is a valid index and the replay
-    /// loop's `lut[byte as usize]` never needs a bounds check.
+    /// every one of the 256 byte values is a valid index, and a 2-bit
+    /// state field read from a packed word (a 2-state automaton's unused
+    /// high bit included) indexes it as is.
     #[must_use]
     pub fn packed_lut(self) -> [u8; 256] {
         let mask = self.state_count() - 1;

@@ -180,32 +180,15 @@ impl IdealBht {
         self.entries.get(&pc).map(|e| e.history.pattern())
     }
 
-    /// Fused [`IdealBht::access`] + [`IdealBht::pattern`]: one map lookup
-    /// instead of two.
-    #[inline]
-    pub fn access_pattern(&mut self, pc: u64) -> usize {
-        let history_bits = self.history_bits;
-        let mut hit = true;
-        let entry = self.entries.entry(pc).or_insert_with(|| {
-            hit = false;
-            IdealEntry { history: HistoryRegister::all_ones(history_bits), fresh: true }
-        });
-        if hit {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-        }
-        entry.history.pattern()
-    }
-
-    /// [`IdealBht::access_pattern`] keyed by a dense interned id: a
-    /// bounds check and vector index replace the hash lookup.
+    /// [`IdealBht::access`] + [`IdealBht::pattern`] keyed by a dense
+    /// interned id: a bounds check and vector index replace the hash
+    /// lookup, and the pre-update pattern comes back.
     ///
     /// `id` must alias one pc bijectively over this table's lifetime
     /// (one trace's interning — see `tlabp_trace::InternedConds`), and
     /// the instance must not also be driven through the pc-keyed
     /// methods; then hits, misses and patterns are bit-identical to
-    /// [`IdealBht::access_pattern`] on the aliased pcs.
+    /// `access` + `pattern` on the aliased pcs.
     #[inline]
     pub fn access_pattern_id(&mut self, id: u32) -> usize {
         let index = id as usize;
@@ -399,24 +382,19 @@ impl CacheBht {
     /// Looks up `pc`, allocating on miss (evicting the LRU way of the set).
     /// Returns `true` on hit.
     pub fn access(&mut self, pc: u64) -> bool {
-        self.access_slot(pc).1
-    }
-
-    /// Fused lookup: like [`CacheBht::access`], but returns the physical
-    /// slot index holding `pc` so callers can touch the entry again
-    /// ([`CacheBht::pattern_at`], [`CacheBht::record_outcome_at`]) without
-    /// re-running the tag search. The second element is the hit flag.
-    #[inline]
-    pub fn access_slot(&mut self, pc: u64) -> (usize, bool) {
         let base = self.set_index(pc) * self.ways;
         let tag = self.tag(pc);
-        self.access_set(base, tag)
+        self.access_set(base, tag).1
     }
 
-    /// [`CacheBht::access_slot`] with the derived key `(set base, tag)`
-    /// memoized per interned id, so the steady state replaces the
-    /// index/tag arithmetic (including a division) with one vector read.
-    /// Same bijection contract as [`IdealBht::access_pattern_id`].
+    /// [`CacheBht::access`] for an interned stream, returning the
+    /// physical slot index holding `pc` (so callers can touch the entry
+    /// again through [`CacheBht::pattern_at`] and
+    /// [`CacheBht::record_outcome_at`] without re-running the tag search)
+    /// and the hit flag. The derived key `(set base, tag)` is memoized
+    /// per interned id, so the steady state replaces the index/tag
+    /// arithmetic (including a division) with one vector read. Same
+    /// bijection contract as [`IdealBht::access_pattern_id`].
     #[inline]
     pub fn access_slot_interned(&mut self, id: u32, pc: u64) -> (usize, bool) {
         let index = id as usize;
@@ -463,7 +441,8 @@ impl CacheBht {
         (victim, false)
     }
 
-    /// The pattern in physical slot `slot` (from [`CacheBht::access_slot`]).
+    /// The pattern in physical slot `slot` (from
+    /// [`CacheBht::access_slot_interned`]).
     ///
     /// # Panics
     ///
@@ -549,9 +528,10 @@ pub enum BranchHistoryTable {
     Cache(CacheBht),
 }
 
-/// Opaque handle returned by [`BranchHistoryTable::access_pattern`],
-/// locating the entry just touched so the outcome write can skip the
-/// second lookup on the cache implementation.
+/// Opaque handle returned by
+/// [`BranchHistoryTable::access_pattern_interned`], locating the entry
+/// just touched so the outcome write can skip the second lookup on the
+/// cache implementation.
 #[derive(Debug, Clone, Copy)]
 pub struct BhtCursor(usize);
 
@@ -567,6 +547,16 @@ impl BhtCursor {
             Some(self.0)
         }
     }
+
+    /// The entry's *lane*, given the interned `id` the cursor was
+    /// resolved for: the physical slot under a practical BHT, the id
+    /// under the ideal one. PAp keeps one pattern table per lane, and a
+    /// laned pattern stream records this per event, so the rule that
+    /// ties the two together lives here.
+    #[must_use]
+    pub fn lane(self, id: u32) -> u32 {
+        self.slot().map_or(id, |slot| slot as u32)
+    }
 }
 
 impl BranchHistoryTable {
@@ -579,23 +569,11 @@ impl BranchHistoryTable {
     }
 
     /// Fused [`BranchHistoryTable::access`] +
-    /// [`BranchHistoryTable::pattern`]: one lookup resolving the entry,
-    /// its pre-update pattern, and a [`BhtCursor`] for
-    /// [`BranchHistoryTable::record_outcome_at`].
-    #[inline]
-    pub fn access_pattern(&mut self, pc: u64) -> (usize, BhtCursor) {
-        match self {
-            BranchHistoryTable::Ideal(t) => (t.access_pattern(pc), BhtCursor(BhtCursor::KEYED)),
-            BranchHistoryTable::Cache(t) => {
-                let (slot, _hit) = t.access_slot(pc);
-                (t.pattern_at(slot), BhtCursor(slot))
-            }
-        }
-    }
-
-    /// [`BranchHistoryTable::access_pattern`] for an interned stream:
-    /// the ideal table indexes directly by the dense `id` (no hash); the
-    /// cache table memoizes the pc's derived `(set, tag)` key per id
+    /// [`BranchHistoryTable::pattern`] for an interned stream: one lookup
+    /// resolving the entry, its pre-update pattern, and a [`BhtCursor`]
+    /// for [`BranchHistoryTable::record_outcome_at_interned`]. The ideal
+    /// table indexes directly by the dense `id` (no hash); the cache
+    /// table memoizes the pc's derived `(set, tag)` key per id
     /// ([`CacheBht::access_slot_interned`]).
     ///
     /// The caller owes the same bijection contract as
@@ -612,29 +590,13 @@ impl BranchHistoryTable {
         }
     }
 
-    /// [`BranchHistoryTable::record_outcome_at`] for an interned stream
-    /// (the `id` that [`BranchHistoryTable::access_pattern_interned`] was
-    /// just called with, in place of the pc).
+    /// Records the resolved outcome at the entry `cursor` points to: the
+    /// cursor and `id` of the [`BranchHistoryTable::access_pattern_interned`]
+    /// call just made, with no intervening flush.
     #[inline]
     pub fn record_outcome_at_interned(&mut self, cursor: BhtCursor, id: u32, taken: bool) {
         match self {
             BranchHistoryTable::Ideal(t) => t.record_outcome_id(id, taken),
-            BranchHistoryTable::Cache(t) => t.record_outcome_at(
-                cursor.slot().expect("cache table always yields a slot cursor"),
-                taken,
-            ),
-        }
-    }
-
-    /// Records the resolved outcome at the entry `cursor` points to
-    /// (from [`BranchHistoryTable::access_pattern`] with the same `pc`,
-    /// with no intervening flush).
-    #[inline]
-    pub fn record_outcome_at(&mut self, cursor: BhtCursor, pc: u64, taken: bool) {
-        match self {
-            BranchHistoryTable::Ideal(t) => {
-                t.record_outcome(pc, taken);
-            }
             BranchHistoryTable::Cache(t) => t.record_outcome_at(
                 cursor.slot().expect("cache table always yields a slot cursor"),
                 taken,
@@ -735,7 +697,9 @@ mod tests {
             let next = ids.len() as u32;
             let id = *ids.entry(pc).or_insert(next);
             let taken = (i * 7 + i / 3) % 3 != 0;
-            assert_eq!(by_pc.access_pattern(pc), by_id.access_pattern_id(id), "event {i}");
+            by_pc.access(pc);
+            let pattern = by_pc.pattern(pc).expect("entry present after access");
+            assert_eq!(pattern, by_id.access_pattern_id(id), "event {i}");
             by_pc.record_outcome(pc, taken);
             by_id.record_outcome_id(id, taken);
         }
@@ -758,8 +722,8 @@ mod tests {
     #[test]
     fn cache_id_memo_path_matches_pc_path() {
         // Conflicting pcs (several share sets in a tiny table) driven
-        // once through the pc-keyed lookup and once through the
-        // id-memoized one: slots, hit flags, patterns and stats must
+        // once through the pc-keyed methods and once through the
+        // id-memoized lookup: slots, hit flags, patterns and stats must
         // agree event for event, across a mid-stream flush (the memo is
         // pc-derived, not table state, so it survives).
         let pcs = [0x100u64, 0x204, 0x308, 0x100, 0x40c, 0x204, 0x100, 0x510, 0x308, 0x204];
@@ -774,11 +738,12 @@ mod tests {
                 by_id.flush();
             }
             let taken = (i * 7 + i / 3) % 3 != 0;
-            let (slot_pc, hit_pc) = by_pc.access_slot(pc);
+            let hit_pc = by_pc.access(pc);
+            let slot_pc = by_pc.slot_of(pc).expect("resident after access");
             let (slot_id, hit_id) = by_id.access_slot_interned(id, pc);
             assert_eq!((slot_pc, hit_pc), (slot_id, hit_id), "event {i}");
-            assert_eq!(by_pc.pattern_at(slot_pc), by_id.pattern_at(slot_id), "event {i}");
-            by_pc.record_outcome_at(slot_pc, taken);
+            assert_eq!(by_pc.pattern(pc), Some(by_id.pattern_at(slot_id)), "event {i}");
+            by_pc.record_outcome(pc, taken);
             by_id.record_outcome_at(slot_id, taken);
         }
         assert_eq!(by_pc.stats(), by_id.stats());

@@ -252,9 +252,9 @@ impl SchemeConfig {
 
     /// Checks the configuration against the shared table-geometry rules
     /// of [`crate::geometry`]. Parsing applies this check, so every
-    /// configuration that parses builds; one assembled from the
-    /// constructors (say `SchemeConfig::gag(40)`) panics at build time
-    /// unless it passes.
+    /// configuration that parses builds; for one assembled from the
+    /// constructors (say `SchemeConfig::gag(40)`) that breaks a rule,
+    /// [`SchemeConfig::build_any`] returns [`BuildError::Geometry`].
     ///
     /// # Errors
     ///
@@ -288,82 +288,35 @@ impl SchemeConfig {
         self.kind.needs_training()
     }
 
-    /// Builds the predictor for schemes that need no training run.
+    /// Builds the predictor for schemes that need no training run, behind
+    /// dynamic dispatch: [`SchemeConfig::build_any`], boxed.
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError::NeedsTraining`] for GSg, PSg and Profiling;
-    /// use [`SchemeConfig::build_trained`] for those.
+    /// As [`SchemeConfig::build_any`].
     pub fn build(&self) -> Result<Box<dyn BranchPredictor>, BuildError> {
-        if self.needs_training() {
-            return Err(BuildError::NeedsTraining { config: self.to_string() });
-        }
-        Ok(match self.kind {
-            SchemeKind::Gag => Box::new(Gag::new(self.history_bits, self.automaton)),
-            SchemeKind::Pag => Box::new(Pag::new(
-                self.history_bits,
-                self.bht.unwrap_or(BhtConfig::PAPER_DEFAULT),
-                self.automaton,
-            )),
-            SchemeKind::Pap => Box::new(Pap::new(
-                self.history_bits,
-                self.bht.unwrap_or(BhtConfig::PAPER_DEFAULT),
-                self.automaton,
-            )),
-            SchemeKind::Btb => {
-                let (entries, ways) = match self.bht {
-                    Some(BhtConfig::Cache { entries, ways }) => (entries, ways),
-                    _ => (512, 4),
-                };
-                Box::new(Btb::new(entries, ways, self.automaton))
-            }
-            SchemeKind::AlwaysTaken => Box::new(AlwaysTaken::new()),
-            SchemeKind::Btfn => Box::new(Btfn::new()),
-            SchemeKind::Gsg | SchemeKind::Psg | SchemeKind::Profiling => {
-                unreachable!("training schemes handled above")
-            }
-        })
+        Ok(Box::new(self.build_any()?))
     }
 
-    /// Builds the predictor, running the profiling pass on `training` when
-    /// the scheme requires it (adaptive schemes ignore `training`).
-    #[must_use]
-    pub fn build_trained(&self, training: &Trace) -> Box<dyn BranchPredictor> {
-        match self.kind {
-            SchemeKind::Gsg => Box::new(Gsg::new(&train_global(training, self.history_bits))),
-            SchemeKind::Psg => Box::new(Psg::new(
-                &train_per_address(training, self.history_bits),
-                self.bht.unwrap_or(BhtConfig::PAPER_DEFAULT),
-            )),
-            SchemeKind::Profiling => Box::new(Profiling::train(training)),
-            _ => self.build().expect("non-training scheme builds without a trace"),
-        }
-    }
-
-    /// Builds the same predictor as [`SchemeConfig::build`] wrapped in the
-    /// statically dispatched [`AnyPredictor`] enum, for monomorphized
-    /// simulation.
+    /// Builds the predictor for schemes that need no training run, wrapped
+    /// in the statically dispatched [`AnyPredictor`] enum.
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError::NeedsTraining`] for GSg, PSg and Profiling;
-    /// use [`SchemeConfig::build_any_trained`] for those.
+    /// Returns [`BuildError::NeedsTraining`] for GSg, PSg and Profiling
+    /// (use [`SchemeConfig::build_any_trained`] for those), and
+    /// [`BuildError::Geometry`] when [`SchemeConfig::check_geometry`]
+    /// fails.
     pub fn build_any(&self) -> Result<AnyPredictor, BuildError> {
         if self.needs_training() {
             return Err(BuildError::NeedsTraining { config: self.to_string() });
         }
+        self.check_geometry().map_err(BuildError::Geometry)?;
+        let bht = self.bht.unwrap_or(BhtConfig::PAPER_DEFAULT);
         Ok(match self.kind {
             SchemeKind::Gag => AnyPredictor::Gag(Gag::new(self.history_bits, self.automaton)),
-            SchemeKind::Pag => AnyPredictor::Pag(Pag::new(
-                self.history_bits,
-                self.bht.unwrap_or(BhtConfig::PAPER_DEFAULT),
-                self.automaton,
-            )),
-            SchemeKind::Pap => AnyPredictor::Pap(Pap::new(
-                self.history_bits,
-                self.bht.unwrap_or(BhtConfig::PAPER_DEFAULT),
-                self.automaton,
-            )),
+            SchemeKind::Pag => AnyPredictor::Pag(Pag::new(self.history_bits, bht, self.automaton)),
+            SchemeKind::Pap => AnyPredictor::Pap(Pap::new(self.history_bits, bht, self.automaton)),
             SchemeKind::Btb => {
                 let (entries, ways) = match self.bht {
                     Some(BhtConfig::Cache { entries, ways }) => (entries, ways),
@@ -379,11 +332,18 @@ impl SchemeConfig {
         })
     }
 
-    /// Builds the same predictor as [`SchemeConfig::build_trained`] wrapped
-    /// in the statically dispatched [`AnyPredictor`] enum.
+    /// Builds the predictor, running the profiling pass on `training` when
+    /// the scheme requires it (adaptive schemes ignore `training`).
     ///
     /// GSg and PSg produce preset [`Gag`]/[`Pag`] structures, so they land
     /// in those variants.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration breaks a rule of
+    /// [`SchemeConfig::check_geometry`] (history length, BHT or BTB
+    /// geometry, PAp's pattern-table cap): this factory has no error
+    /// path, and every configuration that parses passes.
     #[must_use]
     pub fn build_any_trained(&self, training: &Trace) -> AnyPredictor {
         match self.kind {
@@ -395,7 +355,7 @@ impl SchemeConfig {
                 self.bht.unwrap_or(BhtConfig::PAPER_DEFAULT),
             )),
             SchemeKind::Profiling => AnyPredictor::Profiling(Profiling::train(training)),
-            _ => self.build_any().expect("non-training scheme builds without a trace"),
+            _ => self.build_any().unwrap_or_else(|err| panic!("{err}")),
         }
     }
 
@@ -472,19 +432,24 @@ impl fmt::Display for SchemeConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum BuildError {
-    /// The scheme is profiling-based; call [`SchemeConfig::build_trained`].
+    /// The scheme is profiling-based; call
+    /// [`SchemeConfig::build_any_trained`].
     NeedsTraining {
         /// The configuration string of the offending scheme.
         config: String,
     },
+    /// The configuration names tables that cannot be built (see
+    /// [`SchemeConfig::check_geometry`]).
+    Geometry(GeometryError),
 }
 
 impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BuildError::NeedsTraining { config } => {
-                write!(f, "scheme {config} requires a training trace; use build_trained")
+                write!(f, "scheme {config} requires a training trace; use build_any_trained")
             }
+            BuildError::Geometry(err) => write!(f, "{err}"),
         }
     }
 }
@@ -887,9 +852,30 @@ mod tests {
 
         let training = BiasedCoins::uniform(4, 0.8, 100, 3).generate();
         for config in [SchemeConfig::gsg(8), SchemeConfig::psg(8), SchemeConfig::profiling()] {
-            let predictor = config.build_trained(&training);
+            let predictor = config.build_any_trained(&training);
             assert!(!predictor.name().is_empty());
         }
+    }
+
+    #[test]
+    fn impossible_geometry_is_a_build_error() {
+        let want = BuildError::Geometry(GeometryError::HistoryBits(40));
+        assert_eq!(SchemeConfig::gag(40).build_any().err(), Some(want.clone()));
+        assert_eq!(SchemeConfig::gag(40).build().err(), Some(want));
+        assert_eq!(
+            SchemeConfig::pap(24).build_any().err(),
+            Some(BuildError::Geometry(GeometryError::TooManyPatternEntries {
+                tables: 512,
+                history_bits: 24
+            }))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "history length 40 out of range")]
+    fn build_any_trained_asserts_geometry() {
+        let training = BiasedCoins::uniform(4, 0.8, 100, 3).generate();
+        let _ = SchemeConfig::gag(40).build_any_trained(&training);
     }
 
     #[test]

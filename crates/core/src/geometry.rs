@@ -21,11 +21,12 @@ use crate::history::MAX_HISTORY_BITS;
 /// table's allocation in the low megabytes.
 pub const MAX_TABLE_ENTRIES: usize = 1 << 16;
 
-/// Largest number of pattern-table entries a configuration allocates up
-/// front: `2^k` for a single table, `entries × 2^k` for PAp's
-/// per-slot tables behind a practical BHT. One entry is one byte of
-/// automaton state, so the cap is 1 GiB; the paper's largest PAp,
-/// 512 × 2^12, is 2^21.
+/// Largest number of pattern-table entries a configuration holds at
+/// most: `2^k` for a single table, `entries × 2^k` for PAp's per-slot
+/// tables behind a practical BHT once every slot has been touched (PAp
+/// fills its tables on first use). One entry is one byte of automaton
+/// state, so the cap is 1 GiB; the paper's largest PAp, 512 × 2^12, is
+/// 2^21.
 pub const MAX_PATTERN_ENTRIES: usize = 1 << 30;
 
 /// Why a table geometry is invalid.

@@ -150,137 +150,6 @@ impl PatternHistoryTable {
     }
 }
 
-/// A bit-packed pattern history table for the replay path: 2-bit automaton
-/// states, 32 per `u64` word, stepped through a per-automaton 256-entry
-/// lookup table fusing δ and λ ([`Automaton::packed_lut`]).
-///
-/// Behaviorally identical to [`PatternHistoryTable`] (pinned by the
-/// round-trip tests below and by `tests/differential.rs`), but the whole
-/// transition is branchless: read two bits, index the LUT with
-/// `(state << 1) | taken`, write two bits back, report bit 2. A `2^12`
-/// table is 1 KiB of words — L1-resident for the entire replay.
-#[derive(Debug, Clone)]
-pub struct PackedPht {
-    automaton: Automaton,
-    history_bits: u32,
-    lut: [u8; 256],
-    words: Vec<u64>,
-}
-
-impl PackedPht {
-    /// Creates a packed table equivalent to
-    /// [`PatternHistoryTable::new`]: every entry at the automaton's
-    /// initial state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `history_bits` is zero or exceeds
-    /// [`crate::history::MAX_HISTORY_BITS`].
-    #[must_use]
-    pub fn new(history_bits: u32, automaton: Automaton) -> Self {
-        crate::geometry::assert_valid(crate::geometry::check_history_bits(history_bits));
-        let entries = 1usize << history_bits;
-        let initial = u64::from(automaton.initial_state().value());
-        let mut word = 0u64;
-        for slot in 0..32 {
-            word |= initial << (slot * 2);
-        }
-        PackedPht {
-            automaton,
-            history_bits,
-            lut: automaton.packed_lut(),
-            words: vec![word; entries.div_ceil(32)],
-        }
-    }
-
-    /// Packs an existing table, preserving every entry's current state —
-    /// the path by which the Static Training preset tables (GSg/PSg) and
-    /// any pre-warmed table enter the replay loop.
-    #[must_use]
-    pub fn from_table(table: &PatternHistoryTable) -> Self {
-        let mut packed = PackedPht::new(table.history_bits(), table.automaton());
-        for pattern in 0..table.len() {
-            packed.set_state(pattern, table.state(pattern));
-        }
-        packed
-    }
-
-    /// The automaton stored in each entry.
-    #[must_use]
-    pub fn automaton(&self) -> Automaton {
-        self.automaton
-    }
-
-    /// The history-register length `k` this table is sized for.
-    #[must_use]
-    pub fn history_bits(&self) -> u32 {
-        self.history_bits
-    }
-
-    /// Number of entries (`2^k`).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        1usize << self.history_bits
-    }
-
-    /// Always `false`; a table has at least two entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The current state of the entry for `pattern`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pattern` is out of range.
-    #[must_use]
-    pub fn state(&self, pattern: usize) -> State {
-        assert!(pattern < self.len(), "pattern {pattern} out of range");
-        let shift = (pattern & 31) * 2;
-        State::new(((self.words[pattern >> 5] >> shift) & 0b11) as u8)
-    }
-
-    /// Overwrites the state of the entry for `pattern`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pattern` is out of range or `state` is invalid for the
-    /// table's automaton.
-    pub fn set_state(&mut self, pattern: usize, state: State) {
-        assert!(pattern < self.len(), "pattern {pattern} out of range");
-        assert!(
-            self.automaton.is_valid_state(state),
-            "state {state} invalid for {}",
-            self.automaton
-        );
-        let shift = (pattern & 31) * 2;
-        let word = &mut self.words[pattern >> 5];
-        *word = (*word & !(0b11 << shift)) | (u64::from(state.value()) << shift);
-    }
-
-    /// Fused predict + update, identical in contract to
-    /// [`PatternHistoryTable::predict_update`]: the returned prediction is
-    /// λ of the entry's state *before* the transition.
-    ///
-    /// This is the replay inner loop, so the word index is wrapped by
-    /// masking rather than bounds-checked — `x & (len - 1)` is always in
-    /// range, which lets the check compile away. In-range patterns (the
-    /// only ones a stream derived at this table's width can carry, and
-    /// debug-asserted here) are unaffected.
-    #[inline]
-    pub fn predict_update(&mut self, pattern: usize, taken: bool) -> bool {
-        debug_assert!(pattern < self.len(), "pattern {pattern} out of range");
-        let shift = (pattern & 31) * 2;
-        let index = (pattern >> 5) & (self.words.len() - 1);
-        let word = &mut self.words[index];
-        let state = ((*word >> shift) & 0b11) as u8;
-        let entry = self.lut[usize::from((state << 1) | u8::from(taken))];
-        *word = (*word & !(0b11 << shift)) | (u64::from(entry & 0b11) << shift);
-        entry & 0b100 != 0
-    }
-}
-
 /// Bit 0 of every nibble lane.
 const NIBBLE_LO: u64 = 0x1111_1111_1111_1111;
 /// Bits 0–1 (the stored 2-bit state) of every nibble lane.
@@ -295,13 +164,14 @@ pub const LANES_PER_WORD: usize = 16;
 const ACC_FLUSH_EVENTS: usize = 15;
 
 /// A lane-transposed bank of up to [`LANES_PER_WORD`] equally-sized
-/// [`PackedPht`]s for the SWAR replay kernel: member `m` lives in nibble
-/// `m` of one `u64` per table *row*, so a replayed event touches one
-/// word and one round of bit-sliced logic steps every member at once.
+/// [`PatternHistoryTable`]s for the SWAR replay kernel: member `m` lives
+/// in nibble `m` of one `u64` per table *row*, so a replayed event
+/// touches one word and one round of bit-sliced logic steps every member
+/// at once.
 ///
 /// Every member's fused transition `f(s1, s0) = lut[(s << 1) | taken]`
-/// (3 output bits: next state low/high, prediction) is expanded in the
-/// AND–XOR (Reed–Muller) basis
+/// ([`Automaton::packed_lut`]; 3 output bits: next state low/high,
+/// prediction) is expanded in the AND–XOR (Reed–Muller) basis
 ///
 /// ```text
 /// f(s1, s0) = c0 ^ (c1 & s0) ^ (c2 & s1) ^ (c3 & s1 & s0)
@@ -329,7 +199,8 @@ const ACC_FLUSH_EVENTS: usize = 15;
 /// PAg and the GSg/PSg preset assemblies), and *per-lane*
 /// ([`TransposedPhtBank::per_lane`]), one table per stream lane (PAp),
 /// materialized from the members' template states on the lane's first
-/// event — behaviorally identical to per-lane [`PackedPht`] clones.
+/// event — behaviorally identical to per-lane clones of the templates,
+/// which is how PAp fills its own tables.
 #[derive(Debug)]
 pub struct TransposedPhtBank {
     history_bits: u32,
@@ -367,7 +238,7 @@ impl TransposedPhtBank {
     /// Panics if `tables` is empty, holds more than [`LANES_PER_WORD`]
     /// members, or its members disagree on `history_bits`.
     #[must_use]
-    pub fn new(tables: &[PackedPht]) -> Self {
+    pub fn new(tables: &[&PatternHistoryTable]) -> Self {
         Self::build(tables, false)
     }
 
@@ -378,11 +249,11 @@ impl TransposedPhtBank {
     ///
     /// As [`TransposedPhtBank::new`].
     #[must_use]
-    pub fn per_lane(templates: &[PackedPht]) -> Self {
+    pub fn per_lane(templates: &[&PatternHistoryTable]) -> Self {
         Self::build(templates, true)
     }
 
-    fn build(tables: &[PackedPht], per_lane: bool) -> Self {
+    fn build(tables: &[&PatternHistoryTable], per_lane: bool) -> Self {
         let first = tables.first().expect("a bank needs at least one member");
         assert!(
             tables.len() <= LANES_PER_WORD,
@@ -396,27 +267,26 @@ impl TransposedPhtBank {
         );
         let mut coeff = [0u64; 8];
         let mut pred_occ = 0u64;
-        let mut words = vec![0u64; 1usize << first.history_bits];
+        let mut luts = Vec::with_capacity(tables.len());
+        let mut words = vec![0u64; first.len()];
         for (member, table) in tables.iter().enumerate() {
             let shift = member * 4;
+            let lut = table.automaton.packed_lut();
             for taken in 0..2usize {
-                let f = |state: usize| table.lut[(state << 1) | taken] & 0b111;
+                let f = |state: usize| lut[(state << 1) | taken] & 0b111;
                 let (f0, f1, f2, f3) = (f(0), f(1), f(2), f(3));
                 for (k, bits) in [f0, f0 ^ f1, f0 ^ f2, f0 ^ f1 ^ f2 ^ f3].into_iter().enumerate() {
                     coeff[taken * 4 + k] |= u64::from(bits) << shift;
                 }
             }
             pred_occ |= 0b100 << shift;
-            for (pattern, word) in words.iter_mut().enumerate() {
-                *word |= u64::from(table.state(pattern).value()) << shift;
+            luts.push(
+                (0..8).fold(0u32, |flags, index| flags | u32::from(lut[index]) << (index * 4)),
+            );
+            for (word, state) in words.iter_mut().zip(&table.states) {
+                *word |= u64::from(state.value()) << shift;
             }
         }
-        let luts = tables
-            .iter()
-            .map(|table| {
-                (0..8).fold(0u32, |flags, index| flags | u32::from(table.lut[index]) << (index * 4))
-            })
-            .collect();
         TransposedPhtBank {
             history_bits: first.history_bits,
             row_mask: words.len() - 1,
@@ -664,63 +534,6 @@ mod tests {
         assert!(!pht.predict(2), "preset bit must not learn");
     }
 
-    #[test]
-    fn packed_pht_matches_unpacked_on_random_walks() {
-        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
-        for automaton in Automaton::ALL {
-            let mut pht = PatternHistoryTable::new(6, automaton);
-            let mut packed = PackedPht::from_table(&pht);
-            assert_eq!(packed.len(), pht.len());
-            for _ in 0..4000 {
-                let r = next();
-                let pattern = (r as usize >> 8) & (pht.len() - 1);
-                let taken = r & 1 != 0;
-                assert_eq!(
-                    packed.predict_update(pattern, taken),
-                    pht.predict_update(pattern, taken),
-                    "{automaton} pattern {pattern} taken {taken}"
-                );
-            }
-            for pattern in 0..pht.len() {
-                assert_eq!(packed.state(pattern), pht.state(pattern), "{automaton} {pattern}");
-            }
-        }
-    }
-
-    #[test]
-    fn packed_pht_round_trips_preset_states() {
-        // A PSg-style preset table: mixed 0/1 states under PresetBit.
-        let mut pht = PatternHistoryTable::new(4, Automaton::PresetBit);
-        for pattern in 0..pht.len() {
-            pht.set_state(pattern, State::new(u8::from(pattern % 3 == 0)));
-        }
-        let mut packed = PackedPht::from_table(&pht);
-        for pattern in 0..pht.len() {
-            assert_eq!(packed.state(pattern), pht.state(pattern));
-            // Updates never move a preset bit.
-            assert_eq!(packed.predict_update(pattern, true), pht.predict_update(pattern, true));
-            assert_eq!(packed.state(pattern), pht.state(pattern));
-        }
-    }
-
-    #[test]
-    fn packed_pht_word_boundaries() {
-        // Entries 31/32/33 straddle the first word boundary.
-        let mut packed = PackedPht::new(6, Automaton::A2);
-        packed.predict_update(31, false);
-        packed.predict_update(32, false);
-        assert_eq!(packed.state(31), State::new(2));
-        assert_eq!(packed.state(32), State::new(2));
-        assert_eq!(packed.state(33), State::new(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn packed_pht_state_rejects_out_of_range_pattern() {
-        let packed = PackedPht::new(2, Automaton::A2);
-        let _ = packed.state(4);
-    }
-
     const EVERY_MODE: [SimdMode; 2] = [SimdMode::Auto, SimdMode::Scalar];
 
     fn xorshift(seed: u64) -> impl FnMut() -> u64 {
@@ -745,20 +558,27 @@ mod tests {
             .collect()
     }
 
+    /// A bank's member slice: one borrow per table.
+    fn members(tables: &[PatternHistoryTable]) -> Vec<&PatternHistoryTable> {
+        tables.iter().collect()
+    }
+
     #[test]
-    fn transposed_bank_matches_packed_tables_on_random_walks() {
+    fn transposed_bank_matches_tables_on_random_walks() {
         // Mixed automata, width 6; events carry width-8 patterns so the
         // walk also exercises the bank's width fold (mask to 6 bits).
-        let mut tables: Vec<PackedPht> =
-            Automaton::ALL.iter().map(|&automaton| PackedPht::new(6, automaton)).collect();
+        let mut tables: Vec<PatternHistoryTable> = Automaton::ALL
+            .iter()
+            .map(|&automaton| PatternHistoryTable::new(6, automaton))
+            .collect();
         let events = random_events(8, 5000, 0x2545_f491_4f6c_dd1d);
         for mode in EVERY_MODE {
-            let mut bank = TransposedPhtBank::new(&tables);
+            let mut bank = TransposedPhtBank::new(&members(&tables));
             assert_eq!(bank.members(), tables.len());
             assert_eq!(bank.history_bits(), 6);
             bank.replay(&events, &[], mode);
             let mut reference = vec![0u64; tables.len()];
-            let mut shadow: Vec<PackedPht> = tables.clone();
+            let mut shadow = tables.clone();
             for &event in &events {
                 let pattern = (event >> 1) as usize & 0b11_1111;
                 let taken = event & 1 != 0;
@@ -783,8 +603,8 @@ mod tests {
         for pattern in 0..preset.len() {
             preset.set_state(pattern, State::new(u8::from(pattern % 3 == 0)));
         }
-        tables[0] = PackedPht::from_table(&preset);
-        let bank = TransposedPhtBank::new(&tables);
+        tables[0] = preset.clone();
+        let bank = TransposedPhtBank::new(&members(&tables));
         for pattern in 0..preset.len() {
             assert_eq!(bank.state(pattern, 0), preset.state(pattern));
         }
@@ -803,10 +623,10 @@ mod tests {
                 }
                 for taken in [false, true] {
                     for mode in EVERY_MODE {
-                        let mut table = PackedPht::new(1, automaton);
+                        let mut table = PatternHistoryTable::new(1, automaton);
                         table.set_state(0, state);
                         table.set_state(1, state);
-                        let mut bank = TransposedPhtBank::new(&[table.clone()]);
+                        let mut bank = TransposedPhtBank::new(&[&table]);
                         bank.replay(&[u32::from(taken)], &[], mode);
                         let predicted = table.predict_update(0, taken);
                         assert_eq!(
@@ -834,9 +654,9 @@ mod tests {
         // word body bit-identical to the scalar reference.
         for automaton in Automaton::ALL {
             for input in 0..=255u8 {
-                let tables: Vec<PackedPht> = (0..LANES_PER_WORD)
+                let tables: Vec<PatternHistoryTable> = (0..LANES_PER_WORD)
                     .map(|member| {
-                        let mut table = PackedPht::new(2, automaton);
+                        let mut table = PatternHistoryTable::new(2, automaton);
                         let field = State::new((input >> ((member % 4) * 2)) & 0b11);
                         let state = if automaton.is_valid_state(field) {
                             field
@@ -853,9 +673,9 @@ mod tests {
                 // state sees both directions and one follow-up step.
                 let events: Vec<u32> =
                     (0..16u32).map(|e| ((e >> 1) & 0b11) << 1 | (e & 1)).collect();
-                let mut word = TransposedPhtBank::new(&tables);
+                let mut word = TransposedPhtBank::new(&members(&tables));
                 word.replay(&events, &[], SimdMode::Auto);
-                let mut scalar = TransposedPhtBank::new(&tables);
+                let mut scalar = TransposedPhtBank::new(&members(&tables));
                 scalar.replay(&events, &[], SimdMode::Scalar);
                 assert_eq!(
                     word.counts(),
@@ -876,9 +696,11 @@ mod tests {
     }
 
     #[test]
-    fn per_lane_bank_matches_per_lane_packed_tables() {
-        let templates: Vec<PackedPht> =
-            Automaton::ALL.iter().map(|&automaton| PackedPht::new(4, automaton)).collect();
+    fn per_lane_bank_matches_per_lane_table_clones() {
+        let templates: Vec<PatternHistoryTable> = Automaton::ALL
+            .iter()
+            .map(|&automaton| PatternHistoryTable::new(4, automaton))
+            .collect();
         let mut next = xorshift(0x0123_4567_89ab_cdef);
         let mut events = Vec::new();
         let mut lanes = Vec::new();
@@ -889,7 +711,7 @@ mod tests {
             lanes.push((r >> 40) as u32 % 7);
         }
         let mut reference = vec![0u64; templates.len()];
-        let mut shadow: Vec<Vec<PackedPht>> = Vec::new();
+        let mut shadow: Vec<Vec<PatternHistoryTable>> = Vec::new();
         for (&event, &lane) in events.iter().zip(&lanes) {
             let lane = lane as usize;
             if lane >= shadow.len() {
@@ -902,7 +724,7 @@ mod tests {
             }
         }
         for mode in EVERY_MODE {
-            let mut bank = TransposedPhtBank::per_lane(&templates);
+            let mut bank = TransposedPhtBank::per_lane(&members(&templates));
             assert_eq!(bank.members(), templates.len());
             assert_eq!(bank.history_bits(), 4);
             bank.replay(&events, &lanes, mode);
@@ -914,12 +736,14 @@ mod tests {
     fn transposed_replay_accumulates_across_blocks() {
         // Splitting the event stream into arbitrary replay() calls must
         // not change the result (the engine feeds blocks).
-        let tables: Vec<PackedPht> =
-            Automaton::FIGURE5.iter().map(|&automaton| PackedPht::new(6, automaton)).collect();
+        let tables: Vec<PatternHistoryTable> = Automaton::FIGURE5
+            .iter()
+            .map(|&automaton| PatternHistoryTable::new(6, automaton))
+            .collect();
         let events = random_events(6, 2048, 0xdead_beef_cafe_f00d);
-        let mut whole = TransposedPhtBank::new(&tables);
+        let mut whole = TransposedPhtBank::new(&members(&tables));
         whole.replay(&events, &[], SimdMode::Auto);
-        let mut split = TransposedPhtBank::new(&tables);
+        let mut split = TransposedPhtBank::new(&members(&tables));
         for block in events.chunks(97) {
             split.replay(block, &[], SimdMode::Auto);
         }
@@ -930,8 +754,8 @@ mod tests {
     #[should_panic(expected = "share one table geometry")]
     fn transposed_bank_rejects_mixed_geometries() {
         let _ = TransposedPhtBank::new(&[
-            PackedPht::new(6, Automaton::A2),
-            PackedPht::new(8, Automaton::A2),
+            &PatternHistoryTable::new(6, Automaton::A2),
+            &PatternHistoryTable::new(8, Automaton::A2),
         ]);
     }
 
@@ -940,14 +764,15 @@ mod tests {
         expected = "a transposed bank holds at most 16 members (one u64 per row), got 17"
     )]
     fn transposed_bank_rejects_more_than_one_word_of_members() {
-        let tables = vec![PackedPht::new(4, Automaton::A2); LANES_PER_WORD + 1];
-        let _ = TransposedPhtBank::per_lane(&tables);
+        let table = PatternHistoryTable::new(4, Automaton::A2);
+        let _ = TransposedPhtBank::per_lane(&[&table; LANES_PER_WORD + 1]);
     }
 
     #[test]
     #[should_panic(expected = "one lane selector per event")]
     fn per_lane_bank_requires_lane_selectors() {
-        let mut bank = TransposedPhtBank::per_lane(&[PackedPht::new(4, Automaton::A2)]);
+        let table = PatternHistoryTable::new(4, Automaton::A2);
+        let mut bank = TransposedPhtBank::per_lane(&[&table]);
         bank.replay(&[0b10], &[], SimdMode::Auto);
     }
 }

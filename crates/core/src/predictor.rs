@@ -11,11 +11,13 @@ use tlabp_trace::BranchRecord;
 /// same record (whose `taken` field holds the actual outcome). `update`
 /// must be called exactly once after each `predict`, in the same order.
 /// The reference loop (`tlabp_sim::runner::simulate`) calls exactly
-/// these two. The engine's other walk, over a pc-interned stream, calls
-/// [`BranchPredictor::step_interned_block`] instead; its default chain
-/// (`step_interned` → `step` → `predict` + `update`) keeps every
-/// implementation correct there, and schemes override links of the
-/// chain only to go faster, never to change a prediction.
+/// these two. The engine's other loops, over a pc-interned stream, call
+/// [`BranchPredictor::step_interned_block`] (the walk) or
+/// [`BranchPredictor::step_interned`] (the fetch loop) instead; the
+/// default chain (`step_interned_block` → `step_interned` → `predict` +
+/// `update`) keeps every implementation correct there, and schemes
+/// override links of the chain only to go faster, never to change a
+/// prediction.
 ///
 /// [`BranchPredictor::context_switch`] implements Section 5.1.4's model:
 /// flush and reinitialize the first-level branch history, but leave pattern
@@ -63,33 +65,25 @@ pub trait BranchPredictor {
         predicted == branch.taken
     }
 
-    /// Fused predict-then-update, returning the prediction.
+    /// Fused predict-then-update against a pc-interned stream, returning
+    /// the prediction: `id` is the dense per-trace alias of `branch.pc`
+    /// (see `tlabp_trace::InternedConds`).
     ///
     /// Semantically identical to [`BranchPredictor::predict`] followed by
-    /// [`BranchPredictor::update`] with the same record. The hot two-level
-    /// schemes override it to resolve their first-level table entry once
-    /// per branch instead of once per call; `tests/differential.rs` pins
-    /// the equivalence for every catalog scheme.
-    fn step(&mut self, branch: &BranchRecord) -> bool {
+    /// [`BranchPredictor::update`] with the same record, which is the
+    /// default. The contract a caller must uphold: over this predictor's
+    /// lifetime, equal ids always accompany equal pcs and vice versa (one
+    /// trace's interning, never mixed with pc-keyed `predict`/`update`).
+    /// Under it, the hot two-level schemes override this to resolve their
+    /// first-level entry once per branch instead of once per call, and
+    /// schemes with per-address state index a dense vector by `id`
+    /// instead of hashing `branch.pc`; `tests/differential.rs` pins the
+    /// equivalence for every catalog scheme.
+    fn step_interned(&mut self, id: u32, branch: &BranchRecord) -> bool {
+        let _ = id;
         let predicted = self.predict(branch);
         self.update(branch);
         predicted
-    }
-
-    /// [`BranchPredictor::step`] against a pc-interned stream: `id` is
-    /// the dense per-trace alias of `branch.pc` (see
-    /// `tlabp_trace::InternedConds`).
-    ///
-    /// The contract a caller must uphold: over this predictor's lifetime,
-    /// equal ids always accompany equal pcs and vice versa (one trace's
-    /// interning, never mixed with pc-keyed stepping). Under it, schemes
-    /// with ideal per-address state override this to index a dense vector
-    /// by `id` instead of hashing `branch.pc`, bit-identically. The
-    /// default ignores `id` and falls back to [`BranchPredictor::step`],
-    /// which is always correct.
-    fn step_interned(&mut self, id: u32, branch: &BranchRecord) -> bool {
-        let _ = id;
-        self.step(branch)
     }
 
     /// Steps every `(id, record)` of `block` in order, returning how many
@@ -127,10 +121,6 @@ impl<P: BranchPredictor + ?Sized> BranchPredictor for Box<P> {
 
     fn name(&self) -> String {
         (**self).name()
-    }
-
-    fn step(&mut self, branch: &BranchRecord) -> bool {
-        (**self).step(branch)
     }
 
     fn step_interned(&mut self, id: u32, branch: &BranchRecord) -> bool {

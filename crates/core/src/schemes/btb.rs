@@ -121,12 +121,6 @@ impl Btb {
         slot.last_used = self.clock;
         victim
     }
-
-    fn step_at(&mut self, i: usize, taken: bool) -> bool {
-        let state = self.slots[i].state;
-        self.slots[i].state = self.automaton.update(state, taken);
-        self.automaton.predict(state)
-    }
 }
 
 impl BranchPredictor for Btb {
@@ -154,15 +148,11 @@ impl BranchPredictor for Btb {
     // the relative `last_used` order every replacement decision is based
     // on (each event still moves exactly its own slot to most-recent).
     #[inline]
-    fn step(&mut self, branch: &BranchRecord) -> bool {
-        let i = self.find_or_allocate(branch.pc);
-        self.step_at(i, branch.taken)
-    }
-
-    #[inline]
     fn step_interned(&mut self, id: u32, branch: &BranchRecord) -> bool {
         let i = self.find_or_allocate_interned(id, branch.pc);
-        self.step_at(i, branch.taken)
+        let state = self.slots[i].state;
+        self.slots[i].state = self.automaton.update(state, branch.taken);
+        self.automaton.predict(state)
     }
 
     fn name(&self) -> String {

@@ -107,7 +107,7 @@ impl BranchPredictor for Gag {
     }
 
     #[inline]
-    fn step(&mut self, branch: &BranchRecord) -> bool {
+    fn step_interned(&mut self, _id: u32, branch: &BranchRecord) -> bool {
         let pattern = self.history.pattern();
         let predicted = self.pht.predict_update(pattern, branch.taken);
         self.history.shift_in(branch.taken);

@@ -152,14 +152,6 @@ impl BranchPredictor for Pag {
     }
 
     #[inline]
-    fn step(&mut self, branch: &BranchRecord) -> bool {
-        let (pattern, cursor) = self.bht.access_pattern(branch.pc);
-        let predicted = self.pht.predict_update(pattern, branch.taken);
-        self.bht.record_outcome_at(cursor, branch.pc, branch.taken);
-        predicted
-    }
-
-    #[inline]
     fn step_interned(&mut self, id: u32, branch: &BranchRecord) -> bool {
         let (pattern, cursor) = self.bht.access_pattern_interned(id, branch.pc);
         let predicted = self.pht.predict_update(pattern, branch.taken);

@@ -22,6 +22,12 @@ use crate::schemes::pag::bht_spec;
 /// the previous occupant's pattern history. With the ideal BHT every
 /// static branch gets a private table.
 ///
+/// Tables fill on first use: each starts as a clone of a fresh
+/// [`Pap::template`] the first time its slot (or branch) is touched, and
+/// a never-touched table is indistinguishable from a fresh one. A
+/// predictor that only lends its template to pattern-stream replay
+/// allocates no per-slot tables at all.
+///
 /// PAp achieves the paper's target ≈97% accuracy with only 6 history bits
 /// (Figure 8) but is the most expensive variation because of the `h`
 /// pattern history tables.
@@ -36,30 +42,22 @@ use crate::schemes::pag::bht_spec;
 ///
 /// let pap = Pap::new(6, BhtConfig::PAPER_DEFAULT, Automaton::A2);
 /// assert_eq!(pap.name(), "PAp(BHT(512,4,6-sr),512xPHT(2^6,A2))");
+/// assert_eq!(pap.pattern_table_count(), 0); // none touched yet
 /// ```
 #[derive(Debug, Clone)]
 pub struct Pap {
     bht: BranchHistoryTable,
-    tables: PapTables,
-    history_bits: u32,
-    automaton: Automaton,
+    /// A fresh table: every pattern table starts as a clone of it.
+    template: PatternHistoryTable,
+    /// One table per lane ([`crate::bht::BhtCursor::lane`]): the BHT slot
+    /// under a practical BHT, the interned id under the ideal one.
+    lanes: Vec<Option<PatternHistoryTable>>,
+    /// The ideal BHT's per-branch tables on the pc-keyed path
+    /// (`predict`/`update`). A predictor instance is driven either by pc
+    /// or by interned id, never both, so under the ideal BHT only one of
+    /// `keyed` and `lanes` is ever populated.
+    keyed: FxHashMap<u64, PatternHistoryTable>,
     label: String,
-}
-
-#[derive(Debug, Clone)]
-enum PapTables {
-    /// One PHT per physical BHT slot (practical implementation).
-    PerSlot(Vec<PatternHistoryTable>),
-    /// One PHT per static branch (ideal implementation). The pc-keyed
-    /// map serves the ordinary paths; the dense vector serves
-    /// [`BranchPredictor::step_interned`], which indexes by the branch's
-    /// interned id instead of hashing the pc. A predictor instance only
-    /// ever populates one of the two (the simulation paths never mix
-    /// keying modes on one instance).
-    PerBranch {
-        keyed: FxHashMap<u64, PatternHistoryTable>,
-        interned: Vec<Option<PatternHistoryTable>>,
-    },
 }
 
 impl Pap {
@@ -68,33 +66,33 @@ impl Pap {
     /// # Panics
     ///
     /// Panics if `history_bits` is out of range, the BHT geometry is
-    /// invalid, or the per-slot pattern tables hold more than
+    /// invalid, or the per-slot pattern tables would hold more than
     /// [`MAX_PATTERN_ENTRIES`](crate::geometry::MAX_PATTERN_ENTRIES)
-    /// entries.
+    /// entries once every slot is touched.
     #[must_use]
     pub fn new(history_bits: u32, bht: BhtConfig, automaton: Automaton) -> Self {
         let table = bht.build(history_bits);
-        let tables = match bht {
-            BhtConfig::Ideal => {
-                PapTables::PerBranch { keyed: FxHashMap::default(), interned: Vec::new() }
-            }
+        let set_size = match bht {
+            BhtConfig::Ideal => "inf".to_owned(),
             BhtConfig::Cache { entries, .. } => {
                 crate::geometry::assert_valid(crate::geometry::check_pattern_tables(
                     entries,
                     history_bits,
                 ));
-                PapTables::PerSlot(vec![PatternHistoryTable::new(history_bits, automaton); entries])
+                entries.to_string()
             }
-        };
-        let set_size = match bht {
-            BhtConfig::Ideal => "inf".to_owned(),
-            BhtConfig::Cache { entries, .. } => entries.to_string(),
         };
         let label = format!(
             "PAp({},{set_size}xPHT(2^{history_bits},{automaton}))",
             bht_spec(bht, history_bits)
         );
-        Pap { bht: table, tables, history_bits, automaton, label }
+        Pap {
+            bht: table,
+            template: PatternHistoryTable::new(history_bits, automaton),
+            lanes: Vec::new(),
+            keyed: FxHashMap::default(),
+            label,
+        }
     }
 
     /// Branch-history-table hit statistics.
@@ -103,42 +101,59 @@ impl Pap {
         self.bht.stats()
     }
 
+    /// The fresh table every pattern table starts from. Replay builds its
+    /// per-lane bank from it.
+    #[must_use]
+    pub fn template(&self) -> &PatternHistoryTable {
+        &self.template
+    }
+
     /// The per-table history-register length `k`.
     #[must_use]
     pub fn history_bits(&self) -> u32 {
-        self.history_bits
+        self.template.history_bits()
     }
 
     /// The automaton stored in every pattern table entry.
     #[must_use]
     pub fn automaton(&self) -> Automaton {
-        self.automaton
+        self.template.automaton()
     }
 
-    /// Number of pattern history tables currently instantiated.
+    /// Number of pattern history tables made so far: one per slot or
+    /// branch touched.
     #[must_use]
     pub fn pattern_table_count(&self) -> usize {
-        match &self.tables {
-            PapTables::PerSlot(v) => v.len(),
-            PapTables::PerBranch { keyed, interned } => {
-                keyed.len() + interned.iter().filter(|t| t.is_some()).count()
-            }
-        }
+        self.lanes.iter().flatten().count() + self.keyed.len()
     }
 
+    /// The pattern table of the branch at `pc`, whose BHT entry the
+    /// caller has just accessed.
     fn table_mut(&mut self, pc: u64) -> &mut PatternHistoryTable {
-        let history_bits = self.history_bits;
-        let automaton = self.automaton;
-        match &mut self.tables {
-            PapTables::PerSlot(tables) => {
-                let slot = self.bht.slot_of(pc).expect("cache BHT entry resident after access");
-                &mut tables[slot]
+        match &self.bht {
+            BranchHistoryTable::Ideal(_) => {
+                self.keyed.entry(pc).or_insert_with(|| self.template.clone())
             }
-            PapTables::PerBranch { keyed, .. } => {
-                keyed.entry(pc).or_insert_with(|| PatternHistoryTable::new(history_bits, automaton))
+            BranchHistoryTable::Cache(cache) => {
+                let slot = cache.slot_of(pc).expect("cache BHT entry resident after access");
+                lane_table(&mut self.lanes, &self.template, slot as u32)
             }
         }
     }
+}
+
+/// `lane`'s table, cloned from `template` on the lane's first touch.
+#[inline]
+fn lane_table<'a>(
+    lanes: &'a mut Vec<Option<PatternHistoryTable>>,
+    template: &PatternHistoryTable,
+    lane: u32,
+) -> &'a mut PatternHistoryTable {
+    let lane = lane as usize;
+    if lane >= lanes.len() {
+        lanes.resize_with(lane + 1, || None);
+    }
+    lanes[lane].get_or_insert_with(|| template.clone())
 }
 
 impl BranchPredictor for Pap {
@@ -163,43 +178,9 @@ impl BranchPredictor for Pap {
     }
 
     #[inline]
-    fn step(&mut self, branch: &BranchRecord) -> bool {
-        let (pattern, cursor) = self.bht.access_pattern(branch.pc);
-        let history_bits = self.history_bits;
-        let automaton = self.automaton;
-        let table = match (&mut self.tables, cursor.slot()) {
-            (PapTables::PerSlot(tables), Some(slot)) => &mut tables[slot],
-            (PapTables::PerBranch { keyed, .. }, _) => keyed
-                .entry(branch.pc)
-                .or_insert_with(|| PatternHistoryTable::new(history_bits, automaton)),
-            (PapTables::PerSlot(_), None) => {
-                unreachable!("cache BHT always yields a slot cursor")
-            }
-        };
-        let predicted = table.predict_update(pattern, branch.taken);
-        self.bht.record_outcome_at(cursor, branch.pc, branch.taken);
-        predicted
-    }
-
-    #[inline]
     fn step_interned(&mut self, id: u32, branch: &BranchRecord) -> bool {
         let (pattern, cursor) = self.bht.access_pattern_interned(id, branch.pc);
-        let history_bits = self.history_bits;
-        let automaton = self.automaton;
-        let table = match (&mut self.tables, cursor.slot()) {
-            (PapTables::PerSlot(tables), Some(slot)) => &mut tables[slot],
-            (PapTables::PerBranch { interned, .. }, _) => {
-                let index = id as usize;
-                if index >= interned.len() {
-                    interned.resize(index + 1, None);
-                }
-                interned[index]
-                    .get_or_insert_with(|| PatternHistoryTable::new(history_bits, automaton))
-            }
-            (PapTables::PerSlot(_), None) => {
-                unreachable!("cache BHT always yields a slot cursor")
-            }
-        };
+        let table = lane_table(&mut self.lanes, &self.template, cursor.lane(id));
         let predicted = table.predict_update(pattern, branch.taken);
         self.bht.record_outcome_at_interned(cursor, id, branch.taken);
         predicted
@@ -253,9 +234,45 @@ mod tests {
     }
 
     #[test]
-    fn per_slot_tables_are_allocated_up_front() {
-        let pap = Pap::new(6, BhtConfig::Cache { entries: 128, ways: 4 }, Automaton::A2);
-        assert_eq!(pap.pattern_table_count(), 128);
+    fn per_slot_tables_fill_on_first_touch() {
+        let mut pap = Pap::new(6, BhtConfig::Cache { entries: 128, ways: 4 }, Automaton::A2);
+        assert_eq!(pap.pattern_table_count(), 0, "a fresh PAp holds no tables");
+        // Five distinct pcs, each touched three times, in five slots.
+        for n in 0..15u64 {
+            let b = branch(0x100 + (n % 5) * 4, n % 2 == 0, n);
+            pap.predict(&b);
+            pap.update(&b);
+        }
+        assert_eq!(pap.pattern_table_count(), 5, "one table per touched slot");
+    }
+
+    #[test]
+    fn interned_twin_matches_pc_driven_cache_pap() {
+        // A small 2-way table, so pcs conflict and slots are reallocated:
+        // the twin driven by interned ids must predict every branch as
+        // the pc-driven one does and make the same tables.
+        let config = BhtConfig::Cache { entries: 8, ways: 2 };
+        let mut by_pc = Pap::new(4, config, Automaton::A2);
+        let mut by_id = Pap::new(4, config, Automaton::A2);
+        let pcs = [0x100u64, 0x204, 0x308, 0x100, 0x40c, 0x204, 0x120, 0x510, 0x308, 0x140];
+        let mut ids: Vec<u64> = Vec::new();
+        for (n, &pc) in pcs.iter().cycle().take(600).enumerate() {
+            let id = match ids.iter().position(|&seen| seen == pc) {
+                Some(id) => id,
+                None => {
+                    ids.push(pc);
+                    ids.len() - 1
+                }
+            } as u32;
+            let b = branch(pc, (n * 7 + n / 5) % 3 != 0, n as u64);
+            let predicted = by_pc.predict(&b);
+            by_pc.update(&b);
+            assert_eq!(by_id.step_interned(id, &b), predicted, "branch {n} at {pc:#x}");
+            assert_eq!(by_id.pattern_table_count(), by_pc.pattern_table_count(), "branch {n}");
+        }
+        // Set 0's four pcs share both its ways; sets 1–3 hold one each.
+        assert_eq!(by_pc.pattern_table_count(), 5);
+        assert_eq!(by_id.bht_stats(), by_pc.bht_stats());
     }
 
     #[test]

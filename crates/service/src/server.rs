@@ -2,7 +2,7 @@
 //!
 //! One [`SweepServer`] owns the warm state every connection shares — a
 //! single [`TraceStore`] (traces generate once, ever), the global
-//! [`SweepPool`](tlabp_sim::SweepPool) (simulation work from all clients
+//! [`SweepPool`] (simulation work from all clients
 //! interleaves on one fixed set of worker threads, which is what makes
 //! admission fair: a second client's jobs enqueue behind — not after —
 //! the first client's, each plan draining in windows of twice the pool

@@ -41,10 +41,12 @@
 //!   [`tlabp_core::registry`] and referenced by name, run behind
 //!   [`AnyPredictor::Dyn`] on the walk. One virtual dispatch per
 //!   chunk of events, paid only by externally-registered schemes.
-//! * **reference** — a boxed `dyn BranchPredictor` over the full event
-//!   trace, bypassing every fast path. Never chosen by lowering; jobs
-//!   opt in ([`Job::reference_path`]) for differential testing and for
-//!   the repository benchmark's paper-warm reference check.
+//! * **reference** — the job's [`AnyPredictor`] stepped by `predict` +
+//!   `update` over the full event trace
+//!   ([`crate::runner::simulate`]), bypassing every fast path. Never
+//!   chosen by lowering; jobs opt in ([`Job::reference_path`]) for
+//!   differential testing and for the repository benchmark's paper-warm
+//!   reference check.
 //!
 //! Execution runs every cell on a [`SweepPool`] (idle workers pull the
 //! next cell as they finish) after pre-generating each distinct trace
@@ -81,7 +83,7 @@ use tlabp_core::registry::{self, DynBuilder};
 use tlabp_core::schemes::Pag;
 use tlabp_core::simd::SimdMode;
 use tlabp_core::target_cache::{FetchOutcome, TargetCache};
-use tlabp_trace::{BranchClass, Trace};
+use tlabp_trace::{BranchClass, InternedConds, Trace};
 use tlabp_workloads::DataSet;
 
 use crate::json::{Json, WireError};
@@ -1229,16 +1231,6 @@ impl BuildSpec {
             BuildSpec::Custom(builder) => AnyPredictor::Dyn(builder()),
         }
     }
-
-    fn build_boxed(&self, store: &TraceStore, trace: TraceKey) -> Box<dyn BranchPredictor> {
-        match self {
-            BuildSpec::Scheme(config) if config.needs_training() => {
-                config.build_trained(&store.get(trace.benchmark, DataSet::Training))
-            }
-            BuildSpec::Scheme(config) => config.build().expect("non-training scheme builds"),
-            BuildSpec::Custom(builder) => builder(),
-        }
-    }
 }
 
 /// Which simulation loop a job runs.
@@ -1248,7 +1240,7 @@ enum ExecPath {
     /// key, otherwise the interned walk with switches from the trace's
     /// switch schedule.
     Fast,
-    /// Boxed `dyn` predictor over the full event trace (opt-in only).
+    /// `predict` + `update` over the full event trace (opt-in only).
     Reference,
 }
 
@@ -1292,12 +1284,13 @@ impl Cell {
     }
 
     /// The deepest trace form this cell reads. An instrumented cell
-    /// walks the interned stream only to count a switched job's
-    /// accuracy; otherwise its observation loops read the full trace.
+    /// reads the interned stream to count a switched job's accuracy and
+    /// in the fetch loop, which steps each conditional branch with its
+    /// interned id; the miss-breakdown loop reads only the full trace.
     fn trace_form(&self) -> TraceForm {
-        let switched_instrumented =
-            self.path == ExecPath::Fast && self.sim.context_switch.is_some();
-        if self.walks() || switched_instrumented {
+        let interned_instrumented = self.path == ExecPath::Fast
+            && (self.sim.context_switch.is_some() || self.metrics.fetch.is_some());
+        if self.walks() || interned_instrumented {
             TraceForm::Interned
         } else {
             TraceForm::Full
@@ -1378,9 +1371,9 @@ fn lower(job: &Job) -> Lowered {
 /// Runs one lowered cell on a worker thread.
 fn run_cell(cell: &Cell, store: &TraceStore) -> JobOutcome {
     if cell.path == ExecPath::Reference {
-        let mut boxed = cell.build.build_boxed(store, cell.trace);
+        let mut predictor = cell.build.build_any(store, cell.trace);
         let full = store.get(cell.trace.benchmark, cell.trace.data_set);
-        let sim = simulate(&mut *boxed, &full, &cell.sim);
+        let sim = simulate(&mut predictor, &full, &cell.sim);
         return JobOutcome::Measured(JobMetrics { sim, miss_breakdown: None, fetch: None });
     }
 
@@ -1400,7 +1393,8 @@ fn run_cell(cell: &Cell, store: &TraceStore) -> JobOutcome {
     let fetch = cell.metrics.fetch.map(|spec| {
         let mut predictor = cell.build.build_any(store, cell.trace);
         let full = store.get(cell.trace.benchmark, cell.trace.data_set);
-        run_fetch(&mut predictor, &full, spec)
+        let interned = store.get_interned(cell.trace.benchmark, cell.trace.data_set);
+        run_fetch(&mut predictor, &full, &interned, spec)
     });
 
     let schedule = store.get_switch_schedule(cell.trace.benchmark, cell.trace.data_set, &cell.sim);
@@ -1463,18 +1457,27 @@ fn run_miss_breakdown(pag: &mut Pag, trace: &Trace) -> (SimResult, MissBreakdown
 /// The Section 3.2 fetch-path loop: the direction predictor handles
 /// conditional branches (everything else is architecturally taken) and a
 /// target cache supplies target addresses for every branch class.
+///
+/// `interned` is `trace`'s interned conditional stream, whose events
+/// follow the trace's conditional branches in order: each conditional
+/// steps through [`BranchPredictor::step_interned`] with the next event's
+/// id.
 fn run_fetch<P: BranchPredictor>(
     predictor: &mut P,
     trace: &Trace,
+    interned: &InternedConds,
     spec: TargetCacheSpec,
 ) -> (SimResult, FetchStats) {
     let mut result =
         SimResult { scheme: predictor.name(), predictions: 0, correct: 0, context_switches: 0 };
     let mut stats = FetchStats::default();
     let mut cache = TargetCache::new(spec.entries, spec.ways);
+    let mut events = interned.events().iter();
     for branch in trace.branches() {
         let predicted_taken = if branch.class.is_conditional() {
-            let predicted = predictor.step(branch);
+            let id = events.next().expect("one interned event per conditional branch").id();
+            debug_assert_eq!(interned.pc_of(id), branch.pc, "interned events in branch order");
+            let predicted = predictor.step_interned(id, branch);
             result.predictions += 1;
             result.correct += u64::from(predicted == branch.taken);
             predicted
@@ -1831,11 +1834,15 @@ mod tests {
     /// path walks the interned stream: a fusion-off job in a batch of
     /// one, the rest shared per trace and switch configuration. Only
     /// reference and instrumented jobs run as single cells, and of
-    /// those only a switched instrumented job needs the interned form.
+    /// those a switched instrumented job and a fetch job need the
+    /// interned form; an unswitched miss-breakdown job reads only the
+    /// full trace.
     #[test]
     fn non_replay_accuracy_jobs_all_walk() {
         use TraceForm::{Full, Interned};
         let miss = MetricSet { miss_breakdown: true, fetch: None };
+        let fetch =
+            MetricSet { miss_breakdown: false, fetch: Some(TargetCacheSpec::PAPER_DEFAULT) };
         let switched = SchemeConfig::pag(12).with_context_switch(true);
         let plan: Plan = [
             Job::scheme(SchemeConfig::btfn(), li()),
@@ -1846,13 +1853,14 @@ mod tests {
             Job::scheme(switched, li()).with_metrics(miss),
             Job::scheme(SchemeConfig::gag(8), li()).with_reference_path(true),
             Job::scheme(SchemeConfig::gag(8), li()),
+            Job::scheme(SchemeConfig::pag(12), li()).with_metrics(fetch),
         ]
         .into_iter()
         .collect();
         let lowered: Vec<Lowered> = plan.jobs().iter().map(lower).collect();
         let partition = partition_batches(&lowered);
         assert_eq!(partition.fused, vec![vec![0, 1], vec![2], vec![3]]);
-        assert_eq!(partition.singles, vec![4, 5, 6]);
+        assert_eq!(partition.singles, vec![4, 5, 6, 8]);
         assert_eq!(partition.replay, vec![vec![7]]);
         let forms: Vec<TraceForm> = lowered
             .iter()
@@ -1861,7 +1869,10 @@ mod tests {
                 Lowered::Skip { .. } => unreachable!("every job runs"),
             })
             .collect();
-        assert_eq!(forms, [Interned, Interned, Interned, Interned, Full, Interned, Full, Interned]);
+        assert_eq!(
+            forms,
+            [Interned, Interned, Interned, Interned, Full, Interned, Full, Interned, Interned]
+        );
     }
 
     /// A plan that panics on a worker leaves the pool serving the next

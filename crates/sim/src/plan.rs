@@ -157,7 +157,7 @@ pub struct Job {
     pub sim: SimConfig,
     /// Extra instrumented metrics to compute.
     pub metrics: MetricSet,
-    /// Force the reference execution path (boxed `dyn` predictor over the
+    /// Force the reference execution path (`predict` + `update` over the
     /// full event trace), bypassing the fast paths. Used by differential
     /// tests and by the repository benchmark's paper-warm reference
     /// check.

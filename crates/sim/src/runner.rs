@@ -6,7 +6,7 @@ use tlabp_core::any::AnyPredictor;
 use tlabp_core::bht::{BhtConfig, BhtSignature};
 use tlabp_core::config::{SchemeConfig, SchemeKind};
 use tlabp_core::history::HistoryRegister;
-use tlabp_core::pht::{PackedPht, TransposedPhtBank, LANES_PER_WORD};
+use tlabp_core::pht::{PatternHistoryTable, TransposedPhtBank, LANES_PER_WORD};
 use tlabp_core::predictor::BranchPredictor;
 use tlabp_core::simd::SimdMode;
 use tlabp_trace::io::ReadTraceError;
@@ -477,15 +477,16 @@ pub fn replay_stream_key(config: SchemeConfig) -> Option<StreamKey> {
 /// walking the interned conditional stream once.
 ///
 /// * [`StreamKey::Global`] replays a fresh all-ones history register —
-///   the exact walk `Gag::step` performs (pattern read *before* the
-///   shift-in), so GAg/GSg replay is bit-identical by construction.
+///   the exact walk `Gag::step_interned` performs (pattern read *before*
+///   the shift-in), so GAg/GSg replay is bit-identical by construction.
 /// * [`StreamKey::Bht`] builds the signature's table and performs the
 ///   access → record walk of a PAg/PAp `step_interned`, in the same
 ///   operation order; table evolution is outcome-driven, so the emitted
 ///   patterns match what every same-signature predictor's own table
-///   would produce. Each event also records its *lane* — the cache
-///   slot the entry resolved to, or the interned id under an ideal BHT —
-///   which is the per-address table selector PAp's second level needs.
+///   would produce. Each event also records its *lane*
+///   ([`tlabp_core::bht::BhtCursor::lane`]: the cache slot the entry
+///   resolved to, or the interned id under an ideal BHT), which is the
+///   per-address table selector PAp's second level uses.
 #[must_use]
 pub fn derive_pattern_stream(interned: &InternedConds, key: StreamKey) -> PatternStream {
     match key {
@@ -508,44 +509,28 @@ pub fn derive_pattern_stream(interned: &InternedConds, key: StreamKey) -> Patter
                 let taken = event.taken();
                 let (pattern, cursor) = driver.access_pattern_interned(id, interned.pc_of(id));
                 driver.record_outcome_at_interned(cursor, id, taken);
-                let lane = cursor.slot().map_or(id, |slot| slot as u32);
-                stream.push_with_lane(pattern, taken, lane);
+                stream.push_with_lane(pattern, taken, cursor.lane(id));
             }
             stream
         }
     }
 }
 
-/// The bit-packed second level a replay walks: one shared table (GAg,
-/// PAg, and the GSg/PSg preset assemblies) or one table per stream lane
-/// (PAp's per-slot / per-branch pattern tables).
-enum ReplayPht {
-    /// All events index a single pattern history table.
-    Single(PackedPht),
-    /// Each event indexes the table its lane selects; tables materialize
-    /// lazily from the template on first use.
-    PerLane {
-        /// The initial-state table cloned for each new lane.
-        template: PackedPht,
-    },
-}
-
-impl ReplayPht {
-    /// Extracts the second level of an already-built predictor, or `None`
-    /// when the predictor has no replayable second level.
-    ///
-    /// Building from the *constructed* predictor rather than its config
-    /// keeps preset tables (GSg/PSg) intact: the packed table starts from
-    /// the exact per-entry states the predictor would run with.
-    fn for_predictor(predictor: &AnyPredictor) -> Option<ReplayPht> {
-        match predictor {
-            AnyPredictor::Gag(g) => Some(ReplayPht::Single(PackedPht::from_table(g.pht()))),
-            AnyPredictor::Pag(p) => Some(ReplayPht::Single(PackedPht::from_table(p.pht()))),
-            AnyPredictor::Pap(p) => Some(ReplayPht::PerLane {
-                template: PackedPht::new(p.history_bits(), p.automaton()),
-            }),
-            _ => None,
-        }
+/// The second level a replay walks, borrowed from an already-built
+/// predictor: one shared table (GAg, PAg, and the GSg/PSg preset
+/// assemblies, `false`) or the template of one table per stream lane
+/// (PAp, `true`). `None` when the predictor has no replayable second
+/// level.
+///
+/// Reading the *constructed* predictor rather than its config keeps
+/// preset tables (GSg/PSg) intact: the bank starts from the exact
+/// per-entry states the predictor would run with.
+fn replay_table(predictor: &AnyPredictor) -> Option<(&PatternHistoryTable, bool)> {
+    match predictor {
+        AnyPredictor::Gag(gag) => Some((gag.pht(), false)),
+        AnyPredictor::Pag(pag) => Some((pag.pht(), false)),
+        AnyPredictor::Pap(pap) => Some((pap.template(), true)),
+        _ => None,
     }
 }
 
@@ -667,18 +652,15 @@ impl TransposedBanks {
     /// function of the batch. `None` unless every member has a
     /// replayable second level.
     fn build(predictors: &[AnyPredictor], history_bits: u32, stream_laned: bool) -> Option<Self> {
-        struct Group {
+        struct Group<'a> {
             width: u32,
             per_lane: bool,
             indices: Vec<usize>,
-            tables: Vec<PackedPht>,
+            tables: Vec<&'a PatternHistoryTable>,
         }
         let mut groups: Vec<Group> = Vec::new();
         for (index, predictor) in predictors.iter().enumerate() {
-            let (table, per_lane) = match ReplayPht::for_predictor(predictor)? {
-                ReplayPht::Single(table) => (table, false),
-                ReplayPht::PerLane { template } => (template, true),
-            };
+            let (table, per_lane) = replay_table(predictor)?;
             let width = table.history_bits();
             match groups.iter_mut().find(|g| g.width == width && g.per_lane == per_lane) {
                 Some(group) => {

@@ -6,14 +6,14 @@
 //! conditional stream, alone or batched with the jobs that share its
 //! trace, with context switches taken from the trace's precomputed
 //! switch schedule. None of these transformations may change a single
-//! prediction: for every scheme in the catalog, the boxed
-//! `dyn BranchPredictor` over the full trace, the `AnyPredictor` over
-//! the full trace and the walk over the interned stream must produce
-//! identical [`SimResult`]s.
+//! prediction: for every scheme in the catalog, the `AnyPredictor` over
+//! the full trace (the reference loop), the same predictor boxed as a
+//! `dyn BranchPredictor`, and the walk over the interned stream must
+//! produce identical [`SimResult`]s.
 
 use tlabp::core::automaton::Automaton;
 use tlabp::core::config::SchemeConfig;
-use tlabp::core::BhtConfig;
+use tlabp::core::{BhtConfig, BranchPredictor};
 use tlabp::sim::runner::{
     simulate, simulate_fused, ContextSwitchConfig, SimConfig, SwitchSchedule,
 };
@@ -80,32 +80,29 @@ fn build_any(config: &SchemeConfig, training: &Trace) -> tlabp::core::AnyPredict
     }
 }
 
-/// `config` on `trace` under `sim` through every loop: the boxed
-/// reference, `AnyPredictor` over the full trace, and a one-member
-/// interned walk fed the trace's switch schedule.
+/// `config` on `trace` under `sim` through every loop: `AnyPredictor`
+/// over the full trace (the reference), the same predictor boxed as a
+/// `dyn BranchPredictor`, and a one-member interned walk fed the trace's
+/// switch schedule.
 fn run_all_paths(
     config: &SchemeConfig,
     trace: &Trace,
     training: &Trace,
     sim: &SimConfig,
 ) -> [(&'static str, SimResult); 3] {
-    let mut boxed = if config.needs_training() {
-        config.build_trained(training)
-    } else {
-        config.build().expect("builds")
-    };
+    let mut boxed: Box<dyn BranchPredictor> = Box::new(build_any(config, training));
     let schedule = SwitchSchedule::new(trace, sim);
     let interned = InternedConds::from_trace(trace);
     let mut fused = [build_any(config, training)];
     [
-        ("dyn", simulate(&mut *boxed, trace, sim)),
         ("AnyPredictor", simulate(&mut build_any(config, training), trace, sim)),
+        ("dyn", simulate(&mut *boxed, trace, sim)),
         ("fused", simulate_fused(&mut fused, &interned, &schedule).remove(0)),
     ]
 }
 
-/// The monomorphized path and the interned walk are bit-identical to the
-/// boxed reference for every catalog scheme on every trace, with and
+/// The boxed path and the interned walk are bit-identical to the
+/// reference loop for every catalog scheme on every trace, with and
 /// without context-switch simulation — the `c`-flagged schemes under
 /// every switch model.
 #[test]
@@ -129,7 +126,7 @@ fn every_catalog_scheme_is_path_invariant() {
                 for (path, result) in others {
                     assert_eq!(
                         reference, result,
-                        "dyn vs {path} diverged for {config} on {trace_name} under {sim:?}"
+                        "reference vs {path} diverged for {config} on {trace_name} under {sim:?}"
                     );
                 }
             }
@@ -166,7 +163,7 @@ fn fused_flush_pht_ablation_batches_with_pag() {
             let fused = simulate_fused(&mut batch, &interned, &schedule);
             let flush_reference = simulate(&mut flush_pht(), &trace, &sim);
             let keep_reference =
-                simulate(&mut *SchemeConfig::pag(12).build().expect("builds"), &trace, &sim);
+                simulate(&mut SchemeConfig::pag(12).build_any().expect("builds"), &trace, &sim);
             assert_eq!(fused[0], flush_reference, "flush-PHT on {trace_name} under {sim:?}");
             for (member, result) in fused.iter().enumerate().skip(1) {
                 assert_eq!(
@@ -208,6 +205,74 @@ fn instrumented_context_switch_jobs_match_the_reference_path() {
         assert_eq!(&measured.sim, reference, "{metrics:?} vs reference");
         assert_eq!(measured.miss_breakdown.is_some(), metrics.miss_breakdown);
         assert_eq!(measured.fetch.is_some(), metrics.fetch.is_some());
+    }
+}
+
+/// The fetch loop steps each conditional branch through `step_interned`
+/// with its interned id. For every catalog scheme without context
+/// switches (training schemes on li's training set), a fetch-metric job
+/// on li reports the reference path's accuracy counters, and fetch stats
+/// equal to a local loop that calls `predict` + `update` on each
+/// conditional and `TargetCache::fetch`/`resolve` on every branch.
+#[test]
+fn fetch_jobs_match_a_predict_update_fetch_loop_for_every_scheme() {
+    use tlabp::core::target_cache::{FetchOutcome, TargetCache};
+    use tlabp::sim::engine::execute;
+    use tlabp::sim::metrics::FetchStats;
+    use tlabp::sim::plan::{Job, MetricSet, Plan, TargetCacheSpec};
+    use tlabp::sim::TraceStore;
+    use tlabp::trace::BranchClass;
+
+    let li = Benchmark::by_name("li").expect("li exists");
+    let spec = TargetCacheSpec::PAPER_DEFAULT;
+    let fetch = MetricSet { miss_breakdown: false, fetch: Some(spec) };
+    let configs: Vec<SchemeConfig> =
+        catalog().into_iter().filter(|config| !config.context_switch()).collect();
+    let plan: Plan = configs
+        .iter()
+        .flat_map(|&config| {
+            [
+                Job::scheme(config, li).with_metrics(fetch),
+                Job::scheme(config, li).with_reference_path(true),
+            ]
+        })
+        .collect();
+    let store = TraceStore::from_env();
+    let results = execute(&plan, &store);
+    let trace = store.get(li, DataSet::Testing);
+    let training = store.get(li, DataSet::Training);
+    for (index, config) in configs.iter().enumerate() {
+        let measured = results.outcome(2 * index).metrics().expect("measured");
+        let reference = &results.outcome(2 * index + 1).metrics().expect("measured").sim;
+        assert_eq!(&measured.sim, reference, "{config}: fetch job vs reference path");
+
+        let mut predictor = build_any(config, &training);
+        let mut cache = TargetCache::new(spec.entries, spec.ways);
+        let mut want = FetchStats::default();
+        for branch in trace.branches() {
+            let predicted_taken = if branch.class.is_conditional() {
+                let predicted = predictor.predict(branch);
+                predictor.update(branch);
+                predicted
+            } else {
+                true
+            };
+            let outcome = cache.fetch(branch, predicted_taken);
+            cache.resolve(branch);
+            want.branches += 1;
+            want.correct_path += u64::from(outcome.is_correct_path());
+            match outcome {
+                FetchOutcome::HitCorrectTarget => want.no_bubble_taken += 1,
+                FetchOutcome::HitWrongPath => {
+                    want.squashes += 1;
+                    want.return_target_misses += u64::from(branch.class == BranchClass::Return);
+                }
+                FetchOutcome::HitFallThrough { correct } | FetchOutcome::Miss { correct } => {
+                    want.squashes += u64::from(!correct);
+                }
+            }
+        }
+        assert_eq!(measured.fetch, Some(want), "{config}: fetch stats");
     }
 }
 
@@ -317,23 +382,18 @@ fn fused_outcomes_are_independent_of_batch_composition() {
     }
 }
 
-/// `config`'s reference result on `trace`: the boxed predictor (trained
-/// on `training` when needed) through `simulate`, no context switches.
+/// `config`'s reference result on `trace`: its predictor (trained on
+/// `training` when needed) through `simulate`, no context switches.
 fn reference(config: SchemeConfig, trace: &Trace, training: &Trace) -> SimResult {
-    let mut boxed = if config.needs_training() {
-        config.build_trained(training)
-    } else {
-        config.build().expect("builds")
-    };
-    simulate(&mut *boxed, trace, &SimConfig::no_context_switch())
+    simulate(&mut build_any(&config, training), trace, &SimConfig::no_context_switch())
 }
 
 /// Every replay-eligible scheme structure crossed with every automaton
 /// (Last-Time and the four-state counters via `with_automaton`, the
 /// PresetBit 2-state packing via the trained GSg/PSg schemes): replaying
 /// the materialized pattern stream through a transposed bank, under
-/// both kernel bodies, is bit-identical to the boxed reference
-/// `simulate` on every trace.
+/// both kernel bodies, is bit-identical to the reference `simulate` on
+/// every trace.
 #[test]
 fn replay_is_bit_identical_for_every_scheme_and_automaton() {
     use tlabp::core::SimdMode;
@@ -495,7 +555,7 @@ fn replay_fused_and_reference_plans_agree_job_for_job() {
     }
 }
 
-/// The bit-packed PHT's lookup table agrees with `Automaton::update` and
+/// The replay kernel's lookup table agrees with `Automaton::update` and
 /// `Automaton::predict` on all 256 (state, taken) inputs, for every
 /// automaton — including the 2-state Last-Time and PresetBit packings,
 /// whose stored state is the masked low bit of the index.
@@ -528,11 +588,12 @@ fn packed_lut_matches_automaton_on_all_256_inputs() {
 /// `Automaton::predict` on all 256 (state, taken) transition inputs,
 /// for every automaton: a one-member bank stepped through each input
 /// singly must land in the reference next state and count the reference
-/// correctness, under every `TLABP_SIMD` mode.
+/// correctness, under every `TLABP_SIMD` mode, and agree with a shadow
+/// `PatternHistoryTable` stepped through `predict_update`.
 #[test]
 fn transposed_kernels_match_automaton_on_all_256_inputs() {
     use tlabp::core::automaton::State;
-    use tlabp::core::pht::{PackedPht, TransposedPhtBank};
+    use tlabp::core::pht::{PatternHistoryTable, TransposedPhtBank};
     use tlabp::core::SimdMode;
 
     for automaton in Automaton::ALL {
@@ -541,21 +602,24 @@ fn transposed_kernels_match_automaton_on_all_256_inputs() {
             let taken = index & 1 != 0;
             let state = State::new(((index >> 1) as u8) & mask);
             for mode in [SimdMode::Auto, SimdMode::Scalar] {
-                let mut table = PackedPht::new(1, automaton);
+                let mut table = PatternHistoryTable::new(1, automaton);
                 table.set_state(0, state);
                 table.set_state(1, state);
-                let mut bank = TransposedPhtBank::new(&[table]);
+                let mut bank = TransposedPhtBank::new(&[&table]);
                 bank.replay(&[u32::from(taken)], &[], mode);
+                let predicted = table.predict_update(0, taken);
                 assert_eq!(
                     bank.state(0, 0),
                     automaton.update(state, taken),
                     "{automaton} next state diverged at index {index} under {mode:?}"
                 );
+                assert_eq!(bank.state(0, 0), table.state(0), "{automaton} index {index} shadow");
                 assert_eq!(
                     bank.counts()[0],
                     u64::from(automaton.predict(state) == taken),
                     "{automaton} correctness diverged at index {index} under {mode:?}"
                 );
+                assert_eq!(predicted, automaton.predict(state), "{automaton} index {index}");
             }
         }
     }

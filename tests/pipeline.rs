@@ -94,8 +94,8 @@ fn training_schemes_train_on_training_trace_and_run_on_testing() {
     let testing = benchmark.trace(DataSet::Testing);
 
     for config in [SchemeConfig::psg(10), SchemeConfig::gsg(10), SchemeConfig::profiling()] {
-        let mut predictor = config.build_trained(&training);
-        let result = simulate(&mut *predictor, &testing, &SimConfig::default());
+        let mut predictor = config.build_any_trained(&training);
+        let result = simulate(&mut predictor, &testing, &SimConfig::default());
         assert!(result.accuracy() > 0.6, "{}: accuracy {:.4}", config, result.accuracy());
     }
 }
