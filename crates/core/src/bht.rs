@@ -182,7 +182,7 @@ impl IdealBht {
 
     /// [`IdealBht::access`] + [`IdealBht::pattern`] keyed by a dense
     /// interned id: a bounds check and vector index replace the hash
-    /// lookup, and the pre-update pattern comes back.
+    /// lookup, and the pre-update pattern comes back with the hit flag.
     ///
     /// `id` must alias one pc bijectively over this table's lifetime
     /// (one trace's interning — see `tlabp_trace::InternedConds`), and
@@ -190,7 +190,7 @@ impl IdealBht {
     /// methods; then hits, misses and patterns are bit-identical to
     /// `access` + `pattern` on the aliased pcs.
     #[inline]
-    pub fn access_pattern_id(&mut self, id: u32) -> usize {
+    pub fn access_pattern_id(&mut self, id: u32) -> (usize, bool) {
         let index = id as usize;
         if index >= self.dense.len() {
             self.dense.resize(index + 1, None);
@@ -198,7 +198,7 @@ impl IdealBht {
         match &self.dense[index] {
             Some(entry) => {
                 self.stats.hits += 1;
-                entry.history.pattern()
+                (entry.history.pattern(), true)
             }
             None => {
                 self.stats.misses += 1;
@@ -208,7 +208,7 @@ impl IdealBht {
                 };
                 let pattern = entry.history.pattern();
                 self.dense[index] = Some(entry);
-                pattern
+                (pattern, false)
             }
         }
     }
@@ -533,7 +533,10 @@ pub enum BranchHistoryTable {
 /// just touched so the outcome write can skip the second lookup on the
 /// cache implementation.
 #[derive(Debug, Clone, Copy)]
-pub struct BhtCursor(usize);
+pub struct BhtCursor {
+    slot: usize,
+    hit: bool,
+}
 
 impl BhtCursor {
     const KEYED: usize = usize::MAX;
@@ -541,11 +544,18 @@ impl BhtCursor {
     /// The physical cache slot, or `None` for the keyed (ideal) table.
     #[must_use]
     pub fn slot(self) -> Option<usize> {
-        if self.0 == Self::KEYED {
+        if self.slot == Self::KEYED {
             None
         } else {
-            Some(self.0)
+            Some(self.slot)
         }
+    }
+
+    /// Whether the access found the branch's entry resident. On a miss
+    /// it allocated a fresh all-ones history register.
+    #[must_use]
+    pub fn hit(self) -> bool {
+        self.hit
     }
 
     /// The entry's *lane*, given the interned `id` the cursor was
@@ -571,7 +581,8 @@ impl BranchHistoryTable {
     /// Fused [`BranchHistoryTable::access`] +
     /// [`BranchHistoryTable::pattern`] for an interned stream: one lookup
     /// resolving the entry, its pre-update pattern, and a [`BhtCursor`]
-    /// for [`BranchHistoryTable::record_outcome_at_interned`]. The ideal
+    /// carrying the hit flag, for
+    /// [`BranchHistoryTable::record_outcome_at_interned`]. The ideal
     /// table indexes directly by the dense `id` (no hash); the cache
     /// table memoizes the pc's derived `(set, tag)` key per id
     /// ([`CacheBht::access_slot_interned`]).
@@ -582,10 +593,13 @@ impl BranchHistoryTable {
     #[inline]
     pub fn access_pattern_interned(&mut self, id: u32, pc: u64) -> (usize, BhtCursor) {
         match self {
-            BranchHistoryTable::Ideal(t) => (t.access_pattern_id(id), BhtCursor(BhtCursor::KEYED)),
+            BranchHistoryTable::Ideal(t) => {
+                let (pattern, hit) = t.access_pattern_id(id);
+                (pattern, BhtCursor { slot: BhtCursor::KEYED, hit })
+            }
             BranchHistoryTable::Cache(t) => {
-                let (slot, _hit) = t.access_slot_interned(id, pc);
-                (t.pattern_at(slot), BhtCursor(slot))
+                let (slot, hit) = t.access_slot_interned(id, pc);
+                (t.pattern_at(slot), BhtCursor { slot, hit })
             }
         }
     }
@@ -687,8 +701,8 @@ mod tests {
     #[test]
     fn ideal_id_path_matches_pc_path() {
         // The same access/outcome sequence, once keyed by pc and once by
-        // a dense alias of each pc, must produce identical patterns and
-        // identical hit/miss statistics.
+        // a dense alias of each pc, must produce identical patterns, hit
+        // flags and hit/miss statistics.
         let pcs = [0x100u64, 0x204, 0x308, 0x100, 0x40c, 0x204, 0x100, 0x510, 0x308, 0x204];
         let mut by_pc = IdealBht::new(6);
         let mut by_id = IdealBht::new(6);
@@ -697,9 +711,9 @@ mod tests {
             let next = ids.len() as u32;
             let id = *ids.entry(pc).or_insert(next);
             let taken = (i * 7 + i / 3) % 3 != 0;
-            by_pc.access(pc);
+            let hit = by_pc.access(pc);
             let pattern = by_pc.pattern(pc).expect("entry present after access");
-            assert_eq!(pattern, by_id.access_pattern_id(id), "event {i}");
+            assert_eq!((pattern, hit), by_id.access_pattern_id(id), "event {i}");
             by_pc.record_outcome(pc, taken);
             by_id.record_outcome_id(id, taken);
         }
@@ -715,7 +729,7 @@ mod tests {
         bht.flush();
         assert!(bht.is_empty());
         // Post-flush access misses and reallocates all-ones.
-        assert_eq!(bht.access_pattern_id(3), 0b1111);
+        assert_eq!(bht.access_pattern_id(3), (0b1111, false));
         assert_eq!(bht.stats().misses, 2);
     }
 

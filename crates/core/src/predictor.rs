@@ -13,7 +13,7 @@ use tlabp_trace::BranchRecord;
 /// The reference loop (`tlabp_sim::runner::simulate`) calls exactly
 /// these two. The engine's other loops, over a pc-interned stream, call
 /// [`BranchPredictor::step_interned_block`] (the walk) or
-/// [`BranchPredictor::step_interned`] (the fetch loop) instead; the
+/// [`BranchPredictor::step_interned`] (the instrumented pass) instead; the
 /// default chain (`step_interned_block` → `step_interned` → `predict` +
 /// `update`) keeps every implementation correct there, and schemes
 /// override links of the chain only to go faster, never to change a

@@ -100,18 +100,15 @@ pub struct PagDiagnostics {
 }
 
 impl Pag {
-    /// Like [`BranchPredictor::predict`], but also reports *why* the
-    /// prediction came out the way it did. Call [`BranchPredictor::update`]
-    /// afterwards exactly as with `predict`.
-    pub fn predict_diagnosed(&mut self, branch: &BranchRecord) -> PagDiagnostics {
-        let bht_hit = self.bht.access(branch.pc);
-        let pattern = self.bht.pattern(branch.pc).expect("entry was just accessed or allocated");
-        PagDiagnostics {
-            predicted_taken: self.pht.predict(pattern),
-            bht_hit,
-            pattern,
-            pattern_state: self.pht.state(pattern),
-        }
+    /// Like [`BranchPredictor::step_interned`] (predict, then update, with
+    /// `id` standing in for `branch.pc` under the same contract), but
+    /// also reports *why* the prediction came out the way it did.
+    pub fn step_interned_diagnosed(&mut self, id: u32, branch: &BranchRecord) -> PagDiagnostics {
+        let (pattern, cursor) = self.bht.access_pattern_interned(id, branch.pc);
+        let pattern_state = self.pht.state(pattern);
+        let predicted_taken = self.pht.predict_update(pattern, branch.taken);
+        self.bht.record_outcome_at_interned(cursor, id, branch.taken);
+        PagDiagnostics { predicted_taken, bht_hit: cursor.hit(), pattern, pattern_state }
     }
 }
 

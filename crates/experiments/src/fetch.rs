@@ -8,7 +8,8 @@
 //! predictor with a 4-way 512-entry target cache over *every* branch
 //! class (conditional, unconditional, call, return) and reports how often
 //! the fetch engine proceeds down the correct path with the target in
-//! hand. The fetch loop itself lives in the execution engine
+//! hand. The fetch model itself lives in the execution engine's
+//! instrumented pass
 //! ([`MetricSet::fetch`]); this driver only declares the plan and formats
 //! the counters.
 //!

@@ -18,7 +18,7 @@ use crate::Ctx;
 /// serialize it for the sweep service) and hands it to the session core
 /// in a single call, so cells from every configuration share the worker
 /// pool.
-fn run_suites(ctx: &Ctx, plan: &Plan) -> Vec<tlabp_sim::SuiteResult> {
+fn suites_of(ctx: &Ctx, plan: &Plan) -> Vec<tlabp_sim::SuiteResult> {
     ctx.run(plan).suites()
 }
 
@@ -55,7 +55,7 @@ pub fn fig5_plan() -> Plan {
 
 /// Figure 5: PAg(BHT(512,4,12-sr)) under each pattern automaton.
 pub fn fig5(ctx: &Ctx) {
-    let table = suite_table(&run_suites(ctx, &fig5_plan()));
+    let table = suite_table(&suites_of(ctx, &fig5_plan()));
     ctx.emit("fig5", "Figure 5: effect of the pattern history automaton", &table);
 }
 
@@ -72,7 +72,7 @@ pub fn fig6_plan() -> Plan {
 
 /// Figure 6: the three variations at equal history register lengths.
 pub fn fig6(ctx: &Ctx) {
-    let table = suite_table(&run_suites(ctx, &fig6_plan()));
+    let table = suite_table(&suites_of(ctx, &fig6_plan()));
     ctx.emit("fig6", "Figure 6: GAg vs PAg vs PAp at equal history length", &table);
 }
 
@@ -84,7 +84,7 @@ pub fn fig7_plan() -> Plan {
 
 /// Figure 7: GAg accuracy as the global history register lengthens.
 pub fn fig7(ctx: &Ctx) {
-    let table = suite_table(&run_suites(ctx, &fig7_plan()));
+    let table = suite_table(&suites_of(ctx, &fig7_plan()));
     ctx.emit("fig7", "Figure 7: effect of history register length on GAg", &table);
 }
 
@@ -104,7 +104,7 @@ pub fn fig8_plan() -> Plan {
 /// with their hardware cost estimates.
 pub fn fig8(ctx: &Ctx) {
     let configs = fig8_configs();
-    let results = run_suites(ctx, &fig8_plan());
+    let results = suites_of(ctx, &fig8_plan());
     let mut table = suite_table(&results);
     ctx.emit("fig8", "Figure 8: equal-accuracy configurations", &table);
 
@@ -137,7 +137,7 @@ pub fn fig9_plan() -> Plan {
 /// Figure 9: effect of context switches on the three ~equal-accuracy
 /// schemes.
 pub fn fig9(ctx: &Ctx) {
-    let results = run_suites(ctx, &fig9_plan());
+    let results = suites_of(ctx, &fig9_plan());
     let table = suite_table(&results);
     ctx.emit("fig9", "Figure 9: effect of context switches", &table);
 
@@ -176,7 +176,7 @@ pub fn fig10_plan() -> Plan {
 /// Figure 10: effect of the BHT implementation on PAg (with context
 /// switches, as in the paper).
 pub fn fig10(ctx: &Ctx) {
-    let table = suite_table(&run_suites(ctx, &fig10_plan()));
+    let table = suite_table(&suites_of(ctx, &fig10_plan()));
     ctx.emit("fig10", "Figure 10: effect of BHT implementation on PAg", &table);
 }
 
@@ -197,7 +197,7 @@ pub fn fig11_plan() -> Plan {
 
 /// Figure 11: the shoot-out against every other scheme.
 pub fn fig11(ctx: &Ctx) {
-    let table = suite_table(&run_suites(ctx, &fig11_plan()));
+    let table = suite_table(&suites_of(ctx, &fig11_plan()));
     ctx.emit("fig11", "Figure 11: comparison of branch prediction schemes", &table);
 }
 
@@ -282,6 +282,6 @@ pub fn calibrate_plan() -> Plan {
 /// Calibration helper (not a paper artifact): a quick per-benchmark
 /// accuracy readout for a handful of reference schemes.
 pub fn calibrate(ctx: &Ctx) {
-    let table = suite_table(&run_suites(ctx, &calibrate_plan()));
+    let table = suite_table(&suites_of(ctx, &calibrate_plan()));
     ctx.emit("calibrate", "Calibration readout", &table);
 }

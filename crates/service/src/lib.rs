@@ -31,7 +31,7 @@
 //! * [`client`] — [`client::Client`]: submit plans, iterate streamed
 //!   outcomes, or drain a whole response into a
 //!   [`ResultSet`](tlabp_sim::ResultSet) bit-identical to an in-process
-//!   `execute` of the same plan.
+//!   [`Session::run`](tlabp_sim::Session::run) of the same plan.
 //!
 //! Unsafe code is confined to the raw `epoll`/`poll` syscall shim in
 //! [`event`]; every other module keeps the workspace-wide

@@ -250,9 +250,9 @@ impl Shared {
     }
 }
 
-/// Rejects plans naming unregistered custom predictors: lowering panics
-/// on unknown registry entries (a programming error in-process, but a
-/// daemon must survive any client-supplied plan).
+/// Rejects plans naming unregistered custom predictors, so a client
+/// that names one gets an error frame for the whole plan instead of a
+/// stream of skipped jobs.
 pub(crate) fn validate_plan(plan: &Plan) -> Result<(), String> {
     for job in plan.jobs() {
         if let PredictorSpec::Custom(name) = &job.spec {

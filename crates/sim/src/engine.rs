@@ -2,9 +2,16 @@
 //! paths, run it on the worker pool, reassemble deterministically.
 //!
 //! The engine is the single funnel between "describe a measurement"
-//! ([`crate::plan`]) and "numbers came out" ([`ResultSet`]). Lowering
-//! picks one execution path per job:
+//! ([`crate::plan`]) and "numbers came out" ([`ResultSet`]), and
+//! [`Session`] is its only entry point. Lowering makes one decision per
+//! job, its *route*, which the partition, the prefetch barrier and the
+//! workers all read:
 //!
+//! * **skip** — a job that cannot run comes back
+//!   [`JobOutcome::Skipped`] with a reason: a trained scheme on a
+//!   benchmark without a training set (the paper's "NA" cells), a scheme
+//!   whose geometry fails [`SchemeConfig::check_geometry`], or a custom
+//!   predictor name with no registered builder.
 //! * **replay** — transposed, SWAR-vectorized second-level replay over
 //!   a materialized first-level pattern stream
 //!   ([`crate::runner::simulate_replay_transposed`]); chosen for
@@ -13,17 +20,16 @@
 //!   one uninterrupted first-level walk). Jobs group by the
 //!   *width-erased* fold class of that key ([`StreamKey::fold_key`]):
 //!   an entire width × automaton grid column shares one batch, the
-//!   engine derives **one** stream per
-//!   (trace, fold class) — at the batch's widest member width
-//!   ([`TraceStore::get_pattern_stream`]) — and every member's
-//!   bit-sliced PHT bank updates in the same walk, each member masking
-//!   patterns down to its own width. Automaton ablations and width
-//!   variants alike never re-walk the BHT or even re-read the stream.
-//!   The kernel body is selectable ([`ExecOptions::simd`], default the
-//!   `TLABP_SIMD` environment variable). Bit-identical to every other
-//!   path and on by default; [`Job::replay`] and [`Job::fuse`] opt a
-//!   job out.
-//! * **walk** — every other job steps its own monomorphized
+//!   engine derives **one** stream per batch — at the batch's widest
+//!   member width ([`TraceStore::get_pattern_stream`]) — and every
+//!   member's bit-sliced PHT bank updates in the same walk, each member
+//!   masking patterns down to its own width. Automaton ablations and
+//!   width variants alike never re-walk the BHT or even re-read the
+//!   stream. The kernel body is selectable ([`ExecOptions::simd`],
+//!   default the `TLABP_SIMD` environment variable). Bit-identical to
+//!   every other route and on by default; [`Job::replay`] and
+//!   [`Job::fuse`] opt a job out.
+//! * **walk** — every other accuracy job steps its own monomorphized
 //!   [`AnyPredictor`] through one pass over the pc-interned conditional
 //!   stream ([`crate::runner::simulate_fused`]). Jobs that share a trace
 //!   and a switch configuration share the pass, in batches of up to 16,
@@ -34,13 +40,16 @@
 //!   once per (trace, switch configuration)
 //!   ([`TraceStore::get_switch_schedule`]) and the walk fires each
 //!   point's switches between stream segments. A job with [`Job::fuse`]
-//!   off walks in a batch of one, and so does a switched job with
-//!   instrumented metrics, whose observation loops model no switches.
-//!   Bit-identical to the reference loop in any batch.
-//! * **dyn** — predictors outside the catalog, registered in
-//!   [`tlabp_core::registry`] and referenced by name, run behind
-//!   [`AnyPredictor::Dyn`] on the walk. One virtual dispatch per
-//!   chunk of events, paid only by externally-registered schemes.
+//!   off walks in a batch of one. Predictors outside the catalog,
+//!   registered in [`tlabp_core::registry`] and referenced by name, walk
+//!   behind [`AnyPredictor::Dyn`]: one virtual dispatch per chunk of
+//!   events. Bit-identical to the reference loop in any batch.
+//! * **instrumented** — a job that asks for more than accuracy
+//!   ([`MetricSet`]) runs alone, in one pass over the trace's branches:
+//!   the predictor steps each conditional with its interned id, the
+//!   switch schedule fires as in the walk, and the miss breakdown and
+//!   the fetch model observe that same step, so the job's accuracy,
+//!   breakdown and fetch statistics describe one run.
 //! * **reference** — the job's [`AnyPredictor`] stepped by `predict` +
 //!   `update` over the full event trace
 //!   ([`crate::runner::simulate`]), bypassing every fast path. Never
@@ -59,7 +68,7 @@
 //!
 //! ```no_run
 //! use tlabp_core::config::SchemeConfig;
-//! use tlabp_sim::engine::execute;
+//! use tlabp_sim::engine::Session;
 //! use tlabp_sim::plan::{Job, Plan};
 //! use tlabp_sim::suite::TraceStore;
 //! use tlabp_workloads::Benchmark;
@@ -68,7 +77,7 @@
 //!     .iter()
 //!     .map(|b| Job::scheme(SchemeConfig::pag(12), b))
 //!     .collect();
-//! let results = execute(&plan, &TraceStore::new());
+//! let results = Session::new(TraceStore::new()).run(&plan);
 //! assert_eq!(results.len(), Benchmark::ALL.len());
 //! ```
 
@@ -80,15 +89,14 @@ use tlabp_core::config::SchemeConfig;
 use tlabp_core::pht::LANES_PER_WORD;
 use tlabp_core::predictor::BranchPredictor;
 use tlabp_core::registry::{self, DynBuilder};
-use tlabp_core::schemes::Pag;
 use tlabp_core::simd::SimdMode;
 use tlabp_core::target_cache::{FetchOutcome, TargetCache};
-use tlabp_trace::{BranchClass, InternedConds, Trace};
+use tlabp_trace::BranchClass;
 use tlabp_workloads::DataSet;
 
 use crate::json::{Json, WireError};
 use crate::metrics::{BenchmarkAccuracy, FetchStats, MissBreakdown, SuiteResult};
-use crate::plan::{Job, MetricSet, Plan, PredictorSpec, TargetCacheSpec, TraceKey};
+use crate::plan::{Job, MetricSet, Plan, PredictorSpec, TraceKey};
 use crate::pool::SweepPool;
 use crate::runner::{
     replay_stream_key, simulate, simulate_fused, simulate_replay_transposed, ContextSwitchConfig,
@@ -434,7 +442,7 @@ fn benchmark_row(job: &Job, outcome: &JobOutcome) -> BenchmarkAccuracy {
     }
 }
 
-/// Execution-phase toggles for [`execute_with`].
+/// Execution-phase toggles for a [`Session`] ([`Session::with_options`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Which body of the transposed replay kernel executes replay
@@ -450,50 +458,6 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions { simd: SimdMode::from_env() }
     }
-}
-
-/// Executes `plan` on the process-wide [`SweepPool::global`] pool.
-///
-/// # Panics
-///
-/// Panics if a job references a custom predictor name with no registered
-/// builder (a programming error caught before any cell runs).
-#[must_use]
-pub fn execute(plan: &Plan, store: &TraceStore) -> ResultSet {
-    execute_on(SweepPool::global(), plan, store)
-}
-
-/// [`execute`] on an explicit pool — determinism tests use this to
-/// compare single-worker and many-worker executions.
-///
-/// # Panics
-///
-/// See [`execute`].
-#[must_use]
-pub fn execute_on(pool: &SweepPool, plan: &Plan, store: &TraceStore) -> ResultSet {
-    execute_with(pool, plan, store, ExecOptions::default())
-}
-
-/// [`execute_on`] with explicit [`ExecOptions`].
-///
-/// Since the session refactor this is a thin wrapper: submit the plan
-/// through a [`Session`] and drain the [`JobStream`] to completion.
-/// There is exactly one execution path — the blocking entry points and
-/// the streaming service both run the same lowering, prefetch,
-/// partition and scheduling code, so their results are bit-identical by
-/// construction.
-///
-/// # Panics
-///
-/// See [`execute`].
-#[must_use]
-pub fn execute_with(
-    pool: &SweepPool,
-    plan: &Plan,
-    store: &TraceStore,
-    options: ExecOptions,
-) -> ResultSet {
-    Session::on(pool, store.clone()).with_options(options).submit(plan).into_result_set()
 }
 
 /// A worker-pool task: runs one scheduling unit (a singleton cell or a
@@ -571,39 +535,33 @@ impl<'p> Session<'p> {
         self
     }
 
-    /// Lowers, prefetches and partitions `plan`, then returns a
+    /// Lowers, partitions and prefetches `plan`, then returns a
     /// [`JobStream`] that schedules the work windowed and yields
     /// outcomes in plan order.
     ///
-    /// Phases 0–2 of the classic engine run synchronously here (fail
-    /// fast on unknown registry names; the prefetch barrier completes
-    /// before any cell is admitted); phases 3–4 — scheduling and
-    /// plan-order reassembly — happen incrementally as the stream is
-    /// consumed. Tasks are ordered by their smallest job index before
-    /// admission, so the head of the plan simulates first and the first
-    /// item yields without waiting on unrelated tail batches.
-    ///
-    /// # Panics
-    ///
-    /// See [`execute`].
+    /// Lowering, partitioning and the prefetch barrier run synchronously
+    /// here, once each: every job gets its route (or a skip), the
+    /// partition batches the routes, and the barrier completes before
+    /// any cell is admitted. Scheduling and plan-order reassembly happen
+    /// incrementally as the stream is consumed. Tasks are ordered by
+    /// their smallest job index before admission, so the head of the
+    /// plan simulates first and the first item yields without waiting on
+    /// unrelated tail batches.
     #[must_use]
     pub fn submit(&self, plan: &Plan) -> JobStream<'p> {
-        // Phase 0: lower on the submitting thread, so unknown registry
-        // names and unsatisfiable jobs fail fast and deterministically.
+        // Lower on the submitting thread: a job that cannot run becomes
+        // a skip here, deterministically, before any work starts.
         let lowered: Vec<Lowered> = plan.jobs().iter().map(lower).collect();
+        let partition = partition_batches(&lowered);
 
-        // Phase 1: the prefetch barrier (see `prefetch_lowered`): every
-        // distinct trace form and pattern stream the plan needs is
+        // The prefetch barrier (see `prefetch_lowered`): every distinct
+        // trace form and pattern stream the partition needs is
         // generated, derived or loaded as its own pool task before any
         // simulation cell runs, so no cell idles behind another's
         // `OnceLock`.
-        prefetch_lowered(self.pool, plan, &lowered, &self.store);
+        prefetch_lowered(self.pool, &lowered, &partition, &self.store);
 
-        // Phase 2: resolve skips inline and partition runnable cells via
-        // the same pure [`partition_batches`] the prefetch pass used, so
-        // both phases agree — batch for batch — on which streams the
-        // plan needs.
-        let partition = partition_batches(&lowered);
+        // Resolve skips inline and claim runnable cells batch by batch.
         let mut ready: BTreeMap<usize, JobOutcome> = BTreeMap::new();
         let mut cells: Vec<Option<Cell>> = lowered
             .into_iter()
@@ -637,10 +595,8 @@ impl<'p> Session<'p> {
             let store = self.store.clone();
             tasks.push((indices[0], Box::new(move || run_fused_batch(batch, &store))));
         }
-        for indices in &partition.replay {
-            let (rep, sub_batches) =
-                split_replay(&cells, indices, &self.store, self.pool.threads());
-            for sub in sub_batches {
+        for &(rep, ref indices) in &partition.replay {
+            for sub in split_replay(&cells, rep, indices, &self.store, self.pool.threads()) {
                 let batch = claim(&sub, &mut cells);
                 let store = self.store.clone();
                 let simd = self.options.simd;
@@ -669,12 +625,12 @@ impl<'p> Session<'p> {
         }
     }
 
-    /// [`Session::submit`] + drain: the blocking call the classic
-    /// [`execute`] entry points delegate to.
+    /// [`Session::submit`] + drain: runs `plan` to completion.
     ///
     /// # Panics
     ///
-    /// See [`execute`].
+    /// Panics if a task panicked on a worker: its results can never
+    /// arrive.
     #[must_use]
     pub fn run(&self, plan: &Plan) -> ResultSet {
         self.submit(plan).into_result_set()
@@ -818,36 +774,33 @@ impl Iterator for JobStream<'_> {
 
 impl ExactSizeIterator for JobStream<'_> {}
 
-/// Runs only the prefetch pass of [`execute`] for `plan`: every distinct
-/// trace form and pattern stream the plan's runnable jobs need is
-/// generated (or, for a disk-backed store, loaded) across `pool`, and the
-/// call returns once all of them are resident in `store`.
+/// Runs only the prefetch barrier of [`Session::submit`] for `plan`:
+/// every distinct trace form and pattern stream the plan's runnable jobs
+/// need is generated (or, for a disk-backed store, loaded) across
+/// `pool`, and the call returns once all of them are resident in
+/// `store`.
 ///
-/// This is `execute`'s phase 1 exposed on its own, for warming a store
-/// ahead of time (e.g. populating a [`TraceStore::with_cache_dir`]
-/// directory) and for measuring ingestion cost separately from
-/// simulation (the repository benchmark's `cold-start` workload).
-///
-/// # Panics
-///
-/// See [`execute`].
+/// This is the barrier exposed on its own, for warming a store ahead of
+/// time (e.g. populating a [`TraceStore::with_cache_dir`] directory) and
+/// for measuring ingestion cost separately from simulation (the
+/// repository benchmark's `cold-start` workload).
 pub fn prefetch_on(pool: &SweepPool, plan: &Plan, store: &TraceStore) {
     let lowered: Vec<Lowered> = plan.jobs().iter().map(lower).collect();
-    prefetch_lowered(pool, plan, &lowered, store);
+    prefetch_lowered(pool, &lowered, &partition_batches(&lowered), store);
 }
 
-/// Phase 1 of execution: pre-generate each distinct trace exactly once,
+/// The prefetch barrier: pre-generate each distinct trace exactly once,
 /// as pool jobs, in the deepest derived form any of its cells needs
 /// (deeper forms initialize the shallower ones in the same store slot),
 /// so no simulation cell ever blocks on the VM or an interning pass.
 /// Replay batches additionally pre-derive their *representative* pattern
-/// streams in the same barrier: the partition is recomputed here (it is
-/// a pure function of the lowered plan), and each replay batch
-/// contributes exactly one (trace, rep key) stream — the widest member
-/// width of its fold group — deduplicated across batches up front, so a
-/// width × automaton grid sweep derives one stream per (trace, fold
-/// class) instead of one per configuration. Stream derivation chains
-/// through the interned form itself, so it never races ahead of it.
+/// streams in the same barrier: each replay batch of `partition`
+/// contributes exactly one (trace, representative key) stream — the
+/// widest member width of the batch — deduplicated across batches up
+/// front, so a width × automaton grid sweep derives one stream per
+/// (trace, fold class) instead of one per configuration. Stream
+/// derivation chains through the interned form itself, so it never
+/// races ahead of it.
 /// With a disk-backed store, each of these tasks starts by hydrating its
 /// slot from the artifact cache, so a warm directory turns the whole
 /// barrier into parallel file loads. The tasks derive without
@@ -858,10 +811,15 @@ pub fn prefetch_on(pool: &SweepPool, plan: &Plan, store: &TraceStore) {
 /// barrier still persist at once, so the store needs no mode: sessions
 /// sharing it (the daemon's) each persist what their own barrier
 /// derived.
-fn prefetch_lowered(pool: &SweepPool, plan: &Plan, lowered: &[Lowered], store: &TraceStore) {
+fn prefetch_lowered(
+    pool: &SweepPool,
+    lowered: &[Lowered],
+    partition: &Partition,
+    store: &TraceStore,
+) {
     let mut positions: HashMap<(&'static str, DataSet), usize> = HashMap::new();
     let mut needed: Vec<(TraceKey, TraceForm)> = Vec::new();
-    for (job, low) in plan.jobs().iter().zip(lowered) {
+    for low in lowered {
         let Lowered::Run(cell) = low else { continue };
         let mut need = |key: TraceKey, form: TraceForm| {
             if let Some(&pos) = positions.get(&(key.benchmark.name(), key.data_set)) {
@@ -871,28 +829,23 @@ fn prefetch_lowered(pool: &SweepPool, plan: &Plan, lowered: &[Lowered], store: &
                 needed.push((key, form));
             }
         };
-        need(job.trace, cell.trace_form());
+        need(cell.trace, cell.trace_form());
         if cell.needs_training() {
             need(
-                TraceKey { benchmark: job.trace.benchmark, data_set: DataSet::Training },
+                TraceKey { benchmark: cell.trace.benchmark, data_set: DataSet::Training },
                 TraceForm::Full,
             );
         }
     }
     let mut stream_positions: HashMap<(&'static str, DataSet, StreamKey), ()> = HashMap::new();
     let mut streams_needed: Vec<(TraceKey, StreamKey)> = Vec::new();
-    for indices in &partition_batches(lowered).replay {
-        let cell_at = |index: usize| match &lowered[index] {
-            Lowered::Run(cell) => cell,
-            Lowered::Skip { .. } => unreachable!("partition only batches runnable cells"),
+    for &(rep, ref indices) in &partition.replay {
+        let Lowered::Run(cell) = &lowered[indices[0]] else {
+            unreachable!("partition only batches runnable cells")
         };
-        let trace = cell_at(indices[0]).trace;
-        let rep = replay_rep_key(indices.iter().map(|&index| {
-            cell_at(index).replay.expect("replay batch members carry their stream key")
-        }));
-        let dedup = (trace.benchmark.name(), trace.data_set, rep);
+        let dedup = (cell.trace.benchmark.name(), cell.trace.data_set, rep);
         if stream_positions.insert(dedup, ()).is_none() {
-            streams_needed.push((trace, rep));
+            streams_needed.push((cell.trace, rep));
         }
     }
     enum PreGen {
@@ -970,41 +923,34 @@ const MAX_REPLAY_BATCH: usize = 128;
 /// milliseconds of kernel time.
 const SPLIT_UNIT: u64 = 1 << 22;
 
-/// The stream key a lowered replay cell carries.
-fn replay_key_of(cells: &[Option<Cell>], index: usize) -> StreamKey {
-    cells[index]
-        .as_ref()
-        .expect("replay cells are claimed after splitting")
-        .replay
-        .expect("replay batch members carry their stream key")
-}
-
-/// A replay batch's representative stream key and its sub-batches for
-/// a pool of `pool_threads` workers.
+/// A replay batch's sub-batches for a pool of `pool_threads` workers.
 ///
-/// The representative comes from the WHOLE batch — the key phase 1
-/// prefetched — so every sub-batch walks the same cached stream; a
-/// sub-batch recomputing its own (maybe narrower) representative would
-/// derive a stream nobody prefetched. The width fold makes replaying the
-/// wider stream bit-identical for every member either way. The split is
-/// sized by events × members, read through a non-forcing peek: phase 1
-/// leaves every replay batch's stream resident.
+/// `rep` is the representative the partition chose for the WHOLE batch
+/// — the key the barrier prefetched — so every sub-batch walks the same
+/// cached stream; a sub-batch recomputing its own (maybe narrower)
+/// representative would derive a stream nobody prefetched. The width
+/// fold makes replaying the wider stream bit-identical for every member
+/// either way. The split is sized by events × members, read through a
+/// non-forcing peek: the barrier leaves every replay batch's stream
+/// resident.
 fn split_replay(
     cells: &[Option<Cell>],
+    rep: StreamKey,
     indices: &[usize],
     store: &TraceStore,
     pool_threads: usize,
-) -> (StreamKey, Vec<Vec<usize>>) {
-    let rep = replay_rep_key(indices.iter().map(|&index| replay_key_of(cells, index)));
-    let trace = cells[indices[0]].as_ref().expect("replay cell").trace;
+) -> Vec<Vec<usize>> {
+    let cell_at =
+        |index: usize| cells[index].as_ref().expect("replay cells are claimed after splitting");
+    let trace = cell_at(indices[0]).trace;
     let events = store
         .peek_pattern_stream(trace.benchmark, trace.data_set, rep)
         .expect("the prefetch barrier leaves every replay batch's stream resident")
         .len();
     let work = events as u64 * indices.len() as u64;
     let widths: Vec<u32> =
-        indices.iter().map(|&index| replay_key_of(cells, index).history_bits()).collect();
-    (rep, split_replay_batch(indices, &widths, pool_threads, work))
+        indices.iter().map(|&index| cell_at(index).replay_key().history_bits()).collect();
+    split_replay_batch(indices, &widths, pool_threads, work)
 }
 
 /// Splits one replay batch's member indices into sub-batches for
@@ -1094,11 +1040,9 @@ fn split_into_batches(group: Vec<usize>, cap: usize) -> Vec<Vec<usize>> {
 /// execute in transposed replay batches — all as indices into the
 /// lowered plan.
 ///
-/// Produced by [`partition_batches`], a pure function of the lowered
-/// plan, and consumed by *both* the prefetch pass (phase 1, to derive
-/// each replay batch's representative stream up front) and the
-/// scheduler (phase 3) — so the two phases can never disagree about
-/// which artifacts the plan needs.
+/// [`Session::submit`] computes it once, from each cell's [`Route`], and
+/// both the prefetch barrier and the scheduler read it, so the two can
+/// never disagree about which streams the plan needs.
 struct Partition {
     /// Reference and instrumented jobs ([`run_cell`]).
     singles: Vec<usize>,
@@ -1106,21 +1050,25 @@ struct Partition {
     /// [`MAX_FUSE_BATCH`].
     fused: Vec<Vec<usize>>,
     /// Transposed replay batches ([`run_replay_batch`]), capped at
-    /// [`MAX_REPLAY_BATCH`].
-    replay: Vec<Vec<usize>>,
+    /// [`MAX_REPLAY_BATCH`], each with its representative stream key
+    /// ([`replay_rep_key`]).
+    replay: Vec<(StreamKey, Vec<usize>)>,
 }
 
-/// Partitions runnable cells into [`Partition`] batches. Replay-lowered
-/// cells group by `(trace, fold class)` — the width-*erased*
+/// Partitions runnable cells into [`Partition`] batches by route.
+/// Replay cells group by `(trace, fold class)` — the width-*erased*
 /// [`StreamKey::fold_key`] — so automaton ablations *and* width variants
-/// of one first-level mechanism share a batch; walking cells group by
+/// of one first-level mechanism share a batch; shared walks group by
 /// trace and switch configuration, so a batch walks one
-/// [`SwitchSchedule`](crate::runner::SwitchSchedule), unless their job
-/// opts out of sharing ([`Job::fuse`]) and walks in a batch of one;
-/// reference and instrumented cells run alone. Groups form in
-/// first-seen plan order and split into nearly-even contiguous batches,
-/// so the partition is a pure function of the plan.
+/// [`SwitchSchedule`](crate::runner::SwitchSchedule); an unshared walk
+/// is a batch of one; reference and instrumented cells run alone.
+/// Groups form in first-seen plan order and split into nearly-even
+/// contiguous batches, so the partition is a pure function of the plan.
 fn partition_batches(lowered: &[Lowered]) -> Partition {
+    let cell_at = |index: usize| match &lowered[index] {
+        Lowered::Run(cell) => cell,
+        Lowered::Skip { .. } => unreachable!("partition only batches runnable cells"),
+    };
     let mut singles: Vec<usize> = Vec::new();
     let mut fused_of: HashMap<(&'static str, DataSet, Option<ContextSwitchConfig>), usize> =
         HashMap::new();
@@ -1129,30 +1077,38 @@ fn partition_batches(lowered: &[Lowered]) -> Partition {
     let mut replay: Vec<Vec<usize>> = Vec::new();
     for (index, low) in lowered.iter().enumerate() {
         let Lowered::Run(cell) = low else { continue };
-        if let Some(stream_key) = cell.replay {
-            let key = (cell.trace.benchmark.name(), cell.trace.data_set, stream_key.fold_key());
-            let group = *replay_of.entry(key).or_insert_with(|| {
-                replay.push(Vec::new());
-                replay.len() - 1
-            });
-            replay[group].push(index);
-        } else if cell.walks() && cell.fuse {
-            let key = (cell.trace.benchmark.name(), cell.trace.data_set, cell.sim.context_switch);
-            let group = *fused_of.entry(key).or_insert_with(|| {
-                fused.push(Vec::new());
-                fused.len() - 1
-            });
-            fused[group].push(index);
-        } else if cell.walks() {
-            fused.push(vec![index]);
-        } else {
-            singles.push(index);
+        let (name, data_set) = (cell.trace.benchmark.name(), cell.trace.data_set);
+        match cell.route {
+            Route::Replay(key) => {
+                let group =
+                    *replay_of.entry((name, data_set, key.fold_key())).or_insert_with(|| {
+                        replay.push(Vec::new());
+                        replay.len() - 1
+                    });
+                replay[group].push(index);
+            }
+            Route::Walk { shared: true } => {
+                let key = (name, data_set, cell.sim.context_switch);
+                let group = *fused_of.entry(key).or_insert_with(|| {
+                    fused.push(Vec::new());
+                    fused.len() - 1
+                });
+                fused[group].push(index);
+            }
+            Route::Walk { shared: false } => fused.push(vec![index]),
+            Route::Instrumented | Route::Reference => singles.push(index),
         }
     }
     Partition {
         singles,
         fused: fused.into_iter().flat_map(|g| split_into_batches(g, MAX_FUSE_BATCH)).collect(),
-        replay: replay.into_iter().flat_map(|g| split_into_batches(g, MAX_REPLAY_BATCH)).collect(),
+        replay: replay
+            .into_iter()
+            .flat_map(|g| split_into_batches(g, MAX_REPLAY_BATCH))
+            .map(|batch| {
+                (replay_rep_key(batch.iter().map(|&index| cell_at(index).replay_key())), batch)
+            })
+            .collect(),
     }
 }
 
@@ -1233,28 +1189,32 @@ impl BuildSpec {
     }
 }
 
-/// Which simulation loop a job runs.
+/// How one job runs: the single decision [`lower`] makes, which the
+/// partition, the prefetch barrier and the workers all read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExecPath {
-    /// A fast path: pattern-stream replay when the cell carries a replay
-    /// key, otherwise the interned walk with switches from the trace's
-    /// switch schedule.
-    Fast,
-    /// `predict` + `update` over the full event trace (opt-in only).
+enum Route {
+    /// Transposed replay over the pattern stream of this key
+    /// ([`run_replay_batch`]).
+    Replay(StreamKey),
+    /// The interned walk ([`run_fused_batch`]), shared with the other
+    /// jobs of its trace and switch configuration when `shared`
+    /// ([`Job::fuse`]), else a walk of its own.
+    Walk { shared: bool },
+    /// One pass stepping the predictor over the trace while the job's
+    /// instrumented metrics observe it ([`run_instrumented`]).
+    Instrumented,
+    /// `predict` + `update` over the full event trace ([`simulate`]);
+    /// opt-in only ([`Job::reference_path`]).
     Reference,
 }
 
 /// A lowered job: everything the worker closure needs, `Send + 'static`.
 struct Cell {
     build: BuildSpec,
-    path: ExecPath,
+    route: Route,
     trace: TraceKey,
     sim: SimConfig,
     metrics: MetricSet,
-    fuse: bool,
-    /// `Some` when the cell lowers to pattern-stream replay: the
-    /// first-level stream key it replays over.
-    replay: Option<StreamKey>,
 }
 
 /// The derived forms of a trace, ordered by derivation depth. Producing
@@ -1275,25 +1235,23 @@ impl Cell {
         matches!(&self.build, BuildSpec::Scheme(config) if config.needs_training())
     }
 
-    /// Whether this cell runs in an interned-walk batch: the fast path
-    /// (reference cells step the full event trace) with accuracy-only
-    /// metrics (the instrumented loops observe predictor internals per
-    /// event, so those cells run alone).
-    fn walks(&self) -> bool {
-        self.path == ExecPath::Fast && self.metrics == MetricSet::ACCURACY
+    /// The stream key of a replay cell.
+    fn replay_key(&self) -> StreamKey {
+        match self.route {
+            Route::Replay(key) => key,
+            _ => unreachable!("only replay cells join replay batches"),
+        }
     }
 
-    /// The deepest trace form this cell reads. An instrumented cell
-    /// reads the interned stream to count a switched job's accuracy and
-    /// in the fetch loop, which steps each conditional branch with its
-    /// interned id; the miss-breakdown loop reads only the full trace.
+    /// The deepest trace form this cell reads. Only the reference loop
+    /// reads the full trace alone: the walks read the interned stream,
+    /// replay derives its pattern stream from it, and the instrumented
+    /// pass reads both.
     fn trace_form(&self) -> TraceForm {
-        let interned_instrumented = self.path == ExecPath::Fast
-            && (self.sim.context_switch.is_some() || self.metrics.fetch.is_some());
-        if self.walks() || interned_instrumented {
-            TraceForm::Interned
-        } else {
+        if self.route == Route::Reference {
             TraceForm::Full
+        } else {
+            TraceForm::Interned
         }
     }
 }
@@ -1303,8 +1261,9 @@ enum Lowered {
     Run(Cell),
 }
 
-/// The planner: pick the execution path and effective simulation options
-/// for one job (see the module docs for the path-selection rules).
+/// The planner: pick the route and effective simulation options for one
+/// job, or skip a job that cannot run (see the module docs for the
+/// route-selection rules).
 fn lower(job: &Job) -> Lowered {
     let build = match &job.spec {
         PredictorSpec::Scheme(config) => {
@@ -1316,27 +1275,27 @@ fn lower(job: &Job) -> Lowered {
                     ),
                 };
             }
+            if let Err(err) = config.check_geometry() {
+                return Lowered::Skip { reason: format!("{config} cannot be built: {err}") };
+            }
             BuildSpec::Scheme(*config)
         }
         PredictorSpec::Custom(name) => match registry::builder(name) {
             Some(builder) => BuildSpec::Custom(builder),
-            None => panic!(
-                "no predictor registered under {name:?}; \
-                 call tlabp_core::registry::register before executing the plan"
-            ),
+            None => {
+                return Lowered::Skip { reason: format!("no predictor registered under {name:?}") }
+            }
         },
     };
 
     // A scheme's own `c` flag upgrades a no-switch sim to the paper's
-    // context-switch model (Table 3 semantics, as in `run_suite`).
+    // context-switch model (Table 3 semantics).
     let mut sim = job.sim;
     if let PredictorSpec::Scheme(config) = &job.spec {
         if config.context_switch() && sim.context_switch.is_none() {
             sim = SimConfig::paper_context_switch();
         }
     }
-
-    let path = if job.reference_path { ExecPath::Reference } else { ExecPath::Fast };
 
     // Pattern-stream replay: an accuracy-only catalog scheme whose first
     // level maps to a stream key replays the materialized stream instead
@@ -1345,169 +1304,148 @@ fn lower(job: &Job) -> Lowered {
     // walk". A cached stream is one uninterrupted first-level walk, so
     // context-switch jobs never replay.
     let replay = match &job.spec {
-        PredictorSpec::Scheme(config)
-            if job.replay
-                && job.fuse
-                && path == ExecPath::Fast
-                && sim.context_switch.is_none()
-                && job.metrics == MetricSet::ACCURACY =>
-        {
+        PredictorSpec::Scheme(config) if job.replay && job.fuse && sim.context_switch.is_none() => {
             replay_stream_key(*config)
         }
         _ => None,
     };
-
-    Lowered::Run(Cell {
-        build,
-        path,
-        trace: job.trace,
-        sim,
-        metrics: job.metrics,
-        fuse: job.fuse,
-        replay,
-    })
+    let route = if job.reference_path {
+        Route::Reference
+    } else if job.metrics != MetricSet::ACCURACY {
+        Route::Instrumented
+    } else if let Some(key) = replay {
+        Route::Replay(key)
+    } else {
+        Route::Walk { shared: job.fuse }
+    };
+    Lowered::Run(Cell { build, route, trace: job.trace, sim, metrics: job.metrics })
 }
 
-/// Runs one lowered cell on a worker thread.
+/// Runs one singleton cell on a worker thread: the reference loop or
+/// the instrumented pass.
 fn run_cell(cell: &Cell, store: &TraceStore) -> JobOutcome {
-    if cell.path == ExecPath::Reference {
+    JobOutcome::Measured(if cell.route == Route::Reference {
         let mut predictor = cell.build.build_any(store, cell.trace);
         let full = store.get(cell.trace.benchmark, cell.trace.data_set);
         let sim = simulate(&mut predictor, &full, &cell.sim);
-        return JobOutcome::Measured(JobMetrics { sim, miss_breakdown: None, fetch: None });
-    }
-
-    // Instrumented metrics replay the full trace through dedicated
-    // observation loops (each with a fresh predictor, so the loops are
-    // independent). Those loops model no context switches: their
-    // accuracy counters equal the walk's only when the job's switch
-    // schedule is empty, and only then does whichever ran also supply
-    // the job's SimResult. Otherwise the job walks in a batch of one.
-    let miss_breakdown = cell.metrics.miss_breakdown.then(|| {
-        let full = store.get(cell.trace.benchmark, cell.trace.data_set);
-        match cell.build.build_any(store, cell.trace) {
-            AnyPredictor::Pag(mut pag) => Some(run_miss_breakdown(&mut pag, &full)),
-            _ => None,
-        }
-    });
-    let fetch = cell.metrics.fetch.map(|spec| {
-        let mut predictor = cell.build.build_any(store, cell.trace);
-        let full = store.get(cell.trace.benchmark, cell.trace.data_set);
-        let interned = store.get_interned(cell.trace.benchmark, cell.trace.data_set);
-        run_fetch(&mut predictor, &full, &interned, spec)
-    });
-
-    let schedule = store.get_switch_schedule(cell.trace.benchmark, cell.trace.data_set, &cell.sim);
-    let sim = match (&miss_breakdown, &fetch) {
-        (Some(Some((sim, _))), _) | (_, Some((sim, _))) if schedule.is_empty() => sim.clone(),
-        _ => {
-            let mut batch = [cell.build.build_any(store, cell.trace)];
-            let interned = store.get_interned(cell.trace.benchmark, cell.trace.data_set);
-            simulate_fused(&mut batch, &interned, &schedule).remove(0)
-        }
-    };
-
-    JobOutcome::Measured(JobMetrics {
-        sim,
-        miss_breakdown: miss_breakdown.flatten().map(|(_, b)| b),
-        fetch: fetch.map(|(_, f)| f),
+        JobMetrics { sim, miss_breakdown: None, fetch: None }
+    } else {
+        run_instrumented(cell, store)
     })
 }
 
-/// The misprediction-attribution loop: every misprediction of a
-/// PAg-structured predictor lands in exactly one [`MissBreakdown`]
-/// bucket, classified from the predictor's state at prediction time.
-fn run_miss_breakdown(pag: &mut Pag, trace: &Trace) -> (SimResult, MissBreakdown) {
-    let mut result =
-        SimResult { scheme: pag.name(), predictions: 0, correct: 0, context_switches: 0 };
-    let mut buckets = MissBreakdown::default();
-    // Shadow of the global PHT: which static branch last updated each
-    // entry (for interference attribution). Grown on demand so any
-    // history length works.
-    let mut last_writer: Vec<Option<u64>> = Vec::new();
-    for branch in trace.conditional_branches() {
-        let diagnostics = pag.predict_diagnosed(branch);
-        pag.update(branch);
-        result.predictions += 1;
-        result.correct += u64::from(diagnostics.predicted_taken == branch.taken);
-        if last_writer.len() <= diagnostics.pattern {
-            last_writer.resize(diagnostics.pattern + 1, None);
-        }
-        if diagnostics.predicted_taken != branch.taken {
-            if !diagnostics.bht_hit {
-                buckets.bht_miss += 1;
-            } else if matches!(diagnostics.pattern_state.value(), 1 | 2) {
-                buckets.weak_pattern += 1;
-            } else if last_writer[diagnostics.pattern].is_some_and(|writer| writer != branch.pc) {
-                buckets.interference += 1;
-            } else {
-                buckets.noise += 1;
-            }
-        }
-        last_writer[diagnostics.pattern] = Some(branch.pc);
-    }
-    assert_eq!(
-        buckets.total(),
-        result.predictions - result.correct,
-        "every misprediction is classified exactly once"
-    );
-    (result, buckets)
-}
-
-/// The Section 3.2 fetch-path loop: the direction predictor handles
-/// conditional branches (everything else is architecturally taken) and a
-/// target cache supplies target addresses for every branch class.
+/// The instrumented pass: one predictor steps once over the job's trace,
+/// and every metric the job asked for observes that same step, so the
+/// job's accuracy, breakdown and fetch statistics describe one run.
 ///
-/// `interned` is `trace`'s interned conditional stream, whose events
-/// follow the trace's conditional branches in order: each conditional
-/// steps through [`BranchPredictor::step_interned`] with the next event's
-/// id.
-fn run_fetch<P: BranchPredictor>(
-    predictor: &mut P,
-    trace: &Trace,
-    interned: &InternedConds,
-    spec: TargetCacheSpec,
-) -> (SimResult, FetchStats) {
-    let mut result =
-        SimResult { scheme: predictor.name(), predictions: 0, correct: 0, context_switches: 0 };
-    let mut stats = FetchStats::default();
-    let mut cache = TargetCache::new(spec.entries, spec.ways);
+/// The pass walks every branch of the full trace. Before each
+/// conditional it fires the switches the trace's
+/// [`SwitchSchedule`](crate::runner::SwitchSchedule) places there, then
+/// steps the conditional through [`BranchPredictor::step_interned`] with
+/// the next interned id. For a miss breakdown of a PAg-structured
+/// predictor it steps through
+/// [`Pag::step_interned_diagnosed`](tlabp_core::schemes::Pag::step_interned_diagnosed)
+/// instead, and every misprediction lands in exactly one
+/// [`MissBreakdown`] bucket, classified from the predictor's state at
+/// prediction time. The Section 3.2 fetch model sees every branch: the
+/// direction predictor handles conditionals (everything else is
+/// architecturally taken) and a target cache supplies target addresses
+/// for every branch class. A context switch flushes the predictor's
+/// first level, never the target cache.
+fn run_instrumented(cell: &Cell, store: &TraceStore) -> JobMetrics {
+    let TraceKey { benchmark, data_set } = cell.trace;
+    let trace = store.get(benchmark, data_set);
+    let interned = store.get_interned(benchmark, data_set);
+    let schedule = store.get_switch_schedule(benchmark, data_set, &cell.sim);
+    let mut predictor = cell.build.build_any(store, cell.trace);
+    let mut sim = SimResult {
+        scheme: predictor.name(),
+        predictions: 0,
+        correct: 0,
+        context_switches: schedule.total(),
+    };
+    let mut breakdown = (cell.metrics.miss_breakdown && matches!(predictor, AnyPredictor::Pag(_)))
+        .then(MissBreakdown::default);
+    // Shadow of the global PHT: which static branch (by interned id)
+    // last updated each entry, for interference attribution. Grown on
+    // demand so any history length works.
+    let mut last_writer: Vec<Option<u32>> = Vec::new();
+    let mut fetch = cell
+        .metrics
+        .fetch
+        .map(|spec| (TargetCache::new(spec.entries, spec.ways), FetchStats::default()));
     let mut events = interned.events().iter();
+    let mut points = schedule.points().iter().peekable();
     for branch in trace.branches() {
         let predicted_taken = if branch.class.is_conditional() {
+            let index = sim.predictions as usize;
+            if let Some(&(_, switches)) = points.next_if(|&&(at, _)| at == index) {
+                (0..switches).for_each(|_| predictor.context_switch());
+            }
             let id = events.next().expect("one interned event per conditional branch").id();
             debug_assert_eq!(interned.pc_of(id), branch.pc, "interned events in branch order");
-            let predicted = predictor.step_interned(id, branch);
-            result.predictions += 1;
-            result.correct += u64::from(predicted == branch.taken);
+            let predicted = match (&mut predictor, &mut breakdown) {
+                (AnyPredictor::Pag(pag), Some(buckets)) => {
+                    let diagnostics = pag.step_interned_diagnosed(id, branch);
+                    let pattern = diagnostics.pattern;
+                    if last_writer.len() <= pattern {
+                        last_writer.resize(pattern + 1, None);
+                    }
+                    if diagnostics.predicted_taken != branch.taken {
+                        if !diagnostics.bht_hit {
+                            buckets.bht_miss += 1;
+                        } else if matches!(diagnostics.pattern_state.value(), 1 | 2) {
+                            buckets.weak_pattern += 1;
+                        } else if last_writer[pattern].is_some_and(|writer| writer != id) {
+                            buckets.interference += 1;
+                        } else {
+                            buckets.noise += 1;
+                        }
+                    }
+                    last_writer[pattern] = Some(id);
+                    diagnostics.predicted_taken
+                }
+                _ => predictor.step_interned(id, branch),
+            };
+            sim.predictions += 1;
+            sim.correct += u64::from(predicted == branch.taken);
             predicted
         } else {
             true
         };
-        let outcome = cache.fetch(branch, predicted_taken);
-        cache.resolve(branch);
-
-        stats.branches += 1;
-        stats.correct_path += u64::from(outcome.is_correct_path());
-        match outcome {
-            FetchOutcome::HitCorrectTarget => stats.no_bubble_taken += 1,
-            FetchOutcome::HitWrongPath => {
-                stats.squashes += 1;
-                if branch.class == BranchClass::Return {
-                    stats.return_target_misses += 1;
+        if let Some((cache, stats)) = &mut fetch {
+            let outcome = cache.fetch(branch, predicted_taken);
+            cache.resolve(branch);
+            stats.branches += 1;
+            stats.correct_path += u64::from(outcome.is_correct_path());
+            match outcome {
+                FetchOutcome::HitCorrectTarget => stats.no_bubble_taken += 1,
+                FetchOutcome::HitWrongPath => {
+                    stats.squashes += 1;
+                    if branch.class == BranchClass::Return {
+                        stats.return_target_misses += 1;
+                    }
                 }
-            }
-            FetchOutcome::HitFallThrough { correct } | FetchOutcome::Miss { correct } => {
-                stats.squashes += u64::from(!correct);
+                FetchOutcome::HitFallThrough { correct } | FetchOutcome::Miss { correct } => {
+                    stats.squashes += u64::from(!correct);
+                }
             }
         }
     }
-    (result, stats)
+    if let Some(buckets) = &breakdown {
+        assert_eq!(
+            buckets.total(),
+            sim.predictions - sim.correct,
+            "every misprediction is classified exactly once"
+        );
+    }
+    JobMetrics { sim, miss_breakdown: breakdown, fetch: fetch.map(|(_, stats)| stats) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::TargetCacheSpec;
     use tlabp_core::automaton::Automaton;
     use tlabp_core::schemes::Gshare;
     use tlabp_workloads::Benchmark;
@@ -1516,35 +1454,108 @@ mod tests {
         Benchmark::by_name("li").expect("li exists")
     }
 
+    /// `plan` on the global pool against `store`.
+    fn run(plan: &Plan, store: &TraceStore) -> ResultSet {
+        Session::new(store.clone()).run(plan)
+    }
+
+    /// A suite plan reassembles into one suite per configuration, in
+    /// configuration order and with one row per benchmark in
+    /// `Benchmark::ALL` order; duplicate configurations stay separate
+    /// suites.
     #[test]
-    fn engine_matches_run_sweep_semantics() {
-        let store = TraceStore::new();
-        let configs = [SchemeConfig::pag(8), SchemeConfig::profiling()];
+    fn suites_follow_config_order_and_keep_duplicates() {
+        let configs = [
+            SchemeConfig::pag(6),
+            SchemeConfig::gag(6),
+            SchemeConfig::btfn(),
+            SchemeConfig::btfn(),
+        ];
         let plan = Plan::suites(&configs, &SimConfig::no_context_switch());
-        let suites = execute(&plan, &store).suites();
-        assert_eq!(suites.len(), 2);
-        assert_eq!(suites[0].scheme, configs[0].to_string());
-        assert_eq!(suites[0].rows.len(), Benchmark::ALL.len());
-        // Profiling skips the benchmarks without training sets.
-        let missing = suites[1].rows.iter().filter(|r| r.accuracy.is_none()).count();
-        assert_eq!(missing, Benchmark::ALL.iter().filter(|b| !b.has_training_set()).count());
+        let suites = run(&plan, &TraceStore::new()).suites();
+        assert_eq!(suites.len(), configs.len(), "duplicate configs must not merge");
+        let expected: Vec<&str> = Benchmark::ALL.iter().map(Benchmark::name).collect();
+        for (config, suite) in configs.iter().zip(&suites) {
+            assert_eq!(suite.scheme, config.to_string());
+            let names: Vec<&str> = suite.rows.iter().map(|r| r.benchmark.as_str()).collect();
+            assert_eq!(names, expected, "rows follow Benchmark::ALL order");
+        }
+        assert_eq!(suites[2], suites[3]);
+    }
+
+    /// A suite plan generates exactly the traces its measurable cells
+    /// read: the testing trace of every benchmark for an adaptive
+    /// scheme, and for a profiled scheme a testing and a training trace
+    /// of only the benchmarks with a training set, skipping the rest
+    /// (the paper's "NA" cells).
+    #[test]
+    fn suites_generate_only_the_traces_measurable_cells_read() {
+        let sim = SimConfig::no_context_switch();
+        let store = TraceStore::new();
+        let _ = run(&Plan::suites(&[SchemeConfig::btfn()], &sim), &store);
+        assert_eq!(store.len(), Benchmark::ALL.len(), "one testing trace per benchmark");
+
+        let store = TraceStore::new();
+        let suites = run(&Plan::suites(&[SchemeConfig::profiling()], &sim), &store).suites();
+        let with_training = Benchmark::ALL.iter().filter(|b| b.has_training_set()).count();
+        assert_eq!(store.len(), 2 * with_training);
+        let missing: Vec<&str> = suites[0]
+            .rows
+            .iter()
+            .filter(|r| r.accuracy.is_none())
+            .map(|r| r.benchmark.as_str())
+            .collect();
+        assert_eq!(missing, vec!["eqntott", "fpppp", "matrix300", "tomcatv"]);
+    }
+
+    /// PAg(8) measures every benchmark, and a scheme's `c` flag turns on
+    /// the paper's context-switch model under a no-switch `sim`.
+    #[test]
+    fn suites_measure_pag_everywhere_and_honor_the_c_flag() {
+        let configs = [SchemeConfig::pag(8), SchemeConfig::pag(8).with_context_switch(true)];
+        let suites =
+            run(&Plan::suites(&configs, &SimConfig::default()), &TraceStore::new()).suites();
+        assert!(suites[0].rows.iter().all(|r| r.accuracy.is_some()));
+        let gmean = suites[0].total_gmean();
+        assert!(gmean > 0.80, "PAg(8) should be decent, got {gmean}");
+        let gcc = suites[1].rows.iter().find(|r| r.benchmark == "gcc").expect("gcc row");
+        assert!(gcc.context_switches > 50, "gcc switches: {}", gcc.context_switches);
     }
 
     #[test]
     fn custom_spec_runs_through_the_registry() {
         registry::register("engine-test-gshare", || Box::new(Gshare::new(10, Automaton::A2)));
-        let store = TraceStore::new();
         let plan: Plan = [Job::custom("engine-test-gshare", li())].into_iter().collect();
-        let results = execute(&plan, &store);
+        let results = run(&plan, &TraceStore::new());
         let accuracy = results.outcome(0).accuracy().expect("measured");
         assert!(accuracy > 0.8, "gshare on li: {accuracy}");
     }
 
+    /// Jobs that cannot run come back skipped with a reason, and their
+    /// neighbour is still measured: an unregistered predictor name, a
+    /// history length past the cap, and a `c`-flagged PAp whose
+    /// geometry cannot be built.
     #[test]
-    #[should_panic(expected = "no predictor registered")]
-    fn unknown_custom_name_fails_fast() {
-        let plan: Plan = [Job::custom("engine-test-unregistered", li())].into_iter().collect();
-        let _ = execute(&plan, &TraceStore::new());
+    fn jobs_that_cannot_run_are_skipped_with_a_reason() {
+        let plan: Plan = [
+            Job::custom("engine-test-unregistered", li()),
+            Job::scheme(SchemeConfig::gag(40), li()),
+            Job::scheme(SchemeConfig::pap(40).with_context_switch(true), li()),
+            Job::scheme(SchemeConfig::gag(8), li()),
+        ]
+        .into_iter()
+        .collect();
+        let results = run(&plan, &TraceStore::new());
+        let reasons = ["no predictor registered", "cannot be built", "cannot be built"];
+        for (index, want) in reasons.iter().enumerate() {
+            match results.outcome(index) {
+                JobOutcome::Skipped { reason } => {
+                    assert!(reason.contains(want), "job {index}: {reason}");
+                }
+                JobOutcome::Measured(_) => panic!("job {index} cannot run"),
+            }
+        }
+        assert!(results.outcome(3).accuracy().is_some(), "the neighbour is measured");
     }
 
     /// The prefetch barrier derives every form first and writes the slot
@@ -1605,8 +1616,8 @@ mod tests {
         let reference: Plan = [Job::scheme(SchemeConfig::pag(8), li()).with_reference_path(true)]
             .into_iter()
             .collect();
-        let fast_out = execute(&fast, &store);
-        let reference_out = execute(&reference, &store);
+        let fast_out = run(&fast, &store);
+        let reference_out = run(&reference, &store);
         assert_eq!(
             fast_out.outcome(0).metrics().unwrap().sim,
             reference_out.outcome(0).metrics().unwrap().sim,
@@ -1621,7 +1632,7 @@ mod tests {
             .with_metrics(MetricSet { miss_breakdown: true, fetch: None })]
         .into_iter()
         .collect();
-        let results = execute(&plan, &store);
+        let results = run(&plan, &store);
         let metrics = results.outcome(0).metrics().expect("measured");
         let breakdown = metrics.miss_breakdown.expect("PAg yields a breakdown");
         assert_eq!(breakdown.total(), metrics.sim.predictions - metrics.sim.correct);
@@ -1635,7 +1646,7 @@ mod tests {
             .with_metrics(MetricSet { miss_breakdown: true, fetch: None })]
         .into_iter()
         .collect();
-        let results = execute(&plan, &store);
+        let results = run(&plan, &store);
         let metrics = results.outcome(0).metrics().expect("measured");
         assert!(metrics.miss_breakdown.is_none());
         assert!(metrics.sim.predictions > 0, "accuracy still measured");
@@ -1657,8 +1668,8 @@ mod tests {
             .collect();
         let per_cell: Plan =
             fused.jobs().iter().map(|job| job.clone().with_fusion(false)).collect();
-        let fused_out = execute(&fused, &store);
-        let per_cell_out = execute(&per_cell, &store);
+        let fused_out = run(&fused, &store);
+        let per_cell_out = run(&per_cell, &store);
         for index in 0..fused.len() {
             assert_eq!(
                 fused_out.outcome(index).metrics().unwrap().sim,
@@ -1685,10 +1696,10 @@ mod tests {
             Job::scheme(SchemeConfig::btfn(), li()),
         ];
         let mixed: Plan = jobs.iter().cloned().collect();
-        let mixed_out = execute(&mixed, &store);
+        let mixed_out = run(&mixed, &store);
         for (index, job) in jobs.iter().enumerate() {
             let single: Plan = [job.clone().with_fusion(false)].into_iter().collect();
-            let single_out = execute(&single, &store);
+            let single_out = run(&single, &store);
             assert_eq!(
                 mixed_out.outcome(index),
                 single_out.outcome(0),
@@ -1787,7 +1798,7 @@ mod tests {
         partition
             .replay
             .iter()
-            .map(|indices| split_replay(&cells, indices, store, threads).1.len())
+            .map(|(rep, indices)| split_replay(&cells, *rep, indices, store, threads).len())
             .collect()
     }
 
@@ -1816,10 +1827,10 @@ mod tests {
             .collect();
         assert_eq!(replay_parts(&plan, &store, 1), vec![1, 1]);
         assert_eq!(replay_parts(&plan, &store, 2), vec![2, 2], "both batches split");
-        let run = |workers| execute_on(&SweepPool::new(workers), &plan, &store);
-        let unsplit = run(1);
+        let run_on = |workers| Session::on(&SweepPool::new(workers), store.clone()).run(&plan);
+        let unsplit = run_on(1);
         for workers in [2, 4] {
-            let split = run(workers);
+            let split = run_on(workers);
             for index in 0..plan.len() {
                 assert_eq!(
                     unsplit.outcome(index),
@@ -1833,10 +1844,9 @@ mod tests {
     /// Every accuracy job that neither replays nor takes the reference
     /// path walks the interned stream: a fusion-off job in a batch of
     /// one, the rest shared per trace and switch configuration. Only
-    /// reference and instrumented jobs run as single cells, and of
-    /// those a switched instrumented job and a fetch job need the
-    /// interned form; an unswitched miss-breakdown job reads only the
-    /// full trace.
+    /// reference and instrumented jobs run as single cells, and only
+    /// the reference job reads the full trace alone: every instrumented
+    /// job steps interned ids.
     #[test]
     fn non_replay_accuracy_jobs_all_walk() {
         use TraceForm::{Full, Interned};
@@ -1861,7 +1871,10 @@ mod tests {
         let partition = partition_batches(&lowered);
         assert_eq!(partition.fused, vec![vec![0, 1], vec![2], vec![3]]);
         assert_eq!(partition.singles, vec![4, 5, 6, 8]);
-        assert_eq!(partition.replay, vec![vec![7]]);
+        assert_eq!(
+            partition.replay,
+            vec![(replay_stream_key(SchemeConfig::gag(8)).expect("two-level"), vec![7])]
+        );
         let forms: Vec<TraceForm> = lowered
             .iter()
             .map(|low| match low {
@@ -1871,24 +1884,23 @@ mod tests {
             .collect();
         assert_eq!(
             forms,
-            [Interned, Interned, Interned, Interned, Full, Interned, Full, Interned, Interned]
+            [Interned, Interned, Interned, Interned, Interned, Interned, Full, Interned, Interned]
         );
     }
 
     /// A plan that panics on a worker leaves the pool serving the next
-    /// plan. GAg(40) exceeds the history-width cap, so deriving its
-    /// stream panics in the prefetch barrier on the pool's only worker.
+    /// plan. The registered builder panics when the pool's only worker
+    /// builds the job's predictor.
     #[test]
     fn a_panicking_plan_spares_the_pool_for_the_next() {
+        registry::register("engine-test-panics", || panic!("this builder always panics"));
         let pool = SweepPool::new(1);
-        let store = TraceStore::new();
-        let bad: Plan = [Job::scheme(SchemeConfig::gag(40), li())].into_iter().collect();
-        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_on(&pool, &bad, &store)
-        }));
-        assert!(failed.is_err(), "GAg(40) cannot be simulated");
+        let session = Session::on(&pool, TraceStore::new());
+        let bad: Plan = [Job::custom("engine-test-panics", li())].into_iter().collect();
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.run(&bad)));
+        assert!(failed.is_err(), "the builder panics");
         let good: Plan = [Job::scheme(SchemeConfig::gag(8), li())].into_iter().collect();
-        let results = execute_on(&pool, &good, &store);
+        let results = session.run(&good);
         assert!(results.outcome(0).accuracy().is_some(), "the next plan is measured");
     }
 
@@ -1915,24 +1927,23 @@ mod tests {
         // One Global fold group (GAg × 2 automata × 3 widths) and one
         // paper-default-BHT fold group (PAg + PAp × 3 widths).
         assert_eq!(partition.replay.len(), 2);
-        assert_eq!(partition.replay[0].len(), 6);
-        assert_eq!(partition.replay[1].len(), 6);
-        for indices in &partition.replay {
+        assert_eq!(partition.replay[0].1.len(), 6);
+        assert_eq!(partition.replay[1].1.len(), 6);
+        for (rep, indices) in &partition.replay {
             let keys: Vec<StreamKey> = indices
                 .iter()
                 .map(|&index| match &lowered[index] {
-                    Lowered::Run(cell) => cell.replay.expect("replay cell"),
+                    Lowered::Run(cell) => cell.replay_key(),
                     Lowered::Skip { .. } => unreachable!(),
                 })
                 .collect();
-            let rep = replay_rep_key(keys.iter().copied());
             assert_eq!(rep.history_bits(), 8, "widest member wins");
             assert!(keys.iter().all(|key| key.fold_key() == rep.fold_key()));
         }
     }
 
     #[test]
-    fn session_stream_yields_plan_order_and_matches_execute() {
+    fn session_stream_yields_plan_order_and_matches_run() {
         let store = TraceStore::new();
         let plan: Plan = [
             Job::scheme(SchemeConfig::pag(8), li()),
@@ -1942,7 +1953,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let blocking = execute(&plan, &store);
+        let blocking = run(&plan, &store);
 
         let session = Session::new(store);
         let stream = session.submit(&plan);
@@ -1952,7 +1963,7 @@ mod tests {
         for (position, item) in items.iter().enumerate() {
             assert_eq!(item.index, position, "items arrive in plan order");
             assert_eq!(&item.job, &plan.jobs()[position]);
-            assert_eq!(&item.outcome, blocking.outcome(position), "stream matches execute");
+            assert_eq!(&item.outcome, blocking.outcome(position), "stream matches run");
         }
     }
 
@@ -2007,7 +2018,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let results = execute(&plan, &store);
+        let results = run(&plan, &store);
         let text = results.to_json_string();
         let back = ResultSet::from_json_str(&text, &plan).expect("serialized results parse");
         assert_eq!(back, results);
@@ -2018,7 +2029,7 @@ mod tests {
     fn result_set_wire_decode_rejects_mismatches() {
         let store = TraceStore::new();
         let plan: Plan = [Job::scheme(SchemeConfig::gag(8), li())].into_iter().collect();
-        let results = execute(&plan, &store);
+        let results = run(&plan, &store);
         let text = results.to_json_string();
 
         let wrong_version = text.replacen("\"version\":1", "\"version\":9", 1);
@@ -2040,7 +2051,7 @@ mod tests {
         })]
         .into_iter()
         .collect();
-        let results = execute(&plan, &store);
+        let results = run(&plan, &store);
         let metrics = results.outcome(0).metrics().expect("measured");
         let fetch = metrics.fetch.expect("fetch stats requested");
         assert!(fetch.branches > metrics.sim.predictions, "all classes > conditionals only");

@@ -14,21 +14,21 @@
 //! * [`plan`] — the declarative job IR: a [`plan::Job`] names a
 //!   predictor, a trace, simulation options and the metrics wanted; a
 //!   [`plan::Plan`] is an ordered batch. Pure data, no execution.
-//! * [`engine`] — [`engine::execute`] lowers each job onto one of two
-//!   fast paths: pattern-stream replay, or the interned walk for
-//!   everything that cannot replay (context switches, BTB, static and
-//!   registry predictors), batched per trace and switch configuration,
-//!   monomorphized for catalog schemes and dynamically dispatched for
-//!   registry predictors. It runs the batches on the persistent worker
-//!   pool ([`pool`]) and reassembles a typed [`engine::ResultSet`] in
-//!   deterministic plan order.
-//! * [`suite`] — [`suite::run_suite`] evaluates a
-//!   [`tlabp_core::config::SchemeConfig`] on all nine benchmarks,
-//!   training the profiled schemes per benchmark and skipping the
-//!   benchmarks without training data sets, as the paper does.
-//! * [`sweep`] — [`sweep::run_sweep`] executes a whole (scheme ×
-//!   benchmark) matrix: a thin wrapper over [`Plan::suites`](plan::Plan::suites)
-//!   plus [`engine::execute`].
+//! * [`engine`] — [`engine::Session`] runs plans, and is the engine's
+//!   only entry point. It lowers each job onto one route:
+//!   pattern-stream replay; the interned walk for everything that
+//!   cannot replay (context switches, BTB, static and registry
+//!   predictors), batched per trace and switch configuration; one
+//!   instrumented pass for jobs that want more than accuracy; or the
+//!   opt-in reference loop. Jobs that cannot run (a trained scheme
+//!   without a training set, an impossible geometry, an unregistered
+//!   predictor name) come back skipped with a reason. It runs the
+//!   batches on the persistent worker pool ([`pool`]) and yields a
+//!   typed [`engine::ResultSet`] in deterministic plan order;
+//!   [`plan::Plan::suites`] plus [`engine::ResultSet::suites`] give the
+//!   paper's per-configuration suite results.
+//! * [`suite`] — [`suite::TraceStore`], the cache of generated benchmark
+//!   traces and the forms derived from them, in memory and on disk.
 //! * [`metrics`] — per-benchmark accuracies and the Tot/Int/FP geometric
 //!   means.
 //! * [`report`] — ASCII tables and CSV for the experiment harness.
@@ -37,12 +37,15 @@
 //!
 //! ```no_run
 //! use tlabp_core::config::SchemeConfig;
+//! use tlabp_sim::engine::Session;
+//! use tlabp_sim::plan::Plan;
 //! use tlabp_sim::runner::SimConfig;
-//! use tlabp_sim::suite::{run_suite, TraceStore};
+//! use tlabp_sim::suite::TraceStore;
 //!
-//! let store = TraceStore::new();
-//! let result = run_suite(&SchemeConfig::pag(12), &store, &SimConfig::default());
-//! println!("PAg(12) Tot GMean: {:.2}%", result.total_gmean() * 100.0);
+//! let plan = Plan::suites(&[SchemeConfig::pag(12)], &SimConfig::default());
+//! for suite in Session::new(TraceStore::new()).run(&plan).suites() {
+//!     println!("{} Tot GMean: {:.2}%", suite.scheme, suite.total_gmean() * 100.0);
+//! }
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,11 +60,10 @@ pub mod report;
 pub mod runner;
 pub mod stream;
 pub mod suite;
-pub mod sweep;
 
 pub use engine::{
-    execute, execute_on, execute_with, prefetch_on, ExecOptions, JobItem, JobMetrics, JobOutcome,
-    JobStream, ResultSet, Session, RESULT_WIRE_VERSION,
+    prefetch_on, ExecOptions, JobItem, JobMetrics, JobOutcome, JobStream, ResultSet, Session,
+    RESULT_WIRE_VERSION,
 };
 pub use json::{Json, WireError};
 pub use metrics::{geometric_mean, SuiteResult};
@@ -72,5 +74,4 @@ pub use runner::{
     simulate_replay_transposed_streamed, SimConfig, SimResult, StreamKey, SwitchSchedule,
 };
 pub use stream::{StreamChunk, StreamCursor, StreamWindow};
-pub use suite::{run_suite, CacheBytes, TraceStore, DEFAULT_TRACE_DIR, TRACE_DIR_ENV};
-pub use sweep::{run_sweep, run_sweep_on};
+pub use suite::{CacheBytes, TraceStore, DEFAULT_TRACE_DIR, TRACE_DIR_ENV};

@@ -17,14 +17,14 @@
 //!
 //! ```no_run
 //! use tlabp_core::config::SchemeConfig;
-//! use tlabp_sim::engine::execute;
+//! use tlabp_sim::engine::Session;
 //! use tlabp_sim::plan::Plan;
 //! use tlabp_sim::runner::SimConfig;
 //! use tlabp_sim::suite::TraceStore;
 //!
 //! let configs: Vec<_> = (6..=12).map(SchemeConfig::pag).collect();
 //! let plan = Plan::suites(&configs, &SimConfig::no_context_switch());
-//! let results = execute(&plan, &TraceStore::new());
+//! let results = Session::new(TraceStore::new()).run(&plan);
 //! for suite in results.suites() {
 //!     println!("{}: {:.2}%", suite.scheme, suite.total_gmean() * 100.0);
 //! }
@@ -125,9 +125,13 @@ impl Default for TargetCacheSpec {
 /// Which metrics a job should produce beyond the always-computed
 /// prediction-accuracy counters.
 ///
-/// The instrumented metrics replay the trace through dedicated
-/// observation loops; they model no context switches (they reproduce the
-/// paper's Section 3 analyses, which are measured without switches).
+/// A job with instrumented metrics runs alone, in one pass that steps
+/// its predictor over the trace while every requested metric observes
+/// the same steps. The pass fires the job's context switches, so a
+/// switched job's breakdown sums to its own mispredictions and its fetch
+/// statistics include the switches. (The paper's Section 3 analyses are
+/// measured without switches, and so are the paper plans' instrumented
+/// jobs.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricSet {
     /// Attribute every misprediction to a cause (BHT miss, weak pattern,
@@ -152,8 +156,8 @@ pub struct Job {
     /// What to simulate it on.
     pub trace: TraceKey,
     /// Context-switch options. A scheme whose `c` flag is set upgrades a
-    /// no-switch `sim` to the paper's context-switch model, exactly as
-    /// `run_suite` always has.
+    /// no-switch `sim` to the paper's context-switch model (Table 3
+    /// semantics).
     pub sim: SimConfig,
     /// Extra instrumented metrics to compute.
     pub metrics: MetricSet,

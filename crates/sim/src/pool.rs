@@ -2,7 +2,7 @@
 //!
 //! The experiment drivers evaluate hundreds of (scheme, benchmark)
 //! cells. Spawning a thread per cell (or per benchmark, as the first
-//! version of `run_suite` did) re-pays thread start-up for every suite
+//! suite runner did) re-pays thread start-up for every suite
 //! and caps parallelism at the per-call fan-out. [`SweepPool`] instead
 //! starts one set of workers for the life of the process; cells go into
 //! a shared injector queue and idle workers pull the next cell the

@@ -222,6 +222,11 @@ impl SwitchSchedule {
         self.total == 0
     }
 
+    /// The switch points, in the `points` field's form.
+    pub(crate) fn points(&self) -> &[(usize, u32)] {
+        &self.points
+    }
+
     /// The conditional stream `0..len` cut at the switch points, each
     /// segment paired with the number of switches that fire before it.
     fn segments(&self, len: usize) -> impl Iterator<Item = (u32, Range<usize>)> + '_ {

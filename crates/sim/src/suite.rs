@@ -1,13 +1,11 @@
-//! Whole-suite orchestration: run predictor configurations across all
-//! nine benchmarks, with trace caching (in memory and on disk) and
-//! pooled parallel execution.
+//! The trace store: every benchmark trace a plan reads, generated once
+//! and cached with the forms derived from it, in memory and on disk.
 
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-use tlabp_core::config::SchemeConfig;
 use tlabp_trace::io::{
     read_artifacts, write_artifacts_chunked, write_file_atomic, FileLock, ARTIFACT_VERSION_CHUNKED,
     DEFAULT_CHUNK_BYTES,
@@ -15,11 +13,9 @@ use tlabp_trace::io::{
 use tlabp_trace::{InternedConds, PatternStream, Trace};
 use tlabp_workloads::{Benchmark, DataSet};
 
-use crate::metrics::SuiteResult;
 use crate::runner::{
     derive_pattern_stream, ContextSwitchConfig, SimConfig, StreamKey, SwitchSchedule,
 };
-use crate::sweep::run_sweep;
 
 /// Environment variable naming the disk cache directory.
 pub const TRACE_DIR_ENV: &str = "TLABP_TRACE_DIR";
@@ -631,27 +627,6 @@ impl CacheBytes {
     }
 }
 
-/// Runs `config` on every benchmark (on the global sweep pool) and
-/// collects the paper-style suite result.
-///
-/// Profiled schemes (GSg/PSg/Profiling) are trained on each benchmark's
-/// *training* trace and measured on its *testing* trace; benchmarks whose
-/// Table 2 training entry is "NA" yield `accuracy: None`, matching the
-/// missing Static Training points of Figure 11.
-///
-/// The context-switch setting comes from `config` itself (the `c` flag of
-/// Table 3) unless `sim.context_switch` already enables it.
-///
-/// This is a one-config sweep; batch drivers should hand their whole
-/// configuration list to [`run_sweep`] so cells from different configs
-/// share the pool.
-#[must_use]
-pub fn run_suite(config: &SchemeConfig, store: &TraceStore, sim: &SimConfig) -> SuiteResult {
-    run_sweep(std::slice::from_ref(config), store, sim)
-        .pop()
-        .expect("one config in, one suite result out")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -795,40 +770,5 @@ mod tests {
             assert!(Arc::ptr_eq(&traces[0], trace), "every caller shares one generation");
         }
         assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    fn suite_runs_pag_on_all_benchmarks() {
-        let store = small_store();
-        let result = run_suite(&SchemeConfig::pag(8), &store, &SimConfig::no_context_switch());
-        assert_eq!(result.rows.len(), 9);
-        assert!(result.rows.iter().all(|r| r.accuracy.is_some()));
-        let gmean = result.total_gmean();
-        assert!(gmean > 0.80, "PAg(8) should be decent, got {gmean}");
-    }
-
-    #[test]
-    fn profiled_scheme_skips_na_benchmarks() {
-        let store = small_store();
-        let result = run_suite(&SchemeConfig::profiling(), &store, &SimConfig::no_context_switch());
-        let missing: Vec<&str> = result
-            .rows
-            .iter()
-            .filter(|r| r.accuracy.is_none())
-            .map(|r| r.benchmark.as_str())
-            .collect();
-        assert_eq!(missing, vec!["eqntott", "fpppp", "matrix300", "tomcatv"]);
-    }
-
-    #[test]
-    fn config_c_flag_enables_context_switches() {
-        let store = small_store();
-        let result = run_suite(
-            &SchemeConfig::pag(8).with_context_switch(true),
-            &store,
-            &SimConfig::default(),
-        );
-        let gcc = result.rows.iter().find(|r| r.benchmark == "gcc").unwrap();
-        assert!(gcc.context_switches > 50, "gcc switches: {}", gcc.context_switches);
     }
 }

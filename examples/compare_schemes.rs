@@ -7,9 +7,11 @@
 
 use tlabp::core::automaton::Automaton;
 use tlabp::core::config::SchemeConfig;
+use tlabp::sim::plan::Plan;
 use tlabp::sim::report::suite_table;
 use tlabp::sim::runner::SimConfig;
-use tlabp::sim::suite::{run_suite, TraceStore};
+use tlabp::sim::suite::TraceStore;
+use tlabp::sim::Session;
 
 fn main() {
     let store = TraceStore::new();
@@ -28,7 +30,7 @@ fn main() {
     ];
 
     println!("running {} schemes x 9 benchmarks...\n", configs.len());
-    let results: Vec<_> = configs.iter().map(|c| run_suite(c, &store, &sim)).collect();
+    let results = Session::new(store).run(&Plan::suites(&configs, &sim)).suites();
     println!("{}", suite_table(&results).to_ascii());
 
     // The paper's headline: Two-Level Adaptive Branch Prediction is

@@ -7,8 +7,10 @@
 
 use tlabp::core::config::SchemeConfig;
 use tlabp::core::cost::{BhtGeometry, CostModel};
+use tlabp::sim::plan::Plan;
 use tlabp::sim::runner::SimConfig;
-use tlabp::sim::suite::{run_suite, TraceStore};
+use tlabp::sim::suite::TraceStore;
+use tlabp::sim::Session;
 
 fn main() {
     let model = CostModel::paper_default();
@@ -28,13 +30,13 @@ fn main() {
     // The Figure 8 question: which variation reaches a target accuracy
     // most cheaply? Measure a few candidate configurations.
     println!("\nmeasuring candidate configurations (this runs the full suite)...\n");
-    let store = TraceStore::new();
-    let sim = SimConfig::no_context_switch();
     let candidates = [SchemeConfig::gag(18), SchemeConfig::pag(12), SchemeConfig::pap(8)];
+    let plan = Plan::suites(&candidates, &SimConfig::no_context_switch());
+    let suites = Session::new(TraceStore::new()).run(&plan).suites();
     println!("{:<42} {:>10} {:>14}", "configuration", "accuracy", "cost");
     let mut best: Option<(String, f64)> = None;
-    for config in candidates {
-        let accuracy = run_suite(&config, &store, &sim).total_gmean();
+    for (config, suite) in candidates.iter().zip(&suites) {
+        let accuracy = suite.total_gmean();
         let cost = config.cost(&model).expect("two-level schemes are costed");
         println!("{:<42} {:>9.2}% {:>14.0}", config.to_string(), 100.0 * accuracy, cost);
         if best.as_ref().is_none_or(|(_, c)| cost < *c) {

@@ -12,8 +12,9 @@
 # unit tests (so a library change that breaks the API it compiles
 # against fails here) — a one-second smoke run of every repository
 # benchmark workload with all of its checks (see benchmark/README.md),
-# an end-to-end TLBE import of the built-in demo capture, the
-# trace_tools example's TLBE round trip, a byte-compare of every
+# an end-to-end TLBE import of the built-in demo capture, a run of
+# every example (trace_tools among them, with its TLBE round trip),
+# a byte-compare of every
 # committed paper output (all 22 CSVs, regenerated by `experiments all`
 # plus `calibrate` on a fresh trace cache) against `results/`, and the
 # sweep-service smoke test: a daemon is started with a persistent memo
@@ -50,9 +51,12 @@ cargo run --release -q --manifest-path benchmark/Cargo.toml -- run --seed 1 --se
 # persist as a fingerprint-named v3 artifact and pass its replay smoke
 # check end-to-end.
 TLABP_TRACE_DIR="$(mktemp -d)" cargo run -q -p tlabp-experiments --release -- import --out "$(mktemp -d)"
-# Examples compile under `cargo test` but only run here: trace_tools
-# asserts that a workload trace survives TLBE export and import.
-cargo run --release -q --example trace_tools
+# Examples compile under `cargo test` but only run here, each to
+# completion: trace_tools asserts that a workload trace survives TLBE
+# export and import.
+for example in quickstart compare_schemes custom_workload cost_explorer trace_tools; do
+  cargo run --release -q --example "$example"
+done
 
 # Golden paper outputs: `experiments all` plus `calibrate`, on a fresh
 # trace cache, must regenerate every committed CSV under results/

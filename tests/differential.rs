@@ -14,13 +14,19 @@
 use tlabp::core::automaton::Automaton;
 use tlabp::core::config::SchemeConfig;
 use tlabp::core::{BhtConfig, BranchPredictor};
+use tlabp::sim::plan::Plan;
 use tlabp::sim::runner::{
     simulate, simulate_fused, ContextSwitchConfig, SimConfig, SwitchSchedule,
 };
-use tlabp::sim::SimResult;
+use tlabp::sim::{ResultSet, Session, SimResult, TraceStore};
 use tlabp::trace::synth::{BiasedCoins, CorrelatedBranches, Correlation, LoopNest, MarkovBranches};
 use tlabp::trace::{InternedConds, Trace};
 use tlabp::workloads::{Benchmark, DataSet};
+
+/// `plan` on the global pool against `store`.
+fn run(plan: &Plan, store: &TraceStore) -> ResultSet {
+    Session::new(store.clone()).run(plan)
+}
 
 /// Every scheme kind the simulator supports, across automata, history
 /// lengths and BHT geometries (a superset of the paper's Table 3 axes).
@@ -178,13 +184,11 @@ fn fused_flush_pht_ablation_batches_with_pag() {
 }
 
 /// Instrumented jobs that simulate context switches report the switched
-/// accuracy: the miss-breakdown and fetch loops model no switches, so
-/// their own counters must not stand in for the job's.
+/// accuracy, and their one instrumented pass fires the switches too: a
+/// miss breakdown classifies exactly the job's own mispredictions.
 #[test]
 fn instrumented_context_switch_jobs_match_the_reference_path() {
-    use tlabp::sim::engine::execute;
-    use tlabp::sim::plan::{Job, MetricSet, Plan, TargetCacheSpec};
-    use tlabp::sim::TraceStore;
+    use tlabp::sim::plan::{Job, MetricSet, TargetCacheSpec};
 
     let gcc = Benchmark::by_name("gcc").expect("gcc exists");
     let config = SchemeConfig::pag(12).with_context_switch(true);
@@ -197,7 +201,7 @@ fn instrumented_context_switch_jobs_match_the_reference_path() {
         metric_sets.iter().map(|&metrics| Job::scheme(config, gcc).with_metrics(metrics)).collect();
     jobs.push(Job::scheme(config, gcc).with_reference_path(true));
     let plan: Plan = jobs.into_iter().collect();
-    let results = execute(&plan, &TraceStore::from_env());
+    let results = run(&plan, &TraceStore::from_env());
     let reference = &results.outcome(metric_sets.len()).metrics().expect("measured").sim;
     assert!(reference.context_switches > 0, "gcc switches");
     for (index, metrics) in metric_sets.iter().enumerate() {
@@ -205,74 +209,107 @@ fn instrumented_context_switch_jobs_match_the_reference_path() {
         assert_eq!(&measured.sim, reference, "{metrics:?} vs reference");
         assert_eq!(measured.miss_breakdown.is_some(), metrics.miss_breakdown);
         assert_eq!(measured.fetch.is_some(), metrics.fetch.is_some());
+        if let Some(breakdown) = measured.miss_breakdown {
+            assert_eq!(
+                breakdown.total(),
+                reference.predictions - reference.correct,
+                "{metrics:?}: the breakdown classifies the job's own mispredictions"
+            );
+        }
     }
 }
 
-/// The fetch loop steps each conditional branch through `step_interned`
-/// with its interned id. For every catalog scheme without context
-/// switches (training schemes on li's training set), a fetch-metric job
-/// on li reports the reference path's accuracy counters, and fetch stats
-/// equal to a local loop that calls `predict` + `update` on each
-/// conditional and `TargetCache::fetch`/`resolve` on every branch.
+/// A fetch-metric job reports the reference path's accuracy counters,
+/// and fetch stats equal to a local loop that applies `simulate`'s
+/// interval and trap rules to the predictor, calls `predict` + `update`
+/// on each conditional and `TargetCache::fetch`/`resolve` on every
+/// branch. This holds for every catalog scheme without context switches
+/// on li, and for every `c`-flagged one on gcc, whose traps switch
+/// often; a switch flushes the predictor's first level and never the
+/// target cache. Training schemes train on the benchmark's training
+/// set.
 #[test]
 fn fetch_jobs_match_a_predict_update_fetch_loop_for_every_scheme() {
     use tlabp::core::target_cache::{FetchOutcome, TargetCache};
-    use tlabp::sim::engine::execute;
     use tlabp::sim::metrics::FetchStats;
-    use tlabp::sim::plan::{Job, MetricSet, Plan, TargetCacheSpec};
-    use tlabp::sim::TraceStore;
-    use tlabp::trace::BranchClass;
+    use tlabp::sim::plan::{Job, MetricSet, TargetCacheSpec};
+    use tlabp::trace::{BranchClass, TraceEvent};
 
-    let li = Benchmark::by_name("li").expect("li exists");
     let spec = TargetCacheSpec::PAPER_DEFAULT;
     let fetch = MetricSet { miss_breakdown: false, fetch: Some(spec) };
-    let configs: Vec<SchemeConfig> =
-        catalog().into_iter().filter(|config| !config.context_switch()).collect();
-    let plan: Plan = configs
-        .iter()
-        .flat_map(|&config| {
-            [
-                Job::scheme(config, li).with_metrics(fetch),
-                Job::scheme(config, li).with_reference_path(true),
-            ]
-        })
-        .collect();
     let store = TraceStore::from_env();
-    let results = execute(&plan, &store);
-    let trace = store.get(li, DataSet::Testing);
-    let training = store.get(li, DataSet::Training);
-    for (index, config) in configs.iter().enumerate() {
-        let measured = results.outcome(2 * index).metrics().expect("measured");
-        let reference = &results.outcome(2 * index + 1).metrics().expect("measured").sim;
-        assert_eq!(&measured.sim, reference, "{config}: fetch job vs reference path");
+    for (name, switched) in [("li", false), ("gcc", true)] {
+        let benchmark = Benchmark::by_name(name).expect("benchmark exists");
+        let sim = if switched {
+            SimConfig::paper_context_switch()
+        } else {
+            SimConfig::no_context_switch()
+        };
+        let configs: Vec<SchemeConfig> =
+            catalog().into_iter().filter(|config| config.context_switch() == switched).collect();
+        let plan: Plan = configs
+            .iter()
+            .flat_map(|&config| {
+                [
+                    Job::scheme(config, benchmark).with_metrics(fetch),
+                    Job::scheme(config, benchmark).with_reference_path(true),
+                ]
+            })
+            .collect();
+        let results = run(&plan, &store);
+        let trace = store.get(benchmark, DataSet::Testing);
+        let training = store.get(benchmark, DataSet::Training);
+        for (index, config) in configs.iter().enumerate() {
+            let measured = results.outcome(2 * index).metrics().expect("measured");
+            let reference = &results.outcome(2 * index + 1).metrics().expect("measured").sim;
+            assert_eq!(&measured.sim, reference, "{config} on {name}: fetch job vs reference path");
+            assert_eq!(reference.context_switches > 0, switched, "{config} on {name}");
 
-        let mut predictor = build_any(config, &training);
-        let mut cache = TargetCache::new(spec.entries, spec.ways);
-        let mut want = FetchStats::default();
-        for branch in trace.branches() {
-            let predicted_taken = if branch.class.is_conditional() {
-                let predicted = predictor.predict(branch);
-                predictor.update(branch);
-                predicted
-            } else {
-                true
-            };
-            let outcome = cache.fetch(branch, predicted_taken);
-            cache.resolve(branch);
-            want.branches += 1;
-            want.correct_path += u64::from(outcome.is_correct_path());
-            match outcome {
-                FetchOutcome::HitCorrectTarget => want.no_bubble_taken += 1,
-                FetchOutcome::HitWrongPath => {
-                    want.squashes += 1;
-                    want.return_target_misses += u64::from(branch.class == BranchClass::Return);
+            let mut predictor = build_any(config, &training);
+            let mut cache = TargetCache::new(spec.entries, spec.ways);
+            let mut want = FetchStats::default();
+            let mut next_interval_switch = sim.context_switch.map(|cs| cs.interval_instructions);
+            for event in trace.iter() {
+                if let (Some(cs), Some(due)) = (sim.context_switch, next_interval_switch) {
+                    if event.instret() >= due {
+                        predictor.context_switch();
+                        next_interval_switch = Some(event.instret() + cs.interval_instructions);
+                    }
                 }
-                FetchOutcome::HitFallThrough { correct } | FetchOutcome::Miss { correct } => {
-                    want.squashes += u64::from(!correct);
+                let branch = match event {
+                    TraceEvent::Branch(branch) => branch,
+                    TraceEvent::Trap(trap) => {
+                        if let Some(cs) = sim.context_switch.filter(|cs| cs.on_traps) {
+                            predictor.context_switch();
+                            next_interval_switch = Some(trap.instret + cs.interval_instructions);
+                        }
+                        continue;
+                    }
+                };
+                let predicted_taken = if branch.class.is_conditional() {
+                    let predicted = predictor.predict(branch);
+                    predictor.update(branch);
+                    predicted
+                } else {
+                    true
+                };
+                let outcome = cache.fetch(branch, predicted_taken);
+                cache.resolve(branch);
+                want.branches += 1;
+                want.correct_path += u64::from(outcome.is_correct_path());
+                match outcome {
+                    FetchOutcome::HitCorrectTarget => want.no_bubble_taken += 1,
+                    FetchOutcome::HitWrongPath => {
+                        want.squashes += 1;
+                        want.return_target_misses += u64::from(branch.class == BranchClass::Return);
+                    }
+                    FetchOutcome::HitFallThrough { correct } | FetchOutcome::Miss { correct } => {
+                        want.squashes += u64::from(!correct);
+                    }
                 }
             }
+            assert_eq!(measured.fetch, Some(want), "{config} on {name}: fetch stats");
         }
-        assert_eq!(measured.fetch, Some(want), "{config}: fetch stats");
     }
 }
 
@@ -284,9 +321,7 @@ fn fetch_jobs_match_a_predict_update_fetch_loop_for_every_scheme() {
 #[test]
 fn engine_paths_agree_for_every_lowering() {
     use tlabp::core::registry;
-    use tlabp::sim::engine::execute;
-    use tlabp::sim::plan::{Job, Plan};
-    use tlabp::sim::TraceStore;
+    use tlabp::sim::plan::Job;
 
     let li = Benchmark::by_name("li").expect("li exists");
     let configs = [SchemeConfig::pag(8), SchemeConfig::gag(10).with_automaton(Automaton::A3)];
@@ -300,7 +335,7 @@ fn engine_paths_agree_for_every_lowering() {
         ]
         .into_iter()
         .collect();
-        let results = execute(&plan, &TraceStore::from_env());
+        let results = run(&plan, &TraceStore::from_env());
         let sims: Vec<&SimResult> =
             results.iter().map(|(_, outcome)| &outcome.metrics().expect("measured").sim).collect();
         assert_eq!(sims[0], sims[1], "fast vs reference diverged for {config}");
@@ -316,9 +351,7 @@ fn engine_paths_agree_for_every_lowering() {
 /// job: measured counters and skip reasons alike.
 #[test]
 fn fused_per_cell_and_reference_plans_agree_job_for_job() {
-    use tlabp::sim::engine::execute;
-    use tlabp::sim::plan::{Job, Plan};
-    use tlabp::sim::TraceStore;
+    use tlabp::sim::plan::Job;
 
     let li = Benchmark::by_name("li").expect("li exists");
     let eqntott = Benchmark::by_name("eqntott").expect("eqntott exists");
@@ -335,9 +368,9 @@ fn fused_per_cell_and_reference_plans_agree_job_for_job() {
     let per_cell: Plan = jobs.iter().map(|job| job.clone().with_fusion(false)).collect();
     let reference: Plan = jobs.iter().map(|job| job.clone().with_reference_path(true)).collect();
 
-    let fused_out = execute(&fused, &store);
-    let cell_out = execute(&per_cell, &store);
-    let reference_out = execute(&reference, &store);
+    let fused_out = run(&fused, &store);
+    let cell_out = run(&per_cell, &store);
+    let reference_out = run(&reference, &store);
     for (index, job) in jobs.iter().enumerate() {
         let label = job.label();
         let benchmark = job.trace.benchmark.name();
@@ -360,9 +393,7 @@ fn fused_per_cell_and_reference_plans_agree_job_for_job() {
 /// batches with the other predictors of its switch configuration).
 #[test]
 fn fused_outcomes_are_independent_of_batch_composition() {
-    use tlabp::sim::engine::execute;
-    use tlabp::sim::plan::{Job, Plan};
-    use tlabp::sim::TraceStore;
+    use tlabp::sim::plan::Job;
 
     let li = Benchmark::by_name("li").expect("li exists");
     // The whole catalog: the no-switch half lowers to replay and fused
@@ -370,10 +401,10 @@ fn fused_outcomes_are_independent_of_batch_composition() {
     let configs = catalog();
     let store = TraceStore::from_env();
     let multi: Plan = configs.iter().map(|&config| Job::scheme(config, li)).collect();
-    let multi_out = execute(&multi, &store);
+    let multi_out = run(&multi, &store);
     for (index, &config) in configs.iter().enumerate() {
         let single: Plan = [Job::scheme(config, li)].into_iter().collect();
-        let single_out = execute(&single, &store);
+        let single_out = run(&single, &store);
         assert_eq!(
             multi_out.outcome(index),
             single_out.outcome(0),
@@ -519,9 +550,7 @@ fn wide_replay_batches_match_per_member_reference() {
 /// without training sets.
 #[test]
 fn replay_fused_and_reference_plans_agree_job_for_job() {
-    use tlabp::sim::engine::execute;
-    use tlabp::sim::plan::{Job, Plan};
-    use tlabp::sim::TraceStore;
+    use tlabp::sim::plan::Job;
 
     let li = Benchmark::by_name("li").expect("li exists");
     let eqntott = Benchmark::by_name("eqntott").expect("eqntott exists");
@@ -536,9 +565,9 @@ fn replay_fused_and_reference_plans_agree_job_for_job() {
     let fused: Plan = jobs.iter().map(|job| job.clone().with_replay(false)).collect();
     let reference: Plan = jobs.iter().map(|job| job.clone().with_reference_path(true)).collect();
 
-    let replay_out = execute(&replay, &store);
-    let fused_out = execute(&fused, &store);
-    let reference_out = execute(&reference, &store);
+    let replay_out = run(&replay, &store);
+    let fused_out = run(&fused, &store);
+    let reference_out = run(&reference, &store);
     for (index, job) in jobs.iter().enumerate() {
         let label = job.label();
         let benchmark = job.trace.benchmark.name();
@@ -634,9 +663,8 @@ fn transposed_kernels_match_automaton_on_all_256_inputs() {
 #[test]
 fn grid_plan_is_invariant_across_replay_kernels_and_fusion() {
     use tlabp::core::SimdMode;
-    use tlabp::sim::engine::{execute, execute_with, ExecOptions};
-    use tlabp::sim::plan::{Job, Plan};
-    use tlabp::sim::{SweepPool, TraceStore};
+    use tlabp::sim::plan::Job;
+    use tlabp::sim::ExecOptions;
 
     let benchmarks =
         [Benchmark::by_name("li").expect("li exists"), Benchmark::by_name("eqntott").unwrap()];
@@ -656,8 +684,8 @@ fn grid_plan_is_invariant_across_replay_kernels_and_fusion() {
     let fused: Plan = jobs.iter().map(|job| job.clone().with_replay(false)).collect();
 
     let store = TraceStore::from_env();
-    let fused_out = execute(&fused, &store);
-    let kernel = |simd| execute_with(SweepPool::global(), &plan, &store, ExecOptions { simd });
+    let fused_out = run(&fused, &store);
+    let kernel = |simd| Session::new(store.clone()).with_options(ExecOptions { simd }).run(&plan);
     let auto = kernel(SimdMode::Auto);
     let scalar = kernel(SimdMode::Scalar);
     for (index, job) in jobs.iter().enumerate() {
@@ -685,9 +713,8 @@ fn grid_plan_is_invariant_across_replay_kernels_and_fusion() {
 /// `forced_split_replay_matches_unsplit` asserts that on the same plan.
 #[test]
 fn split_replay_matches_unsplit_for_every_scheme_and_automaton() {
-    use tlabp::sim::engine::execute_on;
-    use tlabp::sim::plan::{Job, Plan};
-    use tlabp::sim::{SweepPool, TraceStore};
+    use tlabp::sim::plan::Job;
+    use tlabp::sim::SweepPool;
 
     let benchmark = Benchmark::by_name("li").expect("li exists");
     let schemes: [fn(u32) -> SchemeConfig; 3] =
@@ -703,10 +730,10 @@ fn split_replay_matches_unsplit_for_every_scheme_and_automaton() {
     let plan: Plan = jobs.iter().cloned().collect();
 
     let store = TraceStore::new();
-    let run = |workers| execute_on(&SweepPool::new(workers), &plan, &store);
-    let unsplit = run(1);
+    let run_on = |workers| Session::on(&SweepPool::new(workers), store.clone()).run(&plan);
+    let unsplit = run_on(1);
     for workers in [2, 4] {
-        let split_out = run(workers);
+        let split_out = run_on(workers);
         for (index, job) in jobs.iter().enumerate() {
             assert_eq!(
                 unsplit.outcome(index),

@@ -13,15 +13,19 @@ use std::sync::Arc;
 
 use tlabp::core::config::SchemeConfig;
 use tlabp::core::BhtConfig;
-use tlabp::sim::engine::execute;
 use tlabp::sim::plan::{Job, Plan};
-use tlabp::sim::{StreamKey, TraceStore};
+use tlabp::sim::{ResultSet, Session, StreamKey, TraceStore};
 use tlabp::trace::io::{
     read_artifacts, write_artifacts_chunked, ArtifactBundle, ARTIFACT_VERSION_CHUNKED,
     DEFAULT_CHUNK_BYTES,
 };
 use tlabp::trace::InternedConds;
 use tlabp::workloads::{Benchmark, DataSet};
+
+/// `plan` on the global pool against `store`.
+fn run(plan: &Plan, store: &TraceStore) -> ResultSet {
+    Session::new(store.clone()).run(plan)
+}
 
 /// A unique scratch cache directory per test (tests run concurrently in
 /// one process; a shared dir would interleave lifecycles).
@@ -67,8 +71,8 @@ fn disk_enabled_and_disabled_agree_bit_for_bit() {
     let dir = scratch_dir("agree");
     let plan = plan();
 
-    let memory_out = execute(&plan, &TraceStore::new());
-    let cold_out = execute(&plan, &TraceStore::with_cache_dir(&dir));
+    let memory_out = run(&plan, &TraceStore::new());
+    let cold_out = run(&plan, &TraceStore::with_cache_dir(&dir));
     assert_eq!(memory_out, cold_out, "writing the disk cache changed results");
 
     let paths = artifact_paths(&dir);
@@ -78,7 +82,7 @@ fn disk_enabled_and_disabled_agree_bit_for_bit() {
         "artifact name carries benchmark, data set and version: {paths:?}"
     );
 
-    let warm_out = execute(&plan, &TraceStore::with_cache_dir(&dir));
+    let warm_out = run(&plan, &TraceStore::with_cache_dir(&dir));
     assert_eq!(memory_out, warm_out, "hydrating from the disk cache changed results");
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -93,7 +97,7 @@ fn warm_store_hydrates_all_forms_from_disk() {
     let li = Benchmark::by_name("li").expect("li exists");
 
     let cold = TraceStore::with_cache_dir(&dir);
-    let _ = execute(&plan(), &cold);
+    let _ = run(&plan(), &cold);
     let trace = cold.get(li, DataSet::Testing);
     let interned = cold.get_interned(li, DataSet::Testing);
     let bytes_before = std::fs::read(&artifact_paths(&dir)[0]).expect("artifact exists");
@@ -120,8 +124,8 @@ fn warm_store_hydrates_all_forms_from_disk() {
 fn corrupted_artifacts_fall_back_to_regeneration() {
     let dir = scratch_dir("corrupt");
     let plan = plan();
-    let memory_out = execute(&plan, &TraceStore::new());
-    let _ = execute(&plan, &TraceStore::with_cache_dir(&dir));
+    let memory_out = run(&plan, &TraceStore::new());
+    let _ = run(&plan, &TraceStore::with_cache_dir(&dir));
     let path = artifact_paths(&dir).remove(0);
     let good = std::fs::read(&path).expect("artifact exists");
 
@@ -130,7 +134,7 @@ fn corrupted_artifacts_fall_back_to_regeneration() {
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0x10;
     std::fs::write(&path, &flipped).expect("write corrupted artifact");
-    let flipped_out = execute(&plan, &TraceStore::with_cache_dir(&dir));
+    let flipped_out = run(&plan, &TraceStore::with_cache_dir(&dir));
     assert_eq!(memory_out, flipped_out, "bit-flipped cache changed results");
     assert_eq!(
         std::fs::read(&path).expect("artifact exists"),
@@ -149,12 +153,12 @@ fn corrupted_artifacts_fall_back_to_regeneration() {
     let mut inflated = good.clone();
     inflated[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     std::fs::write(&path, &inflated).expect("write inflated artifact");
-    let inflated_out = execute(&plan, &TraceStore::with_cache_dir(&dir));
+    let inflated_out = run(&plan, &TraceStore::with_cache_dir(&dir));
     assert_eq!(memory_out, inflated_out, "inflated chunk count changed results");
 
     // Truncate mid-file.
     std::fs::write(&path, &good[..mid]).expect("write truncated artifact");
-    let truncated_out = execute(&plan, &TraceStore::with_cache_dir(&dir));
+    let truncated_out = run(&plan, &TraceStore::with_cache_dir(&dir));
     assert_eq!(memory_out, truncated_out, "truncated cache changed results");
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -173,7 +177,7 @@ fn store_writes_and_holds_no_packed_form() {
     let dir = scratch_dir("no-packed");
     let li = Benchmark::by_name("li").expect("li exists");
     let store = TraceStore::with_cache_dir(&dir);
-    let _ = execute(&plan(), &store);
+    let _ = run(&plan(), &store);
 
     let paths = artifact_paths(&dir);
     assert!(!paths.is_empty(), "the plan persists its slots");
@@ -247,7 +251,7 @@ fn cache_bytes_reports_disk_footprint() {
     let store = TraceStore::with_cache_dir(&dir);
     assert_eq!(store.cache_bytes().disk, 0, "empty cache dir has no footprint");
 
-    let _ = execute(&plan(), &store);
+    let _ = run(&plan(), &store);
     let on_disk: usize = artifact_paths(&dir)
         .iter()
         .map(|path| std::fs::metadata(path).expect("artifact exists").len() as usize)
@@ -258,7 +262,7 @@ fn cache_bytes_reports_disk_footprint() {
     assert_eq!(bytes.total(), bytes.packed + bytes.interned + bytes.streams + bytes.disk);
 
     let memory = TraceStore::new();
-    let _ = execute(&plan(), &memory);
+    let _ = run(&plan(), &memory);
     assert_eq!(memory.cache_bytes().disk, 0);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -280,8 +284,7 @@ fn concurrent_writers_merge_into_one_artifact() {
         |k: u32| -> Plan { [Job::scheme(SchemeConfig::gag(k), li)].into_iter().collect() };
 
     // Reference outcomes from hermetic memory-only stores.
-    let expected: Vec<_> =
-        widths.iter().map(|&k| execute(&plan_for(k), &TraceStore::new())).collect();
+    let expected: Vec<_> = widths.iter().map(|&k| run(&plan_for(k), &TraceStore::new())).collect();
 
     // Four threads, four *distinct* store instances, one directory: each
     // persists the shared li-testing artifact concurrently with a
@@ -290,7 +293,7 @@ fn concurrent_writers_merge_into_one_artifact() {
         .iter()
         .map(|&k| {
             let dir = dir.clone();
-            std::thread::spawn(move || execute(&plan_for(k), &TraceStore::with_cache_dir(&dir)))
+            std::thread::spawn(move || run(&plan_for(k), &TraceStore::with_cache_dir(&dir)))
         })
         .collect::<Vec<_>>()
         .into_iter()
@@ -318,7 +321,7 @@ fn concurrent_writers_merge_into_one_artifact() {
     let bytes_before = std::fs::read(&paths[0]).expect("artifact exists");
     let warm = TraceStore::with_cache_dir(&dir);
     for (&k, expected) in widths.iter().zip(&expected) {
-        assert_eq!(&execute(&plan_for(k), &warm), expected, "hydrated union changed results");
+        assert_eq!(&run(&plan_for(k), &warm), expected, "hydrated union changed results");
     }
     let bytes_after = std::fs::read(&paths[0]).expect("artifact exists");
     assert_eq!(bytes_before, bytes_after, "a complete union artifact must not be rewritten");

@@ -2,7 +2,7 @@
 //!
 //! In-process servers (bound to ephemeral ports) back every scenario:
 //! concurrent clients each receive streamed result sets bit-identical to
-//! an in-process `execute` of the same plan; repeated submissions are
+//! an in-process `Session::run` of the same plan; repeated submissions are
 //! answered from the memo cache with zero simulation work (proven by a
 //! counting predictor builder), including across a daemon restart via
 //! the persistent memo tier; admission control holds pipelined plans to
@@ -20,10 +20,14 @@ use std::time::Duration;
 use tlabp::core::config::SchemeConfig;
 use tlabp::core::registry;
 use tlabp::service::{Client, MemoDirMode, ServeConfig, SweepServer};
-use tlabp::sim::engine::execute;
 use tlabp::sim::plan::{Job, Plan};
-use tlabp::sim::{ExecOptions, TraceStore};
+use tlabp::sim::{ExecOptions, ResultSet, Session, TraceStore};
 use tlabp::workloads::Benchmark;
+
+/// `plan` on the global pool against `store`.
+fn run(plan: &Plan, store: &TraceStore) -> ResultSet {
+    Session::new(store.clone()).run(plan)
+}
 
 fn li() -> &'static Benchmark {
     Benchmark::by_name("li").expect("li exists")
@@ -66,7 +70,7 @@ fn pipelined_submissions_return_responses_in_submission_order() {
         .collect();
     let store = TraceStore::new();
     let expected: Vec<String> =
-        plans.iter().map(|plan| execute(plan, &store).to_json_string()).collect();
+        plans.iter().map(|plan| run(plan, &store).to_json_string()).collect();
 
     let mut config = server_config(64 << 20);
     config.inflight = 2;
@@ -103,8 +107,8 @@ fn concurrent_clients_match_in_process_execution_bit_for_bit() {
             .collect();
 
     let store = TraceStore::new();
-    let expected_a = execute(&plan_a, &store).to_json_string();
-    let expected_b = execute(&plan_b, &store).to_json_string();
+    let expected_a = run(&plan_a, &store).to_json_string();
+    let expected_b = run(&plan_b, &store).to_json_string();
 
     let addr = spawn_server(server_config(64 << 20));
     let threads =
@@ -367,7 +371,7 @@ fn server_reports_errors_and_survives_them() {
 
     // The daemon still serves correct plans after all that.
     let plan: Plan = [Job::scheme(SchemeConfig::btfn(), li())].into_iter().collect();
-    let expected = execute(&plan, &TraceStore::new()).to_json_string();
+    let expected = run(&plan, &TraceStore::new()).to_json_string();
     let (results, _) = connect(&addr).execute(&plan).expect("daemon survived the bad clients");
     assert_eq!(results.to_json_string(), expected);
 }
@@ -396,7 +400,7 @@ fn impossible_scheme_geometry_earns_an_error_frame_and_spares_the_pool() {
 
     let addr = spawn_server(server_config(64 << 20));
     let good: Plan = [Job::scheme(SchemeConfig::gag(12), li())].into_iter().collect();
-    let expected = execute(&good, &TraceStore::new()).to_json_string();
+    let expected = run(&good, &TraceStore::new()).to_json_string();
     let bad = good.to_json_string().replace("12-sr", "40-sr").replace("2^12", "2^40");
     assert!(bad.contains("GAg(HR(1,,40-sr),1xPHT(2^40,A2))"), "fixture: {bad}");
 
@@ -433,7 +437,7 @@ fn soak_mixed_cold_memo_and_malformed_clients_stay_bit_identical() {
             .collect();
     let store = TraceStore::new();
     let expected: Arc<Vec<String>> =
-        Arc::new(variants.iter().map(|plan| execute(plan, &store).to_json_string()).collect());
+        Arc::new(variants.iter().map(|plan| run(plan, &store).to_json_string()).collect());
     let variants = Arc::new(variants);
 
     let mut clients = Vec::new();

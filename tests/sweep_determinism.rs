@@ -8,9 +8,24 @@
 
 use tlabp::core::automaton::Automaton;
 use tlabp::core::config::SchemeConfig;
+use tlabp::sim::plan::Plan;
 use tlabp::sim::runner::SimConfig;
-use tlabp::sim::sweep::run_sweep_on;
-use tlabp::sim::{SweepPool, TraceStore};
+use tlabp::sim::{ExecOptions, ResultSet, Session, SuiteResult, SweepPool, TraceStore};
+
+/// `plan` on `pool` against `store`, with default execution options.
+fn run_on(pool: &SweepPool, plan: &Plan, store: &TraceStore) -> ResultSet {
+    Session::on(pool, store.clone()).run(plan)
+}
+
+/// Every configuration on every benchmark, one suite per configuration.
+fn sweep_on(
+    pool: &SweepPool,
+    configs: &[SchemeConfig],
+    store: &TraceStore,
+    sim: &SimConfig,
+) -> Vec<SuiteResult> {
+    run_on(pool, &Plan::suites(configs, sim), store).suites()
+}
 
 fn sweep_configs() -> Vec<SchemeConfig> {
     vec![
@@ -29,9 +44,9 @@ fn sweep_results_are_identical_across_pool_sizes() {
     // Separate stores: each run generates (or reuses) its own traces, so
     // agreement also covers trace-generation determinism.
     let serial_pool = SweepPool::new(1);
-    let serial = run_sweep_on(&serial_pool, &configs, &TraceStore::new(), &sim);
+    let serial = sweep_on(&serial_pool, &configs, &TraceStore::new(), &sim);
     let parallel_pool = SweepPool::new(8);
-    let parallel = run_sweep_on(&parallel_pool, &configs, &TraceStore::new(), &sim);
+    let parallel = sweep_on(&parallel_pool, &configs, &TraceStore::new(), &sim);
 
     assert_eq!(serial.len(), configs.len());
     assert_eq!(serial, parallel, "pool size changed the sweep output");
@@ -47,8 +62,8 @@ fn repeated_sweeps_on_one_store_are_stable() {
     let sim = SimConfig::no_context_switch();
     let store = TraceStore::new();
     let pool = SweepPool::new(4);
-    let first = run_sweep_on(&pool, &configs, &store, &sim);
-    let second = run_sweep_on(&pool, &configs, &store, &sim);
+    let first = sweep_on(&pool, &configs, &store, &sim);
+    let second = sweep_on(&pool, &configs, &store, &sim);
     assert_eq!(first, second);
 }
 
@@ -62,8 +77,7 @@ fn repeated_sweeps_on_one_store_are_stable() {
 fn engine_results_are_identical_across_pool_sizes() {
     use tlabp::core::registry;
     use tlabp::core::BhtConfig;
-    use tlabp::sim::engine::execute_on;
-    use tlabp::sim::plan::{Job, MetricSet, Plan, TargetCacheSpec};
+    use tlabp::sim::plan::{Job, MetricSet, TargetCacheSpec};
     use tlabp::workloads::Benchmark;
 
     registry::register("determinism-dyn-pag8", || {
@@ -99,9 +113,9 @@ fn engine_results_are_identical_across_pool_sizes() {
         .collect();
 
     let serial_pool = SweepPool::new(1);
-    let serial = execute_on(&serial_pool, &plan, &TraceStore::new());
+    let serial = run_on(&serial_pool, &plan, &TraceStore::new());
     let parallel_pool = SweepPool::new(8);
-    let parallel = execute_on(&parallel_pool, &plan, &TraceStore::new());
+    let parallel = run_on(&parallel_pool, &plan, &TraceStore::new());
     assert_eq!(serial.len(), plan.len());
     assert_eq!(serial, parallel, "pool size changed the engine output");
 }
@@ -116,8 +130,7 @@ fn engine_results_are_identical_across_pool_sizes() {
 #[test]
 fn cold_store_prefetch_is_identical_across_pool_sizes() {
     use tlabp::core::BhtConfig;
-    use tlabp::sim::engine::execute_on;
-    use tlabp::sim::plan::{Job, Plan};
+    use tlabp::sim::plan::Job;
     use tlabp::workloads::Benchmark;
 
     // Replay-lowered, fused and context-switch jobs in one plan, so every
@@ -136,9 +149,9 @@ fn cold_store_prefetch_is_identical_across_pool_sizes() {
         .collect();
 
     let serial_pool = SweepPool::new(1);
-    let serial = execute_on(&serial_pool, &plan, &TraceStore::from_env());
+    let serial = run_on(&serial_pool, &plan, &TraceStore::from_env());
     let parallel_pool = SweepPool::new(8);
-    let parallel = execute_on(&parallel_pool, &plan, &TraceStore::from_env());
+    let parallel = run_on(&parallel_pool, &plan, &TraceStore::from_env());
     assert_eq!(serial.len(), plan.len());
     assert_eq!(serial, parallel, "the prefetch pool width changed the engine output");
 }
@@ -150,8 +163,7 @@ fn cold_store_prefetch_is_identical_across_pool_sizes() {
 #[test]
 fn forced_simd_paths_are_bit_identical_across_pool_sizes() {
     use tlabp::core::SimdMode;
-    use tlabp::sim::engine::{execute_with, ExecOptions};
-    use tlabp::sim::plan::{Job, Plan};
+    use tlabp::sim::plan::Job;
     use tlabp::workloads::Benchmark;
 
     let plan: Plan = [Benchmark::by_name("li").unwrap(), Benchmark::by_name("eqntott").unwrap()]
@@ -171,13 +183,15 @@ fn forced_simd_paths_are_bit_identical_across_pool_sizes() {
 
     let store = TraceStore::new();
     let baseline_pool = SweepPool::new(1);
-    let baseline =
-        execute_with(&baseline_pool, &plan, &store, ExecOptions { simd: SimdMode::Scalar });
+    let with = |pool: &SweepPool, simd| {
+        Session::on(pool, store.clone()).with_options(ExecOptions { simd }).run(&plan)
+    };
+    let baseline = with(&baseline_pool, SimdMode::Scalar);
     assert_eq!(baseline.len(), plan.len());
     for simd in [SimdMode::Auto, SimdMode::Scalar] {
         for workers in [1, 8] {
             let pool = SweepPool::new(workers);
-            let run = execute_with(&pool, &plan, &store, ExecOptions { simd });
+            let run = with(&pool, simd);
             assert_eq!(baseline, run, "{simd:?} on {workers} workers diverged from scalar");
         }
     }
@@ -192,8 +206,7 @@ fn forced_simd_paths_are_bit_identical_across_pool_sizes() {
 #[test]
 fn forced_kernel_pool_and_split_cross_is_bit_identical() {
     use tlabp::core::SimdMode;
-    use tlabp::sim::engine::{execute_with, ExecOptions};
-    use tlabp::sim::plan::{Job, Plan};
+    use tlabp::sim::plan::Job;
     use tlabp::workloads::Benchmark;
 
     let benchmark = Benchmark::by_name("li").unwrap();
@@ -212,13 +225,15 @@ fn forced_kernel_pool_and_split_cross_is_bit_identical() {
 
     let store = TraceStore::new();
     let baseline_pool = SweepPool::new(1);
-    let baseline =
-        execute_with(&baseline_pool, &plan, &store, ExecOptions { simd: SimdMode::Scalar });
+    let with = |pool: &SweepPool, simd| {
+        Session::on(pool, store.clone()).with_options(ExecOptions { simd }).run(&plan)
+    };
+    let baseline = with(&baseline_pool, SimdMode::Scalar);
     assert_eq!(baseline.len(), plan.len());
     for simd in [SimdMode::Auto, SimdMode::Scalar] {
         for workers in [1, 2, 4] {
             let pool = SweepPool::new(workers);
-            let run = execute_with(&pool, &plan, &store, ExecOptions { simd });
+            let run = with(&pool, simd);
             assert_eq!(baseline, run, "{simd:?} x {workers} workers diverged from scalar/unsplit");
         }
     }
