@@ -23,6 +23,8 @@
 //! * the Table 3 configuration notation ([`config::SchemeConfig`]), which
 //!   round-trips through `Display`/`FromStr` and builds any simulated
 //!   predictor;
+//! * the process environment ([`env`](mod@env)): every `TLABP_*` knob,
+//!   read once by one parser into a typed [`env::Config`];
 //! * a process-wide [`registry`] of named builders for predictors outside
 //!   the catalog (e.g. [`schemes::Gshare`]), so the simulation engine can
 //!   execute them through the same job pipeline as Table 3 schemes.
@@ -61,6 +63,7 @@ pub mod automaton;
 pub mod bht;
 pub mod config;
 pub mod cost;
+pub mod env;
 pub mod fxhash;
 pub mod geometry;
 pub mod history;

@@ -7,6 +7,7 @@
 //! experiments serve                           # run the sweep daemon (TLABP_SERVE_ADDR)
 //! experiments client <plan.json> [--out DIR]  # submit a Plan to a running daemon
 //! experiments import [capture.tlbe] [--out DIR]  # ingest an external trace capture
+//! experiments config                          # print every TLABP_* knob as resolved
 //! ```
 //!
 //! Run `experiments --help` for the artifact list — it is generated from
@@ -225,6 +226,7 @@ fn main() -> ExitCode {
         "serve" => return cmd_serve(),
         "client" => return cmd_client(operand.as_deref(), &out_dir),
         "import" => return cmd_import(operand.as_deref(), &out_dir),
+        "config" if operand.is_none() => return cmd_config(),
         _ => {}
     }
     if let Some(extra) = operand {
@@ -355,11 +357,10 @@ fn cmd_exec(input: Option<&str>, out_dir: &Path) -> ExitCode {
     write_results(&results_path(input, out_dir), &results)
 }
 
-/// `experiments serve`: run the sweep daemon per `TLABP_SERVE_ADDR` /
-/// `TLABP_SERVE_INFLIGHT` / `TLABP_SERVE_MEMO_BYTES` /
-/// `TLABP_SERVE_MEMO_DIR` / `TLABP_SERVE_MEMO_DISK_BYTES`, sharing one
-/// warm trace store and the global worker pool across every connection.
-/// The daemon needs a unix host.
+/// `experiments serve`: run the sweep daemon per the `TLABP_SERVE_*`
+/// knobs (see `experiments config`), sharing one warm trace store and
+/// the global worker pool across every connection. The daemon needs a
+/// unix host.
 fn cmd_serve() -> ExitCode {
     figures::register_custom_predictors();
     let config = tlabp_service::ServeConfig::from_env();
@@ -388,8 +389,7 @@ fn cmd_client(input: Option<&str>, out_dir: &Path) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let addr = env::var(tlabp_service::SERVE_ADDR_ENV)
-        .unwrap_or_else(|_| tlabp_service::DEFAULT_SERVE_ADDR.to_owned());
+    let addr = tlabp_service::ServeConfig::from_env().addr;
     let mut client = match tlabp_service::Client::connect_with_retry(&addr, Duration::from_secs(10))
     {
         Ok(client) => client,
@@ -507,6 +507,28 @@ fn cmd_import(input: Option<&str>, out_dir: &Path) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `experiments config`: print every `TLABP_*` knob as resolved, one
+/// `NAME=value` line each, after the warnings a garbage value earns on
+/// stderr. The trace directory is the one the drivers persist under.
+fn cmd_config() -> ExitCode {
+    use tlabp_core::env::{self, Config, DirKnob};
+    let Config { simd, serve, .. } = Config::get();
+    let shown = |dir: Option<&Path>| dir.map_or("off".to_owned(), |dir| dir.display().to_string());
+    let memo_dir = match &serve.memo_dir {
+        DirKnob::Unset => "auto".to_owned(),
+        DirKnob::Off => shown(None),
+        DirKnob::Dir(dir) => shown(Some(dir)),
+    };
+    let disk = serve.memo_disk_bytes.map_or("unbounded".to_owned(), |bytes| bytes.to_string());
+    println!("{}={}", env::TRACE_DIR_ENV, shown(tlabp_sim::TraceStore::persistent().cache_dir()));
+    println!("{}={}", env::SIMD_ENV, simd.name());
+    println!("{}={}", env::SERVE_ADDR_ENV, serve.addr);
+    println!("{}={}", env::SERVE_MEMO_BYTES_ENV, serve.memo_bytes);
+    println!("{}={memo_dir}", env::SERVE_MEMO_DIR_ENV);
+    println!("{}={disk}", env::SERVE_MEMO_DISK_BYTES_ENV);
+    ExitCode::SUCCESS
+}
+
 fn print_usage() {
     println!("usage: experiments <artifact> [--out DIR]");
     println!("       experiments plan <artifact> [--out DIR]");
@@ -514,6 +536,7 @@ fn print_usage() {
     println!("       experiments serve");
     println!("       experiments client <plan.json> [--out DIR]");
     println!("       experiments import [capture.tlbe] [--out DIR]");
+    println!("       experiments config");
     println!("artifacts:");
     let width = ARTIFACTS.iter().map(|a| a.name.len()).max().unwrap_or(0);
     for entry in &ARTIFACTS {
@@ -522,16 +545,9 @@ fn print_usage() {
     }
     println!("  {:width$}  every artifact above marked as part of the reproduction", "all");
     println!(
-        "\nThe daemon commands honor TLABP_SERVE_ADDR (default {});",
-        tlabp_service::DEFAULT_SERVE_ADDR
-    );
-    println!(
-        "`serve` (unix hosts only) additionally honors TLABP_SERVE_INFLIGHT,\n\
-         TLABP_SERVE_MEMO_BYTES, TLABP_SERVE_MEMO_DIR and TLABP_SERVE_MEMO_DISK_BYTES."
-    );
-    println!(
-        "`import` decodes a TLBE execution-trace capture (or a built-in demo when no\n\
-         file is given) into a v3 chunked artifact named by its content fingerprint,\n\
-         honoring TLABP_TRACE_DIR."
+        "\nThe TLABP_* environment variables choose where caches live, which replay\n\
+         kernel body runs and how the daemon serves; `config` prints each as resolved.\n\
+         `import` decodes a TLBE execution-trace capture (or a built-in demo when no\n\
+         file is given) into a v3 chunked artifact named by its content fingerprint."
     );
 }

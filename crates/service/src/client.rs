@@ -98,7 +98,7 @@ impl Client {
     /// drains the responses in submission order.
     ///
     /// This exploits the server's per-connection admission control: up
-    /// to `TLABP_SERVE_INFLIGHT` of the pipelined plans execute
+    /// to [`INFLIGHT`](crate::INFLIGHT) of the pipelined plans execute
     /// concurrently while the rest queue FIFO, and responses always come
     /// back in submission order — one round trip for the whole batch
     /// instead of one per plan.

@@ -24,7 +24,7 @@
 //!   back over a bounded channel, nudging the I/O thread through the
 //!   waker. The channel bound is end-to-end backpressure: a client that
 //!   stops reading eventually blocks only its own plan's producer.
-//! * **Admission control**: at most `inflight` plans per connection
+//! * **Admission control**: at most [`INFLIGHT`] plans per connection
 //!   execute concurrently; further pipelined plans wait in FIFO order
 //!   and are (re)checked against the memo tier at admission, so a
 //!   duplicate computed meanwhile is served for free. Responses always
@@ -51,7 +51,7 @@ use crate::proto::FrameAssembler;
 use crate::proto::{
     decode_frame, done_payload, encode_frame, error_payload, result_payload, FrameKind,
 };
-use crate::server::{validate_plan, Shared};
+use crate::server::{validate_plan, Shared, INFLIGHT};
 
 /// Hard cap on one frame line; a client that streams bytes without a
 /// newline is cut off here rather than growing the reassembly buffer
@@ -623,12 +623,7 @@ fn append_frame(out: &mut Vec<u8>, kind: FrameKind, payload: &str) {
 
 /// Drains the socket until `WouldBlock`/EOF, reassembling and handling
 /// every completed frame. Returns `false` when the connection died.
-fn handle_readable(
-    conn: &mut Conn,
-    shared: &Shared,
-    job_tx: &Sender<ExecJob>,
-    inflight: usize,
-) -> bool {
+fn handle_readable(conn: &mut Conn, shared: &Shared, job_tx: &Sender<ExecJob>) -> bool {
     let mut buf = [0u8; READ_CHUNK];
     loop {
         if conn.read_closed || conn.responses.len() >= MAX_PIPELINE {
@@ -645,7 +640,7 @@ fn handle_readable(
                         if line.is_empty() {
                             continue;
                         }
-                        handle_frame(conn, &line, shared, job_tx, inflight);
+                        handle_frame(conn, &line, shared, job_tx);
                         if conn.read_closed {
                             return true;
                         }
@@ -668,15 +663,9 @@ fn handle_readable(
 }
 
 /// Handles one complete frame line from a client.
-fn handle_frame(
-    conn: &mut Conn,
-    line: &str,
-    shared: &Shared,
-    job_tx: &Sender<ExecJob>,
-    inflight: usize,
-) {
+fn handle_frame(conn: &mut Conn, line: &str, shared: &Shared, job_tx: &Sender<ExecJob>) {
     match decode_frame(line) {
-        Ok((FrameKind::Plan, payload)) => submit_plan(conn, payload, shared, job_tx, inflight),
+        Ok((FrameKind::Plan, payload)) => submit_plan(conn, payload, shared, job_tx),
         Ok((kind, _)) => {
             conn.responses.push_back(Resp::Fail {
                 message: format!("expected a plan frame, got {kind}"),
@@ -693,13 +682,7 @@ fn handle_frame(
 
 /// Queues one plan request: memo fast path, then parse/validate, then
 /// admission.
-fn submit_plan(
-    conn: &mut Conn,
-    payload: &str,
-    shared: &Shared,
-    job_tx: &Sender<ExecJob>,
-    inflight: usize,
-) {
+fn submit_plan(conn: &mut Conn, payload: &str, shared: &Shared, job_tx: &Sender<ExecJob>) {
     shared.stats.plan();
     // Fast path: conforming clients send the canonical plan JSON, which
     // is exactly the memo key — a hit costs one map probe and zero
@@ -730,15 +713,15 @@ fn submit_plan(
         }
     }
     conn.responses.push_back(Resp::Queued { key, plan: Box::new(plan) });
-    admit(conn, shared, job_tx, inflight);
+    admit(conn, shared, job_tx);
 }
 
 /// Converts queued plans to live executions, FIFO, up to the
 /// per-connection in-flight cap. Plans memoized since they queued are
 /// converted to free memo replays instead (and don't consume a slot).
-fn admit(conn: &mut Conn, shared: &Shared, job_tx: &Sender<ExecJob>, inflight: usize) {
+fn admit(conn: &mut Conn, shared: &Shared, job_tx: &Sender<ExecJob>) {
     for resp in conn.responses.iter_mut() {
-        if conn.live >= inflight {
+        if conn.live >= INFLIGHT {
             return;
         }
         if let Resp::Queued { key, plan } = resp {
@@ -767,11 +750,11 @@ fn admit(conn: &mut Conn, shared: &Shared, job_tx: &Sender<ExecJob>, inflight: u
 /// Moves completed response data into the output buffer (bounded by
 /// [`OUT_HIGH`]) and re-admits queued plans as slots free up. Responses
 /// leave strictly in request order.
-fn pump(conn: &mut Conn, shared: &Shared, job_tx: &Sender<ExecJob>, inflight: usize) {
+fn pump(conn: &mut Conn, shared: &Shared, job_tx: &Sender<ExecJob>) {
     loop {
         let before = (conn.out.len(), conn.responses.len(), conn.live);
         fill_out(conn);
-        admit(conn, shared, job_tx, inflight);
+        admit(conn, shared, job_tx);
         if (conn.out.len(), conn.responses.len(), conn.live) == before {
             return;
         }
@@ -875,26 +858,17 @@ fn update_interest(conn: &mut Conn, poller: &mut Poller, token: usize) -> std::i
     Ok(())
 }
 
-/// Event-core knobs resolved by the server from its
-/// [`ServeConfig`](crate::server::ServeConfig).
-pub(crate) struct EventConfig {
-    /// Per-connection concurrent-plan cap (`TLABP_SERVE_INFLIGHT`).
-    pub(crate) inflight: usize,
-    /// Executor pool size.
-    pub(crate) exec_threads: usize,
-}
-
 /// Runs the event-driven accept-and-serve loop forever. The fixed
 /// thread budget is `1` (this I/O thread) `+ exec_threads`, independent
 /// of the number of connections.
-pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, config: &EventConfig) -> ! {
+pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, exec_threads: usize) -> ! {
     listener.set_nonblocking(true).expect("nonblocking listener");
     let mut poller = Poller::new(PollerBackend::NATIVE);
     let mut waker = Waker::new().expect("waker socketpair");
 
     let (job_tx, job_rx) = mpsc::channel::<ExecJob>();
     let job_rx = Arc::new(Mutex::new(job_rx));
-    for n in 0..config.exec_threads.max(1) {
+    for n in 0..exec_threads.max(1) {
         let shared = Arc::clone(shared);
         let job_rx = Arc::clone(&job_rx);
         let handle = waker.handle();
@@ -931,9 +905,7 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, config: &EventCo
                 TOKEN_WAKER => waker.drain(),
                 token => {
                     if let Some(conn) = conns.get_mut(&token) {
-                        if (ev.readable || ev.error)
-                            && !handle_readable(conn, shared, &job_tx, config.inflight)
-                        {
+                        if (ev.readable || ev.error) && !handle_readable(conn, shared, &job_tx) {
                             dead.push(token);
                         }
                         let _ = ev.writable; // flushed in the pump pass below
@@ -990,12 +962,12 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, config: &EventCo
         // them (the waker doesn't say which), and flushing below
         // OUT_HIGH may unblock more generation.
         for (&token, conn) in &mut conns {
-            pump(conn, shared, &job_tx, config.inflight);
+            pump(conn, shared, &job_tx);
             if !write_out(conn) {
                 dead.push(token);
                 continue;
             }
-            pump(conn, shared, &job_tx, config.inflight);
+            pump(conn, shared, &job_tx);
             if !write_out(conn) || should_close(conn) {
                 dead.push(token);
                 continue;
@@ -1026,6 +998,33 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, config: &EventCo
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The in-flight cap, on any host: of `INFLIGHT + 1` queued plans,
+    /// admission starts the first `INFLIGHT` in request order, and the
+    /// last only once a live plan has finished.
+    #[test]
+    fn admission_starts_at_most_inflight_plans_in_fifo_order() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let mut conn = Conn::new(stream, "test".to_owned());
+        let shared = Shared::unmemoized();
+        let (job_tx, job_rx) = mpsc::channel();
+        for n in 0..=INFLIGHT {
+            let plan = Box::new(Plan::new());
+            conn.responses.push_back(Resp::Queued { key: n.to_string(), plan });
+        }
+        pump(&mut conn, &shared, &job_tx);
+        let started: Vec<ExecJob> = job_rx.try_iter().collect();
+        let keys: Vec<String> = started.iter().map(|job| job.key.clone()).collect();
+        assert_eq!(keys, (0..INFLIGHT).map(|n| n.to_string()).collect::<Vec<_>>());
+        assert_eq!(conn.live, INFLIGHT);
+
+        started[0].reply.send(OutEvent::Done { jobs: 0, memo: false }).expect("response open");
+        pump(&mut conn, &shared, &job_tx);
+        let next: Vec<String> = job_rx.try_iter().map(|job| job.key).collect();
+        assert_eq!(next, [INFLIGHT.to_string()], "a finished plan frees one slot");
+        assert_eq!(conn.live, INFLIGHT);
+    }
 
     #[test]
     fn backoff_doubles_and_saturates() {

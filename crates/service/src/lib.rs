@@ -17,11 +17,12 @@
 //!   shared across all connections, served by an event-driven
 //!   readiness loop ([`event`]: `epoll` on Linux, `poll` on other unix)
 //!   from a fixed set of threads, with per-client admission control
-//!   (`TLABP_SERVE_INFLIGHT` plans in flight per connection, FIFO
-//!   beyond; each plan holds at most twice the pool width of tasks in
-//!   the shared queue) and bounded per-connection output queues. The daemon needs
+//!   ([`INFLIGHT`] plans in flight per connection, FIFO beyond; each
+//!   plan holds at most twice the pool width of tasks in the shared
+//!   queue) and bounded per-connection output queues. The daemon needs
 //!   a unix host: on any other, binding fails with
-//!   [`std::io::ErrorKind::Unsupported`].
+//!   [`std::io::ErrorKind::Unsupported`]. Its [`ServeConfig`] comes from
+//!   the `TLABP_SERVE_*` knobs, read by [`tlabp_core::env`].
 //! * memo tiers — a byte-capped LRU (`TLABP_SERVE_MEMO_BYTES`) of
 //!   pre-encoded response frames replayed byte-for-byte with zero
 //!   simulation work, persisted as checksummed memo artifacts next to
@@ -49,8 +50,5 @@ pub mod server;
 
 pub use client::{Client, ResultStream};
 pub use proto::{Done, FrameError, FrameKind, PROTOCOL_VERSION};
-pub use server::{
-    serve, MemoDirMode, ServeConfig, SweepServer, DEFAULT_INFLIGHT, DEFAULT_MEMO_BYTES,
-    DEFAULT_SERVE_ADDR, SERVE_ADDR_ENV, SERVE_INFLIGHT_ENV, SERVE_MEMO_BYTES_ENV,
-    SERVE_MEMO_DIR_ENV, SERVE_MEMO_DISK_BYTES_ENV,
-};
+pub use server::{serve, SweepServer, INFLIGHT};
+pub use tlabp_core::env::{MemoDirMode, ServeConfig};

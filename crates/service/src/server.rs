@@ -17,160 +17,25 @@
 //! host without either, [`SweepServer::bind`] fails with
 //! [`std::io::ErrorKind::Unsupported`].
 //!
-//! Every `TLABP_SERVE_*` knob follows one hygiene rule: a garbage value
-//! warns on stderr and falls back to the default — a daemon must come up
-//! predictably, not die at a typo (the same policy as `TLABP_SIMD`).
+//! [`ServeConfig`] comes from the `TLABP_SERVE_*` knobs, read by
+//! [`tlabp_core::env`]: a garbage value warns and falls back to the
+//! default, so a daemon comes up predictably rather than dying at a
+//! typo. Each connection executes at most [`INFLIGHT`] plans at a time.
 
 use std::net::TcpListener;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use tlabp_core::env::{MemoDirMode, ServeConfig};
 use tlabp_core::registry;
 use tlabp_sim::plan::{Plan, PredictorSpec};
 use tlabp_sim::{ExecOptions, Session, SweepPool, TraceStore};
 
 use crate::memo::{MemoCache, MemoDisk, MemoEntry};
 
-/// Environment variable naming the daemon's listen address.
-pub const SERVE_ADDR_ENV: &str = "TLABP_SERVE_ADDR";
-/// Default listen address when [`SERVE_ADDR_ENV`] is unset.
-pub const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7391";
-/// Environment variable capping the in-memory memo tier in **bytes** of
-/// pre-encoded response frames (plus keys); 0 disables memoization.
-pub const SERVE_MEMO_BYTES_ENV: &str = "TLABP_SERVE_MEMO_BYTES";
-/// Default in-memory memo budget: 64 MiB of pre-encoded frames.
-pub const DEFAULT_MEMO_BYTES: usize = 64 << 20;
-/// Environment variable capping concurrently executing plans per
-/// connection; pipelined plans beyond the cap queue FIFO.
-pub const SERVE_INFLIGHT_ENV: &str = "TLABP_SERVE_INFLIGHT";
-/// Default per-connection in-flight plan cap.
-pub const DEFAULT_INFLIGHT: usize = 4;
-/// Environment variable naming the persistent memo tier's directory.
-/// Unset: a `memo/` directory next to the trace artifacts (when the
-/// store has a disk tier). Empty: persistence off.
-pub const SERVE_MEMO_DIR_ENV: &str = "TLABP_SERVE_MEMO_DIR";
-/// Environment variable capping the persistent memo tier in **bytes**
-/// of `.tlabm` artifacts on disk. Over-budget artifacts age out oldest
-/// first, after every persist and once at startup. Unset: unbounded.
-/// `0`: persistence off (equivalent to an empty [`SERVE_MEMO_DIR_ENV`]).
-pub const SERVE_MEMO_DISK_BYTES_ENV: &str = "TLABP_SERVE_MEMO_DISK_BYTES";
-/// Where the persistent memo tier lives.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum MemoDirMode {
-    /// `memo/` next to the trace artifacts when the store has a disk
-    /// tier; no persistence for a purely in-memory store.
-    #[default]
-    Auto,
-    /// Persistence disabled ([`SERVE_MEMO_DIR_ENV`] set but empty).
-    Off,
-    /// An explicit directory.
-    Dir(PathBuf),
-}
-
-impl MemoDirMode {
-    fn from_raw(raw: &str) -> MemoDirMode {
-        if raw.is_empty() {
-            MemoDirMode::Off
-        } else {
-            MemoDirMode::Dir(PathBuf::from(raw))
-        }
-    }
-}
-
-/// Daemon configuration, normally read from the environment.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Listen address (`host:port`). Use port 0 for an ephemeral port.
-    pub addr: String,
-    /// In-memory memo budget in bytes of pre-encoded response frames;
-    /// 0 disables memoization (both tiers).
-    pub memo_bytes: usize,
-    /// Concurrently executing plans per connection (≥ 1).
-    pub inflight: usize,
-    /// Persistent memo tier location.
-    pub memo_dir: MemoDirMode,
-    /// Persistent memo tier byte budget; `None` = unbounded, `Some(0)`
-    /// = persistence off.
-    pub memo_disk_bytes: Option<usize>,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            addr: DEFAULT_SERVE_ADDR.to_owned(),
-            memo_bytes: DEFAULT_MEMO_BYTES,
-            inflight: DEFAULT_INFLIGHT,
-            memo_dir: MemoDirMode::Auto,
-            memo_disk_bytes: None,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// Reads every `TLABP_SERVE_*` knob. Unset values take the
-    /// defaults; garbage values warn on stderr and take the defaults
-    /// (never a crash, never a silent reinterpretation).
-    #[must_use]
-    pub fn from_env() -> Self {
-        let mut config = ServeConfig::default();
-        if let Ok(addr) = std::env::var(SERVE_ADDR_ENV) {
-            if !addr.is_empty() {
-                config.addr = addr;
-            }
-        }
-        if let Some(raw) = read_env(SERVE_MEMO_BYTES_ENV) {
-            if let Some(bytes) = parse_usize_env(SERVE_MEMO_BYTES_ENV, &raw) {
-                config.memo_bytes = bytes;
-            }
-        }
-        if let Some(raw) = read_env(SERVE_INFLIGHT_ENV) {
-            if let Some(inflight) = parse_inflight_env(&raw) {
-                config.inflight = inflight;
-            }
-        }
-        if let Ok(raw) = std::env::var(SERVE_MEMO_DIR_ENV) {
-            config.memo_dir = MemoDirMode::from_raw(&raw);
-        }
-        if let Some(raw) = read_env(SERVE_MEMO_DISK_BYTES_ENV) {
-            config.memo_disk_bytes = parse_usize_env(SERVE_MEMO_DISK_BYTES_ENV, &raw);
-        }
-        config
-    }
-}
-
-fn read_env(name: &str) -> Option<String> {
-    std::env::var(name).ok().filter(|raw| !raw.is_empty())
-}
-
-/// Lenient usize knob: garbage warns and yields `None` (= keep the
-/// default).
-fn parse_usize_env(name: &str, raw: &str) -> Option<usize> {
-    match raw.trim().parse::<usize>() {
-        Ok(value) => Some(value),
-        Err(_) => {
-            eprintln!(
-                "warning: ignoring {name}={raw:?} (expected a non-negative integer); \
-                 using the default"
-            );
-            None
-        }
-    }
-}
-
-/// [`SERVE_INFLIGHT_ENV`]: must be ≥ 1 — zero would admit nothing.
-fn parse_inflight_env(raw: &str) -> Option<usize> {
-    match parse_usize_env(SERVE_INFLIGHT_ENV, raw) {
-        Some(0) => {
-            eprintln!(
-                "warning: ignoring {SERVE_INFLIGHT_ENV}=0 (at least one plan must be \
-                 admitted); using {DEFAULT_INFLIGHT}"
-            );
-            Some(DEFAULT_INFLIGHT)
-        }
-        other => other,
-    }
-}
+/// Plans one connection executes at a time; further pipelined plans
+/// wait in FIFO order.
+pub const INFLIGHT: usize = 4;
 
 /// Daemon counters, printed in the periodic stats line and cheap enough
 /// to bump from any thread.
@@ -268,7 +133,6 @@ pub(crate) fn validate_plan(plan: &Plan) -> Result<(), String> {
 /// and fairness model.
 pub struct SweepServer {
     listener: TcpListener,
-    inflight: usize,
     shared: Arc<Shared>,
 }
 
@@ -300,7 +164,7 @@ impl SweepServer {
             _ if budget == Some(0) => None,
             MemoDirMode::Off => None,
             MemoDirMode::Dir(dir) => Some(MemoDisk::new(dir.clone(), budget)),
-            MemoDirMode::Auto => {
+            MemoDirMode::Unset => {
                 store.cache_dir().map(|dir| MemoDisk::new(dir.join("memo"), budget))
             }
         };
@@ -324,7 +188,6 @@ impl SweepServer {
         }
         Ok(SweepServer {
             listener,
-            inflight: config.inflight.max(1),
             shared: Arc::new(Shared {
                 store,
                 options,
@@ -350,14 +213,7 @@ impl SweepServer {
     /// connection threads are fixed too.
     #[cfg(unix)]
     pub fn run(&self) -> ! {
-        crate::event::run(
-            &self.listener,
-            &self.shared,
-            &crate::event::EventConfig {
-                inflight: self.inflight,
-                exec_threads: SweepPool::global().threads().max(2),
-            },
-        )
+        crate::event::run(&self.listener, &self.shared, SweepPool::global().threads().max(2))
     }
 
     /// Unreachable: [`SweepServer::bind`] refuses non-unix hosts.
@@ -381,26 +237,23 @@ pub fn serve(config: &ServeConfig, store: TraceStore, options: ExecOptions) -> s
 }
 
 #[cfg(test)]
+impl Shared {
+    /// A memory-only server state with memoization off, for the event
+    /// core's unit tests.
+    pub(crate) fn unmemoized() -> Shared {
+        Shared {
+            store: TraceStore::new(),
+            options: ExecOptions::default(),
+            memo: Mutex::new(MemoCache::new(0)),
+            disk: None,
+            stats: ServeStats::default(),
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn numeric_knobs_warn_and_fall_back_on_garbage() {
-        assert_eq!(parse_usize_env(SERVE_MEMO_BYTES_ENV, "1048576"), Some(1 << 20));
-        assert_eq!(parse_usize_env(SERVE_MEMO_BYTES_ENV, " 42 "), Some(42));
-        assert_eq!(parse_usize_env(SERVE_MEMO_BYTES_ENV, "64MiB"), None, "units are garbage");
-        assert_eq!(parse_usize_env(SERVE_MEMO_BYTES_ENV, "-1"), None);
-
-        assert_eq!(parse_inflight_env("2"), Some(2));
-        assert_eq!(parse_inflight_env("0"), Some(DEFAULT_INFLIGHT), "zero admits nothing");
-        assert_eq!(parse_inflight_env("∞"), None);
-    }
-
-    #[test]
-    fn memo_dir_mode_distinguishes_off_from_a_directory() {
-        assert_eq!(MemoDirMode::from_raw(""), MemoDirMode::Off);
-        assert_eq!(MemoDirMode::from_raw("/tmp/x"), MemoDirMode::Dir(PathBuf::from("/tmp/x")));
-    }
 
     #[test]
     fn unregistered_custom_predictors_are_rejected_before_lowering() {

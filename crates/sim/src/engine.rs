@@ -10,8 +10,9 @@
 //! * **skip** — a job that cannot run comes back
 //!   [`JobOutcome::Skipped`] with a reason: a trained scheme on a
 //!   benchmark without a training set (the paper's "NA" cells), a scheme
-//!   whose geometry fails [`SchemeConfig::check_geometry`], or a custom
-//!   predictor name with no registered builder.
+//!   whose geometry fails [`SchemeConfig::check_geometry`], a fetch job
+//!   whose target cache fails [`check_table`], or a custom predictor
+//!   name with no registered builder.
 //! * **replay** — transposed, SWAR-vectorized second-level replay over
 //!   a materialized first-level pattern stream
 //!   ([`crate::runner::simulate_replay_transposed`]); chosen for
@@ -86,6 +87,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 use tlabp_core::any::AnyPredictor;
 use tlabp_core::config::SchemeConfig;
+use tlabp_core::geometry::check_table;
 use tlabp_core::pht::LANES_PER_WORD;
 use tlabp_core::predictor::BranchPredictor;
 use tlabp_core::registry::{self, DynBuilder};
@@ -1287,6 +1289,9 @@ fn lower(job: &Job) -> Lowered {
             }
         },
     };
+    if let Some(Err(err)) = job.metrics.fetch.map(|cache| check_table(cache.entries, cache.ways)) {
+        return Lowered::Skip { reason: format!("bad fetch target cache: {err}") };
+    }
 
     // A scheme's own `c` flag upgrades a no-switch sim to the paper's
     // context-switch model (Table 3 semantics).
@@ -1533,20 +1538,29 @@ mod tests {
 
     /// Jobs that cannot run come back skipped with a reason, and their
     /// neighbour is still measured: an unregistered predictor name, a
-    /// history length past the cap, and a `c`-flagged PAp whose
-    /// geometry cannot be built.
+    /// history length past the cap, a `c`-flagged PAp whose geometry
+    /// cannot be built, and a fetch job whose target cache cannot be.
     #[test]
     fn jobs_that_cannot_run_are_skipped_with_a_reason() {
         let plan: Plan = [
             Job::custom("engine-test-unregistered", li()),
             Job::scheme(SchemeConfig::gag(40), li()),
             Job::scheme(SchemeConfig::pap(40).with_context_switch(true), li()),
+            Job::scheme(SchemeConfig::pag(8), li()).with_metrics(MetricSet {
+                miss_breakdown: false,
+                fetch: Some(TargetCacheSpec { entries: 3, ways: 2 }),
+            }),
             Job::scheme(SchemeConfig::gag(8), li()),
         ]
         .into_iter()
         .collect();
         let results = run(&plan, &TraceStore::new());
-        let reasons = ["no predictor registered", "cannot be built", "cannot be built"];
+        let reasons = [
+            "no predictor registered",
+            "cannot be built",
+            "cannot be built",
+            "bad fetch target cache",
+        ];
         for (index, want) in reasons.iter().enumerate() {
             match results.outcome(index) {
                 JobOutcome::Skipped { reason } => {
@@ -1555,7 +1569,7 @@ mod tests {
                 JobOutcome::Measured(_) => panic!("job {index} cannot run"),
             }
         }
-        assert!(results.outcome(3).accuracy().is_some(), "the neighbour is measured");
+        assert!(results.outcome(reasons.len()).accuracy().is_some(), "the neighbour is measured");
     }
 
     /// The prefetch barrier derives every form first and writes the slot

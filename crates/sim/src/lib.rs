@@ -74,4 +74,4 @@ pub use runner::{
     simulate_replay_transposed_streamed, SimConfig, SimResult, StreamKey, SwitchSchedule,
 };
 pub use stream::{StreamChunk, StreamCursor, StreamWindow};
-pub use suite::{CacheBytes, TraceStore, DEFAULT_TRACE_DIR, TRACE_DIR_ENV};
+pub use suite::{CacheBytes, TraceStore, DEFAULT_TRACE_DIR};

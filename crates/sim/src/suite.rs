@@ -6,6 +6,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
+use tlabp_core::env::{Config, DirKnob};
 use tlabp_trace::io::{
     read_artifacts, write_artifacts_chunked, write_file_atomic, FileLock, ARTIFACT_VERSION_CHUNKED,
     DEFAULT_CHUNK_BYTES,
@@ -17,9 +18,7 @@ use crate::runner::{
     derive_pattern_stream, ContextSwitchConfig, SimConfig, StreamKey, SwitchSchedule,
 };
 
-/// Environment variable naming the disk cache directory.
-pub const TRACE_DIR_ENV: &str = "TLABP_TRACE_DIR";
-/// Default disk cache directory when [`TRACE_DIR_ENV`] is unset but
+/// Default disk cache directory when `TLABP_TRACE_DIR` is unset but
 /// persistence was requested ([`TraceStore::persistent`]).
 pub const DEFAULT_TRACE_DIR: &str = "target/trace-cache";
 
@@ -301,27 +300,27 @@ impl TraceStore {
     }
 
     /// Creates a store with the disk tier enabled: artifacts live under
-    /// [`TRACE_DIR_ENV`] if set, else [`DEFAULT_TRACE_DIR`]. Setting the
+    /// `TLABP_TRACE_DIR` if set, else [`DEFAULT_TRACE_DIR`]. Setting the
     /// variable to an empty string disables persistence entirely.
     #[must_use]
     pub fn persistent() -> Self {
-        match std::env::var(TRACE_DIR_ENV) {
-            Ok(dir) if dir.is_empty() => TraceStore::new(),
-            Ok(dir) => TraceStore::with_cache_dir(dir),
-            Err(_) => TraceStore::with_cache_dir(DEFAULT_TRACE_DIR),
+        match &Config::get().trace_dir {
+            DirKnob::Unset => TraceStore::with_cache_dir(DEFAULT_TRACE_DIR),
+            DirKnob::Off => TraceStore::new(),
+            DirKnob::Dir(dir) => TraceStore::with_cache_dir(dir),
         }
     }
 
     /// Creates a store whose disk tier is enabled only when
-    /// [`TRACE_DIR_ENV`] is set (and non-empty). This is the constructor
+    /// `TLABP_TRACE_DIR` is set (and non-empty). This is the constructor
     /// for test suites: plain runs stay hermetic and memory-only, while
     /// CI can opt the same tests into the disk path by exporting the
     /// variable.
     #[must_use]
     pub fn from_env() -> Self {
-        match std::env::var(TRACE_DIR_ENV) {
-            Ok(dir) if !dir.is_empty() => TraceStore::with_cache_dir(dir),
-            _ => TraceStore::new(),
+        match &Config::get().trace_dir {
+            DirKnob::Dir(dir) => TraceStore::with_cache_dir(dir),
+            DirKnob::Unset | DirKnob::Off => TraceStore::new(),
         }
     }
 

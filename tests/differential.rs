@@ -313,6 +313,56 @@ fn fetch_jobs_match_a_predict_update_fetch_loop_for_every_scheme() {
     }
 }
 
+/// Every miss-breakdown bucket of the analysis artifact's jobs, PAg(12)
+/// on each testing trace, matches an independent pc-keyed loop: a
+/// paper-default BHT, one A2 pattern table and a last-writer table that
+/// records the pc of the branch that last updated each pattern entry.
+/// The loop classifies each misprediction in the engine's order: BHT
+/// miss, weak state (1 or 2), interference, noise.
+#[test]
+fn miss_breakdown_buckets_match_a_pc_keyed_loop_on_every_testing_trace() {
+    use tlabp::core::pht::PatternHistoryTable;
+    use tlabp::sim::metrics::MissBreakdown;
+    use tlabp::sim::plan::{Job, MetricSet};
+
+    let metrics = MetricSet { miss_breakdown: true, fetch: None };
+    let plan: Plan = Benchmark::ALL
+        .iter()
+        .map(|benchmark| Job::scheme(SchemeConfig::pag(12), benchmark).with_metrics(metrics))
+        .collect();
+    let store = TraceStore::from_env();
+    let results = run(&plan, &store);
+    for (index, benchmark) in Benchmark::ALL.iter().enumerate() {
+        let trace = store.get(benchmark, DataSet::Testing);
+        let mut bht = BhtConfig::PAPER_DEFAULT.build(12);
+        let mut pht = PatternHistoryTable::new(12, Automaton::A2);
+        let mut last_writer: Vec<Option<u64>> = vec![None; pht.len()];
+        let mut want = MissBreakdown::default();
+        for branch in trace.conditional_branches() {
+            let hit = bht.access(branch.pc);
+            let pattern = bht.pattern(branch.pc).expect("an accessed entry is resident");
+            if pht.predict(pattern) != branch.taken {
+                if !hit {
+                    want.bht_miss += 1;
+                } else if matches!(pht.state(pattern).value(), 1 | 2) {
+                    want.weak_pattern += 1;
+                } else if last_writer[pattern].is_some_and(|pc| pc != branch.pc) {
+                    want.interference += 1;
+                } else {
+                    want.noise += 1;
+                }
+            }
+            last_writer[pattern] = Some(branch.pc);
+            pht.update(pattern, branch.taken);
+            bht.record_outcome(branch.pc, branch.taken);
+        }
+        let measured = results.outcome(index).metrics().expect("measured");
+        let name = benchmark.name();
+        assert_eq!(measured.miss_breakdown, Some(want), "{name}: breakdown vs pc-keyed loop");
+        assert_eq!(want.total(), measured.sim.predictions - measured.sim.correct, "{name}");
+    }
+}
+
 /// The execution engine's three lowerings agree job-for-job: a scheme
 /// job on the fast path, the same scheme forced onto the reference path,
 /// and the same predictor entering as a registry-built custom job (the

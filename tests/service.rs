@@ -14,12 +14,12 @@
 //! additional threads.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use tlabp::core::config::SchemeConfig;
 use tlabp::core::registry;
-use tlabp::service::{Client, MemoDirMode, ServeConfig, SweepServer};
+use tlabp::service::{Client, MemoDirMode, ServeConfig, SweepServer, INFLIGHT};
 use tlabp::sim::plan::{Job, Plan};
 use tlabp::sim::{ExecOptions, ResultSet, Session, TraceStore};
 use tlabp::workloads::Benchmark;
@@ -28,6 +28,11 @@ use tlabp::workloads::Benchmark;
 fn run(plan: &Plan, store: &TraceStore) -> ResultSet {
     Session::new(store.clone()).run(plan)
 }
+
+/// Held by the soak test, which spawns 64 client threads, and by the
+/// thread-count test, so the process-wide thread count the latter reads
+/// never includes the former's clients.
+static MANY_THREADS: Mutex<()> = Mutex::new(());
 
 fn li() -> &'static Benchmark {
     Benchmark::by_name("li").expect("li exists")
@@ -39,7 +44,6 @@ fn server_config(memo_bytes: usize) -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
         memo_bytes,
-        inflight: 4,
         memo_dir: MemoDirMode::Off,
         memo_disk_bytes: None,
     }
@@ -61,8 +65,8 @@ fn connect(addr: &str) -> Client {
 
 /// A batch of distinct plans pipelined on one connection comes back in
 /// submission order, every response bit-identical to an in-process
-/// execution. The batch is larger than the in-flight
-/// cap, so the tail of it exercises the FIFO queue.
+/// execution. The batch is larger than the in-flight cap, so the tail
+/// of it exercises the FIFO queue.
 #[test]
 fn pipelined_submissions_return_responses_in_submission_order() {
     let plans: Vec<Plan> = (6..=11)
@@ -72,9 +76,8 @@ fn pipelined_submissions_return_responses_in_submission_order() {
     let expected: Vec<String> =
         plans.iter().map(|plan| run(plan, &store).to_json_string()).collect();
 
-    let mut config = server_config(64 << 20);
-    config.inflight = 2;
-    let addr = spawn_server(config);
+    assert!(plans.len() > INFLIGHT, "the batch overflows the in-flight cap");
+    let addr = spawn_server(server_config(64 << 20));
     let mut client = connect(&addr);
     let responses = client.execute_pipelined(&plans).expect("pipelined batch completes");
     assert_eq!(responses.len(), plans.len());
@@ -222,10 +225,12 @@ fn restarted_daemon_replays_persisted_memo_with_zero_simulation_work() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Admission control: with `inflight = 1`, the second of two pipelined
-/// plans on one connection is not even *started* (its builder never
-/// runs) until the first completes, and the responses come back in
-/// request order.
+/// Admission control: with [`INFLIGHT`] gated plans pipelined ahead of
+/// it on one connection, a further plan is not even *started* (its
+/// builder never runs) until a gated plan completes, and every response
+/// comes back in request order. On a host with fewer than `INFLIGHT + 1`
+/// executor threads the executor pool holds the last plan back too;
+/// the event core's unit tests check the cap alone.
 #[test]
 fn admission_holds_pipelined_plans_to_the_in_flight_cap_in_fifo_order() {
     use std::io::{BufRead, BufReader, Write};
@@ -246,10 +251,8 @@ fn admission_holds_pipelined_plans_to_the_in_flight_cap_in_fifo_order() {
         Box::new(tlabp::core::schemes::Btfn::new())
     });
 
-    // Memoization off so both plans really execute.
-    let mut config = server_config(0);
-    config.inflight = 1;
-    let addr = spawn_server(config);
+    // Memoization off so every plan really executes.
+    let addr = spawn_server(server_config(0));
 
     let gated: Plan =
         [Job::custom("service-admission-gated", li()).with_fusion(false)].into_iter().collect();
@@ -257,7 +260,7 @@ fn admission_holds_pipelined_plans_to_the_in_flight_cap_in_fifo_order() {
         [Job::custom("service-admission-counting", li()).with_fusion(false)].into_iter().collect();
 
     let mut stream = std::net::TcpStream::connect(&addr).expect("daemon reachable");
-    for plan in [&gated, &counting] {
+    for plan in std::iter::repeat_n(&gated, INFLIGHT).chain([&counting]) {
         stream
             .write_all(encode_frame(FrameKind::Plan, &plan.to_json_string()).as_bytes())
             .expect("write plan frame");
@@ -265,13 +268,13 @@ fn admission_holds_pipelined_plans_to_the_in_flight_cap_in_fifo_order() {
     }
     stream.flush().expect("flush");
 
-    // While plan 1 sits in its gated builder, plan 2 must not have been
-    // admitted: its builder has run zero times.
+    // While the gated plans fill every in-flight slot, the last plan
+    // must not have been admitted: its builder has run zero times.
     std::thread::sleep(Duration::from_millis(300));
     assert_eq!(
         builds.load(Ordering::SeqCst),
         0,
-        "with inflight=1 the second pipelined plan must wait for the first"
+        "the plan past the in-flight cap must wait for a gated plan to finish"
     );
     release.store(true, Ordering::SeqCst);
 
@@ -284,16 +287,16 @@ fn admission_holds_pipelined_plans_to_the_in_flight_cap_in_fifo_order() {
         }
         let (kind, _) = decode_frame(&line).expect("response frame decodes");
         kinds.push(kind);
-        if kinds.iter().filter(|&&kind| kind == FrameKind::Done).count() == 2 {
+        if kinds.iter().filter(|&&kind| kind == FrameKind::Done).count() == INFLIGHT + 1 {
             break;
         }
     }
     assert_eq!(
         kinds,
-        [FrameKind::Result, FrameKind::Done, FrameKind::Result, FrameKind::Done],
+        [FrameKind::Result, FrameKind::Done].repeat(INFLIGHT + 1),
         "responses leave strictly in request order"
     );
-    assert_eq!(builds.load(Ordering::SeqCst), 1, "plan 2 ran after plan 1 finished");
+    assert_eq!(builds.load(Ordering::SeqCst), 1, "the last plan ran once, after the gate opened");
 }
 
 /// Streaming is incremental and in plan order: with job 1's builder
@@ -429,6 +432,7 @@ fn impossible_scheme_geometry_earns_an_error_frame_and_spares_the_pool() {
 /// execution; every malformed client gets an error frame.
 #[test]
 fn soak_mixed_cold_memo_and_malformed_clients_stay_bit_identical() {
+    let _threads = MANY_THREADS.lock().unwrap_or_else(PoisonError::into_inner);
     let addr = spawn_server(server_config(64 << 20));
     let variants: Vec<Plan> =
         [SchemeConfig::pag(6), SchemeConfig::pag(7), SchemeConfig::gag(6), SchemeConfig::btfn()]
@@ -500,6 +504,7 @@ fn event_backend_serves_hundreds_of_connections_on_fixed_threads() {
             .expect("thread count parses")
     }
 
+    let _threads = MANY_THREADS.lock().unwrap_or_else(PoisonError::into_inner);
     let addr = spawn_server(server_config(64 << 20));
     let plan: Plan = [Job::scheme(SchemeConfig::btfn(), li())].into_iter().collect();
     // Warm everything thread-shaped first: the event loop, the executor
