@@ -12,7 +12,7 @@ use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
 
-use tlabp_trace::Trace;
+use tlabp_trace::{InternedConds, Trace};
 
 use crate::any::AnyPredictor;
 use crate::automaton::Automaton;
@@ -336,7 +336,10 @@ impl SchemeConfig {
     /// the scheme requires it (adaptive schemes ignore `training`).
     ///
     /// GSg and PSg produce preset [`Gag`]/[`Pag`] structures, so they land
-    /// in those variants.
+    /// in those variants. The profiling pass reads only each conditional
+    /// branch's pc and direction, so this builds the same predictor as
+    /// [`SchemeConfig::build_any_trained_interned`] over the trace's
+    /// interned stream.
     ///
     /// # Panics
     ///
@@ -346,15 +349,32 @@ impl SchemeConfig {
     /// path, and every configuration that parses passes.
     #[must_use]
     pub fn build_any_trained(&self, training: &Trace) -> AnyPredictor {
+        self.build_any_profiled(training.conditional_outcomes())
+    }
+
+    /// [`SchemeConfig::build_any_trained`] from the training trace's
+    /// interned conditional stream instead of the full trace.
+    ///
+    /// # Panics
+    ///
+    /// As [`SchemeConfig::build_any_trained`].
+    #[must_use]
+    pub fn build_any_trained_interned(&self, training: &InternedConds) -> AnyPredictor {
+        self.build_any_profiled(training.outcomes())
+    }
+
+    /// The one profiling fold behind both trained builders: `outcomes`
+    /// are the training run's conditional `(pc, taken)` pairs.
+    fn build_any_profiled(&self, outcomes: impl IntoIterator<Item = (u64, bool)>) -> AnyPredictor {
         match self.kind {
             SchemeKind::Gsg => {
-                AnyPredictor::Gag(Gsg::new(&train_global(training, self.history_bits)))
+                AnyPredictor::Gag(Gsg::new(&train_global(outcomes, self.history_bits)))
             }
             SchemeKind::Psg => AnyPredictor::Pag(Psg::new(
-                &train_per_address(training, self.history_bits),
+                &train_per_address(outcomes, self.history_bits),
                 self.bht.unwrap_or(BhtConfig::PAPER_DEFAULT),
             )),
-            SchemeKind::Profiling => AnyPredictor::Profiling(Profiling::train(training)),
+            SchemeKind::Profiling => AnyPredictor::Profiling(Profiling::train(outcomes)),
             _ => self.build_any().unwrap_or_else(|err| panic!("{err}")),
         }
     }

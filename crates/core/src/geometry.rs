@@ -24,10 +24,12 @@ pub const MAX_TABLE_ENTRIES: usize = 1 << 16;
 /// Largest number of pattern-table entries a configuration holds at
 /// most: `2^k` for a single table, `entries × 2^k` for PAp's per-slot
 /// tables behind a practical BHT once every slot has been touched (PAp
-/// fills its tables on first use). One entry is one byte of automaton
-/// state, so the cap is 1 GiB; the paper's largest PAp, 512 × 2^12, is
-/// 2^21.
-pub const MAX_PATTERN_ENTRIES: usize = 1 << 30;
+/// fills its tables on first use). An entry costs one byte of automaton
+/// state on the walk, and one 8-byte row of a transposed replay bank
+/// (one row per pattern per lane, shared by up to 16 members), so the
+/// cap bounds a replay bank at 1 GiB and a walked predictor at
+/// 128 MiB. The paper's largest PAp, 512 × 2^12, is 2^21: 64× below.
+pub const MAX_PATTERN_ENTRIES: usize = 1 << 27;
 
 /// Why a table geometry is invalid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,6 +189,12 @@ mod tests {
     fn pattern_tables_are_capped_in_total() {
         assert_eq!(check_pattern_tables(1, MAX_HISTORY_BITS), Ok(()));
         assert_eq!(check_pattern_tables(512, 12), Ok(()));
+        // 8-byte replay rows: 512 × 2^18 rows is exactly 1 GiB.
+        assert_eq!(check_pattern_tables(512, 18), Ok(()));
+        assert_eq!(
+            check_pattern_tables(512, 19),
+            Err(GeometryError::TooManyPatternEntries { tables: 512, history_bits: 19 })
+        );
         assert_eq!(
             check_pattern_tables(512, 24),
             Err(GeometryError::TooManyPatternEntries { tables: 512, history_bits: 24 })

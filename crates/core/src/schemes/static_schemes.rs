@@ -3,7 +3,7 @@
 
 use crate::fxhash::FxHashMap;
 
-use tlabp_trace::{BranchRecord, Trace};
+use tlabp_trace::BranchRecord;
 
 use crate::predictor::BranchPredictor;
 
@@ -89,7 +89,7 @@ impl BranchPredictor for Btfn {
 /// use tlabp_trace::synth::BiasedCoins;
 ///
 /// let training = BiasedCoins::uniform(8, 0.8, 200, 1).generate();
-/// let mut p = Profiling::train(&training);
+/// let mut p = Profiling::train(training.conditional_outcomes());
 /// assert_eq!(p.name(), "Profiling");
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -98,13 +98,16 @@ pub struct Profiling {
 }
 
 impl Profiling {
-    /// Builds per-branch majority predictions from a training trace.
+    /// Builds per-branch majority predictions from a training run's
+    /// conditional branches, given as `(pc, taken)` pairs (see
+    /// [`train_global`](crate::schemes::train_global) for where they
+    /// come from).
     #[must_use]
-    pub fn train(training: &Trace) -> Self {
+    pub fn train(outcomes: impl IntoIterator<Item = (u64, bool)>) -> Self {
         let mut counts: FxHashMap<u64, (u64, u64)> = FxHashMap::default();
-        for branch in training.conditional_branches() {
-            let entry = counts.entry(branch.pc).or_insert((0, 0));
-            entry.0 += u64::from(branch.taken);
+        for (pc, taken) in outcomes {
+            let entry = counts.entry(pc).or_insert((0, 0));
+            entry.0 += u64::from(taken);
             entry.1 += 1;
         }
         let predictions =
@@ -134,6 +137,7 @@ impl BranchPredictor for Profiling {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tlabp_trace::Trace;
 
     #[test]
     fn always_taken_ignores_everything() {
@@ -175,7 +179,7 @@ mod tests {
             training.push(BranchRecord::conditional(0x100, i < 8, 0x40, 2 * i + 1));
             training.push(BranchRecord::conditional(0x200, i < 2, 0x40, 2 * i + 2));
         }
-        let mut p = Profiling::train(&training);
+        let mut p = Profiling::train(training.conditional_outcomes());
         assert_eq!(p.profiled_branches(), 2);
         assert!(p.predict(&BranchRecord::conditional(0x100, false, 0x40, 1)));
         assert!(!p.predict(&BranchRecord::conditional(0x200, true, 0x40, 2)));
@@ -183,7 +187,7 @@ mod tests {
 
     #[test]
     fn profiling_defaults_unseen_to_taken() {
-        let mut p = Profiling::train(&Trace::new());
+        let mut p = Profiling::train(Trace::new().conditional_outcomes());
         assert!(p.predict(&BranchRecord::conditional(0x999, false, 0x40, 1)));
     }
 
@@ -192,7 +196,7 @@ mod tests {
         let mut training = Trace::new();
         training.push(BranchRecord::conditional(0x100, true, 0x40, 1));
         training.push(BranchRecord::conditional(0x100, false, 0x40, 2));
-        let mut p = Profiling::train(&training);
+        let mut p = Profiling::train(training.conditional_outcomes());
         assert!(p.predict(&BranchRecord::conditional(0x100, false, 0x40, 3)));
     }
 

@@ -15,8 +15,6 @@
 //! The paper deliberately does not simulate PSp (per-address preset
 //! tables) because of its profiling storage cost; neither do we.
 
-use tlabp_trace::Trace;
-
 use crate::automaton::{Automaton, State};
 use crate::bht::BhtConfig;
 use crate::history::HistoryRegister;
@@ -34,7 +32,7 @@ use crate::schemes::{Gag, Pag};
 /// use tlabp_trace::synth::RepeatingPattern;
 ///
 /// let training = RepeatingPattern::new(&[true, true, false], 100).generate();
-/// let preset = train_global(&training, 6);
+/// let preset = train_global(training.conditional_outcomes(), 6);
 /// let gsg = Gsg::new(&preset);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,25 +94,37 @@ impl PresetTable {
     }
 }
 
-/// Profiles a training trace through a single global history register,
-/// producing the preset table for a GSg predictor.
+/// Profiles a training run's conditional branches, given as
+/// `(pc, taken)` pairs in program order, through a single global
+/// history register, producing the preset table for a GSg predictor.
+///
+/// The pairs come from a full trace
+/// ([`Trace::conditional_outcomes`](tlabp_trace::Trace::conditional_outcomes))
+/// or from its interned stream
+/// ([`InternedConds::outcomes`](tlabp_trace::InternedConds::outcomes)):
+/// the same pairs give the same table.
 ///
 /// # Panics
 ///
 /// Panics if `history_bits` is out of range.
 #[must_use]
-pub fn train_global(training: &Trace, history_bits: u32) -> PresetTable {
+pub fn train_global(
+    outcomes: impl IntoIterator<Item = (u64, bool)>,
+    history_bits: u32,
+) -> PresetTable {
     let mut preset = PresetTable::new(history_bits);
     let mut history = HistoryRegister::all_ones(history_bits);
-    for branch in training.conditional_branches() {
-        preset.record(history.pattern(), branch.taken);
-        history.shift_in(branch.taken);
+    for (_, taken) in outcomes {
+        preset.record(history.pattern(), taken);
+        history.shift_in(taken);
     }
     preset
 }
 
-/// Profiles a training trace through ideal per-address history registers,
-/// producing the preset table for a PSg predictor.
+/// Profiles a training run's conditional branches, given as
+/// `(pc, taken)` pairs in program order (as for [`train_global`]),
+/// through ideal per-address history registers, producing the preset
+/// table for a PSg predictor.
 ///
 /// Profiling uses an ideal (unbounded) per-branch history table: the
 /// statistics-gathering pass has no reason to model capacity misses.
@@ -123,14 +133,17 @@ pub fn train_global(training: &Trace, history_bits: u32) -> PresetTable {
 ///
 /// Panics if `history_bits` is out of range.
 #[must_use]
-pub fn train_per_address(training: &Trace, history_bits: u32) -> PresetTable {
+pub fn train_per_address(
+    outcomes: impl IntoIterator<Item = (u64, bool)>,
+    history_bits: u32,
+) -> PresetTable {
     let mut preset = PresetTable::new(history_bits);
     let mut bht = BhtConfig::Ideal.build(history_bits);
-    for branch in training.conditional_branches() {
-        bht.access(branch.pc);
-        let pattern = bht.pattern(branch.pc).expect("just accessed");
-        preset.record(pattern, branch.taken);
-        bht.record_outcome(branch.pc, branch.taken);
+    for (pc, taken) in outcomes {
+        bht.access(pc);
+        let pattern = bht.pattern(pc).expect("just accessed");
+        preset.record(pattern, taken);
+        bht.record_outcome(pc, taken);
     }
     preset
 }
@@ -176,7 +189,7 @@ mod tests {
     use super::*;
     use crate::predictor::BranchPredictor;
     use tlabp_trace::synth::{BiasedCoins, RepeatingPattern};
-    use tlabp_trace::BranchRecord;
+    use tlabp_trace::{BranchRecord, Trace};
 
     #[test]
     fn preset_majority_and_defaults() {
@@ -203,7 +216,7 @@ mod tests {
     fn gsg_predicts_trained_pattern_exactly() {
         let pattern = [true, true, false];
         let training = RepeatingPattern::new(&pattern, 200).generate();
-        let preset = train_global(&training, 6);
+        let preset = train_global(training.conditional_outcomes(), 6);
         let mut gsg = Gsg::new(&preset);
 
         // Same-distribution testing data: GSg should be near perfect.
@@ -225,7 +238,7 @@ mod tests {
         // are wrong for the new data and Static Training cannot adapt —
         // the paper's core criticism of profiling-based schemes.
         let training = BiasedCoins::uniform(4, 0.9, 500, 11).generate();
-        let preset = train_per_address(&training, 4);
+        let preset = train_per_address(training.conditional_outcomes(), 4);
         let mut psg = Psg::new(&preset, BhtConfig::PAPER_DEFAULT);
         let mut pag = Pag::new(4, BhtConfig::PAPER_DEFAULT, Automaton::A2);
 
@@ -248,7 +261,7 @@ mod tests {
     #[test]
     fn preset_bits_do_not_change_at_run_time() {
         let training = RepeatingPattern::new(&[true], 50).generate();
-        let preset = train_global(&training, 3);
+        let preset = train_global(training.conditional_outcomes(), 3);
         let mut gsg = Gsg::new(&preset);
         // Hammer with not-taken branches; predictions keep following the
         // preset table (which defaults everything to taken here).
@@ -281,7 +294,7 @@ mod tests {
             trace.push(BranchRecord::conditional(0x100, true, 0x40, 2 * i + 1));
             trace.push(BranchRecord::conditional(0x200, false, 0x40, 2 * i + 2));
         }
-        let preset = train_per_address(&trace, 4);
+        let preset = train_per_address(trace.conditional_outcomes(), 4);
         assert!(preset.prediction(0b1111));
         assert!(!preset.prediction(0b0000));
     }

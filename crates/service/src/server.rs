@@ -1,7 +1,7 @@
 //! The sweep daemon: accepts serialized plans over TCP, streams results.
 //!
 //! One [`SweepServer`] owns the warm state every connection shares — a
-//! single [`TraceStore`] (traces generate once, ever), the global
+//! single [`TraceStore`] (each trace form derives once, ever), the global
 //! [`SweepPool`] (simulation work from all clients
 //! interleaves on one fixed set of worker threads, which is what makes
 //! admission fair: a second client's jobs enqueue behind — not after —

@@ -46,11 +46,13 @@
 //!   behind [`AnyPredictor::Dyn`]: one virtual dispatch per chunk of
 //!   events. Bit-identical to the reference loop in any batch.
 //! * **instrumented** — a job that asks for more than accuracy
-//!   ([`MetricSet`]) runs alone, in one pass over the trace's branches:
-//!   the predictor steps each conditional with its interned id, the
-//!   switch schedule fires as in the walk, and the miss breakdown and
-//!   the fetch model observe that same step, so the job's accuracy,
-//!   breakdown and fetch statistics describe one run.
+//!   ([`MetricSet`]) runs alone, in one pass over the trace's
+//!   [`BranchStream`](tlabp_trace::BranchStream)
+//!   ([`TraceStore::get_branch_stream`]): the predictor steps each
+//!   conditional with its interned id, the switch schedule fires as in
+//!   the walk, and the miss breakdown and the fetch model observe that
+//!   same step, so the job's accuracy, breakdown and fetch statistics
+//!   describe one run.
 //! * **reference** — the job's [`AnyPredictor`] stepped by `predict` +
 //!   `update` over the full event trace
 //!   ([`crate::runner::simulate`]), bypassing every fast path. Never
@@ -58,10 +60,17 @@
 //!   differential testing and for the repository benchmark's paper-warm
 //!   reference check.
 //!
+//! Trained schemes (GSg, PSg, Profiling) profile the interned stream of
+//! their benchmark's training trace
+//! ([`SchemeConfig::build_any_trained_interned`]), so no route but the
+//! reference loop reads a full trace once a trace's forms exist: the
+//! store loads it only to derive a form the first time, and keeps none
+//! ([`TraceStore`]).
+//!
 //! Execution runs every cell on a [`SweepPool`] (idle workers pull the
-//! next cell as they finish) after pre-generating each distinct trace
-//! the plan needs exactly once. Reassembly restores plan order, so the
-//! output is a pure function of the plan: pool size and thread
+//! next cell as they finish) after pre-generating each distinct form
+//! the plan's jobs read exactly once. Reassembly restores plan order, so
+//! the output is a pure function of the plan: pool size and thread
 //! scheduling never leak into a [`ResultSet`] (asserted by the
 //! 1-vs-8-worker determinism test).
 //!
@@ -84,6 +93,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
 
 use tlabp_core::any::AnyPredictor;
 use tlabp_core::config::SchemeConfig;
@@ -93,7 +103,7 @@ use tlabp_core::predictor::BranchPredictor;
 use tlabp_core::registry::{self, DynBuilder};
 use tlabp_core::simd::SimdMode;
 use tlabp_core::target_cache::{FetchOutcome, TargetCache};
-use tlabp_trace::BranchClass;
+use tlabp_trace::{BranchClass, Trace};
 use tlabp_workloads::DataSet;
 
 use crate::json::{Json, WireError};
@@ -560,8 +570,9 @@ impl<'p> Session<'p> {
         // trace form and pattern stream the partition needs is
         // generated, derived or loaded as its own pool task before any
         // simulation cell runs, so no cell idles behind another's
-        // `OnceLock`.
-        prefetch_lowered(self.pool, &lowered, &partition, &self.store);
+        // `OnceLock`. The stream holds the full traces it returns until
+        // the plan is done.
+        let reference_traces = prefetch_lowered(self.pool, &lowered, &partition, &self.store);
 
         // Resolve skips inline and claim runnable cells batch by batch.
         let mut ready: BTreeMap<usize, JobOutcome> = BTreeMap::new();
@@ -624,6 +635,7 @@ impl<'p> Session<'p> {
             next_index: 0,
             in_flight: 0,
             window: self.window,
+            _reference_traces: reference_traces,
         }
     }
 
@@ -674,6 +686,10 @@ pub struct JobStream<'p> {
     next_index: usize,
     in_flight: usize,
     window: usize,
+    /// The full traces the plan's reference-path jobs read, loaded by the
+    /// barrier and held while the stream lives, so those jobs share one
+    /// load per trace instead of each loading it again.
+    _reference_traces: Vec<Arc<Trace>>,
 }
 
 impl JobStream<'_> {
@@ -780,7 +796,10 @@ impl ExactSizeIterator for JobStream<'_> {}
 /// every distinct trace form and pattern stream the plan's runnable jobs
 /// need is generated (or, for a disk-backed store, loaded) across
 /// `pool`, and the call returns once all of them are resident in
-/// `store`.
+/// `store` — all but the full traces of reference-path jobs, which the
+/// store does not keep (see [`TraceStore::get`]). Switch schedules and
+/// branch streams are not prefetched: the first job that reads one
+/// builds it.
 ///
 /// This is the barrier exposed on its own, for warming a store ahead of
 /// time (e.g. populating a [`TraceStore::with_cache_dir`] directory) and
@@ -791,10 +810,13 @@ pub fn prefetch_on(pool: &SweepPool, plan: &Plan, store: &TraceStore) {
     prefetch_lowered(pool, &lowered, &partition_batches(&lowered), store);
 }
 
-/// The prefetch barrier: pre-generate each distinct trace exactly once,
-/// as pool jobs, in the deepest derived form any of its cells needs
-/// (deeper forms initialize the shallower ones in the same store slot),
-/// so no simulation cell ever blocks on the VM or an interning pass.
+/// The prefetch barrier: pre-generate each distinct trace form a cell
+/// reads exactly once, as pool jobs — the interned stream for every
+/// route but the reference loop and for every trained scheme's
+/// training trace, the full trace for the reference loop — so no
+/// simulation cell ever blocks on the VM or an interning pass. The full
+/// traces it loads are returned for the caller to hold while the
+/// reference jobs run; the store itself keeps none.
 /// Replay batches additionally pre-derive their *representative* pattern
 /// streams in the same barrier: each replay batch of `partition`
 /// contributes exactly one (trace, representative key) stream — the
@@ -818,16 +840,13 @@ fn prefetch_lowered(
     lowered: &[Lowered],
     partition: &Partition,
     store: &TraceStore,
-) {
-    let mut positions: HashMap<(&'static str, DataSet), usize> = HashMap::new();
+) -> Vec<Arc<Trace>> {
+    let mut seen: HashMap<(&'static str, DataSet, TraceForm), ()> = HashMap::new();
     let mut needed: Vec<(TraceKey, TraceForm)> = Vec::new();
     for low in lowered {
         let Lowered::Run(cell) = low else { continue };
         let mut need = |key: TraceKey, form: TraceForm| {
-            if let Some(&pos) = positions.get(&(key.benchmark.name(), key.data_set)) {
-                needed[pos].1 = needed[pos].1.max(form);
-            } else {
-                positions.insert((key.benchmark.name(), key.data_set), needed.len());
+            if seen.insert((key.benchmark.name(), key.data_set, form), ()).is_none() {
                 needed.push((key, form));
             }
         };
@@ -835,7 +854,7 @@ fn prefetch_lowered(
         if cell.needs_training() {
             need(
                 TraceKey { benchmark: cell.trace.benchmark, data_set: DataSet::Training },
-                TraceForm::Full,
+                TraceForm::Interned,
             );
         }
     }
@@ -859,30 +878,36 @@ fn prefetch_lowered(
         .map(|(key, form)| PreGen::Form(key, form))
         .chain(streams_needed.into_iter().map(|(key, stream)| PreGen::Stream(key, stream)));
     // Each task derives without persisting and reports the slot it
-    // changed, if any.
-    let changed = pool.run(pre_gen.map(|item| {
+    // changed, if any, and the full trace it loaded for a reference job.
+    let results = pool.run(pre_gen.map(|item| {
         let store = store.clone();
         move || {
-            let (key, generated) = match item {
+            let (key, generated, trace) = match item {
                 PreGen::Form(key, TraceForm::Full) => {
-                    (key, store.get_unpersisted(key.benchmark, key.data_set).1)
+                    let (trace, generated) = store.get_unpersisted(key.benchmark, key.data_set);
+                    (key, generated, Some(trace))
                 }
                 PreGen::Form(key, TraceForm::Interned) => {
-                    (key, store.get_interned_unpersisted(key.benchmark, key.data_set).1)
+                    let (_, generated) =
+                        store.get_interned_unpersisted(key.benchmark, key.data_set);
+                    (key, generated, None)
                 }
                 PreGen::Stream(key, stream) => {
                     let (_, generated) =
                         store.get_pattern_stream_unpersisted(key.benchmark, key.data_set, stream);
-                    (key, generated)
+                    (key, generated, None)
                 }
             };
-            generated.then_some(key)
+            (generated.then_some(key), trace)
         }
     }));
+    let (changed, traces): (Vec<_>, Vec<_>) = results.into_iter().unzip();
+    let traces: Vec<Arc<Trace>> = traces.into_iter().flatten().collect();
     // Then one write per changed slot, each slot a pool task of its own,
-    // all done before the barrier lifts.
+    // all done before the barrier lifts. A trace the VM generated on the
+    // way stays in its slot until this write.
     if store.cache_dir().is_none() {
-        return;
+        return traces;
     }
     let mut slots: Vec<TraceKey> = Vec::new();
     for key in changed.into_iter().flatten() {
@@ -894,6 +919,7 @@ fn prefetch_lowered(
         let store = store.clone();
         move || store.persist_slot(key.benchmark, key.data_set)
     }));
+    traces
 }
 
 /// Largest number of predictors stepped together in one interned walk.
@@ -1182,9 +1208,10 @@ enum BuildSpec {
 impl BuildSpec {
     fn build_any(&self, store: &TraceStore, trace: TraceKey) -> AnyPredictor {
         match self {
-            BuildSpec::Scheme(config) if config.needs_training() => {
-                config.build_any_trained(&store.get(trace.benchmark, DataSet::Training))
-            }
+            BuildSpec::Scheme(config) if config.needs_training() => config
+                .build_any_trained_interned(
+                    &store.get_interned(trace.benchmark, DataSet::Training),
+                ),
             BuildSpec::Scheme(config) => config.build_any().expect("non-training scheme builds"),
             BuildSpec::Custom(builder) => AnyPredictor::Dyn(builder()),
         }
@@ -1219,15 +1246,14 @@ struct Cell {
     metrics: MetricSet,
 }
 
-/// The derived forms of a trace, ordered by derivation depth. Producing
-/// a deeper form initializes every shallower one in the same
-/// [`TraceStore`] slot, so pre-generation computes each key's *maximum*
-/// required form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// The form of a trace a cell reads from its [`TraceStore`] slot, which
+/// the prefetch barrier loads once per (trace, form).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum TraceForm {
-    /// The full event trace.
+    /// The full event trace, which the store does not keep: the barrier
+    /// hands it to the [`JobStream`] to hold.
     Full,
-    /// Plus the pc-interned conditional stream (interning packs the
+    /// The pc-interned conditional stream (interning packs the
     /// conditional branches into a buffer it drops).
     Interned,
 }
@@ -1245,10 +1271,10 @@ impl Cell {
         }
     }
 
-    /// The deepest trace form this cell reads. Only the reference loop
-    /// reads the full trace alone: the walks read the interned stream,
-    /// replay derives its pattern stream from it, and the instrumented
-    /// pass reads both.
+    /// The trace form this cell reads. Only the reference loop reads the
+    /// full trace: the walks read the interned stream, replay derives its
+    /// pattern stream from it, and the instrumented pass reads it beside
+    /// the branch stream its first job builds.
     fn trace_form(&self) -> TraceForm {
         if self.route == Route::Reference {
             TraceForm::Full
@@ -1343,8 +1369,11 @@ fn run_cell(cell: &Cell, store: &TraceStore) -> JobOutcome {
 /// and every metric the job asked for observes that same step, so the
 /// job's accuracy, breakdown and fetch statistics describe one run.
 ///
-/// The pass walks every branch of the full trace. Before each
-/// conditional it fires the switches the trace's
+/// The pass walks every branch of the trace's
+/// [`BranchStream`](tlabp_trace::BranchStream), which carries each
+/// branch's pc, class, direction and target (everything but `instret`,
+/// which no predictor reads). Before each conditional it fires the
+/// switches the trace's
 /// [`SwitchSchedule`](crate::runner::SwitchSchedule) places there, then
 /// steps the conditional through [`BranchPredictor::step_interned`] with
 /// the next interned id. For a miss breakdown of a PAg-structured
@@ -1359,7 +1388,7 @@ fn run_cell(cell: &Cell, store: &TraceStore) -> JobOutcome {
 /// first level, never the target cache.
 fn run_instrumented(cell: &Cell, store: &TraceStore) -> JobMetrics {
     let TraceKey { benchmark, data_set } = cell.trace;
-    let trace = store.get(benchmark, data_set);
+    let branches = store.get_branch_stream(benchmark, data_set);
     let interned = store.get_interned(benchmark, data_set);
     let schedule = store.get_switch_schedule(benchmark, data_set, &cell.sim);
     let mut predictor = cell.build.build_any(store, cell.trace);
@@ -1381,7 +1410,8 @@ fn run_instrumented(cell: &Cell, store: &TraceStore) -> JobMetrics {
         .map(|spec| (TargetCache::new(spec.entries, spec.ways), FetchStats::default()));
     let mut events = interned.events().iter();
     let mut points = schedule.points().iter().peekable();
-    for branch in trace.branches() {
+    for branch in branches.iter() {
+        let branch = &branch;
         let predicted_taken = if branch.class.is_conditional() {
             let index = sim.predictions as usize;
             if let Some(&(_, switches)) = points.next_if(|&&(at, _)| at == index) {
@@ -1539,13 +1569,15 @@ mod tests {
     /// Jobs that cannot run come back skipped with a reason, and their
     /// neighbour is still measured: an unregistered predictor name, a
     /// history length past the cap, a `c`-flagged PAp whose geometry
-    /// cannot be built, and a fetch job whose target cache cannot be.
+    /// cannot be built, a PAp whose 512 × 2^19 replay rows would take
+    /// 2 GiB, and a fetch job whose target cache cannot be built.
     #[test]
     fn jobs_that_cannot_run_are_skipped_with_a_reason() {
         let plan: Plan = [
             Job::custom("engine-test-unregistered", li()),
             Job::scheme(SchemeConfig::gag(40), li()),
             Job::scheme(SchemeConfig::pap(40).with_context_switch(true), li()),
+            Job::scheme(SchemeConfig::pap(19), li()),
             Job::scheme(SchemeConfig::pag(8), li()).with_metrics(MetricSet {
                 miss_breakdown: false,
                 fetch: Some(TargetCacheSpec { entries: 3, ways: 2 }),
@@ -1559,6 +1591,7 @@ mod tests {
             "no predictor registered",
             "cannot be built",
             "cannot be built",
+            "cannot be built",
             "bad fetch target cache",
         ];
         for (index, want) in reasons.iter().enumerate() {
@@ -1570,6 +1603,53 @@ mod tests {
             }
         }
         assert!(results.outcome(reasons.len()).accuracy().is_some(), "the neighbour is measured");
+    }
+
+    /// No paper route reads a full trace once its forms exist. The union
+    /// of the analysis, fetch, fig9 and fig11 plans — instrumented jobs,
+    /// switched walks, trained schemes, replays and plain walks — runs
+    /// twice on one memory store: the first run loads each trace it
+    /// derives a form from, the second loads none, and neither leaves a
+    /// trace resident.
+    #[test]
+    fn a_warm_store_runs_the_paper_routes_without_a_trace() {
+        let pag12 = SchemeConfig::pag(12);
+        let breakdown = MetricSet { miss_breakdown: true, fetch: None };
+        let fetch =
+            MetricSet { miss_breakdown: false, fetch: Some(TargetCacheSpec::PAPER_DEFAULT) };
+        let fig9: Vec<SchemeConfig> = [SchemeConfig::gag(18), pag12, SchemeConfig::pap(8)]
+            .iter()
+            .flat_map(|config| [*config, config.with_context_switch(true)])
+            .collect();
+        let fig11 = [
+            pag12,
+            SchemeConfig::psg(12),
+            SchemeConfig::gsg(18),
+            SchemeConfig::btb(Automaton::A2),
+            SchemeConfig::profiling(),
+            SchemeConfig::btb(Automaton::LastTime),
+            SchemeConfig::btfn(),
+            SchemeConfig::always_taken(),
+        ];
+        let mut plan: Plan = [breakdown, fetch]
+            .iter()
+            .flat_map(|&metrics| {
+                Benchmark::ALL.iter().map(move |b| Job::scheme(pag12, b).with_metrics(metrics))
+            })
+            .collect();
+        plan.extend(Plan::suites(&fig9, &SimConfig::no_context_switch()));
+        plan.extend(Plan::suites(&fig11, &SimConfig::no_context_switch()));
+
+        let store = TraceStore::new();
+        let cold = run(&plan, &store);
+        let loads = store.trace_loads();
+        assert!(loads >= 14, "every testing and training trace loads once: {loads}");
+        assert_eq!(store.cache_bytes().traces, 0, "the first run leaves no trace");
+        let warm = run(&plan, &store);
+        assert_eq!(warm, cold);
+        assert_eq!(store.trace_loads(), loads, "the warm run loads no trace");
+        assert_eq!(store.cache_bytes().traces, 0);
+        assert_eq!(store.len(), 14, "every slot keeps its compact forms");
     }
 
     /// The prefetch barrier derives every form first and writes the slot

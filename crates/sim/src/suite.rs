@@ -4,14 +4,15 @@
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, Weak};
 
 use tlabp_core::env::{Config, DirKnob};
 use tlabp_trace::io::{
-    read_artifacts, write_artifacts_chunked, write_file_atomic, FileLock, ARTIFACT_VERSION_CHUNKED,
-    DEFAULT_CHUNK_BYTES,
+    read_artifact_sections, write_artifacts_chunked, write_file_atomic, ArtifactBundle, FileLock,
+    ReadTraceError, Sections, ARTIFACT_VERSION_CHUNKED, DEFAULT_CHUNK_BYTES,
 };
-use tlabp_trace::{InternedConds, PatternStream, Trace};
+use tlabp_trace::{BranchStream, InternedConds, PatternStream, Trace};
 use tlabp_workloads::{Benchmark, DataSet};
 
 use crate::runner::{
@@ -30,16 +31,25 @@ pub const DEFAULT_TRACE_DIR: &str = "target/trace-cache";
 /// cheap and shares the cache, so sweep cells on other threads can hold
 /// their own handle.
 ///
-/// A slot holds the forms jobs read: the full trace, the pc-interned
-/// conditional stream every walk and every pattern-stream derivation
-/// reads, and the pattern streams themselves, one per [`StreamKey`].
+/// A slot keeps resident the compact forms jobs read: the pc-interned
+/// conditional stream every walk, every pattern-stream derivation and
+/// every profiling pass reads; the pattern streams themselves, one per
+/// [`StreamKey`]; and, once a job first asks, the context-switch
+/// schedules and the [`BranchStream`] the instrumented pass reads.
 /// Interning packs the conditional branches into a buffer it drops, so
 /// no packed copy stays resident.
 ///
-/// Each cache slot initializes through its own [`OnceLock`]: when many
-/// sweep cells ask for the same ungenerated trace at once, exactly one
-/// thread runs the VM while the rest block on that slot — the map locks
-/// are only ever held to find or insert the (empty) slot, never during
+/// The full trace is transient. A slot holds it only while a reader
+/// does ([`TraceStore::get`] hands out the `Arc` and the slot keeps a
+/// [`Weak`]); once the last reader drops it, the next `get` loads it
+/// again: a memory-only store reruns the VM, a disk-backed one decodes
+/// the artifact's trace section alone. The loads that need it are
+/// deriving a form the first time, and the opt-in reference path.
+///
+/// Each form initializes through its own lock: when many sweep cells
+/// ask for the same missing form at once, exactly one thread derives
+/// (or loads) it while the rest block on that slot — the map locks are
+/// only ever held to find or insert the (empty) slot, never during
 /// generation.
 ///
 /// # Disk tier
@@ -48,10 +58,14 @@ pub const DEFAULT_TRACE_DIR: &str = "target/trace-cache";
 /// [`TraceStore::from_env`] or [`TraceStore::with_cache_dir`]
 /// additionally persists every slot as a v3 chunked artifact container
 /// (`tlabp_trace::io`): on the first touch of a slot the store tries to
-/// hydrate every form from `<dir>/<bench>-<set>-v3-<fingerprint>.tlabp`
-/// without running the VM; whenever a getter actually generates or
-/// derives something new, the slot is re-written atomically (temp file +
-/// rename). The engine's prefetch barrier derives through getters that
+/// hydrate every form but the trace from
+/// `<dir>/<bench>-<set>-v3-<fingerprint>.tlabp` without running the VM,
+/// and it reads the trace section alone whenever a reader needs the
+/// trace. Whenever a getter actually generates or derives something
+/// new, the slot is re-written atomically (temp file + rename), trace
+/// section included: a trace the VM generated stays in its slot until
+/// that write, and otherwise the write carries the section over from
+/// the file. The engine's prefetch barrier derives through getters that
 /// leave the write to it, and then writes each changed slot once. File
 /// names carry the container version and the workload fingerprint
 /// ([`TraceStore::fingerprint`]), so artifacts from an older format, an
@@ -71,21 +85,30 @@ type SlotMap = HashMap<(&'static str, DataSetKey), Arc<TraceSlot>>;
 
 #[derive(Debug, Default)]
 struct TraceSlot {
-    trace: OnceLock<Arc<Trace>>,
+    // The full trace while a reader holds it. A load runs under the
+    // lock, so concurrent readers share one load.
+    trace: Mutex<Weak<Trace>>,
+    // How many times the trace was loaded (generated or decoded).
+    trace_loads: AtomicUsize,
     interned: OnceLock<Arc<InternedConds>>,
     // One materialized first-level stream per StreamKey. The mutex guards
     // only the map (find or insert the cell); each cell's derivation runs
-    // behind its own OnceLock, exactly like the two fixed forms above.
+    // behind its own OnceLock, exactly like the interned form above.
     streams: Mutex<HashMap<StreamKey, Arc<OnceLock<Arc<PatternStream>>>>>,
-    // One context-switch schedule per switch configuration, built the
-    // same way from the full trace. Never persisted: a schedule is a few
-    // hundred points, rebuilt in about a millisecond.
+    // One context-switch schedule per switch configuration, and the
+    // branch stream, each built the same way from the full trace the
+    // first time a job asks. Never persisted: a schedule is a few
+    // hundred points and a branch stream one pass over the trace.
     schedules: Mutex<HashMap<ContextSwitchConfig, Arc<OnceLock<Arc<SwitchSchedule>>>>>,
+    branches: OnceLock<Arc<BranchStream>>,
     // Disk-tier state: the workload fingerprint (computed once), a
     // hydration gate so the artifact file is read at most once per slot,
-    // and a write lock serializing re-persists of this slot.
+    // a trace the VM generated and the artifact does not hold yet (kept
+    // until the next write takes it), and a write lock serializing
+    // re-persists of this slot.
     fingerprint: OnceLock<u64>,
     hydrated: OnceLock<()>,
+    unwritten: Mutex<Option<Arc<Trace>>>,
     write_lock: Mutex<()>,
 }
 
@@ -93,6 +116,21 @@ impl TraceSlot {
     /// The slot's workload fingerprint, computed on first use.
     fn fingerprint(&self, benchmark: &Benchmark, data_set: DataSet) -> u64 {
         *self.fingerprint.get_or_init(|| benchmark.fingerprint(data_set))
+    }
+
+    /// The full trace, if a reader holds it now.
+    fn resident_trace(&self) -> Option<Arc<Trace>> {
+        self.trace.lock().expect("trace lock").upgrade()
+    }
+
+    /// Whether the slot holds any form: a trace some reader holds, or a
+    /// derived form.
+    fn holds_any_form(&self) -> bool {
+        self.resident_trace().is_some()
+            || self.interned.get().is_some()
+            || self.branches.get().is_some()
+            || self.streams.lock().expect("stream map lock").values().any(|c| c.get().is_some())
+            || self.schedules.lock().expect("schedule map lock").values().any(|c| c.get().is_some())
     }
 }
 
@@ -125,29 +163,39 @@ impl DiskTier {
         self.dir.join(format!("{name}-{set}-v{ARTIFACT_VERSION_CHUNKED}-{fingerprint:016x}.tlabp"))
     }
 
-    /// Fills whatever forms the slot's artifact file holds. Missing file
-    /// is a plain miss; a present-but-unreadable file warns and behaves
-    /// as a miss (the next persist overwrites it).
-    fn hydrate(&self, slot: &TraceSlot, benchmark: &Benchmark, data_set: DataSet) {
+    /// Reads `sections` of the slot's artifact file, or `None` when the
+    /// file is missing or stale. A present-but-unreadable file warns and
+    /// behaves as a miss (the next persist overwrites it).
+    fn read(
+        &self,
+        slot: &TraceSlot,
+        benchmark: &Benchmark,
+        data_set: DataSet,
+        sections: Sections,
+    ) -> Option<ArtifactBundle> {
         let fingerprint = slot.fingerprint(benchmark, data_set);
         let path = self.path_for(benchmark.name(), data_set, fingerprint);
-        let Ok(bytes) = fs::read(&path) else { return };
-        let bundle = match read_artifacts(&bytes) {
-            Ok(bundle) => bundle,
+        let mut file = fs::File::open(&path).ok()?;
+        match read_artifact_sections(&mut file, sections) {
+            Ok(bundle) => (bundle.fingerprint == fingerprint).then_some(bundle),
+            Err(ReadTraceError::Io { .. }) => None,
             Err(err) => {
                 eprintln!(
                     "warning: ignoring corrupt trace artifact {} ({err}); regenerating",
                     path.display()
                 );
-                return;
+                None
             }
-        };
-        if bundle.fingerprint != fingerprint {
+        }
+    }
+
+    /// Fills every form but the trace that the slot's artifact file
+    /// holds; the trace section stays on disk until a reader needs the
+    /// trace.
+    fn hydrate(&self, slot: &TraceSlot, benchmark: &Benchmark, data_set: DataSet) {
+        let Some(bundle) = self.read(slot, benchmark, data_set, Sections::AllButTrace) else {
             return;
-        }
-        if let Some(trace) = bundle.trace {
-            let _ = slot.trace.set(Arc::new(trace));
-        }
+        };
         if let Some(interned) = bundle.interned {
             let _ = slot.interned.set(Arc::new(interned));
         }
@@ -181,7 +229,8 @@ impl DiskTier {
     ///   wins, never a torn file.
     /// * **merge-on-persist**: under the lock, the current artifact is
     ///   re-read and any sections it has that this store has not
-    ///   materialized (a trace form, disk-only pattern streams) are
+    ///   materialized (the trace, when no reader holds it and the VM
+    ///   did not just generate it; disk-only pattern streams) are
     ///   carried into the rewrite. Without this, two clients deriving
     ///   *different* streams for the same trace would each overwrite the
     ///   other's work; with it, the artifact converges to the union.
@@ -194,7 +243,8 @@ impl DiskTier {
     fn persist(&self, slot: &TraceSlot, benchmark: &Benchmark, data_set: DataSet) {
         let _guard = slot.write_lock.lock().expect("slot write lock");
         let fingerprint = slot.fingerprint(benchmark, data_set);
-        let trace = slot.trace.get().cloned();
+        let trace = slot.unwritten.lock().expect("unwritten trace lock").take();
+        let trace = trace.or_else(|| slot.resident_trace());
         let interned = slot.interned.get().cloned();
         let streams: Vec<(Vec<u8>, Arc<PatternStream>)> = {
             let map = slot.streams.lock().expect("stream map lock");
@@ -206,10 +256,12 @@ impl DiskTier {
         let _file_lock = self.lock_artifact(&path);
 
         // Merge: keep sections a concurrent writer (or an earlier run)
-        // already persisted that this store never materialized.
-        let existing = fs::read(&path)
+        // already persisted that this store never materialized. The
+        // trace section is decoded only when there is no trace at hand.
+        let sections = if trace.is_some() { Sections::AllButTrace } else { Sections::All };
+        let existing = fs::File::open(&path)
             .ok()
-            .and_then(|bytes| read_artifacts(&bytes).ok())
+            .and_then(|mut file| read_artifact_sections(&mut file, sections).ok())
             .filter(|bundle| bundle.fingerprint == fingerprint);
         let merged_trace: Option<&Trace> =
             trace.as_deref().or(existing.as_ref().and_then(|b| b.trace.as_ref()));
@@ -348,9 +400,15 @@ impl TraceStore {
         self.slot(benchmark.name(), data_set.into()).fingerprint(benchmark, data_set)
     }
 
-    /// Returns the trace for `(benchmark, data_set)`, generating it on
-    /// first use. Concurrent callers for the same key block until the
-    /// single generating thread finishes.
+    /// Returns the full trace for `(benchmark, data_set)`, loading it
+    /// when no reader holds it: a memory-only store runs the VM, a
+    /// disk-backed one decodes the trace section of the slot's artifact
+    /// (and runs the VM only when that fails). Concurrent callers for
+    /// the same key block until the single loading thread finishes and
+    /// share its trace.
+    ///
+    /// The store does not keep the trace: it is freed with the last
+    /// handle this returns, so a caller holds it only while reading.
     #[must_use]
     pub fn get(&self, benchmark: &Benchmark, data_set: DataSet) -> Arc<Trace> {
         let (trace, generated) = self.get_unpersisted(benchmark, data_set);
@@ -372,17 +430,18 @@ impl TraceStore {
     ) -> (Arc<Trace>, bool) {
         let slot = self.slot_hydrated(benchmark, data_set);
         let mut generated = false;
-        let trace = Self::trace_of(&slot, benchmark, data_set, &mut generated);
+        let trace = self.trace_of(&slot, benchmark, data_set, &mut generated);
         (trace, generated)
     }
 
     /// Returns the pc-interned conditional stream for
     /// `(benchmark, data_set)` — the input of
-    /// [`crate::runner::simulate_fused`] — interning it on first use.
+    /// [`crate::runner::simulate_fused`] and of every profiling pass —
+    /// interning it on first use.
     ///
-    /// Both fixed forms (trace, interned) share one slot, each behind
-    /// its own `OnceLock`, so every derivation happens exactly once per
-    /// key however many cells race for it. Interning packs the trace's
+    /// The interned stream sits behind its slot's `OnceLock`, so it is
+    /// derived exactly once per key however many cells race for it.
+    /// Interning loads the trace (see [`TraceStore::get`]) and packs its
     /// conditional branches into a buffer it drops.
     #[must_use]
     pub fn get_interned(&self, benchmark: &Benchmark, data_set: DataSet) -> Arc<InternedConds> {
@@ -400,7 +459,7 @@ impl TraceStore {
     ) -> (Arc<InternedConds>, bool) {
         let slot = self.slot_hydrated(benchmark, data_set);
         let mut generated = false;
-        let interned = Self::interned_of(&slot, benchmark, data_set, &mut generated);
+        let interned = self.interned_of(&slot, benchmark, data_set, &mut generated);
         (interned, generated)
     }
 
@@ -409,11 +468,11 @@ impl TraceStore {
     /// [`crate::runner::simulate_replay_transposed`] — deriving it on first
     /// use.
     ///
-    /// The third cached form, keyed per first-level [`StreamKey`] rather
-    /// than only per trace. The derivation chains through the interned
-    /// stream (and thus the trace), each stage
-    /// behind its own `OnceLock`, so every derivation happens exactly once
-    /// per key however many replay cells race for it.
+    /// Keyed per first-level [`StreamKey`] rather than only per trace.
+    /// The derivation reads the interned stream (interning it first if
+    /// need be), each stage behind its own `OnceLock`, so every
+    /// derivation happens exactly once per key however many replay cells
+    /// race for it.
     #[must_use]
     pub fn get_pattern_stream(
         &self,
@@ -443,7 +502,7 @@ impl TraceStore {
             return (Arc::clone(stream), false);
         }
         let mut generated = false;
-        let interned = Self::interned_of(&slot, benchmark, data_set, &mut generated);
+        let interned = self.interned_of(&slot, benchmark, data_set, &mut generated);
         let stream = Arc::clone(cell.get_or_init(|| {
             generated = true;
             Arc::new(derive_pattern_stream(&interned, key))
@@ -454,8 +513,8 @@ impl TraceStore {
     /// Returns where `config`'s context switches fall in the trace for
     /// `(benchmark, data_set)` — the schedule
     /// [`crate::runner::simulate_fused`] takes — building it from the full
-    /// trace on first use. Empty, without touching the slot, when
-    /// `config` models no switches.
+    /// trace on first use and keeping it in memory. Empty, without
+    /// touching the slot, when `config` models no switches.
     #[must_use]
     pub fn get_switch_schedule(
         &self,
@@ -473,6 +532,18 @@ impl TraceStore {
             cell.get_or_init(|| {
                 Arc::new(SwitchSchedule::new(&self.get(benchmark, data_set), config))
             }),
+        )
+    }
+
+    /// Returns every branch of the trace for `(benchmark, data_set)` as a
+    /// [`BranchStream`] — what the instrumented pass walks — building it
+    /// from the full trace on first use and keeping it in memory.
+    #[must_use]
+    pub fn get_branch_stream(&self, benchmark: &Benchmark, data_set: DataSet) -> Arc<BranchStream> {
+        let slot = self.slot_hydrated(benchmark, data_set);
+        Arc::clone(
+            slot.branches
+                .get_or_init(|| Arc::new(BranchStream::from_trace(&self.get(benchmark, data_set)))),
         )
     }
 
@@ -496,38 +567,56 @@ impl TraceStore {
         streams.get(&key).and_then(|cell| cell.get()).map(Arc::clone)
     }
 
-    /// The slot's trace, generating it when neither the VM nor the disk
-    /// tier has filled it yet; sets `generated` when the VM ran.
+    /// The slot's trace: the one a reader holds, else a new load under
+    /// the slot's lock — the artifact's trace section when the disk tier
+    /// has one, else the VM. Sets `generated` when the VM ran. When the
+    /// caller is changing the slot (`generated` is set), a disk store
+    /// keeps the loaded trace until the slot's next write takes it, so
+    /// the write has it without decoding the section again.
     fn trace_of(
+        &self,
         slot: &TraceSlot,
         benchmark: &Benchmark,
         data_set: DataSet,
         generated: &mut bool,
     ) -> Arc<Trace> {
-        Arc::clone(slot.trace.get_or_init(|| {
+        let mut held = slot.trace.lock().expect("trace lock");
+        if let Some(trace) = held.upgrade() {
+            return trace;
+        }
+        slot.trace_loads.fetch_add(1, Ordering::Relaxed);
+        let decoded = self.disk.as_ref().and_then(|disk| {
+            disk.read(slot, benchmark, data_set, Sections::TraceOnly).and_then(|b| b.trace)
+        });
+        let trace = Arc::new(decoded.unwrap_or_else(|| {
             *generated = true;
-            Arc::new(benchmark.trace(data_set))
-        }))
+            benchmark.trace(data_set)
+        }));
+        if *generated && self.disk.is_some() {
+            *slot.unwritten.lock().expect("unwritten trace lock") = Some(Arc::clone(&trace));
+        }
+        *held = Arc::downgrade(&trace);
+        trace
     }
 
-    /// The trace → interned derivation chain on a slot; sets `generated`
-    /// when any stage actually ran (vs. was already cached or hydrated).
+    /// The slot's interned stream, interning the trace when neither a
+    /// derivation nor the disk tier has filled it yet; sets `generated`
+    /// when interning ran.
     fn interned_of(
+        &self,
         slot: &TraceSlot,
         benchmark: &Benchmark,
         data_set: DataSet,
         generated: &mut bool,
     ) -> Arc<InternedConds> {
-        // Interning reads the full trace, so a hydrated interned form
-        // without its trace must not force trace regeneration: only
-        // consult the trace when interning actually needs to run.
-        if let Some(interned) = slot.interned.get() {
-            return Arc::clone(interned);
-        }
-        let trace = Self::trace_of(slot, benchmark, data_set, generated);
+        // The trace loads inside the `OnceLock`, so a hydrated or
+        // already-derived stream never loads it, and racing callers
+        // wait for one interning instead of each loading the trace.
         Arc::clone(slot.interned.get_or_init(|| {
             *generated = true;
-            Arc::new(InternedConds::from_trace(&trace))
+            Arc::new(InternedConds::from_trace(
+                &self.trace_of(slot, benchmark, data_set, generated),
+            ))
         }))
     }
 
@@ -557,8 +646,14 @@ impl TraceStore {
     pub fn cache_bytes(&self) -> CacheBytes {
         let mut bytes = CacheBytes::default();
         for slot in self.cache.read().expect("trace store lock").values() {
+            if let Some(trace) = slot.resident_trace() {
+                bytes.traces += trace.allocated_bytes();
+            }
             if let Some(interned) = slot.interned.get() {
                 bytes.interned += interned.len() * 4 + interned.distinct_pcs() * 8;
+            }
+            if let Some(branches) = slot.branches.get() {
+                bytes.branches += branches.bytes();
             }
             for cell in slot.streams.lock().expect("stream map lock").values() {
                 if let Some(stream) = cell.get() {
@@ -581,21 +676,26 @@ impl TraceStore {
         Arc::clone(cache.entry((name, key)).or_default())
     }
 
-    /// Number of generated traces.
+    /// Number of traces the store holds any form of: a full trace some
+    /// reader holds, an interned stream, a pattern stream, a switch
+    /// schedule or a branch stream.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.cache
-            .read()
-            .expect("trace store lock")
-            .values()
-            .filter(|slot| slot.trace.get().is_some())
-            .count()
+        self.cache.read().expect("trace store lock").values().filter(|s| s.holds_any_form()).count()
     }
 
-    /// Whether no trace has been generated yet.
+    /// Whether the store holds no form of any trace.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// How many times the store has loaded a full trace, by the VM or
+    /// from an artifact, across every slot.
+    #[cfg(test)]
+    pub(crate) fn trace_loads(&self) -> usize {
+        let cache = self.cache.read().expect("trace store lock");
+        cache.values().map(|slot| slot.trace_loads.load(Ordering::Relaxed)).sum()
     }
 }
 
@@ -604,6 +704,9 @@ impl TraceStore {
 /// cached forms stays visible.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheBytes {
+    /// Full traces some reader holds now (their allocated capacity): 0
+    /// whenever no reader runs, since the store keeps no trace.
+    pub traces: usize,
     /// Packed conditional streams: always 0, since the store keeps no
     /// packed form (interning packs into a buffer it drops). The field
     /// stays because the repository benchmark still records it.
@@ -613,6 +716,9 @@ pub struct CacheBytes {
     /// Materialized first-level pattern streams (4 bytes per event, plus
     /// 4 more per event for laned BHT-derived streams).
     pub streams: usize,
+    /// Branch streams of the instrumented pass (4 bytes per branch plus
+    /// the table of distinct branch sites).
+    pub branches: usize,
     /// On-disk artifact containers in the cache directory (0 for
     /// memory-only stores).
     pub disk: usize,
@@ -622,7 +728,7 @@ impl CacheBytes {
     /// Total bytes across all cached forms, in memory and on disk.
     #[must_use]
     pub fn total(self) -> usize {
-        self.packed + self.interned + self.streams + self.disk
+        self.traces + self.packed + self.interned + self.streams + self.branches + self.disk
     }
 }
 
@@ -711,13 +817,51 @@ mod tests {
         let bytes = store.cache_bytes();
         assert_eq!(bytes.interned, interned.len() * 4 + interned.distinct_pcs() * 8);
         assert_eq!(bytes.streams, 0);
+        assert_eq!(bytes.traces, 0, "interning keeps no trace");
         let stream =
             store.get_pattern_stream(b, DataSet::Testing, StreamKey::Global { history_bits: 6 });
+        let branches = store.get_branch_stream(b, DataSet::Testing);
         let bytes = store.cache_bytes();
         assert_eq!(bytes.streams, stream.bytes());
+        assert_eq!(bytes.branches, branches.bytes());
         assert_eq!(bytes.packed, 0, "the store keeps no packed form");
         assert_eq!(bytes.disk, 0, "memory-only store has no disk footprint");
-        assert_eq!(bytes.total(), bytes.interned + bytes.streams);
+        assert_eq!(bytes.total(), bytes.interned + bytes.streams + bytes.branches);
+        let trace = store.get(b, DataSet::Testing);
+        assert_eq!(store.cache_bytes().traces, trace.allocated_bytes(), "a held trace counts");
+        drop(trace);
+        assert_eq!(store.cache_bytes().traces, 0);
+    }
+
+    /// A slot holds its trace only while a reader does: readers that
+    /// overlap share one load, a trace no one holds is freed, and the
+    /// next reader loads it again, identical.
+    #[test]
+    fn the_trace_lives_only_while_a_reader_holds_it() {
+        let store = small_store();
+        let b = Benchmark::by_name("li").unwrap();
+        let interned = store.get_interned(b, DataSet::Testing);
+        assert_eq!(store.trace_loads(), 1, "interning loads the trace once");
+        assert_eq!(store.cache_bytes().traces, 0, "and drops it");
+        let _ =
+            store.get_pattern_stream(b, DataSet::Testing, StreamKey::Global { history_bits: 6 });
+        assert_eq!(store.trace_loads(), 1, "a stream derives from the interned form");
+
+        let first = store.get(b, DataSet::Testing);
+        let second = store.get(b, DataSet::Testing);
+        assert!(Arc::ptr_eq(&first, &second), "overlapping readers share one load");
+        assert_eq!(store.trace_loads(), 2);
+        assert_eq!(InternedConds::from_trace(&first), *interned);
+        let weak = Arc::downgrade(&first);
+        drop((first, second));
+        assert!(weak.upgrade().is_none(), "the store keeps no trace");
+        assert_eq!(store.len(), 1, "the slot still holds its other forms");
+
+        let again = store.get(b, DataSet::Testing);
+        assert_eq!(store.trace_loads(), 3, "a later reader loads it again");
+        assert_eq!(InternedConds::from_trace(&again), *interned);
+        let _ = store.get_branch_stream(b, DataSet::Testing);
+        assert_eq!(store.trace_loads(), 3, "the branch stream reads the held trace");
     }
 
     #[test]
@@ -735,6 +879,7 @@ mod tests {
         let bytes = store.cache_bytes();
         assert!(bytes.disk > 0, "persist should leave an artifact on disk");
         assert!(bytes.total() > bytes.interned + bytes.streams);
+        assert_eq!(bytes.traces, 0, "the VM's trace went with the write");
 
         // A fresh store over the same directory hydrates every form from
         // disk; the handles are new allocations with identical content.
@@ -744,6 +889,13 @@ mod tests {
         assert_eq!(*warm_interned, *interned);
         assert_eq!(*warm_stream, *stream);
         assert!(!Arc::ptr_eq(&warm_interned, &interned));
+        assert_eq!(warm.trace_loads(), 0, "hydration leaves the trace section on disk");
+
+        // The trace loads from its section alone, without the VM.
+        let (trace, generated) = warm.get_unpersisted(b, DataSet::Testing);
+        assert!(!generated, "decoded, not generated");
+        assert_eq!(warm.trace_loads(), 1);
+        assert_eq!(*trace, b.trace(DataSet::Testing));
 
         let _ = std::fs::remove_dir_all(&dir);
     }

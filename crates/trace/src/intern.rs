@@ -166,6 +166,14 @@ impl InternedConds {
         &self.events
     }
 
+    /// The `(pc, taken)` pair of every event, in stream order: the
+    /// pairs [`Trace::conditional_outcomes`] yields for the trace this
+    /// stream interned (each pc masked to [`PackedCond::PC_BITS`], as
+    /// interning stores it).
+    pub fn outcomes(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
+        self.events.iter().map(|event| (self.pcs[event.id() as usize], event.taken()))
+    }
+
     /// The pc that `id` aliases.
     ///
     /// # Panics

@@ -30,7 +30,11 @@
 //! reader can `seek` straight to chunk *k* of a section — that is what
 //! [`ChunkedArtifact`] does for the simulator's streaming cursor, which
 //! holds a bounded window of decoded chunks instead of a whole hydrated
-//! section. [`read_artifacts`] decodes a whole buffer; both
+//! section. [`read_artifacts`] decodes a whole buffer, and
+//! [`read_artifact_sections`] decodes only the [`Sections`] it is asked
+//! for from a seekable source, never reading a skipped section's
+//! payload (the trace store keeps every form but the trace resident and
+//! reads the trace section alone when a reader needs it). All the
 //! readers parse the header and section heads with one parser that
 //! checks every declared length against the bytes actually present
 //! before allocating for it. They reject truncation at any byte
@@ -38,9 +42,9 @@
 //! version (an older file is a versioned miss), and any payload whose
 //! decoded parts fail the owning container's structural validation
 //! ([`InternedConds::from_raw_parts`],
-//! [`PatternStream::from_raw_parts`]). A reader that cannot prove a file
-//! intact never yields a bundle — the disk tier falls back to
-//! regeneration instead of risking wrong numbers.
+//! [`PatternStream::from_raw_parts`]). A reader that cannot prove the
+//! sections it reads intact never yields a bundle — the disk tier falls
+//! back to regeneration instead of risking wrong numbers.
 //!
 //! Traces cross machine boundaries in the `TLBE` exchange format
 //! ([`crate::import`]), not in this container.
@@ -686,22 +690,66 @@ pub fn write_artifacts_chunked(
 /// fails the structural validation of its form. An `Err` means the file
 /// proves nothing — callers fall back to regeneration.
 pub fn read_artifacts(bytes: &[u8]) -> Result<ArtifactBundle, ReadTraceError> {
-    let (fingerprint, sections) = read_layout(&mut std::io::Cursor::new(bytes))?;
+    read_artifact_sections(&mut std::io::Cursor::new(bytes), Sections::All)
+}
+
+/// Which sections [`read_artifact_sections`] decodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sections {
+    /// Every section, as [`read_artifacts`] decodes them.
+    All,
+    /// The trace section alone: a full trace loaded on demand.
+    TraceOnly,
+    /// Every section but the trace: the forms a store keeps resident.
+    AllButTrace,
+}
+
+impl Sections {
+    fn includes(self, kind: u8) -> bool {
+        match self {
+            Sections::All => true,
+            Sections::TraceOnly => kind == section::TRACE,
+            Sections::AllButTrace => kind != section::TRACE,
+        }
+    }
+}
+
+/// Reads an artifact container from a seekable source, decoding only
+/// the sections `sections` selects.
+///
+/// Every section head is parsed and checked, as [`read_artifacts`]
+/// does, but the chunk payloads of a skipped section are never read:
+/// a store reopening its cache skips the trace section, its largest,
+/// and reads it alone when a reader needs the full trace. A section
+/// that is read is verified exactly as [`read_artifacts`] verifies it;
+/// the bundle leaves skipped forms `None` (or, for streams, empty).
+///
+/// # Errors
+///
+/// As [`read_artifacts`], for the header, every section head and the
+/// selected sections; plus [`ReadTraceError::Io`] when `src` fails.
+pub fn read_artifact_sections<R: Read + Seek>(
+    src: &mut R,
+    sections: Sections,
+) -> Result<ArtifactBundle, ReadTraceError> {
+    let (fingerprint, heads) = read_layout(src)?;
     let mut bundle = ArtifactBundle { fingerprint, ..ArtifactBundle::default() };
-    for section in sections {
-        let kind = section.kind;
+    let mut payload = Vec::new();
+    for head in heads.iter().filter(|head| sections.includes(head.kind)) {
+        let kind = head.kind;
         let bad = ReadTraceError::BadSection { kind };
-        let encoded_total = section.chunks.iter().map(|c| c.encoded).sum();
+        let encoded_total = head.chunks.iter().map(|c| c.encoded).sum();
         let mut decoder =
-            SectionDecoder::new(kind, &section.meta, encoded_total).ok_or(bad.clone())?;
-        for chunk in &section.chunks {
-            // `read_layout` proved every payload lies inside `bytes`.
-            let start = chunk.offset as usize;
-            let payload = &bytes[start..start + chunk.encoded as usize];
-            if checksum(payload) != chunk.checksum {
+            SectionDecoder::new(kind, &head.meta, encoded_total).ok_or(bad.clone())?;
+        for chunk in &head.chunks {
+            // `read_layout` proved every payload lies inside `src`.
+            src.seek(SeekFrom::Start(chunk.offset)).map_err(map_io)?;
+            payload.resize(chunk.encoded as usize, 0);
+            src.read_exact(&mut payload).map_err(map_io)?;
+            if checksum(&payload) != chunk.checksum {
                 return Err(ReadTraceError::SectionChecksum { kind });
             }
-            decoder.decode_chunk(payload, chunk.items).ok_or(bad.clone())?;
+            decoder.decode_chunk(&payload, chunk.items).ok_or(bad.clone())?;
         }
         decoder.finish(&mut bundle).ok_or(bad)?;
     }
@@ -1376,6 +1424,39 @@ mod tests {
         assert_eq!(bundle.streams, streams);
         let empty = read_artifacts(&write_artifacts_chunked(5, None, None, None, &[], b)).unwrap();
         assert_eq!(empty, ArtifactBundle { fingerprint: 5, ..ArtifactBundle::default() });
+    }
+
+    /// A partial read decodes exactly the selected sections, bit for bit
+    /// as the whole-buffer reader does, and never reads a skipped
+    /// section's payload: a corrupt trace chunk fails a trace read and
+    /// no other.
+    #[test]
+    fn partial_reads_decode_only_the_selected_sections() {
+        let bytes = write_sample(0xfeed, 64);
+        let all = read_artifacts(&bytes).unwrap();
+        let read = |bytes: &[u8], sections| {
+            read_artifact_sections(&mut std::io::Cursor::new(bytes), sections)
+        };
+        assert_eq!(read(&bytes, Sections::All).unwrap(), all);
+        let trace_only = read(&bytes, Sections::TraceOnly).unwrap();
+        assert_eq!(
+            trace_only,
+            ArtifactBundle { fingerprint: 0xfeed, trace: all.trace.clone(), ..Default::default() }
+        );
+        let rest = read(&bytes, Sections::AllButTrace).unwrap();
+        assert_eq!(rest, ArtifactBundle { trace: None, ..all.clone() });
+
+        // The trace section comes first: flip a bit in its first chunk.
+        let (_, heads) = read_layout(&mut std::io::Cursor::new(&bytes[..])).unwrap();
+        assert_eq!(heads[0].kind, section::TRACE);
+        let mut corrupt = bytes.clone();
+        corrupt[heads[0].chunks[0].offset as usize] ^= 1;
+        assert!(matches!(
+            read(&corrupt, Sections::TraceOnly),
+            Err(ReadTraceError::SectionChecksum { kind: section::TRACE })
+        ));
+        assert!(read_artifacts(&corrupt).is_err());
+        assert_eq!(read(&corrupt, Sections::AllButTrace).unwrap(), rest);
     }
 
     #[test]

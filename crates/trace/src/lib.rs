@@ -15,6 +15,10 @@
 //!   streams for the simulator's fast paths: 8 bytes per event, and a
 //!   pc-interned 4-byte form whose dense ids let per-address predictor
 //!   state become direct vector indexing.
+//! * [`BranchStream`] — every branch (any class) at 4 bytes each over a
+//!   table of distinct `(pc, class, target)` sites: the form the
+//!   simulator's fetch model and miss breakdown read instead of the
+//!   full trace.
 //! * [`PatternStream`] — a materialized first-level (pattern, outcome)
 //!   stream: the simulator derives it once per first-level signature and
 //!   replays second-level (PHT automaton) variants over it.
@@ -43,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod branch_stream;
 mod intern;
 mod pattern_stream;
 mod record;
@@ -54,6 +59,7 @@ pub mod rng;
 pub mod stats;
 pub mod synth;
 
+pub use branch_stream::BranchStream;
 pub use intern::{InternedCond, InternedConds};
 pub use pattern_stream::{PatternStream, MAX_PATTERN_BITS};
 pub use record::{BranchClass, BranchRecord, TrapRecord};

@@ -169,6 +169,21 @@ impl Trace {
         self.branches().filter(|b| b.class.is_conditional())
     }
 
+    /// The `(pc, taken)` pair of every conditional branch, in program
+    /// order: all a profiling pass reads (see
+    /// [`crate::InternedConds::outcomes`] for the same pairs from the
+    /// interned stream).
+    pub fn conditional_outcomes(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
+        self.conditional_branches().map(|b| (b.pc, b.taken))
+    }
+
+    /// Heap bytes the event vector has allocated (its capacity, not its
+    /// length).
+    #[must_use]
+    pub fn allocated_bytes(&self) -> usize {
+        self.events.capacity() * std::mem::size_of::<TraceEvent>()
+    }
+
     /// Packs every conditional branch into the compact [`PackedCond`]
     /// stream that interning ([`crate::InternedConds::from_packed`]) reads.
     #[must_use]

@@ -29,7 +29,24 @@
 # byte-identically.
 # Run from the repository root. Requires no network access (the service
 # smoke test talks only to 127.0.0.1).
+#
+# Every scratch path lives under one temporary root, and TMPDIR points
+# there too, so the files the tests and examples put in the system
+# temporary directory land under it as well. One EXIT trap stops a daemon
+# the script started and removes the root, whether the run passes or
+# fails: a run leaves nothing behind in the temporary directory.
 set -eux
+
+VERIFY_TMP="$(mktemp -d)"
+SERVE_PID=""
+cleanup() {
+  if [ -n "$SERVE_PID" ]; then
+    kill "$SERVE_PID" 2>/dev/null || true
+  fi
+  rm -rf "$VERIFY_TMP"
+}
+trap cleanup EXIT
+export TMPDIR="$VERIFY_TMP"
 
 cargo build --release --workspace
 cargo test -q --workspace
@@ -42,29 +59,28 @@ TLABP_SIMD=scalar cargo test --release -q -p tlabp --test differential --test sw
 # the suites open through `TraceStore::from_env` writes v3 artifacts and
 # later stores hydrate them, and every result must still agree bit for
 # bit with memory-only generation.
-TLABP_TRACE_DIR="$(mktemp -d)" cargo test --release -q -p tlabp --test differential --test disk_cache --test streaming
+TLABP_TRACE_DIR="$VERIFY_TMP/differential-traces" cargo test --release -q -p tlabp --test differential --test disk_cache --test streaming
 # The benchmark crate (outside the workspace) compiles against the
 # library API; its unit tests run here so an API break fails verify.
 cargo test --release -q --manifest-path benchmark/Cargo.toml
 # Benchmark smoke: every workload for one second, each with its oracle
 # checks (paper-warm's reference-path and golden-digest checks among
 # them); the run fails when any workload reports a failed check.
-cargo run --release -q --manifest-path benchmark/Cargo.toml -- run --seed 1 --seconds 1 --out "$(mktemp -d)"
+cargo run --release -q --manifest-path benchmark/Cargo.toml -- run --seed 1 --seconds 1 --out "$VERIFY_TMP/bench-run"
 # External trace ingestion: the built-in demo capture must import,
 # persist as a fingerprint-named v3 artifact and pass its replay smoke
 # check end-to-end.
-TLABP_TRACE_DIR="$(mktemp -d)" cargo run -q -p tlabp-experiments --release -- import --out "$(mktemp -d)"
+TLABP_TRACE_DIR="$VERIFY_TMP/import-traces" cargo run -q -p tlabp-experiments --release -- import --out "$VERIFY_TMP/import"
 # Configuration: every TLABP_* knob is read once, by one rule. An empty
 # address means the default, and each garbage value warns once and
 # falls back to its default, however many readers ask.
-CONFIG_LOG="$(mktemp)"
+CONFIG_LOG="$VERIFY_TMP/config.log"
 TLABP_SERVE_ADDR= TLABP_SERVE_MEMO_BYTES=64MiB TLABP_SIMD=avx512 \
   cargo run -q -p tlabp-experiments --release -- config > "$CONFIG_LOG" 2>&1
 grep -qx 'TLABP_SERVE_ADDR=127.0.0.1:7391' "$CONFIG_LOG"
 grep -qx 'TLABP_SERVE_MEMO_BYTES=67108864' "$CONFIG_LOG"
 grep -qx 'TLABP_SIMD=auto' "$CONFIG_LOG"
 test "$(grep -c '^warning: ignoring TLABP_' "$CONFIG_LOG")" -eq 2
-rm -f "$CONFIG_LOG"
 # Examples compile under `cargo test` but only run here, each to
 # completion: trace_tools asserts that a workload trace survives TLBE
 # export and import.
@@ -75,8 +91,8 @@ done
 # Golden paper outputs: `experiments all` plus `calibrate`, on a fresh
 # trace cache, must regenerate every committed CSV under results/
 # byte-identically.
-GOLDEN_DIR="$(mktemp -d)"
-GOLDEN_TRACES="$(mktemp -d)"
+GOLDEN_DIR="$VERIFY_TMP/golden"
+GOLDEN_TRACES="$VERIFY_TMP/golden-traces"
 TLABP_TRACE_DIR="$GOLDEN_TRACES" cargo run -q -p tlabp-experiments --release -- all --out "$GOLDEN_DIR"
 TLABP_TRACE_DIR="$GOLDEN_TRACES" cargo run -q -p tlabp-experiments --release -- calibrate --out "$GOLDEN_DIR"
 GOLDEN_COUNT=0
@@ -92,14 +108,13 @@ test "$GOLDEN_COUNT" -eq 22
 # (event core, persistent memo tier) from a concurrent burst of
 # clients plus one warm (memoized) client, and require every response
 # byte-identical to the in-process run.
-SMOKE_DIR="$(mktemp -d)"
+SMOKE_DIR="$VERIFY_TMP/smoke"
 export TLABP_SERVE_ADDR=127.0.0.1:17391
 export TLABP_SERVE_MEMO_DIR="$SMOKE_DIR/memo"
 cargo run -q -p tlabp-experiments --release -- plan fig5 --out "$SMOKE_DIR"
 cargo run -q -p tlabp-experiments --release -- exec "$SMOKE_DIR/fig5.plan.json" --out "$SMOKE_DIR/exec"
 cargo run -q -p tlabp-experiments --release -- serve &
 SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
 BURST_PIDS=""
 for i in 1 2 3 4 5 6; do
   cargo run -q -p tlabp-experiments --release -- client "$SMOKE_DIR/fig5.plan.json" --out "$SMOKE_DIR/client-$i" &
@@ -117,6 +132,7 @@ cargo run -q -p tlabp-experiments --release -- client "$SMOKE_DIR/fig5.plan.json
 cmp "$SMOKE_DIR/exec/fig5.results.json" "$SMOKE_DIR/client-memo/fig5.results.json"
 kill "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
+SERVE_PID=""
 
 # Restart check: a fresh daemon process must answer the already-seen
 # plan from the persistent memo tier — the client must report
@@ -127,4 +143,5 @@ cargo run -q -p tlabp-experiments --release -- client "$SMOKE_DIR/fig5.plan.json
 grep -q "memoized" "$SMOKE_DIR/client-restart.log"
 cmp "$SMOKE_DIR/exec/fig5.results.json" "$SMOKE_DIR/client-restart/fig5.results.json"
 kill "$SERVE_PID"
-trap - EXIT
+wait "$SERVE_PID" 2>/dev/null || true
+SERVE_PID=""

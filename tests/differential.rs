@@ -313,6 +313,61 @@ fn fetch_jobs_match_a_predict_update_fetch_loop_for_every_scheme() {
     }
 }
 
+/// Profiling reads only each conditional branch's pc and direction, so
+/// a trained scheme built from a training trace's interned stream is the
+/// one built from the full trace: on every benchmark with a training
+/// set, GSg(12), GSg(18), PSg(12) and Profiling get the same preset
+/// tables (or profile) and make the same prediction at every
+/// conditional branch of the testing trace.
+#[test]
+fn interned_and_trace_trainers_agree_on_every_training_trace() {
+    use tlabp::core::schemes::{train_global, train_per_address, Profiling};
+
+    let configs = [
+        SchemeConfig::gsg(12),
+        SchemeConfig::gsg(18),
+        SchemeConfig::psg(12),
+        SchemeConfig::profiling(),
+    ];
+    let store = TraceStore::from_env();
+    let trained: Vec<&'static Benchmark> =
+        Benchmark::ALL.iter().filter(|b| b.has_training_set()).collect();
+    assert_eq!(trained.len(), 5);
+    for benchmark in trained {
+        let name = benchmark.name();
+        let training = store.get(benchmark, DataSet::Training);
+        let interned = store.get_interned(benchmark, DataSet::Training);
+        for k in [12, 18] {
+            assert_eq!(
+                train_global(training.conditional_outcomes(), k),
+                train_global(interned.outcomes(), k),
+                "GSg({k}) preset on {name}"
+            );
+        }
+        assert_eq!(
+            train_per_address(training.conditional_outcomes(), 12),
+            train_per_address(interned.outcomes(), 12),
+            "PSg(12) preset on {name}"
+        );
+        assert_eq!(
+            Profiling::train(training.conditional_outcomes()),
+            Profiling::train(interned.outcomes()),
+            "profile of {name}"
+        );
+        let testing = store.get(benchmark, DataSet::Testing);
+        for config in &configs {
+            let mut from_trace = config.build_any_trained(&training);
+            let mut from_interned = config.build_any_trained_interned(&interned);
+            for (at, branch) in testing.conditional_branches().enumerate() {
+                let want = from_trace.predict(branch);
+                assert_eq!(from_interned.predict(branch), want, "{config} on {name}, branch {at}");
+                from_trace.update(branch);
+                from_interned.update(branch);
+            }
+        }
+    }
+}
+
 /// Every miss-breakdown bucket of the analysis artifact's jobs, PAg(12)
 /// on each testing trace, matches an independent pc-keyed loop: a
 /// paper-default BHT, one A2 pattern table and a last-writer table that

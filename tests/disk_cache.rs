@@ -328,3 +328,69 @@ fn concurrent_writers_merge_into_one_artifact() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The paper artifacts' plans, as `experiments plan` writes them (the
+/// repository benchmark's fixtures), as one plan.
+fn paper_plan() -> Plan {
+    let fixtures = [
+        include_str!("../benchmark/plans/fig5.plan.json"),
+        include_str!("../benchmark/plans/fig6.plan.json"),
+        include_str!("../benchmark/plans/fig7.plan.json"),
+        include_str!("../benchmark/plans/fig8.plan.json"),
+        include_str!("../benchmark/plans/fig9.plan.json"),
+        include_str!("../benchmark/plans/fig10.plan.json"),
+        include_str!("../benchmark/plans/fig11.plan.json"),
+        include_str!("../benchmark/plans/extensions.plan.json"),
+        include_str!("../benchmark/plans/analysis.plan.json"),
+        include_str!("../benchmark/plans/fetch.plan.json"),
+        include_str!("../benchmark/plans/grid.plan.json"),
+    ];
+    let mut plan = Plan::new();
+    for text in fixtures {
+        plan.extend(Plan::from_json_str(text.trim_end()).expect("a paper plan decodes"));
+    }
+    plan
+}
+
+/// A store reopened on a filled cache directory prefetches the paper
+/// plans from every section but the trace: afterwards it holds no full
+/// trace and has rewritten no artifact. It then serves the plans
+/// byte-identically to a memory-only store, loading the trace sections
+/// only where a form is first built (switch schedules, branch streams),
+/// and again keeps no trace.
+#[test]
+fn a_reopened_store_prefetches_the_paper_plans_without_a_trace() {
+    use tlabp::core::automaton::Automaton;
+    use tlabp::core::registry;
+    use tlabp::core::schemes::Gshare;
+    use tlabp::sim::{prefetch_on, SweepPool};
+
+    for bits in [12u32, 16] {
+        registry::register(&format!("gshare({bits})"), move || {
+            Box::new(Gshare::new(bits, Automaton::A2))
+        });
+    }
+    let dir = scratch_dir("paper");
+    let plan = paper_plan();
+    assert_eq!(plan.len(), 1143);
+    let pool = SweepPool::global();
+    prefetch_on(pool, &plan, &TraceStore::with_cache_dir(&dir));
+    let files = |dir: &Path| -> Vec<Vec<u8>> {
+        artifact_paths(dir).iter().map(|p| std::fs::read(p).expect("artifact reads")).collect()
+    };
+    let filled = files(&dir);
+    assert_eq!(filled.len(), 14, "9 testing and 5 training artifacts");
+
+    let reopened = TraceStore::with_cache_dir(&dir);
+    prefetch_on(pool, &plan, &reopened);
+    assert_eq!(reopened.cache_bytes().traces, 0, "the prefetch keeps no trace");
+    assert_eq!(reopened.len(), 14);
+    assert_eq!(files(&dir), filled, "a hydrating prefetch writes nothing");
+
+    let want = run(&plan, &TraceStore::new()).to_json_string();
+    assert_eq!(run(&plan, &reopened).to_json_string(), want, "the reopened store's results");
+    assert_eq!(reopened.cache_bytes().traces, 0, "the run keeps no trace");
+    assert_eq!(files(&dir), filled, "reading trace sections writes nothing");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

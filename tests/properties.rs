@@ -145,7 +145,9 @@ fn trace_io_round_trips() {
 }
 
 /// The Table 3 notation round-trips for arbitrary two-level
-/// configurations.
+/// configurations, and one whose tables cannot be built (a PAp whose
+/// per-slot tables pass the pattern-entry cap) fails to parse with the
+/// rule [`SchemeConfig::check_geometry`] names.
 #[test]
 fn scheme_notation_round_trips() {
     let mut rng = SmallRng::seed_from_u64(0xA004);
@@ -163,8 +165,14 @@ fn scheme_notation_round_trips() {
         }
         .with_context_switch(rng.random_bool(0.5));
         let text = config.to_string();
-        let parsed: SchemeConfig = text.parse().expect("own notation parses");
-        assert_eq!(parsed, config, "round trip of {text:?}");
+        let parsed: Result<SchemeConfig, _> = text.parse();
+        match config.check_geometry() {
+            Ok(()) => assert_eq!(parsed.expect("own notation parses"), config, "{text:?}"),
+            Err(rule) => {
+                let err = parsed.expect_err("a geometry past a cap does not parse");
+                assert_eq!(err.geometry(), Some(rule), "{text:?}");
+            }
+        }
     }
 }
 
