@@ -18,7 +18,7 @@ use crate::any::AnyPredictor;
 use crate::automaton::Automaton;
 use crate::bht::BhtConfig;
 use crate::cost::{BhtGeometry, CostModel};
-use crate::geometry::{check_history_bits, check_pattern_tables, check_table, GeometryError};
+use crate::geometry::{check_history_bits, check_pap_tables, check_table, GeometryError};
 use crate::predictor::BranchPredictor;
 use crate::schemes::{
     train_global, train_per_address, AlwaysTaken, Btb, Btfn, Gag, Gsg, Pag, Pap, Profiling, Psg,
@@ -272,11 +272,13 @@ impl SchemeConfig {
                 check_history_bits(self.history_bits)?;
                 if let Some(BhtConfig::Cache { entries, ways }) = self.bht {
                     check_table(entries, ways)?;
-                    if self.kind == SchemeKind::Pap {
-                        check_pattern_tables(entries, self.history_bits)?;
-                    }
                 }
-                Ok(())
+                match self.bht {
+                    Some(bht) if self.kind == SchemeKind::Pap => {
+                        check_pap_tables(bht, self.history_bits)
+                    }
+                    _ => Ok(()),
+                }
             }
         }
     }
@@ -821,6 +823,10 @@ mod tests {
         assert_geometry_rejected(
             "PAp(BHT(512,4,24-sr),512xPHT(2^24,A2))",
             GeometryError::TooManyPatternEntries { tables: 512, history_bits: 24 },
+        );
+        assert_geometry_rejected(
+            "PAp(IBHT(inf,,16-sr),infxPHT(2^16,A2))",
+            GeometryError::TooManyPatternEntries { tables: 1 << 13, history_bits: 16 },
         );
     }
 

@@ -13,6 +13,7 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::bht::BhtConfig;
 use crate::history::MAX_HISTORY_BITS;
 
 /// Largest entry count of a set-associative table: a practical BHT, a
@@ -22,14 +23,24 @@ use crate::history::MAX_HISTORY_BITS;
 pub const MAX_TABLE_ENTRIES: usize = 1 << 16;
 
 /// Largest number of pattern-table entries a configuration holds at
-/// most: `2^k` for a single table, `entries × 2^k` for PAp's per-slot
-/// tables behind a practical BHT once every slot has been touched (PAp
-/// fills its tables on first use). An entry costs one byte of automaton
-/// state on the walk, and one 8-byte row of a transposed replay bank
-/// (one row per pattern per lane, shared by up to 16 members), so the
-/// cap bounds a replay bank at 1 GiB and a walked predictor at
-/// 128 MiB. The paper's largest PAp, 512 × 2^12, is 2^21: 64× below.
+/// most: `2^k` for a single table, and for PAp's per-slot tables, once
+/// every slot has been touched (PAp fills its tables on first use),
+/// `entries × 2^k` behind a practical BHT or one `2^k` table per static
+/// conditional branch behind the ideal one, whose branch count is
+/// bounded in turn (2^13 branches). An entry costs one byte of
+/// automaton state on the walk, and one 8-byte row of a transposed
+/// replay bank (one row per pattern per lane, shared by up to 16
+/// members), so the cap bounds every replay bank at 1 GiB and a walked
+/// predictor at 128 MiB. The paper's largest PAp, 512 × 2^12, is 2^21:
+/// 64× below.
 pub const MAX_PATTERN_ENTRIES: usize = 1 << 27;
+
+/// Largest number of static conditional branches an ideal BHT is
+/// checked for: PAp keeps one pattern table per branch behind it, so
+/// this count is its table count under [`MAX_PATTERN_ENTRIES`], which
+/// holds an ideal-BHT PAp to `k <= 14`. gcc's 4,404 branches (Table 1)
+/// are the most of any built-in workload.
+pub(crate) const MAX_IDEAL_BHT_BRANCHES: usize = 1 << 13;
 
 /// Why a table geometry is invalid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,6 +157,21 @@ pub(crate) fn check_pattern_tables(tables: usize, history_bits: u32) -> Result<(
     Ok(())
 }
 
+/// Checks PAp's per-slot pattern tables behind `bht`: one per entry of
+/// a practical BHT, one per static branch of the ideal one (at most
+/// [`MAX_IDEAL_BHT_BRANCHES`]).
+///
+/// # Errors
+///
+/// As [`check_pattern_tables`].
+pub(crate) fn check_pap_tables(bht: BhtConfig, history_bits: u32) -> Result<(), GeometryError> {
+    let tables = match bht {
+        BhtConfig::Ideal => MAX_IDEAL_BHT_BRANCHES,
+        BhtConfig::Cache { entries, .. } => entries,
+    };
+    check_pattern_tables(tables, history_bits)
+}
+
 /// Panics with the rule's message when `check` failed: the constructors'
 /// side of the shared rules.
 pub(crate) fn assert_valid<T>(check: Result<T, GeometryError>) -> T {
@@ -200,5 +226,15 @@ mod tests {
             Err(GeometryError::TooManyPatternEntries { tables: 512, history_bits: 24 })
         );
         assert_eq!(check_pattern_tables(1, 0), Err(GeometryError::HistoryBits(0)));
+        // PAp over the ideal BHT: one table per (bounded) static branch.
+        assert_eq!(check_pap_tables(BhtConfig::PAPER_DEFAULT, 18), Ok(()));
+        assert_eq!(check_pap_tables(BhtConfig::Ideal, 14), Ok(()));
+        assert_eq!(
+            check_pap_tables(BhtConfig::Ideal, 15),
+            Err(GeometryError::TooManyPatternEntries {
+                tables: MAX_IDEAL_BHT_BRANCHES,
+                history_bits: 15
+            })
+        );
     }
 }

@@ -68,19 +68,15 @@ impl Pap {
     /// Panics if `history_bits` is out of range, the BHT geometry is
     /// invalid, or the per-slot pattern tables would hold more than
     /// [`MAX_PATTERN_ENTRIES`](crate::geometry::MAX_PATTERN_ENTRIES)
-    /// entries once every slot is touched.
+    /// entries once every slot is touched (under the ideal BHT, a slot
+    /// per static branch, for at most 2^13 branches).
     #[must_use]
     pub fn new(history_bits: u32, bht: BhtConfig, automaton: Automaton) -> Self {
         let table = bht.build(history_bits);
+        crate::geometry::assert_valid(crate::geometry::check_pap_tables(bht, history_bits));
         let set_size = match bht {
             BhtConfig::Ideal => "inf".to_owned(),
-            BhtConfig::Cache { entries, .. } => {
-                crate::geometry::assert_valid(crate::geometry::check_pattern_tables(
-                    entries,
-                    history_bits,
-                ));
-                entries.to_string()
-            }
+            BhtConfig::Cache { entries, .. } => entries.to_string(),
         };
         let label = format!(
             "PAp({},{set_size}xPHT(2^{history_bits},{automaton}))",

@@ -40,12 +40,6 @@ pub struct Program {
 }
 
 impl Program {
-    /// Wraps a raw instruction vector (targets already resolved).
-    #[must_use]
-    pub fn from_instructions(instructions: Vec<Inst>) -> Self {
-        Program { instructions, labels: HashMap::new() }
-    }
-
     /// The instructions.
     #[must_use]
     pub fn instructions(&self) -> &[Inst] {

@@ -165,21 +165,6 @@ impl Vm {
         self.memory[address]
     }
 
-    /// Writes a data-memory word (e.g. to provide input data).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `address` is out of range.
-    pub fn set_mem(&mut self, address: usize, value: i64) {
-        self.memory[address] = value;
-    }
-
-    /// Dynamic instructions executed so far.
-    #[must_use]
-    pub fn instructions_executed(&self) -> u64 {
-        self.instret
-    }
-
     /// The trace accumulated so far.
     #[must_use]
     pub fn trace(&self) -> &Trace {
@@ -319,18 +304,6 @@ impl Vm {
             self.pc = next_pc;
         }
     }
-}
-
-/// Convenience: assemble-free execution of a prebuilt program, returning
-/// its trace.
-///
-/// # Errors
-///
-/// Propagates any [`VmError`] from the run.
-pub fn run_to_trace(program: Program, max_instructions: u64) -> Result<Trace, VmError> {
-    let mut vm = Vm::with_limits(program, DEFAULT_MEMORY_WORDS, max_instructions);
-    vm.run()?;
-    Ok(vm.into_trace())
 }
 
 #[cfg(test)]

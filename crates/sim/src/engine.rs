@@ -114,7 +114,7 @@ use crate::runner::{
     replay_stream_key, simulate, simulate_fused, simulate_replay_transposed, ContextSwitchConfig,
     FoldKey, SimConfig, SimResult, StreamKey,
 };
-use crate::suite::TraceStore;
+use crate::suite::{SlotNeeds, TraceStore};
 
 /// Everything a job produced when it was measurable.
 #[derive(Debug, Clone, PartialEq)]
@@ -439,14 +439,14 @@ fn benchmark_row(job: &Job, outcome: &JobOutcome) -> BenchmarkAccuracy {
     match outcome {
         JobOutcome::Measured(m) => BenchmarkAccuracy {
             benchmark: benchmark.name().to_owned(),
-            kind: benchmark.kind().into(),
+            kind: benchmark.kind(),
             accuracy: Some(m.sim.accuracy()),
             context_switches: m.sim.context_switches,
             predictions: m.sim.predictions,
         },
         JobOutcome::Skipped { .. } => BenchmarkAccuracy {
             benchmark: benchmark.name().to_owned(),
-            kind: benchmark.kind().into(),
+            kind: benchmark.kind(),
             accuracy: None,
             context_switches: 0,
             predictions: 0,
@@ -566,12 +566,11 @@ impl<'p> Session<'p> {
         let lowered: Vec<Lowered> = plan.jobs().iter().map(lower).collect();
         let partition = partition_batches(&lowered);
 
-        // The prefetch barrier (see `prefetch_lowered`): every distinct
-        // trace form and pattern stream the partition needs is
-        // generated, derived or loaded as its own pool task before any
-        // simulation cell runs, so no cell idles behind another's
-        // `OnceLock`. The stream holds the full traces it returns until
-        // the plan is done.
+        // The prefetch barrier (see `prefetch_lowered`): every trace
+        // slot the partition reads is warmed, one pool task per slot,
+        // before any simulation cell runs, so no cell idles behind
+        // another's `OnceLock`. The stream holds the full traces it
+        // returns until the plan is done.
         let reference_traces = prefetch_lowered(self.pool, &lowered, &partition, &self.store);
 
         // Resolve skips inline and claim runnable cells batch by batch.
@@ -793,13 +792,12 @@ impl Iterator for JobStream<'_> {
 impl ExactSizeIterator for JobStream<'_> {}
 
 /// Runs only the prefetch barrier of [`Session::submit`] for `plan`:
-/// every distinct trace form and pattern stream the plan's runnable jobs
-/// need is generated (or, for a disk-backed store, loaded) across
-/// `pool`, and the call returns once all of them are resident in
-/// `store` — all but the full traces of reference-path jobs, which the
-/// store does not keep (see [`TraceStore::get`]). Switch schedules and
-/// branch streams are not prefetched: the first job that reads one
-/// builds it.
+/// every trace slot the plan's runnable jobs read is warmed across
+/// `pool`, one task per slot, and the call returns once every form they
+/// need is resident in `store` — all but the full traces of
+/// reference-path jobs, which the store does not keep (see
+/// [`TraceStore::get`]). Switch schedules and branch streams are not
+/// prefetched: the first job that reads one builds it.
 ///
 /// This is the barrier exposed on its own, for warming a store ahead of
 /// time (e.g. populating a [`TraceStore::with_cache_dir`] directory) and
@@ -810,116 +808,72 @@ pub fn prefetch_on(pool: &SweepPool, plan: &Plan, store: &TraceStore) {
     prefetch_lowered(pool, &lowered, &partition_batches(&lowered), store);
 }
 
-/// The prefetch barrier: pre-generate each distinct trace form a cell
-/// reads exactly once, as pool jobs — the interned stream for every
-/// route but the reference loop and for every trained scheme's
-/// training trace, the full trace for the reference loop — so no
-/// simulation cell ever blocks on the VM or an interning pass. The full
-/// traces it loads are returned for the caller to hold while the
-/// reference jobs run; the store itself keeps none.
-/// Replay batches additionally pre-derive their *representative* pattern
-/// streams in the same barrier: each replay batch of `partition`
-/// contributes exactly one (trace, representative key) stream — the
-/// widest member width of the batch — deduplicated across batches up
-/// front, so a width × automaton grid sweep derives one stream per
-/// (trace, fold class) instead of one per configuration. Stream
-/// derivation chains through the interned form itself, so it never
-/// races ahead of it.
-/// With a disk-backed store, each of these tasks starts by hydrating its
-/// slot from the artifact cache, so a warm directory turns the whole
-/// barrier into parallel file loads. The tasks derive without
-/// persisting; once they finish, every slot they changed is written
-/// once, one pool task per slot, instead of once per generating getter
-/// (a cold paper plan has 14 slots but 32 such getters, and each write
-/// re-reads and re-encodes the whole file). Getters called outside the
-/// barrier still persist at once, so the store needs no mode: sessions
-/// sharing it (the daemon's) each persist what their own barrier
-/// derived.
+/// The prefetch barrier: one pool task per trace slot the plan reads,
+/// in first-seen plan order, each warming its slot with what
+/// [`slot_needs`] lists, so no simulation cell ever blocks on the VM,
+/// an interning pass or a derivation. With a disk-backed store a task
+/// first hydrates its slot, so a warm directory turns the barrier into
+/// parallel file loads, and a task that generated anything writes its
+/// slot once, with the trace it loaded, before it drops that trace: a
+/// cold ingest holds at most one trace per worker. The full traces of
+/// reference jobs are returned for the caller to hold while those jobs
+/// run; the store itself keeps none.
 fn prefetch_lowered(
     pool: &SweepPool,
     lowered: &[Lowered],
     partition: &Partition,
     store: &TraceStore,
 ) -> Vec<Arc<Trace>> {
-    let mut seen: HashMap<(&'static str, DataSet, TraceForm), ()> = HashMap::new();
-    let mut needed: Vec<(TraceKey, TraceForm)> = Vec::new();
+    let tasks = slot_needs(lowered, partition).into_iter().map(|(key, needs)| {
+        let store = store.clone();
+        move || store.warm(key.benchmark, key.data_set, &needs)
+    });
+    pool.run(tasks).into_iter().flatten().collect()
+}
+
+/// What the plan reads of each trace slot, one record per slot in
+/// first-seen plan order: the full trace for a reference job, the
+/// interned stream for every other route and for a trained scheme's
+/// training trace, and each replay batch's representative stream
+/// ([`replay_rep_key`]) on its own trace, once per slot — so a width ×
+/// automaton grid derives one stream per (trace, fold class), not one
+/// per configuration.
+fn slot_needs(lowered: &[Lowered], partition: &Partition) -> Vec<(TraceKey, SlotNeeds)> {
+    fn needs_of(slots: &mut Vec<(TraceKey, SlotNeeds)>, key: TraceKey) -> &mut SlotNeeds {
+        let same = |have: &TraceKey| {
+            have.benchmark.name() == key.benchmark.name() && have.data_set == key.data_set
+        };
+        let at = slots.iter().position(|(have, _)| same(have)).unwrap_or_else(|| {
+            slots.push((key, SlotNeeds::default()));
+            slots.len() - 1
+        });
+        &mut slots[at].1
+    }
+    let mut slots: Vec<(TraceKey, SlotNeeds)> = Vec::new();
     for low in lowered {
         let Lowered::Run(cell) = low else { continue };
-        let mut need = |key: TraceKey, form: TraceForm| {
-            if seen.insert((key.benchmark.name(), key.data_set, form), ()).is_none() {
-                needed.push((key, form));
-            }
-        };
-        need(cell.trace, cell.trace_form());
+        let needs = needs_of(&mut slots, cell.trace);
+        if cell.route == Route::Reference {
+            needs.trace = true;
+        } else {
+            needs.interned = true;
+        }
         if cell.needs_training() {
-            need(
-                TraceKey { benchmark: cell.trace.benchmark, data_set: DataSet::Training },
-                TraceForm::Interned,
-            );
+            let training =
+                TraceKey { benchmark: cell.trace.benchmark, data_set: DataSet::Training };
+            needs_of(&mut slots, training).interned = true;
         }
     }
-    let mut stream_positions: HashMap<(&'static str, DataSet, StreamKey), ()> = HashMap::new();
-    let mut streams_needed: Vec<(TraceKey, StreamKey)> = Vec::new();
     for &(rep, ref indices) in &partition.replay {
         let Lowered::Run(cell) = &lowered[indices[0]] else {
             unreachable!("partition only batches runnable cells")
         };
-        let dedup = (cell.trace.benchmark.name(), cell.trace.data_set, rep);
-        if stream_positions.insert(dedup, ()).is_none() {
-            streams_needed.push((cell.trace, rep));
+        let streams = &mut needs_of(&mut slots, cell.trace).streams;
+        if !streams.contains(&rep) {
+            streams.push(rep);
         }
     }
-    enum PreGen {
-        Form(TraceKey, TraceForm),
-        Stream(TraceKey, StreamKey),
-    }
-    let pre_gen = needed
-        .into_iter()
-        .map(|(key, form)| PreGen::Form(key, form))
-        .chain(streams_needed.into_iter().map(|(key, stream)| PreGen::Stream(key, stream)));
-    // Each task derives without persisting and reports the slot it
-    // changed, if any, and the full trace it loaded for a reference job.
-    let results = pool.run(pre_gen.map(|item| {
-        let store = store.clone();
-        move || {
-            let (key, generated, trace) = match item {
-                PreGen::Form(key, TraceForm::Full) => {
-                    let (trace, generated) = store.get_unpersisted(key.benchmark, key.data_set);
-                    (key, generated, Some(trace))
-                }
-                PreGen::Form(key, TraceForm::Interned) => {
-                    let (_, generated) =
-                        store.get_interned_unpersisted(key.benchmark, key.data_set);
-                    (key, generated, None)
-                }
-                PreGen::Stream(key, stream) => {
-                    let (_, generated) =
-                        store.get_pattern_stream_unpersisted(key.benchmark, key.data_set, stream);
-                    (key, generated, None)
-                }
-            };
-            (generated.then_some(key), trace)
-        }
-    }));
-    let (changed, traces): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-    let traces: Vec<Arc<Trace>> = traces.into_iter().flatten().collect();
-    // Then one write per changed slot, each slot a pool task of its own,
-    // all done before the barrier lifts. A trace the VM generated on the
-    // way stays in its slot until this write.
-    if store.cache_dir().is_none() {
-        return traces;
-    }
-    let mut slots: Vec<TraceKey> = Vec::new();
-    for key in changed.into_iter().flatten() {
-        if !slots.contains(&key) {
-            slots.push(key);
-        }
-    }
-    pool.run(slots.into_iter().map(|key| {
-        let store = store.clone();
-        move || store.persist_slot(key.benchmark, key.data_set)
-    }));
-    traces
+    slots
 }
 
 /// Largest number of predictors stepped together in one interned walk.
@@ -1246,18 +1200,6 @@ struct Cell {
     metrics: MetricSet,
 }
 
-/// The form of a trace a cell reads from its [`TraceStore`] slot, which
-/// the prefetch barrier loads once per (trace, form).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum TraceForm {
-    /// The full event trace, which the store does not keep: the barrier
-    /// hands it to the [`JobStream`] to hold.
-    Full,
-    /// The pc-interned conditional stream (interning packs the
-    /// conditional branches into a buffer it drops).
-    Interned,
-}
-
 impl Cell {
     fn needs_training(&self) -> bool {
         matches!(&self.build, BuildSpec::Scheme(config) if config.needs_training())
@@ -1268,18 +1210,6 @@ impl Cell {
         match self.route {
             Route::Replay(key) => key,
             _ => unreachable!("only replay cells join replay batches"),
-        }
-    }
-
-    /// The trace form this cell reads. Only the reference loop reads the
-    /// full trace: the walks read the interned stream, replay derives its
-    /// pattern stream from it, and the instrumented pass reads it beside
-    /// the branch stream its first job builds.
-    fn trace_form(&self) -> TraceForm {
-        if self.route == Route::Reference {
-            TraceForm::Full
-        } else {
-            TraceForm::Interned
         }
     }
 }
@@ -1482,6 +1412,7 @@ mod tests {
     use super::*;
     use crate::plan::TargetCacheSpec;
     use tlabp_core::automaton::Automaton;
+    use tlabp_core::bht::BhtConfig;
     use tlabp_core::schemes::Gshare;
     use tlabp_workloads::Benchmark;
 
@@ -1570,7 +1501,9 @@ mod tests {
     /// neighbour is still measured: an unregistered predictor name, a
     /// history length past the cap, a `c`-flagged PAp whose geometry
     /// cannot be built, a PAp whose 512 × 2^19 replay rows would take
-    /// 2 GiB, and a fetch job whose target cache cannot be built.
+    /// 2 GiB, a PAp over the ideal BHT with a 2^16-entry table per
+    /// static branch, and a fetch job whose target cache cannot be
+    /// built.
     #[test]
     fn jobs_that_cannot_run_are_skipped_with_a_reason() {
         let plan: Plan = [
@@ -1578,6 +1511,7 @@ mod tests {
             Job::scheme(SchemeConfig::gag(40), li()),
             Job::scheme(SchemeConfig::pap(40).with_context_switch(true), li()),
             Job::scheme(SchemeConfig::pap(19), li()),
+            Job::scheme(SchemeConfig::pap(16).with_bht(BhtConfig::Ideal), li()),
             Job::scheme(SchemeConfig::pag(8), li()).with_metrics(MetricSet {
                 miss_breakdown: false,
                 fetch: Some(TargetCacheSpec { entries: 3, ways: 2 }),
@@ -1589,6 +1523,7 @@ mod tests {
         let results = run(&plan, &TraceStore::new());
         let reasons = [
             "no predictor registered",
+            "cannot be built",
             "cannot be built",
             "cannot be built",
             "cannot be built",
@@ -1652,10 +1587,11 @@ mod tests {
         assert_eq!(store.len(), 14, "every slot keeps its compact forms");
     }
 
-    /// The prefetch barrier derives every form first and writes the slot
-    /// once. Its artifact must be byte-identical to the one the public
-    /// getters leave when they derive the same forms one write each, and
-    /// a fresh store must hydrate every form from it without a rewrite.
+    /// The prefetch barrier derives every form of a slot in one task and
+    /// writes the slot once. Its artifact must be byte-identical to the
+    /// one the public getters leave when they derive the same forms one
+    /// write each, and a fresh store must hydrate every form from it,
+    /// decoding the trace section, without running the VM or rewriting.
     #[test]
     fn prefetch_writes_each_slot_once_as_the_getters_would() {
         let root =
@@ -1669,12 +1605,15 @@ mod tests {
             configs.iter().map(|&config| replay_stream_key(config).expect("two-level")).collect();
         assert_ne!(keys[0], keys[1], "two stream keys on one trace");
 
-        prefetch_on(SweepPool::global(), &plan, &TraceStore::with_cache_dir(&barrier_dir));
+        let barrier = TraceStore::with_cache_dir(&barrier_dir);
+        prefetch_on(SweepPool::global(), &plan, &barrier);
+        assert_eq!(barrier.artifact_writes(), 1, "the barrier writes its one slot once");
         let getters = TraceStore::with_cache_dir(&getters_dir);
         let _ = getters.get_interned(li(), set);
         for &key in &keys {
             let _ = getters.get_pattern_stream(li(), set, key);
         }
+        assert_eq!(getters.artifact_writes(), 3, "a getter writes each form it derives");
 
         let artifact = |dir: &std::path::Path| {
             let paths: Vec<_> = std::fs::read_dir(dir)
@@ -1689,17 +1628,16 @@ mod tests {
             "the barrier's artifact differs from the getters'"
         );
 
-        // Hydrated, not regenerated: no getter reports generating.
+        // Hydrated, not regenerated: the getters neither run the VM nor
+        // write, since a getter writes whenever it generates.
         let fresh = TraceStore::with_cache_dir(&barrier_dir);
-        let (trace, generated) = fresh.get_unpersisted(li(), set);
-        assert!(!generated && *trace == *getters.get(li(), set), "the trace hydrates");
-        let (interned, generated) = fresh.get_interned_unpersisted(li(), set);
-        assert!(!generated && *interned == *getters.get_interned(li(), set), "interned hydrates");
+        assert!(*fresh.get(li(), set) == *getters.get(li(), set), "the trace decodes");
+        assert_eq!(*fresh.get_interned(li(), set), *getters.get_interned(li(), set));
         for &key in &keys {
-            let (stream, generated) = fresh.get_pattern_stream_unpersisted(li(), set, key);
             let derived = getters.get_pattern_stream(li(), set, key);
-            assert!(!generated && *stream == *derived, "the {key:?} stream hydrates");
+            assert!(*fresh.get_pattern_stream(li(), set, key) == *derived, "{key:?} hydrates");
         }
+        assert_eq!((fresh.vm_runs(), fresh.artifact_writes()), (0, 0), "nothing regenerates");
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1939,11 +1877,10 @@ mod tests {
     /// path walks the interned stream: a fusion-off job in a batch of
     /// one, the rest shared per trace and switch configuration. Only
     /// reference and instrumented jobs run as single cells, and only
-    /// the reference job reads the full trace alone: every instrumented
-    /// job steps interned ids.
+    /// the reference job needs the full trace: every other route needs
+    /// the interned stream, and the replay batch its one stream.
     #[test]
     fn non_replay_accuracy_jobs_all_walk() {
-        use TraceForm::{Full, Interned};
         let miss = MetricSet { miss_breakdown: true, fetch: None };
         let fetch =
             MetricSet { miss_breakdown: false, fetch: Some(TargetCacheSpec::PAPER_DEFAULT) };
@@ -1969,17 +1906,31 @@ mod tests {
             partition.replay,
             vec![(replay_stream_key(SchemeConfig::gag(8)).expect("two-level"), vec![7])]
         );
-        let forms: Vec<TraceForm> = lowered
+        let routes: Vec<Route> = lowered
             .iter()
             .map(|low| match low {
-                Lowered::Run(cell) => cell.trace_form(),
+                Lowered::Run(cell) => cell.route,
                 Lowered::Skip { .. } => unreachable!("every job runs"),
             })
             .collect();
+        let gag8 = replay_stream_key(SchemeConfig::gag(8)).expect("two-level");
+        let (shared, alone) = (Route::Walk { shared: true }, Route::Walk { shared: false });
         assert_eq!(
-            forms,
-            [Interned, Interned, Interned, Interned, Interned, Interned, Full, Interned, Interned]
+            routes,
+            [
+                shared,
+                shared,
+                alone,
+                shared,
+                Route::Instrumented,
+                Route::Instrumented,
+                Route::Reference,
+                Route::Replay(gag8),
+                Route::Instrumented
+            ]
         );
+        let needs = SlotNeeds { trace: true, interned: true, streams: vec![gag8] };
+        assert_eq!(slot_needs(&lowered, &partition), vec![(TraceKey::testing(li()), needs)]);
     }
 
     /// A plan that panics on a worker leaves the pool serving the next

@@ -39,31 +39,13 @@ pub struct BenchmarkAccuracy {
     /// Benchmark name.
     pub benchmark: String,
     /// Integer or floating point.
-    pub kind: BenchmarkCategory,
+    pub kind: BenchmarkKind,
     /// Prediction accuracy in `[0, 1]`, or `None` if not measurable.
     pub accuracy: Option<f64>,
     /// Context switches simulated during the run.
     pub context_switches: u64,
     /// Dynamic conditional branches predicted.
     pub predictions: u64,
-}
-
-/// Serializable mirror of [`BenchmarkKind`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BenchmarkCategory {
-    /// Integer benchmark.
-    Integer,
-    /// Floating-point benchmark.
-    FloatingPoint,
-}
-
-impl From<BenchmarkKind> for BenchmarkCategory {
-    fn from(kind: BenchmarkKind) -> Self {
-        match kind {
-            BenchmarkKind::Integer => BenchmarkCategory::Integer,
-            BenchmarkKind::FloatingPoint => BenchmarkCategory::FloatingPoint,
-        }
-    }
 }
 
 /// Misprediction attribution for a PAg-structured predictor — the
@@ -138,7 +120,7 @@ pub struct SuiteResult {
 }
 
 impl SuiteResult {
-    fn accuracies(&self, filter: Option<BenchmarkCategory>) -> Vec<f64> {
+    fn accuracies(&self, filter: Option<BenchmarkKind>) -> Vec<f64> {
         self.rows
             .iter()
             .filter(|r| filter.is_none_or(|k| r.kind == k))
@@ -155,13 +137,13 @@ impl SuiteResult {
     /// "Int GMean": geometric mean over the integer benchmarks.
     #[must_use]
     pub fn int_gmean(&self) -> f64 {
-        geometric_mean(&self.accuracies(Some(BenchmarkCategory::Integer)))
+        geometric_mean(&self.accuracies(Some(BenchmarkKind::Integer)))
     }
 
     /// "FP GMean": geometric mean over the floating-point benchmarks.
     #[must_use]
     pub fn fp_gmean(&self) -> f64 {
-        geometric_mean(&self.accuracies(Some(BenchmarkCategory::FloatingPoint)))
+        geometric_mean(&self.accuracies(Some(BenchmarkKind::FloatingPoint)))
     }
 
     /// The accuracy measured for `benchmark`, if present.
@@ -175,7 +157,7 @@ impl SuiteResult {
 mod tests {
     use super::*;
 
-    fn row(name: &str, kind: BenchmarkCategory, accuracy: Option<f64>) -> BenchmarkAccuracy {
+    fn row(name: &str, kind: BenchmarkKind, accuracy: Option<f64>) -> BenchmarkAccuracy {
         BenchmarkAccuracy {
             benchmark: name.to_owned(),
             kind,
@@ -217,9 +199,9 @@ mod tests {
         let suite = SuiteResult {
             scheme: "test".to_owned(),
             rows: vec![
-                row("int_a", BenchmarkCategory::Integer, Some(0.9)),
-                row("int_b", BenchmarkCategory::Integer, Some(0.9)),
-                row("fp_a", BenchmarkCategory::FloatingPoint, Some(0.99)),
+                row("int_a", BenchmarkKind::Integer, Some(0.9)),
+                row("int_b", BenchmarkKind::Integer, Some(0.9)),
+                row("fp_a", BenchmarkKind::FloatingPoint, Some(0.99)),
             ],
         };
         assert!((suite.int_gmean() - 0.9).abs() < 1e-9);
@@ -233,8 +215,8 @@ mod tests {
         let suite = SuiteResult {
             scheme: "test".to_owned(),
             rows: vec![
-                row("a", BenchmarkCategory::Integer, Some(0.8)),
-                row("b", BenchmarkCategory::Integer, None),
+                row("a", BenchmarkKind::Integer, Some(0.8)),
+                row("b", BenchmarkKind::Integer, None),
             ],
         };
         assert!((suite.total_gmean() - 0.8).abs() < 1e-12);

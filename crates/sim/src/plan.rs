@@ -649,6 +649,17 @@ mod tests {
         let err = Plan::from_json_str(&deep).unwrap_err();
         assert!(err.to_string().contains("history length 40"), "{err}");
 
+        // One 2^16-entry table per static branch of the ideal BHT.
+        let wide = SchemeConfig::pap(16).with_bht(tlabp_core::bht::BhtConfig::Ideal);
+        let text = [Job::scheme(wide, li)].into_iter().collect::<Plan>().to_json_string();
+        assert!(text.contains("PAp(IBHT(inf,,16-sr),infxPHT(2^16,A2))"), "fixture: {text}");
+        let err = Plan::from_json_str(&text).unwrap_err();
+        let cap = tlabp_core::geometry::GeometryError::TooManyPatternEntries {
+            tables: 1 << 13,
+            history_bits: 16,
+        };
+        assert!(err.to_string().contains(&cap.to_string()), "{err}");
+
         let fetching: Plan = [Job::scheme(SchemeConfig::gag(12), li).with_metrics(MetricSet {
             miss_breakdown: false,
             fetch: Some(TargetCacheSpec::PAPER_DEFAULT),

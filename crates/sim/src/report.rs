@@ -148,7 +148,8 @@ pub fn suite_table(results: &[SuiteResult]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{BenchmarkAccuracy, BenchmarkCategory};
+    use crate::metrics::BenchmarkAccuracy;
+    use tlabp_workloads::BenchmarkKind;
 
     #[test]
     fn ascii_alignment() {
@@ -221,7 +222,7 @@ mod tests {
             scheme: "GAg(test)".to_owned(),
             rows: vec![BenchmarkAccuracy {
                 benchmark: "li".to_owned(),
-                kind: BenchmarkCategory::Integer,
+                kind: BenchmarkKind::Integer,
                 accuracy: Some(0.9),
                 context_switches: 0,
                 predictions: 100,

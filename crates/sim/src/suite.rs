@@ -44,7 +44,16 @@ pub const DEFAULT_TRACE_DIR: &str = "target/trace-cache";
 /// [`Weak`]); once the last reader drops it, the next `get` loads it
 /// again: a memory-only store reruns the VM, a disk-backed one decodes
 /// the artifact's trace section alone. The loads that need it are
-/// deriving a form the first time, and the opt-in reference path.
+/// interning a slot the first time, building a schedule or a branch
+/// stream, and the opt-in reference path.
+///
+/// One crate-private routine warms a slot: it hydrates the slot, loads
+/// the trace only when the caller needs it or the slot is not yet
+/// interned, interns, derives the pattern streams asked for and, when
+/// it generated anything, writes the slot once. Every getter but the
+/// schedule and branch-stream ones is that routine followed by a read
+/// of the slot, and the engine's prefetch barrier calls it once per
+/// slot its plan reads.
 ///
 /// Each form initializes through its own lock: when many sweep cells
 /// ask for the same missing form at once, exactly one thread derives
@@ -61,13 +70,11 @@ pub const DEFAULT_TRACE_DIR: &str = "target/trace-cache";
 /// hydrate every form but the trace from
 /// `<dir>/<bench>-<set>-v3-<fingerprint>.tlabp` without running the VM,
 /// and it reads the trace section alone whenever a reader needs the
-/// trace. Whenever a getter actually generates or derives something
-/// new, the slot is re-written atomically (temp file + rename), trace
-/// section included: a trace the VM generated stays in its slot until
-/// that write, and otherwise the write carries the section over from
-/// the file. The engine's prefetch barrier derives through getters that
-/// leave the write to it, and then writes each changed slot once. File
-/// names carry the container version and the workload fingerprint
+/// trace. Whenever a call that warms the slot generates or derives
+/// something new, it re-writes the slot once, atomically (temp file +
+/// rename), trace section included: the trace that call loaded, else
+/// one a reader holds, else the section carried over from the file.
+/// File names carry the container version and the workload fingerprint
 /// ([`TraceStore::fingerprint`]), so artifacts from an older format, an
 /// edited workload generator or an edited VM are simply never opened —
 /// an older build's files included, whatever their version. A file that
@@ -81,15 +88,19 @@ pub struct TraceStore {
     disk: Option<Arc<DiskTier>>,
 }
 
-type SlotMap = HashMap<(&'static str, DataSetKey), Arc<TraceSlot>>;
+type SlotMap = HashMap<(&'static str, DataSet), Arc<TraceSlot>>;
 
 #[derive(Debug, Default)]
 struct TraceSlot {
     // The full trace while a reader holds it. A load runs under the
     // lock, so concurrent readers share one load.
     trace: Mutex<Weak<Trace>>,
-    // How many times the trace was loaded (generated or decoded).
+    // How many times the trace was loaded (generated or decoded), how
+    // many of those loads ran the VM, and how many times the slot's
+    // artifact was written.
     trace_loads: AtomicUsize,
+    vm_runs: AtomicUsize,
+    writes: AtomicUsize,
     interned: OnceLock<Arc<InternedConds>>,
     // One materialized first-level stream per StreamKey. The mutex guards
     // only the map (find or insert the cell); each cell's derivation runs
@@ -103,12 +114,9 @@ struct TraceSlot {
     branches: OnceLock<Arc<BranchStream>>,
     // Disk-tier state: the workload fingerprint (computed once), a
     // hydration gate so the artifact file is read at most once per slot,
-    // a trace the VM generated and the artifact does not hold yet (kept
-    // until the next write takes it), and a write lock serializing
-    // re-persists of this slot.
+    // and a write lock serializing re-persists of this slot.
     fingerprint: OnceLock<u64>,
     hydrated: OnceLock<()>,
-    unwritten: Mutex<Option<Arc<Trace>>>,
     write_lock: Mutex<()>,
 }
 
@@ -209,9 +217,10 @@ impl DiskTier {
     }
 
     /// Atomically rewrites the slot's artifact file with every form
-    /// currently materialized. I/O failures warn and leave the previous
-    /// file (if any) intact — persistence is an accelerator, never a
-    /// correctness dependency.
+    /// currently materialized, and with `trace`, the trace the caller
+    /// holds, as its trace section. I/O failures warn and leave the
+    /// previous file (if any) intact — persistence is an accelerator,
+    /// never a correctness dependency.
     ///
     /// # Concurrent writers
     ///
@@ -229,8 +238,8 @@ impl DiskTier {
     ///   wins, never a torn file.
     /// * **merge-on-persist**: under the lock, the current artifact is
     ///   re-read and any sections it has that this store has not
-    ///   materialized (the trace, when no reader holds it and the VM
-    ///   did not just generate it; disk-only pattern streams) are
+    ///   materialized (the trace, when neither the caller nor any reader
+    ///   holds it; disk-only pattern streams) are
     ///   carried into the rewrite. Without this, two clients deriving
     ///   *different* streams for the same trace would each overwrite the
     ///   other's work; with it, the artifact converges to the union.
@@ -240,11 +249,18 @@ impl DiskTier {
     ///
     /// Readers need no lock at all: hydration re-validates every section
     /// checksum on open and treats a torn or corrupt file as a miss.
-    fn persist(&self, slot: &TraceSlot, benchmark: &Benchmark, data_set: DataSet) {
+    fn persist(
+        &self,
+        slot: &TraceSlot,
+        benchmark: &Benchmark,
+        data_set: DataSet,
+        trace: Option<&Trace>,
+    ) {
         let _guard = slot.write_lock.lock().expect("slot write lock");
+        slot.writes.fetch_add(1, Ordering::Relaxed);
         let fingerprint = slot.fingerprint(benchmark, data_set);
-        let trace = slot.unwritten.lock().expect("unwritten trace lock").take();
-        let trace = trace.or_else(|| slot.resident_trace());
+        let resident = if trace.is_none() { slot.resident_trace() } else { None };
+        let trace = trace.or(resident.as_deref());
         let interned = slot.interned.get().cloned();
         let streams: Vec<(Vec<u8>, Arc<PatternStream>)> = {
             let map = slot.streams.lock().expect("stream map lock");
@@ -264,7 +280,7 @@ impl DiskTier {
             .and_then(|mut file| read_artifact_sections(&mut file, sections).ok())
             .filter(|bundle| bundle.fingerprint == fingerprint);
         let merged_trace: Option<&Trace> =
-            trace.as_deref().or(existing.as_ref().and_then(|b| b.trace.as_ref()));
+            trace.or(existing.as_ref().and_then(|b| b.trace.as_ref()));
         let merged_interned: Option<&InternedConds> =
             interned.as_deref().or(existing.as_ref().and_then(|b| b.interned.as_ref()));
         let mut refs: Vec<(Vec<u8>, &PatternStream)> =
@@ -288,7 +304,7 @@ impl DiskTier {
             &refs,
             DEFAULT_CHUNK_BYTES,
         );
-        if let Err(err) = self.write_atomic(&path, &bytes) {
+        if let Err(err) = write_file_atomic(&path, &bytes) {
             eprintln!("warning: failed to write trace artifact {} ({err})", path.display());
         }
     }
@@ -311,12 +327,6 @@ impl DiskTier {
         )
     }
 
-    /// Writes via a unique temp file in the same directory, then renames
-    /// over the target, so readers only ever observe complete files.
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-        write_file_atomic(path, bytes)
-    }
-
     /// Total size of the artifact files currently in the cache directory.
     fn disk_bytes(&self) -> usize {
         let Ok(entries) = fs::read_dir(&self.dir) else { return 0 };
@@ -329,19 +339,15 @@ impl DiskTier {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum DataSetKey {
-    Training,
-    Testing,
-}
-
-impl From<DataSet> for DataSetKey {
-    fn from(ds: DataSet) -> Self {
-        match ds {
-            DataSet::Training => DataSetKey::Training,
-            DataSet::Testing => DataSetKey::Testing,
-        }
-    }
+/// What a caller needs of one slot: the input of [`TraceStore::warm`].
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct SlotNeeds {
+    /// The full trace, which `warm` returns.
+    pub(crate) trace: bool,
+    /// The pc-interned conditional stream.
+    pub(crate) interned: bool,
+    /// Pattern streams, each derived from the interned stream.
+    pub(crate) streams: Vec<StreamKey>,
 }
 
 impl TraceStore {
@@ -397,41 +403,22 @@ impl TraceStore {
     /// pays it once again.
     #[must_use]
     pub fn fingerprint(&self, benchmark: &Benchmark, data_set: DataSet) -> u64 {
-        self.slot(benchmark.name(), data_set.into()).fingerprint(benchmark, data_set)
+        self.slot(benchmark.name(), data_set).fingerprint(benchmark, data_set)
     }
 
     /// Returns the full trace for `(benchmark, data_set)`, loading it
     /// when no reader holds it: a memory-only store runs the VM, a
     /// disk-backed one decodes the trace section of the slot's artifact
-    /// (and runs the VM only when that fails). Concurrent callers for
-    /// the same key block until the single loading thread finishes and
-    /// share its trace.
+    /// (and runs the VM only when that fails, writing the slot with the
+    /// trace it generated). Concurrent callers for the same key block
+    /// until the single loading thread finishes and share its trace.
     ///
     /// The store does not keep the trace: it is freed with the last
     /// handle this returns, so a caller holds it only while reading.
     #[must_use]
     pub fn get(&self, benchmark: &Benchmark, data_set: DataSet) -> Arc<Trace> {
-        let (trace, generated) = self.get_unpersisted(benchmark, data_set);
-        if generated {
-            self.persist_slot(benchmark, data_set);
-        }
-        trace
-    }
-
-    /// [`TraceStore::get`] without the re-persist. Also returns whether
-    /// it generated anything, so a caller deriving many forms at once
-    /// (the engine's prefetch barrier) can write each changed slot once
-    /// afterwards through [`TraceStore::persist_slot`]. The other
-    /// `*_unpersisted` getters work the same way.
-    pub(crate) fn get_unpersisted(
-        &self,
-        benchmark: &Benchmark,
-        data_set: DataSet,
-    ) -> (Arc<Trace>, bool) {
-        let slot = self.slot_hydrated(benchmark, data_set);
-        let mut generated = false;
-        let trace = self.trace_of(&slot, benchmark, data_set, &mut generated);
-        (trace, generated)
+        let needs = SlotNeeds { trace: true, ..SlotNeeds::default() };
+        self.warm(benchmark, data_set, &needs).expect("a full-trace need returns the trace")
     }
 
     /// Returns the pc-interned conditional stream for
@@ -445,22 +432,10 @@ impl TraceStore {
     /// conditional branches into a buffer it drops.
     #[must_use]
     pub fn get_interned(&self, benchmark: &Benchmark, data_set: DataSet) -> Arc<InternedConds> {
-        let (interned, generated) = self.get_interned_unpersisted(benchmark, data_set);
-        if generated {
-            self.persist_slot(benchmark, data_set);
-        }
-        interned
-    }
-
-    pub(crate) fn get_interned_unpersisted(
-        &self,
-        benchmark: &Benchmark,
-        data_set: DataSet,
-    ) -> (Arc<InternedConds>, bool) {
-        let slot = self.slot_hydrated(benchmark, data_set);
-        let mut generated = false;
-        let interned = self.interned_of(&slot, benchmark, data_set, &mut generated);
-        (interned, generated)
+        let needs = SlotNeeds { interned: true, ..SlotNeeds::default() };
+        self.warm(benchmark, data_set, &needs);
+        let slot = self.slot(benchmark.name(), data_set);
+        Arc::clone(slot.interned.get().expect("warming interns the slot"))
     }
 
     /// Returns the materialized first-level stream for
@@ -480,34 +455,9 @@ impl TraceStore {
         data_set: DataSet,
         key: StreamKey,
     ) -> Arc<PatternStream> {
-        let (stream, generated) = self.get_pattern_stream_unpersisted(benchmark, data_set, key);
-        if generated {
-            self.persist_slot(benchmark, data_set);
-        }
-        stream
-    }
-
-    pub(crate) fn get_pattern_stream_unpersisted(
-        &self,
-        benchmark: &Benchmark,
-        data_set: DataSet,
-        key: StreamKey,
-    ) -> (Arc<PatternStream>, bool) {
-        let slot = self.slot_hydrated(benchmark, data_set);
-        let cell = {
-            let mut streams = slot.streams.lock().expect("stream map lock");
-            Arc::clone(streams.entry(key).or_default())
-        };
-        if let Some(stream) = cell.get() {
-            return (Arc::clone(stream), false);
-        }
-        let mut generated = false;
-        let interned = self.interned_of(&slot, benchmark, data_set, &mut generated);
-        let stream = Arc::clone(cell.get_or_init(|| {
-            generated = true;
-            Arc::new(derive_pattern_stream(&interned, key))
-        }));
-        (stream, generated)
+        let needs = SlotNeeds { streams: vec![key], ..SlotNeeds::default() };
+        self.warm(benchmark, data_set, &needs);
+        self.peek_pattern_stream(benchmark, data_set, key).expect("warming derives the stream")
     }
 
     /// Returns where `config`'s context switches fall in the trace for
@@ -561,18 +511,64 @@ impl TraceStore {
     ) -> Option<Arc<PatternStream>> {
         let slot = {
             let cache = self.cache.read().expect("trace store lock");
-            Arc::clone(cache.get(&(benchmark.name(), data_set.into()))?)
+            Arc::clone(cache.get(&(benchmark.name(), data_set))?)
         };
         let streams = slot.streams.lock().expect("stream map lock");
         streams.get(&key).and_then(|cell| cell.get()).map(Arc::clone)
     }
 
+    /// Warms the slot for `(benchmark, data_set)` with every form
+    /// `needs` lists, and returns the full trace when `needs.trace` asks
+    /// for it.
+    ///
+    /// In order: it hydrates the slot; loads the trace, but only for a
+    /// full-trace need or a first interning; interns; derives each
+    /// listed pattern stream; and, when it generated anything (ran the
+    /// VM, interned or derived) and the store has a disk tier, writes
+    /// the slot once, while it still holds any trace it loaded. Each
+    /// form initializes behind its own `OnceLock`, so it is derived
+    /// exactly once however many callers race for it.
+    pub(crate) fn warm(
+        &self,
+        benchmark: &Benchmark,
+        data_set: DataSet,
+        needs: &SlotNeeds,
+    ) -> Option<Arc<Trace>> {
+        let slot = self.slot_hydrated(benchmark, data_set);
+        let mut generated = false;
+        let mut trace =
+            needs.trace.then(|| self.trace_of(&slot, benchmark, data_set, &mut generated));
+        let cells: Vec<Arc<OnceLock<Arc<PatternStream>>>> = {
+            let mut streams = slot.streams.lock().expect("stream map lock");
+            needs.streams.iter().map(|&key| Arc::clone(streams.entry(key).or_default())).collect()
+        };
+        if needs.interned || cells.iter().any(|cell| cell.get().is_none()) {
+            // The trace loads inside the `OnceLock`, so a hydrated or
+            // already-derived stream never loads it, and racing callers
+            // wait for one interning instead of each loading the trace.
+            let interned = Arc::clone(slot.interned.get_or_init(|| {
+                generated = true;
+                let trace = trace.get_or_insert_with(|| {
+                    self.trace_of(&slot, benchmark, data_set, &mut generated)
+                });
+                Arc::new(InternedConds::from_trace(trace))
+            }));
+            for (cell, &key) in cells.iter().zip(&needs.streams) {
+                cell.get_or_init(|| {
+                    generated = true;
+                    Arc::new(derive_pattern_stream(&interned, key))
+                });
+            }
+        }
+        if let (true, Some(disk)) = (generated, &self.disk) {
+            disk.persist(&slot, benchmark, data_set, trace.as_deref());
+        }
+        trace.filter(|_| needs.trace)
+    }
+
     /// The slot's trace: the one a reader holds, else a new load under
     /// the slot's lock — the artifact's trace section when the disk tier
-    /// has one, else the VM. Sets `generated` when the VM ran. When the
-    /// caller is changing the slot (`generated` is set), a disk store
-    /// keeps the loaded trace until the slot's next write takes it, so
-    /// the write has it without decoding the section again.
+    /// has one, else the VM. Sets `generated` when the VM ran.
     fn trace_of(
         &self,
         slot: &TraceSlot,
@@ -590,53 +586,21 @@ impl TraceStore {
         });
         let trace = Arc::new(decoded.unwrap_or_else(|| {
             *generated = true;
+            slot.vm_runs.fetch_add(1, Ordering::Relaxed);
             benchmark.trace(data_set)
         }));
-        if *generated && self.disk.is_some() {
-            *slot.unwritten.lock().expect("unwritten trace lock") = Some(Arc::clone(&trace));
-        }
         *held = Arc::downgrade(&trace);
         trace
-    }
-
-    /// The slot's interned stream, interning the trace when neither a
-    /// derivation nor the disk tier has filled it yet; sets `generated`
-    /// when interning ran.
-    fn interned_of(
-        &self,
-        slot: &TraceSlot,
-        benchmark: &Benchmark,
-        data_set: DataSet,
-        generated: &mut bool,
-    ) -> Arc<InternedConds> {
-        // The trace loads inside the `OnceLock`, so a hydrated or
-        // already-derived stream never loads it, and racing callers
-        // wait for one interning instead of each loading the trace.
-        Arc::clone(slot.interned.get_or_init(|| {
-            *generated = true;
-            Arc::new(InternedConds::from_trace(
-                &self.trace_of(slot, benchmark, data_set, generated),
-            ))
-        }))
     }
 
     /// Finds or creates the slot and, when the disk tier is on, hydrates
     /// it from its artifact file exactly once.
     fn slot_hydrated(&self, benchmark: &Benchmark, data_set: DataSet) -> Arc<TraceSlot> {
-        let slot = self.slot(benchmark.name(), data_set.into());
+        let slot = self.slot(benchmark.name(), data_set);
         if let Some(disk) = &self.disk {
             slot.hydrated.get_or_init(|| disk.hydrate(&slot, benchmark, data_set));
         }
         slot
-    }
-
-    /// Re-persists the slot for `(benchmark, data_set)` with every form
-    /// it holds, after something generated a new one; a no-op for
-    /// memory-only stores.
-    pub(crate) fn persist_slot(&self, benchmark: &Benchmark, data_set: DataSet) {
-        if let Some(disk) = &self.disk {
-            disk.persist(&self.slot(benchmark.name(), data_set.into()), benchmark, data_set);
-        }
     }
 
     /// Bytes currently held by each cached trace form, across every slot
@@ -668,12 +632,12 @@ impl TraceStore {
     }
 
     /// Finds or inserts the (possibly uninitialized) slot for a key.
-    fn slot(&self, name: &'static str, key: DataSetKey) -> Arc<TraceSlot> {
-        if let Some(slot) = self.cache.read().expect("trace store lock").get(&(name, key)) {
+    fn slot(&self, name: &'static str, data_set: DataSet) -> Arc<TraceSlot> {
+        if let Some(slot) = self.cache.read().expect("trace store lock").get(&(name, data_set)) {
             return Arc::clone(slot);
         }
         let mut cache = self.cache.write().expect("trace store lock");
-        Arc::clone(cache.entry((name, key)).or_default())
+        Arc::clone(cache.entry((name, data_set)).or_default())
     }
 
     /// Number of traces the store holds any form of: a full trace some
@@ -694,8 +658,26 @@ impl TraceStore {
     /// from an artifact, across every slot.
     #[cfg(test)]
     pub(crate) fn trace_loads(&self) -> usize {
+        self.count(|slot| &slot.trace_loads)
+    }
+
+    /// How many of those loads ran the VM.
+    #[cfg(test)]
+    pub(crate) fn vm_runs(&self) -> usize {
+        self.count(|slot| &slot.vm_runs)
+    }
+
+    /// How many times the store has written an artifact, across every
+    /// slot.
+    #[cfg(test)]
+    pub(crate) fn artifact_writes(&self) -> usize {
+        self.count(|slot| &slot.writes)
+    }
+
+    #[cfg(test)]
+    fn count(&self, counter: impl Fn(&TraceSlot) -> &AtomicUsize) -> usize {
         let cache = self.cache.read().expect("trace store lock");
-        cache.values().map(|slot| slot.trace_loads.load(Ordering::Relaxed)).sum()
+        cache.values().map(|slot| counter(slot).load(Ordering::Relaxed)).sum()
     }
 }
 
@@ -891,11 +873,43 @@ mod tests {
         assert!(!Arc::ptr_eq(&warm_interned, &interned));
         assert_eq!(warm.trace_loads(), 0, "hydration leaves the trace section on disk");
 
-        // The trace loads from its section alone, without the VM.
-        let (trace, generated) = warm.get_unpersisted(b, DataSet::Testing);
-        assert!(!generated, "decoded, not generated");
-        assert_eq!(warm.trace_loads(), 1);
+        // The trace loads from its section alone, without the VM, and
+        // nothing is rewritten.
+        let trace = warm.get(b, DataSet::Testing);
+        assert_eq!((warm.trace_loads(), warm.vm_runs()), (1, 0), "decoded, not generated");
+        assert_eq!(warm.artifact_writes(), 0);
         assert_eq!(*trace, b.trace(DataSet::Testing));
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Warming a cold disk-backed slot without a full-trace need loads
+    /// the trace once, writes the slot once with it, and keeps none; a
+    /// store reopened on the directory decodes that trace section
+    /// instead of running the VM.
+    #[test]
+    fn warming_a_cold_disk_slot_writes_the_trace_it_loaded_and_keeps_none() {
+        let dir =
+            std::env::temp_dir().join(format!("tlabp-suite-warm-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (b, set) = (Benchmark::by_name("eqntott").unwrap(), DataSet::Testing);
+        let needs = SlotNeeds {
+            trace: false,
+            interned: true,
+            streams: vec![StreamKey::Global { history_bits: 6 }],
+        };
+
+        let store = TraceStore::with_cache_dir(&dir);
+        assert!(store.warm(b, set, &needs).is_none(), "no full trace was asked for");
+        assert_eq!(store.cache_bytes().traces, 0, "the loaded trace went with the write");
+        assert_eq!((store.vm_runs(), store.artifact_writes()), (1, 1));
+
+        let reopened = TraceStore::with_cache_dir(&dir);
+        assert!(reopened.warm(b, set, &needs).is_none());
+        let trace = reopened.get(b, set);
+        assert_eq!((reopened.trace_loads(), reopened.vm_runs()), (1, 0), "the section decodes");
+        assert_eq!(reopened.artifact_writes(), 0, "a hydrated slot is not rewritten");
+        assert_eq!(*trace, b.trace(set));
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -4,7 +4,8 @@
 # (a dangling intra-doc link, say to a deleted method, passes the
 # compiler, clippy and every test), the differential/determinism
 # suites under release optimization (the fast paths the benchmarks
-# exercise) — repeated with the scalar replay kernel body forced,
+# exercise) — repeated with the scalar replay kernel body forced over
+# the same four suites as CI's scalar pass (disk_cache among them),
 # proving TLABP_SIMD is a throughput knob only (the suites cover
 # intra-batch replay splitting themselves, comparing one-worker with
 # multi-worker pools) — plus a pass against a fresh disk-backed trace
@@ -54,7 +55,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo test --release -q -p tlabp --test differential --test sweep_determinism --test disk_cache --test streaming
-TLABP_SIMD=scalar cargo test --release -q -p tlabp --test differential --test sweep_determinism --test streaming
+TLABP_SIMD=scalar cargo test --release -q -p tlabp --test differential --test sweep_determinism --test disk_cache --test streaming
 # The same suites against a fresh disk-backed trace cache: every store
 # the suites open through `TraceStore::from_env` writes v3 artifacts and
 # later stores hydrate them, and every result must still agree bit for

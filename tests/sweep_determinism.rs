@@ -126,7 +126,10 @@ fn engine_results_are_identical_across_pool_sizes() {
 /// `ResultSet`s whether the prefetch pass runs on one worker or fans
 /// ingestion across eight. Stores come from `TraceStore::from_env()`, so
 /// the default run proves it memory-only and the CI warm-cache step
-/// (`TLABP_TRACE_DIR` set) proves it through the disk tier.
+/// (`TLABP_TRACE_DIR` set) proves it through the disk tier. The two
+/// passes then run again, each on a fresh cache directory of its own:
+/// the artifacts they write must match byte for byte, so neither the
+/// order of the writes nor the order of the tasks leaks into a file.
 #[test]
 fn cold_store_prefetch_is_identical_across_pool_sizes() {
     use tlabp::core::BhtConfig;
@@ -154,6 +157,30 @@ fn cold_store_prefetch_is_identical_across_pool_sizes() {
     let parallel = run_on(&parallel_pool, &plan, &TraceStore::from_env());
     assert_eq!(serial.len(), plan.len());
     assert_eq!(serial, parallel, "the prefetch pool width changed the engine output");
+
+    let root = std::env::temp_dir().join(format!("tlabp-prefetch-width-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let artifacts = |dir: &std::path::Path| -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("the pass wrote its cache directory")
+            .map(|entry| {
+                let path = entry.expect("cache entry").path();
+                let bytes = std::fs::read(&path).expect("artifact reads");
+                (path.file_name().expect("a file").to_owned(), bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let (one, eight) = (root.join("one-worker"), root.join("eight-workers"));
+    let serial_disk = run_on(&serial_pool, &plan, &TraceStore::with_cache_dir(&one));
+    let parallel_disk = run_on(&parallel_pool, &plan, &TraceStore::with_cache_dir(&eight));
+    assert_eq!(serial_disk, serial, "the disk tier changed the one-worker output");
+    assert_eq!(parallel_disk, serial, "the disk tier changed the eight-worker output");
+    let written = artifacts(&one);
+    assert_eq!(written.len(), 2, "one artifact per trace slot and no residue");
+    assert!(artifacts(&eight) == written, "the pool width changed an artifact's bytes");
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// Forcing either `TLABP_SIMD` kernel body through `ExecOptions::simd`

@@ -4,9 +4,11 @@
 //! generators cannot silently drift away from it.
 
 use tlabp::core::config::SchemeConfig;
+use tlabp::core::geometry::GeometryError;
+use tlabp::core::BhtConfig;
 use tlabp::sim::runner::{simulate, SimConfig};
 use tlabp::trace::stats::TraceSummary;
-use tlabp::trace::BranchClass;
+use tlabp::trace::{BranchClass, InternedConds};
 use tlabp::workloads::{Benchmark, BenchmarkKind, DataSet};
 
 fn summary(name: &str) -> TraceSummary {
@@ -116,5 +118,30 @@ fn programs_are_substantial() {
         let program = benchmark.program(DataSet::Testing);
         assert!(program.len() > 500, "{}: only {} instructions", benchmark.name(), program.len());
         assert!(program.static_conditional_branches() > 50, "{}", benchmark.name());
+    }
+}
+
+/// Every built-in trace, training and testing, has at most as many
+/// static conditional branches as the geometry rules assume an ideal BHT
+/// holds, so a PAp over the ideal BHT that passes them keeps at most
+/// that many pattern tables. The rule reports its bound as the table
+/// count of the smallest history length it rejects.
+#[test]
+fn static_branches_fit_the_ideal_bht_bound() {
+    let Err(GeometryError::TooManyPatternEntries { tables: bound, .. }) =
+        SchemeConfig::pap(15).with_bht(BhtConfig::Ideal).check_geometry()
+    else {
+        panic!("PAp over the ideal BHT at k = 15 breaks the pattern-entry cap");
+    };
+    for benchmark in &Benchmark::ALL {
+        let sets: &[DataSet] = if benchmark.has_training_set() {
+            &[DataSet::Testing, DataSet::Training]
+        } else {
+            &[DataSet::Testing]
+        };
+        for &data_set in sets {
+            let branches = InternedConds::from_trace(&benchmark.trace(data_set)).distinct_pcs();
+            assert!(branches <= bound, "{} {data_set:?}: {branches} > {bound}", benchmark.name());
+        }
     }
 }
