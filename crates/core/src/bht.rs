@@ -15,6 +15,7 @@
 
 use crate::fxhash::FxHashMap;
 use crate::history::HistoryRegister;
+use crate::set_assoc::SetAssoc;
 
 /// Selects a branch history table implementation for the per-address
 /// schemes.
@@ -100,32 +101,32 @@ impl BhtSignature {
     }
 }
 
-/// Hit/miss counters for a branch history table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BhtStats {
-    /// Accesses that found the branch's entry.
-    pub hits: u64,
-    /// Accesses that allocated a new entry.
-    pub misses: u64,
-}
-
-impl BhtStats {
-    /// Hit rate in `[0, 1]`; 0 when no accesses were made.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct IdealEntry {
+/// One branch's history register under the paper's miss policy: a new
+/// entry is all ones and *fresh*; the first outcome recorded is extended
+/// throughout the register, and later ones shift in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct HistoryEntry {
     history: HistoryRegister,
     fresh: bool,
+}
+
+impl HistoryEntry {
+    fn new(history_bits: u32) -> Self {
+        HistoryEntry { history: HistoryRegister::all_ones(history_bits), fresh: true }
+    }
+
+    fn pattern(self) -> usize {
+        self.history.pattern()
+    }
+
+    fn record(&mut self, taken: bool) {
+        if self.fresh {
+            self.history.fill(taken);
+            self.fresh = false;
+        } else {
+            self.history.shift_in(taken);
+        }
+    }
 }
 
 /// The Ideal Branch History Table (IBHT): one history register per static
@@ -134,16 +135,21 @@ struct IdealEntry {
 /// The paper simulates the IBHT "to show the accuracy loss due to the
 /// history interference in a practical branch history table
 /// implementation".
+///
+/// Entries live in one dense store indexed by branch: the interned id
+/// on the id path ([`IdealBht::access_pattern_id`]), and on the pc path
+/// an index each pc gets on first sight. A predictor instance is driven
+/// either entirely by pc or entirely by id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdealBht {
-    history_bits: u32,
-    entries: FxHashMap<u64, IdealEntry>,
-    /// Entries keyed by dense interned id instead of pc — the fused
-    /// sweep's fast path (see [`IdealBht::access_pattern_id`]). A
-    /// predictor instance is driven either entirely by pc or entirely by
-    /// id, so at most one of the two stores is ever populated.
-    dense: Vec<Option<IdealEntry>>,
-    stats: BhtStats,
+    /// A new branch's entry.
+    fresh: HistoryEntry,
+    entries: Vec<Option<HistoryEntry>>,
+    /// The pc path's index of each pc seen. It depends only on the order
+    /// pcs first appear, not on table state, so it survives flushes: a
+    /// branch keeps its index, and PAp its pattern table, for the
+    /// table's lifetime.
+    indices: FxHashMap<u64, u32>,
 }
 
 impl IdealBht {
@@ -151,33 +157,31 @@ impl IdealBht {
     #[must_use]
     pub fn new(history_bits: u32) -> Self {
         IdealBht {
-            history_bits,
-            entries: FxHashMap::default(),
-            dense: Vec::new(),
-            stats: BhtStats::default(),
+            fresh: HistoryEntry::new(history_bits),
+            entries: Vec::new(),
+            indices: FxHashMap::default(),
         }
     }
 
     /// Looks up `pc`, allocating an all-ones entry on first sight.
     /// Returns `true` on hit.
     pub fn access(&mut self, pc: u64) -> bool {
-        if self.entries.contains_key(&pc) {
-            self.stats.hits += 1;
-            true
-        } else {
-            self.stats.misses += 1;
-            self.entries.insert(
-                pc,
-                IdealEntry { history: HistoryRegister::all_ones(self.history_bits), fresh: true },
-            );
-            false
-        }
+        let next = self.indices.len() as u32;
+        let index = *self.indices.entry(pc).or_insert(next);
+        self.access_pattern_id(index).1
+    }
+
+    /// The index of `pc`'s entry, if resident.
+    fn resident(&self, pc: u64) -> Option<u32> {
+        let index = *self.indices.get(&pc)?;
+        self.entries.get(index as usize)?.is_some().then_some(index)
     }
 
     /// The current pattern for `pc`, if present.
     #[must_use]
     pub fn pattern(&self, pc: u64) -> Option<usize> {
-        self.entries.get(&pc).map(|e| e.history.pattern())
+        let index = self.resident(pc)?;
+        self.entries[index as usize].map(HistoryEntry::pattern)
     }
 
     /// [`IdealBht::access`] + [`IdealBht::pattern`] keyed by a dense
@@ -187,42 +191,23 @@ impl IdealBht {
     /// `id` must alias one pc bijectively over this table's lifetime
     /// (one trace's interning — see `tlabp_trace::InternedConds`), and
     /// the instance must not also be driven through the pc-keyed
-    /// methods; then hits, misses and patterns are bit-identical to
+    /// methods; then hit flags and patterns are bit-identical to
     /// `access` + `pattern` on the aliased pcs.
     #[inline]
     pub fn access_pattern_id(&mut self, id: u32) -> (usize, bool) {
         let index = id as usize;
-        if index >= self.dense.len() {
-            self.dense.resize(index + 1, None);
+        if index >= self.entries.len() {
+            self.entries.resize(index + 1, None);
         }
-        match &self.dense[index] {
-            Some(entry) => {
-                self.stats.hits += 1;
-                (entry.history.pattern(), true)
-            }
-            None => {
-                self.stats.misses += 1;
-                let entry = IdealEntry {
-                    history: HistoryRegister::all_ones(self.history_bits),
-                    fresh: true,
-                };
-                let pattern = entry.history.pattern();
-                self.dense[index] = Some(entry);
-                (pattern, false)
-            }
-        }
+        let hit = self.entries[index].is_some();
+        (self.entries[index].get_or_insert(self.fresh).pattern(), hit)
     }
 
     /// [`IdealBht::record_outcome`] keyed by a dense interned id.
     #[inline]
     pub fn record_outcome_id(&mut self, id: u32, taken: bool) {
-        if let Some(Some(entry)) = self.dense.get_mut(id as usize) {
-            if entry.fresh {
-                entry.history.fill(taken);
-                entry.fresh = false;
-            } else {
-                entry.history.shift_in(taken);
-            }
+        if let Some(Some(entry)) = self.entries.get_mut(id as usize) {
+            entry.record(taken);
         }
     }
 
@@ -231,24 +216,17 @@ impl IdealBht {
     /// if `pc` has no entry (e.g. it was flushed between predict and
     /// update).
     pub fn record_outcome(&mut self, pc: u64, taken: bool) -> bool {
-        match self.entries.get_mut(&pc) {
-            Some(entry) => {
-                if entry.fresh {
-                    entry.history.fill(taken);
-                    entry.fresh = false;
-                } else {
-                    entry.history.shift_in(taken);
-                }
-                true
-            }
-            None => false,
+        let index = self.resident(pc);
+        if let Some(index) = index {
+            self.record_outcome_id(index, taken);
         }
+        index.is_some()
     }
 
-    /// Number of distinct static branches seen (by pc or by id).
+    /// Number of distinct static branches resident.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len() + self.dense.iter().filter(|e| e.is_some()).count()
+        self.entries.iter().flatten().count()
     }
 
     /// Whether the table holds no entries.
@@ -260,28 +238,12 @@ impl IdealBht {
     /// Discards all entries (context switch).
     pub fn flush(&mut self) {
         self.entries.clear();
-        self.dense.clear();
     }
-
-    /// Access statistics.
-    #[must_use]
-    pub fn stats(&self) -> BhtStats {
-        self.stats
-    }
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct CacheSlot {
-    valid: bool,
-    tag: u64,
-    history: HistoryRegister,
-    fresh: bool,
-    /// Timestamp of last access, for LRU replacement.
-    last_used: u64,
 }
 
 /// A practical branch history table: a direct-mapped or set-associative
-/// cache of history registers with LRU replacement (Section 3.3).
+/// cache of history registers with LRU replacement (Section 3.3), on the
+/// crate's one set-associative table.
 ///
 /// "The lower part of a branch address is used to index into the table and
 /// the higher part is stored as a tag." Addresses are word-granular: the
@@ -300,18 +262,7 @@ struct CacheSlot {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheBht {
-    sets: usize,
-    ways: usize,
-    history_bits: u32,
-    slots: Vec<CacheSlot>,
-    clock: u64,
-    stats: BhtStats,
-    /// Per-interned-id memo of the derived lookup key `(set base, tag)`.
-    /// The mapping is a pure function of the pc (no table state), so it
-    /// survives flushes; dense ids make caching it a vector index, which
-    /// the pc-keyed path could only match by paying a hash lookup. Only
-    /// [`CacheBht::access_slot_interned`] touches this.
-    id_keys: Vec<Option<(u32, u64)>>,
+    table: SetAssoc<HistoryEntry>,
 }
 
 impl CacheBht {
@@ -324,67 +275,13 @@ impl CacheBht {
     /// [`check_table`](crate::geometry::check_table).
     #[must_use]
     pub fn new(entries: usize, ways: usize, history_bits: u32) -> Self {
-        let sets = crate::geometry::assert_valid(crate::geometry::check_table(entries, ways));
-        let empty = CacheSlot {
-            valid: false,
-            tag: 0,
-            history: HistoryRegister::all_ones(history_bits),
-            fresh: true,
-            last_used: 0,
-        };
-        CacheBht {
-            sets,
-            ways,
-            history_bits,
-            slots: vec![empty; entries],
-            clock: 0,
-            stats: BhtStats::default(),
-            id_keys: Vec::new(),
-        }
-    }
-
-    /// Total slot count.
-    #[must_use]
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Set associativity.
-    #[must_use]
-    pub fn ways(&self) -> usize {
-        self.ways
-    }
-
-    /// Number of sets.
-    #[must_use]
-    pub fn sets(&self) -> usize {
-        self.sets
-    }
-
-    fn set_index(&self, pc: u64) -> usize {
-        ((pc >> 2) as usize) & (self.sets - 1)
-    }
-
-    fn tag(&self, pc: u64) -> u64 {
-        (pc >> 2) / self.sets as u64
-    }
-
-    fn find(&self, pc: u64) -> Option<usize> {
-        let set = self.set_index(pc);
-        let tag = self.tag(pc);
-        let base = set * self.ways;
-        self.slots[base..base + self.ways]
-            .iter()
-            .position(|slot| slot.valid && slot.tag == tag)
-            .map(|way| base + way)
+        CacheBht { table: SetAssoc::new(entries, ways, HistoryEntry::new(history_bits)) }
     }
 
     /// Looks up `pc`, allocating on miss (evicting the LRU way of the set).
     /// Returns `true` on hit.
     pub fn access(&mut self, pc: u64) -> bool {
-        let base = self.set_index(pc) * self.ways;
-        let tag = self.tag(pc);
-        self.access_set(base, tag).1
+        self.table.access(pc).1
     }
 
     /// [`CacheBht::access`] for an interned stream, returning the
@@ -392,53 +289,11 @@ impl CacheBht {
     /// again through [`CacheBht::pattern_at`] and
     /// [`CacheBht::record_outcome_at`] without re-running the tag search)
     /// and the hit flag. The derived key `(set base, tag)` is memoized
-    /// per interned id, so the steady state replaces the index/tag
-    /// arithmetic (including a division) with one vector read. Same
-    /// bijection contract as [`IdealBht::access_pattern_id`].
+    /// per interned id. Same bijection contract as
+    /// [`IdealBht::access_pattern_id`].
     #[inline]
     pub fn access_slot_interned(&mut self, id: u32, pc: u64) -> (usize, bool) {
-        let index = id as usize;
-        if index >= self.id_keys.len() {
-            self.id_keys.resize(index + 1, None);
-        }
-        let (base, tag) = match self.id_keys[index] {
-            Some(key) => key,
-            None => {
-                let key = ((self.set_index(pc) * self.ways) as u32, self.tag(pc));
-                self.id_keys[index] = Some(key);
-                key
-            }
-        };
-        self.access_set(base as usize, tag)
-    }
-
-    /// The access/replacement core shared by the pc-keyed and id-memoized
-    /// lookups: LRU-touch the matching way of the set at `base`, or
-    /// allocate over the least recently used one.
-    #[inline]
-    fn access_set(&mut self, base: usize, tag: u64) -> (usize, bool) {
-        self.clock += 1;
-        let hit = self.slots[base..base + self.ways]
-            .iter()
-            .position(|slot| slot.valid && slot.tag == tag);
-        if let Some(way) = hit {
-            let i = base + way;
-            self.slots[i].last_used = self.clock;
-            self.stats.hits += 1;
-            return (i, true);
-        }
-        self.stats.misses += 1;
-        let victim = (base..base + self.ways)
-            .min_by_key(|&i| (self.slots[i].valid, self.slots[i].last_used))
-            .expect("set has at least one way");
-        let history_bits = self.history_bits;
-        let slot = &mut self.slots[victim];
-        slot.valid = true;
-        slot.tag = tag;
-        slot.history = HistoryRegister::all_ones(history_bits);
-        slot.fresh = true;
-        slot.last_used = self.clock;
-        (victim, false)
+        self.table.access_interned(id, pc)
     }
 
     /// The pattern in physical slot `slot` (from
@@ -450,7 +305,7 @@ impl CacheBht {
     #[inline]
     #[must_use]
     pub fn pattern_at(&self, slot: usize) -> usize {
-        self.slots[slot].history.pattern()
+        self.table.value(slot).pattern()
     }
 
     /// Records the resolved outcome directly into physical slot `slot`
@@ -461,19 +316,13 @@ impl CacheBht {
     /// Panics if `slot` is out of range.
     #[inline]
     pub fn record_outcome_at(&mut self, slot: usize, taken: bool) {
-        let slot = &mut self.slots[slot];
-        if slot.fresh {
-            slot.history.fill(taken);
-            slot.fresh = false;
-        } else {
-            slot.history.shift_in(taken);
-        }
+        self.table.value_mut(slot).record(taken);
     }
 
     /// The current pattern for `pc`, if resident.
     #[must_use]
     pub fn pattern(&self, pc: u64) -> Option<usize> {
-        self.find(pc).map(|i| self.slots[i].history.pattern())
+        self.table.find(pc).map(|slot| self.pattern_at(slot))
     }
 
     /// The physical slot index currently holding `pc`, if resident.
@@ -482,40 +331,23 @@ impl CacheBht {
     /// physical BHT entry.
     #[must_use]
     pub fn slot_of(&self, pc: u64) -> Option<usize> {
-        self.find(pc)
+        self.table.find(pc)
     }
 
     /// Records the resolved outcome for `pc` (fill if fresh, else shift).
     /// Returns `false` if `pc` is not resident.
     pub fn record_outcome(&mut self, pc: u64, taken: bool) -> bool {
-        match self.find(pc) {
-            Some(i) => {
-                let slot = &mut self.slots[i];
-                if slot.fresh {
-                    slot.history.fill(taken);
-                    slot.fresh = false;
-                } else {
-                    slot.history.shift_in(taken);
-                }
-                true
-            }
-            None => false,
+        let slot = self.table.find(pc);
+        if let Some(slot) = slot {
+            self.record_outcome_at(slot, taken);
         }
+        slot.is_some()
     }
 
     /// Invalidates every slot (context switch: "a context switch results
     /// in flushing and reinitialization of the branch history table").
     pub fn flush(&mut self) {
-        for slot in &mut self.slots {
-            slot.valid = false;
-            slot.fresh = true;
-        }
-    }
-
-    /// Access statistics.
-    #[must_use]
-    pub fn stats(&self) -> BhtStats {
-        self.stats
+        self.table.flush();
     }
 }
 
@@ -530,27 +362,14 @@ pub enum BranchHistoryTable {
 
 /// Opaque handle returned by
 /// [`BranchHistoryTable::access_pattern_interned`], locating the entry
-/// just touched so the outcome write can skip the second lookup on the
-/// cache implementation.
+/// just touched so the outcome write can skip the second lookup.
 #[derive(Debug, Clone, Copy)]
 pub struct BhtCursor {
-    slot: usize,
+    lane: u32,
     hit: bool,
 }
 
 impl BhtCursor {
-    const KEYED: usize = usize::MAX;
-
-    /// The physical cache slot, or `None` for the keyed (ideal) table.
-    #[must_use]
-    pub fn slot(self) -> Option<usize> {
-        if self.slot == Self::KEYED {
-            None
-        } else {
-            Some(self.slot)
-        }
-    }
-
     /// Whether the access found the branch's entry resident. On a miss
     /// it allocated a fresh all-ones history register.
     #[must_use]
@@ -558,14 +377,13 @@ impl BhtCursor {
         self.hit
     }
 
-    /// The entry's *lane*, given the interned `id` the cursor was
-    /// resolved for: the physical slot under a practical BHT, the id
-    /// under the ideal one. PAp keeps one pattern table per lane, and a
-    /// laned pattern stream records this per event, so the rule that
-    /// ties the two together lives here.
+    /// The entry's *lane*: the physical slot under a practical BHT, the
+    /// interned id under the ideal one. PAp keeps one pattern table per
+    /// lane, and a laned pattern stream records this per event, so the
+    /// rule that ties the two together lives here.
     #[must_use]
-    pub fn lane(self, id: u32) -> u32 {
-        self.slot().map_or(id, |slot| slot as u32)
+    pub fn lane(self) -> u32 {
+        self.lane
     }
 }
 
@@ -581,7 +399,7 @@ impl BranchHistoryTable {
     /// Fused [`BranchHistoryTable::access`] +
     /// [`BranchHistoryTable::pattern`] for an interned stream: one lookup
     /// resolving the entry, its pre-update pattern, and a [`BhtCursor`]
-    /// carrying the hit flag, for
+    /// carrying the lane and the hit flag, for
     /// [`BranchHistoryTable::record_outcome_at_interned`]. The ideal
     /// table indexes directly by the dense `id` (no hash); the cache
     /// table memoizes the pc's derived `(set, tag)` key per id
@@ -595,26 +413,23 @@ impl BranchHistoryTable {
         match self {
             BranchHistoryTable::Ideal(t) => {
                 let (pattern, hit) = t.access_pattern_id(id);
-                (pattern, BhtCursor { slot: BhtCursor::KEYED, hit })
+                (pattern, BhtCursor { lane: id, hit })
             }
             BranchHistoryTable::Cache(t) => {
                 let (slot, hit) = t.access_slot_interned(id, pc);
-                (t.pattern_at(slot), BhtCursor { slot, hit })
+                (t.pattern_at(slot), BhtCursor { lane: slot as u32, hit })
             }
         }
     }
 
     /// Records the resolved outcome at the entry `cursor` points to: the
-    /// cursor and `id` of the [`BranchHistoryTable::access_pattern_interned`]
-    /// call just made, with no intervening flush.
+    /// cursor of the [`BranchHistoryTable::access_pattern_interned`] call
+    /// just made, with no intervening flush.
     #[inline]
-    pub fn record_outcome_at_interned(&mut self, cursor: BhtCursor, id: u32, taken: bool) {
+    pub fn record_outcome_at_interned(&mut self, cursor: BhtCursor, taken: bool) {
         match self {
-            BranchHistoryTable::Ideal(t) => t.record_outcome_id(id, taken),
-            BranchHistoryTable::Cache(t) => t.record_outcome_at(
-                cursor.slot().expect("cache table always yields a slot cursor"),
-                taken,
-            ),
+            BranchHistoryTable::Ideal(t) => t.record_outcome_id(cursor.lane, taken),
+            BranchHistoryTable::Cache(t) => t.record_outcome_at(cursor.lane as usize, taken),
         }
     }
 
@@ -635,13 +450,14 @@ impl BranchHistoryTable {
         }
     }
 
-    /// The physical slot currently holding `pc` (cache only; `None` for the
-    /// ideal table, which has no fixed slots).
+    /// The lane ([`BhtCursor::lane`]) of `pc`'s entry, if resident: the
+    /// physical slot under a practical BHT, the index the pc path gave
+    /// `pc` under the ideal one.
     #[must_use]
-    pub fn slot_of(&self, pc: u64) -> Option<usize> {
+    pub fn lane_of(&self, pc: u64) -> Option<u32> {
         match self {
-            BranchHistoryTable::Ideal(_) => None,
-            BranchHistoryTable::Cache(t) => t.slot_of(pc),
+            BranchHistoryTable::Ideal(t) => t.resident(pc),
+            BranchHistoryTable::Cache(t) => t.slot_of(pc).map(|slot| slot as u32),
         }
     }
 
@@ -650,15 +466,6 @@ impl BranchHistoryTable {
         match self {
             BranchHistoryTable::Ideal(t) => t.flush(),
             BranchHistoryTable::Cache(t) => t.flush(),
-        }
-    }
-
-    /// Access statistics.
-    #[must_use]
-    pub fn stats(&self) -> BhtStats {
-        match self {
-            BranchHistoryTable::Ideal(t) => t.stats(),
-            BranchHistoryTable::Cache(t) => t.stats(),
         }
     }
 }
@@ -681,12 +488,9 @@ mod tests {
     #[test]
     fn ideal_tracks_distinct_branches() {
         let mut bht = IdealBht::new(4);
-        for pc in [0x10u64, 0x20, 0x30, 0x10] {
-            bht.access(pc);
-        }
+        let hits: Vec<bool> = [0x10u64, 0x20, 0x30, 0x10].map(|pc| bht.access(pc)).into();
+        assert_eq!(hits, [false, false, false, true]);
         assert_eq!(bht.len(), 3);
-        assert_eq!(bht.stats().hits, 1);
-        assert_eq!(bht.stats().misses, 3);
     }
 
     #[test]
@@ -701,8 +505,11 @@ mod tests {
     #[test]
     fn ideal_id_path_matches_pc_path() {
         // The same access/outcome sequence, once keyed by pc and once by
-        // a dense alias of each pc, must produce identical patterns, hit
-        // flags and hit/miss statistics.
+        // a dense alias of each pc, must produce identical patterns and
+        // hit flags, across a mid-stream flush (the pc path's index map
+        // is not table state, so it survives). Ids are given in order of
+        // first sight, as the pc path gives its indices, so each pc's
+        // index is its id.
         let pcs = [0x100u64, 0x204, 0x308, 0x100, 0x40c, 0x204, 0x100, 0x510, 0x308, 0x204];
         let mut by_pc = IdealBht::new(6);
         let mut by_id = IdealBht::new(6);
@@ -710,14 +517,18 @@ mod tests {
         for (i, &pc) in pcs.iter().cycle().take(200).enumerate() {
             let next = ids.len() as u32;
             let id = *ids.entry(pc).or_insert(next);
+            if i == 77 {
+                by_pc.flush();
+                by_id.flush();
+            }
             let taken = (i * 7 + i / 3) % 3 != 0;
             let hit = by_pc.access(pc);
             let pattern = by_pc.pattern(pc).expect("entry present after access");
             assert_eq!((pattern, hit), by_id.access_pattern_id(id), "event {i}");
+            assert_eq!(by_pc.resident(pc), Some(id), "event {i}");
             by_pc.record_outcome(pc, taken);
             by_id.record_outcome_id(id, taken);
         }
-        assert_eq!(by_pc.stats(), by_id.stats());
         assert_eq!(by_pc.len(), by_id.len());
     }
 
@@ -730,15 +541,14 @@ mod tests {
         assert!(bht.is_empty());
         // Post-flush access misses and reallocates all-ones.
         assert_eq!(bht.access_pattern_id(3), (0b1111, false));
-        assert_eq!(bht.stats().misses, 2);
     }
 
     #[test]
     fn cache_id_memo_path_matches_pc_path() {
         // Conflicting pcs (several share sets in a tiny table) driven
         // once through the pc-keyed methods and once through the
-        // id-memoized lookup: slots, hit flags, patterns and stats must
-        // agree event for event, across a mid-stream flush (the memo is
+        // id-memoized lookup: slots, hit flags and patterns must agree
+        // event for event, across a mid-stream flush (the memo is
         // pc-derived, not table state, so it survives).
         let pcs = [0x100u64, 0x204, 0x308, 0x100, 0x40c, 0x204, 0x100, 0x510, 0x308, 0x204];
         let mut by_pc = CacheBht::new(8, 2, 6);
@@ -760,15 +570,19 @@ mod tests {
             by_pc.record_outcome(pc, taken);
             by_id.record_outcome_at(slot_id, taken);
         }
-        assert_eq!(by_pc.stats(), by_id.stats());
     }
 
     #[test]
-    fn cache_geometry_validation() {
-        let bht = CacheBht::new(512, 4, 12);
-        assert_eq!(bht.sets(), 128);
-        assert_eq!(bht.ways(), 4);
-        assert_eq!(bht.slot_count(), 512);
+    fn cache_geometry_sets_and_ways() {
+        // 512 × 4: 128 sets, so pcs 128 words apart share a set. Four of
+        // them fit its ways; a fifth evicts the least recent.
+        let mut bht = CacheBht::new(512, 4, 12);
+        let pc = |n: u64| 0x1000 + n * 128 * 4;
+        let hits: Vec<bool> = (0..5).map(|n| bht.access(pc(n))).collect();
+        assert_eq!(hits, [false; 5]);
+        assert_eq!(bht.pattern(pc(0)), None, "pc(4) evicted the least recent, pc(0)");
+        assert!(!bht.access(0x1004), "the next word maps to another set");
+        assert!((1..5).all(|n| bht.access(pc(n))), "so set 0 keeps its four ways");
     }
 
     #[test]
@@ -788,8 +602,6 @@ mod tests {
         let mut bht = CacheBht::new(16, 2, 4);
         assert!(!bht.access(0x40));
         assert!(bht.access(0x40));
-        assert_eq!(bht.stats().hits, 1);
-        assert_eq!(bht.stats().misses, 1);
     }
 
     #[test]
@@ -884,12 +696,5 @@ mod tests {
     fn config_labels() {
         assert_eq!(BhtConfig::Ideal.label(), "IBHT");
         assert_eq!(BhtConfig::Cache { entries: 512, ways: 4 }.label(), "512x4");
-    }
-
-    #[test]
-    fn stats_hit_rate() {
-        let stats = BhtStats { hits: 3, misses: 1 };
-        assert!((stats.hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(BhtStats::default().hit_rate(), 0.0);
     }
 }

@@ -5,8 +5,9 @@
 //! geometry that breaks these rules with a typed [`GeometryError`]. The
 //! table constructors ([`HistoryRegister`](crate::history::HistoryRegister),
 //! [`PatternHistoryTable`](crate::pht::PatternHistoryTable),
-//! [`CacheBht`](crate::bht::CacheBht), [`Btb`](crate::schemes::Btb),
-//! [`Pap`](crate::schemes::Pap) and
+//! [`Pap`](crate::schemes::Pap) and `SetAssoc::new`, the one
+//! set-associative table behind [`CacheBht`](crate::bht::CacheBht),
+//! [`Btb`](crate::schemes::Btb) and
 //! [`TargetCache`](crate::target_cache::TargetCache)) assert the same
 //! rules, so a configuration that parses always builds.
 

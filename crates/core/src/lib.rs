@@ -71,6 +71,7 @@ pub mod pht;
 pub mod predictor;
 pub mod registry;
 pub mod schemes;
+mod set_assoc;
 pub mod simd;
 pub mod speculative;
 pub mod target_cache;

@@ -4,14 +4,7 @@ use tlabp_trace::BranchRecord;
 
 use crate::automaton::{Automaton, State};
 use crate::predictor::BranchPredictor;
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct BtbSlot {
-    valid: bool,
-    tag: u64,
-    state: State,
-    last_used: u64,
-}
+use crate::set_assoc::SetAssoc;
 
 /// A branch-target-buffer style predictor: a set-associative table of
 /// per-branch prediction automata, with *no* second-level pattern history.
@@ -40,13 +33,8 @@ struct BtbSlot {
 #[derive(Debug, Clone)]
 pub struct Btb {
     automaton: Automaton,
-    sets: usize,
-    ways: usize,
-    slots: Vec<BtbSlot>,
-    clock: u64,
-    /// Per-interned-id memo of `(set base, tag)` — pc-derived, never
-    /// flushed; see `CacheBht::access_slot_interned` for the idea.
-    id_keys: Vec<Option<(u32, u64)>>,
+    /// One automaton state per way, initial on allocation.
+    table: SetAssoc<State>,
 }
 
 impl Btb {
@@ -59,10 +47,7 @@ impl Btb {
     /// [`check_table`](crate::geometry::check_table).
     #[must_use]
     pub fn new(entries: usize, ways: usize, automaton: Automaton) -> Self {
-        let sets = crate::geometry::assert_valid(crate::geometry::check_table(entries, ways));
-        let empty =
-            BtbSlot { valid: false, tag: 0, state: automaton.initial_state(), last_used: 0 };
-        Btb { automaton, sets, ways, slots: vec![empty; entries], clock: 0, id_keys: Vec::new() }
+        Btb { automaton, table: SetAssoc::new(entries, ways, automaton.initial_state()) }
     }
 
     /// The paper's standard configuration: 4-way, 512 entries.
@@ -70,93 +55,41 @@ impl Btb {
     pub fn paper_default(automaton: Automaton) -> Self {
         Btb::new(512, 4, automaton)
     }
-
-    fn set_index(&self, pc: u64) -> usize {
-        ((pc >> 2) as usize) & (self.sets - 1)
-    }
-
-    fn tag(&self, pc: u64) -> u64 {
-        (pc >> 2) / self.sets as u64
-    }
-
-    fn find_or_allocate(&mut self, pc: u64) -> usize {
-        let base = self.set_index(pc) * self.ways;
-        let tag = self.tag(pc);
-        self.touch_set(base, tag)
-    }
-
-    fn find_or_allocate_interned(&mut self, id: u32, pc: u64) -> usize {
-        let index = id as usize;
-        if index >= self.id_keys.len() {
-            self.id_keys.resize(index + 1, None);
-        }
-        let (base, tag) = match self.id_keys[index] {
-            Some(key) => key,
-            None => {
-                let key = ((self.set_index(pc) * self.ways) as u32, self.tag(pc));
-                self.id_keys[index] = Some(key);
-                key
-            }
-        };
-        self.touch_set(base as usize, tag)
-    }
-
-    fn touch_set(&mut self, base: usize, tag: u64) -> usize {
-        self.clock += 1;
-        let hit = self.slots[base..base + self.ways]
-            .iter()
-            .position(|slot| slot.valid && slot.tag == tag);
-        if let Some(way) = hit {
-            let i = base + way;
-            self.slots[i].last_used = self.clock;
-            return i;
-        }
-        let victim = (base..base + self.ways)
-            .min_by_key(|&i| (self.slots[i].valid, self.slots[i].last_used))
-            .expect("set has at least one way");
-        let slot = &mut self.slots[victim];
-        slot.valid = true;
-        slot.tag = tag;
-        slot.state = self.automaton.initial_state();
-        slot.last_used = self.clock;
-        victim
-    }
 }
 
 impl BranchPredictor for Btb {
     fn predict(&mut self, branch: &BranchRecord) -> bool {
-        let i = self.find_or_allocate(branch.pc);
-        self.automaton.predict(self.slots[i].state)
+        let (slot, _) = self.table.access(branch.pc);
+        self.automaton.predict(self.table.value(slot))
     }
 
     fn update(&mut self, branch: &BranchRecord) {
-        let i = self.find_or_allocate(branch.pc);
-        let state = self.slots[i].state;
-        self.slots[i].state = self.automaton.update(state, branch.taken);
+        let (slot, _) = self.table.access(branch.pc);
+        let state = self.table.value_mut(slot);
+        *state = self.automaton.update(*state, branch.taken);
     }
 
     fn context_switch(&mut self) {
-        for slot in &mut self.slots {
-            slot.valid = false;
-        }
+        self.table.flush();
     }
 
     // One table access per event instead of predict's + update's
     // separate searches. Bit-identical: update's search after predict
     // always re-hits the slot predict just touched (same pc, no
     // intervening access), and collapsing its second LRU touch preserves
-    // the relative `last_used` order every replacement decision is based
-    // on (each event still moves exactly its own slot to most-recent).
+    // the relative recency order every replacement decision is based on
+    // (each event still moves exactly its own slot to most-recent).
     #[inline]
     fn step_interned(&mut self, id: u32, branch: &BranchRecord) -> bool {
-        let i = self.find_or_allocate_interned(id, branch.pc);
-        let state = self.slots[i].state;
-        self.slots[i].state = self.automaton.update(state, branch.taken);
-        self.automaton.predict(state)
+        let (slot, _) = self.table.access_interned(id, branch.pc);
+        let state = self.table.value_mut(slot);
+        let predicted = self.automaton.predict(*state);
+        *state = self.automaton.update(*state, branch.taken);
+        predicted
     }
 
     fn name(&self) -> String {
-        format!("BTB(BHT({},{},{}),)", self.slots.len(), self.ways, self.automaton)
+        format!("BTB(BHT({},{},{}),)", self.table.entries(), self.table.ways(), self.automaton)
     }
 }
 

@@ -3,7 +3,7 @@
 use tlabp_trace::BranchRecord;
 
 use crate::automaton::Automaton;
-use crate::bht::{BhtConfig, BhtStats, BranchHistoryTable};
+use crate::bht::{BhtConfig, BranchHistoryTable};
 use crate::pht::PatternHistoryTable;
 use crate::predictor::BranchPredictor;
 
@@ -75,12 +75,6 @@ impl Pag {
     pub fn pht(&self) -> &PatternHistoryTable {
         &self.pht
     }
-
-    /// Branch-history-table hit statistics.
-    #[must_use]
-    pub fn bht_stats(&self) -> BhtStats {
-        self.bht.stats()
-    }
 }
 
 /// Everything the PAg structure knew at prediction time — used by the
@@ -107,7 +101,7 @@ impl Pag {
         let (pattern, cursor) = self.bht.access_pattern_interned(id, branch.pc);
         let pattern_state = self.pht.state(pattern);
         let predicted_taken = self.pht.predict_update(pattern, branch.taken);
-        self.bht.record_outcome_at_interned(cursor, id, branch.taken);
+        self.bht.record_outcome_at_interned(cursor, branch.taken);
         PagDiagnostics { predicted_taken, bht_hit: cursor.hit(), pattern, pattern_state }
     }
 }
@@ -152,7 +146,7 @@ impl BranchPredictor for Pag {
     fn step_interned(&mut self, id: u32, branch: &BranchRecord) -> bool {
         let (pattern, cursor) = self.bht.access_pattern_interned(id, branch.pc);
         let predicted = self.pht.predict_update(pattern, branch.taken);
-        self.bht.record_outcome_at_interned(cursor, id, branch.taken);
+        self.bht.record_outcome_at_interned(cursor, branch.taken);
         predicted
     }
 
@@ -243,18 +237,16 @@ mod tests {
     fn context_switch_flushes_bht_keeps_pht() {
         let mut pag = Pag::new(4, BhtConfig::PAPER_DEFAULT, Automaton::A2);
         for i in 0..20u64 {
-            let b = branch(0x40, false, i);
-            pag.predict(&b);
-            pag.update(&b);
+            let diagnostics = pag.step_interned_diagnosed(0, &branch(0x40, false, i));
+            assert_eq!(diagnostics.bht_hit, i > 0, "only the first access misses");
         }
         let state_before = pag.pht().state(0);
         pag.context_switch();
         assert_eq!(pag.pht().state(0), state_before);
         // After the flush the next access misses and reallocates.
-        let misses_before = pag.bht_stats().misses;
-        let b = branch(0x40, false, 100);
-        pag.predict(&b);
-        assert_eq!(pag.bht_stats().misses, misses_before + 1);
+        let diagnostics = pag.step_interned_diagnosed(0, &branch(0x40, false, 100));
+        assert!(!diagnostics.bht_hit);
+        assert_eq!(diagnostics.pattern, 0b1111, "a fresh all-ones history");
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! PAp: Per-address branch history table, per-address pattern history
 //! tables.
 
-use crate::fxhash::FxHashMap;
-
 use tlabp_trace::BranchRecord;
 
 use crate::automaton::Automaton;
-use crate::bht::{BhtConfig, BhtStats, BranchHistoryTable};
+use crate::bht::{BhtConfig, BranchHistoryTable};
 use crate::pht::PatternHistoryTable;
 use crate::predictor::BranchPredictor;
 use crate::schemes::pag::bht_spec;
@@ -50,13 +48,9 @@ pub struct Pap {
     /// A fresh table: every pattern table starts as a clone of it.
     template: PatternHistoryTable,
     /// One table per lane ([`crate::bht::BhtCursor::lane`]): the BHT slot
-    /// under a practical BHT, the interned id under the ideal one.
+    /// under a practical BHT; under the ideal one, the interned id on
+    /// the interned path and the BHT's index of the pc on the pc path.
     lanes: Vec<Option<PatternHistoryTable>>,
-    /// The ideal BHT's per-branch tables on the pc-keyed path
-    /// (`predict`/`update`). A predictor instance is driven either by pc
-    /// or by interned id, never both, so under the ideal BHT only one of
-    /// `keyed` and `lanes` is ever populated.
-    keyed: FxHashMap<u64, PatternHistoryTable>,
     label: String,
 }
 
@@ -86,15 +80,8 @@ impl Pap {
             bht: table,
             template: PatternHistoryTable::new(history_bits, automaton),
             lanes: Vec::new(),
-            keyed: FxHashMap::default(),
             label,
         }
-    }
-
-    /// Branch-history-table hit statistics.
-    #[must_use]
-    pub fn bht_stats(&self) -> BhtStats {
-        self.bht.stats()
     }
 
     /// The fresh table every pattern table starts from. Replay builds its
@@ -120,21 +107,14 @@ impl Pap {
     /// branch touched.
     #[must_use]
     pub fn pattern_table_count(&self) -> usize {
-        self.lanes.iter().flatten().count() + self.keyed.len()
+        self.lanes.iter().flatten().count()
     }
 
     /// The pattern table of the branch at `pc`, whose BHT entry the
     /// caller has just accessed.
     fn table_mut(&mut self, pc: u64) -> &mut PatternHistoryTable {
-        match &self.bht {
-            BranchHistoryTable::Ideal(_) => {
-                self.keyed.entry(pc).or_insert_with(|| self.template.clone())
-            }
-            BranchHistoryTable::Cache(cache) => {
-                let slot = cache.slot_of(pc).expect("cache BHT entry resident after access");
-                lane_table(&mut self.lanes, &self.template, slot as u32)
-            }
-        }
+        let lane = self.bht.lane_of(pc).expect("BHT entry resident after access");
+        lane_table(&mut self.lanes, &self.template, lane)
     }
 }
 
@@ -176,9 +156,9 @@ impl BranchPredictor for Pap {
     #[inline]
     fn step_interned(&mut self, id: u32, branch: &BranchRecord) -> bool {
         let (pattern, cursor) = self.bht.access_pattern_interned(id, branch.pc);
-        let table = lane_table(&mut self.lanes, &self.template, cursor.lane(id));
+        let table = lane_table(&mut self.lanes, &self.template, cursor.lane());
         let predicted = table.predict_update(pattern, branch.taken);
-        self.bht.record_outcome_at_interned(cursor, id, branch.taken);
+        self.bht.record_outcome_at_interned(cursor, branch.taken);
         predicted
     }
 
@@ -244,31 +224,41 @@ mod tests {
 
     #[test]
     fn interned_twin_matches_pc_driven_cache_pap() {
-        // A small 2-way table, so pcs conflict and slots are reallocated:
-        // the twin driven by interned ids must predict every branch as
-        // the pc-driven one does and make the same tables.
-        let config = BhtConfig::Cache { entries: 8, ways: 2 };
-        let mut by_pc = Pap::new(4, config, Automaton::A2);
-        let mut by_id = Pap::new(4, config, Automaton::A2);
+        // The twin driven by interned ids must predict every branch as
+        // the pc-driven one does and make the same tables, across a
+        // context switch. In a small 2-way table pcs conflict and slots
+        // are reallocated: set 0's four pcs share both its ways, and sets
+        // 1–3 hold one pc each, which after the flush refills the set's
+        // never-used way, so all 8 slots get a table. Under the ideal
+        // BHT, the pc path's lane is the index the BHT gave the pc, which
+        // survives the flush, so each of the 7 pcs keeps one table.
         let pcs = [0x100u64, 0x204, 0x308, 0x100, 0x40c, 0x204, 0x120, 0x510, 0x308, 0x140];
-        let mut ids: Vec<u64> = Vec::new();
-        for (n, &pc) in pcs.iter().cycle().take(600).enumerate() {
-            let id = match ids.iter().position(|&seen| seen == pc) {
-                Some(id) => id,
-                None => {
-                    ids.push(pc);
-                    ids.len() - 1
+        for (config, tables) in
+            [(BhtConfig::Cache { entries: 8, ways: 2 }, 8), (BhtConfig::Ideal, 7)]
+        {
+            let mut by_pc = Pap::new(4, config, Automaton::A2);
+            let mut by_id = Pap::new(4, config, Automaton::A2);
+            let mut ids: Vec<u64> = Vec::new();
+            for (n, &pc) in pcs.iter().cycle().take(600).enumerate() {
+                let id = match ids.iter().position(|&seen| seen == pc) {
+                    Some(id) => id,
+                    None => {
+                        ids.push(pc);
+                        ids.len() - 1
+                    }
+                } as u32;
+                if n == 300 {
+                    by_pc.context_switch();
+                    by_id.context_switch();
                 }
-            } as u32;
-            let b = branch(pc, (n * 7 + n / 5) % 3 != 0, n as u64);
-            let predicted = by_pc.predict(&b);
-            by_pc.update(&b);
-            assert_eq!(by_id.step_interned(id, &b), predicted, "branch {n} at {pc:#x}");
-            assert_eq!(by_id.pattern_table_count(), by_pc.pattern_table_count(), "branch {n}");
+                let b = branch(pc, (n * 7 + n / 5) % 3 != 0, n as u64);
+                let predicted = by_pc.predict(&b);
+                by_pc.update(&b);
+                assert_eq!(by_id.step_interned(id, &b), predicted, "{config:?}: branch {n}");
+                assert_eq!(by_id.pattern_table_count(), by_pc.pattern_table_count(), "{n}");
+            }
+            assert_eq!(by_pc.pattern_table_count(), tables, "{config:?}");
         }
-        // Set 0's four pcs share both its ways; sets 1–3 hold one each.
-        assert_eq!(by_pc.pattern_table_count(), 5);
-        assert_eq!(by_id.bht_stats(), by_pc.bht_stats());
     }
 
     #[test]
@@ -311,10 +301,7 @@ mod tests {
         let tables_before = pap.pattern_table_count();
         pap.context_switch();
         assert_eq!(pap.pattern_table_count(), tables_before);
-        let b = branch(0x40, false, 100);
-        let misses_before = pap.bht_stats().misses;
-        pap.predict(&b);
-        assert_eq!(pap.bht_stats().misses, misses_before + 1, "BHT was flushed");
+        assert_eq!(pap.bht.pattern(0x40), None, "BHT was flushed");
     }
 
     #[test]

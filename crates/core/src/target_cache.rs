@@ -10,13 +10,7 @@
 
 use tlabp_trace::BranchRecord;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct TargetSlot {
-    valid: bool,
-    tag: u64,
-    target: u64,
-    last_used: u64,
-}
+use crate::set_assoc::SetAssoc;
 
 /// What the fetch engine did for one branch, as determined by the target
 /// cache and the direction prediction.
@@ -56,21 +50,8 @@ impl FetchOutcome {
     }
 }
 
-/// Counters for target-cache behavior.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TargetCacheStats {
-    /// Lookups that found an entry for the fetch address.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Taken predictions whose cached target matched the actual target.
-    pub correct_targets: u64,
-    /// Taken predictions whose cached target was wrong (e.g. an indirect
-    /// branch changed destination).
-    pub wrong_targets: u64,
-}
-
-/// A set-associative cache of branch target addresses.
+/// A set-associative cache of branch target addresses, on the crate's
+/// one set-associative table.
 ///
 /// # Example
 ///
@@ -80,19 +61,15 @@ pub struct TargetCacheStats {
 ///
 /// let mut cache = TargetCache::new(512, 4);
 /// let branch = BranchRecord::conditional(0x40, true, 0x100, 1);
-/// let outcome = cache.fetch(&branch, true);
+/// let outcome = cache.fetch_and_resolve(&branch, true);
 /// assert!(!outcome.is_correct_path(), "cold miss on a taken branch");
-/// cache.resolve(&branch);
-/// let outcome = cache.fetch(&branch, true);
+/// let outcome = cache.fetch_and_resolve(&branch, true);
 /// assert!(outcome.is_correct_path(), "warm hit supplies the target");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TargetCache {
-    sets: usize,
-    ways: usize,
-    slots: Vec<TargetSlot>,
-    clock: u64,
-    stats: TargetCacheStats,
+    /// Each way holds its branch's last resolved target.
+    table: SetAssoc<u64>,
 }
 
 impl TargetCache {
@@ -104,100 +81,28 @@ impl TargetCache {
     /// [`check_table`](crate::geometry::check_table).
     #[must_use]
     pub fn new(entries: usize, ways: usize) -> Self {
-        let sets = crate::geometry::assert_valid(crate::geometry::check_table(entries, ways));
-        let empty = TargetSlot { valid: false, tag: 0, target: 0, last_used: 0 };
-        TargetCache {
-            sets,
-            ways,
-            slots: vec![empty; entries],
-            clock: 0,
-            stats: TargetCacheStats::default(),
-        }
-    }
-
-    fn set_index(&self, pc: u64) -> usize {
-        ((pc >> 2) as usize) & (self.sets - 1)
-    }
-
-    fn tag(&self, pc: u64) -> u64 {
-        (pc >> 2) / self.sets as u64
-    }
-
-    fn find(&self, pc: u64) -> Option<usize> {
-        let set = self.set_index(pc);
-        let tag = self.tag(pc);
-        let base = set * self.ways;
-        (base..base + self.ways).find(|&i| self.slots[i].valid && self.slots[i].tag == tag)
-    }
-
-    /// The cached target for `pc`, if present (no statistics side
-    /// effects).
-    #[must_use]
-    pub fn lookup(&self, pc: u64) -> Option<u64> {
-        self.find(pc).map(|i| self.slots[i].target)
+        TargetCache { table: SetAssoc::new(entries, ways, 0) }
     }
 
     /// Simulates the fetch decision for `branch` given the direction
-    /// predictor's output, updating hit/target statistics.
-    pub fn fetch(&mut self, branch: &BranchRecord, predicted_taken: bool) -> FetchOutcome {
-        self.clock += 1;
-        match self.find(branch.pc) {
-            Some(i) => {
-                self.slots[i].last_used = self.clock;
-                self.stats.hits += 1;
-                if predicted_taken {
-                    let cached = self.slots[i].target;
-                    if branch.taken && cached == branch.target {
-                        self.stats.correct_targets += 1;
-                        FetchOutcome::HitCorrectTarget
-                    } else {
-                        self.stats.wrong_targets += 1;
-                        FetchOutcome::HitWrongPath
-                    }
-                } else {
-                    FetchOutcome::HitFallThrough { correct: !branch.taken }
-                }
+    /// predictor's output, then records the resolved branch: its target
+    /// is inserted (LRU replacement within the set) or refreshed. One
+    /// table access does both.
+    pub fn fetch_and_resolve(
+        &mut self,
+        branch: &BranchRecord,
+        predicted_taken: bool,
+    ) -> FetchOutcome {
+        let (slot, hit) = self.table.access(branch.pc);
+        let cached = std::mem::replace(self.table.value_mut(slot), branch.target);
+        match (hit, predicted_taken) {
+            (false, _) => FetchOutcome::Miss { correct: !branch.taken },
+            (true, false) => FetchOutcome::HitFallThrough { correct: !branch.taken },
+            (true, true) if branch.taken && cached == branch.target => {
+                FetchOutcome::HitCorrectTarget
             }
-            None => {
-                self.stats.misses += 1;
-                FetchOutcome::Miss { correct: !branch.taken }
-            }
+            (true, true) => FetchOutcome::HitWrongPath,
         }
-    }
-
-    /// Records the resolved branch: inserts or refreshes its target
-    /// (LRU replacement within the set).
-    pub fn resolve(&mut self, branch: &BranchRecord) {
-        self.clock += 1;
-        if let Some(i) = self.find(branch.pc) {
-            self.slots[i].target = branch.target;
-            self.slots[i].last_used = self.clock;
-            return;
-        }
-        let set = self.set_index(branch.pc);
-        let base = set * self.ways;
-        let victim = (base..base + self.ways)
-            .min_by_key(|&i| (self.slots[i].valid, self.slots[i].last_used))
-            .expect("set has at least one way");
-        let tag = self.tag(branch.pc);
-        let slot = &mut self.slots[victim];
-        slot.valid = true;
-        slot.tag = tag;
-        slot.target = branch.target;
-        slot.last_used = self.clock;
-    }
-
-    /// Invalidates every slot.
-    pub fn flush(&mut self) {
-        for slot in &mut self.slots {
-            slot.valid = false;
-        }
-    }
-
-    /// Access statistics.
-    #[must_use]
-    pub fn stats(&self) -> TargetCacheStats {
-        self.stats
     }
 }
 
@@ -217,39 +122,41 @@ mod tests {
     fn cold_miss_then_warm_hit() {
         let mut cache = TargetCache::new(64, 4);
         let b = taken(0x40, 0x100);
-        assert_eq!(cache.fetch(&b, true), FetchOutcome::Miss { correct: false });
-        cache.resolve(&b);
-        assert_eq!(cache.fetch(&b, true), FetchOutcome::HitCorrectTarget);
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.fetch_and_resolve(&b, true), FetchOutcome::Miss { correct: false });
+        assert_eq!(cache.fetch_and_resolve(&b, true), FetchOutcome::HitCorrectTarget);
     }
 
     #[test]
     fn changed_target_detected() {
         let mut cache = TargetCache::new(64, 4);
         let original = taken(0x40, 0x100);
-        cache.resolve(&original);
+        cache.fetch_and_resolve(&original, true);
         let moved = taken(0x40, 0x200);
-        assert_eq!(cache.fetch(&moved, true), FetchOutcome::HitWrongPath);
-        cache.resolve(&moved);
-        assert_eq!(cache.fetch(&moved, true), FetchOutcome::HitCorrectTarget);
+        assert_eq!(cache.fetch_and_resolve(&moved, true), FetchOutcome::HitWrongPath);
+        assert_eq!(cache.fetch_and_resolve(&moved, true), FetchOutcome::HitCorrectTarget);
     }
 
     #[test]
     fn fall_through_correctness() {
         let mut cache = TargetCache::new(64, 4);
         let b = not_taken(0x40);
-        cache.resolve(&b);
-        assert_eq!(cache.fetch(&b, false), FetchOutcome::HitFallThrough { correct: true });
+        cache.fetch_and_resolve(&b, false);
+        assert_eq!(
+            cache.fetch_and_resolve(&b, false),
+            FetchOutcome::HitFallThrough { correct: true }
+        );
         let b_taken = taken(0x40, 0x100);
-        assert_eq!(cache.fetch(&b_taken, false), FetchOutcome::HitFallThrough { correct: false });
+        assert_eq!(
+            cache.fetch_and_resolve(&b_taken, false),
+            FetchOutcome::HitFallThrough { correct: false }
+        );
     }
 
     #[test]
     fn miss_on_not_taken_costs_nothing() {
         let mut cache = TargetCache::new(64, 4);
         let b = not_taken(0x40);
-        let outcome = cache.fetch(&b, false);
+        let outcome = cache.fetch_and_resolve(&b, false);
         assert_eq!(outcome, FetchOutcome::Miss { correct: true });
         assert!(outcome.is_correct_path());
     }
@@ -257,21 +164,14 @@ mod tests {
     #[test]
     fn lru_eviction() {
         let mut cache = TargetCache::new(2, 2); // one set, two ways
-        cache.resolve(&taken(0x10, 0x100));
-        cache.resolve(&taken(0x20, 0x200));
-        cache.resolve(&taken(0x10, 0x100)); // refresh 0x10
-        cache.resolve(&taken(0x30, 0x300)); // evicts 0x20
-        assert!(cache.lookup(0x10).is_some());
-        assert!(cache.lookup(0x20).is_none());
-        assert!(cache.lookup(0x30).is_some());
-    }
-
-    #[test]
-    fn flush_empties_cache() {
-        let mut cache = TargetCache::new(64, 4);
-        cache.resolve(&taken(0x40, 0x100));
-        cache.flush();
-        assert_eq!(cache.lookup(0x40), None);
+        let mut fetch = |pc: u64| cache.fetch_and_resolve(&taken(pc, pc * 16), true);
+        fetch(0x10);
+        fetch(0x20);
+        fetch(0x10); // refresh 0x10
+        assert_eq!(fetch(0x30), FetchOutcome::Miss { correct: false }, "evicts 0x20");
+        assert_eq!(fetch(0x10), FetchOutcome::HitCorrectTarget);
+        assert_eq!(fetch(0x30), FetchOutcome::HitCorrectTarget);
+        assert_eq!(fetch(0x20), FetchOutcome::Miss { correct: false });
     }
 
     #[test]

@@ -1379,8 +1379,7 @@ fn run_instrumented(cell: &Cell, store: &TraceStore) -> JobMetrics {
             true
         };
         if let Some((cache, stats)) = &mut fetch {
-            let outcome = cache.fetch(branch, predicted_taken);
-            cache.resolve(branch);
+            let outcome = cache.fetch_and_resolve(branch, predicted_taken);
             stats.branches += 1;
             stats.correct_path += u64::from(outcome.is_correct_path());
             match outcome {

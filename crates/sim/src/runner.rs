@@ -513,8 +513,8 @@ pub fn derive_pattern_stream(interned: &InternedConds, key: StreamKey) -> Patter
                 let id = event.id();
                 let taken = event.taken();
                 let (pattern, cursor) = driver.access_pattern_interned(id, interned.pc_of(id));
-                driver.record_outcome_at_interned(cursor, id, taken);
-                stream.push_with_lane(pattern, taken, cursor.lane(id));
+                driver.record_outcome_at_interned(cursor, taken);
+                stream.push_with_lane(pattern, taken, cursor.lane());
             }
             stream
         }

@@ -222,7 +222,7 @@ fn instrumented_context_switch_jobs_match_the_reference_path() {
 /// A fetch-metric job reports the reference path's accuracy counters,
 /// and fetch stats equal to a local loop that applies `simulate`'s
 /// interval and trap rules to the predictor, calls `predict` + `update`
-/// on each conditional and `TargetCache::fetch`/`resolve` on every
+/// on each conditional and `TargetCache::fetch_and_resolve` on every
 /// branch. This holds for every catalog scheme without context switches
 /// on li, and for every `c`-flagged one on gcc, whose traps switch
 /// often; a switch flushes the predictor's first level and never the
@@ -293,8 +293,7 @@ fn fetch_jobs_match_a_predict_update_fetch_loop_for_every_scheme() {
                 } else {
                     true
                 };
-                let outcome = cache.fetch(branch, predicted_taken);
-                cache.resolve(branch);
+                let outcome = cache.fetch_and_resolve(branch, predicted_taken);
                 want.branches += 1;
                 want.correct_path += u64::from(outcome.is_correct_path());
                 match outcome {
