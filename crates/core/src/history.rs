@@ -64,20 +64,6 @@ impl HistoryRegister {
         hr
     }
 
-    /// Creates a register holding a specific pattern.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` is out of range or `pattern` does not fit in `len`
-    /// bits.
-    #[must_use]
-    pub fn from_pattern(len: u32, pattern: u32) -> Self {
-        let mut hr = HistoryRegister::new(len);
-        assert!(pattern <= hr.mask(), "pattern {pattern:#b} wider than {len} bits");
-        hr.bits = pattern;
-        hr
-    }
-
     fn mask(&self) -> u32 {
         (1u32 << self.len) - 1
     }
@@ -98,12 +84,6 @@ impl HistoryRegister {
     #[must_use]
     pub fn pattern(&self) -> usize {
         self.bits as usize
-    }
-
-    /// Number of distinct patterns this register can hold (`2^k`).
-    #[must_use]
-    pub fn pattern_count(&self) -> usize {
-        1usize << self.len
     }
 
     /// Shifts the outcome of the newest branch into the least significant
@@ -128,17 +108,6 @@ impl HistoryRegister {
     pub fn outcome(&self, age: u32) -> bool {
         assert!(age < self.len, "age {age} out of range for {}-bit register", self.len);
         (self.bits >> age) & 1 == 1
-    }
-
-    /// Flips the outcome recorded `age` branches ago — used by the
-    /// speculative-history repair policy of Section 3.1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `age >= len`.
-    pub fn flip(&mut self, age: u32) {
-        assert!(age < self.len, "age {age} out of range for {}-bit register", self.len);
-        self.bits ^= 1 << age;
     }
 }
 
@@ -183,27 +152,15 @@ mod tests {
     }
 
     #[test]
-    fn pattern_count_is_two_to_k() {
-        assert_eq!(HistoryRegister::new(12).pattern_count(), 4096);
-        assert_eq!(HistoryRegister::new(1).pattern_count(), 2);
-    }
-
-    #[test]
     fn outcome_by_age() {
-        let hr = HistoryRegister::from_pattern(4, 0b1010);
+        let mut hr = HistoryRegister::new(4);
+        for taken in [true, false, true, false] {
+            hr.shift_in(taken); // oldest first: 1010
+        }
         assert!(!hr.outcome(0)); // newest
         assert!(hr.outcome(1));
         assert!(!hr.outcome(2));
         assert!(hr.outcome(3)); // oldest
-    }
-
-    #[test]
-    fn flip_repairs_single_bit() {
-        let mut hr = HistoryRegister::from_pattern(4, 0b1010);
-        hr.flip(1);
-        assert_eq!(hr.pattern(), 0b1000);
-        hr.flip(1);
-        assert_eq!(hr.pattern(), 0b1010);
     }
 
     #[test]
@@ -226,12 +183,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_excessive_length() {
         let _ = HistoryRegister::new(MAX_HISTORY_BITS + 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "wider than")]
-    fn from_pattern_rejects_wide_pattern() {
-        let _ = HistoryRegister::from_pattern(3, 0b1000);
     }
 
     #[test]

@@ -57,12 +57,6 @@ pub fn builder(name: &str) -> Option<DynBuilder> {
     table().read().expect("predictor registry lock").get(name).cloned()
 }
 
-/// Whether `name` has a registered builder.
-#[must_use]
-pub fn is_registered(name: &str) -> bool {
-    table().read().expect("predictor registry lock").contains_key(name)
-}
-
 /// Every registered name, sorted.
 #[must_use]
 pub fn names() -> Vec<String> {
@@ -81,7 +75,6 @@ mod tests {
     #[test]
     fn register_and_build() {
         register("test-registry-gshare", || Box::new(Gshare::new(8, Automaton::A2)));
-        assert!(is_registered("test-registry-gshare"));
         let predictor = builder("test-registry-gshare").expect("registered")();
         assert!(predictor.name().starts_with("gshare("));
         assert!(names().contains(&"test-registry-gshare".to_owned()));
@@ -90,7 +83,6 @@ mod tests {
     #[test]
     fn unknown_names_resolve_to_none() {
         assert!(builder("test-registry-no-such-predictor").is_none());
-        assert!(!is_registered("test-registry-no-such-predictor"));
     }
 
     #[test]

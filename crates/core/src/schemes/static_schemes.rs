@@ -114,12 +114,6 @@ impl Profiling {
             counts.into_iter().map(|(pc, (taken, total))| (pc, 2 * taken >= total)).collect();
         Profiling { predictions }
     }
-
-    /// Number of static branches with a profiled prediction.
-    #[must_use]
-    pub fn profiled_branches(&self) -> usize {
-        self.predictions.len()
-    }
 }
 
 impl BranchPredictor for Profiling {
@@ -180,7 +174,6 @@ mod tests {
             training.push(BranchRecord::conditional(0x200, i < 2, 0x40, 2 * i + 2));
         }
         let mut p = Profiling::train(training.conditional_outcomes());
-        assert_eq!(p.profiled_branches(), 2);
         assert!(p.predict(&BranchRecord::conditional(0x100, false, 0x40, 1)));
         assert!(!p.predict(&BranchRecord::conditional(0x200, true, 0x40, 2)));
     }

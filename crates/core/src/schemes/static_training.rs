@@ -75,12 +75,6 @@ impl PresetTable {
         2 * self.taken_counts[pattern] >= total
     }
 
-    /// Number of patterns that occurred at least once in training.
-    #[must_use]
-    pub fn patterns_seen(&self) -> usize {
-        self.total_counts.iter().filter(|&&c| c > 0).count()
-    }
-
     /// Materializes the preset bits into a [`PatternHistoryTable`] of
     /// [`Automaton::PresetBit`] entries (which run-time updates never
     /// change).
@@ -201,7 +195,6 @@ mod tests {
         assert!(preset.prediction(0b01), "majority taken");
         assert!(!preset.prediction(0b10), "majority not taken");
         assert!(preset.prediction(0b00), "unseen defaults to taken");
-        assert_eq!(preset.patterns_seen(), 2);
     }
 
     #[test]

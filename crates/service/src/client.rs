@@ -64,9 +64,7 @@ impl Client {
     ///
     /// Propagates write failures.
     pub fn submit(&mut self, plan: &Plan) -> std::io::Result<ResultStream<'_>> {
-        self.writer.write_all(encode_frame(FrameKind::Plan, &plan.to_json_string()).as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        self.send(std::slice::from_ref(plan))?;
         Ok(ResultStream { reader: &mut self.reader, next_index: 0, done: None })
     }
 
@@ -78,20 +76,8 @@ impl Client {
     /// Propagates transport failures, server-reported errors, and any
     /// protocol violation (out-of-order indices, wrong counts).
     pub fn execute(&mut self, plan: &Plan) -> std::io::Result<(ResultSet, Done)> {
-        let mut stream = self.submit(plan)?;
-        let mut outcomes = Vec::with_capacity(plan.len());
-        while let Some(item) = stream.next_outcome()? {
-            outcomes.push(item.1);
-        }
-        let done = stream.finish()?;
-        if outcomes.len() != plan.len() {
-            return Err(io_invalid(format!(
-                "server streamed {} outcomes for a {}-job plan",
-                outcomes.len(),
-                plan.len()
-            )));
-        }
-        Ok((ResultSet::from_outcomes(plan, outcomes), done))
+        self.send(std::slice::from_ref(plan))?;
+        self.read_response(plan)
     }
 
     /// Submits every plan back-to-back before reading any response, then
@@ -109,30 +95,37 @@ impl Client {
     /// protocol violation; on error the connection is left mid-stream
     /// and the client should be discarded.
     pub fn execute_pipelined(&mut self, plans: &[Plan]) -> std::io::Result<Vec<(ResultSet, Done)>> {
+        self.send(plans)?;
+        plans.iter().map(|plan| self.read_response(plan)).collect()
+    }
+
+    /// Writes one plan frame per plan, then flushes.
+    fn send(&mut self, plans: &[Plan]) -> std::io::Result<()> {
         for plan in plans {
             self.writer
                 .write_all(encode_frame(FrameKind::Plan, &plan.to_json_string()).as_bytes())?;
             self.writer.write_all(b"\n")?;
         }
-        self.writer.flush()?;
-        let mut responses = Vec::with_capacity(plans.len());
-        for plan in plans {
-            let mut stream = ResultStream { reader: &mut self.reader, next_index: 0, done: None };
-            let mut outcomes = Vec::with_capacity(plan.len());
-            while let Some(item) = stream.next_outcome()? {
-                outcomes.push(item.1);
-            }
-            let done = stream.finish()?;
-            if outcomes.len() != plan.len() {
-                return Err(io_invalid(format!(
-                    "server streamed {} outcomes for a {}-job plan",
-                    outcomes.len(),
-                    plan.len()
-                )));
-            }
-            responses.push((ResultSet::from_outcomes(plan, outcomes), done));
+        self.writer.flush()
+    }
+
+    /// Reads the whole response to `plan`, the next one owed on this
+    /// connection: every streamed outcome, then the `done` frame.
+    fn read_response(&mut self, plan: &Plan) -> std::io::Result<(ResultSet, Done)> {
+        let mut stream = ResultStream { reader: &mut self.reader, next_index: 0, done: None };
+        let mut outcomes = Vec::with_capacity(plan.len());
+        while let Some((_, outcome)) = stream.next_outcome()? {
+            outcomes.push(outcome);
         }
-        Ok(responses)
+        let done = stream.finish()?;
+        if outcomes.len() != plan.len() {
+            return Err(io_invalid(format!(
+                "server streamed {} outcomes for a {}-job plan",
+                outcomes.len(),
+                plan.len()
+            )));
+        }
+        Ok((ResultSet::from_outcomes(plan, outcomes), done))
     }
 }
 

@@ -18,12 +18,17 @@
 //!   bounded output buffer: response bytes stop being generated past
 //!   `OUT_HIGH` until the socket drains, so a slow reader holds
 //!   buffers, not threads.
-//! * **A small executor pool** (sized off the global
-//!   [`SweepPool`](tlabp_sim::SweepPool)) runs admitted plans through
-//!   [`Session`](tlabp_sim::Session) streams and hands finished frames
-//!   back over a bounded channel, nudging the I/O thread through the
-//!   waker. The channel bound is end-to-end backpressure: a client that
-//!   stops reading eventually blocks only its own plan's producer.
+//! * **An executor pool**, a [`SweepPool`] of its own (sized off the
+//!   global one, and never the global one: an executor waits on tasks
+//!   the global pool's workers run), runs each admitted plan as one
+//!   task through a [`Session`](tlabp_sim::Session) stream and hands
+//!   finished frames back over a bounded channel, nudging the I/O
+//!   thread through the waker after every frame and once more however
+//!   the task ends. A plan that panics thus disconnects its channel and
+//!   wakes the I/O thread, which answers "execution aborted on the
+//!   server"; the pool's worker survives it. The channel bound is
+//!   end-to-end backpressure: a client that stops reading eventually
+//!   blocks only its own plan's producer.
 //! * **Admission control**: at most [`INFLIGHT`] plans per connection
 //!   execute concurrently; further pipelined plans wait in FIFO order
 //!   and are (re)checked against the memo tier at admission, so a
@@ -40,11 +45,12 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tlabp_sim::plan::Plan;
+use tlabp_sim::SweepPool;
 
 use crate::memo::MemoEntry;
 use crate::proto::FrameAssembler;
@@ -506,6 +512,18 @@ impl WakeHandle {
     }
 }
 
+/// Wakes the I/O thread when dropped. An executor task holds one while
+/// it runs a plan, so the I/O thread looks at the plan's channel however
+/// the task ends: after `Done`, after the client hung up, or after a
+/// panic that dropped the channel's sender first.
+struct WakeOnDrop(WakeHandle);
+
+impl Drop for WakeOnDrop {
+    fn drop(&mut self) {
+        self.0.wake();
+    }
+}
+
 /// One admitted plan handed to the executor pool.
 struct ExecJob {
     key: String,
@@ -521,45 +539,37 @@ enum OutEvent {
     Done { jobs: usize, memo: bool },
 }
 
-/// Executor thread body: pull admitted plans, stream frames back.
-/// Exits when the I/O thread (the only job sender) goes away.
-fn exec_worker(shared: &Shared, jobs: &Mutex<Receiver<ExecJob>>, waker: &WakeHandle) {
-    loop {
-        let job = match jobs.lock() {
-            Ok(rx) => rx.recv(),
-            Err(_) => return,
-        };
-        let Ok(job) = job else { return };
-        // Recheck the memo tier: an identical plan may have completed
-        // while this one waited in the executor queue.
-        if let Some(entry) = shared.memo_get(&job.key) {
-            shared.stats.memo_hit();
-            let total = entry.len();
-            let replayed =
-                entry.iter().all(|frame| job.reply.send(OutEvent::Frame(frame.clone())).is_ok());
-            if replayed {
-                let _ = job.reply.send(OutEvent::Done { jobs: total, memo: true });
-            }
-            waker.wake();
-            continue;
+/// Runs one admitted plan on an executor, streaming its frames back and
+/// waking the I/O thread after each: the channel is bounded, so a
+/// response longer than its window only drains as the I/O thread reads.
+fn execute(shared: &Shared, job: ExecJob, waker: &WakeHandle) {
+    // A send failure means the connection is gone; abandoning the
+    // response mid-plan is safe (the stream drops the remaining jobs).
+    let send_frame = |payload: String| {
+        let sent = job.reply.send(OutEvent::Frame(payload)).is_ok();
+        waker.wake();
+        sent
+    };
+    // Recheck the memo tier: an identical plan may have completed while
+    // this one waited in the executor queue.
+    if let Some(entry) = shared.memo_get(&job.key) {
+        shared.stats.memo_hit();
+        if entry.iter().all(|frame| send_frame(frame.clone())) {
+            let _ = job.reply.send(OutEvent::Done { jobs: entry.len(), memo: true });
         }
-        let session = shared.session();
-        let mut payloads = Vec::with_capacity(job.plan.len());
-        let complete = session.submit(&job.plan).drain_while(|item| {
-            let payload = result_payload(item.index, &item.outcome);
-            // A send failure means the connection is gone; abandoning
-            // the stream mid-plan is safe (remaining jobs are dropped).
-            let sent = job.reply.send(OutEvent::Frame(payload.clone())).is_ok();
-            waker.wake();
-            payloads.push(payload);
-            sent
-        });
-        if complete {
-            let total = payloads.len();
-            shared.memo_store(&job.key, &job.plan, payloads);
-            let _ = job.reply.send(OutEvent::Done { jobs: total, memo: false });
-            waker.wake();
-        }
+        return;
+    }
+    let session = shared.session();
+    let mut payloads = Vec::with_capacity(job.plan.len());
+    let complete = session.submit(&job.plan).drain_while(|item| {
+        let payload = result_payload(item.index, &item.outcome);
+        payloads.push(payload.clone());
+        send_frame(payload)
+    });
+    if complete {
+        let total = payloads.len();
+        shared.memo_store(&job.key, &job.plan, payloads);
+        let _ = job.reply.send(OutEvent::Done { jobs: total, memo: false });
     }
 }
 
@@ -623,7 +633,7 @@ fn append_frame(out: &mut Vec<u8>, kind: FrameKind, payload: &str) {
 
 /// Drains the socket until `WouldBlock`/EOF, reassembling and handling
 /// every completed frame. Returns `false` when the connection died.
-fn handle_readable(conn: &mut Conn, shared: &Shared, job_tx: &Sender<ExecJob>) -> bool {
+fn handle_readable(conn: &mut Conn, shared: &Shared, start: &dyn Fn(ExecJob)) -> bool {
     let mut buf = [0u8; READ_CHUNK];
     loop {
         if conn.read_closed || conn.responses.len() >= MAX_PIPELINE {
@@ -640,7 +650,7 @@ fn handle_readable(conn: &mut Conn, shared: &Shared, job_tx: &Sender<ExecJob>) -
                         if line.is_empty() {
                             continue;
                         }
-                        handle_frame(conn, &line, shared, job_tx);
+                        handle_frame(conn, &line, shared, start);
                         if conn.read_closed {
                             return true;
                         }
@@ -663,9 +673,9 @@ fn handle_readable(conn: &mut Conn, shared: &Shared, job_tx: &Sender<ExecJob>) -
 }
 
 /// Handles one complete frame line from a client.
-fn handle_frame(conn: &mut Conn, line: &str, shared: &Shared, job_tx: &Sender<ExecJob>) {
+fn handle_frame(conn: &mut Conn, line: &str, shared: &Shared, start: &dyn Fn(ExecJob)) {
     match decode_frame(line) {
-        Ok((FrameKind::Plan, payload)) => submit_plan(conn, payload, shared, job_tx),
+        Ok((FrameKind::Plan, payload)) => submit_plan(conn, payload, shared, start),
         Ok((kind, _)) => {
             conn.responses.push_back(Resp::Fail {
                 message: format!("expected a plan frame, got {kind}"),
@@ -682,7 +692,7 @@ fn handle_frame(conn: &mut Conn, line: &str, shared: &Shared, job_tx: &Sender<Ex
 
 /// Queues one plan request: memo fast path, then parse/validate, then
 /// admission.
-fn submit_plan(conn: &mut Conn, payload: &str, shared: &Shared, job_tx: &Sender<ExecJob>) {
+fn submit_plan(conn: &mut Conn, payload: &str, shared: &Shared, start: &dyn Fn(ExecJob)) {
     shared.stats.plan();
     // Fast path: conforming clients send the canonical plan JSON, which
     // is exactly the memo key — a hit costs one map probe and zero
@@ -713,13 +723,14 @@ fn submit_plan(conn: &mut Conn, payload: &str, shared: &Shared, job_tx: &Sender<
         }
     }
     conn.responses.push_back(Resp::Queued { key, plan: Box::new(plan) });
-    admit(conn, shared, job_tx);
+    admit(conn, shared, start);
 }
 
 /// Converts queued plans to live executions, FIFO, up to the
-/// per-connection in-flight cap. Plans memoized since they queued are
-/// converted to free memo replays instead (and don't consume a slot).
-fn admit(conn: &mut Conn, shared: &Shared, job_tx: &Sender<ExecJob>) {
+/// per-connection in-flight cap, handing each to `start`. Plans memoized
+/// since they queued are converted to free memo replays instead (and
+/// don't consume a slot).
+fn admit(conn: &mut Conn, shared: &Shared, start: &dyn Fn(ExecJob)) {
     for resp in conn.responses.iter_mut() {
         if conn.live >= INFLIGHT {
             return;
@@ -731,18 +742,13 @@ fn admit(conn: &mut Conn, shared: &Shared, job_tx: &Sender<ExecJob>) {
                 continue;
             }
             let (tx, rx) = mpsc::sync_channel(RESPONSE_WINDOW_FRAMES);
-            let job = ExecJob {
+            start(ExecJob {
                 key: std::mem::take(key),
                 plan: *std::mem::replace(plan, Box::new(Plan::new())),
                 reply: tx,
-            };
-            if job_tx.send(job).is_ok() {
-                *resp = Resp::Live { rx };
-                conn.live += 1;
-            } else {
-                *resp =
-                    Resp::Fail { message: "execution workers unavailable".to_owned(), fatal: true };
-            }
+            });
+            *resp = Resp::Live { rx };
+            conn.live += 1;
         }
     }
 }
@@ -750,11 +756,11 @@ fn admit(conn: &mut Conn, shared: &Shared, job_tx: &Sender<ExecJob>) {
 /// Moves completed response data into the output buffer (bounded by
 /// [`OUT_HIGH`]) and re-admits queued plans as slots free up. Responses
 /// leave strictly in request order.
-fn pump(conn: &mut Conn, shared: &Shared, job_tx: &Sender<ExecJob>) {
+fn pump(conn: &mut Conn, shared: &Shared, start: &dyn Fn(ExecJob)) {
     loop {
         let before = (conn.out.len(), conn.responses.len(), conn.live);
         fill_out(conn);
-        admit(conn, shared, job_tx);
+        admit(conn, shared, start);
         if (conn.out.len(), conn.responses.len(), conn.live) == before {
             return;
         }
@@ -789,8 +795,9 @@ fn fill_out(conn: &mut Conn) {
                 }
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
-                    // The executor died mid-plan (it never disconnects
-                    // before `Done` otherwise): report and close.
+                    // The plan panicked on its executor (it never
+                    // disconnects before `Done` otherwise): report and
+                    // close.
                     append_frame(
                         out,
                         FrameKind::Error,
@@ -859,24 +866,22 @@ fn update_interest(conn: &mut Conn, poller: &mut Poller, token: usize) -> std::i
 }
 
 /// Runs the event-driven accept-and-serve loop forever. The fixed
-/// thread budget is `1` (this I/O thread) `+ exec_threads`, independent
-/// of the number of connections.
+/// thread budget is `1` (this I/O thread) `+ exec_threads` (the executor
+/// pool), independent of the number of connections.
 pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, exec_threads: usize) -> ! {
     listener.set_nonblocking(true).expect("nonblocking listener");
     let mut poller = Poller::new(PollerBackend::NATIVE);
     let mut waker = Waker::new().expect("waker socketpair");
 
-    let (job_tx, job_rx) = mpsc::channel::<ExecJob>();
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    for n in 0..exec_threads.max(1) {
+    // Never the global pool: an executor blocks on tasks that the
+    // global pool's workers run.
+    let executors = SweepPool::new(exec_threads);
+    let wake = waker.handle();
+    let start = |job: ExecJob| {
         let shared = Arc::clone(shared);
-        let job_rx = Arc::clone(&job_rx);
-        let handle = waker.handle();
-        std::thread::Builder::new()
-            .name(format!("tlabp-exec-{n}"))
-            .spawn(move || exec_worker(&shared, &job_rx, &handle))
-            .expect("spawn executor thread");
-    }
+        let wake = WakeOnDrop(wake.clone());
+        executors.spawn(move || execute(&shared, job, &wake.0));
+    };
 
     poller.register(listener.as_raw_fd(), TOKEN_LISTENER, true, false).expect("register listener");
     poller.register(waker.fd(), TOKEN_WAKER, true, false).expect("register waker");
@@ -905,7 +910,7 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, exec_threads: us
                 TOKEN_WAKER => waker.drain(),
                 token => {
                     if let Some(conn) = conns.get_mut(&token) {
-                        if (ev.readable || ev.error) && !handle_readable(conn, shared, &job_tx) {
+                        if (ev.readable || ev.error) && !handle_readable(conn, shared, &start) {
                             dead.push(token);
                         }
                         let _ = ev.writable; // flushed in the pump pass below
@@ -962,12 +967,12 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, exec_threads: us
         // them (the waker doesn't say which), and flushing below
         // OUT_HIGH may unblock more generation.
         for (&token, conn) in &mut conns {
-            pump(conn, shared, &job_tx);
+            pump(conn, shared, &start);
             if !write_out(conn) {
                 dead.push(token);
                 continue;
             }
-            pump(conn, shared, &job_tx);
+            pump(conn, shared, &start);
             if !write_out(conn) || should_close(conn) {
                 dead.push(token);
                 continue;
@@ -1009,18 +1014,19 @@ mod tests {
         let mut conn = Conn::new(stream, "test".to_owned());
         let shared = Shared::unmemoized();
         let (job_tx, job_rx) = mpsc::channel();
+        let start = |job: ExecJob| job_tx.send(job).expect("the test holds the receiver");
         for n in 0..=INFLIGHT {
             let plan = Box::new(Plan::new());
             conn.responses.push_back(Resp::Queued { key: n.to_string(), plan });
         }
-        pump(&mut conn, &shared, &job_tx);
+        pump(&mut conn, &shared, &start);
         let started: Vec<ExecJob> = job_rx.try_iter().collect();
         let keys: Vec<String> = started.iter().map(|job| job.key.clone()).collect();
         assert_eq!(keys, (0..INFLIGHT).map(|n| n.to_string()).collect::<Vec<_>>());
         assert_eq!(conn.live, INFLIGHT);
 
         started[0].reply.send(OutEvent::Done { jobs: 0, memo: false }).expect("response open");
-        pump(&mut conn, &shared, &job_tx);
+        pump(&mut conn, &shared, &start);
         let next: Vec<String> = job_rx.try_iter().map(|job| job.key).collect();
         assert_eq!(next, [INFLIGHT.to_string()], "a finished plan frees one slot");
         assert_eq!(conn.live, INFLIGHT);

@@ -25,8 +25,9 @@
 //!   the `TLABP_SERVE_*` knobs, read by [`tlabp_core::env`].
 //! * memo tiers — a byte-capped LRU (`TLABP_SERVE_MEMO_BYTES`) of
 //!   pre-encoded response frames replayed byte-for-byte with zero
-//!   simulation work, persisted as checksummed memo artifacts next to
-//!   the trace artifacts and re-hydrated on daemon start, so a
+//!   simulation work, persisted as v3 artifact containers (text
+//!   sections) next to the trace artifacts and re-hydrated on daemon
+//!   start, so a
 //!   restarted daemon still answers previously-seen plans without
 //!   simulating.
 //! * [`client`] — [`client::Client`]: submit plans, iterate streamed

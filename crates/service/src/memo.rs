@@ -10,9 +10,10 @@
 //! an entry count.
 //!
 //! **On disk** — [`MemoDisk`]: every completed cold response is also
-//! persisted as a memo artifact
-//! ([`tlabp_trace::io::write_memo`]) next to the trace artifacts,
-//! named `<plan_hash>-<workload_fingerprint>.tlabm`:
+//! persisted next to the trace artifacts as a v3 artifact container
+//! ([`tlabp_trace::io::write_text_sections`]) of text sections: the
+//! canonical plan JSON, then each frame payload, under the workload
+//! fingerprint. It is named `<plan_hash>-<workload_fingerprint>.tlabm`:
 //!
 //! * `plan_hash` is [`Plan::wire_hash`] of the canonical plan JSON —
 //!   the same key equality the in-memory tier uses, compressed to a
@@ -29,33 +30,30 @@
 //!   regenerates a program the daemon has already fingerprinted.
 //!
 //! Writes go through the shared artifact filesystem machinery
-//! (advisory [`FileLock`] + [`write_file_atomic`]): readers never see a
-//! torn file, and a corrupt or stale file hydrates as a miss, never as
-//! wrong bytes. A daemon restarted over the same directory hydrates
-//! every valid artifact into the LRU before accepting connections, so
-//! previously-seen plans replay with zero simulation work.
+//! (advisory [`FileLock`] + [`write_file_atomic`]), and reads through
+//! the container's one verifying reader ([`read_artifacts`]): readers
+//! never see a torn file, and a corrupt or stale file hydrates as a
+//! miss, never as wrong bytes. A daemon restarted over the same
+//! directory hydrates every valid artifact into the LRU before
+//! accepting connections, so previously-seen plans replay with zero
+//! simulation work.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 use tlabp_sim::plan::Plan;
 use tlabp_sim::TraceStore;
-use tlabp_trace::io::{checksum, read_memo, write_file_atomic, write_memo, FileLock, MemoArtifact};
+use tlabp_trace::io::{
+    checksum, read_artifacts, write_file_atomic, write_text_sections, FileLock, ReadTraceError,
+    DEFAULT_CHUNK_BYTES,
+};
 use tlabp_workloads::{Benchmark, DataSet};
 
 /// A memoized response: the pre-encoded `result` frame payloads, in
 /// plan order, shared between the cache and any connection currently
 /// replaying them.
 pub(crate) type MemoEntry = Arc<Vec<String>>;
-
-/// Lock-acquisition budget for memo artifact writes (matches the trace
-/// disk tier: proceed unlocked after this long — the atomic rename
-/// makes the worst case last-writer-wins, never a torn file).
-const LOCK_WAIT: Duration = Duration::from_millis(2_000);
-/// Age beyond which a memo lock file is considered abandoned.
-const LOCK_STALE: Duration = Duration::from_secs(10);
 
 /// Bytes a cached response accounts for: its frame payloads plus its
 /// key (the canonical plan JSON the map stores alongside).
@@ -197,13 +195,8 @@ impl MemoDisk {
     /// persistent tier is an accelerator, never a correctness
     /// dependency.
     pub(crate) fn persist(&self, store: &TraceStore, plan: &Plan, key: &str, frames: &[String]) {
-        let artifact = MemoArtifact {
-            plan_hash: plan.wire_hash(),
-            fingerprint: plan_workload_fingerprint(plan, store),
-            plan: key.to_owned(),
-            frames: frames.to_vec(),
-        };
-        let path = self.path_for(artifact.plan_hash, artifact.fingerprint);
+        let fingerprint = plan_workload_fingerprint(plan, store);
+        let path = self.path_for(plan.wire_hash(), fingerprint);
         if let Err(err) = std::fs::create_dir_all(&self.dir) {
             eprintln!(
                 "warning: cannot create memo directory {} ({err}); response not persisted",
@@ -211,15 +204,19 @@ impl MemoDisk {
             );
             return;
         }
-        let _lock = FileLock::acquire(&path.with_extension("tlabm.lock"), LOCK_WAIT, LOCK_STALE);
-        if let Err(err) = write_file_atomic(&path, &write_memo(&artifact)) {
+        let texts: Vec<&str> =
+            std::iter::once(key).chain(frames.iter().map(String::as_str)).collect();
+        let bytes = write_text_sections(fingerprint, &texts, DEFAULT_CHUNK_BYTES);
+        let _lock = FileLock::acquire(&path.with_extension("tlabm.lock"));
+        if let Err(err) = write_file_atomic(&path, &bytes) {
             eprintln!("warning: failed to write memo artifact {} ({err})", path.display());
         }
         self.enforce_budget();
     }
 
     /// Every `.tlabm` artifact in the directory with its modification
-    /// time and size, oldest first.
+    /// time and size, oldest first: the one listing behind hydration
+    /// and the byte budget.
     fn artifacts_by_age(&self) -> Vec<(std::time::SystemTime, PathBuf, usize)> {
         let Ok(entries) = std::fs::read_dir(&self.dir) else { return Vec::new() };
         let mut files: Vec<(std::time::SystemTime, PathBuf, usize)> = entries
@@ -271,56 +268,54 @@ impl MemoDisk {
 
     /// Reads every valid memo artifact in the directory, oldest first
     /// (so inserting them in order leaves the most recently written
-    /// entries hottest in the LRU). Every artifact is re-verified before
-    /// it is trusted: the stored plan must parse, its canonical
-    /// rendering must match the stored key byte-for-byte, its wire hash
-    /// must match the stored hash, and the *current* workload
-    /// fingerprint fold (read from `store`) must match the stored one —
-    /// so a renamed, corrupt, truncated, version-skewed, or
-    /// workload-stale file hydrates as nothing at all.
+    /// entries hottest in the LRU). A corrupt file warns; a stale one
+    /// (see [`MemoDisk::load`]) is skipped quietly.
     pub(crate) fn hydrate(&self, store: &TraceStore) -> Vec<(String, MemoEntry)> {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else { return Vec::new() };
-        let mut files: Vec<(std::time::SystemTime, PathBuf)> = entries
-            .filter_map(Result::ok)
-            .map(|entry| entry.path())
-            .filter(|path| path.extension().is_some_and(|ext| ext == "tlabm"))
-            .map(|path| {
-                let modified = std::fs::metadata(&path)
-                    .and_then(|meta| meta.modified())
-                    .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-                (modified, path)
-            })
-            .collect();
-        files.sort();
         let mut hydrated = Vec::new();
-        for (_, path) in files {
-            let Ok(bytes) = std::fs::read(&path) else { continue };
-            let artifact = match read_memo(&bytes) {
-                Ok(artifact) => artifact,
+        for (_, path, _) in self.artifacts_by_age() {
+            match MemoDisk::load(&path, store) {
+                Ok(Some(entry)) => hydrated.push(entry),
+                Ok(None) => {}
                 Err(err) => {
                     eprintln!("warning: ignoring corrupt memo artifact {} ({err})", path.display());
-                    continue;
                 }
-            };
-            let Ok(plan) = Plan::from_json_str(&artifact.plan) else {
-                // A plan from another wire version: stale, not corrupt.
-                continue;
-            };
-            if plan.to_json_string() != artifact.plan
-                || plan.wire_hash() != artifact.plan_hash
-                || plan_workload_fingerprint(&plan, store) != artifact.fingerprint
-            {
-                continue;
             }
-            hydrated.push((artifact.plan, Arc::new(artifact.frames)));
         }
         hydrated
+    }
+
+    /// One memo file's response, re-verified before it is trusted: the
+    /// container must decode, its stored plan must parse, render
+    /// canonically to the stored key byte-for-byte, and fold to the
+    /// *current* workload fingerprint (read from `store`) that the
+    /// container records. `Ok(None)` is a stale file: unreadable by
+    /// now, of another container version or of the retired `TLBM` memo
+    /// format, a plan of another wire version or of edited workloads,
+    /// or no plan at all. `Err` is a corrupt one.
+    fn load(
+        path: &Path,
+        store: &TraceStore,
+    ) -> Result<Option<(String, MemoEntry)>, ReadTraceError> {
+        let Ok(bytes) = std::fs::read(path) else { return Ok(None) };
+        let bundle = match read_artifacts(&bytes) {
+            Ok(bundle) => bundle,
+            Err(ReadTraceError::UnsupportedVersion { .. }) => return Ok(None),
+            Err(ReadTraceError::BadMagic { found }) if &found == b"TLBM" => return Ok(None),
+            Err(err) => return Err(err),
+        };
+        let mut texts = bundle.texts.into_iter();
+        let Some(key) = texts.next() else { return Ok(None) };
+        let Ok(plan) = Plan::from_json_str(&key) else { return Ok(None) };
+        let fresh = plan.to_json_string() == key
+            && plan_workload_fingerprint(&plan, store) == bundle.fingerprint;
+        Ok(fresh.then(|| (key, Arc::new(texts.collect()))))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn entry(frames: &[&str]) -> MemoEntry {
         Arc::new(frames.iter().map(|s| (*s).to_owned()).collect())
@@ -431,35 +426,74 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A memo file whose section length would wrap a bounds check
-    /// hydrates as a miss next to a good artifact, so one such file cannot
-    /// stop the daemon from starting.
-    #[test]
-    fn hydrate_skips_a_memo_file_with_an_overflowing_section_length() {
+    /// A one-job plan on li, its canonical key, and a memo directory
+    /// holding its persisted response (one `"frame"`), fresh for `test`.
+    fn persisted_btfn(test: &str) -> (PathBuf, Plan, String, TraceStore) {
         use tlabp_core::config::SchemeConfig;
         use tlabp_sim::plan::Job;
 
-        let dir = std::env::temp_dir().join(format!("tlabp-memo-overflow-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("tlabp-memo-{test}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let li = Benchmark::by_name("li").expect("li exists");
         let plan: Plan = [Job::scheme(SchemeConfig::btfn(), li)].into_iter().collect();
         let key = plan.to_json_string();
         let store = TraceStore::new();
-        let disk = MemoDisk::new(dir.clone(), None);
-        disk.persist(&store, &plan, &key, &["frame".to_owned()]);
+        MemoDisk::new(dir.clone(), None).persist(&store, &plan, &key, &["frame".to_owned()]);
+        (dir, plan, key, store)
+    }
 
-        // 43 bytes: a memo header, then a plan section declaring
-        // `u64::MAX - 3` bytes.
-        let empty =
-            MemoArtifact { plan_hash: 0, fingerprint: 0, plan: String::new(), frames: vec![] };
-        let mut bad = write_memo(&empty);
-        bad[27..35].copy_from_slice(&(u64::MAX - 3).to_le_bytes());
-        std::fs::write(dir.join("overflow.tlabm"), &bad).expect("write bad artifact");
+    /// A memo file whose chunk declares more bytes than the file holds
+    /// (its head checksum re-stamped, so only the length check can
+    /// catch it) is corrupt: it hydrates as a miss next to a good
+    /// artifact, so one such file cannot stop the daemon from starting.
+    #[test]
+    fn hydrate_skips_a_memo_file_with_an_inflated_chunk_length() {
+        let (dir, _, key, store) = persisted_btfn("inflated");
+        // One text section of one chunk after the 18-byte header: kind
+        // (1), meta length (4), meta (8), chunk count (4), then the chunk
+        // table (encoded length at 35..43) and the head checksum (59..67).
+        let mut bad = write_text_sections(7, &["{}"], DEFAULT_CHUNK_BYTES);
+        bad[35..43].copy_from_slice(&(u64::MAX - 3).to_le_bytes());
+        let head = checksum(&bad[18..59]);
+        bad[59..67].copy_from_slice(&head.to_le_bytes());
+        let path = dir.join("inflated.tlabm");
+        std::fs::write(&path, &bad).expect("write bad artifact");
+        assert_eq!(
+            MemoDisk::load(&path, &store).unwrap_err(),
+            ReadTraceError::Truncated { at_event: 0 }
+        );
 
-        let hydrated = disk.hydrate(&store);
+        let hydrated = MemoDisk::new(dir.clone(), None).hydrate(&store);
         assert_eq!(hydrated.len(), 1, "only the good artifact hydrates");
         assert_eq!(hydrated[0].0, key);
         assert_eq!(*hydrated[0].1, vec!["frame".to_owned()]);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `.tlabm` file of the retired `TLBM` memo format (here the plan
+    /// section of one, as earlier daemons wrote it) is stale, not
+    /// corrupt: it hydrates as a miss, with no warning, beside a v3
+    /// artifact of the same plan.
+    #[test]
+    fn hydrate_skips_a_retired_tlbm_memo_file_as_stale() {
+        let (dir, plan, key, store) = persisted_btfn("retired");
+        let mut old = b"TLBM".to_vec();
+        old.extend_from_slice(&1u16.to_le_bytes());
+        old.extend_from_slice(&plan.wire_hash().to_le_bytes());
+        old.extend_from_slice(&plan_workload_fingerprint(&plan, &store).to_le_bytes());
+        old.extend_from_slice(&1u32.to_le_bytes());
+        old.push(1);
+        old.extend_from_slice(&(key.len() as u64).to_le_bytes());
+        old.extend_from_slice(key.as_bytes());
+        old.extend_from_slice(&checksum(key.as_bytes()).to_le_bytes());
+        let path = dir.join("retired.tlabm");
+        std::fs::write(&path, &old).expect("write retired artifact");
+        assert_eq!(MemoDisk::load(&path, &store), Ok(None), "stale, not corrupt");
+
+        let hydrated = MemoDisk::new(dir.clone(), None).hydrate(&store);
+        assert_eq!(hydrated.len(), 1, "only the v3 artifact hydrates");
+        assert_eq!(hydrated[0].0, key);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

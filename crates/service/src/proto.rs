@@ -239,12 +239,6 @@ impl FrameAssembler {
         FrameAssembler { buf: Vec::new(), max: max_frame_len }
     }
 
-    /// Bytes currently buffered for the next (incomplete) line.
-    #[must_use]
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Appends `bytes` and returns every line they complete, in order.
     ///
     /// Empty lines are returned too (callers skip them, matching the
@@ -421,7 +415,7 @@ mod tests {
             let mut lines = asm.push(&stream[..cut]).expect("first chunk");
             lines.extend(asm.push(&stream[cut..]).expect("second chunk"));
             assert_eq!(lines, frames, "split at byte {cut} must reassemble identically");
-            assert_eq!(asm.buffered(), 0);
+            assert!(asm.buf.is_empty(), "nothing stays buffered after the last newline");
         }
         // Byte-at-a-time delivery — the worst nonblocking read pattern.
         let mut asm = FrameAssembler::new(1 << 16);

@@ -209,8 +209,9 @@ impl SweepServer {
 
     /// Serves forever on the event core. Simulation work always funnels
     /// through the one global [`SweepPool`], so concurrent clients share
-    /// the worker threads fairly instead of multiplying them, and the
-    /// connection threads are fixed too.
+    /// the worker threads fairly instead of multiplying them. Admitted
+    /// plans run on an executor pool of the global pool's width (at
+    /// least two), so the connection threads are fixed too.
     #[cfg(unix)]
     pub fn run(&self) -> ! {
         crate::event::run(&self.listener, &self.shared, SweepPool::global().threads().max(2))

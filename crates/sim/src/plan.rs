@@ -10,7 +10,7 @@
 //!
 //! The IR is pure data: constructing a plan performs no simulation, no
 //! trace generation and no predictor construction, so plans can be built,
-//! inspected, stored and replayed (this is the seam a future server mode
+//! inspected, stored and replayed (this is the seam the sweep daemon
 //! plugs into — a request *is* a plan).
 //!
 //! # Example
@@ -47,8 +47,11 @@ pub const PLAN_WIRE_VERSION: u64 = 1;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PredictorSpec {
     /// A Table 3 catalog configuration. Lowered to the monomorphized
-    /// fast paths ([`tlabp_core::any::AnyPredictor`], and the packed
-    /// conditional stream when no context switches are simulated).
+    /// fast paths: a replay of its first-level pattern stream where only
+    /// its second level needs simulating, otherwise a
+    /// [`tlabp_core::any::AnyPredictor`] walking the pc-interned
+    /// conditional stream (or, for miss-breakdown and fetch metrics, the
+    /// branch stream in one instrumented pass).
     Scheme(SchemeConfig),
     /// A predictor registered under this name in
     /// [`tlabp_core::registry`]. Runs behind `Box<dyn BranchPredictor>`

@@ -22,7 +22,9 @@ use crate::stream::StreamCursor;
 /// 10 ms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ContextSwitchConfig {
-    /// Instructions between forced switches when no trap intervenes.
+    /// Instructions between forced switches when no trap intervenes. A
+    /// deadline past `u64::MAX` saturates there, so `u64::MAX` means
+    /// traps alone switch.
     pub interval_instructions: u64,
     /// Whether trace trap events trigger switches.
     pub on_traps: bool,
@@ -121,7 +123,8 @@ pub fn simulate<P: BranchPredictor + ?Sized>(
             if event.instret() >= due {
                 predictor.context_switch();
                 result.context_switches += 1;
-                next_interval_switch = Some(event.instret() + cs.interval_instructions);
+                next_interval_switch =
+                    Some(event.instret().saturating_add(cs.interval_instructions));
             }
         }
         match event {
@@ -138,7 +141,8 @@ pub fn simulate<P: BranchPredictor + ?Sized>(
                         predictor.context_switch();
                         result.context_switches += 1;
                         // A trap-triggered switch restarts the interval.
-                        next_interval_switch = Some(trap.instret + cs.interval_instructions);
+                        next_interval_switch =
+                            Some(trap.instret.saturating_add(cs.interval_instructions));
                     }
                 }
             }
@@ -182,7 +186,7 @@ impl SwitchSchedule {
         for event in trace.iter() {
             if event.instret() >= next_interval_switch {
                 schedule.fire(conditionals);
-                next_interval_switch = event.instret() + cs.interval_instructions;
+                next_interval_switch = event.instret().saturating_add(cs.interval_instructions);
             }
             match event {
                 TraceEvent::Branch(branch) if branch.class.is_conditional() => conditionals += 1,
@@ -190,7 +194,8 @@ impl SwitchSchedule {
                 TraceEvent::Trap(trap) => {
                     if cs.on_traps {
                         schedule.fire(conditionals);
-                        next_interval_switch = trap.instret + cs.interval_instructions;
+                        next_interval_switch =
+                            trap.instret.saturating_add(cs.interval_instructions);
                     }
                 }
             }

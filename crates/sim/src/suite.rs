@@ -149,15 +149,6 @@ struct DiskTier {
     dir: PathBuf,
 }
 
-/// How long a persist waits for a contended artifact lock before
-/// proceeding unlocked (last writer wins; the rename keeps files whole).
-const LOCK_WAIT_MILLIS: u64 = 2_000;
-
-/// Age beyond which a lock file is considered abandoned by a crashed
-/// writer and broken. Persists hold the lock for milliseconds, so
-/// anything this old is dead.
-const LOCK_STALE_SECS: u64 = 10;
-
 impl DiskTier {
     /// The artifact path for a slot. The container version and workload
     /// fingerprint are part of the name, so a format bump or workload
@@ -232,8 +223,8 @@ impl DiskTier {
     /// * an **advisory file lock** (`<artifact>.lock`, created with
     ///   `create_new`) serializes cross-process persists of one artifact.
     ///   Stale locks left by a killed process are broken after
-    ///   [`LOCK_STALE_SECS`]; a writer that cannot acquire the lock
-    ///   within [`LOCK_WAIT_MILLIS`] proceeds anyway with a warning —
+    ///   [`FileLock::STALE`]; a writer that cannot acquire the lock
+    ///   within [`FileLock::WAIT`] proceeds anyway with a warning —
     ///   the atomic rename below means the worst outcome is last writer
     ///   wins, never a torn file.
     /// * **merge-on-persist**: under the lock, the current artifact is
@@ -320,11 +311,7 @@ impl DiskTier {
         if fs::create_dir_all(&self.dir).is_err() {
             return None;
         }
-        FileLock::acquire(
-            &path.with_extension("tlabp.lock"),
-            std::time::Duration::from_millis(LOCK_WAIT_MILLIS),
-            std::time::Duration::from_secs(LOCK_STALE_SECS),
-        )
+        FileLock::acquire(&path.with_extension("tlabp.lock"))
     }
 
     /// Total size of the artifact files currently in the cache directory.

@@ -6,10 +6,15 @@
 //! pattern streams), so a warm cache hit restores the whole derivation
 //! chain without re-running the VM or any derivation pass. The
 //! container can also carry a packed conditional stream; the store
-//! neither writes nor keeps one. Each section's items are split into
-//! fixed-budget chunks (the store writes [`DEFAULT_CHUNK_BYTES`]) that
-//! are varint+delta encoded and independently checksummed, behind a
-//! seekable per-section chunk table. All integers are little-endian:
+//! neither writes nor keeps one. Its UTF-8 text sections hold the sweep
+//! daemon's memoized responses ([`write_text_sections`]: the canonical
+//! plan JSON, then each pre-encoded result frame), so the persistent
+//! memo tier is decoded and verified by the same readers as every trace
+//! artifact. Each section's items are split into fixed-budget chunks
+//! (the store writes [`DEFAULT_CHUNK_BYTES`]) that are varint+delta
+//! encoded (text chunks hold raw bytes) and independently checksummed,
+//! behind a seekable per-section chunk table. All integers are
+//! little-endian:
 //!
 //! ```text
 //! magic       : 4 bytes = b"TLBP"
@@ -17,7 +22,7 @@
 //! fingerprint : u64     workload-codegen fingerprint (caller-defined)
 //! sections    : u32     number of sections
 //! per section:
-//!   kind          : u8   1 trace, 2 packed, 3 interned, 4 pattern stream
+//!   kind          : u8   1 trace, 2 packed, 3 interned, 4 pattern stream, 5 text
 //!   meta_len      : u32, meta bytes   (kind-specific section metadata)
 //!   chunk count   : u32
 //!   chunk table   : count x (encoded_len u64, items u64, checksum u64)
@@ -42,24 +47,18 @@
 //! version (an older file is a versioned miss), and any payload whose
 //! decoded parts fail the owning container's structural validation
 //! ([`InternedConds::from_raw_parts`],
-//! [`PatternStream::from_raw_parts`]). A reader that cannot prove the
-//! sections it reads intact never yields a bundle — the disk tier falls
-//! back to regeneration instead of risking wrong numbers.
+//! [`PatternStream::from_raw_parts`], UTF-8 for a text section). A
+//! reader that cannot prove the sections it reads intact never yields a
+//! bundle — the disk tiers fall back to regeneration instead of risking
+//! wrong numbers.
 //!
 //! Traces cross machine boundaries in the `TLBE` exchange format
 //! ([`crate::import`]), not in this container.
 //!
-//! A second format, the **memo artifact** (`b"TLBM"`, [`write_memo`] /
-//! [`read_memo`]), stores one memoized service response — the canonical
-//! plan JSON plus its pre-encoded result-frame payloads — as
-//! length-prefixed, checksummed sections, so the sweep daemon's
-//! persistent memo tier inherits the container's torn/corrupt-file
-//! guarantees.
-//!
-//! The module also exports the filesystem discipline those tiers share:
-//! [`write_file_atomic`] (unique temp file + rename, readers never see a
-//! partial file) and [`FileLock`] (advisory cross-process lock file with
-//! stale-lock scavenging).
+//! The module also exports the filesystem discipline both disk tiers
+//! share: [`write_file_atomic`] (unique temp file + rename, readers never
+//! see a partial file) and [`FileLock`] (advisory cross-process lock file
+//! with stale-lock scavenging, on one wait and one staleness budget).
 //!
 //! # Example
 //!
@@ -110,14 +109,14 @@ mod section {
     pub const PACKED: u8 = 2;
     pub const INTERNED: u8 = 3;
     pub const STREAM: u8 = 4;
+    pub const TEXT: u8 = 5;
 }
 
-/// Error produced when decoding an artifact or memo file fails.
+/// Error produced when decoding an artifact fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ReadTraceError {
-    /// The buffer did not start with the format's magic ([`MAGIC`] or
-    /// [`MEMO_MAGIC`]).
+    /// The buffer did not start with [`MAGIC`].
     BadMagic {
         /// The four bytes actually found (zero-padded if short).
         found: [u8; 4],
@@ -160,13 +159,12 @@ impl fmt::Display for ReadTraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ReadTraceError::BadMagic { found } => {
-                write!(f, "bad trace magic {found:?}, expected {MAGIC:?}")
+                write!(f, "bad artifact magic {found:?}, expected {MAGIC:?}")
             }
             ReadTraceError::UnsupportedVersion { found } => {
                 write!(
                     f,
-                    "unsupported container version {found} (artifacts are \
-                     {ARTIFACT_VERSION_CHUNKED}, memo files {MEMO_VERSION})"
+                    "unsupported container version {found} (expected {ARTIFACT_VERSION_CHUNKED})"
                 )
             }
             ReadTraceError::Truncated { at_event } => {
@@ -233,6 +231,9 @@ pub struct ArtifactBundle {
     /// Materialized first-level pattern streams, each tagged with its
     /// opaque key bytes, in serialization order.
     pub streams: Vec<(Vec<u8>, PatternStream)>,
+    /// UTF-8 text sections ([`write_text_sections`]), in serialization
+    /// order.
+    pub texts: Vec<String>,
 }
 
 /// A minimal little-endian read cursor over a byte slice (replaces the
@@ -329,6 +330,7 @@ fn items_per_chunk(kind: u8, laned: bool, chunk_bytes: usize) -> usize {
     match kind {
         section::TRACE => (chunk_bytes / 26).max(1),
         section::PACKED => (chunk_bytes / 8).max(1),
+        section::TEXT => chunk_bytes,
         section::INTERNED => (chunk_bytes / 4).max(1),
         section::STREAM => {
             let per_event = if laned { 8 } else { 4 };
@@ -530,11 +532,12 @@ mod meta {
         })
     }
 
-    pub(super) fn packed(count: u64) -> Vec<u8> {
+    /// Packed and text metadata: the section's item count alone.
+    pub(super) fn count(count: u64) -> Vec<u8> {
         count.to_le_bytes().to_vec()
     }
 
-    pub(super) fn parse_packed(meta: &[u8]) -> Option<u64> {
+    pub(super) fn parse_count(meta: &[u8]) -> Option<u64> {
         (meta.len() == 8).then(|| u64::from_le_bytes(meta.try_into().expect("8 bytes")))
     }
 
@@ -620,11 +623,37 @@ pub fn write_artifacts_chunked(
     streams: &[(Vec<u8>, &PatternStream)],
     chunk_bytes: usize,
 ) -> Vec<u8> {
+    write_container(fingerprint, trace, packed, interned, streams, &[], chunk_bytes)
+}
+
+/// Serializes an artifact container of UTF-8 text sections alone, one
+/// per entry of `texts` and in that order, each split into
+/// `chunk_bytes`-byte checksummed chunks. [`read_artifacts`] returns
+/// them in [`ArtifactBundle::texts`]; a chunk boundary may fall inside
+/// a multi-byte character, since a section is checked as UTF-8 whole.
+#[must_use]
+pub fn write_text_sections(fingerprint: u64, texts: &[&str], chunk_bytes: usize) -> Vec<u8> {
+    write_container(fingerprint, None, None, None, &[], texts, chunk_bytes)
+}
+
+/// The one container writer behind [`write_artifacts_chunked`] and
+/// [`write_text_sections`]: trace, packed, interned, stream and text
+/// sections, in that order.
+fn write_container(
+    fingerprint: u64,
+    trace: Option<&Trace>,
+    packed: Option<&[PackedCond]>,
+    interned: Option<&InternedConds>,
+    streams: &[(Vec<u8>, &PatternStream)],
+    texts: &[&str],
+    chunk_bytes: usize,
+) -> Vec<u8> {
     let chunk_bytes = chunk_bytes.max(1);
     let sections = usize::from(trace.is_some())
         + usize::from(packed.is_some())
         + usize::from(interned.is_some())
-        + streams.len();
+        + streams.len()
+        + texts.len();
     let mut buf = Vec::new();
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&ARTIFACT_VERSION_CHUNKED.to_le_bytes());
@@ -646,12 +675,7 @@ pub fn write_artifacts_chunked(
             .into_iter()
             .map(|r| (r.len() as u64, encode_packed_chunk(&packed[r])))
             .collect();
-        push_chunked_section(
-            &mut buf,
-            section::PACKED,
-            &meta::packed(packed.len() as u64),
-            &chunks,
-        );
+        push_chunked_section(&mut buf, section::PACKED, &meta::count(packed.len() as u64), &chunks);
     }
     if let Some(interned) = interned {
         let per = items_per_chunk(section::INTERNED, false, chunk_bytes);
@@ -674,6 +698,15 @@ pub fn write_artifacts_chunked(
             .collect();
         let meta = meta::stream(key, stream.history_bits(), stream.is_laned(), stream.len() as u64);
         push_chunked_section(&mut buf, section::STREAM, &meta, &chunks);
+    }
+    for text in texts {
+        let bytes = text.as_bytes();
+        let per = items_per_chunk(section::TEXT, false, chunk_bytes);
+        let chunks: Vec<(u64, Vec<u8>)> = chunk_ranges(bytes.len(), per)
+            .into_iter()
+            .map(|r| (r.len() as u64, bytes[r].to_vec()))
+            .collect();
+        push_chunked_section(&mut buf, section::TEXT, &meta::count(bytes.len() as u64), &chunks);
     }
     buf
 }
@@ -783,6 +816,10 @@ enum SectionDecoder {
         events: Vec<u32>,
         lanes: Vec<u32>,
     },
+    Text {
+        declared: u64,
+        bytes: Vec<u8>,
+    },
 }
 
 /// Items to reserve for a section declaring `declared` items over
@@ -809,7 +846,7 @@ impl SectionDecoder {
                 })
             }
             section::PACKED => {
-                let declared = meta::parse_packed(meta)?;
+                let declared = meta::parse_count(meta)?;
                 let out = Vec::with_capacity(reserve_items(declared, encoded, 1));
                 Some(SectionDecoder::Packed { declared, out })
             }
@@ -831,6 +868,11 @@ impl SectionDecoder {
                     lanes: Vec::with_capacity(if laned { reserve } else { 0 }),
                 })
             }
+            section::TEXT => {
+                let declared = meta::parse_count(meta)?;
+                let bytes = Vec::with_capacity(reserve_items(declared, encoded, 1));
+                Some(SectionDecoder::Text { declared, bytes })
+            }
             _ => None,
         }
     }
@@ -844,6 +886,10 @@ impl SectionDecoder {
             SectionDecoder::Interned { out, .. } => decode_interned_chunk(payload, items, out),
             SectionDecoder::Stream { laned, events, lanes, .. } => {
                 decode_stream_chunk(payload, items, *laned, events, lanes)
+            }
+            // A text chunk is its raw bytes: one item per byte.
+            SectionDecoder::Text { bytes, .. } => {
+                (payload.len() as u64 == items).then(|| bytes.extend_from_slice(payload))
             }
         }
     }
@@ -877,6 +923,12 @@ impl SectionDecoder {
                 }
                 let stream = PatternStream::from_raw_parts(history_bits, events, lanes, laned)?;
                 bundle.streams.push((key, stream));
+            }
+            SectionDecoder::Text { declared, bytes } => {
+                if bytes.len() as u64 != declared {
+                    return None;
+                }
+                bundle.texts.push(String::from_utf8(bytes).ok()?);
             }
         }
         Some(())
@@ -1106,154 +1158,6 @@ impl ChunkedArtifact {
     }
 }
 
-/// File magic identifying a memo artifact ([`write_memo`] /
-/// [`read_memo`]): one memoized sweep-service response.
-pub const MEMO_MAGIC: &[u8; 4] = b"TLBM";
-/// Version of the memo artifact format.
-pub const MEMO_VERSION: u16 = 1;
-
-/// Section kind tags of the memo artifact.
-mod memo_section {
-    /// The canonical plan JSON (exactly one, first).
-    pub const PLAN: u8 = 1;
-    /// One pre-encoded result-frame payload (zero or more, in plan
-    /// order).
-    pub const FRAME: u8 = 2;
-}
-
-/// The decoded contents of a memo artifact: one memoized service
-/// response keyed by the plan's wire hash and the fingerprints of the
-/// workloads it measures.
-///
-/// The frames are the service's pre-encoded `result` frame *payloads*
-/// (not whole lines): replaying the stored strings is what makes a
-/// response served from this tier byte-identical to the original.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemoArtifact {
-    /// `Plan::wire_hash` of the canonical plan JSON; part of the file
-    /// name, repeated inside so a renamed file cannot impersonate
-    /// another plan's response.
-    pub plan_hash: u64,
-    /// A fold over the codegen fingerprints of every workload the plan
-    /// touches; a workload edit changes it, so stale responses are
-    /// rejected by construction.
-    pub fingerprint: u64,
-    /// The canonical plan JSON — the daemon's memo key.
-    pub plan: String,
-    /// Pre-encoded result-frame payloads, in plan order.
-    pub frames: Vec<String>,
-}
-
-/// Serializes a memo artifact: a fixed header, then the plan and every
-/// frame as independently checksummed sections.
-///
-/// The inverse of [`read_memo`]; the two round-trip exactly.
-///
-/// ```text
-/// magic     : 4 bytes = b"TLBM"
-/// version   : u16     = 1
-/// plan_hash : u64
-/// fingerprint : u64
-/// sections  : u32     = 1 + frames
-/// per section:
-///   kind    : u8      1 plan json, 2 frame payload
-///   len     : u64     payload byte length
-///   payload : len bytes (UTF-8)
-///   checksum: u64     fx-fold of the payload (see [`checksum`])
-/// ```
-#[must_use]
-pub fn write_memo(artifact: &MemoArtifact) -> Vec<u8> {
-    let sections = 1 + artifact.frames.len();
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MEMO_MAGIC);
-    buf.extend_from_slice(&MEMO_VERSION.to_le_bytes());
-    buf.extend_from_slice(&artifact.plan_hash.to_le_bytes());
-    buf.extend_from_slice(&artifact.fingerprint.to_le_bytes());
-    buf.extend_from_slice(&u32::try_from(sections).expect("section count fits u32").to_le_bytes());
-    push_section(&mut buf, memo_section::PLAN, artifact.plan.as_bytes());
-    for frame in &artifact.frames {
-        push_section(&mut buf, memo_section::FRAME, frame.as_bytes());
-    }
-    buf
-}
-
-/// Appends one memo section: kind, payload length, payload, checksum.
-fn push_section(buf: &mut Vec<u8>, kind: u8, payload: &[u8]) {
-    buf.push(kind);
-    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf.extend_from_slice(&checksum(payload).to_le_bytes());
-}
-
-/// Deserializes a memo artifact produced by [`write_memo`].
-///
-/// # Errors
-///
-/// Returns a [`ReadTraceError`] if the magic or version do not match,
-/// the buffer is truncated at any byte boundary, bytes trail the last
-/// section, any section checksum mismatches, a section payload is not
-/// UTF-8, or the sections are not exactly one plan followed by frames.
-/// An `Err` means the file proves nothing — the daemon treats it as a
-/// miss and regenerates on the next cold execution.
-pub fn read_memo(bytes: &[u8]) -> Result<MemoArtifact, ReadTraceError> {
-    let mut cur = Cursor { bytes, pos: 0 };
-    if cur.remaining() < 4 || &bytes[..4] != MEMO_MAGIC {
-        let mut found = [0u8; 4];
-        let n = cur.remaining().min(4);
-        found[..n].copy_from_slice(&bytes[..n]);
-        return Err(ReadTraceError::BadMagic { found });
-    }
-    cur.pos = 4;
-    if cur.remaining() < 2 {
-        return Err(ReadTraceError::Truncated { at_event: 0 });
-    }
-    let version = cur.get_u16_le();
-    if version != MEMO_VERSION {
-        return Err(ReadTraceError::UnsupportedVersion { found: version });
-    }
-    if cur.remaining() < 20 {
-        return Err(ReadTraceError::Truncated { at_event: 0 });
-    }
-    let plan_hash = cur.get_u64_le();
-    let fingerprint = cur.get_u64_le();
-    let sections = cur.get_u32_le();
-    let mut plan: Option<String> = None;
-    let mut frames = Vec::new();
-    for index in 0..sections {
-        if cur.remaining() < 9 {
-            return Err(ReadTraceError::Truncated { at_event: 0 });
-        }
-        let kind = cur.get_u8();
-        let len = cur.get_u64_le();
-        let Ok(len) = usize::try_from(len) else {
-            return Err(ReadTraceError::Truncated { at_event: 0 });
-        };
-        // Checked: a declared length near `u64::MAX` must not wrap.
-        if len.checked_add(8).is_none_or(|need| cur.remaining() < need) {
-            return Err(ReadTraceError::Truncated { at_event: 0 });
-        }
-        let payload = &bytes[cur.pos..cur.pos + len];
-        cur.pos += len;
-        let stored = cur.get_u64_le();
-        if checksum(payload) != stored {
-            return Err(ReadTraceError::SectionChecksum { kind });
-        }
-        let text = std::str::from_utf8(payload)
-            .map_err(|_| ReadTraceError::BadSection { kind })?
-            .to_owned();
-        match kind {
-            memo_section::PLAN if index == 0 && plan.is_none() => plan = Some(text),
-            memo_section::FRAME if plan.is_some() => frames.push(text),
-            _ => return Err(ReadTraceError::BadSection { kind }),
-        }
-    }
-    if cur.remaining() > 0 {
-        return Err(ReadTraceError::TrailingBytes { count: cur.remaining() });
-    }
-    let plan = plan.ok_or(ReadTraceError::BadSection { kind: memo_section::PLAN })?;
-    Ok(MemoArtifact { plan_hash, fingerprint, plan, frames })
-}
-
 /// A held advisory cross-process lock: a lock file created exclusively,
 /// removed on drop (and scavenged as stale by other writers if the
 /// holding process dies first). See [`FileLock::acquire`].
@@ -1268,17 +1172,30 @@ impl Drop for FileLock {
 }
 
 impl FileLock {
+    /// How long [`FileLock::acquire`] waits for a contended lock before
+    /// giving up, for every artifact writer.
+    pub const WAIT: std::time::Duration = std::time::Duration::from_secs(2);
+    /// Age beyond which a lock file is taken as abandoned by a crashed
+    /// writer and broken. Writers hold a lock for milliseconds, so
+    /// anything this old is dead.
+    pub const STALE: std::time::Duration = std::time::Duration::from_secs(10);
+
     /// Acquires the advisory lock at `lock_path` (created with
     /// `create_new`, so exactly one process wins). A lock file older
-    /// than `stale` is treated as abandoned by a crashed writer and
-    /// broken with a warning. Returns `None` — with a warning — when
-    /// the lock cannot be acquired within `wait`: callers proceed
-    /// unlocked rather than stalling real work on a cache courtesy,
-    /// because every writer pairs this lock with [`write_file_atomic`],
-    /// so the worst unlocked outcome is last-writer-wins, never a torn
-    /// file.
+    /// than [`FileLock::STALE`] is treated as abandoned by a crashed
+    /// writer and broken with a warning. Returns `None` — with a warning
+    /// — when the lock cannot be acquired within [`FileLock::WAIT`]:
+    /// callers proceed unlocked rather than stalling real work on a
+    /// cache courtesy, because every writer pairs this lock with
+    /// [`write_file_atomic`], so the worst unlocked outcome is
+    /// last-writer-wins, never a torn file.
     #[must_use]
-    pub fn acquire(
+    pub fn acquire(lock_path: &std::path::Path) -> Option<FileLock> {
+        FileLock::acquire_within(lock_path, FileLock::WAIT, FileLock::STALE)
+    }
+
+    /// [`FileLock::acquire`] on explicit wait and staleness budgets.
+    fn acquire_within(
         lock_path: &std::path::Path,
         wait: std::time::Duration,
         stale: std::time::Duration,
@@ -1361,16 +1278,23 @@ mod tests {
         (trace, packed, interned, vec![(vec![0, 9, 0, 0, 0], unlaned), (b"laned".to_vec(), laned)])
     }
 
+    /// Two text sections: an empty one, then one of multi-byte UTF-8, so
+    /// small chunk budgets cut inside its characters.
+    const SAMPLE_TEXTS: [&str; 2] = ["", "{\"plan\":\"PAg(12)\"} · Yeh–Patt ✓ 🦀"];
+
+    /// Every section kind: the sample bundle's forms, then the sample
+    /// texts.
     fn write_sample(fingerprint: u64, chunk_bytes: usize) -> Vec<u8> {
         let (trace, packed, interned, streams) = sample_bundle();
         let refs: Vec<(Vec<u8>, &PatternStream)> =
             streams.iter().map(|(k, s)| (k.clone(), s)).collect();
-        write_artifacts_chunked(
+        write_container(
             fingerprint,
             Some(&trace),
             Some(&packed),
             Some(&interned),
             &refs,
+            &SAMPLE_TEXTS,
             chunk_bytes,
         )
     }
@@ -1399,6 +1323,7 @@ mod tests {
             assert_eq!(bundle.packed.as_deref(), Some(packed.as_slice()));
             assert_eq!(bundle.interned.as_ref(), Some(&interned));
             assert_eq!(bundle.streams, streams);
+            assert_eq!(bundle.texts, SAMPLE_TEXTS);
         }
     }
 
@@ -1422,6 +1347,15 @@ mod tests {
         let bundle =
             read_artifacts(&write_artifacts_chunked(4, None, None, None, &refs, b)).unwrap();
         assert_eq!(bundle.streams, streams);
+        let bundle = read_artifacts(&write_text_sections(6, &SAMPLE_TEXTS, b)).unwrap();
+        assert_eq!(
+            bundle,
+            ArtifactBundle {
+                fingerprint: 6,
+                texts: SAMPLE_TEXTS.map(String::from).to_vec(),
+                ..ArtifactBundle::default()
+            }
+        );
         let empty = read_artifacts(&write_artifacts_chunked(5, None, None, None, &[], b)).unwrap();
         assert_eq!(empty, ArtifactBundle { fingerprint: 5, ..ArtifactBundle::default() });
     }
@@ -1531,14 +1465,14 @@ mod tests {
     #[test]
     fn artifacts_reject_checksum_flip_with_checksum_error() {
         // The file ends with the last chunk payload of the last section
-        // (the laned stream); flipping its final byte fails that chunk's
-        // checksum and nothing else.
+        // (the multi-byte text); flipping its final byte fails that
+        // chunk's checksum and nothing else.
         let mut corrupt = write_sample(7, 64);
         let last = corrupt.len() - 1;
         corrupt[last] ^= 0x80;
         assert_eq!(
             read_artifacts(&corrupt).unwrap_err(),
-            ReadTraceError::SectionChecksum { kind: section::STREAM }
+            ReadTraceError::SectionChecksum { kind: section::TEXT }
         );
     }
 
@@ -1556,11 +1490,11 @@ mod tests {
             assert_eq!(read_artifacts(&old).unwrap_err(), expected);
             assert_eq!(open_bytes(&path, &old).unwrap_err(), expected);
         }
-        let mut memo = bytes.clone();
-        memo[..4].copy_from_slice(MEMO_MAGIC);
-        let expected = ReadTraceError::BadMagic { found: *MEMO_MAGIC };
-        assert_eq!(read_artifacts(&memo).unwrap_err(), expected);
-        assert_eq!(open_bytes(&path, &memo).unwrap_err(), expected);
+        let mut capture = bytes.clone();
+        capture[..4].copy_from_slice(crate::import::ETRACE_MAGIC);
+        let expected = ReadTraceError::BadMagic { found: *crate::import::ETRACE_MAGIC };
+        assert_eq!(read_artifacts(&capture).unwrap_err(), expected);
+        assert_eq!(open_bytes(&path, &capture).unwrap_err(), expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1586,6 +1520,14 @@ mod tests {
         assert_eq!(
             read_artifacts(&with_events(&events)).unwrap_err(),
             ReadTraceError::BadSection { kind: section::INTERNED }
+        );
+        // A text section must decode as UTF-8 (a lone continuation byte
+        // does not).
+        let mut text = bytes[..18].to_vec();
+        push_chunked_section(&mut text, section::TEXT, &meta::count(1), &[(1, vec![0x80])]);
+        assert_eq!(
+            read_artifacts(&text).unwrap_err(),
+            ReadTraceError::BadSection { kind: section::TEXT }
         );
     }
 
@@ -1800,78 +1742,6 @@ mod tests {
         assert_eq!(checksum(b"abcdefgh"), checksum(b"abcdefgh"));
     }
 
-    fn sample_memo() -> MemoArtifact {
-        MemoArtifact {
-            plan_hash: 0x1234_5678_9abc_def0,
-            fingerprint: 0x0fed_cba9_8765_4321,
-            plan: r#"{"version":1,"jobs":[{"scheme":"PAg(12)"}]}"#.to_owned(),
-            frames: vec![
-                r#"{"index":0,"outcome":{"skipped":"with spaces"}}"#.to_owned(),
-                r#"{"index":1,"outcome":{"skipped":"second"}}"#.to_owned(),
-            ],
-        }
-    }
-
-    #[test]
-    fn memo_round_trips() {
-        let memo = sample_memo();
-        assert_eq!(read_memo(&write_memo(&memo)).unwrap(), memo);
-        let empty = MemoArtifact { frames: Vec::new(), ..sample_memo() };
-        assert_eq!(read_memo(&write_memo(&empty)).unwrap(), empty);
-    }
-
-    #[test]
-    fn memo_rejects_every_truncation() {
-        let bytes = write_memo(&sample_memo());
-        for cut in 0..bytes.len() {
-            assert!(read_memo(&bytes[..cut]).is_err(), "prefix of {cut} bytes must not decode");
-        }
-    }
-
-    #[test]
-    fn memo_rejects_every_bit_flip_past_the_magic() {
-        let memo = sample_memo();
-        let bytes = write_memo(&memo);
-        for pos in 4..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[pos] ^= 1 << (pos % 8);
-            // A flip in the stored plan_hash/fingerprint header words
-            // still decodes (they are caller-validated metadata); any
-            // flip in a section must fail the checksum or the structure.
-            if (6..22).contains(&pos) {
-                let back = read_memo(&corrupt).expect("header metadata flips still decode");
-                assert!(
-                    back.plan_hash != memo.plan_hash || back.fingerprint != memo.fingerprint,
-                    "flip at {pos} must surface in the decoded metadata"
-                );
-            } else {
-                assert!(read_memo(&corrupt).is_err(), "bit flip at byte {pos} must not decode");
-            }
-        }
-    }
-
-    #[test]
-    fn memo_rejects_trailing_bytes_and_wrong_formats() {
-        let mut bytes = write_memo(&sample_memo());
-        bytes.push(0);
-        assert_eq!(read_memo(&bytes).unwrap_err(), ReadTraceError::TrailingBytes { count: 1 });
-        assert_eq!(
-            read_memo(&write_sample(1, 64)).unwrap_err(),
-            ReadTraceError::BadMagic { found: *MAGIC }
-        );
-    }
-
-    #[test]
-    fn memo_rejects_a_section_length_near_u64_max() {
-        // 43 bytes: the header, then a plan section whose declared length
-        // (`u64::MAX - 3`) would wrap an unchecked `len + 8` bound.
-        let empty = MemoArtifact { plan: String::new(), frames: Vec::new(), ..sample_memo() };
-        let mut bytes = write_memo(&empty);
-        assert_eq!(bytes.len(), 43);
-        bytes[27..35].copy_from_slice(&(u64::MAX - 3).to_le_bytes());
-        assert_eq!(read_memo(&bytes).unwrap_err(), ReadTraceError::Truncated { at_event: 0 });
-    }
-
     #[test]
     fn file_lock_is_exclusive_and_breaks_stale_locks() {
         let dir = std::env::temp_dir().join(format!("tlabp-io-lock-{}", std::process::id()));
@@ -1879,16 +1749,16 @@ mod tests {
         let lock_path = dir.join("x.tlabm.lock");
         let wait = std::time::Duration::from_millis(50);
         let stale = std::time::Duration::from_secs(3600);
-        let held = FileLock::acquire(&lock_path, wait, stale).expect("first acquire wins");
+        let held = FileLock::acquire_within(&lock_path, wait, stale).expect("first acquire wins");
         assert!(
-            FileLock::acquire(&lock_path, wait, stale).is_none(),
+            FileLock::acquire_within(&lock_path, wait, stale).is_none(),
             "second acquire times out while the lock is held"
         );
         drop(held);
         assert!(!lock_path.exists(), "drop removes the lock file");
         // A zero stale budget treats any existing lock as abandoned.
         let _orphan = std::fs::File::create(&lock_path).unwrap();
-        let reacquired = FileLock::acquire(&lock_path, wait, std::time::Duration::ZERO);
+        let reacquired = FileLock::acquire_within(&lock_path, wait, std::time::Duration::ZERO);
         assert!(reacquired.is_some(), "stale lock is broken and re-acquired");
         drop(reacquired);
         let _ = std::fs::remove_dir_all(&dir);

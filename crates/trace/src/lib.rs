@@ -23,7 +23,8 @@
 //!   stream: the simulator derives it once per first-level signature and
 //!   replays second-level (PHT automaton) variants over it.
 //! * [`io`] — the checksummed, chunked artifact container behind the
-//!   simulator's disk cache, and the memo artifact behind the daemon's.
+//!   simulator's disk cache and, through its text sections, the
+//!   daemon's persistent memo tier.
 //! * [`import`] — the `TLBE` trace exchange format for external captures.
 //! * [`synth`] — seeded synthetic trace generators (loops, biased coins,
 //!   repeating patterns, correlated branches, Markov chains) used by unit

@@ -140,6 +140,30 @@ fn every_catalog_scheme_is_path_invariant() {
     }
 }
 
+/// The switched walk with an interval of `u64::MAX` instructions: the
+/// deadline after a trap saturates instead of wrapping (a wrapped one
+/// would switch before nearly every later event), so on gcc's testing
+/// trace only its 260 traps switch, in the reference loop, the boxed
+/// loop, the schedule and the walk alike.
+#[test]
+fn a_saturated_switch_interval_switches_on_traps_alone() {
+    let gcc = Benchmark::by_name("gcc").expect("gcc exists").trace(DataSet::Testing);
+    let training = BiasedCoins::uniform(24, 0.7, 400, 8).generate();
+    let sim = SimConfig {
+        context_switch: Some(ContextSwitchConfig {
+            interval_instructions: u64::MAX,
+            on_traps: true,
+        }),
+    };
+    let config = SchemeConfig::pag(12).with_context_switch(true);
+    let [(_, reference), others @ ..] = run_all_paths(&config, &gcc, &training, &sim);
+    assert_eq!(reference.context_switches, 260, "one switch per trap");
+    assert_eq!(SwitchSchedule::new(&gcc, &sim).total(), 260);
+    for (path, result) in others {
+        assert_eq!(reference, result, "reference vs {path} diverged");
+    }
+}
+
 /// The paper's flush-PHT ablation predictor (a `Dyn` PAg(12) that also
 /// reinitializes its pattern table on every switch) walks in one batch
 /// with two plain PAg(12)s, the duplicate that fig9 and fig10 both plan

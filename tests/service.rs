@@ -9,7 +9,8 @@
 //! the per-connection in-flight cap in FIFO order; results arrive
 //! incrementally in plan order; malformed plans, including schemes with
 //! an impossible table geometry, earn error frames and leave the daemon
-//! serving; a 64-client mixed cold/memo/malformed soak stays
+//! serving; a plan whose predictor panics earns an error frame and
+//! costs no executor; a 64-client mixed cold/memo/malformed soak stays
 //! bit-identical throughout; and 256 idle connections cost no
 //! additional threads.
 
@@ -21,7 +22,8 @@ use tlabp::core::config::SchemeConfig;
 use tlabp::core::registry;
 use tlabp::service::{Client, MemoDirMode, ServeConfig, SweepServer, INFLIGHT};
 use tlabp::sim::plan::{Job, Plan};
-use tlabp::sim::{ExecOptions, ResultSet, Session, TraceStore};
+use tlabp::sim::{ExecOptions, ResultSet, Session, SweepPool, TraceStore};
+use tlabp::trace::BranchRecord;
 use tlabp::workloads::Benchmark;
 
 /// `plan` on the global pool against `store`.
@@ -422,6 +424,49 @@ fn impossible_scheme_geometry_earns_an_error_frame_and_spares_the_pool() {
 
     let (results, _) = within(Duration::from_secs(60), move || {
         connect(&addr).execute(&good).expect("daemon survived the impossible plans")
+    });
+    assert_eq!(results.to_json_string(), expected);
+}
+
+/// A predictor whose every prediction panics.
+struct Panicking;
+
+impl tlabp::core::BranchPredictor for Panicking {
+    fn predict(&mut self, _: &BranchRecord) -> bool {
+        panic!("this predictor panics on every prediction")
+    }
+
+    fn update(&mut self, _: &BranchRecord) {}
+
+    fn name(&self) -> String {
+        "panicking".to_owned()
+    }
+}
+
+/// A plan whose predictor panics costs only its own response: each of
+/// more such plans than the daemon has executors, sent on its own
+/// connection, earns an error frame, and a good plan sent afterwards to
+/// the same daemon is still answered byte-identically.
+#[test]
+fn a_panicking_plan_costs_only_its_own_response() {
+    registry::register("service-test-panicking", || Box::new(Panicking));
+    let addr = spawn_server(server_config(64 << 20));
+    let bad: Plan = [Job::custom("service-test-panicking", li())].into_iter().collect();
+    for attempt in 0..=SweepPool::global().threads().max(2) {
+        let (addr, bad) = (addr.clone(), bad.clone());
+        let message = within(Duration::from_secs(60), move || {
+            connect(&addr).execute(&bad).expect_err("a panicking plan earns an error").to_string()
+        });
+        assert!(
+            message.contains("execution aborted on the server"),
+            "attempt {attempt}: {message}"
+        );
+    }
+
+    let good: Plan = [Job::scheme(SchemeConfig::btfn(), li())].into_iter().collect();
+    let expected = run(&good, &TraceStore::new()).to_json_string();
+    let (results, _) = within(Duration::from_secs(60), move || {
+        connect(&addr).execute(&good).expect("daemon survived the panicking plans")
     });
     assert_eq!(results.to_json_string(), expected);
 }
