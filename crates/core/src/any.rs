@@ -31,7 +31,7 @@
 //! # Ok::<(), tlabp_core::config::BuildError>(())
 //! ```
 
-use tlabp_trace::BranchRecord;
+use tlabp_trace::{BranchRecord, InternedCond, InternedConds};
 
 use crate::predictor::BranchPredictor;
 use crate::schemes::{AlwaysTaken, Btb, Btfn, Gag, Pag, Pap, Profiling};
@@ -117,8 +117,8 @@ impl BranchPredictor for AnyPredictor {
     // match out of the per-event loop: each fused chunk pays one dispatch
     // and then runs a fully monomorphized inner loop over the scheme.
     #[inline]
-    fn step_interned_block(&mut self, block: &[(u32, BranchRecord)]) -> u64 {
-        delegate!(self, p => p.step_interned_block(block))
+    fn step_interned_block(&mut self, interned: &InternedConds, events: &[InternedCond]) -> u64 {
+        delegate!(self, p => p.step_interned_block(interned, events))
     }
 
     fn name(&self) -> String {

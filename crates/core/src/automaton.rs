@@ -198,32 +198,46 @@ impl Automaton {
         State(next)
     }
 
-    /// A 256-entry lookup table fusing δ and λ, from which the replay
-    /// kernel ([`crate::pht::TransposedPhtBank`]) reads each member's
-    /// bit-sliced coefficients and scalar-body LUT.
+    /// δ and λ fused into one packed word: one 4-bit entry for each of
+    /// the eight `(state, taken)` inputs, entry `(state << 1) | taken`
+    /// in bits `4 × index ..`. An entry's low two bits are the successor
+    /// state and bit 2 is the prediction λ made from the *pre-update*
+    /// state — exactly the contract of
+    /// [`crate::pht::PatternHistoryTable::predict_update`]. Read it with
+    /// [`Automaton::packed_step`].
     ///
-    /// Index the table with the byte `(state << 1) | taken`; the entry's
-    /// low two bits are the successor state and bit 2 is the prediction λ
-    /// made from the *pre-update* state — exactly the contract of
-    /// [`crate::pht::PatternHistoryTable::predict_update`].
+    /// This word is the one encoding of (δ, λ) every fast path steps: the
+    /// pattern table's fused step, the BTB's interned step, and the
+    /// transposed replay kernel ([`crate::pht::TransposedPhtBank`]),
+    /// which reads its bit-sliced coefficients and its scalar body off
+    /// it. [`Automaton::update`] and [`Automaton::predict`] stay the
+    /// definition the word is built from.
     ///
-    /// Only the low bits of the index are meaningful: the stored state is
-    /// masked to the automaton's state space before δ/λ are consulted, so
-    /// every one of the 256 byte values is a valid index, and a 2-bit
-    /// state field read from a packed word (a 2-state automaton's unused
-    /// high bit included) indexes it as is.
+    /// Every 2-bit state field indexes it: the state is masked to the
+    /// automaton's state space before δ/λ are consulted, so a 2-state
+    /// automaton's unused high bit (say, in a field read from a packed
+    /// word) changes nothing.
     #[must_use]
-    pub fn packed_lut(self) -> [u8; 256] {
+    pub fn packed_lut(self) -> u32 {
         let mask = self.state_count() - 1;
-        let mut lut = [0u8; 256];
-        for (index, entry) in lut.iter_mut().enumerate() {
+        (0..8u32).fold(0, |lut, index| {
             let taken = index & 1 != 0;
-            let state = State::new(((index >> 1) as u8) & mask);
-            let next = self.update(state, taken).value();
-            let predicted = u8::from(self.predict(state));
-            *entry = next | (predicted << 2);
-        }
-        lut
+            let state = State::new((index >> 1) as u8 & mask);
+            let next = u32::from(self.update(state, taken).value());
+            let predicted = u32::from(self.predict(state));
+            lut | (next | predicted << 2) << (index * 4)
+        })
+    }
+
+    /// One step through a [`Automaton::packed_lut`] word: the successor
+    /// of `state` after outcome `taken`, and the prediction `state`
+    /// made. Only the low two bits of `state` are read.
+    #[inline]
+    #[must_use]
+    pub fn packed_step(lut: u32, state: State, taken: bool) -> (State, bool) {
+        let index = u32::from(state.value() & 0b11) << 1 | u32::from(taken);
+        let entry = lut >> (index * 4);
+        (State((entry & 0b11) as u8), entry & 0b100 != 0)
     }
 
     /// The short name used by the paper's Table 3 configuration strings.

@@ -13,8 +13,9 @@
 //! missing branch is known, "the result bit is extended throughout the
 //!   history register".
 
+use tlabp_trace::{InternedCond, InternedConds};
+
 use crate::fxhash::FxHashMap;
-use crate::history::HistoryRegister;
 use crate::set_assoc::SetAssoc;
 
 /// Selects a branch history table implementation for the per-address
@@ -104,28 +105,46 @@ impl BhtSignature {
 /// One branch's history register under the paper's miss policy: a new
 /// entry is all ones and *fresh*; the first outcome recorded is extended
 /// throughout the register, and later ones shift in.
+///
+/// Packed in one `u32`: the history in bits 0–23 (newest outcome in
+/// bit 0), the register width in bits 24–28 and the fresh flag in
+/// bit 31. A width is at least 1, so the all-zero word is no register:
+/// [`HistoryEntry::ABSENT`], which recording leaves as it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct HistoryEntry {
-    history: HistoryRegister,
-    fresh: bool,
-}
+struct HistoryEntry(u32);
 
 impl HistoryEntry {
+    const WIDTH_SHIFT: u32 = 24;
+    const FRESH: u32 = 1 << 31;
+    /// The ideal BHT's empty slot.
+    const ABSENT: HistoryEntry = HistoryEntry(0);
+
+    /// A fresh all-ones register of `history_bits` bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `history_bits` is zero or exceeds
+    /// [`MAX_HISTORY_BITS`](crate::history::MAX_HISTORY_BITS).
     fn new(history_bits: u32) -> Self {
-        HistoryEntry { history: HistoryRegister::all_ones(history_bits), fresh: true }
+        crate::geometry::assert_valid(crate::geometry::check_history_bits(history_bits));
+        let ones = (1 << history_bits) - 1;
+        HistoryEntry(Self::FRESH | history_bits << Self::WIDTH_SHIFT | ones)
     }
 
     fn pattern(self) -> usize {
-        self.history.pattern()
+        (self.0 & ((1 << Self::WIDTH_SHIFT) - 1)) as usize
     }
 
+    /// Extends `taken` through a fresh register, else shifts it in; the
+    /// register is no longer fresh.
+    #[inline]
     fn record(&mut self, taken: bool) {
-        if self.fresh {
-            self.history.fill(taken);
-            self.fresh = false;
-        } else {
-            self.history.shift_in(taken);
-        }
+        let width = self.0 >> Self::WIDTH_SHIFT & 0b1_1111;
+        let mask = (1 << width) - 1;
+        let bit = u32::from(taken);
+        let history =
+            if self.0 & Self::FRESH != 0 { bit.wrapping_neg() } else { self.0 << 1 | bit };
+        self.0 = width << Self::WIDTH_SHIFT | history & mask;
     }
 }
 
@@ -139,12 +158,13 @@ impl HistoryEntry {
 /// Entries live in one dense store indexed by branch: the interned id
 /// on the id path ([`IdealBht::access_pattern_id`]), and on the pc path
 /// an index each pc gets on first sight. A predictor instance is driven
-/// either entirely by pc or entirely by id.
+/// either entirely by pc or entirely by id. Each entry is one packed
+/// `u32`, and a branch with no register holds an absent sentinel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdealBht {
     /// A new branch's entry.
     fresh: HistoryEntry,
-    entries: Vec<Option<HistoryEntry>>,
+    entries: Vec<HistoryEntry>,
     /// The pc path's index of each pc seen. It depends only on the order
     /// pcs first appear, not on table state, so it survives flushes: a
     /// branch keeps its index, and PAp its pattern table, for the
@@ -174,14 +194,14 @@ impl IdealBht {
     /// The index of `pc`'s entry, if resident.
     fn resident(&self, pc: u64) -> Option<u32> {
         let index = *self.indices.get(&pc)?;
-        self.entries.get(index as usize)?.is_some().then_some(index)
+        (*self.entries.get(index as usize)? != HistoryEntry::ABSENT).then_some(index)
     }
 
     /// The current pattern for `pc`, if present.
     #[must_use]
     pub fn pattern(&self, pc: u64) -> Option<usize> {
         let index = self.resident(pc)?;
-        self.entries[index as usize].map(HistoryEntry::pattern)
+        Some(self.entries[index as usize].pattern())
     }
 
     /// [`IdealBht::access`] + [`IdealBht::pattern`] keyed by a dense
@@ -197,16 +217,20 @@ impl IdealBht {
     pub fn access_pattern_id(&mut self, id: u32) -> (usize, bool) {
         let index = id as usize;
         if index >= self.entries.len() {
-            self.entries.resize(index + 1, None);
+            self.entries.resize(index + 1, HistoryEntry::ABSENT);
         }
-        let hit = self.entries[index].is_some();
-        (self.entries[index].get_or_insert(self.fresh).pattern(), hit)
+        let entry = &mut self.entries[index];
+        let hit = *entry != HistoryEntry::ABSENT;
+        if !hit {
+            *entry = self.fresh;
+        }
+        (entry.pattern(), hit)
     }
 
     /// [`IdealBht::record_outcome`] keyed by a dense interned id.
     #[inline]
     pub fn record_outcome_id(&mut self, id: u32, taken: bool) {
-        if let Some(Some(entry)) = self.entries.get_mut(id as usize) {
+        if let Some(entry) = self.entries.get_mut(id as usize) {
             entry.record(taken);
         }
     }
@@ -226,7 +250,7 @@ impl IdealBht {
     /// Number of distinct static branches resident.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.iter().flatten().count()
+        self.entries.iter().filter(|&&entry| entry != HistoryEntry::ABSENT).count()
     }
 
     /// Whether the table holds no entries.
@@ -237,7 +261,7 @@ impl IdealBht {
 
     /// Discards all entries (context switch).
     pub fn flush(&mut self) {
-        self.entries.clear();
+        self.entries.fill(HistoryEntry::ABSENT);
     }
 }
 
@@ -284,20 +308,17 @@ impl CacheBht {
         self.table.access(pc).1
     }
 
-    /// [`CacheBht::access`] for an interned stream, returning the
-    /// physical slot index holding `pc` (so callers can touch the entry
-    /// again through [`CacheBht::pattern_at`] and
-    /// [`CacheBht::record_outcome_at`] without re-running the tag search)
-    /// and the hit flag. The derived key `(set base, tag)` is memoized
-    /// per interned id. Same bijection contract as
-    /// [`IdealBht::access_pattern_id`].
+    /// [`CacheBht::access`], returning the physical slot index holding
+    /// `pc` (so callers can touch the entry again through
+    /// [`CacheBht::pattern_at`] and [`CacheBht::record_outcome_at`]
+    /// without re-running the tag search) and the hit flag.
     #[inline]
-    pub fn access_slot_interned(&mut self, id: u32, pc: u64) -> (usize, bool) {
-        self.table.access_interned(id, pc)
+    pub fn access_slot(&mut self, pc: u64) -> (usize, bool) {
+        self.table.access(pc)
     }
 
     /// The pattern in physical slot `slot` (from
-    /// [`CacheBht::access_slot_interned`]).
+    /// [`CacheBht::access_slot`]).
     ///
     /// # Panics
     ///
@@ -348,6 +369,59 @@ impl CacheBht {
     /// in flushing and reinitialization of the branch history table").
     pub fn flush(&mut self) {
         self.table.flush();
+    }
+}
+
+/// One interned first-level step, written once per implementation so
+/// the per-event access and the block walk share it.
+trait EntryStore {
+    /// Resolves the branch's entry, allocating on a miss: its pattern
+    /// and its cursor. Only a table keyed by address calls `pc`.
+    fn access_entry(&mut self, id: u32, pc: impl FnOnce() -> u64) -> (usize, BhtCursor);
+    /// Records `taken` at the entry `cursor` points to.
+    fn record_entry(&mut self, cursor: BhtCursor, taken: bool);
+}
+
+impl EntryStore for IdealBht {
+    #[inline]
+    fn access_entry(&mut self, id: u32, _pc: impl FnOnce() -> u64) -> (usize, BhtCursor) {
+        let (pattern, hit) = self.access_pattern_id(id);
+        (pattern, BhtCursor { lane: id, hit })
+    }
+
+    #[inline]
+    fn record_entry(&mut self, cursor: BhtCursor, taken: bool) {
+        self.record_outcome_id(cursor.lane, taken);
+    }
+}
+
+impl EntryStore for CacheBht {
+    #[inline]
+    fn access_entry(&mut self, _id: u32, pc: impl FnOnce() -> u64) -> (usize, BhtCursor) {
+        let (slot, hit) = self.access_slot(pc());
+        (self.pattern_at(slot), BhtCursor { lane: slot as u32, hit })
+    }
+
+    #[inline]
+    fn record_entry(&mut self, cursor: BhtCursor, taken: bool) {
+        self.record_outcome_at(cursor.lane as usize, taken);
+    }
+}
+
+/// The monomorphic body of [`BranchHistoryTable::walk_interned`].
+#[inline]
+fn walk<T: EntryStore>(
+    table: &mut T,
+    interned: &InternedConds,
+    events: &[InternedCond],
+    mut visit: impl FnMut(usize, BhtCursor, InternedCond),
+) {
+    let pcs = interned.pcs();
+    for &event in events {
+        let id = event.id();
+        let (pattern, cursor) = table.access_entry(id, || pcs[id as usize]);
+        visit(pattern, cursor, event);
+        table.record_entry(cursor, event.taken());
     }
 }
 
@@ -402,8 +476,7 @@ impl BranchHistoryTable {
     /// carrying the lane and the hit flag, for
     /// [`BranchHistoryTable::record_outcome_at_interned`]. The ideal
     /// table indexes directly by the dense `id` (no hash); the cache
-    /// table memoizes the pc's derived `(set, tag)` key per id
-    /// ([`CacheBht::access_slot_interned`]).
+    /// table by `pc` ([`CacheBht::access_slot`]).
     ///
     /// The caller owes the same bijection contract as
     /// [`IdealBht::access_pattern_id`]: `id` and `pc` alias each other
@@ -411,14 +484,8 @@ impl BranchHistoryTable {
     #[inline]
     pub fn access_pattern_interned(&mut self, id: u32, pc: u64) -> (usize, BhtCursor) {
         match self {
-            BranchHistoryTable::Ideal(t) => {
-                let (pattern, hit) = t.access_pattern_id(id);
-                (pattern, BhtCursor { lane: id, hit })
-            }
-            BranchHistoryTable::Cache(t) => {
-                let (slot, hit) = t.access_slot_interned(id, pc);
-                (t.pattern_at(slot), BhtCursor { lane: slot as u32, hit })
-            }
+            BranchHistoryTable::Ideal(t) => t.access_entry(id, || pc),
+            BranchHistoryTable::Cache(t) => t.access_entry(id, || pc),
         }
     }
 
@@ -428,8 +495,29 @@ impl BranchHistoryTable {
     #[inline]
     pub fn record_outcome_at_interned(&mut self, cursor: BhtCursor, taken: bool) {
         match self {
-            BranchHistoryTable::Ideal(t) => t.record_outcome_id(cursor.lane, taken),
-            BranchHistoryTable::Cache(t) => t.record_outcome_at(cursor.lane as usize, taken),
+            BranchHistoryTable::Ideal(t) => t.record_entry(cursor, taken),
+            BranchHistoryTable::Cache(t) => t.record_entry(cursor, taken),
+        }
+    }
+
+    /// Walks `events` of `interned` through the table in order: per
+    /// event, [`BranchHistoryTable::access_pattern_interned`], then
+    /// `visit(pattern, cursor, event)` with the pre-update pattern, then
+    /// the outcome is recorded. One walk of a whole block matches on the
+    /// implementation once, so the per-event loop is monomorphic.
+    ///
+    /// The ids of `events` must come from `interned`, under the same
+    /// bijection contract.
+    #[inline]
+    pub fn walk_interned(
+        &mut self,
+        interned: &InternedConds,
+        events: &[InternedCond],
+        visit: impl FnMut(usize, BhtCursor, InternedCond),
+    ) {
+        match self {
+            BranchHistoryTable::Ideal(t) => walk(t, interned, events, visit),
+            BranchHistoryTable::Cache(t) => walk(t, interned, events, visit),
         }
     }
 
@@ -539,36 +627,35 @@ mod tests {
         assert_eq!(bht.len(), 1);
         bht.flush();
         assert!(bht.is_empty());
+        // Recording into a flushed entry leaves it absent.
+        bht.record_outcome_id(3, true);
+        assert!(bht.is_empty());
         // Post-flush access misses and reallocates all-ones.
         assert_eq!(bht.access_pattern_id(3), (0b1111, false));
     }
 
     #[test]
-    fn cache_id_memo_path_matches_pc_path() {
+    fn cache_slot_path_matches_pc_path() {
         // Conflicting pcs (several share sets in a tiny table) driven
-        // once through the pc-keyed methods and once through the
-        // id-memoized lookup: slots, hit flags and patterns must agree
-        // event for event, across a mid-stream flush (the memo is
-        // pc-derived, not table state, so it survives).
+        // once through the pc-keyed methods and once through the slot
+        // the walk's access returns: slots, hit flags and patterns must
+        // agree event for event, across a mid-stream flush.
         let pcs = [0x100u64, 0x204, 0x308, 0x100, 0x40c, 0x204, 0x100, 0x510, 0x308, 0x204];
         let mut by_pc = CacheBht::new(8, 2, 6);
-        let mut by_id = CacheBht::new(8, 2, 6);
-        let mut ids: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
+        let mut by_slot = CacheBht::new(8, 2, 6);
         for (i, &pc) in pcs.iter().cycle().take(200).enumerate() {
-            let next = ids.len() as u32;
-            let id = *ids.entry(pc).or_insert(next);
             if i == 77 {
                 by_pc.flush();
-                by_id.flush();
+                by_slot.flush();
             }
             let taken = (i * 7 + i / 3) % 3 != 0;
             let hit_pc = by_pc.access(pc);
             let slot_pc = by_pc.slot_of(pc).expect("resident after access");
-            let (slot_id, hit_id) = by_id.access_slot_interned(id, pc);
-            assert_eq!((slot_pc, hit_pc), (slot_id, hit_id), "event {i}");
-            assert_eq!(by_pc.pattern(pc), Some(by_id.pattern_at(slot_id)), "event {i}");
+            let (slot, hit) = by_slot.access_slot(pc);
+            assert_eq!((slot_pc, hit_pc), (slot, hit), "event {i}");
+            assert_eq!(by_pc.pattern(pc), Some(by_slot.pattern_at(slot)), "event {i}");
             by_pc.record_outcome(pc, taken);
-            by_id.record_outcome_at(slot_id, taken);
+            by_slot.record_outcome_at(slot, taken);
         }
     }
 

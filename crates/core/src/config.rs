@@ -92,7 +92,7 @@ impl fmt::Display for SchemeKind {
 /// assert_eq!(parsed, config);
 /// # Ok::<(), tlabp_core::config::ParseSchemeError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SchemeConfig {
     kind: SchemeKind,
     history_bits: u32,

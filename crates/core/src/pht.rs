@@ -32,6 +32,9 @@ use crate::simd::SimdMode;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatternHistoryTable {
     automaton: Automaton,
+    /// The automaton's fused (δ, λ) word ([`Automaton::packed_lut`]),
+    /// which the fused step reads instead of matching on the automaton.
+    lut: u32,
     history_bits: u32,
     states: Vec<State>,
 }
@@ -50,6 +53,7 @@ impl PatternHistoryTable {
         let entries = 1usize << history_bits;
         PatternHistoryTable {
             automaton,
+            lut: automaton.packed_lut(),
             history_bits,
             states: vec![automaton.initial_state(); entries],
         }
@@ -101,16 +105,19 @@ impl PatternHistoryTable {
     }
 
     /// Fused [`PatternHistoryTable::predict`] +
-    /// [`PatternHistoryTable::update`]: one table access instead of two.
+    /// [`PatternHistoryTable::update`]: one table access and one step
+    /// through the automaton's packed (δ, λ) word
+    /// ([`Automaton::packed_step`]) instead of two.
     ///
     /// # Panics
     ///
     /// Panics if `pattern` is out of range.
     #[inline]
     pub fn predict_update(&mut self, pattern: usize, taken: bool) -> bool {
-        let state = self.states[pattern];
-        self.states[pattern] = self.automaton.update(state, taken);
-        self.automaton.predict(state)
+        let state = &mut self.states[pattern];
+        let (next, predicted) = Automaton::packed_step(self.lut, *state, taken);
+        *state = next;
+        predicted
     }
 
     /// The current state of the entry for `pattern`.
@@ -169,9 +176,10 @@ const ACC_FLUSH_EVENTS: usize = 15;
 /// touches one word and one round of bit-sliced logic steps every member
 /// at once.
 ///
-/// Every member's fused transition `f(s1, s0) = lut[(s << 1) | taken]`
-/// ([`Automaton::packed_lut`]; 3 output bits: next state low/high,
-/// prediction) is expanded in the AND–XOR (Reed–Muller) basis
+/// Every member's fused transition `f(s1, s0)`, the entry
+/// `(s << 1) | taken` of its [`Automaton::packed_lut`] word (3 output
+/// bits: next state low/high, prediction), is expanded in the AND–XOR
+/// (Reed–Muller) basis
 ///
 /// ```text
 /// f(s1, s0) = c0 ^ (c1 & s0) ^ (c2 & s1) ^ (c3 & s1 & s0)
@@ -211,8 +219,8 @@ pub struct TransposedPhtBank {
     /// kernel's prediction bits and (xored in when the branch was not
     /// taken) converts them to correctness bits.
     pred_occ: u64,
-    /// Per-member compressed LUTs (8 live `(state, taken)` inputs ×
-    /// 4-bit entries) for the scalar reference body.
+    /// Per-member [`Automaton::packed_lut`] words for the scalar
+    /// reference body.
     luts: Vec<u32>,
     rows: Rows,
     counts: Vec<u64>,
@@ -271,18 +279,16 @@ impl TransposedPhtBank {
         let mut words = vec![0u64; first.len()];
         for (member, table) in tables.iter().enumerate() {
             let shift = member * 4;
-            let lut = table.automaton.packed_lut();
+            let lut = table.lut;
             for taken in 0..2usize {
-                let f = |state: usize| lut[(state << 1) | taken] & 0b111;
+                let f = |state: usize| (lut >> (((state << 1) | taken) * 4)) & 0b111;
                 let (f0, f1, f2, f3) = (f(0), f(1), f(2), f(3));
                 for (k, bits) in [f0, f0 ^ f1, f0 ^ f2, f0 ^ f1 ^ f2 ^ f3].into_iter().enumerate() {
                     coeff[taken * 4 + k] |= u64::from(bits) << shift;
                 }
             }
             pred_occ |= 0b100 << shift;
-            luts.push(
-                (0..8).fold(0u32, |flags, index| flags | u32::from(lut[index]) << (index * 4)),
-            );
+            luts.push(lut);
             for (word, state) in words.iter_mut().zip(&table.states) {
                 *word |= u64::from(state.value()) << shift;
             }
@@ -413,17 +419,17 @@ fn step_word(word: &mut u64, event: u32, coeff: &[u64; 8], pred_occ: u64) -> u64
     ((out & pred_occ) ^ (pred_occ & not_taken)) >> 2
 }
 
-/// The scalar reference body: per-member LUT steps in the same
+/// The scalar reference body: per-member packed-LUT steps in the same
 /// transposed layout, counting directly (no bit-sliced accumulator).
 #[inline(always)]
 fn step_scalar(word: &mut u64, event: u32, luts: &[u32], counts: &mut [u64]) {
-    let taken = event & 1;
-    for (member, (&flags, count)) in luts.iter().zip(counts.iter_mut()).enumerate() {
+    let taken = event & 1 != 0;
+    for (member, (&lut, count)) in luts.iter().zip(counts.iter_mut()).enumerate() {
         let shift = member * 4;
-        let state = ((*word >> shift) & 0b11) as u32;
-        let entry = (flags >> (((state << 1) | taken) * 4)) & 0b111;
-        *word = (*word & !(0xF << shift)) | (u64::from(entry & 0b11) << shift);
-        *count += u64::from(entry >> 2 == taken);
+        let state = State::new(((*word >> shift) & 0b11) as u8);
+        let (next, predicted) = Automaton::packed_step(lut, state, taken);
+        *word = (*word & !(0xF << shift)) | (u64::from(next.value()) << shift);
+        *count += u64::from(predicted == taken);
     }
 }
 

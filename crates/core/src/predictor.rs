@@ -1,6 +1,6 @@
 //! The common interface every simulated branch predictor implements.
 
-use tlabp_trace::BranchRecord;
+use tlabp_trace::{BranchRecord, InternedCond, InternedConds};
 
 /// A dynamic (or static) conditional-branch predictor under trace-driven
 /// simulation.
@@ -86,21 +86,26 @@ pub trait BranchPredictor {
         predicted
     }
 
-    /// Steps every `(id, record)` of `block` in order, returning how many
-    /// predictions matched the resolved direction.
+    /// Steps every event of `events`, a slice of `interned`'s stream, in
+    /// order, returning how many predictions matched the resolved
+    /// direction.
     ///
     /// This is the inner loop of the interned walk
-    /// (`tlabp_sim::runner::simulate_fused`): the caller decodes a chunk
-    /// of the interned stream once and hands it to each predictor of the
-    /// batch, so per-event dispatch (the `AnyPredictor` variant match, or
-    /// a `dyn` call) is paid once per block instead of once per event,
-    /// and each predictor's tables stay cache-hot for the whole chunk.
-    /// Every predictor walks its own tables; no state is shared between
-    /// the members of a batch.
-    fn step_interned_block(&mut self, block: &[(u32, BranchRecord)]) -> u64 {
+    /// (`tlabp_sim::runner::simulate_fused`): the caller hands each
+    /// predictor of the batch the same chunk of the stream, so per-event
+    /// dispatch (the `AnyPredictor` variant match, or a `dyn` call) is
+    /// paid once per chunk instead of once per event, and each
+    /// predictor's tables stay cache-hot for the whole chunk. Every
+    /// predictor walks its own tables; no state is shared between the
+    /// members of a batch. The default expands each event to its record
+    /// ([`InternedConds::record`]) for [`BranchPredictor::step_interned`];
+    /// the hot schemes read the 4-byte events (and the id→pc table)
+    /// directly.
+    fn step_interned_block(&mut self, interned: &InternedConds, events: &[InternedCond]) -> u64 {
         let mut correct = 0u64;
-        for (id, branch) in block {
-            correct += u64::from(self.step_interned(*id, branch) == branch.taken);
+        for &event in events {
+            let branch = interned.record(event);
+            correct += u64::from(self.step_interned(event.id(), &branch) == branch.taken);
         }
         correct
     }
@@ -127,8 +132,8 @@ impl<P: BranchPredictor + ?Sized> BranchPredictor for Box<P> {
         (**self).step_interned(id, branch)
     }
 
-    fn step_interned_block(&mut self, block: &[(u32, BranchRecord)]) -> u64 {
-        (**self).step_interned_block(block)
+    fn step_interned_block(&mut self, interned: &InternedConds, events: &[InternedCond]) -> u64 {
+        (**self).step_interned_block(interned, events)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Branch Target Buffer designs (J. Smith), simulated for comparison.
 
-use tlabp_trace::BranchRecord;
+use tlabp_trace::{BranchRecord, InternedCond, InternedConds};
 
 use crate::automaton::{Automaton, State};
 use crate::predictor::BranchPredictor;
@@ -33,6 +33,9 @@ use crate::set_assoc::SetAssoc;
 #[derive(Debug, Clone)]
 pub struct Btb {
     automaton: Automaton,
+    /// The automaton's fused (δ, λ) word ([`Automaton::packed_lut`]),
+    /// which the interned step reads.
+    lut: u32,
     /// One automaton state per way, initial on allocation.
     table: SetAssoc<State>,
 }
@@ -47,13 +50,34 @@ impl Btb {
     /// [`check_table`](crate::geometry::check_table).
     #[must_use]
     pub fn new(entries: usize, ways: usize, automaton: Automaton) -> Self {
-        Btb { automaton, table: SetAssoc::new(entries, ways, automaton.initial_state()) }
+        Btb {
+            automaton,
+            lut: automaton.packed_lut(),
+            table: SetAssoc::new(entries, ways, automaton.initial_state()),
+        }
     }
 
     /// The paper's standard configuration: 4-way, 512 entries.
     #[must_use]
     pub fn paper_default(automaton: Automaton) -> Self {
         Btb::new(512, 4, automaton)
+    }
+
+    /// One table access and one packed (δ, λ) step: the interned walk's
+    /// predict + update.
+    ///
+    /// Bit-identical to `predict` then `update`: update's search after
+    /// predict always re-hits the slot predict just touched (same pc, no
+    /// intervening access), and collapsing its second LRU touch preserves
+    /// the relative recency order every replacement decision is based on
+    /// (each event still moves exactly its own slot to most-recent).
+    #[inline]
+    fn step(&mut self, pc: u64, taken: bool) -> bool {
+        let (slot, _) = self.table.access(pc);
+        let state = self.table.value_mut(slot);
+        let (next, predicted) = Automaton::packed_step(self.lut, *state, taken);
+        *state = next;
+        predicted
     }
 }
 
@@ -73,19 +97,19 @@ impl BranchPredictor for Btb {
         self.table.flush();
     }
 
-    // One table access per event instead of predict's + update's
-    // separate searches. Bit-identical: update's search after predict
-    // always re-hits the slot predict just touched (same pc, no
-    // intervening access), and collapsing its second LRU touch preserves
-    // the relative recency order every replacement decision is based on
-    // (each event still moves exactly its own slot to most-recent).
     #[inline]
-    fn step_interned(&mut self, id: u32, branch: &BranchRecord) -> bool {
-        let (slot, _) = self.table.access_interned(id, branch.pc);
-        let state = self.table.value_mut(slot);
-        let predicted = self.automaton.predict(*state);
-        *state = self.automaton.update(*state, branch.taken);
-        predicted
+    fn step_interned(&mut self, _id: u32, branch: &BranchRecord) -> bool {
+        self.step(branch.pc, branch.taken)
+    }
+
+    fn step_interned_block(&mut self, interned: &InternedConds, events: &[InternedCond]) -> u64 {
+        let pcs = interned.pcs();
+        let mut correct = 0u64;
+        for &event in events {
+            let taken = event.taken();
+            correct += u64::from(self.step(pcs[event.id() as usize], taken) == taken);
+        }
+        correct
     }
 
     fn name(&self) -> String {

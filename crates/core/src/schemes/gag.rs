@@ -1,6 +1,6 @@
 //! GAg: Global history register, global pattern history table.
 
-use tlabp_trace::BranchRecord;
+use tlabp_trace::{BranchRecord, InternedCond, InternedConds};
 
 use crate::automaton::Automaton;
 use crate::history::HistoryRegister;
@@ -87,6 +87,15 @@ impl Gag {
     pub fn current_pattern(&self) -> usize {
         self.history.pattern()
     }
+
+    /// The interned walk's predict + update: the pattern is read before
+    /// the outcome shifts in.
+    #[inline]
+    fn step(&mut self, taken: bool) -> bool {
+        let predicted = self.pht.predict_update(self.history.pattern(), taken);
+        self.history.shift_in(taken);
+        predicted
+    }
 }
 
 impl BranchPredictor for Gag {
@@ -108,10 +117,16 @@ impl BranchPredictor for Gag {
 
     #[inline]
     fn step_interned(&mut self, _id: u32, branch: &BranchRecord) -> bool {
-        let pattern = self.history.pattern();
-        let predicted = self.pht.predict_update(pattern, branch.taken);
-        self.history.shift_in(branch.taken);
-        predicted
+        self.step(branch.taken)
+    }
+
+    fn step_interned_block(&mut self, _interned: &InternedConds, events: &[InternedCond]) -> u64 {
+        let mut correct = 0u64;
+        for &event in events {
+            let taken = event.taken();
+            correct += u64::from(self.step(taken) == taken);
+        }
+        correct
     }
 
     fn name(&self) -> String {

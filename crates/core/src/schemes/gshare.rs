@@ -14,7 +14,7 @@
 //! GAg, as the natural "future work" extension of the paper; the
 //! experiment harness compares it against GAg at equal table sizes.
 
-use tlabp_trace::BranchRecord;
+use tlabp_trace::{BranchRecord, InternedCond, InternedConds};
 
 use crate::automaton::Automaton;
 use crate::history::HistoryRegister;
@@ -66,6 +66,14 @@ impl Gshare {
         // Word-granular address bits, like the BHT indexing.
         (self.history.pattern() ^ ((pc >> 2) as usize)) & mask
     }
+
+    /// Predict + update in one pattern-table access.
+    #[inline]
+    fn step(&mut self, pc: u64, taken: bool) -> bool {
+        let predicted = self.pht.predict_update(self.index(pc), taken);
+        self.history.shift_in(taken);
+        predicted
+    }
 }
 
 impl BranchPredictor for Gshare {
@@ -81,6 +89,21 @@ impl BranchPredictor for Gshare {
 
     fn context_switch(&mut self) {
         self.history.fill(true);
+    }
+
+    #[inline]
+    fn step_interned(&mut self, _id: u32, branch: &BranchRecord) -> bool {
+        self.step(branch.pc, branch.taken)
+    }
+
+    fn step_interned_block(&mut self, interned: &InternedConds, events: &[InternedCond]) -> u64 {
+        let pcs = interned.pcs();
+        let mut correct = 0u64;
+        for &event in events {
+            let taken = event.taken();
+            correct += u64::from(self.step(pcs[event.id() as usize], taken) == taken);
+        }
+        correct
     }
 
     fn name(&self) -> String {
@@ -140,6 +163,34 @@ mod tests {
         }
         gshare.context_switch();
         assert_eq!(gshare.history.pattern(), 0b111111);
+    }
+
+    #[test]
+    fn interned_steps_match_predict_then_update() {
+        // The block walk and the per-event step predict exactly what
+        // predict + update does, branch for branch.
+        let trace = tlabp_trace::synth::MarkovBranches::new(24, 0.8, 3000, 5).generate();
+        let interned = InternedConds::from_trace(&trace);
+        let mut reference = Gshare::new(10, Automaton::A3);
+        let records: Vec<(u64, bool)> = interned.outcomes().collect();
+        let want = run(&mut reference, &records);
+        let mut by_block = Gshare::new(10, Automaton::A3);
+        let got: u64 = interned
+            .events()
+            .chunks(97)
+            .map(|chunk| by_block.step_interned_block(&interned, chunk))
+            .sum();
+        assert_eq!(got, want);
+        let mut by_step = Gshare::new(10, Automaton::A3);
+        let stepped = interned
+            .events()
+            .iter()
+            .filter(|&&event| {
+                let branch = interned.record(event);
+                by_step.step_interned(event.id(), &branch) == branch.taken
+            })
+            .count();
+        assert_eq!(stepped as u64, want);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! PAg: Per-address branch history table, global pattern history table.
 
-use tlabp_trace::BranchRecord;
+use tlabp_trace::{BranchRecord, InternedCond, InternedConds};
 
 use crate::automaton::Automaton;
 use crate::bht::{BhtConfig, BranchHistoryTable};
@@ -148,6 +148,16 @@ impl BranchPredictor for Pag {
         let predicted = self.pht.predict_update(pattern, branch.taken);
         self.bht.record_outcome_at_interned(cursor, branch.taken);
         predicted
+    }
+
+    fn step_interned_block(&mut self, interned: &InternedConds, events: &[InternedCond]) -> u64 {
+        let pht = &mut self.pht;
+        let mut correct = 0u64;
+        self.bht.walk_interned(interned, events, |pattern, _, event| {
+            let taken = event.taken();
+            correct += u64::from(pht.predict_update(pattern, taken) == taken);
+        });
+        correct
     }
 
     fn name(&self) -> String {

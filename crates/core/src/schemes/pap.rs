@@ -1,7 +1,7 @@
 //! PAp: Per-address branch history table, per-address pattern history
 //! tables.
 
-use tlabp_trace::BranchRecord;
+use tlabp_trace::{BranchRecord, InternedCond, InternedConds};
 
 use crate::automaton::Automaton;
 use crate::bht::{BhtConfig, BranchHistoryTable};
@@ -160,6 +160,17 @@ impl BranchPredictor for Pap {
         let predicted = table.predict_update(pattern, branch.taken);
         self.bht.record_outcome_at_interned(cursor, branch.taken);
         predicted
+    }
+
+    fn step_interned_block(&mut self, interned: &InternedConds, events: &[InternedCond]) -> u64 {
+        let (lanes, template) = (&mut self.lanes, &self.template);
+        let mut correct = 0u64;
+        self.bht.walk_interned(interned, events, |pattern, cursor, event| {
+            let taken = event.taken();
+            let table = lane_table(lanes, template, cursor.lane());
+            correct += u64::from(table.predict_update(pattern, taken) == taken);
+        });
+        correct
     }
 
     fn name(&self) -> String {

@@ -9,35 +9,37 @@
 //! address pick the set and the rest is the tag. An access makes its
 //! way the set's most recently used; a miss allocates the set's least
 //! recently used way, an invalid one first.
+//!
+//! The table is struct-of-arrays: tags, LRU stamps and values live in
+//! three vectors indexed by slot (`set × ways + way`), so a way search
+//! reads only the set's tags and stamps. An invalid way holds the tag
+//! [`INVALID`], which no address produces (a tag is a word address
+//! shifted right, so at most 62 bits wide).
 
 use crate::geometry::{assert_valid, check_table};
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Way<V> {
-    valid: bool,
-    tag: u64,
-    /// Clock reading at the way's last access, for LRU replacement.
-    last_used: u64,
-    value: V,
-}
+/// The tag of an invalid way.
+const INVALID: u64 = u64::MAX;
 
 /// A set-associative table of `V`s with LRU replacement. A slot index
 /// (`set × ways + way`) names one way for as long as no later access
 /// evicts it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SetAssoc<V> {
-    sets: usize,
     ways: usize,
-    slots: Vec<Way<V>>,
+    /// `sets - 1`: the set count is a power of two, so the low word
+    /// bits pick the set ...
+    set_mask: u64,
+    /// ... and the word shifted right by `log2(sets)` is the tag.
+    set_bits: u32,
+    /// Each way's tag, [`INVALID`] when the way holds nothing.
+    tags: Vec<u64>,
+    /// Clock reading at each way's last access, for LRU replacement.
+    stamps: Vec<u64>,
+    values: Vec<V>,
     /// The value a way takes when a miss allocates it.
     fresh: V,
     clock: u64,
-    /// Per-interned-id memo of the derived lookup key `(set base, tag)`.
-    /// The key is a pure function of the pc, not table state, so it
-    /// survives flushes; dense ids make caching it a vector index, which
-    /// the pc-keyed path could only match by paying a hash lookup. Only
-    /// [`SetAssoc::access_interned`] touches this.
-    id_keys: Vec<Option<(u32, u64)>>,
 }
 
 impl<V: Copy> SetAssoc<V> {
@@ -49,13 +51,21 @@ impl<V: Copy> SetAssoc<V> {
     /// Panics if the geometry breaks a rule of [`check_table`].
     pub(crate) fn new(entries: usize, ways: usize, fresh: V) -> Self {
         let sets = assert_valid(check_table(entries, ways));
-        let empty = Way { valid: false, tag: 0, last_used: 0, value: fresh };
-        SetAssoc { sets, ways, slots: vec![empty; entries], fresh, clock: 0, id_keys: Vec::new() }
+        SetAssoc {
+            ways,
+            set_mask: sets as u64 - 1,
+            set_bits: sets.trailing_zeros(),
+            tags: vec![INVALID; entries],
+            stamps: vec![0; entries],
+            values: vec![fresh; entries],
+            fresh,
+            clock: 0,
+        }
     }
 
     /// Total way count.
     pub(crate) fn entries(&self) -> usize {
-        self.slots.len()
+        self.tags.len()
     }
 
     /// Set associativity.
@@ -64,16 +74,24 @@ impl<V: Copy> SetAssoc<V> {
     }
 
     /// The first slot of `pc`'s set, and `pc`'s tag.
+    #[inline]
     fn key(&self, pc: u64) -> (usize, u64) {
         let word = pc >> 2;
-        (((word as usize) & (self.sets - 1)) * self.ways, word / self.sets as u64)
+        ((word & self.set_mask) as usize * self.ways, word >> self.set_bits)
     }
 
+    /// The way of the set at `base` holding `tag`, if any. Branchless
+    /// over the set: a valid tag sits in at most one way, and no address
+    /// has the invalid tag.
+    #[inline]
     fn search(&self, base: usize, tag: u64) -> Option<usize> {
-        self.slots[base..base + self.ways]
-            .iter()
-            .position(|way| way.valid && way.tag == tag)
-            .map(|way| base + way)
+        let mut found = usize::MAX;
+        for (way, &have) in self.tags[base..base + self.ways].iter().enumerate() {
+            if have == tag {
+                found = way;
+            }
+        }
+        (found != usize::MAX).then(|| base + found)
     }
 
     /// The slot holding `pc`, if resident. Touches no LRU state.
@@ -83,50 +101,36 @@ impl<V: Copy> SetAssoc<V> {
     }
 
     /// Looks `pc` up and makes its way the set's most recently used; a
-    /// miss allocates it. Returns the slot and the hit flag.
+    /// miss allocates it over the set's least recently used way, an
+    /// invalid one first. Returns the slot and the hit flag.
+    #[inline]
     pub(crate) fn access(&mut self, pc: u64) -> (usize, bool) {
         let (base, tag) = self.key(pc);
-        self.access_set(base, tag)
-    }
-
-    /// [`SetAssoc::access`] for an interned stream: the key is derived
-    /// once per `id`, so the steady state replaces the index and tag
-    /// arithmetic (a division among it) with one vector read. `id` must
-    /// alias `pc` bijectively for the table's lifetime (one trace's
-    /// interning, see `tlabp_trace::InternedConds`); then every slot and
-    /// hit flag is the one the pc-keyed access returns.
-    #[inline]
-    pub(crate) fn access_interned(&mut self, id: u32, pc: u64) -> (usize, bool) {
-        let index = id as usize;
-        if index >= self.id_keys.len() {
-            self.id_keys.resize(index + 1, None);
-        }
-        let (base, tag) = match self.id_keys[index] {
-            Some((base, tag)) => (base as usize, tag),
-            None => {
-                let (base, tag) = self.key(pc);
-                self.id_keys[index] = Some((base as u32, tag));
-                (base, tag)
-            }
-        };
-        self.access_set(base, tag)
-    }
-
-    /// The access and replacement core: touch the matching way of the set
-    /// at `base`, or allocate a fresh value over the set's least recently
-    /// used way, an invalid one first.
-    #[inline]
-    fn access_set(&mut self, base: usize, tag: u64) -> (usize, bool) {
         self.clock += 1;
-        if let Some(slot) = self.search(base, tag) {
-            self.slots[slot].last_used = self.clock;
-            return (slot, true);
+        let found = self.search(base, tag);
+        let slot = found.unwrap_or_else(|| self.victim(base));
+        self.stamps[slot] = self.clock;
+        if found.is_none() {
+            self.tags[slot] = tag;
+            self.values[slot] = self.fresh;
         }
-        let victim = (base..base + self.ways)
-            .min_by_key(|&slot| (self.slots[slot].valid, self.slots[slot].last_used))
-            .expect("set has at least one way");
-        self.slots[victim] = Way { valid: true, tag, last_used: self.clock, value: self.fresh };
-        (victim, false)
+        (slot, found.is_some())
+    }
+
+    /// The set at `base`'s way to replace: the smallest key
+    /// `valid << 63 | last access`, the first such way on a tie (only
+    /// invalid ways can tie). So an invalid way goes first, the least
+    /// recently used valid one otherwise, as `min_by_key((valid,
+    /// last_used))` picks.
+    fn victim(&self, base: usize) -> usize {
+        let (mut victim, mut oldest) = (base, u64::MAX);
+        for slot in base..base + self.ways {
+            let key = u64::from(self.tags[slot] != INVALID) << 63 | self.stamps[slot];
+            if key < oldest {
+                (victim, oldest) = (slot, key);
+            }
+        }
+        victim
     }
 
     /// The value in `slot`.
@@ -136,7 +140,7 @@ impl<V: Copy> SetAssoc<V> {
     /// Panics if `slot` is out of range.
     #[inline]
     pub(crate) fn value(&self, slot: usize) -> V {
-        self.slots[slot].value
+        self.values[slot]
     }
 
     /// The value in `slot`, to write.
@@ -146,15 +150,12 @@ impl<V: Copy> SetAssoc<V> {
     /// Panics if `slot` is out of range.
     #[inline]
     pub(crate) fn value_mut(&mut self, slot: usize) -> &mut V {
-        &mut self.slots[slot].value
+        &mut self.values[slot]
     }
 
-    /// Invalidates every way (a context switch). The LRU order and the
-    /// id memo survive.
+    /// Invalidates every way (a context switch). The LRU stamps survive.
     pub(crate) fn flush(&mut self) {
-        for way in &mut self.slots {
-            way.valid = false;
-        }
+        self.tags.fill(INVALID);
     }
 }
 
@@ -183,21 +184,6 @@ mod tests {
         assert_eq!(table.value(1), 0, "a miss allocates the fresh value");
         assert_eq!(table.find(pc(4)), None);
         assert_eq!((table.entries(), table.ways()), (8, 2));
-    }
-
-    #[test]
-    fn interned_access_matches_pc_access_across_a_flush() {
-        let mut by_pc = SetAssoc::new(8, 2, ());
-        let mut by_id = SetAssoc::new(8, 2, ());
-        let words = [0u64, 4, 8, 1, 0, 12, 5, 4, 8, 0, 9, 1];
-        for (n, &word) in words.iter().cycle().take(120).enumerate() {
-            if n == 50 {
-                by_pc.flush();
-                by_id.flush();
-            }
-            let id = words.iter().position(|&w| w == word).expect("listed") as u32;
-            assert_eq!(by_pc.access(pc(word)), by_id.access_interned(id, pc(word)), "{n}");
-        }
     }
 
     #[test]

@@ -46,13 +46,16 @@
 //!   behind [`AnyPredictor::Dyn`]: one virtual dispatch per chunk of
 //!   events. Bit-identical to the reference loop in any batch.
 //! * **instrumented** — a job that asks for more than accuracy
-//!   ([`MetricSet`]) runs alone, in one pass over the trace's
+//!   ([`MetricSet`]) runs in one pass over the trace's
 //!   [`BranchStream`](tlabp_trace::BranchStream)
 //!   ([`TraceStore::get_branch_stream`]): the predictor steps each
 //!   conditional with its interned id, the switch schedule fires as in
 //!   the walk, and the miss breakdown and the fetch model observe that
 //!   same step, so the job's accuracy, breakdown and fetch statistics
-//!   describe one run.
+//!   describe one run. The instrumented jobs of one catalog scheme on
+//!   one trace under one switch model share the pass, with one target
+//!   cache per fetch geometry, and each gets only the metrics it asked
+//!   for.
 //! * **reference** — the job's [`AnyPredictor`] stepped by `predict` +
 //!   `update` over the full event trace
 //!   ([`crate::runner::simulate`]), bypassing every fast path. Never
@@ -66,6 +69,11 @@
 //! reference loop reads a full trace once a trace's forms exist: the
 //! store loads it only to derive a form the first time, and keeps none
 //! ([`TraceStore`]).
+//!
+//! A job identical to an earlier job of the plan once lowered (the same
+//! predictor, trace, effective switch model, metrics and route) is a
+//! *repeat*: it never runs, and takes a copy of the earlier job's
+//! outcome. The paper plans repeat 279 of their 1,143 jobs this way.
 //!
 //! Execution runs every cell on a [`SweepPool`] (idle workers pull the
 //! next cell as they finish) after pre-generating each distinct form
@@ -91,6 +99,7 @@
 //! assert_eq!(results.len(), Benchmark::ALL.len());
 //! ```
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -108,7 +117,7 @@ use tlabp_workloads::DataSet;
 
 use crate::json::{Json, WireError};
 use crate::metrics::{BenchmarkAccuracy, FetchStats, MissBreakdown, SuiteResult};
-use crate::plan::{Job, MetricSet, Plan, PredictorSpec, TraceKey};
+use crate::plan::{Job, MetricSet, Plan, PredictorSpec, TargetCacheSpec, TraceKey};
 use crate::pool::SweepPool;
 use crate::runner::{
     replay_stream_key, simulate, simulate_fused, simulate_replay_transposed, ContextSwitchConfig,
@@ -562,8 +571,9 @@ impl<'p> Session<'p> {
     #[must_use]
     pub fn submit(&self, plan: &Plan) -> JobStream<'p> {
         // Lower on the submitting thread: a job that cannot run becomes
-        // a skip here, deterministically, before any work starts.
-        let lowered: Vec<Lowered> = plan.jobs().iter().map(lower).collect();
+        // a skip here, deterministically, before any work starts, and a
+        // job identical to an earlier one becomes its repeat.
+        let lowered = lower_plan(plan);
         let partition = partition_batches(&lowered);
 
         // The prefetch barrier (see `prefetch_lowered`): every trace
@@ -573,14 +583,20 @@ impl<'p> Session<'p> {
         // returns until the plan is done.
         let reference_traces = prefetch_lowered(self.pool, &lowered, &partition, &self.store);
 
-        // Resolve skips inline and claim runnable cells batch by batch.
+        // Resolve skips inline, note each repeat under the job it
+        // repeats, and claim runnable cells batch by batch.
         let mut ready: BTreeMap<usize, JobOutcome> = BTreeMap::new();
+        let mut repeats: HashMap<usize, Vec<usize>> = HashMap::new();
         let mut cells: Vec<Option<Cell>> = lowered
             .into_iter()
             .enumerate()
             .map(|(index, low)| match low {
                 Lowered::Skip { reason } => {
                     ready.insert(index, JobOutcome::Skipped { reason });
+                    None
+                }
+                Lowered::Repeat { of } => {
+                    repeats.entry(of).or_default().push(index);
                     None
                 }
                 Lowered::Run(cell) => Some(cell),
@@ -597,10 +613,15 @@ impl<'p> Session<'p> {
         // (batches keep plan order internally, so that is member 0).
         // Sorting by that key fills the stream head-first.
         let mut tasks: Vec<(usize, Task)> = Vec::new();
-        for &index in &partition.singles {
+        for &index in &partition.reference {
             let cell = cells[index].take().expect("each cell is scheduled once");
             let store = self.store.clone();
-            tasks.push((index, Box::new(move || vec![(index, run_cell(&cell, &store))])));
+            tasks.push((index, Box::new(move || vec![(index, run_reference(&cell, &store))])));
+        }
+        for indices in &partition.instrumented {
+            let batch = claim(indices, &mut cells);
+            let store = self.store.clone();
+            tasks.push((indices[0], Box::new(move || run_instrumented(batch, &store))));
         }
         for indices in &partition.fused {
             let batch = claim(indices, &mut cells);
@@ -631,6 +652,7 @@ impl<'p> Session<'p> {
             sender: Some(sender),
             receiver,
             ready,
+            repeats,
             next_index: 0,
             in_flight: 0,
             window: self.window,
@@ -682,6 +704,10 @@ pub struct JobStream<'p> {
     /// Outcomes received (or resolved at submit time, for skips) but not
     /// yet yielded.
     ready: BTreeMap<usize, JobOutcome>,
+    /// The later jobs identical to a job that runs ([`Lowered::Repeat`]),
+    /// by the index of the job that runs: each takes a copy of its
+    /// outcome when it arrives.
+    repeats: HashMap<usize, Vec<usize>>,
     next_index: usize,
     in_flight: usize,
     window: usize,
@@ -778,6 +804,9 @@ impl Iterator for JobStream<'_> {
                     index >= self.next_index && !self.ready.contains_key(&index),
                     "each job reports exactly once"
                 );
+                for repeat in self.repeats.remove(&index).unwrap_or_default() {
+                    self.ready.insert(repeat, outcome.clone());
+                }
                 self.ready.insert(index, outcome);
             }
         }
@@ -804,7 +833,7 @@ impl ExactSizeIterator for JobStream<'_> {}
 /// for measuring ingestion cost separately from simulation (the
 /// repository benchmark's `cold-start` workload).
 pub fn prefetch_on(pool: &SweepPool, plan: &Plan, store: &TraceStore) {
-    let lowered: Vec<Lowered> = plan.jobs().iter().map(lower).collect();
+    let lowered = lower_plan(plan);
     prefetch_lowered(pool, &lowered, &partition_batches(&lowered), store);
 }
 
@@ -901,9 +930,16 @@ const MAX_REPLAY_BATCH: usize = 128;
 /// Minimum replay work (stream events × batch members) per sub-batch
 /// before [`split_replay_batch`] splits further: below this the extra
 /// stream walk and task hand-off cost more than a spare worker saves.
-/// At the measured ~1.5B member-predictions/s a unit is a few
-/// milliseconds of kernel time.
-const SPLIT_UNIT: u64 = 1 << 22;
+/// At the measured ~1.5B member-predictions/s a unit is a millisecond
+/// or more of kernel time.
+///
+/// A split also bounds the heap: the parts of one trace's batch share
+/// its PAp per-lane banks (about 21 MB for the paper grid's PAp column
+/// on doduc), while two unsplit batches of different traces side by
+/// side hold both traces' banks. At 2^22 the paper plans' 50-member
+/// BHT batches of doduc and fpppp stop splitting once their repeated
+/// jobs run once, and paper-warm's heap peak rose by about 6 MiB.
+const SPLIT_UNIT: u64 = 1 << 21;
 
 /// A replay batch's sub-batches for a pool of `pool_threads` workers.
 ///
@@ -1017,17 +1053,22 @@ fn split_into_batches(group: Vec<usize>, cap: usize) -> Vec<Vec<usize>> {
     sizes.into_iter().map(|size| indices.by_ref().take(size).collect()).collect()
 }
 
-/// The engine's scheduling partition: which runnable jobs execute as
-/// singleton cells, which execute in interned-walk batches, and which
-/// execute in transposed replay batches — all as indices into the
-/// lowered plan.
+/// The engine's scheduling partition: which runnable jobs execute alone
+/// on the reference path, which share an instrumented pass, which
+/// execute in interned-walk batches, and which execute in transposed
+/// replay batches — all as indices into the lowered plan. A repeat
+/// ([`Lowered::Repeat`]) is in none of them.
 ///
 /// [`Session::submit`] computes it once, from each cell's [`Route`], and
 /// both the prefetch barrier and the scheduler read it, so the two can
 /// never disagree about which streams the plan needs.
 struct Partition {
-    /// Reference and instrumented jobs ([`run_cell`]).
-    singles: Vec<usize>,
+    /// Reference jobs ([`run_reference`]).
+    reference: Vec<usize>,
+    /// Instrumented passes ([`run_instrumented`]): the jobs of one
+    /// catalog scheme on one trace under one effective [`SimConfig`];
+    /// a registered predictor's job has a pass of its own.
+    instrumented: Vec<Vec<usize>>,
     /// Interned-walk batches ([`run_fused_batch`]), capped at
     /// [`MAX_FUSE_BATCH`].
     fused: Vec<Vec<usize>>,
@@ -1043,15 +1084,19 @@ struct Partition {
 /// of one first-level mechanism share a batch; shared walks group by
 /// trace and switch configuration, so a batch walks one
 /// [`SwitchSchedule`](crate::runner::SwitchSchedule); an unshared walk
-/// is a batch of one; reference and instrumented cells run alone.
+/// is a batch of one; instrumented cells group by catalog scheme, trace
+/// and switch configuration, one pass each; reference cells run alone.
 /// Groups form in first-seen plan order and split into nearly-even
 /// contiguous batches, so the partition is a pure function of the plan.
 fn partition_batches(lowered: &[Lowered]) -> Partition {
     let cell_at = |index: usize| match &lowered[index] {
         Lowered::Run(cell) => cell,
-        Lowered::Skip { .. } => unreachable!("partition only batches runnable cells"),
+        _ => unreachable!("partition only batches runnable cells"),
     };
-    let mut singles: Vec<usize> = Vec::new();
+    let mut reference: Vec<usize> = Vec::new();
+    let mut instrumented_of: HashMap<(SchemeConfig, &'static str, DataSet, SimConfig), usize> =
+        HashMap::new();
+    let mut instrumented: Vec<Vec<usize>> = Vec::new();
     let mut fused_of: HashMap<(&'static str, DataSet, Option<ContextSwitchConfig>), usize> =
         HashMap::new();
     let mut fused: Vec<Vec<usize>> = Vec::new();
@@ -1078,11 +1123,23 @@ fn partition_batches(lowered: &[Lowered]) -> Partition {
                 fused[group].push(index);
             }
             Route::Walk { shared: false } => fused.push(vec![index]),
-            Route::Instrumented | Route::Reference => singles.push(index),
+            Route::Instrumented => match cell.build {
+                BuildSpec::Scheme(config) => {
+                    let key = (config, name, data_set, cell.sim);
+                    let group = *instrumented_of.entry(key).or_insert_with(|| {
+                        instrumented.push(Vec::new());
+                        instrumented.len() - 1
+                    });
+                    instrumented[group].push(index);
+                }
+                BuildSpec::Custom(_) => instrumented.push(vec![index]),
+            },
+            Route::Reference => reference.push(index),
         }
     }
     Partition {
-        singles,
+        reference,
+        instrumented,
         fused: fused.into_iter().flat_map(|g| split_into_batches(g, MAX_FUSE_BATCH)).collect(),
         replay: replay
             .into_iter()
@@ -1174,7 +1231,7 @@ impl BuildSpec {
 
 /// How one job runs: the single decision [`lower`] makes, which the
 /// partition, the prefetch barrier and the workers all read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Route {
     /// Transposed replay over the pattern stream of this key
     /// ([`run_replay_batch`]).
@@ -1183,8 +1240,9 @@ enum Route {
     /// jobs of its trace and switch configuration when `shared`
     /// ([`Job::fuse`]), else a walk of its own.
     Walk { shared: bool },
-    /// One pass stepping the predictor over the trace while the job's
-    /// instrumented metrics observe it ([`run_instrumented`]).
+    /// One pass stepping the predictor over the trace while the
+    /// instrumented metrics of every job sharing the pass observe it
+    /// ([`run_instrumented`]).
     Instrumented,
     /// `predict` + `update` over the full event trace ([`simulate`]);
     /// opt-in only ([`Job::reference_path`]).
@@ -1215,8 +1273,58 @@ impl Cell {
 }
 
 enum Lowered {
-    Skip { reason: String },
+    Skip {
+        reason: String,
+    },
     Run(Cell),
+    /// The same measurement as the runnable job at index `of`: it runs
+    /// once, and this job takes a copy of its outcome.
+    Repeat {
+        of: usize,
+    },
+}
+
+/// What makes two runnable jobs the same measurement once lowered: the
+/// predictor, the trace, the effective switch model (after a scheme's
+/// `c` flag upgrade), the metrics and the route. Equal keys give equal
+/// outcomes, so [`lower_plan`] runs each key once; the route is part of
+/// the key so that a plan comparing routes still runs every one.
+#[derive(PartialEq, Eq, Hash)]
+struct CellKey<'a> {
+    spec: &'a PredictorSpec,
+    trace: (&'static str, DataSet),
+    sim: SimConfig,
+    metrics: MetricSet,
+    route: Route,
+}
+
+/// Lowers every job of `plan` ([`lower`]), each distinct measurement
+/// once: a runnable job whose [`CellKey`] an earlier job has becomes a
+/// [`Lowered::Repeat`] of that job.
+fn lower_plan(plan: &Plan) -> Vec<Lowered> {
+    let mut first: HashMap<CellKey<'_>, usize> = HashMap::new();
+    plan.jobs()
+        .iter()
+        .enumerate()
+        .map(|(index, job)| {
+            let low = lower(job);
+            let Lowered::Run(cell) = &low else { return low };
+            let key = CellKey {
+                spec: &job.spec,
+                trace: (job.trace.benchmark.name(), job.trace.data_set),
+                sim: cell.sim,
+                metrics: cell.metrics,
+                route: cell.route,
+            };
+            match first.entry(key) {
+                Entry::Occupied(entry) => Lowered::Repeat { of: *entry.get() },
+                Entry::Vacant(entry) => {
+                    entry.insert(index);
+                    low
+                }
+            }
+        })
+        .collect()
 }
 
 /// The planner: pick the route and effective simulation options for one
@@ -1282,22 +1390,21 @@ fn lower(job: &Job) -> Lowered {
     Lowered::Run(Cell { build, route, trace: job.trace, sim, metrics: job.metrics })
 }
 
-/// Runs one singleton cell on a worker thread: the reference loop or
-/// the instrumented pass.
-fn run_cell(cell: &Cell, store: &TraceStore) -> JobOutcome {
-    JobOutcome::Measured(if cell.route == Route::Reference {
-        let mut predictor = cell.build.build_any(store, cell.trace);
-        let full = store.get(cell.trace.benchmark, cell.trace.data_set);
-        let sim = simulate(&mut predictor, &full, &cell.sim);
-        JobMetrics { sim, miss_breakdown: None, fetch: None }
-    } else {
-        run_instrumented(cell, store)
-    })
+/// Runs one reference cell on a worker thread: `predict` + `update` over
+/// the full event trace.
+fn run_reference(cell: &Cell, store: &TraceStore) -> JobOutcome {
+    let mut predictor = cell.build.build_any(store, cell.trace);
+    let full = store.get(cell.trace.benchmark, cell.trace.data_set);
+    let sim = simulate(&mut predictor, &full, &cell.sim);
+    JobOutcome::Measured(JobMetrics { sim, miss_breakdown: None, fetch: None })
 }
 
-/// The instrumented pass: one predictor steps once over the job's trace,
-/// and every metric the job asked for observes that same step, so the
-/// job's accuracy, breakdown and fetch statistics describe one run.
+/// The instrumented pass: one predictor steps once over the trace, and
+/// every metric that any job of `batch` asked for observes that same
+/// step, so each job's accuracy, breakdown and fetch statistics describe
+/// one run. Every job of the batch shares the predictor, the trace and
+/// the effective switch model (the partition groups them so); each gets
+/// only the metrics it asked for.
 ///
 /// The pass walks every branch of the trace's
 /// [`BranchStream`](tlabp_trace::BranchStream), which carries each
@@ -1306,17 +1413,19 @@ fn run_cell(cell: &Cell, store: &TraceStore) -> JobOutcome {
 /// switches the trace's
 /// [`SwitchSchedule`](crate::runner::SwitchSchedule) places there, then
 /// steps the conditional through [`BranchPredictor::step_interned`] with
-/// the next interned id. For a miss breakdown of a PAg-structured
-/// predictor it steps through
+/// the next interned id. When a job asks for the miss breakdown of a
+/// PAg-structured predictor the pass steps through
 /// [`Pag::step_interned_diagnosed`](tlabp_core::schemes::Pag::step_interned_diagnosed)
-/// instead, and every misprediction lands in exactly one
-/// [`MissBreakdown`] bucket, classified from the predictor's state at
-/// prediction time. The Section 3.2 fetch model sees every branch: the
-/// direction predictor handles conditionals (everything else is
-/// architecturally taken) and a target cache supplies target addresses
-/// for every branch class. A context switch flushes the predictor's
-/// first level, never the target cache.
-fn run_instrumented(cell: &Cell, store: &TraceStore) -> JobMetrics {
+/// instead, which evolves the same state, and every misprediction lands
+/// in exactly one [`MissBreakdown`] bucket, classified from the
+/// predictor's state at prediction time. The Section 3.2 fetch model
+/// sees every branch, through one target cache per distinct geometry
+/// the jobs ask for: the direction predictor handles conditionals
+/// (everything else is architecturally taken) and the cache supplies
+/// target addresses for every branch class. A context switch flushes
+/// the predictor's first level, never a target cache.
+fn run_instrumented(batch: Vec<(usize, Cell)>, store: &TraceStore) -> Vec<(usize, JobOutcome)> {
+    let cell = &batch[0].1;
     let TraceKey { benchmark, data_set } = cell.trace;
     let branches = store.get_branch_stream(benchmark, data_set);
     let interned = store.get_interned(benchmark, data_set);
@@ -1328,16 +1437,19 @@ fn run_instrumented(cell: &Cell, store: &TraceStore) -> JobMetrics {
         correct: 0,
         context_switches: schedule.total(),
     };
-    let mut breakdown = (cell.metrics.miss_breakdown && matches!(predictor, AnyPredictor::Pag(_)))
-        .then(MissBreakdown::default);
+    let wants_breakdown = batch.iter().any(|(_, cell)| cell.metrics.miss_breakdown);
+    let mut breakdown =
+        (wants_breakdown && matches!(predictor, AnyPredictor::Pag(_))).then(MissBreakdown::default);
     // Shadow of the global PHT: which static branch (by interned id)
     // last updated each entry, for interference attribution. Grown on
     // demand so any history length works.
     let mut last_writer: Vec<Option<u32>> = Vec::new();
-    let mut fetch = cell
-        .metrics
-        .fetch
-        .map(|spec| (TargetCache::new(spec.entries, spec.ways), FetchStats::default()));
+    let mut fetches: Vec<(TargetCacheSpec, TargetCache, FetchStats)> = Vec::new();
+    for spec in batch.iter().filter_map(|(_, cell)| cell.metrics.fetch) {
+        if fetches.iter().all(|(have, ..)| *have != spec) {
+            fetches.push((spec, TargetCache::new(spec.entries, spec.ways), FetchStats::default()));
+        }
+    }
     let mut events = interned.events().iter();
     let mut points = schedule.points().iter().peekable();
     for branch in branches.iter() {
@@ -1378,7 +1490,7 @@ fn run_instrumented(cell: &Cell, store: &TraceStore) -> JobMetrics {
         } else {
             true
         };
-        if let Some((cache, stats)) = &mut fetch {
+        for (_, cache, stats) in &mut fetches {
             let outcome = cache.fetch_and_resolve(branch, predicted_taken);
             stats.branches += 1;
             stats.correct_path += u64::from(outcome.is_correct_path());
@@ -1403,7 +1515,22 @@ fn run_instrumented(cell: &Cell, store: &TraceStore) -> JobMetrics {
             "every misprediction is classified exactly once"
         );
     }
-    JobMetrics { sim, miss_breakdown: breakdown, fetch: fetch.map(|(_, stats)| stats) }
+    batch
+        .into_iter()
+        .map(|(index, cell)| {
+            let fetch = cell.metrics.fetch.map(|spec| {
+                let (.., stats) =
+                    fetches.iter().find(|(have, ..)| *have == spec).expect("a cache per geometry");
+                *stats
+            });
+            let metrics = JobMetrics {
+                sim: sim.clone(),
+                miss_breakdown: breakdown.filter(|_| cell.metrics.miss_breakdown),
+                fetch,
+            };
+            (index, JobOutcome::Measured(metrics))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1670,6 +1797,102 @@ mod tests {
         assert!(metrics.sim.predictions > 0);
     }
 
+    /// Each job run in a plan of its own, in plan order.
+    fn run_one_by_one(plan: &Plan, store: &TraceStore) -> Vec<JobOutcome> {
+        plan.jobs()
+            .iter()
+            .map(|job| {
+                let alone: Plan = [job.clone()].into_iter().collect();
+                run(&alone, store).outcome(0).clone()
+            })
+            .collect()
+    }
+
+    /// Repeats on the replay, walk, switched-walk, instrumented and
+    /// reference routes each run once and hand their first's outcome on,
+    /// and no repeat reaches the partition. A job that differs from an
+    /// earlier one only in its route is no repeat.
+    #[test]
+    fn identical_jobs_run_once_and_share_their_outcome() {
+        let store = TraceStore::new();
+        let miss = MetricSet { miss_breakdown: true, fetch: None };
+        let switched = SchemeConfig::pag(12).with_context_switch(true);
+        let jobs = [
+            Job::scheme(SchemeConfig::pag(12), li()),
+            Job::scheme(SchemeConfig::btb(Automaton::A2), li()),
+            Job::scheme(switched, li()),
+            Job::scheme(SchemeConfig::pag(12), li()).with_metrics(miss),
+            Job::scheme(SchemeConfig::gag(8), li()).with_reference_path(true),
+            Job::scheme(SchemeConfig::gag(8), li()),
+        ];
+        let plan: Plan = jobs.iter().chain(&jobs).cloned().collect();
+        let lowered = lower_plan(&plan);
+        let repeats: Vec<Option<usize>> = lowered
+            .iter()
+            .map(|low| match low {
+                Lowered::Repeat { of } => Some(*of),
+                _ => None,
+            })
+            .collect();
+        let firsts = vec![None; jobs.len()];
+        let seconds: Vec<Option<usize>> = (0..jobs.len()).map(Some).collect();
+        assert_eq!(repeats, [firsts, seconds].concat());
+        let partition = partition_batches(&lowered);
+        let mut scheduled: Vec<usize> = partition
+            .reference
+            .iter()
+            .copied()
+            .chain(partition.instrumented.iter().flatten().copied())
+            .chain(partition.fused.iter().flatten().copied())
+            .chain(partition.replay.iter().flat_map(|(_, batch)| batch.iter().copied()))
+            .collect();
+        scheduled.sort_unstable();
+        assert_eq!(scheduled, (0..jobs.len()).collect::<Vec<_>>(), "each measurement once");
+        let results = run(&plan, &store);
+        let outcomes: Vec<JobOutcome> = results.outcomes().cloned().collect();
+        assert_eq!(outcomes, run_one_by_one(&plan, &store));
+        assert_eq!(results.iter().map(|(job, _)| job.clone()).collect::<Vec<_>>(), plan.jobs());
+    }
+
+    /// The instrumented jobs of one scheme share one pass: a breakdown
+    /// job, two fetch jobs of different geometries and a job asking for
+    /// both each get what a pass of their own measures, and so do the
+    /// switched breakdown and fetch jobs, which share a second pass.
+    #[test]
+    fn grouped_instrumented_jobs_match_their_solo_runs() {
+        let store = TraceStore::new();
+        let miss = MetricSet { miss_breakdown: true, fetch: None };
+        let fetch = |entries, ways| MetricSet {
+            miss_breakdown: false,
+            fetch: Some(TargetCacheSpec { entries, ways }),
+        };
+        let both = MetricSet { miss_breakdown: true, ..fetch(64, 2) };
+        let pag = SchemeConfig::pag(12);
+        let switched = pag.with_context_switch(true);
+        let plan: Plan = [
+            Job::scheme(pag, li()).with_metrics(miss),
+            Job::scheme(pag, li()).with_metrics(fetch(512, 4)),
+            Job::scheme(switched, li()).with_metrics(miss),
+            Job::scheme(pag, li()).with_metrics(fetch(64, 2)),
+            Job::scheme(switched, li()).with_metrics(fetch(512, 4)),
+            Job::scheme(pag, li()).with_metrics(both),
+        ]
+        .into_iter()
+        .collect();
+        let partition = partition_batches(&lower_plan(&plan));
+        assert_eq!(partition.instrumented, vec![vec![0, 1, 3, 5], vec![2, 4]]);
+        let results = run(&plan, &store);
+        let solo = run_one_by_one(&plan, &store);
+        for (index, (job, outcome)) in results.iter().enumerate() {
+            assert_eq!(outcome, &solo[index], "job {index}");
+            let metrics = outcome.metrics().expect("measured");
+            assert_eq!(metrics.miss_breakdown.is_some(), job.metrics.miss_breakdown, "{index}");
+            assert_eq!(metrics.fetch.is_some(), job.metrics.fetch.is_some(), "{index}");
+        }
+        let switched_sim = &results.outcome(2).metrics().expect("measured").sim;
+        assert!(switched_sim.context_switches > 0, "the switched pass fires its switches");
+    }
+
     #[test]
     fn miss_breakdown_is_none_for_non_pag() {
         let store = TraceStore::new();
@@ -1817,13 +2040,13 @@ mod tests {
     /// streams resident: the split `Session::submit` schedules.
     fn replay_parts(plan: &Plan, store: &TraceStore, threads: usize) -> Vec<usize> {
         prefetch_on(&SweepPool::new(1), plan, store);
-        let lowered: Vec<Lowered> = plan.jobs().iter().map(lower).collect();
+        let lowered = lower_plan(plan);
         let partition = partition_batches(&lowered);
         let cells: Vec<Option<Cell>> = lowered
             .into_iter()
             .map(|low| match low {
                 Lowered::Run(cell) => Some(cell),
-                Lowered::Skip { .. } => None,
+                _ => None,
             })
             .collect();
         partition
@@ -1897,10 +2120,11 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let lowered: Vec<Lowered> = plan.jobs().iter().map(lower).collect();
+        let lowered = lower_plan(&plan);
         let partition = partition_batches(&lowered);
         assert_eq!(partition.fused, vec![vec![0, 1], vec![2], vec![3]]);
-        assert_eq!(partition.singles, vec![4, 5, 6, 8]);
+        assert_eq!(partition.reference, vec![6]);
+        assert_eq!(partition.instrumented, vec![vec![4, 8], vec![5]], "one pass per scheme");
         assert_eq!(
             partition.replay,
             vec![(replay_stream_key(SchemeConfig::gag(8)).expect("two-level"), vec![7])]
@@ -1909,7 +2133,7 @@ mod tests {
             .iter()
             .map(|low| match low {
                 Lowered::Run(cell) => cell.route,
-                Lowered::Skip { .. } => unreachable!("every job runs"),
+                _ => unreachable!("every job runs once"),
             })
             .collect();
         let gag8 = replay_stream_key(SchemeConfig::gag(8)).expect("two-level");
@@ -1964,9 +2188,9 @@ mod tests {
                 ]
             })
             .collect();
-        let lowered: Vec<Lowered> = plan.jobs().iter().map(lower).collect();
+        let lowered = lower_plan(&plan);
         let partition = partition_batches(&lowered);
-        assert!(partition.singles.is_empty());
+        assert!(partition.reference.is_empty() && partition.instrumented.is_empty());
         assert!(partition.fused.is_empty());
         // One Global fold group (GAg × 2 automata × 3 widths) and one
         // paper-default-BHT fold group (PAg + PAp × 3 widths).
@@ -1978,7 +2202,7 @@ mod tests {
                 .iter()
                 .map(|&index| match &lowered[index] {
                     Lowered::Run(cell) => cell.replay_key(),
-                    Lowered::Skip { .. } => unreachable!(),
+                    _ => unreachable!(),
                 })
                 .collect();
             assert_eq!(rep.history_bits(), 8, "widest member wins");

@@ -44,7 +44,7 @@ use crate::runner::{ContextSwitchConfig, SimConfig};
 pub const PLAN_WIRE_VERSION: u64 = 1;
 
 /// Which predictor a job simulates.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PredictorSpec {
     /// A Table 3 catalog configuration. Lowered to the monomorphized
     /// fast paths: a replay of its first-level pattern stream where only
@@ -106,7 +106,7 @@ impl TraceKey {
 
 /// Geometry of the target cache used by the fetch-path metric
 /// (Section 3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TargetCacheSpec {
     /// Number of cache entries.
     pub entries: usize,
@@ -128,14 +128,16 @@ impl Default for TargetCacheSpec {
 /// Which metrics a job should produce beyond the always-computed
 /// prediction-accuracy counters.
 ///
-/// A job with instrumented metrics runs alone, in one pass that steps
-/// its predictor over the trace while every requested metric observes
-/// the same steps. The pass fires the job's context switches, so a
-/// switched job's breakdown sums to its own mispredictions and its fetch
-/// statistics include the switches. (The paper's Section 3 analyses are
-/// measured without switches, and so are the paper plans' instrumented
-/// jobs.)
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// A job with instrumented metrics runs in one pass that steps its
+/// predictor over the trace while every requested metric observes the
+/// same steps; the jobs of one catalog scheme on one trace under one
+/// context-switch configuration share that pass, and each gets only the
+/// metrics it asked for. The pass fires the job's context switches, so
+/// a switched job's breakdown sums to its own mispredictions and its
+/// fetch statistics include the switches. (The paper's Section 3
+/// analyses are measured without switches, and so are the paper plans'
+/// instrumented jobs.)
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct MetricSet {
     /// Attribute every misprediction to a cause (BHT miss, weak pattern,
     /// interference, intrinsic noise). Only meaningful for PAg-structured

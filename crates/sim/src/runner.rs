@@ -10,7 +10,7 @@ use tlabp_core::pht::{PatternHistoryTable, TransposedPhtBank, LANES_PER_WORD};
 use tlabp_core::predictor::BranchPredictor;
 use tlabp_core::simd::SimdMode;
 use tlabp_trace::io::ReadTraceError;
-use tlabp_trace::{BranchRecord, InternedConds, PatternStream, Trace, TraceEvent};
+use tlabp_trace::{InternedConds, PatternStream, Trace, TraceEvent};
 
 use crate::stream::StreamCursor;
 
@@ -37,7 +37,7 @@ impl Default for ContextSwitchConfig {
 }
 
 /// Simulation options.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct SimConfig {
     /// When `Some`, context switches flush first-level branch history.
     pub context_switch: Option<ContextSwitchConfig>,
@@ -242,13 +242,12 @@ impl SwitchSchedule {
     }
 }
 
-/// How many interned events one fused chunk decodes at a time.
+/// How many interned events one fused chunk hands each predictor.
 ///
-/// Each chunk is decoded into a stack of `(id, BranchRecord)` pairs once
-/// and then replayed through every predictor of the batch, so the decode
-/// cost and the per-predictor dispatch are amortized over the chunk while
-/// the scratch buffer (~12 KiB at 256 events) stays L1-resident. Within a
-/// chunk each predictor runs a tight monomorphic loop with its own tables
+/// Every predictor of the batch steps the same chunk of 4-byte events
+/// (1 KiB at 256 events, L1-resident across the batch), so the
+/// per-predictor dispatch is amortized over the chunk. Within a chunk
+/// each predictor runs a tight monomorphic loop with its own tables
 /// cache-hot.
 const FUSE_CHUNK: usize = 256;
 
@@ -259,13 +258,13 @@ const FUSE_CHUNK: usize = 256;
 /// Each member is bit-identical to [`simulate`] over the trace the
 /// interning came from, under the configuration `schedule` was built for
 /// (the differential tests pin this for every catalog scheme, alone and
-/// in batches): the stream expands to the same [`BranchRecord`]s, and
-/// [`BranchPredictor::step_interned`] is predict + update with a dense
-/// alias for the pc. The walk decodes the stream once for the whole
-/// batch instead of once per predictor, and hands each predictor whole
-/// chunks ([`BranchPredictor::step_interned_block`]) so per-event
-/// dispatch collapses to per-chunk dispatch. Every member steps its own
-/// tables, so a batch of one is the per-cell walk.
+/// in batches): the stream expands to the same
+/// [`BranchRecord`](tlabp_trace::BranchRecord)s, and
+/// [`BranchPredictor::step_interned_block`] is predict + update with a
+/// dense alias for the pc. The walk hands each predictor whole chunks of
+/// the stream, so per-event dispatch collapses to per-chunk dispatch.
+/// Every member steps its own tables, so a batch of one is the per-cell
+/// walk.
 ///
 /// Context switches come from `schedule`: chunks never straddle a switch
 /// point, and at each point every predictor switches once per switch.
@@ -295,16 +294,13 @@ pub fn simulate_fused<P: BranchPredictor>(
     schedule: &SwitchSchedule,
 ) -> Vec<SimResult> {
     let mut correct = vec![0u64; predictors.len()];
-    let mut block: Vec<(u32, BranchRecord)> = Vec::with_capacity(FUSE_CHUNK);
     for (switches, segment) in schedule.segments(interned.len()) {
         for _ in 0..switches {
             predictors.iter_mut().for_each(P::context_switch);
         }
         for chunk in interned.events()[segment].chunks(FUSE_CHUNK) {
-            block.clear();
-            block.extend(chunk.iter().map(|event| (event.id(), interned.record(*event))));
             for (predictor, correct) in predictors.iter_mut().zip(&mut correct) {
-                *correct += predictor.step_interned_block(&block);
+                *correct += predictor.step_interned_block(interned, chunk);
             }
         }
     }
@@ -511,16 +507,15 @@ pub fn derive_pattern_stream(interned: &InternedConds, key: StreamKey) -> Patter
             stream
         }
         StreamKey::Bht(signature) => {
-            let mut driver = signature.build();
             let mut stream =
                 PatternStream::with_capacity(signature.history_bits, interned.len(), true);
-            for event in interned.events() {
-                let id = event.id();
-                let taken = event.taken();
-                let (pattern, cursor) = driver.access_pattern_interned(id, interned.pc_of(id));
-                driver.record_outcome_at_interned(cursor, taken);
-                stream.push_with_lane(pattern, taken, cursor.lane());
-            }
+            signature.build().walk_interned(
+                interned,
+                interned.events(),
+                |pattern, cursor, event| {
+                    stream.push_with_lane(pattern, event.taken(), cursor.lane());
+                },
+            );
             stream
         }
     }

@@ -9,11 +9,12 @@ use std::collections::VecDeque;
 
 use tlabp::core::automaton::{Automaton, State};
 use tlabp::core::bht::CacheBht;
+use tlabp::core::history::MAX_HISTORY_BITS;
 use tlabp::core::predictor::BranchPredictor;
 use tlabp::core::schemes::Btb;
 use tlabp::core::target_cache::{FetchOutcome, TargetCache};
 use tlabp::trace::rng::SmallRng;
-use tlabp::trace::BranchRecord;
+use tlabp::trace::{BranchRecord, PackedCond};
 
 /// Table geometries `(entries, ways)`: direct-mapped, 2- and 4-way, and
 /// one set of 16 ways (fully associative).
@@ -97,9 +98,25 @@ enum Op {
     Flush,
 }
 
-/// Dense word-aligned pcs in a small range to force set conflicts.
+/// The high address bits a pc may carry: none; the top bit of the
+/// interned pc range ([`PackedCond::PC_BITS`] wide); and every bit of
+/// that range above the low 16, so tags reach their full width and sit
+/// next to the all-ones word an invalid-tag sentinel could collide with.
+const HIGH_BITS: [u64; 3] = [0, 1 << (PackedCond::PC_BITS - 1), PackedCond::PC_MASK & !0xFFFF];
+
+/// How many distinct pcs the tests draw from: 64 dense words under each
+/// of [`HIGH_BITS`].
+const PCS: u64 = 64 * HIGH_BITS.len() as u64;
+
+/// The `n`-th pc (`n < PCS`): dense word-aligned low bits in a small
+/// range, so sets conflict whatever the high bits, under one of
+/// [`HIGH_BITS`]. Its interned id is `n`.
+fn pc_of(n: u64) -> u64 {
+    HIGH_BITS[(n / 64) as usize] | (0x1000 + n % 64 * 4)
+}
+
 fn random_pc(rng: &mut SmallRng) -> u64 {
-    0x1000 + rng.next_below(64) * 4
+    pc_of(rng.next_below(PCS))
 }
 
 fn random_op(rng: &mut SmallRng) -> Op {
@@ -111,20 +128,19 @@ fn random_op(rng: &mut SmallRng) -> Op {
     }
 }
 
-/// A random branch at one of [`random_pc`]'s pcs, or `None` (one time
-/// in 16) for a flush. Its interned id is its word offset.
+/// A random branch at one of [`pc_of`]'s pcs with its interned id, or
+/// `None` (one time in 16) for a flush.
 fn random_step(rng: &mut SmallRng) -> Option<(u32, BranchRecord)> {
-    let pc = random_pc(rng);
+    let n = rng.next_below(PCS);
     let taken = rng.random_bool(0.6);
     let target = 0x8000 + rng.next_below(2) * 0x40;
-    let id = ((pc - 0x1000) / 4) as u32;
-    (rng.next_below(16) != 0).then(|| (id, BranchRecord::conditional(pc, taken, target, 1)))
+    (rng.next_below(16) != 0)
+        .then(|| (n as u32, BranchRecord::conditional(pc_of(n), taken, target, 1)))
 }
 
 /// Asserts that `real` reports every pc's pattern as `model` holds it.
 fn assert_patterns_match(real: &CacheBht, model: &mut Model<ModelHistory>, at: &str) {
-    for word in 0..64u64 {
-        let pc = 0x1000 + word * 4;
+    for pc in (0..PCS).map(pc_of) {
         let want = model.get_mut(pc).map(|entry| entry.0 as usize);
         assert_eq!(real.pattern(pc), want, "pattern diverged for pc {pc:#x} at {at}");
     }
@@ -135,7 +151,7 @@ fn cache_bht_matches_reference_model() {
     let mut rng = SmallRng::seed_from_u64(0xB001);
     for case in 0..60u64 {
         let (entries, ways) = GEOMETRIES[rng.next_below(GEOMETRIES.len() as u64) as usize];
-        let history_bits = rng.next_range(1, 17) as u32;
+        let history_bits = rng.next_range(1, u64::from(MAX_HISTORY_BITS) + 1) as u32;
         let mut real = CacheBht::new(entries, ways, history_bits);
         let mut model = Model::new(entries, ways);
         let steps = rng.next_range(1, 400);
@@ -164,24 +180,24 @@ fn cache_bht_matches_reference_model() {
     }
 }
 
-/// The walk's path: `access_slot_interned`, then `pattern_at` and
+/// The walk's path: `access_slot`, then `pattern_at` and
 /// `record_outcome_at` on the slot it returned.
 #[test]
 fn cache_bht_interned_path_matches_reference_model() {
     let mut rng = SmallRng::seed_from_u64(0xB002);
     for case in 0..60u64 {
         let (entries, ways) = GEOMETRIES[rng.next_below(GEOMETRIES.len() as u64) as usize];
-        let history_bits = rng.next_range(1, 17) as u32;
+        let history_bits = rng.next_range(1, u64::from(MAX_HISTORY_BITS) + 1) as u32;
         let mut real = CacheBht::new(entries, ways, history_bits);
         let mut model = Model::new(entries, ways);
         for step in 0..rng.next_range(1, 400) {
             let at = format!("step {step} of case {case}");
-            let Some((id, branch)) = random_step(&mut rng) else {
+            let Some((_, branch)) = random_step(&mut rng) else {
                 real.flush();
                 model.flush();
                 continue;
             };
-            let (slot, hit) = real.access_slot_interned(id, branch.pc);
+            let (slot, hit) = real.access_slot(branch.pc);
             assert_eq!(real.slot_of(branch.pc), Some(slot), "{at}");
             let (want_hit, entry) = model.access(branch.pc, all_ones(history_bits));
             assert_eq!((real.pattern_at(slot), hit), (entry.0 as usize, want_hit), "{at}");

@@ -712,30 +712,40 @@ fn replay_fused_and_reference_plans_agree_job_for_job() {
     }
 }
 
-/// The replay kernel's lookup table agrees with `Automaton::update` and
-/// `Automaton::predict` on all 256 (state, taken) inputs, for every
-/// automaton — including the 2-state Last-Time and PresetBit packings,
-/// whose stored state is the masked low bit of the index.
+/// The packed (δ, λ) word that every fast path steps — the pattern
+/// table's fused step, the BTB's interned step and the replay kernel —
+/// agrees with `Automaton::update` and `Automaton::predict` on all 256
+/// byte-wide `(state field << 1) | taken` inputs, for every automaton:
+/// every valid state in both directions, and for the 2-state Last-Time
+/// and PresetBit, fields whose unused bits are set, which step as the
+/// masked low bit. `PatternHistoryTable::predict_update` is that step.
 #[test]
 fn packed_lut_matches_automaton_on_all_256_inputs() {
     use tlabp::core::automaton::State;
+    use tlabp::core::pht::PatternHistoryTable;
 
     for automaton in Automaton::ALL {
         let lut = automaton.packed_lut();
         let mask = automaton.state_count() - 1;
-        for (index, &entry) in lut.iter().enumerate() {
+        for index in 0..256usize {
             let taken = index & 1 != 0;
-            let state = State::new(((index >> 1) as u8) & mask);
+            let field = State::new((index >> 1) as u8);
+            let state = State::new(field.value() & mask);
+            let (next, predicted) = Automaton::packed_step(lut, field, taken);
             assert_eq!(
-                entry & 0b11,
-                automaton.update(state, taken).value(),
+                next,
+                automaton.update(state, taken),
                 "{automaton} next state diverged at index {index}"
             );
             assert_eq!(
-                entry & 0b100 != 0,
+                predicted,
                 automaton.predict(state),
                 "{automaton} prediction diverged at index {index}"
             );
+            let mut table = PatternHistoryTable::new(1, automaton);
+            table.set_state(0, state);
+            assert_eq!(table.predict_update(0, taken), predicted, "{automaton} index {index}");
+            assert_eq!(table.state(0), next, "{automaton} index {index}");
         }
     }
 }
