@@ -159,22 +159,34 @@ impl PatternHistoryTable {
 
 /// Bit 0 of every nibble lane.
 const NIBBLE_LO: u64 = 0x1111_1111_1111_1111;
-/// Bits 0–1 (the stored 2-bit state) of every nibble lane.
-const NIBBLE_STATE: u64 = 0x3333_3333_3333_3333;
 /// Most members a [`TransposedPhtBank`] holds: one 4-bit nibble each in
-/// a single `u64` per table row. Public because the runner cuts wider
-/// groups into banks of this size, and the engine's intra-batch split
-/// cuts at the same boundary.
+/// a single `u64` word. Public because the runner packs banks up to this
+/// size, and the engine's intra-batch split cuts width groups at the
+/// same boundary.
 pub const LANES_PER_WORD: usize = 16;
+/// Most fields (runs of equal-width members) a [`TransposedPhtBank`]
+/// holds: the word body is specialized for each field count up to this
+/// cap. Public because the runner packs banks under it.
+pub const MAX_FIELDS: usize = 6;
 /// Events between accumulator flushes: each nibble of the accumulator
 /// gains at most one per event and holds up to 15.
 const ACC_FLUSH_EVENTS: usize = 15;
 
-/// A lane-transposed bank of up to [`LANES_PER_WORD`] equally-sized
-/// [`PatternHistoryTable`]s for the SWAR replay kernel: member `m` lives
-/// in nibble `m` of one `u64` per table *row*, so a replayed event
-/// touches one word and one round of bit-sliced logic steps every member
-/// at once.
+/// A lane-transposed bank of up to [`LANES_PER_WORD`]
+/// [`PatternHistoryTable`]s of any widths for the SWAR replay kernel:
+/// member `m` lives in nibble `m` of one `u64` word, so one round of
+/// bit-sliced logic steps every member of a replayed event at once.
+///
+/// Members of one width form a contiguous nibble *field* (a maximal run
+/// of equal-width members, in member order; at most [`MAX_FIELDS`] of
+/// them), backed by a table of its own `2^k` rows. A row holds the
+/// field's nibbles in their word positions and zeros elsewhere. Per
+/// event the word body gathers the event's row of every field into one
+/// word (`pattern & (2^k - 1)` per field), steps that word once, and
+/// writes each field's nibbles back to its row. So a batch of many
+/// widths pays one step per event, not one per width, while each member
+/// still indexes its own table. The body is specialized for each field
+/// count, which keeps the rows and masks of every field in registers.
 ///
 /// Every member's fused transition `f(s1, s0)`, the entry
 /// `(s << 1) | taken` of its [`Automaton::packed_lut`] word (3 output
@@ -190,12 +202,11 @@ const ACC_FLUSH_EVENTS: usize = 15;
 /// stored as nibble-lane masks (3 live bits per member nibble), one set
 /// per resolved direction.
 ///
-/// Patterns index rows *masked to the bank's width*
-/// (`pattern & (2^k - 1)`). Because a k-bit history register's content
-/// is exactly the low k bits of any wider register fed the same
-/// outcomes, a stream derived at width `K >= k` replays a width-k bank
-/// bit-identically — the width-fold contract the engine's transposed
-/// sweep lowering builds on (pinned by `tests/differential.rs`).
+/// Because a k-bit history register's content is exactly the low k bits
+/// of any wider register fed the same outcomes, a stream derived at
+/// width `K >= k` replays a width-k field bit-identically — the
+/// width-fold contract the engine's transposed sweep lowering builds on
+/// (pinned by `tests/differential.rs`).
 ///
 /// Prediction *counting* is bit-sliced too: bit 2 of each advanced
 /// nibble (λ of the pre-update state, xored with the event's direction)
@@ -203,16 +214,16 @@ const ACC_FLUSH_EVENTS: usize = 15;
 /// every `ACC_FLUSH_EVENTS` (15) events.
 ///
 /// A bank comes in two forms over the same kernel: *shared*
-/// ([`TransposedPhtBank::new`]), one table every event indexes (GAg,
-/// PAg and the GSg/PSg preset assemblies), and *per-lane*
-/// ([`TransposedPhtBank::per_lane`]), one table per stream lane (PAp),
+/// ([`TransposedPhtBank::new`]), one set of field tables every event
+/// indexes (GAg, PAg and the GSg/PSg preset assemblies), and *per-lane*
+/// ([`TransposedPhtBank::per_lane`]), one set per stream lane (PAp),
 /// materialized from the members' template states on the lane's first
 /// event — behaviorally identical to per-lane clones of the templates,
 /// which is how PAp fills its own tables.
 #[derive(Debug)]
 pub struct TransposedPhtBank {
-    history_bits: u32,
-    row_mask: usize,
+    /// The fields in nibble order.
+    fields: Vec<Field>,
     /// Coefficient masks, direction-major: `coeff[taken * 4 + k]`.
     coeff: [u64; 8],
     /// Nibble bit 2 set for every occupied member lane: masks the
@@ -226,12 +237,42 @@ pub struct TransposedPhtBank {
     counts: Vec<u64>,
 }
 
-/// The transposed table rows of a [`TransposedPhtBank`].
+/// One field of a [`TransposedPhtBank`]: a run of equal-width members
+/// and its table, rows `offset..=offset + row_mask` of the bank's flat
+/// row vector.
+#[derive(Debug, Clone, Copy)]
+struct Field {
+    /// The field's first row in the flat row vector.
+    offset: usize,
+    /// `2^k - 1`: masks an event's pattern to one of the field's rows.
+    row_mask: usize,
+    /// Bits 0–1 (the stored state) of each of the field's nibbles: what
+    /// a row keeps of a stepped word.
+    state_mask: u64,
+}
+
+impl Field {
+    /// The row of this field that `pattern` selects, in the flat vector.
+    #[inline(always)]
+    fn row(self, pattern: usize) -> usize {
+        self.offset + (pattern & self.row_mask)
+    }
+
+    /// The members (nibbles) this field holds.
+    fn members(self) -> std::ops::Range<usize> {
+        let first = self.state_mask.trailing_zeros() as usize / 4;
+        let end = (64 - self.state_mask.leading_zeros() as usize).div_ceil(4);
+        first..end
+    }
+}
+
+/// The transposed table rows of a [`TransposedPhtBank`]: every field's
+/// table, concatenated in field order.
 #[derive(Debug)]
 enum Rows {
-    /// One table: row `pattern` is word `pattern`.
+    /// One set of field tables.
     Shared(Vec<u64>),
-    /// One table per stream lane, cloned from `template` on the lane's
+    /// One set per stream lane, cloned from `template` on the lane's
     /// first event (a never-touched table is indistinguishable from a
     /// fresh one).
     PerLane { template: Vec<u64>, lanes: Vec<Vec<u64>> },
@@ -240,11 +281,12 @@ enum Rows {
 impl TransposedPhtBank {
     /// Transposes `tables` into a shared bank, preserving every member's
     /// current per-entry state (preset GSg/PSg assemblies included).
+    /// Consecutive members of equal width share a field.
     ///
     /// # Panics
     ///
     /// Panics if `tables` is empty, holds more than [`LANES_PER_WORD`]
-    /// members, or its members disagree on `history_bits`.
+    /// members, or forms more than [`MAX_FIELDS`] fields.
     #[must_use]
     pub fn new(tables: &[&PatternHistoryTable]) -> Self {
         Self::build(tables, false)
@@ -262,23 +304,30 @@ impl TransposedPhtBank {
     }
 
     fn build(tables: &[&PatternHistoryTable], per_lane: bool) -> Self {
-        let first = tables.first().expect("a bank needs at least one member");
+        assert!(!tables.is_empty(), "a bank needs at least one member");
         assert!(
             tables.len() <= LANES_PER_WORD,
             "a transposed bank holds at most {LANES_PER_WORD} members (one u64 per row), got {}; \
              cut wider groups into several banks",
             tables.len()
         );
-        assert!(
-            tables.iter().all(|t| t.history_bits == first.history_bits),
-            "bank members must share one table geometry"
-        );
+        let mut fields: Vec<Field> = Vec::new();
         let mut coeff = [0u64; 8];
         let mut pred_occ = 0u64;
         let mut luts = Vec::with_capacity(tables.len());
-        let mut words = vec![0u64; first.len()];
+        let mut words: Vec<u64> = Vec::new();
         for (member, table) in tables.iter().enumerate() {
             let shift = member * 4;
+            match fields.last_mut() {
+                Some(field) if field.row_mask == table.len() - 1 => {
+                    field.state_mask |= 0b11 << shift
+                }
+                _ => {
+                    let (offset, row_mask) = (words.len(), table.len() - 1);
+                    fields.push(Field { offset, row_mask, state_mask: 0b11 << shift });
+                    words.resize(offset + table.len(), 0);
+                }
+            }
             let lut = table.lut;
             for taken in 0..2usize {
                 let f = |state: usize| (lut >> (((state << 1) | taken) * 4)) & 0b111;
@@ -289,13 +338,19 @@ impl TransposedPhtBank {
             }
             pred_occ |= 0b100 << shift;
             luts.push(lut);
-            for (word, state) in words.iter_mut().zip(&table.states) {
+            // The member's field is the last one, so its rows end the vector.
+            let first_row = words.len() - table.len();
+            for (word, state) in words[first_row..].iter_mut().zip(&table.states) {
                 *word |= u64::from(state.value()) << shift;
             }
         }
+        assert!(
+            fields.len() <= MAX_FIELDS,
+            "a transposed bank holds at most {MAX_FIELDS} fields of equal-width members, got {}",
+            fields.len()
+        );
         TransposedPhtBank {
-            history_bits: first.history_bits,
-            row_mask: words.len() - 1,
+            fields,
             coeff,
             pred_occ,
             luts,
@@ -308,23 +363,24 @@ impl TransposedPhtBank {
         }
     }
 
-    /// The history-register length `k` every member is sized for.
-    #[must_use]
-    pub fn history_bits(&self) -> u32 {
-        self.history_bits
-    }
-
     /// Number of member tables (per lane, for a per-lane bank).
     #[must_use]
     pub fn members(&self) -> usize {
         self.counts.len()
     }
 
-    /// Replays a block of packed `pattern << 1 | taken` events (patterns
-    /// masked to the bank's width, see the type docs) through every
-    /// member, adding each member's correct predictions to its
-    /// [`TransposedPhtBank::counts`] slot. A per-lane bank takes each
-    /// event's table from `lanes`; a shared bank never reads `lanes`
+    /// Number of fields: runs of equal-width members, each with a table
+    /// of its own.
+    #[must_use]
+    pub fn fields(&self) -> usize {
+        self.fields.len()
+    }
+
+    /// Replays a block of packed `pattern << 1 | taken` events (each
+    /// field masks the pattern to its own width, see the type docs)
+    /// through every member, adding each member's correct predictions to
+    /// its [`TransposedPhtBank::counts`] slot. A per-lane bank takes each
+    /// event's tables from `lanes`; a shared bank never reads `lanes`
     /// (pass `&[]`). `mode` picks the word body or the scalar reference
     /// loop; both are bit-identical.
     ///
@@ -333,40 +389,64 @@ impl TransposedPhtBank {
     /// Panics if the bank is per-lane and `events` and `lanes` differ in
     /// length.
     pub fn replay(&mut self, events: &[u32], lanes: &[u32], mode: SimdMode) {
-        let (coeff, pred_occ, row_mask) = (self.coeff, self.pred_occ, self.row_mask);
-        let (luts, counts) = (&self.luts, &mut self.counts);
-        let row = |event: u32| (event >> 1) as usize & row_mask;
-        match (&mut self.rows, mode) {
-            (Rows::Shared(words), SimdMode::Auto) => {
+        if let Rows::PerLane { .. } = self.rows {
+            assert_eq!(events.len(), lanes.len(), "one lane selector per event");
+        }
+        match (mode, self.fields.len()) {
+            (SimdMode::Scalar, _) => self.replay_scalar(events, lanes),
+            (SimdMode::Auto, 1) => self.replay_words::<1>(events, lanes),
+            (SimdMode::Auto, 2) => self.replay_words::<2>(events, lanes),
+            (SimdMode::Auto, 3) => self.replay_words::<3>(events, lanes),
+            (SimdMode::Auto, 4) => self.replay_words::<4>(events, lanes),
+            (SimdMode::Auto, 5) => self.replay_words::<5>(events, lanes),
+            (SimdMode::Auto, 6) => self.replay_words::<6>(events, lanes),
+            (SimdMode::Auto, fields) => {
+                unreachable!("a bank holds 1..={MAX_FIELDS} fields, not {fields}")
+            }
+        }
+    }
+
+    /// The word body over `F` fields.
+    fn replay_words<const F: usize>(&mut self, events: &[u32], lanes: &[u32]) {
+        let fields: [Field; F] = self.fields[..].try_into().expect("a bank of F fields");
+        let (coeff, pred_occ, counts) = (&self.coeff, self.pred_occ, &mut self.counts);
+        match &mut self.rows {
+            Rows::Shared(table) => {
                 for chunk in events.chunks(ACC_FLUSH_EVENTS) {
                     let mut acc = 0u64;
                     for &event in chunk {
-                        acc += step_word(&mut words[row(event)], event, &coeff, pred_occ);
+                        acc += step_fields(table, &fields, event, coeff, pred_occ);
                     }
                     flush_acc(acc, counts);
                 }
             }
-            (Rows::Shared(words), SimdMode::Scalar) => {
-                for &event in events {
-                    step_scalar(&mut words[row(event)], event, luts, counts);
-                }
-            }
-            (Rows::PerLane { template, lanes: tables }, SimdMode::Auto) => {
-                assert_eq!(events.len(), lanes.len(), "one lane selector per event");
+            Rows::PerLane { template, lanes: tables } => {
                 let chunks = events.chunks(ACC_FLUSH_EVENTS).zip(lanes.chunks(ACC_FLUSH_EVENTS));
                 for (events, lanes) in chunks {
                     let mut acc = 0u64;
                     for (&event, &lane) in events.iter().zip(lanes) {
-                        let word = lane_row(tables, template, lane, row(event));
-                        acc += step_word(word, event, &coeff, pred_occ);
+                        let table = lane_table(tables, template, lane);
+                        acc += step_fields(table, &fields, event, coeff, pred_occ);
                     }
                     flush_acc(acc, counts);
                 }
             }
-            (Rows::PerLane { template, lanes: tables }, SimdMode::Scalar) => {
-                assert_eq!(events.len(), lanes.len(), "one lane selector per event");
+        }
+    }
+
+    /// The scalar reference body: each member steps its nibble of its
+    /// own field's row through its packed LUT, counting directly.
+    fn replay_scalar(&mut self, events: &[u32], lanes: &[u32]) {
+        let (fields, luts, counts) = (&self.fields, &self.luts, &mut self.counts);
+        match &mut self.rows {
+            Rows::Shared(table) => {
+                for &event in events {
+                    step_scalar(table, fields, event, luts, counts);
+                }
+            }
+            Rows::PerLane { template, lanes: tables } => {
                 for (&event, &lane) in events.iter().zip(lanes) {
-                    step_scalar(lane_row(tables, template, lane, row(event)), event, luts, counts);
+                    step_scalar(lane_table(tables, template, lane), fields, event, luts, counts);
                 }
             }
         }
@@ -384,27 +464,42 @@ impl TransposedPhtBank {
     ///
     /// # Panics
     ///
-    /// Panics if `pattern` or `member` is out of range, or the bank is
-    /// per-lane.
+    /// Panics if `member` is out of range, `pattern` is out of the
+    /// member's range, or the bank is per-lane.
     #[must_use]
     pub fn state(&self, pattern: usize, member: usize) -> State {
-        let Rows::Shared(words) = &self.rows else {
+        let Rows::Shared(table) = &self.rows else {
             panic!("a per-lane bank has no single table to read")
         };
-        assert!(pattern <= self.row_mask, "pattern {pattern} out of range");
-        assert!(member < self.members(), "member {member} out of range");
-        State::new(((words[pattern] >> (member * 4)) & 0b11) as u8)
+        let field = self
+            .fields
+            .iter()
+            .find(|field| field.members().contains(&member))
+            .unwrap_or_else(|| panic!("member {member} out of range"));
+        assert!(pattern <= field.row_mask, "pattern {pattern} out of range");
+        State::new(((table[field.offset + pattern] >> (member * 4)) & 0b11) as u8)
     }
 }
 
-/// The word body: advances every member nibble of `word` by one event
-/// and returns the members' correctness bits, one per nibble (bit 0).
+/// The word body for one event over `F` fields: gathers the event's row
+/// of every field into one word, advances every member nibble, writes
+/// each field's nibbles back, and returns the members' correctness bits,
+/// one per nibble (bit 0).
 #[inline(always)]
-fn step_word(word: &mut u64, event: u32, coeff: &[u64; 8], pred_occ: u64) -> u64 {
+fn step_fields<const F: usize>(
+    table: &mut [u64],
+    fields: &[Field; F],
+    event: u32,
+    coeff: &[u64; 8],
+    pred_occ: u64,
+) -> u64 {
+    let pattern = (event >> 1) as usize;
+    let rows = fields.map(|field| field.row(pattern));
+    let word = rows.iter().fold(0, |word, &row| word | table[row]);
     let ct = (event as usize & 1) * 4;
     let not_taken = u64::from(event & 1).wrapping_sub(1);
-    let lo = *word & NIBBLE_LO;
-    let hi = (*word >> 1) & NIBBLE_LO;
+    let lo = word & NIBBLE_LO;
+    let hi = (word >> 1) & NIBBLE_LO;
     let hl = hi & lo;
     // `x * 7` spreads each nibble's bit 0 across bits 0–2 (no nibble
     // carries: 7 < 16), broadcasting a state bit to all three
@@ -413,23 +508,30 @@ fn step_word(word: &mut u64, event: u32, coeff: &[u64; 8], pred_occ: u64) -> u64
         ^ (coeff[ct + 1] & lo.wrapping_mul(7))
         ^ (coeff[ct + 2] & hi.wrapping_mul(7))
         ^ (coeff[ct + 3] & hl.wrapping_mul(7));
-    *word = out & NIBBLE_STATE;
+    for (field, row) in fields.iter().zip(rows) {
+        table[row] = out & field.state_mask;
+    }
     // Bit 2 of each occupied nibble is the member's prediction; xoring in
     // the occupancy mask on a not-taken branch flips it to "was correct".
     ((out & pred_occ) ^ (pred_occ & not_taken)) >> 2
 }
 
-/// The scalar reference body: per-member packed-LUT steps in the same
-/// transposed layout, counting directly (no bit-sliced accumulator).
+/// The scalar reference body for one event: per member, one packed-LUT
+/// step of its nibble in its own field's row, counting directly (no
+/// gather and no bit-sliced accumulator).
 #[inline(always)]
-fn step_scalar(word: &mut u64, event: u32, luts: &[u32], counts: &mut [u64]) {
+fn step_scalar(table: &mut [u64], fields: &[Field], event: u32, luts: &[u32], counts: &mut [u64]) {
     let taken = event & 1 != 0;
-    for (member, (&lut, count)) in luts.iter().zip(counts.iter_mut()).enumerate() {
-        let shift = member * 4;
-        let state = State::new(((*word >> shift) & 0b11) as u8);
-        let (next, predicted) = Automaton::packed_step(lut, state, taken);
-        *word = (*word & !(0xF << shift)) | (u64::from(next.value()) << shift);
-        *count += u64::from(predicted == taken);
+    let pattern = (event >> 1) as usize;
+    for &field in fields {
+        let word = &mut table[field.row(pattern)];
+        for member in field.members() {
+            let shift = member * 4;
+            let state = State::new(((*word >> shift) & 0b11) as u8);
+            let (next, predicted) = Automaton::packed_step(luts[member], state, taken);
+            *word = (*word & !(0xF << shift)) | (u64::from(next.value()) << shift);
+            counts[member] += u64::from(predicted == taken);
+        }
     }
 }
 
@@ -441,15 +543,10 @@ fn flush_acc(acc: u64, counts: &mut [u64]) {
     }
 }
 
-/// Row `row` of `lane`'s table, cloned from `template` on the lane's
-/// first touch.
+/// `lane`'s field tables, cloned from `template` on the lane's first
+/// touch.
 #[inline]
-fn lane_row<'a>(
-    tables: &'a mut Vec<Vec<u64>>,
-    template: &[u64],
-    lane: u32,
-    row: usize,
-) -> &'a mut u64 {
+fn lane_table<'a>(tables: &'a mut Vec<Vec<u64>>, template: &[u64], lane: u32) -> &'a mut [u64] {
     let lane = lane as usize;
     if lane >= tables.len() {
         tables.resize_with(lane + 1, Vec::new);
@@ -458,7 +555,7 @@ fn lane_row<'a>(
     if table.is_empty() {
         table.extend_from_slice(template);
     }
-    &mut table[row]
+    table
 }
 
 #[cfg(test)]
@@ -569,28 +666,49 @@ mod tests {
         tables.iter().collect()
     }
 
+    /// Field widths and member counts of a full 16-member bank over
+    /// [`MAX_FIELDS`] fields: fields of one and of several members, and
+    /// widths in no order (the widest is 7).
+    const FIELDS: [(u32, usize); MAX_FIELDS] = [(3, 1), (5, 4), (2, 1), (7, 5), (4, 3), (6, 2)];
+
+    /// One table per member of [`FIELDS`], cycling through every
+    /// automaton.
+    fn field_tables() -> Vec<PatternHistoryTable> {
+        let widths = FIELDS.iter().flat_map(|&(width, count)| std::iter::repeat_n(width, count));
+        widths
+            .enumerate()
+            .map(|(member, width)| {
+                PatternHistoryTable::new(width, Automaton::ALL[member % Automaton::ALL.len()])
+            })
+            .collect()
+    }
+
+    /// Steps every table of `tables` through `event` (its pattern masked
+    /// to the table's width), adding its correctness to `counts`.
+    fn step_tables(tables: &mut [PatternHistoryTable], event: u32, counts: &mut [u64]) {
+        let taken = event & 1 != 0;
+        for (table, count) in tables.iter_mut().zip(counts) {
+            let pattern = (event >> 1) as usize & (table.len() - 1);
+            *count += u64::from(table.predict_update(pattern, taken) == taken);
+        }
+    }
+
     #[test]
     fn transposed_bank_matches_tables_on_random_walks() {
-        // Mixed automata, width 6; events carry width-8 patterns so the
-        // walk also exercises the bank's width fold (mask to 6 bits).
-        let mut tables: Vec<PatternHistoryTable> = Automaton::ALL
-            .iter()
-            .map(|&automaton| PatternHistoryTable::new(6, automaton))
-            .collect();
+        // 16 members of mixed automata in six fields of widths 2–7;
+        // events carry width-8 patterns, so every field folds the
+        // pattern to its own width.
+        let mut tables = field_tables();
         let events = random_events(8, 5000, 0x2545_f491_4f6c_dd1d);
         for mode in EVERY_MODE {
             let mut bank = TransposedPhtBank::new(&members(&tables));
-            assert_eq!(bank.members(), tables.len());
-            assert_eq!(bank.history_bits(), 6);
+            assert_eq!(bank.members(), LANES_PER_WORD);
+            assert_eq!(bank.fields(), MAX_FIELDS);
             bank.replay(&events, &[], mode);
             let mut reference = vec![0u64; tables.len()];
             let mut shadow = tables.clone();
             for &event in &events {
-                let pattern = (event >> 1) as usize & 0b11_1111;
-                let taken = event & 1 != 0;
-                for (member, table) in shadow.iter_mut().enumerate() {
-                    reference[member] += u64::from(table.predict_update(pattern, taken) == taken);
-                }
+                step_tables(&mut shadow, event, &mut reference);
             }
             assert_eq!(bank.counts(), &reference[..], "{mode:?} counts diverged");
             for (member, table) in shadow.iter().enumerate() {
@@ -605,7 +723,7 @@ mod tests {
         }
         // Presets survive transposition: rebuild member 0 as a preset
         // table and confirm the initial states round-trip.
-        let mut preset = PatternHistoryTable::new(6, Automaton::PresetBit);
+        let mut preset = PatternHistoryTable::new(3, Automaton::PresetBit);
         for pattern in 0..preset.len() {
             preset.set_state(pattern, State::new(u8::from(pattern % 3 == 0)));
         }
@@ -653,16 +771,23 @@ mod tests {
 
     #[test]
     fn word_body_agrees_with_scalar_on_all_256_lane_inputs() {
-        // Per automaton, seed a full 16-member bank from every one of
-        // the 256 initial 4-lane state bytes — each byte's four 2-bit
-        // fields seed adjacent lanes, so every adjacent-state combination
-        // crosses every nibble boundary of the word — and require the
-        // word body bit-identical to the scalar reference.
+        // Per automaton, seed a full 16-member bank of six fields from
+        // every one of the 256 initial 4-lane state bytes — each byte's
+        // four 2-bit fields seed adjacent lanes, so every adjacent-state
+        // combination crosses every nibble boundary of the word, field
+        // boundaries included — and require the word body bit-identical
+        // to the scalar reference.
+        const WIDTHS: [(u32, usize); MAX_FIELDS] = [(2, 3), (1, 2), (3, 4), (2, 1), (1, 5), (3, 1)];
+        let widths: Vec<u32> =
+            WIDTHS.iter().flat_map(|&(width, count)| std::iter::repeat_n(width, count)).collect();
+        assert_eq!(widths.len(), LANES_PER_WORD);
         for automaton in Automaton::ALL {
             for input in 0..=255u8 {
-                let tables: Vec<PatternHistoryTable> = (0..LANES_PER_WORD)
-                    .map(|member| {
-                        let mut table = PatternHistoryTable::new(2, automaton);
+                let tables: Vec<PatternHistoryTable> = widths
+                    .iter()
+                    .enumerate()
+                    .map(|(member, &width)| {
+                        let mut table = PatternHistoryTable::new(width, automaton);
                         let field = State::new((input >> ((member % 4) * 2)) & 0b11);
                         let state = if automaton.is_valid_state(field) {
                             field
@@ -675,11 +800,13 @@ mod tests {
                         table
                     })
                     .collect();
-                // Two events per pattern/direction pair: every seeded
-                // state sees both directions and one follow-up step.
+                // Two events per pattern/direction pair over the widest
+                // field's 8 patterns: every seeded row sees both
+                // directions and one follow-up step.
                 let events: Vec<u32> =
-                    (0..16u32).map(|e| ((e >> 1) & 0b11) << 1 | (e & 1)).collect();
+                    (0..32u32).map(|e| ((e >> 1) & 0b111) << 1 | (e & 1)).collect();
                 let mut word = TransposedPhtBank::new(&members(&tables));
+                assert_eq!(word.fields(), MAX_FIELDS);
                 word.replay(&events, &[], SimdMode::Auto);
                 let mut scalar = TransposedPhtBank::new(&members(&tables));
                 scalar.replay(&events, &[], SimdMode::Scalar);
@@ -688,8 +815,8 @@ mod tests {
                     scalar.counts(),
                     "{automaton} input {input:#04x}: counts diverged"
                 );
-                for member in 0..tables.len() {
-                    for pattern in 0..4 {
+                for (member, table) in tables.iter().enumerate() {
+                    for pattern in 0..table.len() {
                         assert_eq!(
                             word.state(pattern, member),
                             scalar.state(pattern, member),
@@ -703,17 +830,16 @@ mod tests {
 
     #[test]
     fn per_lane_bank_matches_per_lane_table_clones() {
-        let templates: Vec<PatternHistoryTable> = Automaton::ALL
-            .iter()
-            .map(|&automaton| PatternHistoryTable::new(4, automaton))
-            .collect();
+        // The six-field bank of the random-walk test in its per-lane
+        // form, against per-lane clones of its templates.
+        let templates = field_tables();
         let mut next = xorshift(0x0123_4567_89ab_cdef);
         let mut events = Vec::new();
         let mut lanes = Vec::new();
         for _ in 0..4000 {
             let r = next();
-            // Width-6 patterns against width-4 banks: fold in play.
-            events.push(((r as u32 >> 8) & 0b11_1111) << 1 | (r as u32 & 1));
+            // Width-8 patterns against fields of widths 2–7.
+            events.push(((r as u32 >> 8) & 0xFF) << 1 | (r as u32 & 1));
             lanes.push((r >> 40) as u32 % 7);
         }
         let mut reference = vec![0u64; templates.len()];
@@ -723,16 +849,12 @@ mod tests {
             if lane >= shadow.len() {
                 shadow.resize_with(lane + 1, || templates.clone());
             }
-            let pattern = (event >> 1) as usize & 0b1111;
-            let taken = event & 1 != 0;
-            for (member, table) in shadow[lane].iter_mut().enumerate() {
-                reference[member] += u64::from(table.predict_update(pattern, taken) == taken);
-            }
+            step_tables(&mut shadow[lane], event, &mut reference);
         }
         for mode in EVERY_MODE {
             let mut bank = TransposedPhtBank::per_lane(&members(&templates));
             assert_eq!(bank.members(), templates.len());
-            assert_eq!(bank.history_bits(), 4);
+            assert_eq!(bank.fields(), MAX_FIELDS);
             bank.replay(&events, &lanes, mode);
             assert_eq!(bank.counts(), &reference[..], "{mode:?} lane counts diverged");
         }
@@ -757,12 +879,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "share one table geometry")]
-    fn transposed_bank_rejects_mixed_geometries() {
-        let _ = TransposedPhtBank::new(&[
-            &PatternHistoryTable::new(6, Automaton::A2),
-            &PatternHistoryTable::new(8, Automaton::A2),
-        ]);
+    #[should_panic(
+        expected = "a transposed bank holds at most 6 fields of equal-width members, got 7"
+    )]
+    fn transposed_bank_rejects_a_field_past_the_cap() {
+        // Seven runs of alternating widths are seven fields.
+        let narrow = PatternHistoryTable::new(4, Automaton::A2);
+        let wide = PatternHistoryTable::new(6, Automaton::A2);
+        let tables: Vec<&PatternHistoryTable> =
+            (0..=MAX_FIELDS).map(|field| if field % 2 == 0 { &narrow } else { &wide }).collect();
+        let _ = TransposedPhtBank::new(&tables);
     }
 
     #[test]

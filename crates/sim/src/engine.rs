@@ -921,17 +921,20 @@ const MAX_FUSE_BATCH: usize = 16;
 /// entire scheme column — every width × automaton combination — into
 /// one group (e.g. 5 widths × 5 automata × {PAg, PAp} = 50 members on
 /// the shared paper-default BHT) and one batch walks the stream once
-/// for the whole column, however many 16-member banks it builds. The
-/// cap bounds a batch's working set and task size; the intra-batch
-/// split (below) hands an oversized batch to idle workers a bank at a
-/// time, so a wide batch does not cost latency on a multi-core host.
+/// for the whole column, in banks that each step up to 16 members of up
+/// to [`MAX_FIELDS`](tlabp_core::pht::MAX_FIELDS) widths at once (that
+/// column takes 4). The cap bounds a batch's working set and task size;
+/// the intra-batch split (below) hands an oversized batch to idle
+/// workers a width-group cut at a time, so a wide batch does not cost
+/// latency on a multi-core host.
 const MAX_REPLAY_BATCH: usize = 128;
 
 /// Minimum replay work (stream events × batch members) per sub-batch
 /// before [`split_replay_batch`] splits further: below this the extra
 /// stream walk and task hand-off cost more than a spare worker saves.
-/// At the measured ~1.5B member-predictions/s a unit is a millisecond
-/// or more of kernel time.
+/// The paper union's replay, split as on two workers, ran 1.7–1.9B
+/// member-predictions/s serially on a 2-core x86-64 host, so a unit is
+/// about a millisecond of kernel time.
 ///
 /// A split also bounds the heap: the parts of one trace's batch share
 /// its PAp per-lane banks (about 21 MB for the paper grid's PAp column
@@ -974,17 +977,19 @@ fn split_replay(
 /// Splits one replay batch's member indices into sub-batches for
 /// intra-batch parallelism, or returns the batch whole when the pool or
 /// the work says not to: up to one sub-batch per pool worker, never
-/// below one transposed word of members per sub-batch, and never below
-/// [`SPLIT_UNIT`] member-events of work per sub-batch, where `work` is
-/// the batch's stream length × members.
+/// more sub-batches than atoms, and never below [`SPLIT_UNIT`]
+/// member-events of work per sub-batch, where `work` is the batch's
+/// stream length × members.
 ///
-/// The split granule ("atom") is one bank: members regroup by stream
-/// width (`widths[i]` belongs to `indices[i]`) and each width group cuts
-/// into runs of at most [`LANES_PER_WORD`] members — the cut the runner
-/// makes when it builds banks — so a sub-batch never holds a fragment
-/// of a same-form bank an unsplit batch would have stepped in one word
-/// op. (A run mixing shared and per-lane members builds one bank of
-/// each.) Atoms distribute contiguously and nearly evenly over the
+/// The split granule ("atom") is one width-group cut: members regroup
+/// by stream width (`widths[i]` belongs to `indices[i]`) and each width
+/// group cuts into runs of at most [`LANES_PER_WORD`] members — the cut
+/// the runner makes before it packs cuts into banks — so a field is
+/// never split across sub-batches. Each sub-batch packs its own banks,
+/// so a split batch can build a few more banks than it would whole (the
+/// paper union's replay builds 59 banks on two workers, 54 on one). (A
+/// run mixing shared and per-lane members becomes one field of each
+/// form.) Atoms distribute contiguously and nearly evenly over the
 /// chosen part count; member indices sort inside each part so every
 /// sub-batch keeps plan order internally.
 ///

@@ -6,7 +6,7 @@ use tlabp_core::any::AnyPredictor;
 use tlabp_core::bht::{BhtConfig, BhtSignature};
 use tlabp_core::config::{SchemeConfig, SchemeKind};
 use tlabp_core::history::HistoryRegister;
-use tlabp_core::pht::{PatternHistoryTable, TransposedPhtBank, LANES_PER_WORD};
+use tlabp_core::pht::{PatternHistoryTable, TransposedPhtBank, LANES_PER_WORD, MAX_FIELDS};
 use tlabp_core::predictor::BranchPredictor;
 use tlabp_core::simd::SimdMode;
 use tlabp_trace::io::ReadTraceError;
@@ -346,6 +346,35 @@ impl StreamKey {
         }
     }
 
+    /// Whether `stream` has the shape [`derive_pattern_stream`] gives
+    /// this key over `interned`: the key's history width, a lane vector
+    /// exactly when the key is a BHT key, one event per interned event,
+    /// and every lane below the key's lane bound (the cache BHT's entry
+    /// count, or the interned pc count under the ideal BHT). The disk
+    /// tier checks a hydrated stream with this, since replay trusts a
+    /// stream's width and lanes to index its tables.
+    pub(crate) fn admits(self, stream: &PatternStream, interned: &InternedConds) -> bool {
+        let lane_bound = match self {
+            StreamKey::Global { .. } => None,
+            StreamKey::Bht(BhtSignature { config: BhtConfig::Ideal, .. }) => {
+                Some(interned.distinct_pcs())
+            }
+            StreamKey::Bht(BhtSignature { config: BhtConfig::Cache { entries, .. }, .. }) => {
+                Some(entries)
+            }
+        };
+        stream.history_bits() == self.history_bits()
+            && stream.len() == interned.len()
+            && match lane_bound {
+                None => !stream.is_laned(),
+                // One max over the lanes (no early exit), so it vectorizes.
+                Some(bound) => {
+                    let max = stream.lanes().iter().fold(0, |max, &lane| max.max(lane));
+                    stream.is_laned() && (stream.is_empty() || (max as usize) < bound)
+                }
+            }
+    }
+
     /// Encodes the key as the opaque byte tag stored in trace artifact
     /// containers (`tlabp-trace::io` holds stream keys as raw bytes — the
     /// trace crate cannot name simulator types). Layout: a one-byte
@@ -551,10 +580,12 @@ const REPLAY_BLOCK: usize = 1 << 14;
 /// second level in the same pass through [`TransposedPhtBank`]s.
 ///
 /// Members group by PHT width and second-level form (shared or
-/// per-lane), and each group cuts into banks of at most
-/// [`LANES_PER_WORD`] members — one `u64` word per table row. Widths
-/// *narrower than the stream* are welcome: each bank masks event
-/// patterns down to its own row index, which is exactly the width fold
+/// per-lane), each group cuts into runs of at most [`LANES_PER_WORD`]
+/// members, and the runs pack into banks of up to [`LANES_PER_WORD`]
+/// members and [`MAX_FIELDS`] widths, one `u64` word per event: a bank
+/// steps all its widths at once. Widths *narrower than the stream* are
+/// welcome: each field of a bank masks event patterns down to its own
+/// row index, which is exactly the width fold
 /// [`StreamKey::fold_key`] justifies. The engine uses this to replay an
 /// entire width × automaton grid column (e.g. GAg(6), GAg(8), …
 /// GAg(12) across all five automata) over the single stream derived at
@@ -652,10 +683,13 @@ struct TransposedBanks {
 
 impl TransposedBanks {
     /// Groups member tables by (width, second-level form) in first-seen
-    /// order and cuts each group into banks of at most
-    /// [`LANES_PER_WORD`] members, so the result assembly is a pure
-    /// function of the batch. `None` unless every member has a
-    /// replayable second level.
+    /// order, cuts each group into runs of at most [`LANES_PER_WORD`]
+    /// members, and packs the cuts first-fit, in that order, into banks
+    /// of at most [`LANES_PER_WORD`] members and [`MAX_FIELDS`] fields:
+    /// each cut becomes one field of the first bank of its form with
+    /// room for it, else of a new bank. Shared and per-lane members never
+    /// share a bank. The result assembly is a pure function of the batch.
+    /// `None` unless every member has a replayable second level.
     fn build(predictors: &[AnyPredictor], history_bits: u32, stream_laned: bool) -> Option<Self> {
         struct Group<'a> {
             width: u32,
@@ -682,21 +716,50 @@ impl TransposedBanks {
                 }
             }
         }
-        let mut banks = Vec::new();
-        for group in groups {
+        struct Packed<'a> {
+            per_lane: bool,
+            fields: usize,
+            indices: Vec<usize>,
+            tables: Vec<&'a PatternHistoryTable>,
+        }
+        let mut packed: Vec<Packed> = Vec::new();
+        for group in &groups {
             debug_assert!(group.width <= history_bits, "member wider than stream");
             debug_assert!(!group.per_lane || stream_laned, "per-lane replay needs a laned stream");
             let cuts =
                 group.indices.chunks(LANES_PER_WORD).zip(group.tables.chunks(LANES_PER_WORD));
             for (indices, tables) in cuts {
-                let bank = if group.per_lane {
-                    TransposedPhtBank::per_lane(tables)
-                } else {
-                    TransposedPhtBank::new(tables)
+                let fits = |bank: &&mut Packed| {
+                    bank.per_lane == group.per_lane
+                        && bank.fields < MAX_FIELDS
+                        && bank.indices.len() + indices.len() <= LANES_PER_WORD
                 };
-                banks.push((indices.to_vec(), bank));
+                match packed.iter_mut().find(fits) {
+                    Some(bank) => {
+                        bank.fields += 1;
+                        bank.indices.extend_from_slice(indices);
+                        bank.tables.extend_from_slice(tables);
+                    }
+                    None => packed.push(Packed {
+                        per_lane: group.per_lane,
+                        fields: 1,
+                        indices: indices.to_vec(),
+                        tables: tables.to_vec(),
+                    }),
+                }
             }
         }
+        let banks = packed
+            .into_iter()
+            .map(|bank| {
+                let members = if bank.per_lane {
+                    TransposedPhtBank::per_lane(&bank.tables)
+                } else {
+                    TransposedPhtBank::new(&bank.tables)
+                };
+                (bank.indices, members)
+            })
+            .collect();
         Some(TransposedBanks { banks })
     }
 
@@ -1097,6 +1160,51 @@ mod tests {
                     assert_eq!(result, &own, "{config} under {mode:?}");
                 }
             }
+        }
+    }
+
+    /// The packing rule on the grid plan's li fold groups: five widths
+    /// of five automata per scheme, so each (width, form) group is one
+    /// five-member cut. Packed first-fit (three cuts fill 15 of a
+    /// bank's 16 nibbles), the Global group's 25 GAg members take 2
+    /// banks and the BHT group's 25 PAg and 25 PAp members 4, two of
+    /// each form; one bank per width would take 5 and 10.
+    #[test]
+    fn grid_fold_groups_pack_into_few_banks() {
+        use crate::plan::{Plan, PredictorSpec};
+
+        let plan =
+            Plan::from_json_str(include_str!("../../../benchmark/plans/grid.plan.json").trim_end())
+                .expect("the grid plan decodes");
+        let mut groups: Vec<(FoldKey, Vec<AnyPredictor>)> = Vec::new();
+        for job in plan.jobs().iter().filter(|job| job.trace.benchmark.name() == "li") {
+            let PredictorSpec::Scheme(config) = job.spec else { panic!("a catalog scheme") };
+            let fold = replay_stream_key(config).expect("a replayable scheme").fold_key();
+            let predictor = config.build_any().expect("an untrained scheme builds");
+            match groups.iter_mut().find(|(key, _)| *key == fold) {
+                Some((_, members)) => members.push(predictor),
+                None => groups.push((fold, vec![predictor])),
+            }
+        }
+        // Each bank as (per-lane, members, fields).
+        let want = |fold: FoldKey| match fold {
+            FoldKey::Global => vec![(false, 15, 3), (false, 10, 2)],
+            FoldKey::Bht(_) => vec![(false, 15, 3), (false, 10, 2), (true, 15, 3), (true, 10, 2)],
+        };
+        assert_eq!(groups.len(), 2, "li's Global and 512x4 BHT groups");
+        for (fold, members) in &groups {
+            assert_eq!(members.len(), if *fold == FoldKey::Global { 25 } else { 50 });
+            let laned = matches!(fold, FoldKey::Bht(_));
+            let banks = TransposedBanks::build(members, 12, laned).expect("replayable");
+            let shapes: Vec<(bool, usize, usize)> = banks
+                .banks
+                .iter()
+                .map(|(indices, bank)| {
+                    let per_lane = matches!(members[indices[0]], AnyPredictor::Pap(_));
+                    (per_lane, bank.members(), bank.fields())
+                })
+                .collect();
+            assert_eq!(shapes, want(*fold), "{fold:?}");
         }
     }
 

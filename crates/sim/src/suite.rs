@@ -191,18 +191,36 @@ impl DiskTier {
     /// Fills every form but the trace that the slot's artifact file
     /// holds; the trace section stays on disk until a reader needs the
     /// trace.
+    ///
+    /// A pattern stream is kept only if its key admits it
+    /// ([`StreamKey::admits`]) over the bundle's interned stream, so a
+    /// bundle without an interned section keeps no stream. A stream that
+    /// does not fit its key is dropped with the corrupt-artifact warning
+    /// and re-derives on demand.
     fn hydrate(&self, slot: &TraceSlot, benchmark: &Benchmark, data_set: DataSet) {
         let Some(bundle) = self.read(slot, benchmark, data_set, Sections::AllButTrace) else {
             return;
         };
-        if let Some(interned) = bundle.interned {
-            let _ = slot.interned.set(Arc::new(interned));
-        }
+        let Some(interned) = bundle.interned else { return };
+        let interned = Arc::clone(slot.interned.get_or_init(|| Arc::new(interned)));
         let mut streams = slot.streams.lock().expect("stream map lock");
         for (key_bytes, stream) in bundle.streams {
             // An undecodable key (written by a future scheme variant) is
             // skipped, not trusted.
             let Some(key) = StreamKey::from_bytes(&key_bytes) else { continue };
+            if !key.admits(&stream, &interned) {
+                let path = self.path_for(
+                    benchmark.name(),
+                    data_set,
+                    slot.fingerprint(benchmark, data_set),
+                );
+                eprintln!(
+                    "warning: ignoring corrupt trace artifact {} (its stream for {key:?} does not \
+                     fit the key); regenerating",
+                    path.display()
+                );
+                continue;
+            }
             let _ = streams.entry(key).or_default().set(Arc::new(stream));
         }
     }

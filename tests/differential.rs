@@ -599,8 +599,10 @@ fn replay_is_bit_identical_for_every_scheme_and_automaton() {
 /// Batches wider than one bank: same-width groups of 17, 40 and 135
 /// members, at mixed widths, with per-lane PAp groups and trained
 /// GSg/PSg members, replay in one call that cuts each group into
-/// 16-member banks. Every member must still equal its own reference
-/// `simulate`, under both kernel bodies.
+/// 16-member banks. Batches over every even width from 2 to 18, with
+/// single-member fields and shared and per-lane members on one BHT
+/// stream, pack banks up to the field cap. Every member must still
+/// equal its own reference `simulate`, under both kernel bodies.
 #[test]
 fn wide_replay_batches_match_per_member_reference() {
     use tlabp::core::SimdMode;
@@ -627,15 +629,43 @@ fn wide_replay_batches_match_per_member_reference() {
         cycle(135, |a| SchemeConfig::pag(10).with_automaton(a)),
     ]
     .concat();
+    // Every even width from 2 to 18, in fields of 1 to 5 members: the
+    // cuts 1, 3, 1, 5, 1, 2 fill one bank's six fields, and 1, 4, 1 a
+    // second bank.
+    let every_even = |scheme: fn(u32) -> SchemeConfig| -> Vec<SchemeConfig> {
+        let counts = [1usize, 3, 1, 5, 1, 2, 1, 4, 1];
+        (2..=18u32)
+            .step_by(2)
+            .zip(counts)
+            .flat_map(|(width, count)| cycle(count, move |a| scheme(width).with_automaton(a)))
+            .collect()
+    };
+    let global_even = [every_even(SchemeConfig::gag), vec![SchemeConfig::gsg(12)]].concat();
+    // Per-lane members first and interleaved with the shared ones: six
+    // single-member per-lane fields fill one bank, and PAp(14) opens a
+    // second.
+    let per_lane: Vec<SchemeConfig> = [2u32, 4, 6, 8, 10, 12, 14, 14]
+        .iter()
+        .enumerate()
+        .map(|(i, &width)| SchemeConfig::pap(width).with_automaton(Automaton::ALL[i % 6]))
+        .collect();
+    let shared = [every_even(SchemeConfig::pag), vec![SchemeConfig::psg(12)]].concat();
+    let bht_even: Vec<SchemeConfig> = shared
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &pag)| per_lane.get(i).into_iter().copied().chain([pag]))
+        .collect();
+    let paper_bht = |history_bits| {
+        StreamKey::Bht(tlabp::core::bht::BhtSignature {
+            config: BhtConfig::PAPER_DEFAULT,
+            history_bits,
+        })
+    };
     let cases = [
         (global, StreamKey::Global { history_bits: 12 }),
-        (
-            bht,
-            StreamKey::Bht(tlabp::core::bht::BhtSignature {
-                config: BhtConfig::PAPER_DEFAULT,
-                history_bits: 12,
-            }),
-        ),
+        (bht, paper_bht(12)),
+        (global_even, StreamKey::Global { history_bits: 18 }),
+        (bht_even, paper_bht(18)),
     ];
 
     let training = BiasedCoins::uniform(24, 0.7, 400, 8).generate();

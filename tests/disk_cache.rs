@@ -11,15 +11,17 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use tlabp::core::bht::BhtSignature;
 use tlabp::core::config::SchemeConfig;
 use tlabp::core::BhtConfig;
 use tlabp::sim::plan::{Job, Plan};
+use tlabp::sim::runner::derive_pattern_stream;
 use tlabp::sim::{ResultSet, Session, StreamKey, TraceStore};
 use tlabp::trace::io::{
     read_artifacts, write_artifacts_chunked, ArtifactBundle, ARTIFACT_VERSION_CHUNKED,
     DEFAULT_CHUNK_BYTES,
 };
-use tlabp::trace::InternedConds;
+use tlabp::trace::{InternedConds, PatternStream};
 use tlabp::workloads::{Benchmark, DataSet};
 
 /// `plan` on the global pool against `store`.
@@ -240,6 +242,101 @@ fn artifacts_with_a_packed_section_hydrate_and_lose_it_on_rewrite() {
     assert_eq!(bundle.streams, vec![(key.to_bytes(), (*stream).clone())]);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `plan` on a store over a cache directory holding one li testing
+/// artifact: the trace, the interned stream, and the stream `stream`
+/// makes of it, filed under `key`. The result must equal a memory-only
+/// run's: a stream that does not fit its key is dropped on hydration and
+/// re-derives, so the rewritten artifact holds the derived stream under
+/// `key`.
+fn hydrate_mismatched_stream(
+    test: &str,
+    key: StreamKey,
+    plan: &Plan,
+    stream: impl FnOnce(&InternedConds) -> PatternStream,
+) {
+    let dir = scratch_dir(test);
+    let li = Benchmark::by_name("li").expect("li exists");
+    let set = DataSet::Testing;
+    let trace = li.trace(set);
+    let interned = InternedConds::from_trace(&trace);
+    let fingerprint = li.fingerprint(set);
+    let written = write_artifacts_chunked(
+        fingerprint,
+        Some(&trace),
+        None,
+        Some(&interned),
+        &[(key.to_bytes(), &stream(&interned))],
+        DEFAULT_CHUNK_BYTES,
+    );
+    std::fs::create_dir_all(&dir).expect("cache dir");
+    let path = dir.join(format!("li-testing-v{ARTIFACT_VERSION_CHUNKED}-{fingerprint:016x}.tlabp"));
+    std::fs::write(&path, &written).expect("artifact writes");
+
+    let want = run(plan, &TraceStore::new());
+    assert_eq!(run(plan, &TraceStore::with_cache_dir(&dir)), want, "{test}: hydrated results");
+    let derived = derive_pattern_stream(&interned, key);
+    assert_eq!(
+        read_bundle(&path).streams,
+        vec![(key.to_bytes(), derived)],
+        "{test}: the rewrite holds the derived stream"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// li's PAg(8) and PAp(8) over the paper's 512x4 BHT: one replay batch
+/// of a shared and a per-lane bank on the `Bht(512x4, 8)` stream.
+fn bht_plan() -> (StreamKey, Plan) {
+    let li = Benchmark::by_name("li").expect("li exists");
+    let key = StreamKey::Bht(BhtSignature { config: BhtConfig::PAPER_DEFAULT, history_bits: 8 });
+    let plan = [Job::scheme(SchemeConfig::pag(8), li), Job::scheme(SchemeConfig::pap(8), li)]
+        .into_iter()
+        .collect();
+    (key, plan)
+}
+
+/// A 4-bit global stream filed under the 12-bit global key: replaying
+/// it would fold every GAg(12) pattern to 4 bits.
+#[test]
+fn a_stream_narrower_than_its_key_is_dropped_on_hydration() {
+    let li = Benchmark::by_name("li").expect("li exists");
+    let plan = [Job::scheme(SchemeConfig::gag(12), li)].into_iter().collect();
+    hydrate_mismatched_stream(
+        "narrow",
+        StreamKey::Global { history_bits: 12 },
+        &plan,
+        |interned| derive_pattern_stream(interned, StreamKey::Global { history_bits: 4 }),
+    );
+}
+
+/// An unlaned stream filed under a BHT key: a per-lane bank has no lane
+/// to pick its table with.
+#[test]
+fn an_unlaned_stream_under_a_bht_key_is_dropped_on_hydration() {
+    let (key, plan) = bht_plan();
+    hydrate_mismatched_stream("unlaned", key, &plan, |interned| {
+        derive_pattern_stream(interned, StreamKey::Global { history_bits: 8 })
+    });
+}
+
+/// A laned stream whose odd events name lane 512, one past the last
+/// slot of a 512-entry BHT.
+#[test]
+fn a_stream_lane_past_its_bound_is_dropped_on_hydration() {
+    let (key, plan) = bht_plan();
+    hydrate_mismatched_stream("lane-past", key, &plan, |interned| {
+        let derived = derive_pattern_stream(interned, key);
+        let lanes = derived
+            .lanes()
+            .iter()
+            .enumerate()
+            .map(|(event, &lane)| if event % 2 == 1 { 512 } else { lane })
+            .collect();
+        PatternStream::from_raw_parts(8, derived.events().to_vec(), lanes, true)
+            .expect("well-formed parts")
+    });
 }
 
 /// `cache_bytes` reports the on-disk footprint: the `disk` component
