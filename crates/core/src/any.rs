@@ -108,11 +108,6 @@ impl BranchPredictor for AnyPredictor {
         delegate!(self, p => p.context_switch());
     }
 
-    #[inline]
-    fn step_interned(&mut self, id: u32, branch: &BranchRecord) -> bool {
-        delegate!(self, p => p.step_interned(id, branch))
-    }
-
     // Delegating the whole block (not just each step) hoists the variant
     // match out of the per-event loop: each fused chunk pays one dispatch
     // and then runs a fully monomorphized inner loop over the scheme.

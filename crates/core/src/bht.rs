@@ -156,10 +156,11 @@ impl HistoryEntry {
 /// implementation".
 ///
 /// Entries live in one dense store indexed by branch: the interned id
-/// on the id path ([`IdealBht::access_pattern_id`]), and on the pc path
-/// an index each pc gets on first sight. A predictor instance is driven
-/// either entirely by pc or entirely by id. Each entry is one packed
-/// `u32`, and a branch with no register holds an absent sentinel.
+/// on the interned walk ([`BranchHistoryTable::walk_interned`]), and on
+/// the pc path an index each pc gets on first sight. A predictor
+/// instance is driven either entirely by pc or entirely by id. Each
+/// entry is one packed `u32`, and a branch with no register holds an
+/// absent sentinel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdealBht {
     /// A new branch's entry.
@@ -205,16 +206,10 @@ impl IdealBht {
     }
 
     /// [`IdealBht::access`] + [`IdealBht::pattern`] keyed by a dense
-    /// interned id: a bounds check and vector index replace the hash
-    /// lookup, and the pre-update pattern comes back with the hit flag.
-    ///
-    /// `id` must alias one pc bijectively over this table's lifetime
-    /// (one trace's interning — see `tlabp_trace::InternedConds`), and
-    /// the instance must not also be driven through the pc-keyed
-    /// methods; then hit flags and patterns are bit-identical to
-    /// `access` + `pattern` on the aliased pcs.
+    /// index (the interned id on the interned walk, the pc's index on
+    /// the pc path): the pre-update pattern and the hit flag.
     #[inline]
-    pub fn access_pattern_id(&mut self, id: u32) -> (usize, bool) {
+    fn access_pattern_id(&mut self, id: u32) -> (usize, bool) {
         let index = id as usize;
         if index >= self.entries.len() {
             self.entries.resize(index + 1, HistoryEntry::ABSENT);
@@ -227,9 +222,9 @@ impl IdealBht {
         (entry.pattern(), hit)
     }
 
-    /// [`IdealBht::record_outcome`] keyed by a dense interned id.
+    /// [`IdealBht::record_outcome`] keyed by a dense index.
     #[inline]
-    pub fn record_outcome_id(&mut self, id: u32, taken: bool) {
+    fn record_outcome_id(&mut self, id: u32, taken: bool) {
         if let Some(entry) = self.entries.get_mut(id as usize) {
             entry.record(taken);
         }
@@ -309,11 +304,11 @@ impl CacheBht {
     }
 
     /// [`CacheBht::access`], returning the physical slot index holding
-    /// `pc` (so callers can touch the entry again through
+    /// `pc` (so the entry can be touched again through
     /// [`CacheBht::pattern_at`] and [`CacheBht::record_outcome_at`]
     /// without re-running the tag search) and the hit flag.
     #[inline]
-    pub fn access_slot(&mut self, pc: u64) -> (usize, bool) {
+    fn access_slot(&mut self, pc: u64) -> (usize, bool) {
         self.table.access(pc)
     }
 
@@ -324,8 +319,7 @@ impl CacheBht {
     ///
     /// Panics if `slot` is out of range.
     #[inline]
-    #[must_use]
-    pub fn pattern_at(&self, slot: usize) -> usize {
+    fn pattern_at(&self, slot: usize) -> usize {
         self.table.value(slot).pattern()
     }
 
@@ -336,7 +330,7 @@ impl CacheBht {
     ///
     /// Panics if `slot` is out of range.
     #[inline]
-    pub fn record_outcome_at(&mut self, slot: usize, taken: bool) {
+    fn record_outcome_at(&mut self, slot: usize, taken: bool) {
         self.table.value_mut(slot).record(taken);
     }
 
@@ -346,12 +340,9 @@ impl CacheBht {
         self.table.find(pc).map(|slot| self.pattern_at(slot))
     }
 
-    /// The physical slot index currently holding `pc`, if resident.
-    ///
-    /// PAp uses this to associate one pattern history table with each
-    /// physical BHT entry.
-    #[must_use]
-    pub fn slot_of(&self, pc: u64) -> Option<usize> {
+    /// The physical slot index currently holding `pc`, if resident: its
+    /// lane ([`BhtCursor::lane`]).
+    fn slot_of(&self, pc: u64) -> Option<usize> {
         self.table.find(pc)
     }
 
@@ -372,8 +363,9 @@ impl CacheBht {
     }
 }
 
-/// One interned first-level step, written once per implementation so
-/// the per-event access and the block walk share it.
+/// One interned first-level access and record, written once per
+/// implementation for the monomorphic body of
+/// [`BranchHistoryTable::walk_interned`].
 trait EntryStore {
     /// Resolves the branch's entry, allocating on a miss: its pattern
     /// and its cursor. Only a table keyed by address calls `pc`.
@@ -434,9 +426,10 @@ pub enum BranchHistoryTable {
     Cache(CacheBht),
 }
 
-/// Opaque handle returned by
-/// [`BranchHistoryTable::access_pattern_interned`], locating the entry
-/// just touched so the outcome write can skip the second lookup.
+/// Opaque handle on the entry an interned access just touched: what
+/// [`BranchHistoryTable::walk_interned`] hands its visitor with each
+/// event's pattern, and what locates the outcome write without a second
+/// lookup.
 #[derive(Debug, Clone, Copy)]
 pub struct BhtCursor {
     lane: u32,
@@ -470,44 +463,20 @@ impl BranchHistoryTable {
         }
     }
 
-    /// Fused [`BranchHistoryTable::access`] +
-    /// [`BranchHistoryTable::pattern`] for an interned stream: one lookup
-    /// resolving the entry, its pre-update pattern, and a [`BhtCursor`]
-    /// carrying the lane and the hit flag, for
-    /// [`BranchHistoryTable::record_outcome_at_interned`]. The ideal
-    /// table indexes directly by the dense `id` (no hash); the cache
-    /// table by `pc` ([`CacheBht::access_slot`]).
-    ///
-    /// The caller owes the same bijection contract as
-    /// [`IdealBht::access_pattern_id`]: `id` and `pc` alias each other
-    /// for this table's lifetime.
-    #[inline]
-    pub fn access_pattern_interned(&mut self, id: u32, pc: u64) -> (usize, BhtCursor) {
-        match self {
-            BranchHistoryTable::Ideal(t) => t.access_entry(id, || pc),
-            BranchHistoryTable::Cache(t) => t.access_entry(id, || pc),
-        }
-    }
-
-    /// Records the resolved outcome at the entry `cursor` points to: the
-    /// cursor of the [`BranchHistoryTable::access_pattern_interned`] call
-    /// just made, with no intervening flush.
-    #[inline]
-    pub fn record_outcome_at_interned(&mut self, cursor: BhtCursor, taken: bool) {
-        match self {
-            BranchHistoryTable::Ideal(t) => t.record_entry(cursor, taken),
-            BranchHistoryTable::Cache(t) => t.record_entry(cursor, taken),
-        }
-    }
-
     /// Walks `events` of `interned` through the table in order: per
-    /// event, [`BranchHistoryTable::access_pattern_interned`], then
-    /// `visit(pattern, cursor, event)` with the pre-update pattern, then
-    /// the outcome is recorded. One walk of a whole block matches on the
-    /// implementation once, so the per-event loop is monomorphic.
+    /// event, one lookup resolves the branch's entry (allocating on a
+    /// miss), then `visit(pattern, cursor, event)` sees the pre-update
+    /// pattern and a [`BhtCursor`] with the lane and the hit flag, then
+    /// the outcome is recorded at the cursor. The ideal table indexes
+    /// its entries by the dense id (no hash); the cache table searches
+    /// by the pc from `interned`'s id→pc table. One walk of a whole block
+    /// matches on the implementation once, so the per-event loop is
+    /// monomorphic.
     ///
-    /// The ids of `events` must come from `interned`, under the same
-    /// bijection contract.
+    /// The ids of `events` must come from `interned`, whose ids alias its
+    /// pcs one to one, and the table must not also be driven through the
+    /// pc-keyed methods; then hit flags and patterns are bit-identical to
+    /// `access` + `pattern` on the aliased pcs.
     #[inline]
     pub fn walk_interned(
         &mut self,

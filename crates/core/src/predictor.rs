@@ -12,12 +12,11 @@ use tlabp_trace::{BranchRecord, InternedCond, InternedConds};
 /// must be called exactly once after each `predict`, in the same order.
 /// The reference loop (`tlabp_sim::runner::simulate`) calls exactly
 /// these two. The engine's other loops, over a pc-interned stream, call
-/// [`BranchPredictor::step_interned_block`] (the walk) or
-/// [`BranchPredictor::step_interned`] (the instrumented pass) instead; the
-/// default chain (`step_interned_block` → `step_interned` → `predict` +
-/// `update`) keeps every implementation correct there, and schemes
-/// override links of the chain only to go faster, never to change a
-/// prediction.
+/// [`BranchPredictor::step_interned_block`] instead: the walk on chunks
+/// of the stream, the instrumented pass on one event at a time. Its
+/// default (`predict` + `update` on each event's record) keeps every
+/// implementation correct there, and schemes override it only to go
+/// faster, never to change a prediction.
 ///
 /// [`BranchPredictor::context_switch`] implements Section 5.1.4's model:
 /// flush and reinitialize the first-level branch history, but leave pattern
@@ -54,86 +53,35 @@ pub trait BranchPredictor {
     /// applicable.
     fn name(&self) -> String;
 
-    /// Convenience: predict then immediately update, returning whether the
-    /// prediction was *correct*.
-    fn process(&mut self, branch: &BranchRecord) -> bool
-    where
-        Self: Sized,
-    {
-        let predicted = self.predict(branch);
-        self.update(branch);
-        predicted == branch.taken
-    }
-
-    /// Fused predict-then-update against a pc-interned stream, returning
-    /// the prediction: `id` is the dense per-trace alias of `branch.pc`
-    /// (see `tlabp_trace::InternedConds`).
-    ///
-    /// Semantically identical to [`BranchPredictor::predict`] followed by
-    /// [`BranchPredictor::update`] with the same record, which is the
-    /// default. The contract a caller must uphold: over this predictor's
-    /// lifetime, equal ids always accompany equal pcs and vice versa (one
-    /// trace's interning, never mixed with pc-keyed `predict`/`update`).
-    /// Under it, the hot two-level schemes override this to resolve their
-    /// first-level entry once per branch instead of once per call, and
-    /// schemes with per-address state index a dense vector by `id`
-    /// instead of hashing `branch.pc`; `tests/differential.rs` pins the
-    /// equivalence for every catalog scheme.
-    fn step_interned(&mut self, id: u32, branch: &BranchRecord) -> bool {
-        let _ = id;
-        let predicted = self.predict(branch);
-        self.update(branch);
-        predicted
-    }
-
     /// Steps every event of `events`, a slice of `interned`'s stream, in
     /// order, returning how many predictions matched the resolved
     /// direction.
     ///
-    /// This is the inner loop of the interned walk
-    /// (`tlabp_sim::runner::simulate_fused`): the caller hands each
-    /// predictor of the batch the same chunk of the stream, so per-event
-    /// dispatch (the `AnyPredictor` variant match, or a `dyn` call) is
-    /// paid once per chunk instead of once per event, and each
-    /// predictor's tables stay cache-hot for the whole chunk. Every
-    /// predictor walks its own tables; no state is shared between the
-    /// members of a batch. The default expands each event to its record
-    /// ([`InternedConds::record`]) for [`BranchPredictor::step_interned`];
-    /// the hot schemes read the 4-byte events (and the id→pc table)
-    /// directly.
+    /// Semantically identical to [`BranchPredictor::predict`] then
+    /// [`BranchPredictor::update`] on each event's record
+    /// ([`InternedConds::record`]), which is the default. The caller's
+    /// contract: over this predictor's lifetime every block comes from
+    /// one stream, whose ids alias its pcs one to one, never mixed with
+    /// pc-keyed `predict`/`update`. Under it the hot schemes read the
+    /// 4-byte events (and the id→pc table) directly, resolve their
+    /// first-level entry once per branch and index per-address state by
+    /// id; `tests/differential.rs` pins the equivalence for every catalog
+    /// scheme.
+    ///
+    /// The interned walk (`tlabp_sim::runner::simulate_fused`) hands each
+    /// predictor of a batch the same chunk, so per-event dispatch (the
+    /// `AnyPredictor` variant match, or a `dyn` call) is paid once per
+    /// chunk and each predictor's own tables stay cache-hot for it. The
+    /// instrumented pass steps one-event blocks.
     fn step_interned_block(&mut self, interned: &InternedConds, events: &[InternedCond]) -> u64 {
         let mut correct = 0u64;
         for &event in events {
             let branch = interned.record(event);
-            correct += u64::from(self.step_interned(event.id(), &branch) == branch.taken);
+            let predicted = self.predict(&branch);
+            self.update(&branch);
+            correct += u64::from(predicted == branch.taken);
         }
         correct
-    }
-}
-
-impl<P: BranchPredictor + ?Sized> BranchPredictor for Box<P> {
-    fn predict(&mut self, branch: &BranchRecord) -> bool {
-        (**self).predict(branch)
-    }
-
-    fn update(&mut self, branch: &BranchRecord) {
-        (**self).update(branch);
-    }
-
-    fn context_switch(&mut self) {
-        (**self).context_switch();
-    }
-
-    fn name(&self) -> String {
-        (**self).name()
-    }
-
-    fn step_interned(&mut self, id: u32, branch: &BranchRecord) -> bool {
-        (**self).step_interned(id, branch)
-    }
-
-    fn step_interned_block(&mut self, interned: &InternedConds, events: &[InternedCond]) -> u64 {
-        (**self).step_interned_block(interned, events)
     }
 }
 
@@ -143,13 +91,36 @@ mod tests {
     use crate::automaton::Automaton;
     use crate::schemes::Gag;
 
+    /// A GAg that keeps the trait's default block step.
+    struct Plain(Gag);
+
+    impl BranchPredictor for Plain {
+        fn predict(&mut self, branch: &BranchRecord) -> bool {
+            self.0.predict(branch)
+        }
+
+        fn update(&mut self, branch: &BranchRecord) {
+            self.0.update(branch);
+        }
+
+        fn name(&self) -> String {
+            self.0.name()
+        }
+    }
+
     #[test]
-    fn process_reports_correctness() {
-        let mut p = Gag::new(4, Automaton::A2);
-        let taken = BranchRecord::conditional(0x10, true, 0x4, 1);
-        let not_taken = BranchRecord::conditional(0x10, false, 0x4, 2);
-        assert!(p.process(&taken), "initial bias predicts taken");
-        assert!(!p.process(&not_taken), "strongly-taken entry mispredicts first not-taken");
+    fn default_block_step_counts_what_predict_and_update_get_right() {
+        let trace = tlabp_trace::synth::MarkovBranches::new(24, 0.8, 3000, 5).generate();
+        let interned = InternedConds::from_trace(&trace);
+        let mut plain = Plain(Gag::new(8, Automaton::A2));
+        let one_at_a_time: u64 = interned
+            .events()
+            .chunks(1)
+            .map(|event| plain.step_interned_block(&interned, event))
+            .sum();
+        let mut gag = Gag::new(8, Automaton::A2);
+        assert_eq!(one_at_a_time, gag.step_interned_block(&interned, interned.events()));
+        assert_eq!(plain.0.current_pattern(), gag.current_pattern());
     }
 
     #[test]

@@ -98,10 +98,6 @@ impl BranchPredictor for Btb {
     }
 
     #[inline]
-    fn step_interned(&mut self, _id: u32, branch: &BranchRecord) -> bool {
-        self.step(branch.pc, branch.taken)
-    }
-
     fn step_interned_block(&mut self, interned: &InternedConds, events: &[InternedCond]) -> u64 {
         let pcs = interned.pcs();
         let mut correct = 0u64;

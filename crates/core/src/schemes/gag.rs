@@ -116,10 +116,6 @@ impl BranchPredictor for Gag {
     }
 
     #[inline]
-    fn step_interned(&mut self, _id: u32, branch: &BranchRecord) -> bool {
-        self.step(branch.taken)
-    }
-
     fn step_interned_block(&mut self, _interned: &InternedConds, events: &[InternedCond]) -> u64 {
         let mut correct = 0u64;
         for &event in events {

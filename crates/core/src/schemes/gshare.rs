@@ -92,10 +92,6 @@ impl BranchPredictor for Gshare {
     }
 
     #[inline]
-    fn step_interned(&mut self, _id: u32, branch: &BranchRecord) -> bool {
-        self.step(branch.pc, branch.taken)
-    }
-
     fn step_interned_block(&mut self, interned: &InternedConds, events: &[InternedCond]) -> u64 {
         let pcs = interned.pcs();
         let mut correct = 0u64;
@@ -167,30 +163,22 @@ mod tests {
 
     #[test]
     fn interned_steps_match_predict_then_update() {
-        // The block walk and the per-event step predict exactly what
-        // predict + update does, branch for branch.
+        // The block walk, in chunks and one event at a time, predicts
+        // exactly what predict + update does.
         let trace = tlabp_trace::synth::MarkovBranches::new(24, 0.8, 3000, 5).generate();
         let interned = InternedConds::from_trace(&trace);
         let mut reference = Gshare::new(10, Automaton::A3);
         let records: Vec<(u64, bool)> = interned.outcomes().collect();
         let want = run(&mut reference, &records);
-        let mut by_block = Gshare::new(10, Automaton::A3);
-        let got: u64 = interned
-            .events()
-            .chunks(97)
-            .map(|chunk| by_block.step_interned_block(&interned, chunk))
-            .sum();
-        assert_eq!(got, want);
-        let mut by_step = Gshare::new(10, Automaton::A3);
-        let stepped = interned
-            .events()
-            .iter()
-            .filter(|&&event| {
-                let branch = interned.record(event);
-                by_step.step_interned(event.id(), &branch) == branch.taken
-            })
-            .count();
-        assert_eq!(stepped as u64, want);
+        for chunk_len in [97, 1] {
+            let mut by_block = Gshare::new(10, Automaton::A3);
+            let got: u64 = interned
+                .events()
+                .chunks(chunk_len)
+                .map(|chunk| by_block.step_interned_block(&interned, chunk))
+                .sum();
+            assert_eq!(got, want, "chunks of {chunk_len}");
+        }
     }
 
     #[test]

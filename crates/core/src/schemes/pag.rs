@@ -94,15 +94,23 @@ pub struct PagDiagnostics {
 }
 
 impl Pag {
-    /// Like [`BranchPredictor::step_interned`] (predict, then update, with
-    /// `id` standing in for `branch.pc` under the same contract), but
-    /// also reports *why* the prediction came out the way it did.
-    pub fn step_interned_diagnosed(&mut self, id: u32, branch: &BranchRecord) -> PagDiagnostics {
-        let (pattern, cursor) = self.bht.access_pattern_interned(id, branch.pc);
-        let pattern_state = self.pht.state(pattern);
-        let predicted_taken = self.pht.predict_update(pattern, branch.taken);
-        self.bht.record_outcome_at_interned(cursor, branch.taken);
-        PagDiagnostics { predicted_taken, bht_hit: cursor.hit(), pattern, pattern_state }
+    /// [`BranchPredictor::step_interned_block`] over the one event
+    /// `event` of `interned` (under the same contract), reporting *why*
+    /// the prediction came out the way it did.
+    pub fn step_diagnosed(
+        &mut self,
+        interned: &InternedConds,
+        event: InternedCond,
+    ) -> PagDiagnostics {
+        let pht = &mut self.pht;
+        let mut diagnostics = None;
+        self.bht.walk_interned(interned, &[event], |pattern, cursor, event| {
+            let pattern_state = pht.state(pattern);
+            let predicted_taken = pht.predict_update(pattern, event.taken());
+            let bht_hit = cursor.hit();
+            diagnostics = Some(PagDiagnostics { predicted_taken, bht_hit, pattern, pattern_state });
+        });
+        diagnostics.expect("the walk visits its one event")
     }
 }
 
@@ -143,13 +151,6 @@ impl BranchPredictor for Pag {
     }
 
     #[inline]
-    fn step_interned(&mut self, id: u32, branch: &BranchRecord) -> bool {
-        let (pattern, cursor) = self.bht.access_pattern_interned(id, branch.pc);
-        let predicted = self.pht.predict_update(pattern, branch.taken);
-        self.bht.record_outcome_at_interned(cursor, branch.taken);
-        predicted
-    }
-
     fn step_interned_block(&mut self, interned: &InternedConds, events: &[InternedCond]) -> u64 {
         let pht = &mut self.pht;
         let mut correct = 0u64;
@@ -168,6 +169,7 @@ impl BranchPredictor for Pag {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tlabp_trace::PackedCond;
 
     fn branch(pc: u64, taken: bool, n: u64) -> BranchRecord {
         BranchRecord::conditional(pc, taken, pc.wrapping_sub(8), n)
@@ -246,15 +248,17 @@ mod tests {
     #[test]
     fn context_switch_flushes_bht_keeps_pht() {
         let mut pag = Pag::new(4, BhtConfig::PAPER_DEFAULT, Automaton::A2);
-        for i in 0..20u64 {
-            let diagnostics = pag.step_interned_diagnosed(0, &branch(0x40, false, i));
+        let interned = InternedConds::from_packed(&[PackedCond::new(0x40, false, false); 21]);
+        let (&last, events) = interned.events().split_last().expect("21 events");
+        for (i, &event) in events.iter().enumerate() {
+            let diagnostics = pag.step_diagnosed(&interned, event);
             assert_eq!(diagnostics.bht_hit, i > 0, "only the first access misses");
         }
         let state_before = pag.pht().state(0);
         pag.context_switch();
         assert_eq!(pag.pht().state(0), state_before);
         // After the flush the next access misses and reallocates.
-        let diagnostics = pag.step_interned_diagnosed(0, &branch(0x40, false, 100));
+        let diagnostics = pag.step_diagnosed(&interned, last);
         assert!(!diagnostics.bht_hit);
         assert_eq!(diagnostics.pattern, 0b1111, "a fresh all-ones history");
     }

@@ -154,14 +154,6 @@ impl BranchPredictor for Pap {
     }
 
     #[inline]
-    fn step_interned(&mut self, id: u32, branch: &BranchRecord) -> bool {
-        let (pattern, cursor) = self.bht.access_pattern_interned(id, branch.pc);
-        let table = lane_table(&mut self.lanes, &self.template, cursor.lane());
-        let predicted = table.predict_update(pattern, branch.taken);
-        self.bht.record_outcome_at_interned(cursor, branch.taken);
-        predicted
-    }
-
     fn step_interned_block(&mut self, interned: &InternedConds, events: &[InternedCond]) -> u64 {
         let (lanes, template) = (&mut self.lanes, &self.template);
         let mut correct = 0u64;
@@ -181,6 +173,7 @@ impl BranchPredictor for Pap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tlabp_trace::PackedCond;
 
     fn branch(pc: u64, taken: bool, n: u64) -> BranchRecord {
         BranchRecord::conditional(pc, taken, pc.wrapping_sub(8), n)
@@ -244,28 +237,29 @@ mod tests {
         // BHT, the pc path's lane is the index the BHT gave the pc, which
         // survives the flush, so each of the 7 pcs keeps one table.
         let pcs = [0x100u64, 0x204, 0x308, 0x100, 0x40c, 0x204, 0x120, 0x510, 0x308, 0x140];
+        let packed: Vec<PackedCond> = pcs
+            .iter()
+            .cycle()
+            .take(600)
+            .enumerate()
+            .map(|(n, &pc)| PackedCond::new(pc, (n * 7 + n / 5) % 3 != 0, false))
+            .collect();
+        let interned = InternedConds::from_packed(&packed);
         for (config, tables) in
             [(BhtConfig::Cache { entries: 8, ways: 2 }, 8), (BhtConfig::Ideal, 7)]
         {
             let mut by_pc = Pap::new(4, config, Automaton::A2);
             let mut by_id = Pap::new(4, config, Automaton::A2);
-            let mut ids: Vec<u64> = Vec::new();
-            for (n, &pc) in pcs.iter().cycle().take(600).enumerate() {
-                let id = match ids.iter().position(|&seen| seen == pc) {
-                    Some(id) => id,
-                    None => {
-                        ids.push(pc);
-                        ids.len() - 1
-                    }
-                } as u32;
+            for (n, event) in interned.events().iter().enumerate() {
                 if n == 300 {
                     by_pc.context_switch();
                     by_id.context_switch();
                 }
-                let b = branch(pc, (n * 7 + n / 5) % 3 != 0, n as u64);
+                let b = interned.record(*event);
                 let predicted = by_pc.predict(&b);
                 by_pc.update(&b);
-                assert_eq!(by_id.step_interned(id, &b), predicted, "{config:?}: branch {n}");
+                let correct = by_id.step_interned_block(&interned, std::slice::from_ref(event));
+                assert_eq!(b.taken == (correct == 1), predicted, "{config:?}: branch {n}");
                 assert_eq!(by_id.pattern_table_count(), by_pc.pattern_table_count(), "{n}");
             }
             assert_eq!(by_pc.pattern_table_count(), tables, "{config:?}");

@@ -183,7 +183,7 @@ mod tests {
     use super::*;
     use crate::predictor::BranchPredictor;
     use tlabp_trace::synth::{BiasedCoins, RepeatingPattern};
-    use tlabp_trace::{BranchRecord, Trace};
+    use tlabp_trace::{BranchRecord, InternedConds, Trace};
 
     #[test]
     fn preset_majority_and_defaults() {
@@ -236,14 +236,10 @@ mod tests {
         let mut pag = Pag::new(4, BhtConfig::PAPER_DEFAULT, Automaton::A2);
 
         let testing = BiasedCoins::uniform(4, 0.1, 500, 13).generate();
-        let mut psg_correct = 0u64;
-        let mut pag_correct = 0u64;
-        let mut total = 0u64;
-        for b in testing.conditional_branches() {
-            psg_correct += u64::from(psg.process(b));
-            pag_correct += u64::from(pag.process(b));
-            total += 1;
-        }
+        let interned = InternedConds::from_trace(&testing);
+        let psg_correct = psg.step_interned_block(&interned, interned.events());
+        let pag_correct = pag.step_interned_block(&interned, interned.events());
+        let total = interned.len();
         assert!(
             pag_correct > psg_correct,
             "adaptive PAg ({pag_correct}/{total}) must beat preset PSg ({psg_correct}/{total}) \

@@ -171,8 +171,9 @@ pub fn decode_frame(line: &str) -> Result<(FrameKind, &str), FrameError> {
     let len = len_token.parse::<usize>().map_err(|_| FrameError::BadLength)?;
 
     // The payload may contain spaces, so slice it by byte length; a
-    // single space separates it from the checksum.
-    if rest.len() < len + 1 {
+    // single space separates it from the checksum. The declared length
+    // comes from the peer, so it is compared, never added to.
+    if rest.len() <= len {
         return Err(FrameError::Truncated);
     }
     let (payload, tail) = rest.split_at_checked(len).ok_or(FrameError::Truncated)?;
@@ -387,6 +388,17 @@ mod tests {
             "Jobs",
         );
         assert_eq!(decode_frame(&corrupted), Err(FrameError::BadChecksum));
+    }
+
+    #[test]
+    fn hostile_declared_lengths_are_rejected() {
+        let payload = r#"{"jobs":1,"memo":false}"#;
+        let good = encode_frame(FrameKind::Done, payload);
+        let declared = |len: usize| good.replacen(" 23 ", &format!(" {len} "), 1);
+        assert_eq!(decode_frame(&declared(payload.len())), Ok((FrameKind::Done, payload)));
+        for len in [usize::MAX, usize::MAX - 1, payload.len() + 1] {
+            assert_eq!(decode_frame(&declared(len)), Err(FrameError::Truncated), "{len}");
+        }
     }
 
     #[test]

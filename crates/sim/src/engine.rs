@@ -130,8 +130,8 @@ use crate::suite::{SlotNeeds, TraceStore};
 pub struct JobMetrics {
     /// The accuracy counters (always computed).
     pub sim: SimResult,
-    /// Misprediction attribution, when requested and the predictor is
-    /// PAg-structured.
+    /// Misprediction attribution, when requested and the predictor is a
+    /// catalog PAg-structured scheme (never a registered predictor).
     pub miss_breakdown: Option<MissBreakdown>,
     /// Fetch-path statistics, when requested.
     pub fetch: Option<FetchStats>,
@@ -1417,12 +1417,13 @@ fn run_reference(cell: &Cell, store: &TraceStore) -> JobOutcome {
 /// which no predictor reads). Before each conditional it fires the
 /// switches the trace's
 /// [`SwitchSchedule`](crate::runner::SwitchSchedule) places there, then
-/// steps the conditional through [`BranchPredictor::step_interned`] with
-/// the next interned id. When a job asks for the miss breakdown of a
-/// PAg-structured predictor the pass steps through
-/// [`Pag::step_interned_diagnosed`](tlabp_core::schemes::Pag::step_interned_diagnosed)
-/// instead, which evolves the same state, and every misprediction lands
-/// in exactly one [`MissBreakdown`] bucket, classified from the
+/// steps the conditional as the one-event block of the next interned
+/// event ([`BranchPredictor::step_interned_block`]), whose count says
+/// whether the prediction was right. When a job asks for the miss
+/// breakdown of a catalog PAg-structured predictor the pass steps
+/// through [`Pag::step_diagnosed`](tlabp_core::schemes::Pag::step_diagnosed)
+/// instead, a walk over the same one event, and every misprediction
+/// lands in exactly one [`MissBreakdown`] bucket, classified from the
 /// predictor's state at prediction time. The Section 3.2 fetch model
 /// sees every branch, through one target cache per distinct geometry
 /// the jobs ask for: the direction predictor handles conditionals
@@ -1464,11 +1465,12 @@ fn run_instrumented(batch: Vec<(usize, Cell)>, store: &TraceStore) -> Vec<(usize
             if let Some(&(_, switches)) = points.next_if(|&&(at, _)| at == index) {
                 (0..switches).for_each(|_| predictor.context_switch());
             }
-            let id = events.next().expect("one interned event per conditional branch").id();
+            let event = *events.next().expect("one interned event per conditional branch");
+            let id = event.id();
             debug_assert_eq!(interned.pc_of(id), branch.pc, "interned events in branch order");
             let predicted = match (&mut predictor, &mut breakdown) {
                 (AnyPredictor::Pag(pag), Some(buckets)) => {
-                    let diagnostics = pag.step_interned_diagnosed(id, branch);
+                    let diagnostics = pag.step_diagnosed(&interned, event);
                     let pattern = diagnostics.pattern;
                     if last_writer.len() <= pattern {
                         last_writer.resize(pattern + 1, None);
@@ -1487,7 +1489,7 @@ fn run_instrumented(batch: Vec<(usize, Cell)>, store: &TraceStore) -> Vec<(usize
                     last_writer[pattern] = Some(id);
                     diagnostics.predicted_taken
                 }
-                _ => predictor.step_interned(id, branch),
+                _ => branch.taken == (predictor.step_interned_block(&interned, &[event]) == 1),
             };
             sim.predictions += 1;
             sim.correct += u64::from(predicted == branch.taken);

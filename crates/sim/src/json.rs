@@ -18,10 +18,17 @@
 //!   bit-identity diffs rely on.
 //! * parser: recursive descent over the full grammar of the writer plus
 //!   arbitrary inter-token whitespace (hand-edited plan files), with
-//!   byte-offset error positions.
+//!   byte-offset error positions, at most 64 arrays and objects deep
+//!   (`MAX_DEPTH`).
 
 use std::error::Error;
 use std::fmt;
+
+/// How many arrays and objects deep a parsed document may nest. The
+/// wire's deepest documents nest 5 levels; the cap bounds the parser's
+/// recursion, so a deeper document (a hostile frame, say) is an error
+/// instead of a stack overflow.
+const MAX_DEPTH: usize = 64;
 
 /// A JSON value restricted to the wire formats' needs (see module docs).
 #[derive(Debug, Clone, PartialEq)]
@@ -120,7 +127,7 @@ impl Json {
 
     /// Parses a complete JSON document (one value, then end of input).
     pub fn parse(text: &str) -> Result<Json, WireError> {
-        let mut parser = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut parser = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         parser.skip_ws();
         let value = parser.value()?;
         parser.skip_ws();
@@ -215,6 +222,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -256,8 +265,7 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => self.nested(),
             Some(b'0'..=b'9') => self.number(),
             Some(b'-') => Err(WireError::at(
                 self.pos,
@@ -341,6 +349,17 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// An array or an object, one level deeper than the value around it.
+    fn nested(&mut self) -> Result<Json, WireError> {
+        if self.depth == MAX_DEPTH {
+            return Err(WireError::at(self.pos, format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = if self.peek() == Some(b'[') { self.array() } else { self.object() };
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, WireError> {
@@ -468,6 +487,20 @@ mod tests {
             "\"\\ud800\"",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        // `depth` levels: objects around one empty array.
+        let objects = |depth: usize| "{\"a\":".repeat(depth - 1) + "[]" + &"}".repeat(depth - 1);
+        for nested in [arrays, objects] {
+            assert!(Json::parse(&nested(MAX_DEPTH)).is_ok(), "the cap itself parses");
+            for depth in [MAX_DEPTH + 1, 200_000] {
+                let err = Json::parse(&nested(depth)).expect_err("past the cap");
+                assert!(err.to_string().contains("nesting deeper than 64"), "{depth}: {err}");
+            }
         }
     }
 

@@ -512,13 +512,13 @@ pub fn replay_stream_key(config: SchemeConfig) -> Option<StreamKey> {
 /// walking the interned conditional stream once.
 ///
 /// * [`StreamKey::Global`] replays a fresh all-ones history register —
-///   the exact walk `Gag::step_interned` performs (pattern read *before*
+///   the exact walk GAg's block step performs (pattern read *before*
 ///   the shift-in), so GAg/GSg replay is bit-identical by construction.
-/// * [`StreamKey::Bht`] builds the signature's table and performs the
-///   access → record walk of a PAg/PAp `step_interned`, in the same
-///   operation order; table evolution is outcome-driven, so the emitted
-///   patterns match what every same-signature predictor's own table
-///   would produce. Each event also records its *lane*
+/// * [`StreamKey::Bht`] builds the signature's table and walks it
+///   ([`BranchHistoryTable::walk_interned`](tlabp_core::bht::BranchHistoryTable::walk_interned))
+///   as a PAg/PAp block step does; table evolution is outcome-driven,
+///   so the emitted patterns match what every same-signature
+///   predictor's own table would produce. Each event also records its *lane*
 ///   ([`tlabp_core::bht::BhtCursor::lane`]: the cache slot the entry
 ///   resolved to, or the interned id under an ideal BHT), which is the
 ///   per-address table selector PAp's second level uses.

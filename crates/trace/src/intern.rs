@@ -9,8 +9,8 @@
 //! hot loop entirely: one pass per trace assigns each distinct branch pc
 //! a dense `u32` id (in first-appearance order, so the mapping is
 //! deterministic), after which ideal per-address state becomes direct
-//! `Vec` indexing (see `step_interned` in `tlabp-core`) and each event
-//! shrinks to 4 bytes.
+//! `Vec` indexing (see `step_interned_block` in `tlabp-core`) and each
+//! event shrinks to 4 bytes.
 //!
 //! The id→pc table rides along ([`InternedConds::pc_of`]) because
 //! practical cache BHTs still need real address bits for set indexing

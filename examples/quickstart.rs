@@ -6,7 +6,6 @@
 //! ```
 
 use tlabp::core::config::SchemeConfig;
-use tlabp::core::BranchPredictor;
 use tlabp::sim::runner::{simulate, SimConfig};
 use tlabp::workloads::{Benchmark, DataSet};
 

@@ -8,28 +8,32 @@
 use std::collections::VecDeque;
 
 use tlabp::core::automaton::{Automaton, State};
-use tlabp::core::bht::CacheBht;
+use tlabp::core::bht::{BhtConfig, CacheBht};
 use tlabp::core::history::MAX_HISTORY_BITS;
 use tlabp::core::predictor::BranchPredictor;
 use tlabp::core::schemes::Btb;
 use tlabp::core::target_cache::{FetchOutcome, TargetCache};
 use tlabp::trace::rng::SmallRng;
-use tlabp::trace::{BranchRecord, PackedCond};
+use tlabp::trace::{BranchRecord, InternedCond, InternedConds, PackedCond};
 
 /// Table geometries `(entries, ways)`: direct-mapped, 2- and 4-way, and
 /// one set of 16 ways (fully associative).
 const GEOMETRIES: [(usize, usize); 5] = [(8, 1), (8, 2), (16, 4), (32, 4), (16, 16)];
 
-/// Reference model of the shared table: per set, the resident entries
-/// as `(tag, value)`, most recently used first.
+/// One way of a model set: its index and, when valid, its `(tag, value)`.
+type Way<V> = (usize, Option<(u64, V)>);
+
+/// Reference model of the shared table: per set, every way, most
+/// recently used first. A new set lists its ways in descending order,
+/// so its least recent way is way 0.
 struct Model<V> {
-    sets: Vec<VecDeque<(u64, V)>>,
-    ways: usize,
+    sets: Vec<VecDeque<Way<V>>>,
 }
 
 impl<V> Model<V> {
     fn new(entries: usize, ways: usize) -> Self {
-        Model { sets: (0..entries / ways).map(|_| VecDeque::new()).collect(), ways }
+        let set = || (0..ways).rev().map(|way| (way, None)).collect();
+        Model { sets: (0..entries / ways).map(|_| set()).collect() }
     }
 
     fn set_and_tag(&self, pc: u64) -> (usize, u64) {
@@ -37,38 +41,34 @@ impl<V> Model<V> {
         ((word as usize) % self.sets.len(), word / self.sets.len() as u64)
     }
 
-    /// Looks `pc` up and moves its entry to the front; on a miss, drops
-    /// the set's last entry when the set is full and puts `fresh` in
-    /// front. Returns the hit flag and the entry.
-    fn access(&mut self, pc: u64, fresh: V) -> (bool, &mut V) {
+    /// Looks `pc` up and moves its way to the front; on a miss, the
+    /// least recent invalid way, or else the least recent way, takes
+    /// `fresh` and moves to the front. Returns the hit flag, the slot
+    /// (`set × ways + way`) and the entry.
+    fn access(&mut self, pc: u64, fresh: V) -> (bool, usize, &mut V) {
         let (set, tag) = self.set_and_tag(pc);
         let entries = &mut self.sets[set];
-        let hit = match entries.iter().position(|(t, _)| *t == tag) {
-            Some(index) => {
-                let entry = entries.remove(index).expect("found above");
-                entries.push_front(entry);
-                true
-            }
-            None => {
-                if entries.len() == self.ways {
-                    entries.pop_back();
-                }
-                entries.push_front((tag, fresh));
-                false
-            }
-        };
-        (hit, &mut entries[0].1)
+        let ways = entries.len();
+        let found = entries.iter().position(|(_, e)| e.as_ref().is_some_and(|(t, _)| *t == tag));
+        let invalid = || entries.iter().rposition(|(_, e)| e.is_none());
+        let index = found.or_else(invalid).unwrap_or(ways - 1);
+        let (way, entry) = entries.remove(index).expect("a way of the set");
+        entries.push_front((way, if found.is_some() { entry } else { Some((tag, fresh)) }));
+        let (_, value) = entries[0].1.as_mut().expect("the way just accessed is valid");
+        (found.is_some(), set * ways + way, value)
     }
 
     /// `pc`'s entry, if resident, without touching the LRU order.
     fn get_mut(&mut self, pc: u64) -> Option<&mut V> {
         let (set, tag) = self.set_and_tag(pc);
-        self.sets[set].iter_mut().find(|(t, _)| *t == tag).map(|(_, value)| value)
+        let entry = self.sets[set].iter_mut().find_map(|(_, e)| e.as_mut().filter(|e| e.0 == tag));
+        entry.map(|(_, value)| value)
     }
 
+    /// Invalidates every way, keeping the LRU order.
     fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
+        for (_, entry) in self.sets.iter_mut().flatten() {
+            *entry = None;
         }
     }
 }
@@ -138,11 +138,27 @@ fn random_step(rng: &mut SmallRng) -> Option<(u32, BranchRecord)> {
         .then(|| (n as u32, BranchRecord::conditional(pc_of(n), taken, target, 1)))
 }
 
-/// Asserts that `real` reports every pc's pattern as `model` holds it.
-fn assert_patterns_match(real: &CacheBht, model: &mut Model<ModelHistory>, at: &str) {
+/// The interned stream's id→pc table for [`pc_of`]'s pcs: id `n` is
+/// `pc_of(n)`.
+fn id_table() -> InternedConds {
+    InternedConds::from_raw_parts(Vec::new(), (0..PCS).map(pc_of).collect()).expect("distinct pcs")
+}
+
+/// `branch`, whose pc is `pc_of(id)`, as an event of [`id_table`].
+fn event(id: u32, branch: &BranchRecord) -> InternedCond {
+    let backward = branch.target <= branch.pc;
+    InternedCond::from_bits(id << 2 | u32::from(backward) << 1 | u32::from(branch.taken))
+}
+
+/// Asserts that `pattern` reports every pc's pattern as `model` holds it.
+fn assert_patterns_match(
+    pattern: impl Fn(u64) -> Option<usize>,
+    model: &mut Model<ModelHistory>,
+    at: &str,
+) {
     for pc in (0..PCS).map(pc_of) {
         let want = model.get_mut(pc).map(|entry| entry.0 as usize);
-        assert_eq!(real.pattern(pc), want, "pattern diverged for pc {pc:#x} at {at}");
+        assert_eq!(pattern(pc), want, "pattern diverged for pc {pc:#x} at {at}");
     }
 }
 
@@ -175,46 +191,53 @@ fn cache_bht_matches_reference_model() {
                 }
             }
             // Full-state comparison via observable patterns.
-            assert_patterns_match(&real, &mut model, &format!("step {step} of case {case}"));
+            let at = format!("step {step} of case {case}");
+            assert_patterns_match(|pc| real.pattern(pc), &mut model, &at);
         }
     }
 }
 
-/// The walk's path: `access_slot`, then `pattern_at` and
-/// `record_outcome_at` on the slot it returned.
+/// The interned walk, one event at a time: each event's pattern, hit
+/// flag and lane (the slot) are the model's, and so is the table after
+/// the outcome is recorded.
 #[test]
 fn cache_bht_interned_path_matches_reference_model() {
     let mut rng = SmallRng::seed_from_u64(0xB002);
+    let ids = id_table();
     for case in 0..60u64 {
         let (entries, ways) = GEOMETRIES[rng.next_below(GEOMETRIES.len() as u64) as usize];
         let history_bits = rng.next_range(1, u64::from(MAX_HISTORY_BITS) + 1) as u32;
-        let mut real = CacheBht::new(entries, ways, history_bits);
+        let mut real = BhtConfig::Cache { entries, ways }.build(history_bits);
         let mut model = Model::new(entries, ways);
         for step in 0..rng.next_range(1, 400) {
             let at = format!("step {step} of case {case}");
-            let Some((_, branch)) = random_step(&mut rng) else {
+            let Some((id, branch)) = random_step(&mut rng) else {
                 real.flush();
                 model.flush();
                 continue;
             };
-            let (slot, hit) = real.access_slot(branch.pc);
-            assert_eq!(real.slot_of(branch.pc), Some(slot), "{at}");
-            let (want_hit, entry) = model.access(branch.pc, all_ones(history_bits));
-            assert_eq!((real.pattern_at(slot), hit), (entry.0 as usize, want_hit), "{at}");
-            real.record_outcome_at(slot, branch.taken);
+            let mut seen = None;
+            real.walk_interned(&ids, &[event(id, &branch)], |pattern, cursor, _| {
+                seen = Some((pattern, cursor.hit(), cursor.lane() as usize));
+            });
+            let (want_hit, slot, entry) = model.access(branch.pc, all_ones(history_bits));
+            let want = (entry.0 as usize, want_hit, slot);
+            assert_eq!(seen, Some(want), "{at}");
             record(entry, branch.taken, history_bits);
-            assert_patterns_match(&real, &mut model, &at);
+            assert_eq!(real.lane_of(branch.pc), Some(slot as u32), "{at}");
+            assert_patterns_match(|pc| real.pattern(pc), &mut model, &at);
         }
     }
 }
 
 /// A BTB stepped by `predict` + `update` and its twin stepped by
-/// `step_interned` both predict what the model's automaton state says,
-/// and a context switch flushes the table.
+/// one-event interned blocks both predict what the model's automaton
+/// state says, and a context switch flushes the table.
 #[test]
 fn btb_matches_reference_model() {
     let automata = [Automaton::LastTime, Automaton::A1, Automaton::A2, Automaton::A3];
     let mut rng = SmallRng::seed_from_u64(0xB003);
+    let ids = id_table();
     for case in 0..60u64 {
         let (entries, ways) = GEOMETRIES[rng.next_below(GEOMETRIES.len() as u64) as usize];
         let automaton = automata[rng.next_below(automata.len() as u64) as usize];
@@ -228,14 +251,15 @@ fn btb_matches_reference_model() {
                 model.flush();
                 continue;
             };
-            let state = model.access(branch.pc, automaton.initial_state()).1;
+            let state = model.access(branch.pc, automaton.initial_state()).2;
             let want = automaton.predict(*state);
             *state = automaton.update(*state, branch.taken);
             let predicted = by_pc.predict(&branch);
             by_pc.update(&branch);
             assert_eq!(predicted, want, "predict diverged at step {step} of case {case}");
-            let stepped = by_id.step_interned(id, &branch);
-            assert_eq!(stepped, want, "step_interned diverged at step {step} of case {case}");
+            let correct = by_id.step_interned_block(&ids, &[event(id, &branch)]);
+            let stepped = branch.taken == (correct == 1);
+            assert_eq!(stepped, want, "block step diverged at step {step} of case {case}");
         }
     }
 }
@@ -252,7 +276,7 @@ fn target_cache_matches_reference_model() {
         for step in 0..rng.next_range(1, 400) {
             let Some((_, branch)) = random_step(&mut rng) else { continue };
             let predicted_taken = rng.random_bool(0.5);
-            let (hit, target) = model.access(branch.pc, branch.target);
+            let (hit, _, target) = model.access(branch.pc, branch.target);
             let cached = std::mem::replace(target, branch.target);
             let want = match (hit, predicted_taken) {
                 (false, _) => FetchOutcome::Miss { correct: !branch.taken },

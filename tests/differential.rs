@@ -14,7 +14,8 @@
 use tlabp::core::automaton::Automaton;
 use tlabp::core::config::SchemeConfig;
 use tlabp::core::{BhtConfig, BranchPredictor};
-use tlabp::sim::plan::Plan;
+use tlabp::sim::metrics::FetchStats;
+use tlabp::sim::plan::{Plan, TargetCacheSpec};
 use tlabp::sim::runner::{
     simulate, simulate_fused, ContextSwitchConfig, SimConfig, SwitchSchedule,
 };
@@ -254,10 +255,7 @@ fn instrumented_context_switch_jobs_match_the_reference_path() {
 /// set.
 #[test]
 fn fetch_jobs_match_a_predict_update_fetch_loop_for_every_scheme() {
-    use tlabp::core::target_cache::{FetchOutcome, TargetCache};
-    use tlabp::sim::metrics::FetchStats;
-    use tlabp::sim::plan::{Job, MetricSet, TargetCacheSpec};
-    use tlabp::trace::{BranchClass, TraceEvent};
+    use tlabp::sim::plan::{Job, MetricSet};
 
     let spec = TargetCacheSpec::PAPER_DEFAULT;
     let fetch = MetricSet { miss_breakdown: false, fetch: Some(spec) };
@@ -288,50 +286,119 @@ fn fetch_jobs_match_a_predict_update_fetch_loop_for_every_scheme() {
             let reference = &results.outcome(2 * index + 1).metrics().expect("measured").sim;
             assert_eq!(&measured.sim, reference, "{config} on {name}: fetch job vs reference path");
             assert_eq!(reference.context_switches > 0, switched, "{config} on {name}");
-
             let mut predictor = build_any(config, &training);
-            let mut cache = TargetCache::new(spec.entries, spec.ways);
-            let mut want = FetchStats::default();
-            let mut next_interval_switch = sim.context_switch.map(|cs| cs.interval_instructions);
-            for event in trace.iter() {
-                if let (Some(cs), Some(due)) = (sim.context_switch, next_interval_switch) {
-                    if event.instret() >= due {
-                        predictor.context_switch();
-                        next_interval_switch = Some(event.instret() + cs.interval_instructions);
-                    }
-                }
-                let branch = match event {
-                    TraceEvent::Branch(branch) => branch,
-                    TraceEvent::Trap(trap) => {
-                        if let Some(cs) = sim.context_switch.filter(|cs| cs.on_traps) {
-                            predictor.context_switch();
-                            next_interval_switch = Some(trap.instret + cs.interval_instructions);
-                        }
-                        continue;
-                    }
-                };
-                let predicted_taken = if branch.class.is_conditional() {
-                    let predicted = predictor.predict(branch);
-                    predictor.update(branch);
-                    predicted
-                } else {
-                    true
-                };
-                let outcome = cache.fetch_and_resolve(branch, predicted_taken);
-                want.branches += 1;
-                want.correct_path += u64::from(outcome.is_correct_path());
-                match outcome {
-                    FetchOutcome::HitCorrectTarget => want.no_bubble_taken += 1,
-                    FetchOutcome::HitWrongPath => {
-                        want.squashes += 1;
-                        want.return_target_misses += u64::from(branch.class == BranchClass::Return);
-                    }
-                    FetchOutcome::HitFallThrough { correct } | FetchOutcome::Miss { correct } => {
-                        want.squashes += u64::from(!correct);
-                    }
-                }
-            }
+            let (_, want) = predict_update_fetch_loop(&mut predictor, &trace, &sim, spec);
             assert_eq!(measured.fetch, Some(want), "{config} on {name}: fetch stats");
+        }
+    }
+}
+
+/// `predictor` stepped by `predict` + `update` over `trace` under `sim`'s
+/// switch rules (the reference loop's), with every branch fetched through
+/// one fresh `spec` target cache: its direction counts and its fetch
+/// statistics.
+fn predict_update_fetch_loop(
+    predictor: &mut dyn BranchPredictor,
+    trace: &Trace,
+    sim: &SimConfig,
+    spec: TargetCacheSpec,
+) -> (SimResult, FetchStats) {
+    use tlabp::core::target_cache::{FetchOutcome, TargetCache};
+    use tlabp::trace::{BranchClass, TraceEvent};
+
+    let mut cache = TargetCache::new(spec.entries, spec.ways);
+    let scheme = predictor.name();
+    let mut result = SimResult { scheme, predictions: 0, correct: 0, context_switches: 0 };
+    let mut stats = FetchStats::default();
+    let mut next_interval_switch = sim.context_switch.map(|cs| cs.interval_instructions);
+    for event in trace.iter() {
+        if let (Some(cs), Some(due)) = (sim.context_switch, next_interval_switch) {
+            if event.instret() >= due {
+                predictor.context_switch();
+                result.context_switches += 1;
+                next_interval_switch = Some(event.instret() + cs.interval_instructions);
+            }
+        }
+        let branch = match event {
+            TraceEvent::Branch(branch) => branch,
+            TraceEvent::Trap(trap) => {
+                if let Some(cs) = sim.context_switch.filter(|cs| cs.on_traps) {
+                    predictor.context_switch();
+                    result.context_switches += 1;
+                    next_interval_switch = Some(trap.instret + cs.interval_instructions);
+                }
+                continue;
+            }
+        };
+        let predicted_taken = if branch.class.is_conditional() {
+            let predicted = predictor.predict(branch);
+            predictor.update(branch);
+            result.predictions += 1;
+            result.correct += u64::from(predicted == branch.taken);
+            predicted
+        } else {
+            true
+        };
+        let outcome = cache.fetch_and_resolve(branch, predicted_taken);
+        stats.branches += 1;
+        stats.correct_path += u64::from(outcome.is_correct_path());
+        match outcome {
+            FetchOutcome::HitCorrectTarget => stats.no_bubble_taken += 1,
+            FetchOutcome::HitWrongPath => {
+                stats.squashes += 1;
+                stats.return_target_misses += u64::from(branch.class == BranchClass::Return);
+            }
+            FetchOutcome::HitFallThrough { correct } | FetchOutcome::Miss { correct } => {
+                stats.squashes += u64::from(!correct);
+            }
+        }
+    }
+    (result, stats)
+}
+
+/// Registered predictors take the instrumented pass too, stepped as
+/// one-event blocks: a `SpeculativeGag`, on the trait's default block
+/// step, and a PAg(12) behind the registry each get the counts and the
+/// fetch statistics of the predict/update fetch loop, on li and on
+/// switched gcc, and no miss breakdown, which only a catalog
+/// PAg-structured scheme gets.
+#[test]
+fn registered_predictors_take_the_instrumented_pass() {
+    use tlabp::core::registry;
+    use tlabp::core::schemes::Pag;
+    use tlabp::core::speculative::{HistoryUpdatePolicy, MispredictRepair, SpeculativeGag};
+    use tlabp::sim::plan::{Job, MetricSet};
+
+    let policy = HistoryUpdatePolicy::Speculative { delay: 4, repair: MispredictRepair::Repair };
+    let names = ["differential-speculative-gag", "differential-registered-pag"];
+    registry::register(names[0], move || Box::new(SpeculativeGag::new(10, Automaton::A2, policy)));
+    registry::register(names[1], || {
+        Box::new(Pag::new(12, BhtConfig::PAPER_DEFAULT, Automaton::A2))
+    });
+    let spec = TargetCacheSpec::PAPER_DEFAULT;
+    let metrics = MetricSet { miss_breakdown: true, fetch: Some(spec) };
+    let store = TraceStore::from_env();
+    for (name, sim) in
+        [("li", SimConfig::no_context_switch()), ("gcc", SimConfig::paper_context_switch())]
+    {
+        let benchmark = Benchmark::by_name(name).expect("benchmark exists");
+        let plan: Plan = names
+            .iter()
+            .map(|&registered| {
+                Job::custom(registered, benchmark).with_sim(sim).with_metrics(metrics)
+            })
+            .collect();
+        let results = run(&plan, &store);
+        let trace = store.get(benchmark, DataSet::Testing);
+        for (index, registered) in names.into_iter().enumerate() {
+            let measured = results.outcome(index).metrics().expect("measured");
+            let mut predictor = registry::builder(registered).expect("registered above")();
+            let (want_sim, want_fetch) =
+                predict_update_fetch_loop(&mut *predictor, &trace, &sim, spec);
+            assert_eq!(measured.sim, want_sim, "{registered} on {name}");
+            assert_eq!(want_sim.context_switches > 0, sim.context_switch.is_some(), "{name}");
+            assert_eq!(measured.fetch, Some(want_fetch), "{registered} on {name}: fetch stats");
+            assert_eq!(measured.miss_breakdown, None, "{registered} on {name}");
         }
     }
 }

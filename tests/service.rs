@@ -339,12 +339,32 @@ fn results_stream_incrementally_in_plan_order() {
     assert_eq!(done.jobs, 2);
 }
 
+/// Sends `line` to the daemon at `addr` on a fresh connection and
+/// returns the message of the error frame it must answer with.
+fn error_answer(addr: &str, line: &str) -> String {
+    use std::io::{BufRead, BufReader, Write};
+    use tlabp::service::proto::{decode_frame, parse_error_payload, FrameKind};
+
+    let mut stream = std::net::TcpStream::connect(addr).expect("daemon reachable");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout");
+    stream.write_all(line.as_bytes()).expect("write");
+    stream.write_all(b"\n").expect("write");
+    let mut answer = String::new();
+    BufReader::new(stream).read_line(&mut answer).expect("an answer within the time limit");
+    let (kind, payload) = decode_frame(&answer).expect("server answers with a frame");
+    assert_eq!(kind, FrameKind::Error, "{answer}");
+    parse_error_payload(payload)
+}
+
 /// Malformed submissions are answered with error frames, not dropped
 /// connections or dead servers: an unknown custom predictor, a
-/// version-skewed plan and undecodable framing each produce a readable
-/// error, and the server keeps serving afterwards.
+/// version-skewed plan, a plan nested 200,000 arrays deep and a frame
+/// declaring a `usize::MAX`-byte payload each produce a readable error,
+/// and the server keeps serving afterwards.
 #[test]
 fn server_reports_errors_and_survives_them() {
+    use tlabp::service::proto::{encode_frame, FrameKind};
+
     let addr = spawn_server(server_config(64 << 20));
 
     let unknown: Plan = [Job::custom("service-test-unregistered", li())].into_iter().collect();
@@ -355,24 +375,16 @@ fn server_reports_errors_and_survives_them() {
     );
 
     let skewed = unknown.to_json_string().replacen("\"version\":1", "\"version\":7", 1);
-    let err = {
-        use std::io::{BufRead, BufReader, Write};
-        let mut stream = std::net::TcpStream::connect(&addr).expect("daemon reachable");
-        let frame =
-            tlabp::service::proto::encode_frame(tlabp::service::proto::FrameKind::Plan, &skewed);
-        stream.write_all(frame.as_bytes()).expect("write");
-        stream.write_all(b"\n").expect("write");
-        let mut line = String::new();
-        BufReader::new(stream).read_line(&mut line).expect("read error frame");
-        line
-    };
-    let (kind, payload) =
-        tlabp::service::proto::decode_frame(&err).expect("server answers with a frame");
-    assert_eq!(kind, tlabp::service::proto::FrameKind::Error);
-    assert!(
-        tlabp::service::proto::parse_error_payload(payload).contains("version"),
-        "error names the version mismatch"
-    );
+    let message = error_answer(&addr, &encode_frame(FrameKind::Plan, &skewed));
+    assert!(message.contains("version"), "error names the version mismatch: {message}");
+
+    let deep = "[".repeat(200_000) + &"]".repeat(200_000);
+    let message = error_answer(&addr, &encode_frame(FrameKind::Plan, &deep));
+    assert!(message.contains("nesting deeper than"), "error names the nesting: {message}");
+
+    let endless = format!("TLBS 1 plan {} {{}} 0000000000000000", usize::MAX);
+    let message = error_answer(&addr, &endless);
+    assert!(message.contains("shorter than its declared length"), "{message}");
 
     // The daemon still serves correct plans after all that.
     let plan: Plan = [Job::scheme(SchemeConfig::btfn(), li())].into_iter().collect();
@@ -400,8 +412,7 @@ fn within<T: Send + 'static>(limit: Duration, body: impl FnOnce() -> T + Send + 
 /// on the same daemon then still gets a byte-identical answer.
 #[test]
 fn impossible_scheme_geometry_earns_an_error_frame_and_spares_the_pool() {
-    use std::io::{BufRead, BufReader, Write};
-    use tlabp::service::proto::{decode_frame, encode_frame, parse_error_payload, FrameKind};
+    use tlabp::service::proto::{encode_frame, FrameKind};
 
     let addr = spawn_server(server_config(64 << 20));
     let good: Plan = [Job::scheme(SchemeConfig::gag(12), li())].into_iter().collect();
@@ -410,15 +421,7 @@ fn impossible_scheme_geometry_earns_an_error_frame_and_spares_the_pool() {
     assert!(bad.contains("GAg(HR(1,,40-sr),1xPHT(2^40,A2))"), "fixture: {bad}");
 
     for attempt in 0..2 {
-        let mut stream = std::net::TcpStream::connect(&addr).expect("daemon reachable");
-        stream.set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout");
-        stream.write_all(encode_frame(FrameKind::Plan, &bad).as_bytes()).expect("write plan");
-        stream.write_all(b"\n").expect("write newline");
-        let mut line = String::new();
-        BufReader::new(stream).read_line(&mut line).expect("an answer within the time limit");
-        let (kind, payload) = decode_frame(line.trim_end()).expect("the answer is a frame");
-        assert_eq!(kind, FrameKind::Error, "attempt {attempt}: {line}");
-        let message = parse_error_payload(payload);
+        let message = error_answer(&addr, &encode_frame(FrameKind::Plan, &bad));
         assert!(message.contains("history length 40"), "attempt {attempt}: {message}");
     }
 
