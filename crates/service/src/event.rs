@@ -6,11 +6,24 @@
 //! clients. The daemon instead serves every connection from a readiness
 //! loop:
 //!
-//! * **One I/O thread** runs a level-triggered `Poller` — `epoll` on
-//!   Linux, portable `poll(2)` everywhere else on unix — over the
-//!   listener, a self-pipe waker, and every client socket, all
-//!   nonblocking. The two syscall shims are the only unsafe code in the
-//!   crate, confined to the `sys` module.
+//! * **One I/O thread** rebuilds one `pollfd` array every turn from its
+//!   own state — the self-pipe waker, the listener unless accepts are
+//!   backed off, and every client socket with the interest its state
+//!   implies — and blocks in `poll(2)` over it, every fd nonblocking.
+//!   No registration outlives a turn, so there is no interest state to
+//!   keep in sync. A wait costs O(connections), but the loop pumps and
+//!   flushes every connection after every wait anyway, so an O(ready)
+//!   wait such as `epoll`'s would save nothing. The `poll` call in the
+//!   `sys` module is the crate's only unsafe code.
+//! * **A reset connection closes at once.** An entry that reports an
+//!   error, a hangup or an invalid fd but no input is dropped before
+//!   any I/O: no interest mask silences those reports, so a kept
+//!   connection (say a half-closed client that reset with frames
+//!   unread) would spin the loop until its plan ended. An entry that
+//!   reports input is read first, and a reset fails that read. Hosts
+//!   differ on whether a half-close reports a hangup beside its input
+//!   (Linux reports input alone), so a half-closed client reads to EOF
+//!   and is served to the end either way.
 //! * **Per-connection state machines** (`Conn`) reassemble frames
 //!   from arbitrarily fragmented reads
 //!   ([`FrameAssembler`], hard-capped at
@@ -40,7 +53,7 @@
 //! (`next_backoff`) instead of spinning hot, counts the error, and
 //! resumes serving established connections meanwhile.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -81,9 +94,10 @@ const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 /// How often the daemon considers printing its one-line stats summary.
 const STATS_PERIOD: Duration = Duration::from_secs(60);
 
-const TOKEN_LISTENER: usize = 0;
-const TOKEN_WAKER: usize = 1;
-const TOKEN_FIRST_CONN: usize = 2;
+/// Fixed slots of the poll set; connections follow in `conns` order.
+const WAKER: usize = 0;
+const LISTENER: usize = 1;
+const FIRST_CONN: usize = 2;
 
 /// The accept backoff schedule: double per consecutive failure,
 /// saturating at [`ACCEPT_BACKOFF_MAX`].
@@ -92,11 +106,10 @@ fn next_backoff(current: Duration) -> Duration {
 }
 
 // ---------------------------------------------------------------------
-// Raw readiness syscalls. std exposes no readiness API and external
-// crates are off the table, so `epoll`/`poll` are declared against the
-// libc std already links. This module is the crate's entire unsafe
-// surface; everything above it is safe Rust over `RawFd`s owned by std
-// types.
+// The raw readiness syscall. std exposes no readiness API and external
+// crates are off the table, so `poll` is declared against the libc std
+// already links. This module is the crate's entire unsafe surface;
+// everything above it is safe Rust over `RawFd`s owned by std types.
 #[allow(unsafe_code)]
 mod sys {
     use std::ffi::{c_int, c_short, c_ulong};
@@ -116,6 +129,14 @@ mod sys {
         pub(super) fd: c_int,
         pub(super) events: c_short,
         pub(super) revents: c_short,
+    }
+
+    impl PollFd {
+        /// An entry waiting for `events` on `fd`; a negative `fd` is
+        /// skipped by the kernel and never reports.
+        pub(super) fn new(fd: RawFd, events: c_short) -> PollFd {
+            PollFd { fd, events, revents: 0 }
+        }
     }
 
     extern "C" {
@@ -139,335 +160,10 @@ mod sys {
         }
         Ok(rc as usize)
     }
-
-    #[cfg(target_os = "linux")]
-    pub(super) mod epoll {
-        use super::{c_int, io, RawFd};
-
-        pub(crate) const EPOLLIN: u32 = 0x001;
-        pub(crate) const EPOLLOUT: u32 = 0x004;
-        pub(crate) const EPOLLERR: u32 = 0x008;
-        pub(crate) const EPOLLHUP: u32 = 0x010;
-        const EPOLL_CTL_ADD: c_int = 1;
-        const EPOLL_CTL_DEL: c_int = 2;
-        const EPOLL_CTL_MOD: c_int = 3;
-        const EPOLL_CLOEXEC: c_int = 0o200_0000;
-
-        /// `struct epoll_event`; packed on x86-64, where the kernel ABI
-        /// leaves the u64 payload unaligned.
-        #[derive(Debug, Clone, Copy)]
-        #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-        #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-        pub(crate) struct Event {
-            pub(crate) events: u32,
-            pub(crate) data: u64,
-        }
-
-        extern "C" {
-            fn epoll_create1(flags: c_int) -> c_int;
-            fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut Event) -> c_int;
-            fn epoll_wait(
-                epfd: c_int,
-                events: *mut Event,
-                maxevents: c_int,
-                timeout: c_int,
-            ) -> c_int;
-            fn close(fd: c_int) -> c_int;
-        }
-
-        /// An owned epoll instance; the fd is closed on drop.
-        #[derive(Debug)]
-        pub(crate) struct Epoll {
-            epfd: RawFd,
-        }
-
-        impl Epoll {
-            pub(crate) fn new() -> io::Result<Epoll> {
-                // SAFETY: epoll_create1 takes no pointers.
-                let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-                if epfd < 0 {
-                    return Err(io::Error::last_os_error());
-                }
-                Ok(Epoll { epfd })
-            }
-
-            fn ctl(&self, op: c_int, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
-                let mut event = Event { events, data };
-                // SAFETY: `event` outlives the call (the kernel copies
-                // it) and is ignored for EPOLL_CTL_DEL.
-                let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut event) };
-                if rc < 0 {
-                    return Err(io::Error::last_os_error());
-                }
-                Ok(())
-            }
-
-            pub(crate) fn add(&self, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
-                self.ctl(EPOLL_CTL_ADD, fd, events, data)
-            }
-
-            pub(crate) fn modify(&self, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
-                self.ctl(EPOLL_CTL_MOD, fd, events, data)
-            }
-
-            pub(crate) fn del(&self, fd: RawFd) -> io::Result<()> {
-                self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
-            }
-
-            /// Waits for readiness; `timeout_ms < 0` blocks. Returns how
-            /// many entries of `buf` were filled (0 on timeout or EINTR).
-            pub(crate) fn wait(&self, buf: &mut [Event], timeout_ms: c_int) -> io::Result<usize> {
-                // SAFETY: `buf` is a valid exclusively borrowed slice;
-                // maxevents is its exact length (nonzero by the caller).
-                let rc = unsafe {
-                    epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as c_int, timeout_ms)
-                };
-                if rc < 0 {
-                    let err = io::Error::last_os_error();
-                    if err.kind() == io::ErrorKind::Interrupted {
-                        return Ok(0);
-                    }
-                    return Err(err);
-                }
-                Ok(rc as usize)
-            }
-        }
-
-        impl Drop for Epoll {
-            fn drop(&mut self) {
-                // SAFETY: `epfd` is owned by this instance and closed
-                // exactly once.
-                unsafe {
-                    close(self.epfd);
-                }
-            }
-        }
-    }
-}
-
-/// Which readiness mechanism a [`Poller`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PollerBackend {
-    /// Linux `epoll` — O(ready) wakeups.
-    Epoll,
-    /// Portable `poll(2)` — O(registered) per wait, fine for hundreds
-    /// of fds, available on every unix.
-    Poll,
-}
-
-impl PollerBackend {
-    /// The mechanism the daemon runs on: `epoll` on Linux, `poll`
-    /// on every other unix.
-    pub(crate) const NATIVE: PollerBackend =
-        if cfg!(target_os = "linux") { PollerBackend::Epoll } else { PollerBackend::Poll };
-}
-
-/// One readiness report from [`Poller::wait`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Readiness {
-    pub(crate) token: usize,
-    pub(crate) readable: bool,
-    pub(crate) writable: bool,
-    /// Error or hangup; the owner should attempt I/O and observe the
-    /// failure there.
-    pub(crate) error: bool,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    fd: RawFd,
-    token: usize,
-    read: bool,
-    write: bool,
-}
-
-#[derive(Debug)]
-enum PollerImp {
-    #[cfg(target_os = "linux")]
-    Epoll {
-        epoll: sys::epoll::Epoll,
-        buf: Vec<sys::epoll::Event>,
-        registered: usize,
-    },
-    Poll {
-        interest: Vec<Slot>,
-        fds: Vec<sys::PollFd>,
-    },
-}
-
-/// Level-triggered readiness over raw fds, keyed by caller tokens.
-#[derive(Debug)]
-pub(crate) struct Poller {
-    imp: PollerImp,
-}
-
-impl Poller {
-    /// Opens a poller. Asking for [`PollerBackend::Epoll`] off Linux
-    /// (or when `epoll_create1` fails) falls back to `poll` with a
-    /// warning rather than erroring: the two are behaviorally
-    /// interchangeable here.
-    pub(crate) fn new(backend: PollerBackend) -> Poller {
-        #[cfg(target_os = "linux")]
-        if backend == PollerBackend::Epoll {
-            match sys::epoll::Epoll::new() {
-                Ok(epoll) => {
-                    return Poller {
-                        imp: PollerImp::Epoll { epoll, buf: Vec::new(), registered: 0 },
-                    }
-                }
-                Err(err) => {
-                    eprintln!("tlabp-serve: epoll unavailable ({err}); falling back to poll");
-                }
-            }
-        }
-        #[cfg(not(target_os = "linux"))]
-        if backend == PollerBackend::Epoll {
-            eprintln!("tlabp-serve: epoll is Linux-only; falling back to poll");
-        }
-        Poller { imp: PollerImp::Poll { interest: Vec::new(), fds: Vec::new() } }
-    }
-
-    /// The backend actually in use (after any fallback).
-    pub(crate) fn backend(&self) -> PollerBackend {
-        match self.imp {
-            #[cfg(target_os = "linux")]
-            PollerImp::Epoll { .. } => PollerBackend::Epoll,
-            PollerImp::Poll { .. } => PollerBackend::Poll,
-        }
-    }
-
-    fn backend_name(&self) -> &'static str {
-        match self.backend() {
-            PollerBackend::Epoll => "epoll",
-            PollerBackend::Poll => "poll",
-        }
-    }
-
-    pub(crate) fn register(
-        &mut self,
-        fd: RawFd,
-        token: usize,
-        read: bool,
-        write: bool,
-    ) -> std::io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            PollerImp::Epoll { epoll, registered, .. } => {
-                epoll.add(fd, epoll_mask(read, write), token as u64)?;
-                *registered += 1;
-                Ok(())
-            }
-            PollerImp::Poll { interest, .. } => {
-                interest.retain(|slot| slot.fd != fd);
-                interest.push(Slot { fd, token, read, write });
-                Ok(())
-            }
-        }
-    }
-
-    pub(crate) fn reregister(
-        &mut self,
-        fd: RawFd,
-        token: usize,
-        read: bool,
-        write: bool,
-    ) -> std::io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            PollerImp::Epoll { epoll, .. } => {
-                epoll.modify(fd, epoll_mask(read, write), token as u64)
-            }
-            PollerImp::Poll { interest, .. } => {
-                for slot in interest.iter_mut() {
-                    if slot.fd == fd {
-                        slot.token = token;
-                        slot.read = read;
-                        slot.write = write;
-                        return Ok(());
-                    }
-                }
-                interest.push(Slot { fd, token, read, write });
-                Ok(())
-            }
-        }
-    }
-
-    pub(crate) fn deregister(&mut self, fd: RawFd) -> std::io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            PollerImp::Epoll { epoll, registered, .. } => {
-                *registered = registered.saturating_sub(1);
-                epoll.del(fd)
-            }
-            PollerImp::Poll { interest, .. } => {
-                interest.retain(|slot| slot.fd != fd);
-                Ok(())
-            }
-        }
-    }
-
-    /// Waits for readiness, clearing and filling `out`. `None` blocks
-    /// indefinitely. EINTR and timeouts return an empty `out`.
-    pub(crate) fn wait(
-        &mut self,
-        out: &mut Vec<Readiness>,
-        timeout: Option<Duration>,
-    ) -> std::io::Result<()> {
-        out.clear();
-        let timeout_ms =
-            timeout.map_or(-1i32, |d| i32::try_from(d.as_millis()).unwrap_or(i32::MAX));
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            PollerImp::Epoll { epoll, buf, registered } => {
-                buf.resize((*registered).max(16), sys::epoll::Event { events: 0, data: 0 });
-                let n = epoll.wait(buf, timeout_ms)?;
-                for ev in &buf[..n] {
-                    let events = ev.events;
-                    let data = ev.data;
-                    out.push(Readiness {
-                        token: data as usize,
-                        readable: events & sys::epoll::EPOLLIN != 0,
-                        writable: events & sys::epoll::EPOLLOUT != 0,
-                        error: events & (sys::epoll::EPOLLERR | sys::epoll::EPOLLHUP) != 0,
-                    });
-                }
-                Ok(())
-            }
-            PollerImp::Poll { interest, fds } => {
-                fds.clear();
-                fds.extend(interest.iter().map(|slot| sys::PollFd {
-                    fd: slot.fd,
-                    events: if slot.read { sys::POLLIN } else { 0 }
-                        | if slot.write { sys::POLLOUT } else { 0 },
-                    revents: 0,
-                }));
-                let n = sys::poll_fds(fds, timeout_ms)?;
-                if n > 0 {
-                    for (slot, fd) in interest.iter().zip(fds.iter()) {
-                        if fd.revents != 0 {
-                            out.push(Readiness {
-                                token: slot.token,
-                                readable: fd.revents & sys::POLLIN != 0,
-                                writable: fd.revents & sys::POLLOUT != 0,
-                                error: fd.revents & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL)
-                                    != 0,
-                            });
-                        }
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-#[cfg(target_os = "linux")]
-fn epoll_mask(read: bool, write: bool) -> u32 {
-    (if read { sys::epoll::EPOLLIN } else { 0 }) | (if write { sys::epoll::EPOLLOUT } else { 0 })
 }
 
 /// The I/O thread's end of the self-pipe: a nonblocking socketpair
-/// registered under [`TOKEN_WAKER`].
+/// polled in slot [`WAKER`].
 #[derive(Debug)]
 struct Waker {
     rx: UnixStream,
@@ -600,8 +296,6 @@ struct Conn {
     read_closed: bool,
     /// A fatal error frame has been staged; close once flushed.
     closing: bool,
-    want_read: bool,
-    want_write: bool,
 }
 
 impl Conn {
@@ -616,13 +310,25 @@ impl Conn {
             live: 0,
             read_closed: false,
             closing: false,
-            want_read: true,
-            want_write: false,
         }
     }
 
     fn unsent(&self) -> usize {
         self.out.len() - self.out_pos
+    }
+
+    /// Reads stop after EOF or a fatal frame, and while [`MAX_PIPELINE`]
+    /// responses are pending.
+    fn wants_read(&self) -> bool {
+        !self.read_closed && !self.closing && self.responses.len() < MAX_PIPELINE
+    }
+
+    /// This turn's poll entry: read interest per [`Conn::wants_read`],
+    /// write interest while output is unsent.
+    fn poll_fd(&self) -> sys::PollFd {
+        let read = if self.wants_read() { sys::POLLIN } else { 0 };
+        let write = if self.unsent() > 0 { sys::POLLOUT } else { 0 };
+        sys::PollFd::new(self.stream.as_raw_fd(), read | write)
     }
 }
 
@@ -854,23 +560,11 @@ fn should_close(conn: &Conn) -> bool {
     flushed && (conn.closing || (conn.read_closed && conn.responses.is_empty()))
 }
 
-fn update_interest(conn: &mut Conn, poller: &mut Poller, token: usize) -> std::io::Result<()> {
-    let want_read = !conn.read_closed && !conn.closing && conn.responses.len() < MAX_PIPELINE;
-    let want_write = conn.unsent() > 0;
-    if want_read != conn.want_read || want_write != conn.want_write {
-        conn.want_read = want_read;
-        conn.want_write = want_write;
-        poller.reregister(conn.stream.as_raw_fd(), token, want_read, want_write)?;
-    }
-    Ok(())
-}
-
 /// Runs the event-driven accept-and-serve loop forever. The fixed
 /// thread budget is `1` (this I/O thread) `+ exec_threads` (the executor
 /// pool), independent of the number of connections.
 pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, exec_threads: usize) -> ! {
     listener.set_nonblocking(true).expect("nonblocking listener");
-    let mut poller = Poller::new(PollerBackend::NATIVE);
     let mut waker = Waker::new().expect("waker socketpair");
 
     // Never the global pool: an executor blocks on tasks that the
@@ -883,53 +577,37 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, exec_threads: us
         executors.spawn(move || execute(&shared, job, &wake.0));
     };
 
-    poller.register(listener.as_raw_fd(), TOKEN_LISTENER, true, false).expect("register listener");
-    poller.register(waker.fd(), TOKEN_WAKER, true, false).expect("register waker");
-
-    let mut conns: HashMap<usize, Conn> = HashMap::new();
-    let mut next_token = TOKEN_FIRST_CONN;
+    let mut conns: Vec<Conn> = Vec::new();
+    let mut fds: Vec<sys::PollFd> = Vec::new();
     let mut backoff = ACCEPT_BACKOFF_MIN;
     let mut accept_resume: Option<Instant> = None;
-    let mut events: Vec<Readiness> = Vec::new();
-    let mut dead: Vec<usize> = Vec::new();
     let mut last_stats = Instant::now();
     let mut last_stats_line = String::new();
 
     loop {
-        let timeout = accept_resume.map(|at| at.saturating_duration_since(Instant::now()));
-        if let Err(err) = poller.wait(&mut events, timeout) {
-            eprintln!("tlabp-serve: poller wait failed: {err}");
-            std::thread::sleep(Duration::from_millis(50));
-            continue;
-        }
-
-        let mut accept_ready = false;
-        for ev in &events {
-            match ev.token {
-                TOKEN_LISTENER => accept_ready = true,
-                TOKEN_WAKER => waker.drain(),
-                token => {
-                    if let Some(conn) = conns.get_mut(&token) {
-                        if (ev.readable || ev.error) && !handle_readable(conn, shared, &start) {
-                            dead.push(token);
-                        }
-                        let _ = ev.writable; // flushed in the pump pass below
-                    }
-                }
-            }
-        }
-
         // Resume a backed-off listener once its deadline passes.
         if accept_resume.is_some_and(|at| Instant::now() >= at) {
             accept_resume = None;
-            if poller.register(listener.as_raw_fd(), TOKEN_LISTENER, true, false).is_ok() {
-                accept_ready = true;
-            } else {
-                accept_resume = Some(Instant::now() + backoff);
-            }
+        }
+        fds.clear();
+        fds.push(sys::PollFd::new(waker.fd(), sys::POLLIN));
+        let listening = if accept_resume.is_none() { listener.as_raw_fd() } else { -1 };
+        fds.push(sys::PollFd::new(listening, sys::POLLIN));
+        fds.extend(conns.iter().map(Conn::poll_fd));
+        let timeout_ms = accept_resume.map_or(-1, |at| {
+            let left = at.saturating_duration_since(Instant::now());
+            i32::try_from(left.as_millis()).unwrap_or(i32::MAX)
+        });
+        if let Err(err) = sys::poll_fds(&mut fds, timeout_ms) {
+            eprintln!("tlabp-serve: poll failed: {err}");
+            std::thread::sleep(Duration::from_millis(50));
+            continue;
+        }
+        if fds[WAKER].revents != 0 {
+            waker.drain();
         }
 
-        if accept_ready && accept_resume.is_none() {
+        if fds[LISTENER].revents != 0 {
             loop {
                 match listener.accept() {
                     Ok((stream, peer)) => {
@@ -939,11 +617,7 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, exec_threads: us
                             continue;
                         }
                         let _ = stream.set_nodelay(true);
-                        let token = next_token;
-                        next_token += 1;
-                        if poller.register(stream.as_raw_fd(), token, true, false).is_ok() {
-                            conns.insert(token, Conn::new(stream, peer.to_string()));
-                        }
+                        conns.push(Conn::new(stream, peer.to_string()));
                     }
                     Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
@@ -954,7 +628,6 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, exec_threads: us
                         eprintln!(
                             "tlabp-serve: accept failed: {err}; pausing accepts for {backoff:?}"
                         );
-                        let _ = poller.deregister(listener.as_raw_fd());
                         accept_resume = Some(Instant::now() + backoff);
                         backoff = next_backoff(backoff);
                         break;
@@ -963,35 +636,32 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, exec_threads: us
             }
         }
 
-        // Pump every connection: completed frames may belong to any of
+        // Serve every connection: completed frames may belong to any of
         // them (the waker doesn't say which), and flushing below
-        // OUT_HIGH may unblock more generation.
-        for (&token, conn) in &mut conns {
+        // OUT_HIGH may unblock more generation. Connections accepted
+        // this turn have no entry yet. Dropping a connection closes its
+        // socket and unblocks any executor mid-plan.
+        let mut revents = fds[FIRST_CONN..].iter().map(|fd| fd.revents);
+        conns.retain_mut(|conn| {
+            let revents = revents.next().unwrap_or(0);
+            if revents & sys::POLLIN != 0 {
+                if !handle_readable(conn, shared, &start) {
+                    return false;
+                }
+            } else if revents & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0 {
+                return false;
+            }
             pump(conn, shared, &start);
             if !write_out(conn) {
-                dead.push(token);
-                continue;
+                return false;
             }
             pump(conn, shared, &start);
-            if !write_out(conn) || should_close(conn) {
-                dead.push(token);
-                continue;
-            }
-            if update_interest(conn, &mut poller, token).is_err() {
-                dead.push(token);
-            }
-        }
-        for token in dead.drain(..) {
-            if let Some(conn) = conns.remove(&token) {
-                let _ = poller.deregister(conn.stream.as_raw_fd());
-                drop(conn); // dropping the stream closes the socket and
-                            // unblocks any executor mid-plan
-            }
-        }
+            write_out(conn) && !should_close(conn)
+        });
 
         if last_stats.elapsed() >= STATS_PERIOD {
             last_stats = Instant::now();
-            let line = shared.stats_line(conns.len(), poller.backend_name());
+            let line = shared.stats_line(conns.len());
             if line != last_stats_line {
                 eprintln!("tlabp-serve: {line}");
                 last_stats_line = line;
@@ -1044,71 +714,61 @@ mod tests {
         assert_eq!(delay, ACCEPT_BACKOFF_MAX, "the schedule saturates at the max");
     }
 
-    fn backends() -> Vec<PollerBackend> {
-        let mut backends = vec![PollerBackend::Poll];
-        if cfg!(target_os = "linux") {
-            backends.push(PollerBackend::Epoll);
-        }
-        backends
+    /// Polls `fds` with `timeout` and returns each entry's `revents`.
+    fn poll(fds: &mut [sys::PollFd], timeout: Duration) -> Vec<i16> {
+        let timeout_ms = i32::try_from(timeout.as_millis()).expect("short timeout");
+        sys::poll_fds(fds, timeout_ms).expect("poll");
+        fds.iter().map(|fd| fd.revents).collect()
     }
 
     #[test]
-    fn poller_reports_listener_and_connection_readiness() {
-        for backend in backends() {
-            let mut poller = Poller::new(backend);
-            assert_eq!(poller.backend(), backend, "no fallback expected on this host");
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-            listener.set_nonblocking(true).expect("nonblocking");
-            poller.register(listener.as_raw_fd(), 7, true, false).expect("register");
+    fn poll_reports_listener_connection_and_reset_readiness() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let mut fds = [sys::PollFd::new(listener.as_raw_fd(), sys::POLLIN)];
+        assert_eq!(poll(&mut fds, Duration::from_millis(10)), [0], "no client yet");
 
-            let mut events = Vec::new();
-            poller.wait(&mut events, Some(Duration::from_millis(10))).expect("wait");
-            assert!(events.is_empty(), "{backend:?}: nothing is ready before a client connects");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let revents = poll(&mut fds, Duration::from_secs(5));
+        assert!(revents[0] & sys::POLLIN != 0, "a pending accept reads as listener input");
 
-            let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-            poller.wait(&mut events, Some(Duration::from_secs(5))).expect("wait");
-            assert!(
-                events.iter().any(|ev| ev.token == 7 && ev.readable),
-                "{backend:?}: pending accept must report the listener readable"
-            );
+        // A connected socket with write interest is writable at once.
+        let (server, _) = listener.accept().expect("accept");
+        let mut fds = [sys::PollFd::new(server.as_raw_fd(), sys::POLLOUT)];
+        let revents = poll(&mut fds, Duration::from_secs(5));
+        assert!(revents[0] & sys::POLLOUT != 0, "an idle connected socket is writable");
 
-            // A connected socket with write interest is writable at once.
-            client.set_nonblocking(true).expect("nonblocking client");
-            poller.register(client.as_raw_fd(), 9, false, true).expect("register client");
-            poller.wait(&mut events, Some(Duration::from_secs(5))).expect("wait");
-            assert!(
-                events.iter().any(|ev| ev.token == 9 && ev.writable),
-                "{backend:?}: an idle connected socket must be writable"
-            );
-            poller.deregister(client.as_raw_fd()).expect("deregister");
-            poller.deregister(listener.as_raw_fd()).expect("deregister listener");
-        }
+        // A peer that closes with bytes unread resets the connection,
+        // which reports even to an entry with no interest at all.
+        (&server).write_all(b"unread").expect("write");
+        client.peek(&mut [0u8; 1]).expect("the bytes reach the peer");
+        drop(client);
+        let mut fds = [sys::PollFd::new(server.as_raw_fd(), 0)];
+        let revents = poll(&mut fds, Duration::from_secs(5));
+        assert!(revents[0] & (sys::POLLERR | sys::POLLHUP) != 0, "{:#x}", revents[0]);
+
+        // A negative fd is skipped: the listener slot of a backed-off
+        // accept loop never reports.
+        let mut fds = [sys::PollFd::new(-1, sys::POLLIN)];
+        assert_eq!(poll(&mut fds, Duration::from_millis(10)), [0]);
     }
 
     #[test]
-    fn waker_unblocks_a_waiting_poller() {
-        for backend in backends() {
-            let mut poller = Poller::new(backend);
-            let mut waker = Waker::new().expect("waker");
-            poller.register(waker.fd(), TOKEN_WAKER, true, false).expect("register");
-            let handle = waker.handle();
-            let waking = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(30));
-                handle.wake();
-            });
-            let mut events = Vec::new();
-            let start = Instant::now();
-            poller.wait(&mut events, Some(Duration::from_secs(10))).expect("wait");
-            assert!(
-                events.iter().any(|ev| ev.token == TOKEN_WAKER && ev.readable),
-                "{backend:?}: the wake byte must surface as waker readability"
-            );
-            assert!(start.elapsed() < Duration::from_secs(5), "woken, not timed out");
-            waker.drain();
-            // Coalesced wakes drain to quiescence: the next wait times out.
-            poller.wait(&mut events, Some(Duration::from_millis(10))).expect("wait");
-            assert!(events.is_empty(), "{backend:?}: drained waker is quiet");
-            waking.join().expect("waker thread");
-        }
+    fn waker_unblocks_a_waiting_poll() {
+        let mut waker = Waker::new().expect("waker");
+        let handle = waker.handle();
+        let waking = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            handle.wake();
+        });
+        let start = Instant::now();
+        let mut fds = [sys::PollFd::new(waker.fd(), sys::POLLIN)];
+        let revents = poll(&mut fds, Duration::from_secs(10));
+        assert!(revents[0] & sys::POLLIN != 0, "the wake byte reads as waker input");
+        assert!(start.elapsed() < Duration::from_secs(5), "woken, not timed out");
+        waker.drain();
+        // Coalesced wakes drain to quiescence: the next wait times out.
+        assert_eq!(poll(&mut fds, Duration::from_millis(10)), [0], "a drained waker is quiet");
+        waking.join().expect("waker thread");
     }
 }

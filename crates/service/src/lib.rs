@@ -15,8 +15,8 @@
 //! * [`server`] — [`server::SweepServer`]: one warm
 //!   [`TraceStore`](tlabp_sim::TraceStore) and the global worker pool
 //!   shared across all connections, served by an event-driven
-//!   readiness loop ([`event`]: `epoll` on Linux, `poll` on other unix)
-//!   from a fixed set of threads, with per-client admission control
+//!   readiness loop ([`event`]: `poll(2)` over a poll set rebuilt every
+//!   turn) from a fixed set of threads, with per-client admission control
 //!   ([`INFLIGHT`] plans in flight per connection, FIFO beyond; each
 //!   plan holds at most twice the pool width of tasks in the shared
 //!   queue) and bounded per-connection output queues. The daemon needs
@@ -35,7 +35,7 @@
 //!   [`ResultSet`](tlabp_sim::ResultSet) bit-identical to an in-process
 //!   [`Session::run`](tlabp_sim::Session::run) of the same plan.
 //!
-//! Unsafe code is confined to the raw `epoll`/`poll` syscall shim in
+//! Unsafe code is confined to one block, the raw `poll` call in
 //! [`event`]; every other module keeps the workspace-wide
 //! `deny(unsafe_code)` discipline.
 

@@ -13,9 +13,8 @@
 //!
 //! Connections are served by the event-driven readiness core
 //! ([`crate::event`]): N clients cost a fixed number of threads. It
-//! waits on `epoll` on Linux and on `poll(2)` on other unix hosts; on a
-//! host without either, [`SweepServer::bind`] fails with
-//! [`std::io::ErrorKind::Unsupported`].
+//! waits in `poll(2)` on every unix host; on any other host,
+//! [`SweepServer::bind`] fails with [`std::io::ErrorKind::Unsupported`].
 //!
 //! [`ServeConfig`] comes from the `TLABP_SERVE_*` knobs, read by
 //! [`tlabp_core::env`]: a garbage value warns and falls back to the
@@ -99,13 +98,13 @@ impl Shared {
     }
 
     /// The periodic stats line (printed only when it changed).
-    pub(crate) fn stats_line(&self, conns: usize, backend: &str) -> String {
+    pub(crate) fn stats_line(&self, conns: usize) -> String {
         let (memo_entries, memo_bytes) = {
             let cache = self.memo.lock().expect("memo cache lock");
             (cache.len(), cache.bytes())
         };
         format!(
-            "stats backend={backend} conns={conns} accepted={} accept_errors={} plans={} \
+            "stats conns={conns} accepted={} accept_errors={} plans={} \
              memo_hits={} memo_entries={memo_entries} memo_bytes={memo_bytes}",
             self.stats.accepted.load(Ordering::Relaxed),
             self.stats.accept_errors.load(Ordering::Relaxed),
@@ -145,7 +144,7 @@ impl SweepServer {
     ///
     /// Fails if the address cannot be bound, and with
     /// [`std::io::ErrorKind::Unsupported`] on a host that is not unix
-    /// (the event core needs `epoll` or `poll`).
+    /// (the event core waits in `poll(2)`).
     pub fn bind(
         config: &ServeConfig,
         store: TraceStore,
@@ -154,7 +153,7 @@ impl SweepServer {
         if !cfg!(unix) {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::Unsupported,
-                "the sweep daemon needs a unix host (epoll or poll)",
+                "the sweep daemon needs a unix host for poll(2)",
             ));
         }
         let listener = TcpListener::bind(&config.addr)?;

@@ -10,8 +10,9 @@
 //! incrementally in plan order; malformed plans, including schemes with
 //! an impossible table geometry, earn error frames and leave the daemon
 //! serving; a plan whose predictor panics earns an error frame and
-//! costs no executor; a 64-client mixed cold/memo/malformed soak stays
-//! bit-identical throughout; and 256 idle connections cost no
+//! costs no executor; a client that half-closes its connection still
+//! gets every response, then EOF; a 64-client mixed cold/memo/malformed
+//! soak stays bit-identical throughout; and 256 idle connections cost no
 //! additional threads.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -391,6 +392,55 @@ fn server_reports_errors_and_survives_them() {
     let expected = run(&plan, &TraceStore::new()).to_json_string();
     let (results, _) = connect(&addr).execute(&plan).expect("daemon survived the bad clients");
     assert_eq!(results.to_json_string(), expected);
+}
+
+/// The bytes a fresh daemon sends for `plan`: one result frame per job
+/// of its in-process results, then a `done` frame.
+fn expected_response(plan: &Plan, store: &TraceStore) -> String {
+    use tlabp::service::proto::{done_payload, encode_frame, result_payload, FrameKind};
+
+    let results = run(plan, store);
+    let mut response = String::new();
+    for index in 0..results.len() {
+        response +=
+            &encode_frame(FrameKind::Result, &result_payload(index, results.outcome(index)));
+        response.push('\n');
+    }
+    response += &encode_frame(FrameKind::Done, &done_payload(plan.len(), false));
+    response.push('\n');
+    response
+}
+
+/// A client that shuts its write side after two plan frames still gets
+/// both responses in full, in order and byte-identical to in-process
+/// runs, and then EOF: a half-close reads as end of input, never as a
+/// hangup that would close the connection before its answers leave.
+#[test]
+fn a_half_closed_client_gets_every_response_then_eof() {
+    use std::io::{Read, Write};
+    use tlabp::service::proto::{encode_frame, FrameKind};
+
+    let plans: [Plan; 2] = [
+        [Job::scheme(SchemeConfig::pag(6), li())].into_iter().collect(),
+        [Job::scheme(SchemeConfig::gag(6), li()), Job::scheme(SchemeConfig::btfn(), li())]
+            .into_iter()
+            .collect(),
+    ];
+    let store = TraceStore::new();
+    let expected: String = plans.iter().map(|plan| expected_response(plan, &store)).collect();
+
+    let addr = spawn_server(server_config(64 << 20));
+    let mut stream = std::net::TcpStream::connect(&addr).expect("daemon reachable");
+    stream.set_read_timeout(Some(Duration::from_secs(120))).expect("read timeout");
+    for plan in &plans {
+        let frame = encode_frame(FrameKind::Plan, &plan.to_json_string());
+        stream.write_all(frame.as_bytes()).expect("write plan frame");
+        stream.write_all(b"\n").expect("write newline");
+    }
+    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut answer = String::new();
+    stream.read_to_string(&mut answer).expect("both responses, then EOF");
+    assert_eq!(answer, expected, "a half-closed client must get both responses byte-identically");
 }
 
 /// Runs `body` on its own thread and returns its value, failing the test
